@@ -15,6 +15,12 @@ per key:
 3. **Query fetch** — a cold-cache statistical range query costs exactly one
    ``multi_get`` on a single backend (and at most one per node on a
    cluster), however many index nodes the plan touches.
+4. **Query fold** — on a cache-resident index of the e2e ``stat_hot`` shape
+   (1 024 windows, 11 digest components, fanout 64, log-uniform range
+   lengths) the HEAC ``query_range`` must stay within 3× of the plaintext
+   one, interleaved in the same process.  The "before" arm is the same HEAC
+   index behind a combiner with no n-ary fold, i.e. cell-by-cell pairwise
+   ``+`` — the algorithm the column fold replaced.
 
 Run as a script to print the tables and refresh ``BENCH_storage.json``:
 
@@ -29,7 +35,10 @@ also run under plain pytest: ``pytest benchmarks/bench_storage_batch.py``.
 from __future__ import annotations
 
 import argparse
+import math
+import operator
 import os
+import random
 import tempfile
 import time
 from pathlib import Path
@@ -37,10 +46,17 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro import ServerEngine, TimeCrypt
 from repro.bench.reporting import ResultTable, format_duration, write_json_report
+from repro.crypto.heac import HEACCipher
+from repro.crypto.keytree import KeyDerivationTree
+from repro.index.node import DigestCombiner, heac_combiner, plaintext_combiner
+from repro.index.tree import AggregationIndex
 from repro.storage.cluster import StorageCluster
 from repro.storage.disk import AppendLogStore
 from repro.storage.kv import KeyValueStore
+from repro.storage.memory import MemoryStore
+from repro.timeseries.serialization import decode_digest_vector, encode_digest_vector
 from repro.timeseries.stream import StreamConfig
+from repro.util.encoding import pack_varint_list, unpack_varint_list
 
 from conftest import scaled
 
@@ -54,6 +70,13 @@ TREE_HEIGHT = 30
 
 CLUSTER_NODES = 3
 REPLICATION_FACTOR = 2
+
+#: Query-fold arm: the e2e ``stat_hot`` index shape.
+FOLD_WINDOWS = 1024
+FOLD_WIDTH = 11
+FOLD_FANOUT = 64
+FOLD_QUERIES = scaled(2000, minimum=200)
+FOLD_ROUNDS = 5
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_storage.json"
 
@@ -171,6 +194,75 @@ def _query_fetch_round_trips(num_chunks: int) -> Dict[str, float]:
     }
 
 
+def _query_fold(num_queries: int) -> Dict[str, object]:
+    """Cache-resident ``query_range``: HEAC column fold vs pairwise ``+`` vs plaintext.
+
+    The three arms answer the same ranges round-robin, so machine drift hits
+    them alike; each arm reports its fastest round.
+    """
+    cipher = HEACCipher(KeyDerivationTree(b"\x15" * 16, height=TREE_HEIGHT))
+    plain_vectors = [
+        [(window * 7 + component) % 1000 for component in range(FOLD_WIDTH)]
+        for window in range(FOLD_WINDOWS)
+    ]
+    encrypted = cipher.encrypt_windows(plain_vectors, 0)
+    heac_codec = (encode_digest_vector, decode_digest_vector)
+    arms = {
+        "heac": (heac_combiner(), heac_codec, encrypted),
+        "heac_pairwise": (
+            DigestCombiner(add=operator.add, size_of=lambda _cell: 8),
+            heac_codec,
+            encrypted,
+        ),
+        "plaintext": (
+            plaintext_combiner(),
+            (pack_varint_list, lambda blob: unpack_varint_list(blob, 0)[0]),
+            plain_vectors,
+        ),
+    }
+    indexes = {}
+    for name, (combiner, (encode, decode), vectors) in arms.items():
+        index = AggregationIndex(
+            f"fold-{name}", MemoryStore(), combiner, encode, decode, fanout=FOLD_FANOUT
+        )
+        for first in range(0, FOLD_WINDOWS, 8):
+            index.append_many(vectors[first : first + 8])
+        indexes[name] = index
+    rng = random.Random(7)
+    ranges = []
+    for _ in range(num_queries):
+        length = min(FOLD_WINDOWS, max(1, round(math.exp(rng.uniform(0, math.log(FOLD_WINDOWS))))))
+        first = rng.randrange(FOLD_WINDOWS - length + 1)
+        ranges.append((first, first + length))
+    # Same answers on every arm before anything is timed.
+    for first, last in ranges[:50]:
+        cells = indexes["heac"].query_range(first, last)
+        assert cells == indexes["heac_pairwise"].query_range(first, last)
+        assert cipher.decrypt_ranges([cells])[0] == indexes["plaintext"].query_range(first, last)
+    best = {name: math.inf for name in indexes}
+    for _ in range(FOLD_ROUNDS):
+        for name, index in indexes.items():
+            begin = time.perf_counter()
+            for first, last in ranges:
+                index.query_range(first, last)
+            best[name] = min(best[name], time.perf_counter() - begin)
+    micros = {name: seconds / len(ranges) * 1e6 for name, seconds in best.items()}
+    plan_nodes = sum(indexes["heac"].plan(first, last).num_nodes for first, last in ranges)
+    return {
+        "windows": FOLD_WINDOWS,
+        "width": FOLD_WIDTH,
+        "fanout": FOLD_FANOUT,
+        "queries": len(ranges),
+        "mean_plan_nodes": round(plan_nodes / len(ranges), 2),
+        "before_heac_pairwise_us_per_query": round(micros["heac_pairwise"], 1),
+        "after_heac_us_per_query": round(micros["heac"], 1),
+        "plaintext_us_per_query": round(micros["plaintext"], 1),
+        "fold_speedup": round(micros["heac_pairwise"] / micros["heac"], 2),
+        "heac_vs_plaintext": round(micros["heac"] / micros["plaintext"], 2),
+        "heac_within_3x_plaintext": micros["heac"] <= 3.0 * micros["plaintext"],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Assertions (collected by pytest, reused by the script)
 # ---------------------------------------------------------------------------
@@ -206,6 +298,12 @@ def test_query_fetch_is_one_round_trip_per_node():
     assert fetch["plan_nodes"] > 1
     assert fetch["index_store_round_trips"] == 1
     assert fetch["max_multi_gets_per_node"] <= 1
+
+
+def test_query_fold_heac_within_3x_plaintext():
+    """Encrypted index aggregation stays within 3x of plaintext, as Table 2 claims."""
+    fold = _query_fold(200)
+    assert fold["heac_within_3x_plaintext"], fold
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +380,27 @@ def main(argv=None) -> None:
     query_table.add_note("target: one multi_get per query per cluster node")
     query_table.print()
 
+    fold = _query_fold(200 if args.smoke else FOLD_QUERIES)
+    fold_table = ResultTable(
+        title=(
+            f"Cache-resident query_range — {FOLD_WINDOWS} windows, width {FOLD_WIDTH}, "
+            f"fanout {FOLD_FANOUT}, {fold['queries']} log-uniform ranges"
+        ),
+        columns=["arm", "per query", "vs plaintext"],
+    )
+    for arm, key in (
+        ("HEAC pairwise + (before)", "before_heac_pairwise_us_per_query"),
+        ("HEAC column fold (after)", "after_heac_us_per_query"),
+        ("plaintext", "plaintext_us_per_query"),
+    ):
+        fold_table.add_row(
+            arm,
+            format_duration(fold[key] / 1e6),
+            f"{fold[key] / fold['plaintext_us_per_query']:.2f}x",
+        )
+    fold_table.add_note("target: HEAC column fold within 3x of plaintext")
+    fold_table.print()
+
     results["appendlog_ingest"] = {
         "chunks": num_chunks,
         "chunks_per_batch": CHUNKS_PER_BATCH,
@@ -298,6 +417,7 @@ def main(argv=None) -> None:
         "round_trip_reduction": round(cluster_reduction, 2),
     }
     results["query_fetch"] = fetch
+    results["query_fold"] = fold
 
     print(f"baseline written to {write_json_report(args.output, results)}")
 

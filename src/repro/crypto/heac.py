@@ -72,7 +72,7 @@ def _fetch_leaves(keystream: Keystream, indices: Sequence[int]) -> Dict[int, byt
     return leaves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HEACCiphertext:
     """A HEAC ciphertext tagged with the chunk-window interval it covers.
 
@@ -471,14 +471,78 @@ def aggregate(ciphertexts: Iterable[HEACCiphertext]) -> HEACCiphertext:
     return result
 
 
+def sum_columns(rows: Iterable[Sequence[int]]) -> List[int]:
+    """Component-wise integer sum of equal-width rows: one ``sum`` per column.
+
+    Plain integers, no reduction — HEAC callers mask the totals into the ring.
+    """
+    return [sum(column) for column in zip(*rows)]
+
+
+def vector_interval(vector: Sequence[HEACCiphertext]) -> Tuple[int, int]:
+    """The one window interval every cell of a (non-empty) digest vector covers.
+
+    A digest vector is the per-component encryption of one window range, so
+    all of its cells share an interval; a vector whose cells disagree is
+    malformed and rejected.
+    """
+    head = vector[0]
+    start, end = head.window_start, head.window_end
+    for cell in vector:
+        if cell.window_start != start or cell.window_end != end:
+            raise ValueError(
+                "digest vector cells cover different window intervals: "
+                f"[{start},{end}) and [{cell.window_start},{cell.window_end})"
+            )
+    return start, end
+
+
+def fold_vectors(vectors: Sequence[Sequence[HEACCiphertext]]) -> List[HEACCiphertext]:
+    """Homomorphically sum digest vectors over adjacent intervals, in order.
+
+    The n-ary form of component-wise ``+``: the cell values are summed as
+    integer columns and the ``width`` result cells — all tagged
+    ``[first.window_start, last.window_end)`` — are the only ciphertext
+    objects built, instead of one per cell per addition.  Consecutive
+    vectors must be adjacent, exactly as ``+`` demands.
+
+    Precondition: ``vectors`` is non-empty, the vectors have one non-zero
+    width, and every vector's cells share one interval — only the first cell
+    of each vector is read for it.  The fold does not re-check that (it
+    would cost a pass over every cell of every fold); a caller holding
+    vectors it has not validated runs :func:`vector_interval` over them
+    first, as :func:`aggregate_componentwise` and the index's entry points
+    do.
+    """
+    start = end = vectors[0][0].window_start
+    rows = []
+    for vector in vectors:
+        head = vector[0]
+        if head.window_start != end:
+            raise ValueError(
+                "HEAC ciphertexts can only be combined over adjacent window intervals; "
+                f"got [{start},{end}) and [{head.window_start},{head.window_end})"
+            )
+        end = head.window_end
+        rows.append([cell.value for cell in vector])
+    return [HEACCiphertext(total & _MASK, start, end) for total in sum_columns(rows)]
+
+
 def aggregate_componentwise(
     vectors: Iterable[Sequence[HEACCiphertext]],
 ) -> List[HEACCiphertext]:
-    """Aggregate digest vectors component by component."""
+    """Aggregate digest vectors component by component.
+
+    Like :func:`aggregate`, the vectors may arrive in any order and must tile
+    a contiguous window range.
+    """
     materialised = [list(vector) for vector in vectors]
     if not materialised:
         raise ValueError("cannot aggregate an empty vector sequence")
     width = len(materialised[0])
     if any(len(vector) != width for vector in materialised):
         raise ValueError("all digest vectors must have the same number of components")
-    return [aggregate(vector[i] for vector in materialised) for i in range(width)]
+    if width == 0:
+        return []
+    materialised.sort(key=vector_interval)
+    return fold_vectors(materialised)

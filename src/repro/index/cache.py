@@ -68,5 +68,16 @@ class NodeCache:
     def invalidate(self, key: NodeKey) -> bool:
         return self._cache.invalidate(key)
 
+    def invalidate_stream(self, stream_uuid: str) -> int:
+        """Drop every cached node of one stream; returns how many were dropped.
+
+        The cache is typically shared by all streams of an engine, so deleting
+        a stream must not cold-start the others.
+        """
+        doomed = [key for key, _node in self._cache.items() if key[0] == stream_uuid]
+        for key in doomed:
+            self._cache.invalidate(key)
+        return len(doomed)
+
     def clear(self) -> None:
         self._cache.clear()

@@ -11,12 +11,12 @@ greedily from the largest aligned blocks downward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from repro.exceptions import QueryError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRef:
     """A reference to one index node in a query plan."""
 
@@ -42,20 +42,6 @@ class RangePlan:
     def levels_touched(self) -> Tuple[int, ...]:
         return tuple(sorted({node.level for node in self.nodes}))
 
-    def storage_keys(self, key_for: Callable[[int, int], bytes]) -> List[bytes]:
-        """The backend keys of every node in the plan, in cover order.
-
-        ``key_for`` maps ``(level, position)`` to a storage key; the executor
-        fetches the whole list with one ``multi_get`` instead of one ``get``
-        per node, which is what makes a range query cost O(node groups per
-        backend) round trips rather than O(nodes).
-        """
-        return [key_for(node.level, node.position) for node in self.nodes]
-
-
-def _block_size(fanout: int, level: int) -> int:
-    return fanout ** level
-
 
 def plan_range(start: int, end: int, fanout: int, max_level: int) -> RangePlan:
     """Greedy aligned-block cover of the window interval ``[start, end)``.
@@ -75,26 +61,20 @@ def plan_range(start: int, end: int, fanout: int, max_level: int) -> RangePlan:
         raise QueryError("index fanout must be at least 2")
     if end < start:
         raise QueryError(f"invalid window range [{start}, {end})")
+    sizes = [fanout ** level for level in range(max_level + 1)]
     nodes: List[NodeRef] = []
     position = start
     while position < end:
         # The largest level whose block is aligned at `position` and fits in the range.
         level = 0
         while level < max_level:
-            size_up = _block_size(fanout, level + 1)
+            size_up = sizes[level + 1]
             if position % size_up == 0 and position + size_up <= end:
                 level += 1
             else:
                 break
-        size = _block_size(fanout, level)
-        nodes.append(
-            NodeRef(
-                level=level,
-                position=position // size,
-                window_start=position,
-                window_end=position + size,
-            )
-        )
+        size = sizes[level]
+        nodes.append(NodeRef(level, position // size, position, position + size))
         position += size
     return RangePlan(window_start=start, window_end=end, nodes=tuple(nodes))
 

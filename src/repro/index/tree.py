@@ -16,6 +16,31 @@ The tree is cipher-agnostic: cells are combined via a
 supplied functions, so the same code serves HEAC, Paillier, EC-ElGamal, and
 the plaintext baseline.
 
+Column fold
+-----------
+
+Every aggregation is **one** :meth:`DigestCombiner.fold
+<repro.index.node.DigestCombiner.fold>` call over all the vectors involved:
+a range query folds the cells of its whole node cover at once, and an append
+folds, per touched spine node, the stored node plus every new leaf of its
+block.  For HEAC that is one integer ``sum`` per digest component and
+``width`` result ciphertexts per query — the same arithmetic as the
+plaintext baseline plus a 64-bit mask — rather than one ciphertext object
+per cell per node.
+
+The fold takes each vector to cover a single window interval and checks only
+that consecutive vectors are adjacent.  What makes that safe is validated
+where vectors enter the tree, once per vector rather than once per fold:
+
+* an appended digest must cover exactly ``[w, w + 1)`` for the window ``w``
+  it becomes (:meth:`AggregationIndex.append_many`);
+* a node decoded from storage must carry cells covering exactly the
+  interval in its header (:meth:`AggregationIndex._decode_node`);
+* at query time every loaded node's header is matched against the plan
+  (:meth:`AggregationIndex.query_range`), so the cover is gap-free.
+
+Nodes are immutable, so a cached node stays validated.
+
 Batch ingest
 ------------
 
@@ -24,7 +49,8 @@ one store write per tree level, plus a meta-record write — O(levels) writes
 per chunk.  :meth:`AggregationIndex.append_many` appends ``n`` consecutive
 digests in one pass: per level it walks the touched spine positions (at most
 ``n / fanout^level + 1`` of them), folds every new leaf of a position into
-its node in memory, and writes each touched node exactly once; the
+its node in memory (one fold per node), and writes each touched node exactly
+once; the
 window-count meta record is written once per batch.  Store writes drop from
 ``n · (levels + 1) + n`` to ``n + Σ_L (n / fanout^L + 1) + 1`` — for
 ``n = fanout`` that is ~2 writes per leaf instead of ``levels + 2``.  The
@@ -176,13 +202,14 @@ class AggregationIndex(Generic[Cell]):
     def _decode_node(self, level: int, position: int, blob: bytes) -> IndexNode:
         window_start, pos = decode_varint(blob, 0)
         window_end, pos = decode_varint(blob, pos)
-        cells = self._decode_cells(blob[pos:])
+        cells = tuple(self._decode_cells(blob[pos:]))
+        self._combiner.check_interval(cells, window_start, window_end)
         return IndexNode(
             level=level,
             position=position,
             window_start=window_start,
             window_end=window_end,
-            cells=tuple(cells),
+            cells=cells,
         )
 
     def _load_node(self, level: int, position: int) -> Optional[IndexNode]:
@@ -194,32 +221,27 @@ class AggregationIndex(Generic[Cell]):
 
         return self._cache.get_or_load(cache_key, loader)
 
-    def _load_plan_nodes(self, plan: RangePlan) -> Dict[tuple, Optional[IndexNode]]:
-        """Load a query plan's node cover, batching cache misses.
+    def _load_plan_nodes(self, plan: RangePlan) -> List[Optional[IndexNode]]:
+        """Load a query plan's node cover (in cover order), batching cache misses.
 
         Every node missing from the cache is fetched with one ``multi_get``
-        against the backend (zero round trips when the cache already holds
-        the whole cover), and the fetched nodes are cached.
+        against the backend and cached; storage keys are computed only for
+        those misses, so a fully cached cover costs neither a round trip nor
+        any key formatting.
         """
-        nodes: Dict[tuple, Optional[IndexNode]] = {}
-        missing: List[tuple] = []
-        for ref, key in zip(plan.nodes, plan.storage_keys(self._node_key)):
-            coordinates = (ref.level, ref.position)
-            cached = self._cache.get((self._stream_uuid, ref.level, ref.position))
-            if cached is not None:
-                nodes[coordinates] = cached
-            elif coordinates not in nodes:
-                missing.append((coordinates, key))
-                nodes[coordinates] = None
+        uuid = self._stream_uuid
+        nodes = [self._cache.get((uuid, ref.level, ref.position)) for ref in plan.nodes]
+        missing = [i for i, node in enumerate(nodes) if node is None]
         if missing:
-            blobs = self._store.multi_get([key for _, key in missing])
+            keys = [self._node_key(plan.nodes[i].level, plan.nodes[i].position) for i in missing]
+            blobs = self._store.multi_get(keys)
             self.store_batch_ops += 1
-            for (level, position), key in missing:
+            for i, key in zip(missing, keys):
                 blob = blobs.get(key)
                 if blob is not None:
-                    node = self._decode_node(level, position, blob)
-                    self._cache.put((self._stream_uuid, level, position), node)
-                    nodes[(level, position)] = node
+                    ref = plan.nodes[i]
+                    nodes[i] = self._decode_node(ref.level, ref.position, blob)
+                    self._cache.put((uuid, ref.level, ref.position), nodes[i])
         return nodes
 
     # -- ingest -------------------------------------------------------------------
@@ -268,7 +290,9 @@ class AggregationIndex(Generic[Cell]):
         leaf_cells: List[tuple] = []
         for offset, cells in enumerate(cell_vectors):
             window_index = start + offset
-            leaf_cells.append(tuple(cells))
+            leaf = tuple(cells)
+            self._combiner.check_interval(leaf, window_index, window_index + 1)
+            leaf_cells.append(leaf)
             self._buffer_node(
                 batch,
                 staged,
@@ -277,15 +301,20 @@ class AggregationIndex(Generic[Cell]):
                     position=window_index,
                     window_start=window_index,
                     window_end=window_index + 1,
-                    cells=leaf_cells[-1],
+                    cells=leaf,
                 ),
             )
         end = start + len(leaf_cells)
+        block = 1
         for level in range(1, self._max_level + 1):
-            block = self._fanout ** level
+            block *= self._fanout
             for position in range(start // block, (end - 1) // block + 1):
                 block_start = max(start, position * block)
                 block_end = min(end, (position + 1) * block)
+                # One fold per touched node: the node as stored (if any) plus
+                # every new leaf of its block.
+                vectors = leaf_cells[block_start - start : block_end - start]
+                window_start = block_start
                 existing = self._load_node(level, position) if block_start == start else None
                 if existing is not None:
                     if existing.window_end != block_start:
@@ -294,15 +323,7 @@ class AggregationIndex(Generic[Cell]):
                             f"{existing.window_end}, leaf is {block_start}"
                         )
                     window_start = existing.window_start
-                    cells = list(existing.cells)
-                else:
-                    window_start = block_start
-                    cells = list(leaf_cells[block_start - start])
-                    block_start += 1
-                for window_index in range(block_start, block_end):
-                    cells = self._combiner.combine_vectors(
-                        cells, leaf_cells[window_index - start]
-                    )
+                    vectors.insert(0, existing.cells)
                 self._buffer_node(
                     batch,
                     staged,
@@ -311,7 +332,7 @@ class AggregationIndex(Generic[Cell]):
                         position=position,
                         window_start=window_start,
                         window_end=block_end,
-                        cells=tuple(cells),
+                        cells=tuple(self._combiner.fold(vectors)),
                     ),
                 )
         # Flush before mutating any in-memory state: if the backend rejects
@@ -354,10 +375,8 @@ class AggregationIndex(Generic[Cell]):
                 f"plan covers [{plan.window_start}, {plan.window_end}), query "
                 f"asked for [{window_start}, {window_end})"
             )
-        loaded = self._load_plan_nodes(plan)
-        total: Optional[List[Cell]] = None
-        for ref in plan.nodes:
-            node = loaded[(ref.level, ref.position)]
+        vectors = []
+        for ref, node in zip(plan.nodes, self._load_plan_nodes(plan)):
             if node is None:
                 raise IndexError_(
                     f"missing index node level={ref.level} position={ref.position}"
@@ -368,13 +387,8 @@ class AggregationIndex(Generic[Cell]):
                     f"[{node.window_start}, {node.window_end}), plan expected "
                     f"[{ref.window_start}, {ref.window_end})"
                 )
-            total = (
-                list(node.cells)
-                if total is None
-                else self._combiner.combine_vectors(total, node.cells)
-            )
-        assert total is not None
-        return total
+            vectors.append(node.cells)
+        return self._combiner.fold(vectors)
 
     def plan(self, window_start: int, window_end: int) -> RangePlan:
         """The node cover used to answer a range query (exposed for benchmarks)."""

@@ -207,7 +207,9 @@ class ServerEngine:
         )
         self.store.delete(metadata_storage_key(stream_uuid))
         self.token_store.delete_grants(stream_uuid)
-        state.index.cache.clear()
+        # The node cache is shared by every stream of this engine: drop only
+        # the deleted stream's nodes.
+        state.index.cache.invalidate_stream(stream_uuid)
         del self._streams[stream_uuid]
 
     def stream_metadata(self, stream_uuid: str) -> StreamMetadata:
@@ -264,14 +266,24 @@ class ServerEngine:
                 f"chunk for window {chunk.window_index} arrived, expected window "
                 f"{expected_window} (ingest is in-order append-only)"
             )
-        self.store.put(
-            chunk_storage_key(chunk.stream_uuid, chunk.window_index),
-            encode_encrypted_chunk(chunk),
-        )
-        state.index.append(list(chunk.digest))
-        state.num_chunks += 1
-        state.num_records += chunk.num_points
+        self._ingest(state, [chunk])
         return chunk.window_index
+
+    def _ingest(self, state: StreamState, chunks: Sequence[EncryptedChunk]) -> None:
+        """Store validated consecutive chunks of one stream in one write round.
+
+        One coalesced write set: chunk payloads + touched index nodes + the
+        window-count record land in a single backend ``multi_put``, so a
+        failed write never leaves a payload without its index entry.
+        """
+        uuid = state.metadata.uuid
+        payload_puts = [
+            (chunk_storage_key(uuid, chunk.window_index), encode_encrypted_chunk(chunk))
+            for chunk in chunks
+        ]
+        state.index.append_many([chunk.digest for chunk in chunks], extra_puts=payload_puts)
+        state.num_chunks += len(chunks)
+        state.num_records += sum(chunk.num_points for chunk in chunks)
 
     def validate_chunk_batch(self, chunks: Sequence[EncryptedChunk]) -> int:
         """Check a batch is non-empty, single-stream, and consecutive from the
@@ -306,19 +318,7 @@ class ServerEngine:
         instead of once per chunk.  Returns the first appended window index.
         """
         expected_window = self.validate_chunk_batch(chunks)
-        stream_uuid = chunks[0].stream_uuid
-        state = self._state(stream_uuid)
-        payload_puts = [
-            (chunk_storage_key(stream_uuid, chunk.window_index), encode_encrypted_chunk(chunk))
-            for chunk in chunks
-        ]
-        # One coalesced write set: chunk payloads + touched index nodes + the
-        # window-count record land in a single backend multi_put round trip.
-        state.index.append_many(
-            [list(chunk.digest) for chunk in chunks], extra_puts=payload_puts
-        )
-        state.num_chunks += len(chunks)
-        state.num_records += sum(chunk.num_points for chunk in chunks)
+        self._ingest(self._state(chunks[0].stream_uuid), chunks)
         return expected_window
 
     # -- raw range retrieval ----------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro.crypto.heac import HEACCiphertext, MODULUS
+from repro.crypto.heac import MODULUS, HEACCiphertext, sum_columns
 from repro.exceptions import QueryError
 
 
@@ -67,16 +67,14 @@ class MultiStreamAggregate:
         for result in results:
             if result.component_names != names:
                 raise QueryError("inter-stream queries require identical digest layouts")
-        width = len(names)
-        values = [0] * width
-        for result in results:
-            for component in range(width):
-                values[component] = (values[component] + result.cells[component].value) % MODULUS
+        totals = sum_columns([cell.value for cell in result.cells] for result in results)
         intervals = tuple(
             (result.stream_uuid, result.window_start, result.window_end) for result in results
         )
         return MultiStreamAggregate(
-            values=tuple(values), component_names=names, per_stream_intervals=intervals
+            values=tuple(total % MODULUS for total in totals),
+            component_names=names,
+            per_stream_intervals=intervals,
         )
 
 

@@ -55,19 +55,26 @@ def encode_digest_vector(digest: Sequence[HEACCiphertext]) -> bytes:
 
 
 def decode_digest_vector(blob: bytes) -> List[HEACCiphertext]:
-    """Inverse of :func:`encode_digest_vector`."""
+    """Inverse of :func:`encode_digest_vector`.
+
+    Any malformed blob — truncated anywhere, or carrying an empty or
+    reversed window interval — raises :class:`ChunkError`.
+    """
     if blob[:4] != _MAGIC_DIGEST:
         raise ChunkError("not a digest vector blob")
-    count, pos = decode_varint(blob, 4)
     digest: List[HEACCiphertext] = []
-    for _ in range(count):
-        if pos + 8 > len(blob):
-            raise ChunkError("truncated digest vector")
-        value = int.from_bytes(blob[pos : pos + 8], "big")
-        pos += 8
-        window_start, pos = decode_varint(blob, pos)
-        window_end, pos = decode_varint(blob, pos)
-        digest.append(HEACCiphertext(value=value, window_start=window_start, window_end=window_end))
+    try:
+        count, pos = decode_varint(blob, 4)
+        for _ in range(count):
+            if pos + 8 > len(blob):
+                raise ChunkError("truncated digest vector")
+            value = int.from_bytes(blob[pos : pos + 8], "big")
+            pos += 8
+            window_start, pos = decode_varint(blob, pos)
+            window_end, pos = decode_varint(blob, pos)
+            digest.append(HEACCiphertext(value, window_start, window_end))
+    except ValueError as exc:
+        raise ChunkError(f"malformed digest vector: {exc}") from exc
     return digest
 
 
@@ -96,16 +103,18 @@ def decode_encrypted_chunk(blob: bytes) -> EncryptedChunk:
     """
     if blob[:4] != _MAGIC_CHUNK:
         raise ChunkError("not an encrypted chunk blob")
-    pos = 4
-    uuid_len, pos = decode_varint(blob, pos)
-    stream_uuid = bytes(blob[pos : pos + uuid_len]).decode("utf-8")
-    pos += uuid_len
-    window_index, pos = decode_varint(blob, pos)
-    num_points, pos = decode_varint(blob, pos)
-    digest_len, pos = decode_varint(blob, pos)
-    digest = decode_digest_vector(blob[pos : pos + digest_len])
-    pos += digest_len
-    payload_len, pos = decode_varint(blob, pos)
+    try:
+        uuid_len, pos = decode_varint(blob, 4)
+        stream_uuid = bytes(blob[pos : pos + uuid_len]).decode("utf-8")
+        pos += uuid_len
+        window_index, pos = decode_varint(blob, pos)
+        num_points, pos = decode_varint(blob, pos)
+        digest_len, pos = decode_varint(blob, pos)
+        digest = decode_digest_vector(blob[pos : pos + digest_len])
+        pos += digest_len
+        payload_len, pos = decode_varint(blob, pos)
+    except ValueError as exc:  # truncated varint, undecodable uuid
+        raise ChunkError(f"malformed chunk blob: {exc}") from exc
     payload = bytes(blob[pos : pos + payload_len])
     if len(payload) != payload_len:
         raise ChunkError("truncated chunk payload")
@@ -127,11 +136,14 @@ def peek_chunk_stream_uuid(blob: bytes) -> str:
     """
     if blob[:4] != _MAGIC_CHUNK:
         raise ChunkError("not an encrypted chunk blob")
-    uuid_len, pos = decode_varint(blob, 4)
-    uuid_bytes = bytes(blob[pos : pos + uuid_len])
-    if len(uuid_bytes) != uuid_len:
-        raise ChunkError("truncated chunk blob")
-    return uuid_bytes.decode("utf-8")
+    try:
+        uuid_len, pos = decode_varint(blob, 4)
+        uuid_bytes = bytes(blob[pos : pos + uuid_len])
+        if len(uuid_bytes) != uuid_len:
+            raise ChunkError("truncated chunk blob")
+        return uuid_bytes.decode("utf-8")
+    except ValueError as exc:
+        raise ChunkError(f"malformed chunk blob: {exc}") from exc
 
 
 def chunk_storage_key(stream_uuid: str, window_index: int) -> bytes:

@@ -25,6 +25,7 @@ from repro.timeseries.serialization import (
     encode_encrypted_chunk,
     index_node_storage_key,
     metadata_storage_key,
+    peek_chunk_stream_uuid,
 )
 
 REGULAR_POINTS = [DataPoint(timestamp=1000 * i, value=500 + (i % 10)) for i in range(200)]
@@ -124,6 +125,20 @@ class TestDigestVectorSerialization:
         with pytest.raises(ChunkError):
             decode_digest_vector(blob[: len(blob) // 2])
 
+    def test_every_cut_point_raises_chunk_error(self):
+        blob = encode_digest_vector(self._cells())
+        for cut in range(len(blob)):
+            with pytest.raises(ChunkError):
+                decode_digest_vector(blob[:cut])
+
+    def test_hostile_interval_raises_chunk_error(self):
+        blob = bytearray(encode_digest_vector(self._cells()[:1]))
+        assert blob[-2:] == b"\x07\x08"
+        for window_start, window_end in ((8, 8), (9, 8)):  # empty, reversed
+            blob[-2:] = bytes([window_start, window_end])
+            with pytest.raises(ChunkError):
+                decode_digest_vector(bytes(blob))
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**30)),
@@ -162,6 +177,31 @@ class TestEncryptedChunkSerialization:
         blob = encode_encrypted_chunk(self._chunk())
         with pytest.raises(ChunkError):
             decode_encrypted_chunk(blob[:-5])
+
+    def test_every_cut_point_raises_chunk_error(self):
+        blob = encode_encrypted_chunk(self._chunk())
+        for cut in range(len(blob)):
+            with pytest.raises(ChunkError):
+                decode_encrypted_chunk(blob[:cut])
+            with pytest.raises(ChunkError):
+                decode_encrypted_chunk(memoryview(blob)[:cut])
+        assert decode_encrypted_chunk(memoryview(blob)) == self._chunk()
+
+    def test_undecodable_uuid_raises_chunk_error(self):
+        blob = bytearray(encode_encrypted_chunk(self._chunk()))
+        blob[5] = 0xFF  # first uuid byte: not valid UTF-8
+        with pytest.raises(ChunkError):
+            decode_encrypted_chunk(bytes(blob))
+        with pytest.raises(ChunkError):
+            peek_chunk_stream_uuid(bytes(blob))
+
+    def test_peek_uuid_cut_points_raise_chunk_error(self):
+        blob = encode_encrypted_chunk(self._chunk())
+        uuid_end = 5 + len("stream-abc")
+        for cut in range(uuid_end):
+            with pytest.raises(ChunkError):
+                peek_chunk_stream_uuid(blob[:cut])
+        assert peek_chunk_stream_uuid(blob[:uuid_end]) == "stream-abc"
 
     def test_size_accounting(self):
         chunk = self._chunk()

@@ -50,7 +50,7 @@ class TestIndexNode:
     def test_combiner_vector_width_check(self):
         combiner = plaintext_combiner()
         with pytest.raises(IndexError_):
-            combiner.combine_vectors([1], [1, 2])
+            combiner.fold([[1], [1, 2]])
 
     def test_combiner_sizes(self):
         assert heac_combiner().size_of(None) == 8

@@ -326,6 +326,33 @@ class TestEngineBatchRoundTrips:
         # The write set carried every chunk payload and at least one node per chunk.
         assert store.stats.multi_put_keys > len(chunks)
 
+    def test_scalar_insert_chunk_is_one_multi_put(self):
+        metadata, chunks = _encrypted_chunks(3)
+        store = MemoryStore()
+        server = ServerEngine(store=store)
+        server.create_stream(metadata)
+        store.stats.reset()
+        for chunk in chunks:
+            server.insert_chunk(chunk)
+        # Payload + spine nodes + meta record share one write round per chunk.
+        assert store.stats.multi_puts == len(chunks)
+        assert store.stats.puts == 0
+
+    def test_failed_scalar_ingest_leaves_no_orphan_payload(self):
+        metadata, chunks = _encrypted_chunks(2)
+
+        class RefusingStore(MemoryStore):
+            def multi_put(self, items):
+                raise IOError("injected write failure")
+
+        store = RefusingStore()
+        server = ServerEngine(store=store)
+        server.create_stream(metadata)
+        with pytest.raises(IOError):
+            server.insert_chunk(chunks[0])
+        assert server.stream_head(metadata.uuid) == 0
+        assert list(store.scan_prefix(b"chunk/")) == []
+
     def test_batch_matches_scalar_store_bytes_exactly(self):
         metadata, chunks = _encrypted_chunks(12)
         scalar_store, batch_store = MemoryStore(), MemoryStore()
@@ -437,6 +464,29 @@ class TestEngineBatchRoundTrips:
         # metadata delete — constant round trips, never one per key.
         assert store.stats.multi_deletes == 2 and store.stats.deletes == 1
         assert len(store) == 0
+
+
+    def test_delete_stream_keeps_other_streams_nodes_cached(self):
+        """The node cache is engine-wide: deleting one stream must not cold-start the rest."""
+        doomed, doomed_chunks = _encrypted_chunks(8)
+        survivor, survivor_chunks = _encrypted_chunks(8)
+        server = ServerEngine()
+        for metadata, chunks in ((doomed, doomed_chunks), (survivor, survivor_chunks)):
+            server.create_stream(metadata)
+            server.insert_chunks(chunks)
+        cached_before = len(server._cache)
+        server.delete_stream(doomed.uuid)
+        assert 0 < len(server._cache) < cached_before
+        server.query_stats.reset()
+        result = server.stat_range_windows(survivor.uuid, 1, 7)
+        assert result.num_index_nodes > 1
+        assert server.query_stats.index_store_round_trips == 0
+        # A re-created stream under the deleted uuid starts from storage, not stale nodes.
+        server.create_stream(doomed)
+        server.insert_chunks(doomed_chunks[:2])
+        assert server.stat_range_windows(doomed.uuid, 0, 2).cells == tuple(
+            a + b for a, b in zip(doomed_chunks[0].digest, doomed_chunks[1].digest)
+        )
 
 
 class TestBatchFailureAtomicity:
