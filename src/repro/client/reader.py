@@ -19,7 +19,7 @@ key tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.access.resolution import ResolutionConsumerKeystream, ResolutionShare
 from repro.access.tokens import AccessToken
@@ -30,7 +30,7 @@ from repro.exceptions import AccessDeniedError, QueryError
 from repro.server.query_executor import MultiStreamAggregate, StatQueryResult
 from repro.timeseries.compression import get_codec
 from repro.timeseries.digest import Digest, DigestConfig
-from repro.timeseries.point import DataPoint, decode_value
+from repro.timeseries.point import DataPoint, clip_columns, decode_value, points_from_columns
 from repro.timeseries.serialization import EncryptedChunk
 from repro.timeseries.stream import StreamConfig
 
@@ -78,6 +78,7 @@ class ConsumerReader:
         self._config = config
         self._keystream = keystream
         self._cipher = HEACCipher(keystream)
+        self._codec = get_codec(config.compression)
         self._resolution_chunks = resolution_chunks
         self._window_start = window_start
         self._window_end = window_end if window_end is not None else config.max_chunks
@@ -227,8 +228,8 @@ class ConsumerReader:
 
     # -- raw data ----------------------------------------------------------------------------------------
 
-    def decrypt_chunk(self, chunk: EncryptedChunk) -> List[DataPoint]:
-        """Decrypt and decompress one raw chunk payload (full resolution only)."""
+    def _decrypt_columns(self, chunk: EncryptedChunk) -> Tuple[List[int], List[int]]:
+        """Decrypt and decompress one raw chunk payload into its columns."""
         if self._resolution_chunks != 1:
             raise AccessDeniedError(
                 "raw data access requires a full-resolution grant"
@@ -241,13 +242,30 @@ class ConsumerReader:
         payload_key = self._cipher.chunk_payload_key(chunk.window_index)
         aad = f"{self._stream_uuid}:{chunk.window_index}".encode("utf-8")
         compressed = aead_decrypt(payload_key, chunk.payload, aad)
-        return get_codec(self._config.compression).decompress(compressed)
+        return self._codec.decompress_columns(compressed)
 
-    def decrypt_range(self, chunks: Sequence[EncryptedChunk]) -> List[DataPoint]:
-        """Decrypt a sequence of chunks into one ordered point list."""
+    def decrypt_chunk(self, chunk: EncryptedChunk) -> List[DataPoint]:
+        """Decrypt and decompress one raw chunk payload (full resolution only)."""
+        return points_from_columns(*self._decrypt_columns(chunk))
+
+    def decrypt_range(
+        self,
+        chunks: Sequence[EncryptedChunk],
+        start: Optional[int] = None,
+        end: Optional[int] = None,
+    ) -> List[DataPoint]:
+        """Decrypt a sequence of chunks into one ordered point list.
+
+        With ``start`` and ``end`` only the points in ``[start, end)`` are
+        returned; the cut is made on the timestamp columns, so points outside
+        the interval are never materialised.
+        """
         points: List[DataPoint] = []
         for chunk in chunks:
-            points.extend(self.decrypt_chunk(chunk))
+            timestamps, values = self._decrypt_columns(chunk)
+            if start is not None and end is not None:
+                timestamps, values = clip_columns(timestamps, values, start, end)
+            points += points_from_columns(timestamps, values)
         return points
 
     def decode_points(self, points: Sequence[DataPoint]) -> List[tuple]:

@@ -21,14 +21,14 @@ boundary keys for each consecutive window run once, and are delivered via the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.gcm import aead_encrypt
 from repro.crypto.heac import HEACCipher
 from repro.exceptions import ChunkError
 from repro.timeseries.chunk import Chunk, ChunkBuilder
 from repro.timeseries.compression import Codec, get_codec
-from repro.timeseries.point import DataPoint, encode_value
+from repro.timeseries.point import DataPoint, Number
 from repro.timeseries.serialization import EncryptedChunk
 from repro.timeseries.stream import StreamConfig
 
@@ -59,8 +59,11 @@ class StreamWriter:
 
     def append(self, timestamp: int, value: float) -> List[EncryptedChunk]:
         """Add one measurement; returns any chunks that were completed and sent."""
-        point = DataPoint(timestamp=timestamp, value=encode_value(value, self.config.value_scale))
-        return self._handle_completed(self._builder.append(point))
+        return self.extend_records(((timestamp, value),))
+
+    def extend_records(self, records: Iterable[Tuple[int, Number]]) -> List[EncryptedChunk]:
+        """Add many raw ``(timestamp, measurement)`` records in timestamp order."""
+        return self._handle_completed(self._builder.extend_records(records))
 
     def append_point(self, point: DataPoint) -> List[EncryptedChunk]:
         """Add an already fixed-point encoded data point."""
@@ -128,7 +131,7 @@ class StreamWriter:
         for chunk in run:
             digest_cells = batch.encrypt_vector(chunk.digest.values, chunk.window_index)
             payload_key = batch.chunk_payload_key(chunk.window_index)
-            compressed = self._codec.compress(chunk.points)
+            compressed = self._codec.compress_columns(chunk.timestamps, chunk.values)
             aad = f"{self.stream_uuid}:{chunk.window_index}".encode("utf-8")
             payload = aead_encrypt(
                 payload_key, compressed, aad, force_pure_python=self.use_pure_python_aead

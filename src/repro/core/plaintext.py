@@ -18,9 +18,15 @@ from repro.index.tree import AggregationIndex
 from repro.storage.kv import KeyValueStore
 from repro.storage.memory import MemoryStore
 from repro.timeseries.chunk import Chunk, ChunkBuilder
-from repro.timeseries.compression import get_codec
+from repro.timeseries.compression import Codec, get_codec
 from repro.timeseries.digest import Digest
-from repro.timeseries.point import DataPoint, decode_value, encode_value
+from repro.timeseries.point import (
+    DataPoint,
+    Number,
+    clip_columns,
+    decode_value,
+    points_from_columns,
+)
 from repro.timeseries.serialization import chunk_storage_key
 from repro.timeseries.stream import StreamConfig, StreamMetadata
 from repro.util.encoding import pack_varint_list, unpack_varint_list
@@ -41,6 +47,7 @@ class _PlainStream:
     metadata: StreamMetadata
     index: AggregationIndex
     builder: ChunkBuilder
+    codec: Codec
     num_records: int = 0
 
 
@@ -84,6 +91,7 @@ class PlaintextTimeSeriesStore:
             metadata=metadata,
             index=index,
             builder=ChunkBuilder(config=metadata.config),
+            codec=get_codec(metadata.config.compression),
         )
         return metadata.uuid
 
@@ -103,22 +111,11 @@ class PlaintextTimeSeriesStore:
     # -- ingest ---------------------------------------------------------------------
 
     def insert_record(self, uuid: str, timestamp: int, value: float) -> None:
-        state = self._stream(uuid)
-        point = DataPoint(
-            timestamp=timestamp, value=encode_value(value, state.metadata.config.value_scale)
-        )
-        self._store_chunks(state, state.builder.append(point))
+        self.insert_records(uuid, ((timestamp, value),))
 
-    def insert_records(self, uuid: str, records: Iterable[Tuple[int, float]]) -> None:
+    def insert_records(self, uuid: str, records: Iterable[Tuple[int, Number]]) -> None:
         state = self._stream(uuid)
-        scale = state.metadata.config.value_scale
-        self.insert_points(
-            uuid,
-            (
-                DataPoint(timestamp=timestamp, value=encode_value(value, scale))
-                for timestamp, value in records
-            ),
-        )
+        self._store_chunks(state, state.builder.extend_records(records))
 
     def insert_points(self, uuid: str, points: Iterable[DataPoint]) -> None:
         state = self._stream(uuid)
@@ -139,9 +136,8 @@ class PlaintextTimeSeriesStore:
         """
         if not chunks:
             return
-        codec = get_codec(state.metadata.config.compression)
         for chunk in chunks:
-            payload = codec.compress(chunk.points)
+            payload = state.codec.compress_columns(chunk.timestamps, chunk.values)
             self.store.put(
                 chunk_storage_key(state.metadata.uuid, chunk.window_index), payload
             )
@@ -154,14 +150,14 @@ class PlaintextTimeSeriesStore:
 
     def get_range(self, uuid: str, start: int, end: int) -> List[DataPoint]:
         state = self._stream(uuid)
-        codec = get_codec(state.metadata.config.compression)
         window_start, window_end = self._clip_windows(state, TimeRange(start, end))
         points: List[DataPoint] = []
         for window_index in range(window_start, window_end):
             blob = self.store.get(chunk_storage_key(uuid, window_index))
             if blob is not None:
-                points.extend(codec.decompress(blob))
-        return [point for point in points if start <= point.timestamp < end]
+                timestamps, values = state.codec.decompress_columns(blob)
+                points += points_from_columns(*clip_columns(timestamps, values, start, end))
+        return points
 
     def get_stat_range(
         self, uuid: str, start: int, end: int, operators: Sequence[str] = ("sum", "count", "mean")

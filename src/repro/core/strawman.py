@@ -30,7 +30,7 @@ from repro.storage.kv import KeyValueStore
 from repro.storage.memory import MemoryStore
 from repro.timeseries.chunk import Chunk, ChunkBuilder
 from repro.timeseries.digest import Digest
-from repro.timeseries.point import DataPoint, encode_value
+from repro.timeseries.point import DataPoint
 from repro.timeseries.stream import StreamConfig, StreamMetadata
 from repro.util.encoding import decode_varint, encode_varint
 
@@ -203,10 +203,7 @@ class StrawmanStore:
 
     def insert_record(self, uuid: str, timestamp: int, value: float) -> None:
         state = self._stream(uuid)
-        point = DataPoint(
-            timestamp=timestamp, value=encode_value(value, state.metadata.config.value_scale)
-        )
-        self._ingest_chunks(state, state.builder.append(point))
+        self._ingest_chunks(state, state.builder.extend_records(((timestamp, value),)))
 
     def insert_points(self, uuid: str, points: Sequence[DataPoint]) -> None:
         state = self._stream(uuid)

@@ -40,7 +40,7 @@ from repro.client.writer import StreamWriter
 from repro.exceptions import AccessDeniedError, StreamNotFoundError, TimeCryptError
 from repro.server.engine import ServerEngine
 from repro.server.query_executor import MultiStreamAggregate
-from repro.timeseries.point import DataPoint, encode_value
+from repro.timeseries.point import DataPoint
 from repro.timeseries.stream import StreamConfig, StreamMetadata
 from repro.util.timeutil import TimeRange
 
@@ -136,12 +136,7 @@ class TimeCrypt:
         HEAC boundary keys) and delivered to the server in one call, which
         folds them into the index with one write per touched node.
         """
-        owned = self._owned(uuid)
-        scale = owned.metadata.config.value_scale
-        owned.writer.extend(
-            DataPoint(timestamp=timestamp, value=encode_value(value, scale))
-            for timestamp, value in records
-        )
+        self._owned(uuid).writer.extend_records(records)
 
     def insert_points(self, uuid: str, points: Iterable[DataPoint]) -> None:
         """Append pre-encoded fixed-point data points."""
@@ -166,8 +161,7 @@ class TimeCrypt:
         """Retrieve and decrypt raw records in ``[start, end)`` (Table 1: GetRange)."""
         reader = self.owner_reader(uuid)
         chunks = self.server.get_range(uuid, TimeRange(start, end))
-        points = reader.decrypt_range(chunks)
-        return [point for point in points if start <= point.timestamp < end]
+        return reader.decrypt_range(chunks, start, end)
 
     def get_stat_range(
         self, uuid: str | Sequence[str], start: int, end: int, operators: Sequence[str] = ("sum", "count", "mean")
@@ -536,8 +530,7 @@ class TimeCryptConsumer:
         """Retrieve and decrypt raw records (full-resolution grants only)."""
         reader = self.reader(stream_uuid)
         chunks = self.server.get_range(stream_uuid, TimeRange(start, end))
-        points = reader.decrypt_range(chunks)
-        return [point for point in points if start <= point.timestamp < end]
+        return reader.decrypt_range(chunks, start, end)
 
     def _config_of(self, stream_uuid: str) -> StreamConfig:
         config = self._configs.get(stream_uuid)

@@ -12,59 +12,115 @@ interface so the stream configuration can pick per-workload:
 * ``delta-zlib``  — delta encoding followed by zlib, best of both for most
   monitoring workloads.
 
-Codecs operate on the already-serialized point buffer (bytes in, bytes out)
-except the delta codecs, which understand the point structure and therefore
-expose encode/decode over point lists as well.
+Every codec works on a chunk's two columns (``timestamps`` and ``values``,
+parallel integer lists): differences, zigzag, varint packing and prefix sums
+are each one bulk pass over a column.  The point-list ``compress`` /
+``decompress`` are thin adapters over the column methods.
 """
 
 from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from typing import Dict, List, Tuple, Type
+from itertools import accumulate, chain
+from operator import sub
+from typing import Dict, List, Sequence, Tuple, Type
 
 from repro.exceptions import ChunkError, ConfigurationError
-from repro.timeseries.point import DataPoint
+from repro.timeseries.point import DataPoint, columns_from_points, points_from_columns
 from repro.util.encoding import (
     decode_signed_varint,
+    decode_signed_varints,
     decode_varint,
     encode_signed_varint,
+    encode_signed_varints,
     encode_varint,
 )
 
+Columns = Tuple[List[int], List[int]]
 
-def serialize_points(points: List[DataPoint]) -> bytes:
+
+def _interleave(first: Sequence[int], second: Sequence[int]) -> List[int]:
+    """``[first[0], second[0], first[1], second[1], ...]``."""
+    flat = [0] * (2 * len(first))
+    flat[0::2] = first
+    flat[1::2] = second
+    return flat
+
+
+def _differences(column: Sequence[int]) -> List[int]:
+    """``column[i + 1] - column[i]`` for every adjacent pair."""
+    return list(map(sub, column[1:], column))
+
+
+def serialize_columns(timestamps: Sequence[int], values: Sequence[int]) -> bytes:
     """Canonical flat serialization: count, then (timestamp, value) varint pairs."""
-    out = bytearray(encode_varint(len(points)))
-    for point in points:
-        out += encode_signed_varint(point.timestamp)
-        out += encode_signed_varint(point.value)
-    return bytes(out)
+    try:
+        return encode_varint(len(timestamps)) + encode_signed_varints(
+            _interleave(timestamps, values)
+        )
+    except ValueError as exc:
+        raise ChunkError(f"point outside the encodable range: {exc}") from exc
+
+
+def deserialize_columns(data: bytes) -> Columns:
+    """Inverse of :func:`serialize_columns`.
+
+    Bytes after the last point are ignored; a payload cut anywhere inside
+    raises :class:`ChunkError`.
+    """
+    try:
+        count, pos = decode_varint(data, 0)
+        flat, _pos = decode_signed_varints(data, pos, 2 * count)
+    except ValueError as exc:
+        raise ChunkError(f"malformed point payload: {exc}") from exc
+    return flat[0::2], flat[1::2]
+
+
+def serialize_points(points: Sequence[DataPoint]) -> bytes:
+    """:func:`serialize_columns` over a point list."""
+    return serialize_columns(*columns_from_points(points))
 
 
 def deserialize_points(data: bytes) -> List[DataPoint]:
     """Inverse of :func:`serialize_points`."""
-    count, pos = decode_varint(data, 0)
-    points: List[DataPoint] = []
-    for _ in range(count):
-        timestamp, pos = decode_signed_varint(data, pos)
-        value, pos = decode_signed_varint(data, pos)
-        points.append(DataPoint(timestamp=timestamp, value=value))
-    return points
+    return points_from_columns(*deserialize_columns(data))
+
+
+def _inflate(payload: bytes, codec_name: str) -> bytes:
+    try:
+        return zlib.decompress(payload)
+    except zlib.error as exc:
+        raise ChunkError(f"corrupt {codec_name} chunk payload") from exc
 
 
 class Codec(ABC):
-    """A lossless transform over serialized chunk payloads."""
+    """A lossless transform between a chunk's columns and its payload bytes.
+
+    The column methods are the implementation; :meth:`compress` and
+    :meth:`decompress` adapt them to point lists.
+    """
 
     name = "abstract"
 
     @abstractmethod
-    def compress(self, points: List[DataPoint]) -> bytes:
-        """Encode a chunk's points into a compressed payload."""
+    def compress_columns(self, timestamps: Sequence[int], values: Sequence[int]) -> bytes:
+        """Encode a chunk's timestamp and value columns into a payload."""
 
     @abstractmethod
+    def decompress_columns(self, payload: bytes) -> Columns:
+        """Recover the exact ``(timestamps, values)`` columns from a payload.
+
+        Raises :class:`ChunkError` for a malformed or truncated payload.
+        """
+
+    def compress(self, points: Sequence[DataPoint]) -> bytes:
+        """Encode a chunk's points into a compressed payload."""
+        return self.compress_columns(*columns_from_points(points))
+
     def decompress(self, payload: bytes) -> List[DataPoint]:
         """Recover the exact point list from a compressed payload."""
+        return points_from_columns(*self.decompress_columns(payload))
 
 
 class NoneCodec(Codec):
@@ -72,11 +128,11 @@ class NoneCodec(Codec):
 
     name = "none"
 
-    def compress(self, points: List[DataPoint]) -> bytes:
-        return serialize_points(points)
+    def compress_columns(self, timestamps: Sequence[int], values: Sequence[int]) -> bytes:
+        return serialize_columns(timestamps, values)
 
-    def decompress(self, payload: bytes) -> List[DataPoint]:
-        return deserialize_points(payload)
+    def decompress_columns(self, payload: bytes) -> Columns:
+        return deserialize_columns(payload)
 
 
 class ZlibCodec(Codec):
@@ -89,15 +145,11 @@ class ZlibCodec(Codec):
             raise ConfigurationError("zlib level must be between 0 and 9")
         self._level = level
 
-    def compress(self, points: List[DataPoint]) -> bytes:
-        return zlib.compress(serialize_points(points), self._level)
+    def compress_columns(self, timestamps: Sequence[int], values: Sequence[int]) -> bytes:
+        return zlib.compress(serialize_columns(timestamps, values), self._level)
 
-    def decompress(self, payload: bytes) -> List[DataPoint]:
-        try:
-            raw = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise ChunkError("corrupt zlib chunk payload") from exc
-        return deserialize_points(raw)
+    def decompress_columns(self, payload: bytes) -> Columns:
+        return deserialize_columns(_inflate(payload, self.name))
 
 
 class DeltaCodec(Codec):
@@ -107,45 +159,45 @@ class DeltaCodec(Codec):
     difference of the timestamps is almost always zero and packs into a
     single byte; values are delta-encoded, which collapses slowly-varying
     metrics (CPU %, heart rate) dramatically.
+
+    Layout: count, the first point's timestamp and value, then one
+    (timestamp delta-of-delta, value delta) pair per further point — the
+    first pair's delta-of-delta is the first delta itself.
     """
 
     name = "delta"
 
-    def compress(self, points: List[DataPoint]) -> bytes:
-        out = bytearray(encode_varint(len(points)))
-        if not points:
-            return bytes(out)
-        first = points[0]
-        out += encode_signed_varint(first.timestamp)
-        out += encode_signed_varint(first.value)
-        previous_ts = first.timestamp
-        previous_delta = 0
-        previous_value = first.value
-        for point in points[1:]:
-            delta = point.timestamp - previous_ts
-            out += encode_signed_varint(delta - previous_delta)
-            out += encode_signed_varint(point.value - previous_value)
-            previous_delta = delta
-            previous_ts = point.timestamp
-            previous_value = point.value
-        return bytes(out)
+    def compress_columns(self, timestamps: Sequence[int], values: Sequence[int]) -> bytes:
+        header = encode_varint(len(timestamps))
+        if not timestamps:
+            return header
+        deltas = _differences(timestamps)
+        try:
+            return (
+                header
+                + encode_signed_varint(timestamps[0])
+                + encode_signed_varint(values[0])
+                + encode_signed_varints(
+                    _interleave(deltas[:1] + _differences(deltas), _differences(values))
+                )
+            )
+        except ValueError as exc:
+            raise ChunkError(f"point outside the encodable range: {exc}") from exc
 
-    def decompress(self, payload: bytes) -> List[DataPoint]:
-        count, pos = decode_varint(payload, 0)
-        if count == 0:
-            return []
-        timestamp, pos = decode_signed_varint(payload, pos)
-        value, pos = decode_signed_varint(payload, pos)
-        points = [DataPoint(timestamp=timestamp, value=value)]
-        previous_delta = 0
-        for _ in range(count - 1):
-            delta_of_delta, pos = decode_signed_varint(payload, pos)
-            value_delta, pos = decode_signed_varint(payload, pos)
-            previous_delta += delta_of_delta
-            timestamp += previous_delta
-            value += value_delta
-            points.append(DataPoint(timestamp=timestamp, value=value))
-        return points
+    def decompress_columns(self, payload: bytes) -> Columns:
+        try:
+            count, pos = decode_varint(payload, 0)
+            if count == 0:
+                return [], []
+            first_timestamp, pos = decode_signed_varint(payload, pos)
+            first_value, pos = decode_signed_varint(payload, pos)
+            flat, _pos = decode_signed_varints(payload, pos, 2 * (count - 1))
+        except ValueError as exc:
+            raise ChunkError(f"malformed delta payload: {exc}") from exc
+        # Two prefix sums undo the delta-of-delta, one undoes the value deltas.
+        timestamps = list(accumulate(chain((first_timestamp,), accumulate(flat[0::2]))))
+        values = list(accumulate(chain((first_value,), flat[1::2])))
+        return timestamps, values
 
 
 class DeltaZlibCodec(Codec):
@@ -157,15 +209,11 @@ class DeltaZlibCodec(Codec):
         self._delta = DeltaCodec()
         self._level = level
 
-    def compress(self, points: List[DataPoint]) -> bytes:
-        return zlib.compress(self._delta.compress(points), self._level)
+    def compress_columns(self, timestamps: Sequence[int], values: Sequence[int]) -> bytes:
+        return zlib.compress(self._delta.compress_columns(timestamps, values), self._level)
 
-    def decompress(self, payload: bytes) -> List[DataPoint]:
-        try:
-            raw = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise ChunkError("corrupt delta-zlib chunk payload") from exc
-        return self._delta.decompress(raw)
+    def decompress_columns(self, payload: bytes) -> Columns:
+        return self._delta.decompress_columns(_inflate(payload, self.name))
 
 
 _CODECS: Dict[str, Type[Codec]] = {
@@ -190,8 +238,9 @@ def get_codec(name: str) -> Codec:
         ) from None
 
 
-def compression_ratio(points: List[DataPoint], codec_name: str) -> float:
+def compression_ratio(points: Sequence[DataPoint], codec_name: str) -> float:
     """Ratio of raw serialized size to compressed size (>1 means smaller)."""
-    raw = len(serialize_points(points))
-    compressed = len(get_codec(codec_name).compress(points))
+    timestamps, values = columns_from_points(points)
+    raw = len(serialize_columns(timestamps, values))
+    compressed = len(get_codec(codec_name).compress_columns(timestamps, values))
     return raw / compressed if compressed else float("inf")

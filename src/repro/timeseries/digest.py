@@ -17,7 +17,9 @@ as the ground truth the encrypted path must match.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import mul, sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, QueryError
@@ -54,10 +56,13 @@ class HistogramConfig:
         """Index of the bin containing ``value``."""
         if not self.boundaries:
             raise QueryError("histogram is not configured for this stream")
-        for index, edge in enumerate(self.boundaries):
-            if value < edge:
-                return index
-        return len(self.boundaries)
+        return bisect_right(self.boundaries, value)
+
+    def bin_counts(self, values: Sequence[int]) -> List[int]:
+        """How many of ``values`` fall in each bin (one sort, one bisect per edge)."""
+        ordered = sorted(values)
+        below = [bisect_left(ordered, edge) for edge in self.boundaries]
+        return list(map(sub, below + [len(ordered)], [0] + below))
 
     def bin_range(self, index: int) -> Tuple[Optional[int], Optional[int]]:
         """The half-open value interval ``[lo, hi)`` of bin ``index`` (None = unbounded)."""
@@ -137,26 +142,27 @@ class Digest:
         return cls(config=config, values=[0] * config.width)
 
     @classmethod
+    def of_values(cls, config: DigestConfig, values: Sequence[int]) -> "Digest":
+        """Compute the digest of a chunk's value column: one pass per component."""
+        cells: List[int] = []
+        if config.include_sum:
+            cells.append(sum(values))
+        if config.include_count:
+            cells.append(len(values))
+        if config.include_sum_of_squares:
+            cells.append(sum(map(mul, values, values)))
+        if config.histogram.num_bins:
+            cells.extend(config.histogram.bin_counts(values))
+        return cls(config=config, values=cells)
+
+    @classmethod
     def of_points(cls, config: DigestConfig, points: Iterable[DataPoint]) -> "Digest":
         """Compute the digest of a chunk's points."""
-        digest = cls.zero(config)
-        for point in points:
-            digest.add_point(point)
-        return digest
+        return cls.of_values(config, [point.value for point in points])
 
     def add_point(self, point: DataPoint) -> None:
-        offset = 0
-        if self.config.include_sum:
-            self.values[offset] += point.value
-            offset += 1
-        if self.config.include_count:
-            self.values[offset] += 1
-            offset += 1
-        if self.config.include_sum_of_squares:
-            self.values[offset] += point.value * point.value
-            offset += 1
-        if self.config.histogram.num_bins:
-            self.values[offset + self.config.histogram.bin_of(point.value)] += 1
+        single = Digest.of_values(self.config, (point.value,))
+        self.values[:] = [a + b for a, b in zip(self.values, single.values)]
 
     # -- combination ----------------------------------------------------------
 
