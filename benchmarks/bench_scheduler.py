@@ -5,10 +5,12 @@ PR 7 put a two-class scheduler and credit-based flow control into
 over loopback TCP:
 
 1. **Interactive latency under bulk pressure** — with flooder clients
-   saturating the dispatch pool with ``insert_chunks`` batches, the p99 of
-   a small ``stat_range`` must improve ≥ 3× under weighted dispatch vs.
-   the legacy FIFO pool (``scheduling="fifo"``), because interactive
-   frames no longer queue behind every buffered bulk frame.
+   saturating the handler slots with ``insert_chunks`` batches, the p99 of
+   a small ``stat_range`` stays low because interactive frames do not queue
+   behind every buffered bulk frame.  The unscheduled FIFO pool this was
+   first measured against (≥ 3× worse p99) is gone; its last recorded rows
+   are kept under ``historical`` in ``BENCH_sched.json`` and the ratio
+   against them is still printed.
 2. **Typed overload shedding** — flooding a server with a tiny bulk queue
    must answer *every* correlation id: accepted requests succeed, refused
    ones get a typed ``overloaded`` with a retry hint (zero silent drops,
@@ -20,8 +22,7 @@ Run as a script to print the tables and refresh ``BENCH_sched.json``:
     PYTHONPATH=src python benchmarks/bench_scheduler.py
 
 ``--smoke`` shrinks the workload for CI smoke jobs; the shedding
-invariants are deterministic at any scale, while the ≥ 3× p99 claim is
-asserted only on full runs (wall clock is not gated in CI).  The
+invariants are deterministic at any scale (wall clock is not gated in CI).  The
 deterministic assertions also run under plain pytest:
 ``pytest benchmarks/bench_scheduler.py``.
 """
@@ -29,6 +30,7 @@ deterministic assertions also run under plain pytest:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import threading
 import time
@@ -39,7 +41,7 @@ from repro import ServerEngine, TimeCrypt
 from repro.bench.reporting import ResultTable, write_json_report
 from repro.net.client import RemoteServerClient
 from repro.net.messages import Request
-from repro.net.server import TimeCryptTCPServer
+from repro.net.server import MAX_RETRY_AFTER_MS, MIN_RETRY_AFTER_MS, TimeCryptTCPServer
 from repro.timeseries.serialization import encode_encrypted_chunk
 from repro.timeseries.stream import StreamConfig
 from repro.util.timeutil import TimeRange
@@ -102,11 +104,9 @@ def _flood_worker(
             batches[index] += 1
 
 
-def _run_latency_arm(scheduling: str, probe_iters: int, flood_clients: int) -> Dict[str, float]:
+def _run_latency_arm(probe_iters: int, flood_clients: int) -> Dict[str, float]:
     engine = ServerEngine()
-    with TimeCryptTCPServer(
-        engine, max_workers=LATENCY_WORKERS, scheduling=scheduling, bulk_queue_limit=512
-    ) as server:
+    with TimeCryptTCPServer(engine, max_workers=LATENCY_WORKERS, bulk_queue_limit=512) as server:
         host, port = server.address
         with RemoteServerClient(host, port) as probe:
             owner = TimeCrypt(server=probe, owner_id="probe")
@@ -237,7 +237,12 @@ def test_overload_answers_every_correlation_id():
     assert outcome["max_depth_bulk"] <= OVERLOAD_QUEUE_LIMIT
     assert outcome["ping_during_saturation"]
     assert outcome["all_drained"]
-    assert all(hint == OVERLOAD_RETRY_AFTER_MS for hint in outcome["retry_after_ms"])
+    # The configured constant until two bulk dispatches have been timed, then
+    # the adaptive hint (queue depth x measured drain interval, clamped).
+    assert all(
+        hint == OVERLOAD_RETRY_AFTER_MS or MIN_RETRY_AFTER_MS <= hint <= MAX_RETRY_AFTER_MS
+        for hint in outcome["retry_after_ms"]
+    )
 
 
 def main() -> None:
@@ -255,25 +260,27 @@ def main() -> None:
     offered = 32 if args.smoke else OVERLOAD_OFFERED
     results: Dict[str, object] = {"smoke": bool(args.smoke)}
 
-    arms: Dict[str, Dict[str, float]] = {}
-    for scheduling in ("fifo", "weighted"):
-        arms[scheduling] = _run_latency_arm(scheduling, probe_iters, flood_clients)
-    improvement = arms["fifo"]["p99_ms"] / max(arms["weighted"]["p99_ms"], 1e-9)
+    # The deleted FIFO arm's last recorded rows ride along, frozen.
+    with open(_DEFAULT_OUTPUT, "r", encoding="utf-8") as handle:
+        historical = json.load(handle)["results"]["historical"]
+    weighted = _run_latency_arm(probe_iters, flood_clients)
+    improvement = historical["fifo"]["p99_ms"] / max(weighted["p99_ms"], 1e-9)
 
     latency_table = ResultTable(
         title=f"stat_range latency under bulk flood ({flood_clients} writers, "
         f"{LATENCY_WORKERS} workers)",
         columns=["dispatch", "p50", "p99", "flood batches/s"],
     )
-    for scheduling in ("fifo", "weighted"):
-        arm = arms[scheduling]
+    for label, arm in (("fifo (historical)", historical["fifo"]), ("weighted", weighted)):
         latency_table.add_row(
-            scheduling,
+            label,
             f"{arm['p50_ms']:.2f} ms",
             f"{arm['p99_ms']:.2f} ms",
             f"{arm['flood_batches_per_s']:.0f}",
         )
-    latency_table.add_note(f"p99 improvement: {improvement:.1f}x (target >= 3x on full runs)")
+    latency_table.add_note(
+        f"p99 vs the recorded FIFO row: {improvement:.1f}x (different run, indicative only)"
+    )
     latency_table.print()
 
     overload = _run_overload_arm(offered)
@@ -295,24 +302,20 @@ def main() -> None:
     assert overload["untyped_errors"] == 0, "a shed surfaced as something other than overloaded"
     assert overload["server_shed_matches_client"], "server and client disagree on shed count"
     assert overload["all_drained"], "retry budget failed to drain the shed backlog"
-    for scheduling in ("fifo", "weighted"):
-        assert arms[scheduling]["probe_round_trips_per_stat"] == 1.0
-        assert arms[scheduling]["credits_restored"]
+    assert weighted["probe_round_trips_per_stat"] == 1.0
+    assert weighted["credits_restored"]
     if not args.smoke:
         assert overload["shed"] > 0, "full-scale burst produced no sheds"
-        assert improvement >= 3.0, (
-            f"p99 improved only {improvement:.1f}x under weighted dispatch (target >= 3x)"
-        )
 
     results["latency"] = {
         "workers": LATENCY_WORKERS,
         "flood_clients": flood_clients,
         "probe_iters": probe_iters,
-        "fifo": arms["fifo"],
-        "weighted": arms["weighted"],
-        "p99_improvement": round(improvement, 2),
+        "weighted": weighted,
+        "p99_vs_historical_fifo": round(improvement, 2),
     }
     results["overload"] = overload
+    results["historical"] = historical
     print(f"baseline written to {write_json_report(args.output, results)}")
 
 

@@ -140,9 +140,7 @@ MANIFEST: Dict[str, Tuple[str, List[Tuple[str, str, str]]]] = {
     "sched": (
         "BENCH_sched.json",
         [
-            eq("latency.fifo.probe_round_trips_per_stat"),
             eq("latency.weighted.probe_round_trips_per_stat"),
-            eq("latency.fifo.credits_restored"),
             eq("latency.weighted.credits_restored"),
             eq("overload.unanswered"),
             eq("overload.untyped_errors"),

@@ -30,6 +30,9 @@ REPRO004  lock discipline: global lock-acquisition order is acyclic and
           while a lock is held
 REPRO005  stats registration: metrics-registry keys are kept and
           unregistered on close/stop; stats structs stay reachable
+REPRO006  leader discipline: a wait reachable from a request handler
+          (``Future.result``, ``Condition``/``Event.wait``,
+          ``time.sleep``) is announced with ``before_blocking()``
 ========  ==============================================================
 
 Findings are suppressed per line with a justified waiver comment::

@@ -26,7 +26,7 @@ from repro.analysis.rules import all_rules
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Repo-specific static invariant analysis (rules REPRO001-REPRO005).",
+        description="Repo-specific static invariant analysis (rules REPRO001-REPRO006).",
     )
     parser.add_argument(
         "paths",

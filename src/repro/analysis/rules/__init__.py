@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.rules import locks, retain, stats, telemetry, wireops
+from repro.analysis.rules import blocking, locks, retain, stats, telemetry, wireops
 
 
 def all_rules() -> List[object]:
@@ -21,6 +21,7 @@ def all_rules() -> List[object]:
         wireops.RULE,      # REPRO003
         locks.RULE,        # REPRO004
         stats.RULE,        # REPRO005
+        blocking.RULE,     # REPRO006
     ]
 
 

@@ -9,8 +9,8 @@ overhead does not mask the cryptography being measured.
 
 Since protocol v2 the wire is **pipelined and request-multiplexed**: v2
 frames carry per-request correlation ids (see :mod:`repro.net.framing` for
-the exact header layout), the server dispatches frames from a bounded
-worker pool and answers out of order, and the client multiplexes any number
+the exact header layout), the server runs a bounded number of handlers
+at once and answers out of order, and the client multiplexes any number
 of in-flight requests over one connection — ``call_many`` / ``pipeline()``
 ship whole request batches in a single round trip.  v1 lockstep peers keep
 working on the same port: the first two magic bytes of every frame select

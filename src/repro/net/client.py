@@ -6,10 +6,16 @@ surface as :class:`~repro.server.engine.ServerEngine`, so the
 :class:`~repro.core.timecrypt.TimeCrypt` facade and the consumer client work
 unchanged whether the server is in-process or across the network.
 
-Transport model (protocol v2, the default): one dedicated **reader thread**
-drains response frames and resolves them against a correlation-id → future
-table, so any number of requests can be in flight on one connection and
-responses may arrive in any order.  On top of that sit three calling styles:
+Transport model (protocol v2, the default): requests are matched to
+responses through a correlation-id → pending-call table, so any number of
+requests can be in flight on one connection and responses may arrive in any
+order.  There is no reader thread — *the thread that needs the bytes reads
+the socket*: a caller waiting for its response (or for flow-control
+credits) that finds nobody reading takes the **reader role**, resolves
+whatever frames arrive (its own or other callers'), and hands the role to
+one still-waiting caller when it is done.  A single caller therefore does
+send → recv → decode on its own thread with no wake-up at all.  On top of
+that sit three calling styles:
 
 * ``_call`` — write one request, wait for its future (one round trip);
 * :meth:`call_many` — write a whole batch of requests back-to-back in one
@@ -43,9 +49,9 @@ import logging
 import socket
 import threading
 import time
-from concurrent.futures import Future
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.heac import HEACCiphertext
 from repro.obs.metrics import REGISTRY
@@ -86,6 +92,7 @@ from repro.timeseries.serialization import (
     encode_encrypted_chunk,
 )
 from repro.timeseries.stream import StreamMetadata
+from repro.util.blocking import before_blocking
 from repro.util.timeutil import TimeRange
 
 logger = logging.getLogger(__name__)
@@ -156,17 +163,8 @@ class WireStats:
     frames_compressed: int = 0
 
     def reset(self) -> None:
-        self.requests_sent = 0
-        self.responses_received = 0
-        self.round_trips = 0
-        self.batches_sent = 0
-        self.credit_stalls = 0
-        self.overload_retries = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.vectored_writes = 0
-        self.frames_coalesced = 0
-        self.frames_compressed = 0
+        for counter in fields(self):
+            setattr(self, counter.name, 0)
 
 
 class _CreditGate:
@@ -175,15 +173,17 @@ class _CreditGate:
     Initialised from the window the server advertised in ``hello``; every
     accepted frame costs one credit and every response returns the credits
     the server piggybacked.  ``available`` can never go negative (credits
-    are taken under the condition lock, at most what is there) and never
-    exceeds the window (grants are clamped, so refunds after a connection
-    failure cannot inflate it).
+    are taken under the lock, at most what is there) and never exceeds the
+    window (grants are clamped, so refunds after a connection failure
+    cannot inflate it).  The gate never waits by itself: a sender that finds
+    it empty waits in :meth:`RemoteServerClient._drive`, reading the socket
+    if nobody else is — the grants it needs arrive on that socket.
     """
 
     def __init__(self, window: int) -> None:
         self._window = max(1, int(window))
         self._available = self._window
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
 
     @property
     def window(self) -> int:
@@ -191,32 +191,51 @@ class _CreditGate:
 
     @property
     def available(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._available
 
-    def acquire(self, upto: int, timeout: float) -> int:
-        """Block until at least one credit is free; take up to ``upto``.
-
-        Returns how many credits were taken, or 0 if the window never
-        refilled within ``timeout`` seconds.
-        """
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while self._available <= 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return 0
-                self._cond.wait(remaining)
+    def take(self, upto: int) -> int:
+        """Take up to ``upto`` (at least one) free credits; 0 if none are free."""
+        with self._lock:
             taken = min(max(1, int(upto)), self._available)
             self._available -= taken
             return taken
 
-    def grant(self, count: int) -> None:
+    def grant(self, count: int) -> bool:
+        """Return ``count`` credits; True if that refilled an empty window."""
         if count <= 0:
-            return
-        with self._cond:
+            return False
+        with self._lock:
+            was_empty = self._available <= 0
             self._available = min(self._window, self._available + int(count))
-            self._cond.notify_all()
+            return was_empty
+
+
+class _PendingCall:
+    """One in-flight request, resolved by whichever thread holds the reader role.
+
+    Future-shaped (``done()`` / ``result()``) so callers read it the way
+    they read a ``concurrent.futures.Future`` — except that ``result()``
+    does not park on someone else's thread: it drives the socket itself
+    when nobody is reading (see :meth:`RemoteServerClient._drive`).
+    """
+
+    __slots__ = ("_client", "_correlation_id", "_response", "_error", "_waiter")
+
+    def __init__(self, client: "RemoteServerClient", correlation_id: int) -> None:
+        self._client = client
+        self._correlation_id = correlation_id
+        self._response: Optional[Response] = None
+        self._error: Optional[Exception] = None
+        #: Set (under the client's pending lock) while the awaiting thread is
+        #: parked behind another reader; the resolver signals it.
+        self._waiter: Optional[threading.Event] = None
+
+    def done(self) -> bool:
+        return self._response is not None or self._error is not None
+
+    def result(self, timeout: Optional[float] = None) -> Response:
+        return self._client._await(self, timeout)
 
 
 class PipelineResult:
@@ -506,7 +525,7 @@ class RemoteServerClient:
             raise ProtocolError(f"unsupported protocol version {protocol_version}")
         self._address = (host, port)
         self._timeout = timeout
-        self._socket = socket.create_connection(self._address, timeout=timeout)
+        self._socket = self._dial()
         self._lock = threading.Lock()  # v1 lockstep + v2 write serialisation
         self._closed = False
         self.token_store = _RemoteTokenStore(self)
@@ -524,10 +543,15 @@ class RemoteServerClient:
         self._metrics_key = REGISTRY.register(
             f"client.wire[{host}:{port}]", self, snapshot=lambda client: asdict(client.wire_stats)
         )
-        self._pending: Dict[int, "Future[Response]"] = {}
+        self._pending: Dict[int, _PendingCall] = {}
+        #: Guards the pending table and the reader role below.  The role is
+        #: a flag under this lock, never a lock held across ``recv``.
         self._pending_lock = threading.Lock()
+        self._reading = False
+        #: Wake events of the threads parked behind the current reader.
+        self._parked: Deque[threading.Event] = deque()
         self._correlation_ids = itertools.count(1)
-        self._reader: Optional[threading.Thread] = None
+        self._frames: Optional[FrameReader] = None
         self._server_operations: Optional[frozenset] = None
         self._flow_control = bool(flow_control)
         self._credits: Optional[_CreditGate] = None
@@ -547,18 +571,13 @@ class RemoteServerClient:
         if self.protocol_version == PROTOCOL_VERSION:
             window = self.hello_info.get("credits")
             if self._flow_control and isinstance(window, int) and window > 0:
-                # Created before the reader starts, so every piggybacked
-                # grant the reader ever sees lands in the gate.  (The hello
-                # exchange itself was synchronous — its grant is already
-                # accounted for by starting at the full window.)
+                # The hello exchange itself was synchronous — its grant is
+                # already accounted for by starting at the full window.
                 self._credits = _CreditGate(window)
-            # Idle connections must not kill the reader thread: per-request
-            # deadlines are enforced on the futures, not on the socket.
+            # The socket stays blocking: per-request deadlines are enforced
+            # by the reading caller (select before every blocking recv).
             self._socket.settimeout(None)
-            self._reader = threading.Thread(
-                target=self._read_loop, daemon=True, name="tc-client-reader"
-            )
-            self._reader.start()
+            self._frames = FrameReader(self._socket, views=self._zero_copy, stall=timeout)
 
     @property
     def credit_window(self) -> int:
@@ -570,6 +589,13 @@ class RemoteServerClient:
         return self._credits.available if self._credits is not None else 0
 
     # -- connection management ---------------------------------------------------------
+
+    def _dial(self) -> socket.socket:
+        sock = socket.create_connection(self._address, timeout=self._timeout)
+        # Callers multiplexed on one connection do write-write-read: exactly
+        # the pattern Nagle + delayed ACK turns into a 40 ms stall.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
 
     def _negotiate(self) -> None:
         """One synchronous v2 ``hello``; fall back to v1 lockstep when rejected.
@@ -610,7 +636,7 @@ class RemoteServerClient:
                 self._socket.close()
             except OSError:
                 pass
-            self._socket = socket.create_connection(self._address, timeout=self._timeout)
+            self._socket = self._dial()
             self.protocol_version = 1
 
     def supports_operation(self, operation: str) -> bool:
@@ -622,19 +648,14 @@ class RemoteServerClient:
     def close(self) -> None:
         self._closed = True
         REGISTRY.unregister(self._metrics_key)
-        try:
-            # shutdown (not just close) reliably wakes the reader thread's
-            # blocking recv with EOF on every platform.
-            self._socket.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        # Nobody else is guaranteed to be reading, so nobody would notice the
+        # EOF: fail every pending call (and refund its credit) right here.
+        # The shutdown inside also wakes a caller blocked in the reader role.
+        self._fail_pending(None)
         try:
             self._socket.close()
         except OSError:
             pass
-        if self._reader is not None:
-            self._reader.join(timeout=5)
-            self._reader = None
 
     def __enter__(self) -> "RemoteServerClient":
         return self
@@ -644,50 +665,137 @@ class RemoteServerClient:
 
     # -- v2 transport ----------------------------------------------------------------
 
-    def _read_loop(self) -> None:
-        """Reader thread: resolve response frames against the pending table.
+    def _drive(
+        self, ready: Callable[[], bool], deadline: float, call: Optional[_PendingCall] = None
+    ) -> bool:
+        """Block until ``ready()``; False if ``deadline`` passed first.
 
-        With ``zero_copy`` the reader pulls payloads straight into per-frame
-        buffers via ``recv_into`` and decodes attachments as views over them
-        — the engine-facing accessors (``get_range``, grant/envelope pickup)
-        materialize copies only where results are retained.
+        Leader/followers on the client socket: if nobody holds the reader
+        role this thread takes it and resolves frames itself until its
+        condition holds; otherwise it parks on a private event that the
+        reader signals (its ``call`` resolved, credits arrived, or the role
+        is being handed over).  On the way out the role goes to one parked
+        thread, so a connection with waiters is never left unread.
         """
-        reader = FrameReader(self._socket, views=self._zero_copy)
-        while True:
+        before_blocking()
+        lock = self._pending_lock
+        reading = False
+        try:
+            while True:
+                waiter: Optional[threading.Event] = None
+                with lock:
+                    if reading:
+                        self._reading = reading = False
+                    satisfied = ready()
+                    remaining = deadline - time.monotonic()
+                    if satisfied or remaining <= 0:
+                        self._pass_role()
+                        return satisfied
+                    if self._reading:
+                        waiter = threading.Event()
+                        self._parked.append(waiter)
+                        if call is not None:
+                            call._waiter = waiter
+                    else:
+                        self._reading = reading = True
+                if waiter is None:
+                    self._read_frames(ready, deadline)
+                    continue
+                waiter.wait(remaining)
+                with lock:
+                    if call is not None:
+                        call._waiter = None
+                    try:
+                        self._parked.remove(waiter)
+                    except ValueError:
+                        pass  # a hand-over already popped it
+        finally:
+            if reading:  # only when something escaped _read_frames
+                with lock:
+                    self._reading = False
+                    self._pass_role()
+
+    def _pass_role(self) -> None:
+        """Wake one parked thread to read, if nobody is (pending lock held)."""
+        if not self._reading:
+            while self._parked:
+                successor = self._parked.popleft()
+                if not successor.is_set():
+                    successor.set()
+                    return
+
+    def _read_frames(self, ready: Callable[[], bool], deadline: float) -> None:
+        """The reader role: resolve arriving frames until ``ready()`` or ``deadline``.
+
+        Payloads land straight in per-frame buffers via ``recv_into`` and
+        attachments decode as views over them — the engine-facing accessors
+        (``get_range``, grant/envelope pickup) materialize copies only where
+        results are retained.
+        """
+        frames = self._frames
+        assert frames is not None
+        while not ready():
             try:
-                frame = reader.read()
+                frame = frames.read(deadline)
+                if frame is None:
+                    return
                 response = Response.decode(frame.payload)
-            except (TimeCryptError, OSError) as exc:
+            except (TimeCryptError, OSError, ValueError) as exc:
+                # ValueError: close() released the descriptor under select().
                 self._fail_pending(exc)
                 return
             self.wire_stats.bytes_received += len(frame.payload) + (15 if frame.version == 2 else 6)
-            with self._pending_lock:
-                future = self._pending.pop(frame.correlation_id, None)
-            if self._credits is not None and response.credit_grant:
-                # Replenish before resolving the future: a caller chaining
-                # sends off the result must see the returned credit.
-                self._credits.grant(response.credit_grant)
             self.wire_stats.responses_received += 1
-            if future is not None:
-                future.set_result(response)
+            with self._pending_lock:
+                call = self._pending.pop(frame.correlation_id, None)
+                if call is None:
+                    # Abandoned at its deadline; its credit was refunded then.
+                    continue
+                if self._credits is not None and response.credit_grant:
+                    # Replenish before resolving: a caller chaining sends
+                    # off the result must see the returned credit.  A window
+                    # that was empty may have senders parked on it.
+                    if self._credits.grant(response.credit_grant):
+                        for parked in self._parked:
+                            parked.set()
+                call._response = response
+                if call._waiter is not None:
+                    call._waiter.set()
 
-    def _fail_pending(self, cause: Exception) -> None:
-        if self._closed:
+    def _fail_pending(self, cause: Optional[Exception]) -> None:
+        """Fail every pending call and make the connection unusable."""
+        if self._closed or cause is None:
             error: Exception = TransportError("connection closed")
         else:
             error = TransportError(f"connection to {self._address} failed: {cause}")
+        try:
+            # The stream may be mid-frame: later sends must fail fast and a
+            # parked or future reader must see EOF, not misparsed bytes.
+            self._socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         with self._pending_lock:
             pending = list(self._pending.values())
             self._pending.clear()
-        if self._credits is not None and pending:
-            # Responses that will never arrive must still return their
-            # credits, or every sender blocked on the window hangs until its
-            # timeout.  (grant() clamps at the window, so requests that never
-            # consumed a credit cannot inflate it.)
-            self._credits.grant(len(pending))
-        for future in pending:
-            if not future.done():
-                future.set_exception(error)
+            if self._credits is not None:
+                # Responses that will never arrive must still return their
+                # credits, or every sender blocked on the window hangs until
+                # its timeout.  Nothing is in flight on a dead connection,
+                # so the whole window comes back (grant() clamps at it).
+                self._credits.grant(self._credits.window)
+            for call in pending:
+                call._error = error
+            for parked in self._parked:
+                parked.set()
+
+    def _abandon(self, calls: Sequence[_PendingCall], error: Exception, refund: bool) -> None:
+        """Fail calls nobody will wait for any longer and forget their ids."""
+        with self._pending_lock:
+            for call in calls:
+                if self._pending.pop(call._correlation_id, None) is not None:
+                    call._error = error
+                    if refund and self._credits is not None:
+                        self._credits.grant(1)
 
     def _encode_batch(self, requests: Sequence[Request]) -> List[List[Any]]:
         """Message-segment lists for a batch, compressed where negotiated.
@@ -720,16 +828,13 @@ class RemoteServerClient:
             self._socket.sendall(data)
             self.wire_stats.bytes_sent += len(data)
 
-    def _send_requests(self, requests: Sequence[Request]) -> List["Future[Response]"]:
-        """Frame and write a request batch in one vectored write; returns futures."""
-        # Encode outside the pending lock: a multi-megabyte chunk batch must
-        # not stall the reader thread's response resolution while it JSONs.
-        # Framing happens *before* any future is registered — an oversized
+    def _send_requests(self, requests: Sequence[Request]) -> List[_PendingCall]:
+        """Frame and write a request batch in one vectored write; returns pending calls."""
+        # Framing happens *before* any call is registered — an oversized
         # payload raises here without leaving ghost correlation ids in the
         # pending table that nothing would ever resolve.
         messages = self._encode_batch(requests)
-        with self._pending_lock:
-            correlation_ids = [next(self._correlation_ids) for _message in messages]
+        correlation_ids = [next(self._correlation_ids) for _message in messages]
         if self._zero_copy:
             frames = [
                 encode_frame_segments_v2(correlation_id, segments)
@@ -740,69 +845,60 @@ class RemoteServerClient:
                 [encode_frame_v2(correlation_id, segments[0])]
                 for correlation_id, segments in zip(correlation_ids, messages)
             ]
-        futures: List["Future[Response]"] = []
+        calls = [_PendingCall(self, correlation_id) for correlation_id in correlation_ids]
         with self._pending_lock:
-            for correlation_id in correlation_ids:
-                future: "Future[Response]" = Future()
-                self._pending[correlation_id] = future
-                futures.append(future)
-        # A reader that died *before* the registration above has already
-        # swept _pending and will never fail these futures; checking after
-        # registration closes the race (a reader dying later sweeps them).
-        if self._reader is not None and not self._reader.is_alive():
-            self._fail_pending(TransportError("reader thread terminated"))
-            return futures
-        if self._credits is None:
-            try:
-                with self._lock:
-                    # repro: allow[REPRO004] _lock exists to serialize frame writes on this socket; holding it across sendall is the design, and only writers contend on it
-                    self._write_frames(frames)
-            except OSError as exc:
-                self._fail_pending(exc)
-            self.wire_stats.requests_sent += len(requests)
-            return futures
-        # Flow-controlled path: the batch goes out in credit-sized bursts, so
-        # at most window-many frames are ever unanswered on this connection.
+            self._pending.update(zip(correlation_ids, calls))
+        # Without flow control the batch is one burst; with it, credit-sized
+        # bursts, so at most window-many frames are ever unanswered here.
         sent = 0
         while sent < len(frames):
-            if self._credits.available <= 0:
-                self.wire_stats.credit_stalls += 1
-            granted = self._credits.acquire(len(frames) - sent, self._timeout)
-            if granted == 0:
-                # The window never refilled within the deadline.  Fail only
-                # the unsent tail — its correlation ids never hit the wire;
-                # the frames already sent may still be answered normally.
-                error = TransportError(
-                    f"timed out waiting for flow-control credits from {self._address}"
-                )
-                with self._pending_lock:
-                    stale = [
-                        self._pending.pop(correlation_id)
-                        for correlation_id in correlation_ids[sent:]
-                        if correlation_id in self._pending
-                    ]
-                for future in stale:
-                    if not future.done():
-                        future.set_exception(error)
-                return futures
+            granted = len(frames) - sent
+            if self._credits is not None:
+                granted = self._acquire_credits(granted)
+                if granted == 0:
+                    # The window never refilled within the deadline.  Fail
+                    # only the unsent tail — its correlation ids never hit
+                    # the wire; the frames already sent may still be answered.
+                    error = TransportError(
+                        f"timed out waiting for flow-control credits from {self._address}"
+                    )
+                    self._abandon(calls[sent:], error, refund=False)
+                    return calls
             try:
                 with self._lock:
-                    # repro: allow[REPRO004] same write-serialization design as the uncontrolled path above: _lock guards the socket write stream itself
+                    # repro: allow[REPRO004] _lock exists to serialize frame writes on this socket; holding it across the send is the design, and only writers contend on it
                     self._write_frames(frames[sent : sent + granted])
             except OSError as exc:
                 self._fail_pending(exc)
-                return futures
+                return calls
             sent += granted
             self.wire_stats.requests_sent += granted
-        return futures
+        return calls
 
-    def _await(self, future: "Future[Response]") -> Response:
-        try:
-            return future.result(timeout=self._timeout)
-        except TimeCryptError:
-            raise
-        except Exception as exc:  # concurrent.futures.TimeoutError et al.
-            raise TransportError(f"request to {self._address} timed out or failed: {exc}") from exc
+    def _acquire_credits(self, upto: int) -> int:
+        """Up to ``upto`` credits, waiting (and reading, if nobody is) for a grant."""
+        credits = self._credits
+        assert credits is not None
+        granted = credits.take(upto)
+        if granted == 0:
+            self.wire_stats.credit_stalls += 1
+            deadline = time.monotonic() + self._timeout
+            while granted == 0 and self._drive(lambda: credits.available > 0, deadline):
+                granted = credits.take(upto)
+        return granted
+
+    def _await(self, call: _PendingCall, timeout: Optional[float] = None) -> Response:
+        if not call.done():
+            deadline = time.monotonic() + (self._timeout if timeout is None else timeout)
+            if not self._drive(call.done, deadline, call):
+                # Per-request deadline: forget the id and refund its credit,
+                # so a peer that never answers cannot shrink the window.
+                error = TransportError(f"request to {self._address} timed out")
+                self._abandon([call], error, refund=True)
+        if call._error is not None:
+            raise call._error
+        assert call._response is not None
+        return call._response
 
     # -- tracing -----------------------------------------------------------------------
 
@@ -906,6 +1002,7 @@ class RemoteServerClient:
             slots = [index for index, response in enumerate(responses) if _is_overloaded(response)]
             if not slots:
                 break
+            before_blocking()
             time.sleep(self._overload_delay(responses[slots[0]], attempt))
             self.wire_stats.overload_retries += len(slots)
             futures = self._send_requests([requests[index] for index in slots])
@@ -915,6 +1012,7 @@ class RemoteServerClient:
         return responses
 
     def _call_lockstep(self, request: Request) -> Response:
+        before_blocking()
         with self._lock:
             try:
                 write_frame(self._socket, request.encode())
@@ -1257,15 +1355,10 @@ class ShardedServerClient:
 
     # -- connections ------------------------------------------------------------
 
-    def _router_client(self) -> RemoteServerClient:
-        with self._lock:
-            if self._router is not None:
-                return self._router
-        # Dial outside the lock, like _engine_client below: a dead router
-        # must not wedge threads that only need an already-cached transport.
-        client = RemoteServerClient(
-            self._router_address[0],
-            self._router_address[1],
+    def _connect(self, address: Tuple[str, int]) -> RemoteServerClient:
+        return RemoteServerClient(
+            address[0],
+            address[1],
             timeout=self._timeout,
             flow_control=self._flow_control,
             overload_retries=self._overload_retries,
@@ -1273,6 +1366,14 @@ class ShardedServerClient:
             compression=self._compression,
             tracing=self._tracing,
         )
+
+    def _router_client(self) -> RemoteServerClient:
+        with self._lock:
+            if self._router is not None:
+                return self._router
+        # Dial outside the lock, like _engine_client below: a dead router
+        # must not wedge threads that only need an already-cached transport.
+        client = self._connect(self._router_address)
         with self._lock:
             if self._router is None:
                 self._router = client
@@ -1297,16 +1398,7 @@ class ShardedServerClient:
             stale = self._engines.pop(name, None)
         if stale is not None:
             stale[1].close()
-        client = RemoteServerClient(
-            address[0],
-            address[1],
-            timeout=self._timeout,
-            flow_control=self._flow_control,
-            overload_retries=self._overload_retries,
-            zero_copy=self._zero_copy,
-            compression=self._compression,
-            tracing=self._tracing,
-        )
+        client = self._connect(address)
         with self._lock:
             self._engines[name] = (address, client)
         return client
@@ -1340,18 +1432,9 @@ class ShardedServerClient:
             if self._router is not None:
                 clients.append(self._router)
         for client in clients:
-            stats = client.wire_stats
-            total.requests_sent += stats.requests_sent
-            total.responses_received += stats.responses_received
-            total.round_trips += stats.round_trips
-            total.batches_sent += stats.batches_sent
-            total.credit_stalls += stats.credit_stalls
-            total.overload_retries += stats.overload_retries
-            total.bytes_sent += stats.bytes_sent
-            total.bytes_received += stats.bytes_received
-            total.vectored_writes += stats.vectored_writes
-            total.frames_coalesced += stats.frames_coalesced
-            total.frames_compressed += stats.frames_compressed
+            for counter in fields(WireStats):
+                value = getattr(total, counter.name) + getattr(client.wire_stats, counter.name)
+                setattr(total, counter.name, value)
         return total
 
     # -- routing ----------------------------------------------------------------

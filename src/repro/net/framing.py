@@ -45,10 +45,12 @@ The counters are deterministic for a fixed call sequence, which is what
 from __future__ import annotations
 
 import os
+import select
 import socket
 import struct
+import time
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, List, Sequence, Tuple, Union
+from typing import BinaryIO, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ProtocolError, TransportError
 
@@ -71,6 +73,10 @@ try:
         IOV_MAX = 1024
 except (AttributeError, OSError, ValueError):  # pragma: no cover - platform
     IOV_MAX = 1024
+
+#: Per-call non-blocking flag for ``recv_into`` / ``sendmsg`` on a blocking
+#: socket (0 where the platform lacks it: those calls then simply block).
+_MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", 0)
 
 Readable = Union[BinaryIO, socket.socket]
 Segment = Union[bytes, bytearray, memoryview]
@@ -146,13 +152,29 @@ class Frame:
     payload: Union[bytes, memoryview]
 
 
-def _read_exact_into(source: Readable, view: memoryview) -> None:
-    """Fill ``view`` completely from a socket or file-like object."""
+def _wait_readable(sock: socket.socket, seconds: float) -> bool:
+    """Block until ``sock`` is readable, at most ``seconds``; False on expiry."""
+    return seconds > 0 and bool(select.select([sock], [], [], seconds)[0])
+
+
+def _read_exact_into(source: Readable, view: memoryview, stall: Optional[float] = None) -> None:
+    """Fill ``view`` completely from a socket or file-like object.
+
+    With ``stall`` (seconds, sockets only) no single ``recv`` waits longer
+    than that for the next byte: a peer that goes silent mid-frame raises
+    :class:`TransportError` instead of hanging the reading thread.
+    """
     filled = 0
     total = len(view)
     if isinstance(source, socket.socket):
+        flags = _MSG_DONTWAIT if stall is not None else 0
         while filled < total:
-            got = source.recv_into(view[filled:])
+            try:
+                got = source.recv_into(view[filled:], 0, flags)
+            except BlockingIOError:
+                if not _wait_readable(source, stall):
+                    raise TransportError("peer stalled mid-frame") from None
+                continue
             if not got:
                 raise TransportError("connection closed mid-frame")
             filled += got
@@ -173,11 +195,11 @@ def _read_exact_into(source: Readable, view: memoryview) -> None:
         filled += len(chunk)
 
 
-def _read_buffer(source: Readable, length: int) -> bytearray:
+def _read_buffer(source: Readable, length: int, stall: Optional[float] = None) -> bytearray:
     """Read exactly ``length`` bytes into a fresh, dedicated buffer."""
     buffer = bytearray(length)
     if length:
-        _read_exact_into(source, memoryview(buffer))
+        _read_exact_into(source, memoryview(buffer), stall)
     return buffer
 
 
@@ -202,7 +224,11 @@ def _send(sink: Readable, data: Segment) -> None:
     MEMORY_COUNTERS.bytes_written += len(data)
 
 
-def write_vectored(sink: Readable, segments: Sequence[Segment]) -> Tuple[int, int, int]:
+def write_vectored(
+    sink: Readable,
+    segments: Sequence[Segment],
+    would_block: Optional[Callable[[], None]] = None,
+) -> Tuple[int, int, int]:
     """Write ``segments`` without concatenating the large ones.
 
     Runs of consecutive segments smaller than :data:`COALESCE_THRESHOLD` are
@@ -211,6 +237,12 @@ def write_vectored(sink: Readable, segments: Sequence[Segment]) -> Tuple[int, in
     :data:`IOV_MAX` iovecs per call, resuming correctly across partial
     sends.  Sinks without ``sendmsg`` (file-likes, BytesIO) fall back to
     sequential writes.
+
+    With ``would_block`` the first ``sendmsg`` is attempted non-blocking;
+    only if the socket buffer cannot take everything is ``would_block()``
+    called (once), and the rest goes out with ordinary blocking sends.  The
+    server's leader thread passes ``before_blocking`` here, so it never
+    sleeps on a slow reader while it is the one watching the sockets.
 
     Returns ``(syscalls, bytes_written, segments_coalesced)``.
     """
@@ -236,9 +268,13 @@ def write_vectored(sink: Readable, segments: Sequence[Segment]) -> Tuple[int, in
     sendmsg = getattr(sink, "sendmsg", None)
     syscalls = 0
     if sendmsg is not None:
+        flags = _MSG_DONTWAIT if would_block is not None else 0
         while iovs:
             group = iovs[:IOV_MAX]
-            sent = sendmsg(group)
+            try:
+                sent = sendmsg(group, (), flags) if flags else sendmsg(group)
+            except BlockingIOError:
+                sent = 0
             syscalls += 1
             # Advance across whole and partially-sent iovecs.
             while sent > 0 and iovs:
@@ -249,6 +285,9 @@ def write_vectored(sink: Readable, segments: Sequence[Segment]) -> Tuple[int, in
                 else:
                     iovs[0] = head[sent:]
                     sent = 0
+            if flags and iovs:
+                flags = 0
+                would_block()
     else:
         for iov in iovs:
             sink.write(iov)
@@ -342,30 +381,45 @@ def read_any_frame(source: Readable, views: bool = False) -> Frame:
 class FrameReader:
     """Blocking frame reader with a reusable header scratch buffer.
 
-    The client reader thread pulls frames through one of these: headers land
-    in a 15-byte scratch via ``recv_into`` (no per-read allocation) and each
+    The client pulls response frames through one of these: headers land in
+    a 15-byte scratch via ``recv_into`` (no per-read allocation) and each
     payload is read straight into its own exact-size buffer — zero user-space
     copies after the kernel hands the bytes over.  With ``views=False`` the
     payload is materialized as ``bytes`` (one counted copy, the legacy
     contract).
     """
 
-    def __init__(self, source: Readable, views: bool = False) -> None:
+    def __init__(
+        self, source: Readable, views: bool = False, stall: Optional[float] = None
+    ) -> None:
         self._source = source
         self._views = views
+        #: Seconds of mid-frame silence tolerated from a socket source
+        #: (``None``: plain blocking reads).
+        self._stall = stall
         self._scratch = bytearray(_HEADER_V2.size)
 
-    def read(self) -> Frame:
+    def read(self, deadline: Optional[float] = None) -> Optional[Frame]:
+        """The next frame; ``None`` if ``deadline`` passes before one starts.
+
+        ``deadline`` (monotonic seconds, socket sources only) bounds the wait
+        for the frame's first byte; a frame that has begun is read to its
+        end, however long its sender keeps making progress.
+        """
+        source = self._source
+        if deadline is not None and not _wait_readable(source, deadline - time.monotonic()):
+            return None
+        stall = self._stall
         scratch = memoryview(self._scratch)
-        _read_exact_into(self._source, scratch[:2])
+        _read_exact_into(source, scratch[:2], stall)
         magic = scratch[:2]
         if magic == MAGIC:
-            _read_exact_into(self._source, scratch[2 : _HEADER.size])
+            _read_exact_into(source, scratch[2 : _HEADER.size], stall)
             _, length = _HEADER.unpack_from(scratch)
             _check_length(length)
             return Frame(version=1, correlation_id=0, payload=self._payload(length))
         if magic == MAGIC_V2:
-            _read_exact_into(self._source, scratch[2:])
+            _read_exact_into(source, scratch[2:], stall)
             _, version, correlation_id, length = _HEADER_V2.unpack_from(scratch)
             if version != PROTOCOL_VERSION:
                 raise ProtocolError(f"unsupported v2 frame version {version}")
@@ -374,7 +428,7 @@ class FrameReader:
         raise ProtocolError(f"bad frame magic {bytes(magic)!r}")
 
     def _payload(self, length: int) -> Union[bytes, memoryview]:
-        buffer = _read_buffer(self._source, length)
+        buffer = _read_buffer(self._source, length, self._stall)
         if self._views:
             return memoryview(buffer).toreadonly()
         MEMORY_COUNTERS.payload_copies += 1

@@ -167,16 +167,17 @@ WIRE_COMPRESSION_THRESHOLD = 4096
 
 #: ``peek_operation`` decompresses at most this much output looking for the
 #: header of a compressed request, so a hostile frame cannot force a large
-#: decompression on the server's I/O loop.
+#: decompression on the server's leader thread.
 _PEEK_DECOMPRESS_LIMIT = 64 * 1024
 
 
 def peek_operation(payload: Buffer) -> Optional[str]:
     """The operation name of an encoded request, without decoding attachments.
 
-    The server's I/O loop classifies every frame before enqueueing it, so
-    this parses only the varint-prefixed JSON header — bounded by the actual
-    payload size before any slice or ``json.loads``, so a forged
+    The server's leader classifies every frame before admitting it.  An
+    uncompressed frame it decodes outright; a compressed one goes through
+    here, which parses only the varint-prefixed JSON header — bounded by the
+    actual payload size before any slice or ``json.loads``, so a forged
     multi-gigabyte ``header_len`` classifies as ``None`` instead of driving a
     pathological allocation.  Compressed messages get a bounded incremental
     decompression (at most 64 KiB of output) to reach the header.

@@ -1,41 +1,44 @@
 """The TCP server exposing a :class:`~repro.server.engine.ServerEngine`.
 
-The transport is a single-threaded ``selectors`` I/O loop feeding a
-**bounded worker pool** (the Netty stand-in): one thread accepts
-connections and reads bytes, an incremental
-:class:`~repro.net.framing.FrameAssembler` per connection turns them into
-frames, and each complete frame is dispatched on a shared
-``ThreadPoolExecutor`` — so request handling no longer scales one thread
-per connection, and a slow request only occupies one pool slot.
+The transport is run **leader/followers** (the Netty stand-in: the thread
+that read the bytes runs the handler).  Up to ``max_workers + 1`` symmetric
+threads serve it, started only when there is work for them.  One at a time
+is the *leader*: it ``select``s, reads, lets a per-connection
+:class:`~repro.net.framing.FrameAssembler` turn bytes into frames, and
+admits each frame.  The others are *followers*: they run queued frames or
+sleep.  At most ``max_workers`` handlers run at once, so accepting another
+client costs a selector registration, not a thread.
 
-Both framing versions are served on every connection:
-
-* **v2 frames** carry a correlation id; they are dispatched concurrently
-  and their responses are written (under the per-connection write lock)
-  whenever they finish — out of order is expected and correct, the client
-  matches responses by correlation id.
-* **v1 frames** have no correlation id, so their responses must arrive in
-  request order; per connection they run strictly one at a time through a
-  FIFO queue (still on the pool, never blocking the I/O loop).
-
-v2 dispatch is **scheduled**, not FIFO: every frame is classified
-interactive or bulk (:func:`~repro.net.messages.classify_operation`) into
-one of two *bounded* queues drained weighted-round-robin by the worker
-pool, so a small ``stat_range`` never waits behind a whole ingest burst.
+Admission is **scheduled**: every v2 frame is classified interactive or
+bulk (:func:`~repro.net.messages.classify_operation`).  A lone interactive
+frame — nothing queued, a handler slot free — is run by the leader itself,
+still holding the role: no queue, no wake-up, no thread hop.  Everything
+else goes into one of two *bounded* queues that followers drain
+weighted-round-robin, so a small ``stat_range`` never waits behind a whole
+ingest burst, and bulk work never runs on the thread watching the sockets.
 A full queue sheds the frame with a typed ``overloaded`` response carrying
-a retry-after hint — never silent latency or dead air.  Backpressure is
-credit-based: ``hello`` advertises an initial per-connection window,
-every v2 response returns one credit (the ``credits`` header field), and
-a well-behaved client caps its in-flight frames at the window
-(``scheduling="fifo"`` restores the legacy unbounded direct-submit path
-for comparison benchmarks).
+a retry-after hint — never silent latency or dead air.  With every slot
+busy the one remaining thread keeps leading: admitting and shedding.
+
+The leader must never sleep while it holds the role, so leadership moves at
+exactly one moment: when the thread holding it is about to wait
+(:func:`repro.util.blocking.before_blocking` — an outbound call to another
+tier, a fan-out join, a contended lock, a full socket buffer).  It steps
+down first — one ``notify`` wakes a follower to lead — and finishes its
+request as an ordinary thread.
+
+Both framing versions are served on every connection: **v2** frames carry a
+correlation id, run concurrently, and are answered (under the
+per-connection write lock) whenever they finish; **v1** frames have none,
+so per connection they run strictly in order, as one drain item on the
+interactive queue.  Backpressure is credit-based: ``hello`` advertises a
+per-connection window, every v2 response returns one credit, and a
+well-behaved client caps its in-flight frames at the window.
 
 The dispatcher is also usable without sockets through
-:class:`RequestDispatcher`, which the in-process transport and the tests
-reuse directly.  The transport itself is dispatcher-agnostic: any
-:class:`WireDispatcher` can sit behind it — the storage-node tier
-(:mod:`repro.storage.node`) serves the raw key-value contract through the
-exact same I/O loop, worker pool, and framing.
+:class:`RequestDispatcher`; the transport is dispatcher-agnostic — the
+storage-node tier (:mod:`repro.storage.node`) serves the raw key-value
+contract through the exact same threads, queues and framing.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
@@ -75,6 +77,12 @@ from repro.net.messages import (
 )
 from repro.server.engine import ServerEngine, _metadata_from_json, _metadata_to_json
 from repro.timeseries.serialization import decode_encrypted_chunk, encode_encrypted_chunk
+from repro.util.blocking import (
+    acquire_announced,
+    before_blocking,
+    blocking_hook_armed,
+    set_blocking_hook,
+)
 from repro.util.timeutil import TimeRange
 
 #: Default per-connection credit window advertised in ``hello``.
@@ -242,13 +250,17 @@ class RequestDispatcher(WireDispatcher):
             and len(request.attachments) > self._bulk_slice_chunks
         ):
             return self._dispatch_sliced_ingest(request)
+        # Queuing behind another request on the serial engine is a wait like
+        # any other: a leader announces it (and steps down) first.
+        acquire_announced(self._engine_lock)
         try:
-            with self._engine_lock:
-                return self._dispatch_engine(request)
+            return self._dispatch_engine(request)
         except TimeCryptError as exc:
             return Response.failure(exc)
         except Exception as exc:  # noqa: BLE001 — dead air is worse than a broad catch
             return Response.failure(self._unexpected_error(exc))
+        finally:
+            self._engine_lock.release()
 
     def _dispatch_sliced_ingest(self, request: Request) -> Response:
         """A giant ingest batch, applied slice by slice through the normal path.
@@ -469,41 +481,45 @@ class SchedulerStats:
         return asdict(self)
 
 
-class _FrameScheduler:
-    """Two bounded frame queues drained weighted-round-robin by the pool.
+#: What a serving thread gets back from :meth:`_FrameScheduler.next_task`
+#: when there is nothing to run and the leader role is free: go watch the sockets.
+_LEAD = object()
 
-    ``submit`` is called on the I/O loop and never blocks: a frame either
-    lands in its class queue or (queue at capacity) is refused, and the
-    caller sheds it with a typed ``overloaded`` response.  Drain workers run
-    on the shared ``ThreadPoolExecutor``; at most ``max_workers`` are active
-    at once, and each yields its pool slot after ``yield_every`` frames so
-    v1 drains and shed replies queued behind it are never starved under
-    sustained load.  When both queues are non-empty, ``interactive_weight``
-    interactive frames are dispatched per bulk frame.
+#: One unit of handler work: ``(connection, frame, enqueue_ns, request)``.  A
+#: v1 drain item carries ``frame=None``; ``request`` is the message already
+#: decoded at admission (``None``: decode in the handler).
+_Task = Tuple["_Connection", Optional[Frame], int, Optional[Request]]
+
+
+class _FrameScheduler:
+    """Two bounded frame queues and the leader/followers bookkeeping.
+
+    The leader calls :meth:`admit`, which never blocks: the frame is run
+    inline by the leader, lands in its class queue, or is refused (the
+    leader sheds it).  Followers block in :meth:`next_task`.  When both
+    queues are non-empty, ``interactive_weight`` interactive frames are
+    dispatched per bulk frame.  The leader role and the idle/thread counts
+    are plain fields under ``_lock`` — nothing is held across a ``select``.
     """
 
     def __init__(
         self,
-        pool: ThreadPoolExecutor,
-        handler,
         max_workers: int,
         interactive_limit: int,
         bulk_limit: int,
         interactive_weight: int,
-        yield_every: int = 16,
     ) -> None:
-        self._pool = pool
-        self._handler = handler
         self._max_workers = max_workers
         self._limits = {"interactive": int(interactive_limit), "bulk": int(bulk_limit)}
-        self._queues: Dict[str, Deque[Tuple["_Connection", Frame, int]]] = {
-            "interactive": deque(),
-            "bulk": deque(),
-        }
+        self._queues: Dict[str, Deque[_Task]] = {"interactive": deque(), "bulk": deque()}
         self._weight = max(1, int(interactive_weight))
-        self._yield_every = max(1, int(yield_every))
         self._lock = threading.Lock()
-        self._active = 0
+        self._wakeup = threading.Condition(self._lock)
+        self._active = 0  # handlers running right now (inline ones included)
+        self._leading = False
+        self._idle = 0  # followers asleep on _wakeup and not yet notified
+        self._threads = 0
+        self._stopping = False
         self._interactive_run = 0
         # Bulk drain-rate tracking for the adaptive overload hint: an EWMA of
         # the interval between consecutive bulk dispatches.  Guarded by
@@ -513,64 +529,101 @@ class _FrameScheduler:
         # repro: allow[REPRO005] registered by the owning TimeCryptTCPServer under server.scheduler[...] via its scheduler_stats() snapshot
         self.stats = SchedulerStats()
 
-    def submit(
-        self,
-        connection: "_Connection",
-        frame: Frame,
-        klass: str,
-        force: bool = False,
-        enqueue_ns: int = 0,
-    ) -> bool:
-        """Enqueue a classified frame; False means the queue refused it (shed).
+    def admit(
+        self, task: _Task, klass: str, force: bool = False, inline: bool = False, in_flight: int = 0
+    ) -> str:
+        """Place one classified frame: ``"inline"``, ``"queued"``, ``"spawn"`` or ``"shed"``.
 
-        ``force`` bypasses the capacity check — liveness ops (``hello``,
-        ``ping``) are always admitted so saturation never reads as an outage.
-        ``enqueue_ns`` rides the existing queue tuple through to the handler
-        (it widens the tuple, no extra allocation); it is non-zero only when
-        the connection negotiated tracing, so the queue-wait span field costs
-        untraced frames nothing.
+        ``force`` bypasses the capacity check (``hello``, ``ping``, v1
+        drains: saturation must never read as an outage).  ``inline`` is the
+        leader's offer to run the frame itself, taken only for an
+        interactive frame with both queues empty and a handler slot free —
+        claimed here, the caller must :meth:`finished` it.  ``"spawn"`` is
+        ``"queued"`` plus: no follower is idle, start one more thread.
         """
+        stats = self.stats
         with self._lock:
+            if in_flight > stats.max_in_flight:
+                stats.max_in_flight = in_flight
             queue = self._queues[klass]
             if not force and len(queue) >= self._limits[klass]:
                 if klass == "bulk":
-                    self.stats.shed_bulk += 1
+                    stats.shed_bulk += 1
                 else:
-                    self.stats.shed_interactive += 1
-                return False
-            queue.append((connection, frame, enqueue_ns))
-            depth = len(queue)
+                    stats.shed_interactive += 1
+                return "shed"
+            depth = len(queue) + 1
             if klass == "bulk":
-                self.stats.enqueued_bulk += 1
-                if depth > self.stats.max_depth_bulk:
-                    self.stats.max_depth_bulk = depth
+                stats.enqueued_bulk += 1
+                if depth > stats.max_depth_bulk:
+                    stats.max_depth_bulk = depth
             else:
-                self.stats.enqueued_interactive += 1
-                if depth > self.stats.max_depth_interactive:
-                    self.stats.max_depth_interactive = depth
-            spawn = self._active < self._max_workers
-            if spawn:
-                self._active += 1
-        if spawn:
-            self._spawn()
-        return True
+                stats.enqueued_interactive += 1
+                if depth > stats.max_depth_interactive:
+                    stats.max_depth_interactive = depth
+                if (
+                    inline
+                    and depth == 1
+                    and not self._queues["bulk"]
+                    and self._active < self._max_workers
+                ):
+                    stats.dispatched_interactive += 1
+                    self._active += 1
+                    return "inline"
+            queue.append(task)
+            if self._active < self._max_workers and self._wake_one():
+                return "spawn"
+            return "queued"
 
-    def note_in_flight(self, depth: int) -> None:
+    def _wake_one(self) -> bool:
+        """Get one more thread moving (lock held); True: the caller must start one."""
+        if self._idle:
+            self._idle -= 1
+            self._wakeup.notify()
+            return False
+        if self._threads <= self._max_workers and not self._stopping:
+            self._threads += 1
+            return True
+        return False
+
+    def next_task(self) -> object:
+        """Block until there is something to do: a task, ``_LEAD``, or ``None`` (stop)."""
         with self._lock:
-            if depth > self.stats.max_in_flight:
-                self.stats.max_in_flight = depth
+            while True:
+                if self._stopping:
+                    self._threads -= 1
+                    return None
+                if self._active < self._max_workers:
+                    task = self._next_locked()
+                    if task is not None:
+                        self._active += 1
+                        return task
+                if not self._leading:
+                    self._leading = True
+                    return _LEAD
+                self._idle += 1
+                # repro: allow[REPRO006] an idle follower is by definition not the leader; this wait is how it sleeps until work or the role arrives
+                self._wakeup.wait()
+
+    def finished(self) -> None:
+        """A handler (queued or inline) returned: free its slot."""
+        with self._lock:
+            self._active -= 1
+
+    def release_leadership(self) -> bool:
+        """The leader steps down; True: no follower was idle, start a thread."""
+        with self._lock:
+            self._leading = False
+            return self._wake_one()
+
+    def shutdown(self) -> None:
+        with self._lock:
+            self._stopping = True
+            self._wakeup.notify_all()
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             return self.stats.snapshot()
-
-    def _spawn(self) -> None:
-        try:
-            self._pool.submit(self._drain)
-        except RuntimeError:
-            # Pool already shut down: the server is stopping, abandon the slot.
-            with self._lock:
-                self._active -= 1
 
     def retry_hint_ms(self, klass: str, default: int) -> int:
         """Retry-after hint from the measured bulk drain rate.
@@ -592,7 +645,7 @@ class _FrameScheduler:
         hint = max(1, depth) * ewma_ns / 1e6
         return int(min(max(hint, MIN_RETRY_AFTER_MS), MAX_RETRY_AFTER_MS))
 
-    def _next_locked(self) -> Optional[Tuple["_Connection", Frame, int]]:
+    def _next_locked(self) -> Optional[_Task]:
         interactive = self._queues["interactive"]
         bulk = self._queues["bulk"]
         if interactive and (self._interactive_run < self._weight or not bulk):
@@ -612,25 +665,6 @@ class _FrameScheduler:
             self._bulk_last_dispatch_ns = now_ns
             return bulk.popleft()
         return None
-
-    def _drain(self) -> None:
-        processed = 0
-        while True:
-            with self._lock:
-                item = self._next_locked()
-                if item is None:
-                    self._active -= 1
-                    return
-            try:
-                self._handler(*item)
-            except Exception:  # noqa: BLE001 — the handler answers its own errors
-                pass
-            processed += 1
-            if processed >= self._yield_every:
-                # Re-submit instead of looping forever: gives pool slots back
-                # to v1 drains and shed replies under sustained load.
-                self._spawn()
-                return
 
 
 class _Connection:
@@ -654,7 +688,8 @@ class _Connection:
         self.tracing = False
         self.write_lock = threading.Lock()
         #: v1 frames awaiting dispatch; guarded by ``state_lock``.  At most one
-        #: v1 frame per connection is ever on the pool, preserving response order.
+        #: drain item per connection is ever queued or running, which keeps
+        #: v1 responses in request order.
         self.v1_queue: Deque[Frame] = deque()
         self.v1_active = False
         #: v2 frames accepted but not yet answered; guarded by ``state_lock``.
@@ -664,17 +699,17 @@ class _Connection:
 
 
 class TimeCryptTCPServer:
-    """A background TCP server: selector I/O loop + bounded dispatch pool.
+    """A background TCP server run leader/followers by ``max_workers + 1`` threads.
 
     ``max_workers`` bounds concurrent request execution across *all*
     connections; accepting another client costs a selector registration,
-    not a thread.  A custom ``dispatcher`` may be injected (tests use this
-    to add slow or failing operations).
+    not a thread, and serving threads are only started when there is work
+    for them (an idle server holds one).  A custom ``dispatcher`` may be
+    injected (tests use this to add slow or failing operations).
 
-    v2 frames are admitted through a two-class weighted scheduler with
-    bounded queues and credit-based flow control (see the module docstring);
-    ``scheduling="fifo"`` restores the legacy unbounded direct-submit path
-    for before/after benchmarks, and ``credit_window=0`` disables credits.
+    Frames are admitted through a two-class weighted scheduler with bounded
+    queues and credit-based flow control (see the module docstring);
+    ``credit_window=0`` disables credits.
     """
 
     def __init__(
@@ -684,7 +719,6 @@ class TimeCryptTCPServer:
         port: int = 0,
         max_workers: int = 8,
         dispatcher: Optional[WireDispatcher] = None,
-        scheduling: str = "weighted",
         credit_window: int = DEFAULT_CREDIT_WINDOW,
         interactive_queue_limit: int = DEFAULT_INTERACTIVE_QUEUE_LIMIT,
         bulk_queue_limit: int = DEFAULT_BULK_QUEUE_LIMIT,
@@ -699,11 +733,9 @@ class TimeCryptTCPServer:
         slow_request_ms: Optional[float] = None,
     ) -> None:
         if max_workers < 1:
-            raise ValueError("the dispatch pool needs at least one worker")
+            raise ValueError("the server needs at least one handler slot")
         if dispatcher is None and engine is None:
             raise ValueError("either an engine or a dispatcher is required")
-        if scheduling not in ("weighted", "fifo"):
-            raise ValueError(f"unknown scheduling mode '{scheduling}'")
         self._engine = engine
         self._dispatcher = dispatcher if dispatcher is not None else RequestDispatcher(engine)
         self._credit_window = max(0, int(credit_window or 0))
@@ -750,28 +782,21 @@ class TimeCryptTCPServer:
             snapshot=lambda server: server.scheduler_stats(),
         )
         self._selector = selectors.DefaultSelector()
-        self._pool = ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="tc-dispatch")
-        # Shed replies must not queue behind the saturated dispatch pool — a
-        # dedicated writer keeps the backpressure signal prompt under overload.
-        self._shed_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tc-shed")
-        self._scheduler: Optional[_FrameScheduler] = (
-            _FrameScheduler(
-                self._pool,
-                self._handle_frame,
-                max_workers=max_workers,
-                interactive_limit=interactive_queue_limit,
-                bulk_limit=bulk_queue_limit,
-                interactive_weight=interactive_weight,
-            )
-            if scheduling == "weighted"
-            else None
+        self._scheduler = _FrameScheduler(
+            max_workers=max_workers,
+            interactive_limit=interactive_queue_limit,
+            bulk_limit=bulk_queue_limit,
+            interactive_weight=interactive_weight,
         )
         self._connections: Set[_Connection] = set()
-        self._doomed: Deque[_Connection] = deque()
+        #: Frames the leader has assembled but not yet admitted.  Touched
+        #: only by the current leader; it travels with the role.
+        self._backlog: Deque[Tuple[_Connection, Frame]] = deque()
         self._wakeup_recv, self._wakeup_send = socket.socketpair()
         self._wakeup_recv.setblocking(False)
         self._running = False
-        self._thread: Optional[threading.Thread] = None
+        self._threads: List[threading.Thread] = []
+        self._threads_lock = threading.Lock()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -788,15 +813,11 @@ class TimeCryptTCPServer:
     def scheduler_stats(self) -> Dict[str, int]:
         """A snapshot of the scheduler's deterministic counters.
 
-        Scheduler-class counters are zeros in FIFO mode; the wire-memory
-        counters (``bytes_sent``/``bytes_received``, ``vectored_writes``,
-        ``frames_coalesced``, ``frames_compressed``) are transport-level and
-        count in every mode.
+        The wire-memory counters (``bytes_sent``/``bytes_received``,
+        ``vectored_writes``, ``frames_coalesced``, ``frames_compressed``)
+        are transport-level and ride in the same snapshot.
         """
-        if self._scheduler is None:
-            snapshot = SchedulerStats().snapshot()
-        else:
-            snapshot = self._scheduler.snapshot()
+        snapshot = self._scheduler.snapshot()
         with self._wire_lock:
             snapshot.update(self._wire_counters)
         return snapshot
@@ -807,19 +828,23 @@ class TimeCryptTCPServer:
         self._running = True
         self._selector.register(self._listener, selectors.EVENT_READ, "accept")
         self._selector.register(self._wakeup_recv, selectors.EVENT_READ, "wakeup")
-        self._thread = threading.Thread(target=self._serve_loop, daemon=True, name="tc-io-loop")
-        self._thread.start()
+        # Nobody leads yet: "releasing" the free role gets the first thread going.
+        if self._scheduler.release_leadership():
+            self._spawn()
         return self
 
     def stop(self) -> None:
         REGISTRY.unregister(self._metrics_key)
         self._running = False
+        self._scheduler.shutdown()
         self._wake()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._pool.shutdown(wait=True)
-        self._shed_pool.shutdown(wait=True)
+        with self._threads_lock:
+            threads, self._threads = self._threads, []
+        for thread in threads:
+            thread.join(timeout=5)
+        for connection in list(self._connections):
+            self._close_connection(connection)
+        self._selector.close()
         for handle in (self._wakeup_recv, self._wakeup_send, self._listener):
             try:
                 handle.close()
@@ -838,29 +863,79 @@ class TimeCryptTCPServer:
         except OSError:
             pass
 
-    # -- I/O loop --------------------------------------------------------------------
+    # -- serving threads ---------------------------------------------------------------
 
-    def _serve_loop(self) -> None:  # pragma: no cover - exercised via integration tests
+    def _spawn(self) -> None:
+        """Start one more serving thread (the scheduler already counted it)."""
+        with self._threads_lock:
+            thread = threading.Thread(
+                target=self._serve,
+                daemon=True,
+                name=f"tc-serve[{self._node_name}]-{len(self._threads)}",
+            )
+            self._threads.append(thread)
+        thread.start()
+
+    def _serve(self) -> None:  # pragma: no cover - exercised via integration tests
+        """One symmetric serving thread: lead when the role is free, else run tasks."""
+        scheduler = self._scheduler
+        while True:
+            task = scheduler.next_task()
+            if task is None:
+                return
+            if task is _LEAD:
+                self._lead()
+            else:
+                self._run_task(task)  # type: ignore[arg-type]
+
+    def _run_task(self, task: _Task) -> None:
+        """Run one admitted unit of work on this thread, then free its slot."""
+        connection, frame, enqueue_ns, request = task
         try:
-            while self._running:
-                events = self._selector.select(timeout=1.0)
-                for key, _mask in events:
-                    if key.data == "accept":
-                        self._accept()
-                    elif key.data == "wakeup":
-                        self._drain_wakeup()
-                    else:
-                        self._service(key.data)
-                self._reap_doomed()
+            if frame is None:
+                self._drain_v1(connection)
+            else:
+                self._handle_frame(connection, frame, enqueue_ns, request)
+        except Exception:  # noqa: BLE001 — the handler answers its own errors
+            logger.exception("unhandled error serving a frame on %s", self._node_name)
         finally:
-            for connection in list(self._connections):
-                self._close_connection(connection, unregister=True)
-            try:
-                self._selector.unregister(self._listener)
-                self._selector.unregister(self._wakeup_recv)
-            except (KeyError, OSError, ValueError):
-                pass
-            self._selector.close()
+            self._scheduler.finished()
+
+    def _lead(self) -> None:
+        """Hold the leader role until the server stops or this thread must wait.
+
+        ``before_blocking()`` fires the hook installed here, which frees the
+        role (waking or starting a successor) *before* the wait begins.
+        Frames already assembled stay in ``_backlog`` for whoever leads next.
+        """
+        # The hook is one-shot, so "still armed" is exactly "still the leader".
+        set_blocking_hook(self._step_down)
+        try:
+            while blocking_hook_armed() and self._running:
+                if not self._backlog:
+                    self._poll()
+                while self._backlog and blocking_hook_armed():
+                    connection, frame = self._backlog.popleft()
+                    if frame.version == 1:
+                        self._enqueue_v1(connection, frame)
+                    else:
+                        self._admit_v2(connection, frame)
+        finally:
+            before_blocking()  # stopping: step down if that has not happened yet
+
+    def _step_down(self) -> None:
+        if self._scheduler.release_leadership():
+            self._spawn()
+
+    def _poll(self) -> None:
+        """One selector pass: accept, read, and assemble frames into the backlog."""
+        for key, _mask in self._selector.select(timeout=1.0):
+            if key.data == "accept":
+                self._accept()
+            elif key.data == "wakeup":
+                self._drain_wakeup()
+            else:
+                self._service(key.data)
 
     def _accept(self) -> None:
         try:
@@ -868,6 +943,7 @@ class TimeCryptTCPServer:
         except OSError:
             return
         sock.setblocking(True)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         connection = _Connection(sock, address, views=self._zero_copy)
         self._connections.add(connection)
         self._selector.register(sock, selectors.EVENT_READ, connection)
@@ -880,7 +956,7 @@ class TimeCryptTCPServer:
             pass
 
     def _service(self, connection: _Connection) -> None:
-        """One readable socket: pull bytes, dispatch every completed frame.
+        """One readable socket: pull bytes, queue every completed frame for admission.
 
         Bytes land in the connection's reusable staging buffer via
         ``recv_into`` (no per-read allocation); the assembler copies them
@@ -892,7 +968,7 @@ class TimeCryptTCPServer:
         except OSError:
             received = 0
         if not received:
-            self._close_connection(connection, unregister=True)
+            self._close_connection(connection)
             return
         with self._wire_lock:
             self._wire_counters["bytes_received"] += received
@@ -900,64 +976,67 @@ class TimeCryptTCPServer:
             frames = connection.assembler.feed(memoryview(connection.recv_buffer)[:received])
         except ProtocolError:
             # Unrecognizable bytes: the stream cannot be re-synchronised.
-            self._close_connection(connection, unregister=True)
+            self._close_connection(connection)
             return
         for frame in frames:
-            if frame.version == 1:
-                self._enqueue_v1(connection, frame)
-            else:
-                self._admit_v2(connection, frame)
+            self._backlog.append((connection, frame))
 
     def _admit_v2(self, connection: _Connection, frame: Frame) -> None:
-        """Classify and enqueue a v2 frame; shed it (typed) if its queue is full."""
-        if self._scheduler is None:
-            self._pool.submit(self._handle_frame, connection, frame)
-            return
-        operation = peek_operation(frame.payload)
+        """Classify a v2 frame, then run it here, queue it, or shed it (typed).
+
+        The header is parsed once: an uncompressed message is decoded here
+        (attachments stay views) and the :class:`Request` rides the task.  A
+        compressed frame gets only the bounded header peek, so a bomb cannot
+        expand on the leader; an undecodable one classifies interactive and
+        the handler answers it with its typed error.
+        """
+        request: Optional[Request] = None
+        operation: Optional[str] = None
+        if frame.payload[:1] == b"\x00":
+            operation = peek_operation(frame.payload)
+        else:
+            try:
+                request = Request.decode(frame.payload)
+                operation = request.operation
+            except Exception:  # noqa: BLE001 — _handle_frame re-decodes and answers the error
+                pass
         klass = classify_operation(operation)
         with connection.state_lock:
             connection.in_flight += 1
             depth = connection.in_flight
-        self._scheduler.note_in_flight(depth)
         # Tracing-gated: untraced connections never read the clock here.
         enqueue_ns = time.monotonic_ns() if connection.tracing else 0
         # hello/ping bypass the caps: liveness must never read as an outage.
-        if not self._scheduler.submit(
-            connection, frame, klass, force=operation in ("hello", "ping"), enqueue_ns=enqueue_ns
-        ):
-            try:
-                self._shed_pool.submit(self._shed_frame, connection, frame, klass)
-            except RuntimeError:
-                pass  # server stopping; the connection is about to close anyway
+        task = (connection, frame, enqueue_ns, request)
+        if self._place(task, klass, operation in ("hello", "ping"), depth) == "shed":
+            self._shed_frame(connection, frame, klass)
 
-    def _reap_doomed(self) -> None:
-        """Unregister connections a worker thread asked to close."""
-        while True:
-            try:
-                connection = self._doomed.popleft()
-            except IndexError:
-                return
-            self._close_connection(connection, unregister=True)
+    def _place(self, task: _Task, klass: str, force: bool, in_flight: int = 0) -> str:
+        """Admit a task; run it here or start a thread for it as the verdict says."""
+        # The inline offer stands only with nothing else waiting to be admitted
+        # behind this frame: a burst is spread over followers, a lone request is not.
+        verdict = self._scheduler.admit(task, klass, force, not self._backlog, in_flight)
+        if verdict == "inline":
+            self._run_task(task)
+        elif verdict == "spawn":
+            self._spawn()
+        return verdict
 
-    def _close_connection(self, connection: _Connection, unregister: bool) -> None:
+    def _close_connection(self, connection: _Connection) -> None:
+        """Leader (or ``stop``) only: unregister, then shut down and close the socket."""
         with connection.state_lock:
-            if connection.closed:
-                already_closed = True
-            else:
-                connection.closed = True
-                already_closed = False
-        if unregister:
-            try:
-                self._selector.unregister(connection.sock)
-            except (KeyError, OSError, ValueError):
-                pass
+            already_closed, connection.closed = connection.closed, True
+        try:
+            self._selector.unregister(connection.sock)
+        except (KeyError, OSError, ValueError):
+            pass
         if already_closed:
             return
         self._connections.discard(connection)
-        # shutdown() promptly errors out any worker blocked mid-sendall (it
+        # shutdown() promptly errors out any thread blocked mid-send (it
         # does not release the fd, so there is no reuse hazard); only then
         # close() under the write lock, so the fd number can never be
-        # recycled into a new connection while a worker is still writing.
+        # recycled into a new connection while a handler is still writing.
         try:
             connection.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -971,13 +1050,14 @@ class TimeCryptTCPServer:
     # -- dispatch ----------------------------------------------------------------------
 
     def _enqueue_v1(self, connection: _Connection, frame: Frame) -> None:
-        """Queue a v1 frame; only one per connection runs at a time (ordering)."""
+        """Queue a v1 frame; one drain item per connection keeps responses ordered."""
         with connection.state_lock:
             connection.v1_queue.append(frame)
             if connection.v1_active:
                 return
             connection.v1_active = True
-        self._pool.submit(self._drain_v1, connection)
+        # v1 has no correlation id to shed against: the drain is force-admitted.
+        self._place((connection, None, 0, None), "interactive", True)
 
     def _drain_v1(self, connection: _Connection) -> None:
         while True:
@@ -988,7 +1068,13 @@ class TimeCryptTCPServer:
                 frame = connection.v1_queue.popleft()
             self._handle_frame(connection, frame)
 
-    def _handle_frame(self, connection: _Connection, frame: Frame, enqueue_ns: int = 0) -> None:
+    def _handle_frame(
+        self,
+        connection: _Connection,
+        frame: Frame,
+        enqueue_ns: int = 0,
+        request: Optional[Request] = None,
+    ) -> None:
         # Everything tracing-related below is gated on the per-connection
         # negotiation flag: with tracing off this method allocates nothing
         # beyond the pre-tracing baseline.
@@ -996,7 +1082,10 @@ class TimeCryptTCPServer:
         start_ns = time.monotonic_ns() if traced else 0
         span: Optional[Dict[str, Any]] = None
         try:
-            request = Request.decode(frame.payload)
+            if request is None:
+                # v1, compressed, or undecodable at admission (the error
+                # raised again here is what answers the correlation id).
+                request = Request.decode(frame.payload)
             if request.operation == "hello":
                 self._note_hello(connection, request)
             if traced and request.trace is not None:
@@ -1010,7 +1099,7 @@ class TimeCryptTCPServer:
                 response = self._dispatcher.dispatch(request)
         except TimeCryptError as exc:
             response = Response.failure(exc)
-        except Exception as exc:  # noqa: BLE001 — a worker must never die unanswered
+        except Exception as exc:  # noqa: BLE001 — a frame must never go unanswered
             # Anything a hostile or buggy peer can make decode/dispatch
             # raise must still answer the correlation id (and, on a v1
             # connection, must not kill the drain loop with v1_active stuck).
@@ -1091,9 +1180,7 @@ class TimeCryptTCPServer:
         ``retry_after_ms`` constant, which only serves as the fallback before
         the scheduler has observed a drain interval.
         """
-        retry_after_ms = self._retry_after_ms
-        if self._scheduler is not None:
-            retry_after_ms = self._scheduler.retry_hint_ms(klass, default=retry_after_ms)
+        retry_after_ms = self._scheduler.retry_hint_ms(klass, default=self._retry_after_ms)
         error = OverloadedError(
             f"server overloaded: the {klass} queue is full", retry_after_ms=retry_after_ms
         )
@@ -1117,29 +1204,39 @@ class TimeCryptTCPServer:
             fallback = Response.failure(exc)
             fallback.credit_grant = response.credit_grant
             encoded = self._encode_response(connection, frame, fallback)
-        if frame.version == 2 and self._scheduler is not None:
+        if frame.version == 2:
             with connection.state_lock:
                 if connection.in_flight > 0:
                     connection.in_flight -= 1
         sent = vectored = coalesced = 0
+        # The leader answers inline requests and sheds itself, so neither a
+        # contended write lock nor a full socket buffer may put it to sleep
+        # while it still holds the role: before_blocking() first.
+        lock = connection.write_lock
+        acquire_announced(lock)
         try:
-            with connection.write_lock:
-                if connection.closed:
-                    return
-                if len(encoded) == 1:
-                    # Single pre-joined buffer (v1 / legacy mode): plain sendall.
-                    # repro: allow[REPRO004] write_lock is the per-connection response serializer; holding it across the socket write is its entire purpose
-                    connection.sock.sendall(encoded[0])
-                    sent = len(encoded[0])
-                else:
-                    # repro: allow[REPRO004] same per-connection write serialization as the sendall branch
-                    _syscalls, sent, coalesced = write_vectored(connection.sock, encoded)
-                    vectored = 1
+            if connection.closed:
+                return
+            if len(encoded) == 1:
+                # Single pre-joined buffer (v1 / legacy mode): plain sendall.
+                before_blocking()
+                connection.sock.sendall(encoded[0])
+                sent = len(encoded[0])
+            else:
+                _syscalls, sent, coalesced = write_vectored(
+                    connection.sock, encoded, would_block=before_blocking
+                )
+                vectored = 1
         except OSError:
-            # The I/O loop owns selector state; hand the corpse over.
-            self._doomed.append(connection)
-            self._wake()
+            # The leader owns selector state: make the socket read as EOF
+            # there, and it closes and unregisters the connection.
+            try:
+                connection.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             return
+        finally:
+            lock.release()
         with self._wire_lock:
             self._wire_counters["bytes_sent"] += sent
             self._wire_counters["vectored_writes"] += vectored

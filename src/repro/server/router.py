@@ -38,6 +38,7 @@ from repro.obs.tracing import current_context, set_context
 from repro.server.engine import ServerEngine, _metadata_from_json
 from repro.server.query_executor import MultiStreamAggregate
 from repro.timeseries.serialization import peek_chunk_stream_uuid
+from repro.util.blocking import before_blocking
 
 logger = logging.getLogger(__name__)
 
@@ -349,6 +350,7 @@ class RouterDispatcher(WireDispatcher):
             owner: self._fanout.submit(forward, owner, requests)
             for owner, requests in sorted(batches.items())
         }
+        before_blocking()
         return {owner: future.result() for owner, future in futures.items()}
 
     # -- proxying ---------------------------------------------------------------

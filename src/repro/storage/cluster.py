@@ -70,6 +70,7 @@ from repro.obs.tracing import current_context, set_context
 from repro.storage.kv import KeyValueStore
 from repro.storage.memory import MemoryStore
 from repro.storage.partitioner import ConsistentHashRing
+from repro.util.blocking import before_blocking
 
 logger = logging.getLogger(__name__)
 
@@ -846,6 +847,7 @@ class StorageCluster(KeyValueStore):
                     # Futures already submitted on the retiring pool still
                     # run to completion (shutdown cancels nothing queued).
                     pool = self._pool()
+        before_blocking()
         for node, future in futures.items():
             try:
                 outcomes[node] = (future.result(), None)

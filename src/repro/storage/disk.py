@@ -26,6 +26,7 @@ from repro.exceptions import StorageError
 from repro.obs.metrics import REGISTRY
 from repro.storage.kv import KeyValueStore, SortedKeyCache
 from repro.storage.memory import StoreStats
+from repro.util.blocking import before_blocking
 
 _RECORD_HEADER = struct.Struct(">IIB")  # key length, value length, tombstone flag
 
@@ -240,6 +241,7 @@ class AppendLogStore(SortedKeyCache, KeyValueStore):
         self._file.write(blob)
         self._file.flush()
         if self._sync:
+            before_blocking()  # a durable flush waits on the disk
             os.fsync(self._file.fileno())
         return self._file.tell()
 

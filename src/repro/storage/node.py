@@ -65,6 +65,7 @@ from repro.net.server import (
     WireDispatcher,
 )
 from repro.storage.kv import KeyValueStore
+from repro.util.blocking import acquire_announced
 
 #: Default page size for ``kv_scan_page`` when the client does not ask.
 DEFAULT_SCAN_PAGE_LIMIT = 1024
@@ -81,7 +82,7 @@ RESPONSE_BYTE_CAP = 32 * 1024 * 1024
 class StorageNodeDispatcher(WireDispatcher):
     """Maps ``kv_*`` wire requests onto one local :class:`KeyValueStore`.
 
-    The TCP server dispatches frames from a worker pool, but the injected
+    The TCP server runs handlers on several threads, but the injected
     store is **not** required to be thread-safe (``AppendLogStore`` shares
     one file handle and an unlocked index): every handler runs under a
     per-dispatcher lock, so the store only ever sees one operation at a
@@ -101,8 +102,11 @@ class StorageNodeDispatcher(WireDispatcher):
 
     def dispatch(self, request: Request) -> Response:
         if request.operation.startswith("kv_"):
-            with self._store_lock:
+            acquire_announced(self._store_lock)
+            try:
                 return super().dispatch(request)
+            finally:
+                self._store_lock.release()
         # hello/ping/stats/trace_dump touch no store state — they must stay
         # responsive on a busy node, or reconnect negotiation, liveness
         # checks, and telemetry scrapes would be blocked by the very load
@@ -351,8 +355,8 @@ class StorageNodeServer:
     """One remote storage node: a local store behind the pipelined TCP wire.
 
     Reuses :class:`~repro.net.server.TimeCryptTCPServer` unchanged — the
-    selector I/O loop, bounded worker pool, v1/v2 framing, and ``hello``
-    negotiation all come for free; only the dispatcher differs.  Stopping
+    leader/followers serving threads, bounded handler slots, v1/v2 framing,
+    and ``hello`` negotiation all come for free; only the dispatcher differs.  Stopping
     the server does *not* close the store (the store is the node's disk);
     restart the node on the same port with a fresh ``StorageNodeServer``
     around the same store and reconnecting clients resume where they were.
@@ -364,7 +368,6 @@ class StorageNodeServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_workers: int = 4,
-        scheduling: str = "weighted",
         credit_window: int = DEFAULT_CREDIT_WINDOW,
         bulk_queue_limit: int = DEFAULT_BULK_QUEUE_LIMIT,
         zero_copy: bool = True,
@@ -382,7 +385,6 @@ class StorageNodeServer:
             port=port,
             max_workers=max_workers,
             dispatcher=self._dispatcher,
-            scheduling=scheduling,
             credit_window=credit_window,
             bulk_queue_limit=bulk_queue_limit,
             zero_copy=zero_copy,

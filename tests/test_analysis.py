@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 from repro.analysis.core import load_baseline, run_analysis, write_baseline
-from repro.analysis.rules import all_rules, locks, retain, stats, telemetry, wireops
+from repro.analysis.rules import all_rules, blocking, locks, retain, stats, telemetry, wireops
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "analysis"
@@ -16,7 +16,7 @@ def _run(rule, fixture_name, root=REPO_ROOT, **kwargs):
     return run_analysis([FIXTURES / fixture_name], [rule], root=root, **kwargs)
 
 
-# -- the five rules fire on their bad fixture and stay quiet on the good one --
+# -- the six rules fire on their bad fixture and stay quiet on the good one --
 
 
 def test_repro001_fires_on_unretained_stores():
@@ -82,6 +82,34 @@ def test_repro005_fires_on_leaky_registration():
 
 def test_repro005_clean_on_kept_key_and_close():
     assert _run(stats.RULE, "stats_good.py").findings == []
+
+
+def test_repro006_fires_on_unannounced_waits():
+    result = _run(blocking.RULE, "blocking_bad.py")
+    assert {finding.rule for finding in result.findings} == {"REPRO006"}
+    messages = " | ".join(finding.message for finding in result.findings)
+    assert "future.result() in join_fanout()" in messages
+    assert "time.sleep() in back_off()" in messages
+    # An announcement after the wait, or inside a nested def, does not count.
+    assert "event.wait() in late_announcement()" in messages
+    assert "event.wait() in nested_does_not_cover()" in messages
+    assert len(result.findings) == 4
+
+
+def test_repro006_clean_on_announced_waits():
+    result = _run(blocking.RULE, "blocking_good.py")
+    assert result.findings == []
+    assert len(result.waived) == 1  # the idle-follower wait carries its justification
+
+
+def test_repro006_only_polices_the_request_path_tiers(tmp_path):
+    # The same unannounced sleep is a finding under src/repro/net, not under crypto.
+    for package in ("net", "crypto"):
+        target = tmp_path / "src" / "repro" / package / "nap.py"
+        target.parent.mkdir(parents=True)
+        target.write_text("import time\ndef nap():\n    time.sleep(1)\n", encoding="utf-8")
+    result = run_analysis([tmp_path / "src"], [blocking.RULE], root=tmp_path)
+    assert [finding.path for finding in result.findings] == ["src/repro/net/nap.py"]
 
 
 # -- waivers -------------------------------------------------------------------

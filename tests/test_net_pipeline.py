@@ -45,6 +45,7 @@ from repro.net.messages import Request, Response
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer
 from repro.storage.cluster import StorageCluster
 from repro.storage.memory import MemoryStore
+from repro.util.blocking import before_blocking
 from repro.util.timeutil import TimeRange
 
 
@@ -105,6 +106,7 @@ class _SlowPingDispatcher(RequestDispatcher):
     def _op_ping(self, request: Request) -> Response:
         delay_ms = request.args.get("sleep_ms", 0)
         if delay_ms:
+            before_blocking()  # the handler contract: announce a wait
             time.sleep(delay_ms / 1000.0)
         return Response.success({"pong": True, "slept_ms": delay_ms})
 

@@ -536,16 +536,9 @@ def test_scrape_each_tier_in_one_round_trip():
 
 
 def _make_scheduler(bulk_limit: int = 8) -> _FrameScheduler:
-    pool = ThreadPoolExecutor(max_workers=1)
-    scheduler = _FrameScheduler(
-        pool=pool,
-        handler=lambda *args: None,
-        max_workers=1,
-        interactive_limit=8,
-        bulk_limit=bulk_limit,
-        interactive_weight=4,
+    return _FrameScheduler(
+        max_workers=1, interactive_limit=8, bulk_limit=bulk_limit, interactive_weight=4
     )
-    return scheduler
 
 
 def test_retry_hint_falls_back_before_measurements():
@@ -557,7 +550,7 @@ def test_retry_hint_falls_back_before_measurements():
 def test_retry_hint_scales_with_depth_and_drain_rate():
     scheduler = _make_scheduler()
     scheduler._bulk_interval_ewma_ns = 4e6  # 4 ms per bulk dispatch
-    scheduler._queues["bulk"].extend((None, None, 0) for _ in range(5))
+    scheduler._queues["bulk"].extend((None, None, 0, None) for _ in range(5))
     hint = scheduler.retry_hint_ms("bulk", default=25)
     assert hint == 20  # 5 deep × 4 ms
     # Clamped at both ends.
@@ -589,10 +582,14 @@ def test_shed_carries_adaptive_hint_after_bulk_traffic():
         with RemoteServerClient(host, port, flow_control=False, overload_retries=0) as remote:
             requests = [Request("insert_chunks", {}, [b"\x00"]) for _ in range(12)]
             futures = remote._send_requests(requests)
+            # A waiter parked on the blocked first request reads the sheds in.
+            waiter = threading.Thread(target=futures[0].result, args=(10,))
+            waiter.start()
             deadline = time.monotonic() + 5
             while sum(f.done() for f in futures) < 8 and time.monotonic() < deadline:
                 time.sleep(0.005)
             dispatcher.release.set()
+            waiter.join(timeout=10)
             responses = [future.result(timeout=10) for future in futures]
     shed = [r for r in responses if not r.ok]
     assert shed and all(r.error_type == "OverloadedError" for r in shed)

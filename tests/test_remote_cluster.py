@@ -28,6 +28,7 @@ from repro.storage.cluster import StorageCluster
 from repro.storage.memory import MemoryStore
 from repro.storage.node import StorageNodeServer
 from repro.storage.remote import RemoteKeyValueStore
+from repro.util.blocking import before_blocking
 
 
 @pytest.fixture()
@@ -453,6 +454,7 @@ class TestRemoteStoreFailures:
         class _BlockingStore(MemoryStore):
             def get(self, key):
                 entered.set()
+                before_blocking()  # the handler contract: announce a wait
                 release.wait(timeout=10)
                 return super().get(key)
 
@@ -473,20 +475,18 @@ class TestRemoteStoreFailures:
                 blocker.join(timeout=5)
                 slow.close()
 
-    def test_dead_reader_fails_fast_not_by_timeout(self):
+    def test_dead_connection_fails_fast_not_by_timeout(self):
         store = MemoryStore()
         server = StorageNodeServer(store).start()
         host, port = server.address
         remote = RemoteKeyValueStore(host, port, timeout=30.0)
         assert remote.get(b"warm") is None
-        client = remote._client
         server.stop()
-        client._reader.join(timeout=5)  # reader sees EOF and exits
         begin = time.monotonic()
         with pytest.raises(StorageError):
             remote.get(b"key")
-        # Registration-after-dead-reader is detected immediately; without
-        # the liveness check this would stall the full 30 s timeout.
+        # No thread was watching the idle socket, so the EOF is discovered
+        # by this very call — at once, not after the 30 s timeout.
         assert time.monotonic() - begin < 10
         remote.close()
 

@@ -127,14 +127,14 @@ def test_peek_operation_reads_only_the_header():
 def test_credit_gate_never_negative_and_grants_clamp():
     gate = _CreditGate(4)
     assert gate.window == 4 and gate.available == 4
-    assert gate.acquire(10, timeout=1.0) == 4  # clamped to what's available
+    assert gate.take(10) == 4  # clamped to what's available
     assert gate.available == 0
-    assert gate.acquire(1, timeout=0.05) == 0  # timeout, not a negative balance
+    assert gate.take(1) == 0  # empty, not a negative balance
     gate.grant(2)
     assert gate.available == 2
     gate.grant(100)  # clamps at the window, never beyond
     assert gate.available == 4
-    assert gate.acquire(3, timeout=1.0) == 3
+    assert gate.take(3) == 3
     assert gate.available == 1
 
 
@@ -164,10 +164,15 @@ def test_full_bulk_queue_sheds_typed_not_timeout():
             offered = 16
             requests = [Request("insert_chunks", {}, [b"\x00"]) for _ in range(offered)]
             futures = remote._send_requests(requests)
-            # Sheds must arrive while the lone worker is still blocked: the
-            # backpressure signal does not queue behind saturated dispatch.
+            # Nobody reads a socket nobody waits on: a waiter parked on the
+            # blocked first request is what resolves the sheds behind it.
+            waiter = threading.Thread(target=futures[0].result, args=(10,))
+            waiter.start()
+            # Sheds must arrive while the lone handler slot is still blocked:
+            # the backpressure signal does not queue behind saturated dispatch.
             _wait_until(lambda: sum(f.done() for f in futures) >= offered - 4)
             dispatcher.release.set()
+            waiter.join(timeout=10)
             responses = [future.result(timeout=10) for future in futures]
 
         ok = [r for r in responses if r.ok]
@@ -373,6 +378,9 @@ def test_storage_shed_maps_to_storage_error_after_retries():
     with StorageNodeServer(store, max_workers=1, bulk_queue_limit=1) as node:
         host, port = node.address
         remote = RemoteKeyValueStore(host, port, timeout=5.0, overload_retries=0)
+        # Dial up front: with the one handler slot parked in the gated store,
+        # a second connection's hello would wait behind it.
+        remote.connect()
         try:
             background = [
                 threading.Thread(target=remote.multi_put, args=([(b"k%d" % i, b"v")],))
