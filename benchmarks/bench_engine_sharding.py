@@ -13,10 +13,12 @@ measured over real TCP sockets (loopback, in-process servers):
    storage tier that charges a realistic per-round-trip latency, 4 engines
    must sustain ≥ 2× the single-engine aggregate ingest rate.
 2. **Scan offload** — ``delete_stream`` against a remote storage node
-   costs a constant number of wire round trips through the
-   ``kv_delete_prefix`` offload, independent of how many chunks the
-   stream accumulated; the legacy page-the-keyspace-through-the-engine
-   path grows with keyspace size.
+   costs a constant number of wire round trips through
+   ``kv_delete_prefix``, independent of how many chunks the stream
+   accumulated.  (The page-the-keyspace-through-the-engine path it
+   replaced grew with keyspace size; it was deleted in ISSUE 19 and its
+   last recorded rows ride along under ``historical`` in
+   ``BENCH_sharding.json``.)
 
 The storage model: engines talk to a remote storage tier, so every bulk
 storage operation costs a wire round trip (single-digit milliseconds).
@@ -37,6 +39,7 @@ scales the full run.  The assertions also run under plain pytest:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import threading
 import time
@@ -70,7 +73,6 @@ ENGINE_COUNTS = (1, 2, 4)
 
 #: delete_stream round-trip probe: a small and a 12x larger keyspace.
 DELETE_SIZES = (2, 24)
-LEGACY_SCAN_PAGE = 8
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sharding.json"
 
@@ -229,14 +231,12 @@ def _run_sharded_workload(num_engines: int, streams, query_rounds: int) -> Dict[
     }
 
 
-def _run_delete_round_trips(num_chunks: int, prefix_ops: bool) -> Dict[str, float]:
+def _run_delete_round_trips(num_chunks: int) -> Dict[str, float]:
     """Wire round trips to delete a ``num_chunks``-chunk stream remotely."""
     node = StorageNodeServer(MemoryStore()).start()
     try:
         host, port = node.address
-        remote = RemoteKeyValueStore(
-            host, port, timeout=10.0, prefix_ops=prefix_ops, scan_page_size=LEGACY_SCAN_PAGE
-        )
+        remote = RemoteKeyValueStore(host, port, timeout=10.0)
         try:
             engine = ServerEngine(store=remote, token_store=TokenStore(store=remote))
             (metadata, chunks), = _encrypted_streams(1, num_chunks)
@@ -279,12 +279,9 @@ def test_four_engines_double_aggregate_ingest():
 
 def test_delete_stream_round_trips_constant_under_offload():
     """Offloaded delete_stream wire cost is independent of keyspace size."""
-    offload = [_run_delete_round_trips(size, prefix_ops=True) for size in DELETE_SIZES]
-    legacy = [_run_delete_round_trips(size, prefix_ops=False) for size in DELETE_SIZES]
+    offload = [_run_delete_round_trips(size) for size in DELETE_SIZES]
     assert offload[0]["round_trips"] == offload[1]["round_trips"], offload
     assert offload[1]["round_trips"] <= 4, offload
-    assert legacy[1]["round_trips"] > legacy[0]["round_trips"], legacy
-    assert legacy[1]["round_trips"] > offload[1]["round_trips"], (legacy, offload)
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +338,19 @@ def main(argv=None) -> None:
     )
     shard_table.print()
 
+    # The deleted client-side pager's last recorded rows ride along, frozen.
+    with open(_DEFAULT_OUTPUT, "r", encoding="utf-8") as handle:
+        historical = json.load(handle)["results"]["historical"]
     delete_rows: Dict[str, List[Dict[str, float]]] = {
-        "offload": [_run_delete_round_trips(size, prefix_ops=True) for size in DELETE_SIZES],
-        "legacy": [_run_delete_round_trips(size, prefix_ops=False) for size in DELETE_SIZES],
+        "offload": [_run_delete_round_trips(size) for size in DELETE_SIZES],
     }
     delete_table = ResultTable(
         title="delete_stream wire round trips vs. keyspace size (remote storage node)",
         columns=["path", f"{DELETE_SIZES[0]}-chunk stream", f"{DELETE_SIZES[1]}-chunk stream"],
     )
     for label, rows in (
-        ("legacy scan-page wire", delete_rows["legacy"]),
-        ("kv_delete_prefix offload", delete_rows["offload"]),
+        ("client-side pager (historical)", historical["delete_round_trips"]["legacy"]),
+        ("kv_delete_prefix", delete_rows["offload"]),
     ):
         delete_table.add_row(label, *(f"{row['round_trips']:.0f}" for row in rows))
     delete_table.add_note("offload target: constant round trips, independent of keyspace size")
@@ -366,6 +365,7 @@ def main(argv=None) -> None:
         "ingest_speedup_4x1": round(ingest_speedup, 2),
     }
     results["delete_round_trips"] = delete_rows
+    results["historical"] = historical
 
     print(f"baseline written to {write_json_report(args.output, results)}")
 

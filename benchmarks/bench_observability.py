@@ -139,8 +139,10 @@ def span_tree() -> Dict[str, object]:
                 engine.reset_stream_cache()  # force the query back to storage
                 SPANS.clear()
                 remote.stat_range(metadata.uuid, TimeRange(0, TREE_CHUNKS * CHUNK_INTERVAL))
-                spans = SPANS.spans()
                 dump = remote.call_many([Request("trace_dump")])[0]
+    # Read the ring only after both servers stopped: a server records its
+    # span *after* writing the response, so the client can return first.
+    spans = SPANS.spans()
 
     root = next(
         span

@@ -2,26 +2,28 @@
 
 PR 7 moved bytes efficiently *between* machines (scheduling, credits); this
 benchmark tracks how often those bytes are copied *inside* one machine.
-Before the zero-copy path, a large message was materialized at least three
-times between ``Request.encode()`` and ``sendall`` (message join, frame
-concat, batch join) and up to three more times on decode (assembler
-copy-in, ``bytes()`` slice, per-attachment slices).  The segment encode
-path plus ``sendmsg``-vectored writes and view-based decode cut that to
-zero user-space copies on encode and at most one on decode — without
-costing extra syscalls on small frames.
+The segment encode path plus ``sendmsg``-vectored writes and view-based
+decode cost zero user-space copies on encode and at most one on decode —
+without costing extra syscalls on small frames.  The join-and-``sendall``
+path they replaced (three materializations between ``Request.encode()`` and
+the socket, up to three more on decode) was deleted in ISSUE 19; its last
+recorded rows ride along under ``historical`` in ``BENCH_wire.json``.
 
-Four claims, measured two ways:
+Five claims, measured two ways:
 
 1. **Copies per frame** (deterministic, gated): the library's
-   ``MEMORY_COUNTERS.payload_copies`` over fixed call sequences — legacy
-   encode ≥ 2 and decode ≥ 2 vs. zero-copy encode 0 and decode ≤ 1.
+   ``MEMORY_COUNTERS.payload_copies`` over fixed call sequences — encode 0,
+   decode ≤ 1.
 2. **Syscalls per batch** (deterministic, gated): a multi-frame batch costs
-   one ``sendmsg`` on the vectored path, exactly matching the one
-   ``sendall`` the legacy join needed — same syscall bill, no copy.
-3. **Throughput / peak memory** (wall clock, informational): bulk-ingest
+   one ``sendmsg`` on the vectored path and no copy.
+3. **Byte identity** (deterministic, gated): the golden frames in
+   ``tests/fixtures/wire/golden_frames.json`` — recorded with the deleted
+   copying encoder — decode and re-encode through the segment path to
+   exactly the recorded bytes.
+4. **Throughput / peak memory** (wall clock, informational): bulk-ingest
    (``kv_multi_put``) and big-response (``kv_multi_get``) shapes over a real
-   loopback socket, legacy vs. zero-copy arms, with ``tracemalloc`` peaks.
-4. **Compression** (deterministic, gated): negotiated zlib frame
+   loopback socket, with ``tracemalloc`` peaks.
+5. **Compression** (deterministic, gated): negotiated zlib frame
    compression engages only above the size threshold and only when both
    ends opt in, and the codec round-trips byte-identically.
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import time
 import tracemalloc
@@ -52,10 +55,9 @@ from repro.net.framing import (
     FrameAssembler,
     FrameReader,
     encode_frame_segments_v2,
-    encode_frame_v2,
     write_vectored,
 )
-from repro.net.messages import Request, maybe_compress_segments, retain
+from repro.net.messages import Request, Response, maybe_compress_segments, retain
 from repro.net.server import TimeCryptTCPServer
 from repro.storage.memory import MemoryStore
 from repro.storage.node import StorageNodeServer
@@ -73,7 +75,9 @@ BULK_VALUE_BYTES = 1 << 20
 #: Small-frame workload: the no-regression check for tiny messages.
 SMALL_OPS = scaled(400, minimum=100)
 
-_DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_wire.json"
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+_DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_wire.json"
+_GOLDEN_FRAMES = _REPO_ROOT / "tests" / "fixtures" / "wire" / "golden_frames.json"
 
 
 class _RecordingSink:
@@ -107,48 +111,34 @@ def _probe_request() -> Request:
 
 
 def copies_per_frame() -> Dict[str, Dict[str, int]]:
-    """``MEMORY_COUNTERS.payload_copies`` over one frame, per path and arm."""
+    """``MEMORY_COUNTERS.payload_copies`` over one frame, per path."""
     request = _probe_request()
 
     MEMORY_COUNTERS.reset()
-    legacy_wire = encode_frame_v2(1, request.encode())
-    encode_legacy = MEMORY_COUNTERS.payload_copies
-
-    MEMORY_COUNTERS.reset()
     segments = encode_frame_segments_v2(1, request.encode_segments())
-    encode_zero = MEMORY_COUNTERS.payload_copies
-    assert b"".join(segments) == legacy_wire  # byte identity on the wire
+    encode_copies = MEMORY_COUNTERS.payload_copies
+    wire = b"".join(segments)  # what the peer's kernel hands over
 
-    # Server-side decode: the incremental assembler feeds from the socket
-    # buffer; legacy materializes bytes payloads and slice-copied attachments.
+    # Server-side decode: the incremental assembler copies the socket bytes
+    # into the frame's own buffer once; attachments are views over it.
     MEMORY_COUNTERS.reset()
-    (frame,) = FrameAssembler(views=False).feed(legacy_wire)
-    Request.decode(frame.payload)
-    server_decode_legacy = MEMORY_COUNTERS.payload_copies
-
-    MEMORY_COUNTERS.reset()
-    (frame,) = FrameAssembler(views=True).feed(legacy_wire)
+    (frame,) = FrameAssembler().feed(wire)
     decoded = Request.decode(frame.payload)
-    server_decode_zero = MEMORY_COUNTERS.payload_copies
+    server_decode_copies = MEMORY_COUNTERS.payload_copies
     assert retain(decoded.attachments[0]) == request.attachments[0]
 
     # Client-side decode: the blocking reader pulls payloads via recv_into,
-    # so the zero-copy arm touches the bytes exactly once (in the kernel).
+    # so the bytes are touched exactly once (in the kernel).
     MEMORY_COUNTERS.reset()
-    frame = FrameReader(io.BytesIO(legacy_wire), views=False).read()
+    frame = FrameReader(io.BytesIO(wire)).read()
     Request.decode(frame.payload)
-    client_decode_legacy = MEMORY_COUNTERS.payload_copies
-
-    MEMORY_COUNTERS.reset()
-    frame = FrameReader(io.BytesIO(legacy_wire), views=True).read()
-    Request.decode(frame.payload)
-    client_decode_zero = MEMORY_COUNTERS.payload_copies
+    client_decode_copies = MEMORY_COUNTERS.payload_copies
 
     MEMORY_COUNTERS.reset()
     return {
-        "encode": {"legacy": encode_legacy, "zero_copy": encode_zero},
-        "server_decode": {"legacy": server_decode_legacy, "zero_copy": server_decode_zero},
-        "client_decode": {"legacy": client_decode_legacy, "zero_copy": client_decode_zero},
+        "encode": {"zero_copy": encode_copies},
+        "server_decode": {"zero_copy": server_decode_copies},
+        "client_decode": {"zero_copy": client_decode_copies},
     }
 
 
@@ -158,26 +148,11 @@ def copies_per_frame() -> Dict[str, Dict[str, int]]:
 
 
 def syscalls_per_batch() -> Dict[str, int]:
-    """Write one ``BATCH_FRAMES``-frame batch through both write paths."""
+    """Write one ``BATCH_FRAMES``-frame batch through the vectored writer."""
     requests = [
         Request("insert_chunks", {"uuid": "bench", "i": index}, [bytes(COPY_PROBE_BYTES)])
         for index in range(BATCH_FRAMES)
     ]
-
-    # Legacy: every frame is a concatenation, the batch is a join, the join
-    # is one sendall.  (The client adds one more counted copy for the batch
-    # join; here we count the library-side encodes only.)
-    MEMORY_COUNTERS.reset()
-    frames = [
-        encode_frame_v2(index + 1, request.encode())
-        for index, request in enumerate(requests)
-    ]
-    legacy_copies = MEMORY_COUNTERS.payload_copies
-    legacy_sink = _RecordingSink()
-    legacy_sink.write(b"".join(frames))
-    legacy_syscalls = 1
-
-    # Zero-copy: flatten every frame's segments and hand them to sendmsg.
     MEMORY_COUNTERS.reset()
     segments: List = []
     for index, request in enumerate(requests):
@@ -185,18 +160,30 @@ def syscalls_per_batch() -> Dict[str, int]:
     vector_sink = _RecordingSink()
     syscalls, total, coalesced = write_vectored(vector_sink, segments)
     vector_copies = MEMORY_COUNTERS.payload_copies
-    assert bytes(vector_sink.buffer) == bytes(legacy_sink.buffer)
+    assert bytes(vector_sink.buffer) == b"".join(segments)
 
     MEMORY_COUNTERS.reset()
     return {
         "batch_frames": BATCH_FRAMES,
         "batch_bytes": total,
-        "legacy_syscalls": legacy_syscalls,
-        "legacy_copies": legacy_copies,
         "zero_copy_syscalls": syscalls,
         "zero_copy_copies": vector_copies,
         "headers_coalesced": coalesced,
     }
+
+
+def golden_frames_identical() -> bool:
+    """Every golden frame decodes and re-encodes to exactly its recorded bytes."""
+    cases = json.loads(_GOLDEN_FRAMES.read_text())["cases"]
+    for case in cases.values():
+        golden = bytes.fromhex(case["frame"])
+        (frame,) = FrameAssembler().feed(golden)
+        codec = Request if case["message"]["kind"] == "request" else Response
+        message = codec.decode(frame.payload)
+        segments = encode_frame_segments_v2(frame.correlation_id, message.encode_segments())
+        if b"".join(segments) != golden:
+            return False
+    return bool(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +198,14 @@ def _bulk_items(num_values: int, value_bytes: int):
     ]
 
 
-def run_throughput(num_values: int, value_bytes: int, zero_copy: bool) -> Dict[str, float]:
+def run_throughput(num_values: int, value_bytes: int) -> Dict[str, float]:
     """Bulk-ingest then big-response over loopback; wall clock + alloc peak."""
     items = _bulk_items(num_values, value_bytes)
     total_bytes = sum(len(key) + len(value) for key, value in items)
     store = MemoryStore()
-    with StorageNodeServer(store, zero_copy=zero_copy) as node:
+    with StorageNodeServer(store) as node:
         host, port = node.address
-        remote = RemoteKeyValueStore(host, port, timeout=60.0, zero_copy=zero_copy)
+        remote = RemoteKeyValueStore(host, port, timeout=60.0)
         try:
             tracemalloc.start()
             begin = time.perf_counter()
@@ -299,26 +286,23 @@ def compression_counters() -> Dict[str, object]:
 
 
 def test_copies_per_frame_meet_acceptance():
-    """Encode: 3+ copies down to 0.  Decode: 2–3 copies down to ≤ 1."""
+    """Encode: 0 copies.  Decode: ≤ 1 (server assembler) / 0 (client reader)."""
     copies = copies_per_frame()
     assert copies["encode"]["zero_copy"] == 0
-    assert copies["encode"]["legacy"] >= 2
     assert copies["server_decode"]["zero_copy"] <= 1
-    assert copies["server_decode"]["legacy"] >= 3
     assert copies["client_decode"]["zero_copy"] == 0
-    assert copies["client_decode"]["legacy"] >= 2
-    # Whole-path legacy bill (encode + decode) is ≥ 3 full materializations.
-    assert copies["encode"]["legacy"] + copies["server_decode"]["legacy"] >= 3
 
 
-def test_vectored_batch_costs_no_extra_syscalls():
-    """The copy-free batch write costs exactly the legacy syscall bill."""
+def test_vectored_batch_is_one_syscall_and_no_copy():
     syscalls = syscalls_per_batch()
-    assert syscalls["zero_copy_syscalls"] <= syscalls["legacy_syscalls"]
+    assert syscalls["zero_copy_syscalls"] == 1
     assert syscalls["zero_copy_copies"] == 0
-    assert syscalls["legacy_copies"] >= 2 * syscalls["batch_frames"]
     # Two small segments per frame (frame header + message header) coalesce.
     assert syscalls["headers_coalesced"] == 2 * syscalls["batch_frames"]
+
+
+def test_golden_frames_are_byte_identical():
+    assert golden_frames_identical()
 
 
 def test_compression_engages_only_when_negotiated_and_large():
@@ -329,10 +313,9 @@ def test_compression_engages_only_when_negotiated_and_large():
     assert counters["response_frames_compressed"] >= 1
 
 
-def test_throughput_arms_are_byte_identical():
+def test_throughput_run_is_byte_identical():
     """Smoke-sized throughput run; the multi_get assert checks identity."""
-    run_throughput(4, 1 << 18, zero_copy=True)
-    run_throughput(4, 1 << 18, zero_copy=False)
+    run_throughput(4, 1 << 18)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +341,20 @@ def main(argv=None) -> None:
 
     results: Dict[str, object] = {"smoke": args.smoke}
 
+    # The deleted copy path's last recorded rows ride along, frozen.
+    with open(_DEFAULT_OUTPUT, "r", encoding="utf-8") as handle:
+        historical = json.load(handle)["results"]["historical"]
+
     copies = copies_per_frame()
     copy_table = ResultTable(
         title="Full-payload copies per frame — 1 MiB attachment, library counters",
-        columns=["path", "legacy", "zero-copy"],
+        columns=["path", "copy path (historical)", "now"],
     )
     for path in ("encode", "server_decode", "client_decode"):
-        copy_table.add_row(path, str(copies[path]["legacy"]), str(copies[path]["zero_copy"]))
-    copy_table.add_note("acceptance: encode 0 and decode <= 1 vs >= 3 on the legacy path")
+        copy_table.add_row(
+            path, str(historical["copies"][path]["legacy"]), str(copies[path]["zero_copy"])
+        )
+    copy_table.add_note("acceptance: encode 0 and decode <= 1")
     copy_table.print()
     results["copies"] = copies
 
@@ -374,36 +363,30 @@ def main(argv=None) -> None:
         title=f"Syscalls per {BATCH_FRAMES}-frame batch ({syscalls['batch_bytes'] >> 20} MiB)",
         columns=["path", "syscalls", "payload copies"],
     )
-    syscall_table.add_row("legacy join+sendall", str(syscalls["legacy_syscalls"]), str(syscalls["legacy_copies"]))
     syscall_table.add_row("vectored sendmsg", str(syscalls["zero_copy_syscalls"]), str(syscalls["zero_copy_copies"]))
     syscall_table.add_note(f"{syscalls['headers_coalesced']} small header segments coalesced into one iovec run")
     syscall_table.print()
     results["syscalls"] = syscalls
 
-    arms = {}
-    for label, zero_copy in (("legacy", False), ("zero_copy", True)):
-        arms[label] = run_throughput(num_values, value_bytes, zero_copy=zero_copy)
+    row = run_throughput(num_values, value_bytes)
     throughput_table = ResultTable(
         title=(
-            f"Bulk wire throughput — {arms['legacy']['total_mb']:.0f} MB over loopback "
+            f"Bulk wire throughput — {row['total_mb']:.0f} MB over loopback "
             f"({num_values} values, tracemalloc on)"
         ),
-        columns=["arm", "ingest MB/s", "ingest peak MB", "fetch MB/s", "fetch peak MB", "small ops/s"],
+        columns=["ingest MB/s", "ingest peak MB", "fetch MB/s", "fetch peak MB", "small ops/s"],
     )
-    for label in ("legacy", "zero_copy"):
-        row = arms[label]
-        throughput_table.add_row(
-            label,
-            f"{row['ingest_mb_per_s']:.0f}",
-            f"{row['ingest_peak_mb']:.1f}",
-            f"{row['fetch_mb_per_s']:.0f}",
-            f"{row['fetch_peak_mb']:.1f}",
-            f"{row['small_ops_per_s']:.0f}",
-        )
-    throughput_table.add_note("arms are byte-identical (asserted in run_throughput)")
+    throughput_table.add_row(
+        f"{row['ingest_mb_per_s']:.0f}",
+        f"{row['ingest_peak_mb']:.1f}",
+        f"{row['fetch_mb_per_s']:.0f}",
+        f"{row['fetch_peak_mb']:.1f}",
+        f"{row['small_ops_per_s']:.0f}",
+    )
+    throughput_table.add_note("values read back byte-identical (asserted in run_throughput)")
     throughput_table.print()
-    results["throughput"] = arms
-    results["byte_identity"] = {"identical": True}
+    results["throughput"] = {"zero_copy": row}
+    results["byte_identity"] = {"identical": golden_frames_identical()}
 
     compression = compression_counters()
     compression_table = ResultTable(
@@ -416,6 +399,7 @@ def main(argv=None) -> None:
     compression_table.add_note("engages only above 4 KiB and only when both ends negotiate it")
     compression_table.print()
     results["compression"] = compression
+    results["historical"] = historical
 
     print(f"baseline written to {write_json_report(args.output, results)}")
 

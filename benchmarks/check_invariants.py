@@ -112,22 +112,17 @@ MANIFEST: Dict[str, Tuple[str, List[Tuple[str, str, str]]]] = {
         [
             # The delete workload is pinned at both scales: the whole
             # round-trip table must match the committed one.
-            eq("delete_round_trips"),
+            eq("delete_round_trips.offload"),
         ],
     ),
     "wire": (
         "BENCH_wire.json",
         [
             # Copies per frame are call-sequence invariants, not workload
-            # sizes: the zero-copy acceptance (encode 0, decode <= 1) and
-            # the legacy bill it replaced must both hold at any scale.
+            # sizes: encode 0, decode <= 1 must hold at any scale.
             eq("copies.encode.zero_copy"),
-            eq("copies.encode.legacy"),
             eq("copies.server_decode.zero_copy"),
-            eq("copies.server_decode.legacy"),
             eq("copies.client_decode.zero_copy"),
-            eq("copies.client_decode.legacy"),
-            eq("syscalls.legacy_syscalls"),
             le("syscalls.zero_copy_syscalls"),
             eq("syscalls.zero_copy_copies"),
             eq("syscalls.headers_coalesced"),

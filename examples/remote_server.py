@@ -32,7 +32,7 @@ def main() -> None:
         print(f"TimeCrypt server listening on {host}:{port}")
 
         with RemoteServerClient(host, port) as remote:
-            print(f"negotiated protocol v{remote.protocol_version}, ping: {remote.ping()}")
+            print(f"ping: {remote.ping()}")
 
             # The owner-side client is identical to the in-process case; only the
             # server handle differs.

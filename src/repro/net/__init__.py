@@ -7,24 +7,22 @@ over real TCP sockets (:mod:`repro.net.server`, :mod:`repro.net.client`) or
 over a zero-copy in-process transport used by benchmarks so that socket
 overhead does not mask the cryptography being measured.
 
-Since protocol v2 the wire is **pipelined and request-multiplexed**: v2
-frames carry per-request correlation ids (see :mod:`repro.net.framing` for
-the exact header layout), the server runs a bounded number of handlers
-at once and answers out of order, and the client multiplexes any number
-of in-flight requests over one connection — ``call_many`` / ``pipeline()``
-ship whole request batches in a single round trip.  v1 lockstep peers keep
-working on the same port: the first two magic bytes of every frame select
-the protocol version, and ``hello`` negotiates capabilities up front.
+The wire is **pipelined and request-multiplexed**: frames carry
+per-request correlation ids (see :mod:`repro.net.framing` for the exact
+header layout), the server runs a bounded number of handlers at once and
+answers out of order, and the client multiplexes any number of in-flight
+requests over one connection — ``call_many`` / ``pipeline()`` ship whole
+request batches in a single round trip.  ``hello`` negotiates capabilities
+up front; bytes that do not start with the frame magic close the connection.
 """
 
 from repro.net.client import RemoteServerClient, RequestPipeline, WireStats
 from repro.net.framing import (
     Frame,
     FrameAssembler,
-    read_any_frame,
-    read_frame,
-    write_frame,
-    write_frame_v2,
+    FrameReader,
+    encode_frame_segments_v2,
+    write_vectored,
 )
 from repro.net.messages import Request, Response
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer, WireDispatcher
@@ -35,10 +33,9 @@ __all__ = [
     "WireDispatcher",
     "Frame",
     "FrameAssembler",
-    "read_frame",
-    "read_any_frame",
-    "write_frame",
-    "write_frame_v2",
+    "FrameReader",
+    "encode_frame_segments_v2",
+    "write_vectored",
     "RequestDispatcher",
     "TimeCryptTCPServer",
     "RemoteServerClient",

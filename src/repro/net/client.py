@@ -6,8 +6,7 @@ surface as :class:`~repro.server.engine.ServerEngine`, so the
 :class:`~repro.core.timecrypt.TimeCrypt` facade and the consumer client work
 unchanged whether the server is in-process or across the network.
 
-Transport model (protocol v2, the default): requests are matched to
-responses through a correlation-id → pending-call table, so any number of
+Transport model: requests are matched to responses through a correlation-id → pending-call table, so any number of
 requests can be in flight on one connection and responses may arrive in any
 order.  There is no reader thread — *the thread that needs the bytes reads
 the socket*: a caller waiting for its response (or for flow-control
@@ -19,24 +18,25 @@ that sit three calling styles:
 
 * ``_call`` — write one request, wait for its future (one round trip);
 * :meth:`call_many` — write a whole batch of requests back-to-back in one
-  ``sendall``, then wait for all futures: N requests, **one** round trip;
+  vectored write, then wait for all futures: N requests, **one** round trip;
 * :meth:`pipeline` — a context manager that records ServerEngine-shaped
   calls as deferred handles and flushes them through :meth:`call_many` on
   exit, so heterogeneous bursts (grant pickups, range reads, stat queries)
   also collapse into one round trip.
 
-The protocol version is negotiated at connect time with a ``hello``
-request; a peer that cannot answer it (a v1-only lockstep server) drops the
-connection, and the client transparently reconnects in v1 mode — one locked
-request/response exchange per operation, exactly the original wire
-behaviour.  :class:`WireStats` counts requests and round trips either way,
-which is what the network benchmarks assert against.
+Every connection opens with one synchronous ``hello``; a peer that hangs
+up on it, answers something unparseable, or does not advertise protocol 2
+and an operation list fails the constructor with a typed
+:class:`~repro.exceptions.TransportError` / :class:`~repro.exceptions.ProtocolError`
+(and the socket closed) — there is no second dial and no other wire to fall
+back to.  :class:`WireStats` counts requests and round trips, which is what
+the network benchmarks assert against.
 
-Two backpressure mechanisms ride on the v2 transport (see
+Two backpressure mechanisms ride on the transport (see
 :mod:`repro.net.server`): servers advertise a per-connection **credit
 window** in ``hello`` and return one credit per response, and the client
-blocks frame submission on the window (``flow_control=False`` floods like a
-legacy client); a server shedding under load answers with a typed
+blocks frame submission on the window (``flow_control=False`` floods, the
+way a hostile peer would); a server shedding under load answers with a typed
 ``overloaded`` error, which the client retries with capped exponential
 backoff (``overload_retries``) before surfacing
 :class:`~repro.exceptions.OverloadedError` to the caller.
@@ -64,15 +64,10 @@ from repro.exceptions import (
     TransportError,
 )
 from repro.net.framing import (
-    MEMORY_COUNTERS,
+    HEADER_BYTES,
     PROTOCOL_VERSION,
     FrameReader,
     encode_frame_segments_v2,
-    encode_frame_v2,
-    read_any_frame,
-    read_frame,
-    write_frame,
-    write_frame_v2,
     write_vectored,
 )
 from repro.net.messages import (
@@ -138,7 +133,7 @@ def _is_overloaded(response: Response) -> bool:
 class WireStats:
     """Client-side wire accounting.
 
-    ``round_trips`` counts *wait points*: one per lockstep call and one per
+    ``round_trips`` counts *wait points*: one per single call and one per
     flushed pipeline/batch, however many requests it carried.  This is the
     quantity that maps to network latency and that ``BENCH_net.json``
     tracks; ``requests_sent`` is the op count for computing batching ratios.
@@ -415,15 +410,9 @@ class _RemoteTokenStore:
         return int(response.result["grant_id"])
 
     def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
-        """A cohort grant burst: one wire round trip, one storage ``multi_put``.
-
-        Falls back to per-grant ``put_grant`` calls against dispatchers that
-        predate the ``put_grants`` operation (detected via negotiation).
-        """
+        """A cohort grant burst: one wire round trip, one storage ``multi_put``."""
         if not grants:
             return []
-        if not self._client.supports_operation("put_grants"):
-            return [self.put_grant(*grant) for grant in grants]
         response = self._client._call(
             Request(
                 "put_grants",
@@ -483,12 +472,6 @@ class _RemoteTokenStore:
 class RemoteServerClient:
     """A ServerEngine-compatible proxy over a TCP connection.
 
-    ``protocol_version=2`` (the default) negotiates the pipelined wire and
-    falls back to the v1 lockstep protocol when the peer does not speak it;
-    ``protocol_version=1`` forces lockstep mode (one locked request/response
-    exchange per call), which is also what legacy deployments of this
-    client did on every call.
-
     ``flow_control`` (default on) honours the credit window the server
     advertised in ``hello``: frame submission blocks once window-many frames
     are unanswered.  ``overload_retries`` bounds how often a request the
@@ -496,11 +479,9 @@ class RemoteServerClient:
     exponential backoff seeded by the server's retry-after hint) before the
     error surfaces to the caller.
 
-    ``zero_copy`` (default on) sends request batches through
-    ``socket.sendmsg`` as header + attachment views (no batch concatenation)
-    and decodes responses as memoryviews over per-frame buffers;
-    ``zero_copy=False`` is the legacy join-and-``sendall`` path, kept for
-    comparison benchmarks.  ``compression=True`` offers zlib frame
+    Request batches go out through ``socket.sendmsg`` as header + attachment
+    views (no batch concatenation) and responses decode as memoryviews over
+    per-frame buffers.  ``compression=True`` offers zlib frame
     compression in ``hello`` and compresses requests over
     ``compress_threshold`` bytes once the server advertises support; off by
     default (chunk ciphertext is incompressible — see
@@ -512,21 +493,16 @@ class RemoteServerClient:
         host: str,
         port: int,
         timeout: float = 30.0,
-        protocol_version: int = PROTOCOL_VERSION,
         flow_control: bool = True,
         overload_retries: int = 4,
         overload_backoff_cap: float = 0.25,
-        zero_copy: bool = True,
         compression: bool = False,
         compress_threshold: int = WIRE_COMPRESSION_THRESHOLD,
         tracing: bool = False,
     ) -> None:
-        if protocol_version not in (1, 2):
-            raise ProtocolError(f"unsupported protocol version {protocol_version}")
         self._address = (host, port)
         self._timeout = timeout
-        self._socket = self._dial()
-        self._lock = threading.Lock()  # v1 lockstep + v2 write serialisation
+        self._lock = threading.Lock()  # serialises frame writes on the socket
         self._closed = False
         self.token_store = _RemoteTokenStore(self)
         self.wire_stats = WireStats()
@@ -535,14 +511,9 @@ class RemoteServerClient:
         #: a client span, its context rides the request's ``trace`` header
         #: key, and the ``tracing`` capability is offered in ``hello`` so
         #: negotiating servers record matching server-side spans.  A server
-        #: (or v1 peer) that never negotiated simply ignores the header key.
+        #: that never negotiated simply ignores the header key.
         self._tracing = bool(tracing)
         self._node_label = f"client:{host}:{port}"
-        # Snapshot through the client, not the stats object: wrappers like
-        # RemoteKeyValueStore swap in a shared WireStats after construction.
-        self._metrics_key = REGISTRY.register(
-            f"client.wire[{host}:{port}]", self, snapshot=lambda client: asdict(client.wire_stats)
-        )
         self._pending: Dict[int, _PendingCall] = {}
         #: Guards the pending table and the reader role below.  The role is
         #: a flag under this lock, never a lock held across ``recv``.
@@ -551,33 +522,34 @@ class RemoteServerClient:
         #: Wake events of the threads parked behind the current reader.
         self._parked: Deque[threading.Event] = deque()
         self._correlation_ids = itertools.count(1)
-        self._frames: Optional[FrameReader] = None
-        self._server_operations: Optional[frozenset] = None
         self._flow_control = bool(flow_control)
         self._credits: Optional[_CreditGate] = None
         self._overload_retries = max(0, int(overload_retries))
         self._overload_backoff_cap = max(0.0, float(overload_backoff_cap))
-        self._zero_copy = bool(zero_copy)
         self._compression = bool(compression)
         self._compress_threshold = max(1, int(compress_threshold))
         #: True once both ends negotiated a compression scheme in ``hello``.
         self._compress = False
+        self._server_operations: frozenset = frozenset()
         #: The full ``hello`` result: capability fields beyond the op list
-        #: (e.g. a shard routing table). Empty for v1 peers.
+        #: (e.g. a shard routing table).
         self.hello_info: Dict[str, Any] = {}
-        self.protocol_version = protocol_version
-        if protocol_version == PROTOCOL_VERSION:
+        self._socket = self._dial()
+        # The socket stays blocking: deadlines are enforced by the reading
+        # caller (select before every blocking recv).
+        self._frames = FrameReader(self._socket, stall=timeout)
+        try:
             self._negotiate()
-        if self.protocol_version == PROTOCOL_VERSION:
-            window = self.hello_info.get("credits")
-            if self._flow_control and isinstance(window, int) and window > 0:
-                # The hello exchange itself was synchronous — its grant is
-                # already accounted for by starting at the full window.
-                self._credits = _CreditGate(window)
-            # The socket stays blocking: per-request deadlines are enforced
-            # by the reading caller (select before every blocking recv).
-            self._socket.settimeout(None)
-            self._frames = FrameReader(self._socket, views=self._zero_copy, stall=timeout)
+        except BaseException:
+            # Nobody else will ever hold this object: release the descriptor
+            # now, not whenever the exception's traceback is collected.
+            self._socket.close()
+            raise
+        # Snapshot through the client, not the stats object: wrappers like
+        # RemoteKeyValueStore swap in a shared WireStats after construction.
+        self._metrics_key = REGISTRY.register(
+            f"client.wire[{host}:{port}]", self, snapshot=lambda client: asdict(client.wire_stats)
+        )
 
     @property
     def credit_window(self) -> int:
@@ -592,57 +564,63 @@ class RemoteServerClient:
 
     def _dial(self) -> socket.socket:
         sock = socket.create_connection(self._address, timeout=self._timeout)
+        sock.settimeout(None)
         # Callers multiplexed on one connection do write-write-read: exactly
         # the pattern Nagle + delayed ACK turns into a 40 ms stall.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
     def _negotiate(self) -> None:
-        """One synchronous v2 ``hello``; fall back to v1 lockstep when rejected.
+        """One synchronous ``hello`` (correlation id 0) before anything else.
 
-        Only peer-rejection signals trigger the downgrade: a v1-only peer
-        hangs up on the unknown ``T2`` magic (EOF / connection reset) or
-        answers something unparseable.  A *timeout* means the peer is slow,
-        not v1 — silently pinning such a session to lockstep would degrade
-        every later call — so it raises instead.
+        A peer that hangs up, stays silent past the timeout or stalls
+        mid-frame raises :class:`TransportError`; one that answers with
+        anything but a well-formed protocol-2 ``hello`` result raises
+        :class:`ProtocolError`.  Nothing is retried here — redialling is the
+        owner's decision (see ``RemoteKeyValueStore._ensure_client``).
         """
+        hello_args: Dict[str, Any] = {"protocol": PROTOCOL_VERSION}
+        if self._compression:
+            # Offering a scheme also means: compressed responses welcome.
+            hello_args["compression"] = list(WIRE_COMPRESSION_SCHEMES)
+        if self._tracing:
+            hello_args["tracing"] = True
+        hello = Request("hello", hello_args)
         try:
-            hello_args: Dict[str, Any] = {"protocol": PROTOCOL_VERSION}
-            if self._compression:
-                # Offering a scheme also means: compressed responses welcome.
-                hello_args["compression"] = list(WIRE_COMPRESSION_SCHEMES)
-            if self._tracing:
-                hello_args["tracing"] = True
-            write_frame_v2(self._socket, 0, Request("hello", hello_args).encode())
-            frame = read_any_frame(self._socket)
-            response = Response.decode(frame.payload)
-            if not response.ok or int(response.result.get("protocol", 1)) < PROTOCOL_VERSION:
-                raise ProtocolError("peer does not speak protocol v2")
-            self._server_operations = frozenset(response.result.get("operations", ()))
-            self.hello_info = dict(response.result)
-            advertised = self.hello_info.get("compression") or ()
-            self._compress = self._compression and any(
-                scheme in advertised for scheme in WIRE_COMPRESSION_SCHEMES
+            write_vectored(self._socket, encode_frame_segments_v2(0, hello.encode_segments()))
+            frame = self._frames.read(time.monotonic() + self._timeout)
+        except OSError as exc:
+            raise TransportError(f"connection to {self._address} failed: {exc}") from exc
+        if frame is None:
+            raise TransportError(f"hello negotiation with {self._address} timed out")
+        response = Response.decode(frame.payload)
+        if not response.ok:
+            raise ProtocolError(f"peer at {self._address} rejected hello: {response.error}")
+        result = response.result if isinstance(response.result, dict) else {}
+        protocol, operations = result.get("protocol"), result.get("operations")
+        if (
+            not isinstance(protocol, int)
+            or protocol < PROTOCOL_VERSION
+            or not isinstance(operations, list)
+        ):
+            raise ProtocolError(
+                f"peer at {self._address} did not answer hello with protocol "
+                f"{PROTOCOL_VERSION} and an operation list"
             )
-        except socket.timeout as exc:
-            raise TransportError(
-                f"hello negotiation with {self._address} timed out: {exc}"
-            ) from exc
-        except (TimeCryptError, ConnectionError):
-            # A v1-only peer closes the connection on the unknown magic;
-            # reconnect and stay in lockstep mode.
-            logger.info("peer at %s rejected hello; redialling in v1 lockstep mode", self._address)
-            try:
-                self._socket.close()
-            except OSError:
-                pass
-            self._socket = self._dial()
-            self.protocol_version = 1
+        self._server_operations = frozenset(op for op in operations if isinstance(op, str))
+        self.hello_info = dict(result)
+        advertised = result.get("compression") or ()
+        self._compress = self._compression and any(
+            scheme in advertised for scheme in WIRE_COMPRESSION_SCHEMES
+        )
+        window = result.get("credits")
+        if self._flow_control and isinstance(window, int) and window > 0:
+            # The hello exchange itself was synchronous — its grant is
+            # already accounted for by starting at the full window.
+            self._credits = _CreditGate(window)
 
     def supports_operation(self, operation: str) -> bool:
-        """Whether negotiation advertised an operation (v1 peers: assume not)."""
-        if self._server_operations is None:
-            return False
+        """Whether the peer's ``hello`` advertised an operation."""
         return operation in self._server_operations
 
     def close(self) -> None:
@@ -663,7 +641,7 @@ class RemoteServerClient:
     def __exit__(self, *_exc_info: object) -> None:
         self.close()
 
-    # -- v2 transport ----------------------------------------------------------------
+    # -- transport -------------------------------------------------------------------
 
     def _drive(
         self, ready: Callable[[], bool], deadline: float, call: Optional[_PendingCall] = None
@@ -733,7 +711,6 @@ class RemoteServerClient:
         results are retained.
         """
         frames = self._frames
-        assert frames is not None
         while not ready():
             try:
                 frame = frames.read(deadline)
@@ -744,7 +721,7 @@ class RemoteServerClient:
                 # ValueError: close() released the descriptor under select().
                 self._fail_pending(exc)
                 return
-            self.wire_stats.bytes_received += len(frame.payload) + (15 if frame.version == 2 else 6)
+            self.wire_stats.bytes_received += len(frame.payload) + HEADER_BYTES
             self.wire_stats.responses_received += 1
             with self._pending_lock:
                 call = self._pending.pop(frame.correlation_id, None)
@@ -800,13 +777,11 @@ class RemoteServerClient:
     def _encode_batch(self, requests: Sequence[Request]) -> List[List[Any]]:
         """Message-segment lists for a batch, compressed where negotiated.
 
-        Zero-copy mode keeps attachments as uncoalesced segments for the
-        vectored writer; legacy mode joins each message into one payload
-        (the old copying behaviour, kept as the benchmark's before-arm).
+        Attachments stay uncoalesced segments for the vectored writer.
         """
         encoded: List[List[Any]] = []
         for request in requests:
-            segments = request.encode_segments() if self._zero_copy else [request.encode()]
+            segments = request.encode_segments()
             if self._compress:
                 segments, compressed = maybe_compress_segments(segments, self._compress_threshold)
                 if compressed:
@@ -815,18 +790,12 @@ class RemoteServerClient:
         return encoded
 
     def _write_frames(self, frames: Sequence[List[Any]]) -> None:
-        """Ship framed segment lists; vectored when zero-copy, joined sendall otherwise."""
-        if self._zero_copy:
-            flat = [segment for frame in frames for segment in frame]
-            _syscalls, sent, coalesced = write_vectored(self._socket, flat)
-            self.wire_stats.vectored_writes += 1
-            self.wire_stats.frames_coalesced += coalesced
-            self.wire_stats.bytes_sent += sent
-        else:
-            MEMORY_COUNTERS.payload_copies += 1
-            data = b"".join(segment for frame in frames for segment in frame)
-            self._socket.sendall(data)
-            self.wire_stats.bytes_sent += len(data)
+        """Ship framed segment lists in one vectored write."""
+        flat = [segment for frame in frames for segment in frame]
+        _syscalls, sent, coalesced = write_vectored(self._socket, flat)
+        self.wire_stats.vectored_writes += 1
+        self.wire_stats.frames_coalesced += coalesced
+        self.wire_stats.bytes_sent += sent
 
     def _send_requests(self, requests: Sequence[Request]) -> List[_PendingCall]:
         """Frame and write a request batch in one vectored write; returns pending calls."""
@@ -835,16 +804,10 @@ class RemoteServerClient:
         # pending table that nothing would ever resolve.
         messages = self._encode_batch(requests)
         correlation_ids = [next(self._correlation_ids) for _message in messages]
-        if self._zero_copy:
-            frames = [
-                encode_frame_segments_v2(correlation_id, segments)
-                for correlation_id, segments in zip(correlation_ids, messages)
-            ]
-        else:
-            frames = [
-                [encode_frame_v2(correlation_id, segments[0])]
-                for correlation_id, segments in zip(correlation_ids, messages)
-            ]
+        frames = [
+            encode_frame_segments_v2(correlation_id, segments)
+            for correlation_id, segments in zip(correlation_ids, messages)
+        ]
         calls = [_PendingCall(self, correlation_id) for correlation_id in correlation_ids]
         with self._pending_lock:
             self._pending.update(zip(correlation_ids, calls))
@@ -968,14 +931,11 @@ class RemoteServerClient:
         """One request, one round trip; raises the remote error on failure."""
         begun = self._begin_trace((request,))
         try:
-            if self.protocol_version == 1:
-                response = self._call_lockstep(request)
-            else:
-                future = self._send_requests([request])[0]
-                self.wire_stats.round_trips += 1
-                response = self._await(future)
-                if _is_overloaded(response):
-                    response = self._retry_overloaded([request], [response])[0]
+            future = self._send_requests([request])[0]
+            self.wire_stats.round_trips += 1
+            response = self._await(future)
+            if _is_overloaded(response):
+                response = self._retry_overloaded([request], [response])[0]
         except Exception as exc:
             self._finish_trace(begun, error=exc)
             raise
@@ -1011,39 +971,22 @@ class RemoteServerClient:
                 responses[slot] = self._await(future)
         return responses
 
-    def _call_lockstep(self, request: Request) -> Response:
-        before_blocking()
-        with self._lock:
-            try:
-                write_frame(self._socket, request.encode())
-                self.wire_stats.requests_sent += 1
-                self.wire_stats.round_trips += 1
-                response = Response.decode(read_frame(self._socket))
-                self.wire_stats.responses_received += 1
-            except OSError as exc:
-                raise TransportError(f"connection to {self._address} failed: {exc}") from exc
-        return response
-
     def call_many(self, requests: Sequence[Request]) -> List[Response]:
         """Ship a request batch in one round trip; responses in request order.
 
         Unlike :meth:`_call` this does **not** raise on per-request errors —
         each returned :class:`Response` carries its own outcome, so one
-        failed request inside a batch cannot mask the others.  In v1
-        lockstep mode the batch degrades to sequential round trips.
+        failed request inside a batch cannot mask the others.
         """
         if not requests:
             return []
         begun = self._begin_trace(requests)
         try:
-            if self.protocol_version == 1:
-                responses = [self._call_lockstep(request) for request in requests]
-            else:
-                futures = self._send_requests(requests)
-                self.wire_stats.round_trips += 1
-                self.wire_stats.batches_sent += 1
-                responses = [self._await(future) for future in futures]
-                responses = self._retry_overloaded(list(requests), responses)
+            futures = self._send_requests(requests)
+            self.wire_stats.round_trips += 1
+            self.wire_stats.batches_sent += 1
+            responses = [self._await(future) for future in futures]
+            responses = self._retry_overloaded(list(requests), responses)
         except Exception as exc:
             self._finish_trace(begun, error=exc)
             raise
@@ -1094,36 +1037,13 @@ class RemoteServerClient:
         return int(response.result["window_index"])
 
     def insert_chunks(self, chunks: Sequence[EncryptedChunk]) -> int:
-        """Bulk ingest over one round trip; returns the first appended window index.
-
-        Dispatchers that predate the ``insert_chunks`` wire operation (not
-        advertised by ``hello``, or rejected at dispatch) get the batch as
-        per-chunk ``insert_chunk`` calls instead; the downgrade is remembered
-        so later batches skip the failed round trip.
-        """
+        """Bulk ingest over one round trip; returns the first appended window index."""
         if not chunks:
             raise ProtocolError("insert_chunks requires at least one chunk")
-        if self._server_operations is not None and not self.supports_operation("insert_chunks"):
-            return self._insert_chunks_one_by_one(chunks)
-        try:
-            response = self._call(
-                Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks])
-            )
-        except TimeCryptError as exc:
-            # Remote errors re-raise by class *name*, which may surface as the
-            # base class — match on the message, not the type.  A server
-            # without the op rejects it in Request.decode ("unknown
-            # operation", messages.py) before dispatch ("unsupported
-            # operation") could ever see it; accept both spellings.
-            message = str(exc)
-            if "unsupported operation" not in message and "unknown operation" not in message:
-                raise
-            self._server_operations = (self._server_operations or frozenset()) - {"insert_chunks"}
-            return self._insert_chunks_one_by_one(chunks)
+        response = self._call(
+            Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks])
+        )
         return int(response.result["window_index"])
-
-    def _insert_chunks_one_by_one(self, chunks: Sequence[EncryptedChunk]) -> int:
-        return min(self.insert_chunk(chunk) for chunk in chunks)
 
     def get_range(self, stream_uuid: str, time_range: TimeRange) -> List[EncryptedChunk]:
         response = self._call(
@@ -1274,7 +1194,6 @@ class ShardedServerClient:
         timeout: float = 30.0,
         flow_control: bool = True,
         overload_retries: int = 4,
-        zero_copy: bool = True,
         compression: bool = False,
         tracing: bool = False,
     ) -> None:
@@ -1282,7 +1201,6 @@ class ShardedServerClient:
         self._timeout = timeout
         self._flow_control = bool(flow_control)
         self._overload_retries = max(0, int(overload_retries))
-        self._zero_copy = bool(zero_copy)
         self._compression = bool(compression)
         self._tracing = bool(tracing)
         self._lock = threading.Lock()
@@ -1362,7 +1280,6 @@ class ShardedServerClient:
             timeout=self._timeout,
             flow_control=self._flow_control,
             overload_retries=self._overload_retries,
-            zero_copy=self._zero_copy,
             compression=self._compression,
             tracing=self._tracing,
         )

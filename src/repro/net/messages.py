@@ -5,12 +5,12 @@ chunk ingest (scalar and bulk), raw range retrieval, statistical queries
 (single and multi-stream), grant/envelope pickup (scalar and burst), and
 rollup.  A second op family (``kv_*``) carries the raw key-value store
 contract for remote storage nodes, so the same framing/pipelining serves
-both the engine tier and the storage tier.  ``hello`` negotiates the
-protocol: the server answers with its
-protocol version and the operations its dispatcher supports, so clients can
-pick the pipelined v2 framing and the ``multi_*``-style batch ops without
-probing.  Messages are encoded as a JSON header plus optional binary
-attachments:
+both the engine tier and the storage tier.  ``hello`` opens every
+connection: the server answers with its protocol version, the operations
+its dispatcher supports and its capabilities (credit window, compression,
+tracing, routing table), so a client dialling the wrong tier finds out
+without probing.  Messages are encoded as a JSON header plus optional
+binary attachments:
 
 ``frame = varint(header_len) || header_json || attachments``
 
@@ -36,14 +36,12 @@ Buffer = Union[bytes, bytearray, memoryview]
 #: The storage-node op family: the raw :class:`~repro.storage.kv.KeyValueStore`
 #: contract carried over the same framing.  Keys and values are opaque byte
 #: strings, so they always travel as attachments, never inside the JSON
-#: header.  ``kv_scan_page`` is the wire shape of ``scan_prefix``: prefix
-#: scans are paged with an exclusive ``after`` cursor so a remote client can
-#: stream an arbitrarily large keyspace without ever materializing it (or
-#: hitting the frame cap).  ``kv_scan_prefix`` and ``kv_delete_prefix`` are
-#: the scan-offload ops: the node walks its own keyspace (optionally
-#: key-range-filtered) and ships only matching items — or just a deletion
-#: count — so bulk erase and recovery stop paging the keyspace through the
-#: engine one ``kv_scan_page`` at a time.
+#: header.  ``kv_scan_prefix`` is the wire shape of ``scan_prefix``: the node
+#: walks its own keyspace (optionally key-range-filtered) and ships matching
+#: items in byte-capped regions resumed with an exclusive ``after`` cursor,
+#: so a remote client can stream an arbitrarily large keyspace without ever
+#: materializing it (or hitting the frame cap).  ``kv_delete_prefix`` erases
+#: whole keyspaces node-side and ships back only a deletion count.
 KV_OPERATIONS = (
     "kv_get",
     "kv_put",
@@ -51,7 +49,6 @@ KV_OPERATIONS = (
     "kv_multi_get",
     "kv_multi_put",
     "kv_multi_delete",
-    "kv_scan_page",
     "kv_scan_prefix",
     "kv_delete_prefix",
     "kv_size_bytes",
@@ -105,7 +102,6 @@ BULK_OPERATIONS = frozenset(
         "put_envelopes",
         "kv_multi_put",
         "kv_multi_delete",
-        "kv_scan_page",
         "kv_scan_prefix",
         "kv_delete_prefix",
     }
@@ -219,12 +215,6 @@ def encode_message_segments(
     return [encode_varint(len(header_bytes)) + header_bytes, *attachments]
 
 
-def _encode_message(header: Dict[str, Any], attachments: Sequence[Buffer]) -> bytes:
-    """Legacy single-buffer encoding: joins the segments (one counted copy)."""
-    MEMORY_COUNTERS.payload_copies += 1
-    return b"".join(encode_message_segments(header, attachments))
-
-
 def compress_message(payload: Buffer, level: int = 6) -> bytes:
     """Wrap an encoded message in the compressed-sentinel wire form."""
     raw_len = len(payload)
@@ -323,8 +313,8 @@ class Request:
     attachments: List[Buffer] = field(default_factory=list)
     #: Optional trace context ``(trace_id, parent_span_id)``.  Serialized as a
     #: ``trace`` header key only when set, so untraced requests are
-    #: byte-identical to the pre-tracing wire form; v1 peers and servers that
-    #: did not negotiate ``tracing`` in ``hello`` ignore the key (``decode``
+    #: byte-identical to the pre-tracing wire form; servers that did not
+    #: negotiate ``tracing`` in ``hello`` ignore the key (``decode``
     #: tolerates unknown header keys by construction).
     trace: Optional[Tuple[str, str]] = None
 
@@ -339,7 +329,7 @@ class Request:
         return header
 
     def encode(self) -> bytes:
-        return _encode_message(self._header(), self.attachments)
+        return b"".join(self.encode_segments())
 
     def encode_segments(self) -> List[Buffer]:
         """Segment form for the vectored send path — attachments uncopied."""
@@ -376,7 +366,7 @@ class Response:
     error_type: Optional[str] = None
     #: Flow-control credits returned to the sender with this response.  A
     #: server that advertised a credit window in ``hello`` piggybacks one
-    #: grant per answered frame here; v1 peers and pre-credit clients ignore
+    #: grant per answered frame here; clients without flow control ignore
     #: the field (``decode`` tolerates unknown header keys by construction).
     credit_grant: Optional[int] = None
 
@@ -390,7 +380,7 @@ class Response:
         return header
 
     def encode(self) -> bytes:
-        return _encode_message(self._header(), self.attachments)
+        return b"".join(self.encode_segments())
 
     def encode_segments(self) -> List[Buffer]:
         """Segment form for the vectored send path — attachments uncopied."""

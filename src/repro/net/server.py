@@ -9,7 +9,7 @@ admits each frame.  The others are *followers*: they run queued frames or
 sleep.  At most ``max_workers`` handlers run at once, so accepting another
 client costs a selector registration, not a thread.
 
-Admission is **scheduled**: every v2 frame is classified interactive or
+Admission is **scheduled**: every frame is classified interactive or
 bulk (:func:`~repro.net.messages.classify_operation`).  A lone interactive
 frame — nothing queued, a handler slot free — is run by the leader itself,
 still holding the role: no queue, no wake-up, no thread hop.  Everything
@@ -27,12 +27,11 @@ tier, a fan-out join, a contended lock, a full socket buffer).  It steps
 down first — one ``notify`` wakes a follower to lead — and finishes its
 request as an ordinary thread.
 
-Both framing versions are served on every connection: **v2** frames carry a
-correlation id, run concurrently, and are answered (under the
-per-connection write lock) whenever they finish; **v1** frames have none,
-so per connection they run strictly in order, as one drain item on the
-interactive queue.  Backpressure is credit-based: ``hello`` advertises a
-per-connection window, every v2 response returns one credit, and a
+Frames carry a correlation id, run concurrently, and are answered (under
+the per-connection write lock) whenever they finish; bytes that do not parse
+as a frame — the retired ``TC`` lockstep framing included — close the
+connection.  Backpressure is credit-based: ``hello`` advertises a
+per-connection window, every response returns one credit, and a
 well-behaved client caps its in-flight frames at the window.
 
 The dispatcher is also usable without sockets through
@@ -59,9 +58,7 @@ from repro.net.framing import (
     PROTOCOL_VERSION,
     Frame,
     FrameAssembler,
-    encode_frame,
     encode_frame_segments_v2,
-    encode_frame_v2,
     write_vectored,
 )
 from repro.net.messages import (
@@ -464,11 +461,10 @@ class SchedulerStats:
     shed_bulk: int = 0
     max_depth_interactive: int = 0
     max_depth_bulk: int = 0
-    #: Highest in-flight v2 frame count observed on any single connection —
+    #: Highest in-flight frame count observed on any single connection —
     #: a credit-respecting client keeps this at or below the advertised window.
     max_in_flight: int = 0
-    #: Wire-memory counters, filled in by the owning transport (they count in
-    #: FIFO mode too): bytes on the wire each way, responses shipped through
+    #: Wire-memory counters, filled in by the owning transport: bytes on the wire each way, responses shipped through
     #: ``write_vectored``, small segments it merged, and responses sent in
     #: the negotiated compressed form.
     bytes_sent: int = 0
@@ -485,10 +481,10 @@ class SchedulerStats:
 #: when there is nothing to run and the leader role is free: go watch the sockets.
 _LEAD = object()
 
-#: One unit of handler work: ``(connection, frame, enqueue_ns, request)``.  A
-#: v1 drain item carries ``frame=None``; ``request`` is the message already
-#: decoded at admission (``None``: decode in the handler).
-_Task = Tuple["_Connection", Optional[Frame], int, Optional[Request]]
+#: One unit of handler work: ``(connection, frame, enqueue_ns, request)``;
+#: ``request`` is the message already decoded at admission (``None``: decode
+#: in the handler).
+_Task = Tuple["_Connection", Frame, int, Optional[Request]]
 
 
 class _FrameScheduler:
@@ -534,8 +530,8 @@ class _FrameScheduler:
     ) -> str:
         """Place one classified frame: ``"inline"``, ``"queued"``, ``"spawn"`` or ``"shed"``.
 
-        ``force`` bypasses the capacity check (``hello``, ``ping``, v1
-        drains: saturation must never read as an outage).  ``inline`` is the
+        ``force`` bypasses the capacity check (``hello``, ``ping``:
+        saturation must never read as an outage).  ``inline`` is the
         leader's offer to run the frame itself, taken only for an
         interactive frame with both queues empty and a handler slot free —
         claimed here, the caller must :meth:`finished` it.  ``"spawn"`` is
@@ -668,12 +664,12 @@ class _FrameScheduler:
 
 
 class _Connection:
-    """Per-connection transport state: socket, parser, write lock, v1 FIFO."""
+    """Per-connection transport state: socket, parser, write lock."""
 
-    def __init__(self, sock: socket.socket, address: Tuple[str, int], views: bool = False) -> None:
+    def __init__(self, sock: socket.socket, address: Tuple[str, int]) -> None:
         self.sock = sock
         self.address = address
-        self.assembler = FrameAssembler(views=views)
+        self.assembler = FrameAssembler()
         #: Reusable receive staging buffer for ``recv_into`` — safe to reuse
         #: because the assembler copies into per-frame payload buffers.
         self.recv_buffer = bytearray(1 << 16)
@@ -687,12 +683,7 @@ class _Connection:
         #: connections pay zero extra allocations per frame.
         self.tracing = False
         self.write_lock = threading.Lock()
-        #: v1 frames awaiting dispatch; guarded by ``state_lock``.  At most one
-        #: drain item per connection is ever queued or running, which keeps
-        #: v1 responses in request order.
-        self.v1_queue: Deque[Frame] = deque()
-        self.v1_active = False
-        #: v2 frames accepted but not yet answered; guarded by ``state_lock``.
+        #: Frames accepted but not yet answered; guarded by ``state_lock``.
         self.in_flight = 0
         self.state_lock = threading.Lock()
         self.closed = False
@@ -724,7 +715,6 @@ class TimeCryptTCPServer:
         bulk_queue_limit: int = DEFAULT_BULK_QUEUE_LIMIT,
         interactive_weight: int = DEFAULT_INTERACTIVE_WEIGHT,
         retry_after_ms: int = DEFAULT_RETRY_AFTER_MS,
-        zero_copy: bool = True,
         wire_compression: bool = False,
         compress_threshold: int = WIRE_COMPRESSION_THRESHOLD,
         tracing: bool = True,
@@ -748,11 +738,6 @@ class TimeCryptTCPServer:
         self._tracing = bool(tracing)
         self._spans = span_collector if span_collector is not None else SPANS
         self._slow_request_ms = slow_request_ms
-        #: Zero-copy wire path: responses go out as header + attachment
-        #: views through ``sendmsg`` and inbound payloads decode as views
-        #: over per-frame buffers.  ``zero_copy=False`` is the legacy
-        #: concatenate-and-``sendall`` path, kept as the benchmark before-arm.
-        self._zero_copy = bool(zero_copy)
         self._wire_compression = bool(wire_compression)
         self._compress_threshold = max(1, int(compress_threshold))
         self._dispatcher.wire_compression = (
@@ -892,10 +877,7 @@ class TimeCryptTCPServer:
         """Run one admitted unit of work on this thread, then free its slot."""
         connection, frame, enqueue_ns, request = task
         try:
-            if frame is None:
-                self._drain_v1(connection)
-            else:
-                self._handle_frame(connection, frame, enqueue_ns, request)
+            self._handle_frame(connection, frame, enqueue_ns, request)
         except Exception:  # noqa: BLE001 — the handler answers its own errors
             logger.exception("unhandled error serving a frame on %s", self._node_name)
         finally:
@@ -915,11 +897,7 @@ class TimeCryptTCPServer:
                 if not self._backlog:
                     self._poll()
                 while self._backlog and blocking_hook_armed():
-                    connection, frame = self._backlog.popleft()
-                    if frame.version == 1:
-                        self._enqueue_v1(connection, frame)
-                    else:
-                        self._admit_v2(connection, frame)
+                    self._admit(*self._backlog.popleft())
         finally:
             before_blocking()  # stopping: step down if that has not happened yet
 
@@ -944,7 +922,7 @@ class TimeCryptTCPServer:
             return
         sock.setblocking(True)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        connection = _Connection(sock, address, views=self._zero_copy)
+        connection = _Connection(sock, address)
         self._connections.add(connection)
         self._selector.register(sock, selectors.EVENT_READ, connection)
 
@@ -981,8 +959,8 @@ class TimeCryptTCPServer:
         for frame in frames:
             self._backlog.append((connection, frame))
 
-    def _admit_v2(self, connection: _Connection, frame: Frame) -> None:
-        """Classify a v2 frame, then run it here, queue it, or shed it (typed).
+    def _admit(self, connection: _Connection, frame: Frame) -> None:
+        """Classify a frame, then run it here, queue it, or shed it (typed).
 
         The header is parsed once: an uncompressed message is decoded here
         (attachments stay views) and the :class:`Request` rides the task.  A
@@ -1049,25 +1027,6 @@ class TimeCryptTCPServer:
 
     # -- dispatch ----------------------------------------------------------------------
 
-    def _enqueue_v1(self, connection: _Connection, frame: Frame) -> None:
-        """Queue a v1 frame; one drain item per connection keeps responses ordered."""
-        with connection.state_lock:
-            connection.v1_queue.append(frame)
-            if connection.v1_active:
-                return
-            connection.v1_active = True
-        # v1 has no correlation id to shed against: the drain is force-admitted.
-        self._place((connection, None, 0, None), "interactive", True)
-
-    def _drain_v1(self, connection: _Connection) -> None:
-        while True:
-            with connection.state_lock:
-                if not connection.v1_queue:
-                    connection.v1_active = False
-                    return
-                frame = connection.v1_queue.popleft()
-            self._handle_frame(connection, frame)
-
     def _handle_frame(
         self,
         connection: _Connection,
@@ -1083,8 +1042,8 @@ class TimeCryptTCPServer:
         span: Optional[Dict[str, Any]] = None
         try:
             if request is None:
-                # v1, compressed, or undecodable at admission (the error
-                # raised again here is what answers the correlation id).
+                # Compressed, or undecodable at admission (the error raised
+                # again here is what answers the correlation id).
                 request = Request.decode(frame.payload)
             if request.operation == "hello":
                 self._note_hello(connection, request)
@@ -1101,8 +1060,7 @@ class TimeCryptTCPServer:
             response = Response.failure(exc)
         except Exception as exc:  # noqa: BLE001 — a frame must never go unanswered
             # Anything a hostile or buggy peer can make decode/dispatch
-            # raise must still answer the correlation id (and, on a v1
-            # connection, must not kill the drain loop with v1_active stuck).
+            # raise must still answer the correlation id.
             response = Response.failure(
                 ProtocolError(f"malformed request: {type(exc).__name__}: {exc}")
             )
@@ -1159,8 +1117,7 @@ class TimeCryptTCPServer:
 
         Compression and tracing are each on only when *both* ends opt in: the
         transport enables the capability *and* this peer's ``hello`` offers
-        it.  v1 peers and clients that never offer stay on the byte-identical
-        legacy behaviour.
+        it.  Clients that never offer get uncompressed, untraced frames.
         """
         if self._tracing and request.args.get("tracing") is True:
             connection.tracing = True
@@ -1189,7 +1146,7 @@ class TimeCryptTCPServer:
         self._write_response(connection, frame, response)
 
     def _write_response(self, connection: _Connection, frame: Frame, response: Response) -> None:
-        if frame.version == 2 and self._credit_window:
+        if self._credit_window:
             # One credit back per answered frame: the sum of grants a client
             # ever sees equals the frames the server accepted, so the window
             # is conserved.
@@ -1204,11 +1161,9 @@ class TimeCryptTCPServer:
             fallback = Response.failure(exc)
             fallback.credit_grant = response.credit_grant
             encoded = self._encode_response(connection, frame, fallback)
-        if frame.version == 2:
-            with connection.state_lock:
-                if connection.in_flight > 0:
-                    connection.in_flight -= 1
-        sent = vectored = coalesced = 0
+        with connection.state_lock:
+            if connection.in_flight > 0:
+                connection.in_flight -= 1
         # The leader answers inline requests and sheds itself, so neither a
         # contended write lock nor a full socket buffer may put it to sleep
         # while it still holds the role: before_blocking() first.
@@ -1217,16 +1172,9 @@ class TimeCryptTCPServer:
         try:
             if connection.closed:
                 return
-            if len(encoded) == 1:
-                # Single pre-joined buffer (v1 / legacy mode): plain sendall.
-                before_blocking()
-                connection.sock.sendall(encoded[0])
-                sent = len(encoded[0])
-            else:
-                _syscalls, sent, coalesced = write_vectored(
-                    connection.sock, encoded, would_block=before_blocking
-                )
-                vectored = 1
+            _syscalls, sent, coalesced = write_vectored(
+                connection.sock, encoded, would_block=before_blocking
+            )
         except OSError:
             # The leader owns selector state: make the socket read as EOF
             # there, and it closes and unregisters the connection.
@@ -1239,21 +1187,15 @@ class TimeCryptTCPServer:
             lock.release()
         with self._wire_lock:
             self._wire_counters["bytes_sent"] += sent
-            self._wire_counters["vectored_writes"] += vectored
+            self._wire_counters["vectored_writes"] += 1
             self._wire_counters["frames_coalesced"] += coalesced
 
     def _encode_response(self, connection: _Connection, frame: Frame, response: Response) -> List:
-        """The response's wire form, as a list of segments to write.
+        """The response's wire form: ``[frame_header, message_header, *attachment_views]``.
 
-        v1 and legacy (``zero_copy=False``) responses come back as one
-        pre-joined buffer; the zero-copy path returns
-        ``[frame_header, message_header, *attachment_views]`` so a 32 MiB
-        ``get_range`` response is never concatenated.
+        Nothing is joined, so a 32 MiB ``get_range`` response is never
+        concatenated.
         """
-        if frame.version == 1:
-            return [encode_frame(response.encode())]
-        if not self._zero_copy:
-            return [encode_frame_v2(frame.correlation_id, response.encode())]
         segments = response.encode_segments()
         if connection.accepts_compression:
             segments, compressed = maybe_compress_segments(segments, self._compress_threshold)

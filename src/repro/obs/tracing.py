@@ -3,8 +3,8 @@
 A *trace* is one user-visible request followed across tiers; a *span* is
 one timed unit of work inside it (a client call, a server dispatch, a
 storage fetch).  Context rides the existing wire protocol as an optional
-``trace`` header key — ``[trace_id, span_id]`` — which v1 peers and
-non-negotiating servers ignore by construction (``_decode_message``
+``trace`` header key — ``[trace_id, span_id]`` — which servers that did
+not negotiate tracing ignore by construction (``_decode_message``
 tolerates unknown header keys), so tracing needs no protocol bump.
 
 Within a process, context propagates through a thread-local: the server

@@ -5,7 +5,7 @@ server is a thin crypto-oblivious layer over a distributed key-value store
 (Cassandra in their prototype), and here each *storage node* is its own
 process — a :class:`StorageNodeServer` serving the raw
 :class:`~repro.storage.kv.KeyValueStore` contract over the same pipelined
-framing-v2 wire protocol the engine tier speaks (``kv_*`` operations, see
+wire protocol the engine tier speaks (``kv_*`` operations, see
 :mod:`repro.net.messages`).  A :class:`~repro.storage.cluster.StorageCluster`
 whose ``store_factory`` returns
 :class:`~repro.storage.remote.RemoteKeyValueStore` clients then replicates
@@ -23,19 +23,16 @@ value travels as a binary attachment, never inside the JSON header.
   indices for the client to re-request
 * ``kv_multi_put``  — attachments ``[k0, v0, k1, v1, ...]`` → ``{stored}``
 * ``kv_multi_delete`` — attachments ``keys`` → ``{existed: [indices]}``
-* ``kv_scan_page``  — args ``{limit, keys_only}``, attachments ``[prefix]``
-  or ``[prefix, after]`` (exclusive cursor) → ``{num_items, truncated}`` +
-  ``[k0, v0, k1, v1, ...]`` (keys only when ``keys_only``); clients stream
-  big scans page by page, bounded per page by count and bytes
 * ``kv_scan_prefix`` — args ``{limit?, keys_only?, cursor?, range?}``,
-  attachments ``[prefix] (+ [after] when cursor) (+ [lo, hi] when range)``
-  → same result shape as ``kv_scan_page``, but the node walks the whole
-  prefix region (range-filtered, byte-capped) in one response instead of
-  one default-sized page — the scan-offload read op
+  attachments ``[prefix] (+ [after] when cursor, exclusive) (+ [lo, hi]
+  when range)`` → ``{num_items, truncated}`` + ``[k0, v0, k1, v1, ...]``
+  (keys only, with ``value_bytes`` lengths in the header, when
+  ``keys_only``); the node walks the prefix region itself — range-filtered,
+  bounded by ``limit`` and by bytes — and a client streams a big scan region
+  by region, resuming after the last returned key
 * ``kv_delete_prefix`` — attachments = one or more non-empty prefixes →
   ``{deleted}``; the node erases the keyspaces locally in bounded batches,
-  so bulk erase is one round trip instead of a paged scan-then-delete
-  driven by the engine
+  so bulk erase is one round trip whatever the keyspace size
 * ``kv_size_bytes`` — → ``{bytes}``
 
 The node server deliberately does **not** own its store's lifetime: the
@@ -67,11 +64,6 @@ from repro.net.server import (
 from repro.storage.kv import KeyValueStore
 from repro.util.blocking import acquire_announced
 
-#: Default page size for ``kv_scan_page`` when the client does not ask.
-DEFAULT_SCAN_PAGE_LIMIT = 1024
-#: Hard ceiling on one scan page, far below the 64 MiB frame cap for
-#: typical chunk sizes while still amortizing the round trip.
-MAX_SCAN_PAGE_LIMIT = 8192
 #: Soft cap on one response's attachment bytes.  Responses always carry at
 #: least one item past the cap so progress is guaranteed, which bounds a
 #: response at this cap plus one value — safely inside the 64 MiB frame cap
@@ -214,64 +206,13 @@ class StorageNodeDispatcher(WireDispatcher):
 
     # -- scans / sizing ------------------------------------------------------------
 
-    def _op_kv_scan_page(self, request: Request) -> Response:
-        """One cursor-resumed scan page, bounded by item count *and* bytes.
-
-        ``keys_only`` pages omit the values (membership walks — cluster
-        repair's "which keys does the ring assign here" pass — should not
-        drag every value over the wire just to discard it).  The cursor
-        goes through :meth:`KeyValueStore.scan_from`, so backends with
-        sorted key access seek instead of re-walking the keyspace.
-        """
-        if not 1 <= len(request.attachments) <= 2:
-            raise ProtocolError("kv_scan_page requires a prefix (and optional cursor) attachment")
-        prefix = retain(request.attachments[0])
-        after: Optional[bytes] = (
-            retain(request.attachments[1]) if len(request.attachments) == 2 else None
-        )
-        limit = int(request.args.get("limit", DEFAULT_SCAN_PAGE_LIMIT))
-        if limit < 1:
-            raise ProtocolError(f"kv_scan_page limit must be positive, got {limit}")
-        limit = min(limit, MAX_SCAN_PAGE_LIMIT)
-        keys_only = bool(request.args.get("keys_only", False))
-        attachments: List[bytes] = []
-        value_bytes: List[int] = []
-        num_items = 0
-        page_bytes = 0
-        truncated = False
-        # keys_only pages pull from scan_sizes_from — value lengths ride
-        # along as integers and backends with indexed lengths (append-log)
-        # never touch the value payloads at all.
-        scan = (
-            self._store.scan_sizes_from(prefix, after)
-            if keys_only
-            else self._store.scan_from(prefix, after)
-        )
-        for key, payload in scan:
-            item_bytes = len(key) if keys_only else len(key) + len(payload)
-            if num_items == limit or (num_items and page_bytes + item_bytes > RESPONSE_BYTE_CAP):
-                truncated = True
-                break
-            attachments.append(key)
-            if keys_only:
-                value_bytes.append(payload)
-            else:
-                attachments.append(payload)
-            num_items += 1
-            page_bytes += item_bytes
-        result = {"num_items": num_items, "truncated": truncated}
-        if keys_only:
-            result["value_bytes"] = value_bytes
-        return Response.success(result, attachments)
-
     def _op_kv_scan_prefix(self, request: Request) -> Response:
         """One server-side prefix walk: filter, cap, and ship only matches.
 
-        The scan-offload read op.  Unlike ``kv_scan_page`` there is no
-        default item limit — the response is bounded by bytes (and any
-        explicit ``limit``), so a typical prefix region arrives in one round
-        trip; oversized regions set ``truncated`` and the client resumes
-        from the last returned key.  With the ``range`` flag only keys in
+        There is no default item limit — the response is bounded by bytes
+        (and any explicit ``limit``), so a typical prefix region arrives in
+        one round trip; oversized regions set ``truncated`` and the client
+        resumes from the last returned key.  With the ``range`` flag only keys in
         ``[lo, hi]`` (inclusive) are served: the node walks key/size pairs
         first and fetches just the matching values, so filtered-out values
         never leave the backend at all.
@@ -355,8 +296,8 @@ class StorageNodeServer:
     """One remote storage node: a local store behind the pipelined TCP wire.
 
     Reuses :class:`~repro.net.server.TimeCryptTCPServer` unchanged — the
-    leader/followers serving threads, bounded handler slots, v1/v2 framing,
-    and ``hello`` negotiation all come for free; only the dispatcher differs.  Stopping
+    leader/followers serving threads, bounded handler slots, framing, and
+    ``hello`` negotiation all come for free; only the dispatcher differs.  Stopping
     the server does *not* close the store (the store is the node's disk);
     restart the node on the same port with a fresh ``StorageNodeServer``
     around the same store and reconnecting clients resume where they were.
@@ -370,7 +311,6 @@ class StorageNodeServer:
         max_workers: int = 4,
         credit_window: int = DEFAULT_CREDIT_WINDOW,
         bulk_queue_limit: int = DEFAULT_BULK_QUEUE_LIMIT,
-        zero_copy: bool = True,
         wire_compression: bool = False,
         node_name: Optional[str] = None,
         tracing: bool = True,
@@ -387,7 +327,6 @@ class StorageNodeServer:
             dispatcher=self._dispatcher,
             credit_window=credit_window,
             bulk_queue_limit=bulk_queue_limit,
-            zero_copy=zero_copy,
             wire_compression=wire_compression,
             node_name=node_name,
             tracing=tracing,

@@ -1,8 +1,8 @@
 """A KeyValueStore client for a remote :class:`StorageNodeServer`.
 
 :class:`RemoteKeyValueStore` implements the full
-:class:`~repro.storage.kv.KeyValueStore` contract over the pipelined
-framing-v2 wire protocol (the ``kv_*`` op family), so a
+:class:`~repro.storage.kv.KeyValueStore` contract over the pipelined wire
+protocol (the ``kv_*`` op family), so a
 :class:`~repro.storage.cluster.StorageCluster` can use it as a node
 ``store_factory`` and replicate across real sockets.  Design points:
 
@@ -12,14 +12,13 @@ framing-v2 wire protocol (the ``kv_*`` op family), so a
   parts go out back-to-back through the transport's ``call_many`` — still a
   single wire round trip.  Combined with the cluster's per-node grouping, a
   cluster batch of n keys costs one round trip per owning node, not n·RF.
-* **Streaming scans, offloaded when possible.**  ``scan_prefix`` is a
+* **Streaming scans, filtered on the node.**  ``scan_prefix`` is a
   generator that streams the keyspace on demand without materializing it
-  client-side or hitting the frame cap.  Against a peer that advertises
-  ``kv_scan_prefix`` it pulls byte-capped *regions* (one round trip for a
-  typical prefix, range filters applied on the node); against an older
-  peer it falls back to fixed-size ``kv_scan_page`` pages.  Likewise
-  ``delete_prefix`` is one ``kv_delete_prefix`` round trip on a current
-  peer and a paged scan-then-``multi_delete`` walk on an old one.
+  client-side or hitting the frame cap: it pulls ``kv_scan_prefix``
+  *regions* of at most ``scan_page_size`` items (one round trip for a
+  typical prefix, range filters applied on the node, so skipped keys never
+  cross the wire).  ``delete_prefix`` is one ``kv_delete_prefix`` round
+  trip whatever the keyspace size.
 * **Failures are node outages.**  Connection refusal, timeouts, dropped
   sockets, and transport-level protocol errors all surface as
   :class:`~repro.exceptions.StorageError`, which is exactly what the
@@ -72,9 +71,7 @@ class RemoteKeyValueStore(KeyValueStore):
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         max_keys_per_request: int = DEFAULT_MAX_KEYS_PER_REQUEST,
         reconnect: bool = True,
-        prefix_ops: bool = True,
         overload_retries: int = 4,
-        zero_copy: bool = True,
         compression: bool = False,
         tracing: bool = False,
     ) -> None:
@@ -87,18 +84,12 @@ class RemoteKeyValueStore(KeyValueStore):
         #: Transport-level retry budget for typed ``overloaded`` sheds; once
         #: exhausted, the shed surfaces here and is wrapped as StorageError.
         self._overload_retries = max(0, int(overload_retries))
-        #: When False, never use the kv_scan_prefix / kv_delete_prefix
-        #: offload ops even against a peer that advertises them — the
-        #: legacy-pager escape hatch (and the before/after lever the
-        #: sharding benchmark uses to measure the offload).
-        self._prefix_ops = prefix_ops
         self._address = (host, port)
         self._timeout = timeout
         self._scan_page_size = scan_page_size
         self._max_request_bytes = max_request_bytes
         self._max_keys_per_request = max_keys_per_request
         self._reconnect = reconnect
-        self._zero_copy = zero_copy
         self._compression = compression
         self._client: Optional[RemoteServerClient] = None
         self._client_lock = threading.Lock()
@@ -131,7 +122,6 @@ class RemoteKeyValueStore(KeyValueStore):
                 self._address[1],
                 timeout=self._timeout,
                 overload_retries=self._overload_retries,
-                zero_copy=self._zero_copy,
                 compression=self._compression,
                 tracing=self._tracing,
             )
@@ -140,17 +130,6 @@ class RemoteKeyValueStore(KeyValueStore):
                 f"storage node {self._address} unreachable: {exc}"
             ) from exc
         client.wire_stats = self.wire_stats
-        if client.protocol_version != 2:
-            # The transport's v1 fallback fires when the peer drops
-            # the connection mid-hello — which is what a *restarting*
-            # storage node looks like.  There is no v1 mode for the
-            # kv_* ops, so treat it as the outage it is (retryable,
-            # cluster marks the node down), not a config error.
-            client.close()
-            raise StorageError(
-                f"storage node {self._address} did not complete v2 negotiation "
-                "(node restarting or v1-only peer)"
-            )
         if not client.supports_operation("kv_multi_put"):
             client.close()
             # A reachable peer of the wrong tier is a topology /
@@ -220,8 +199,9 @@ class RemoteKeyValueStore(KeyValueStore):
                 continue
             except ProtocolError:
                 # Raised locally by frame encoding (e.g. a single value past
-                # the 64 MiB cap): a deterministic caller error no reconnect
-                # can fix.  Propagate it unchanged — wrapping it in
+                # the 64 MiB cap) or by a peer that is not a storage node: a
+                # deterministic error no reconnect can fix.  Propagate it
+                # unchanged — wrapping it in
                 # StorageError would make the cluster mark a healthy node
                 # down and replay the same failure on every replica.
                 raise
@@ -339,17 +319,6 @@ class RemoteKeyValueStore(KeyValueStore):
 
     # -- scans / sizing ------------------------------------------------------------
 
-    def _offload_supported(self, operation: str) -> bool:
-        """Whether the scan-offload fast path applies for ``operation``."""
-        if not self._prefix_ops:
-            return False
-        try:
-            return self._ensure_client().supports_operation(operation)
-        except StorageError:
-            # Node unreachable: claim support and let the actual call do the
-            # reconnect-retry dance (and surface the outage as usual).
-            return True
-
     def _scan(
         self,
         prefix: bytes,
@@ -358,39 +327,12 @@ class RemoteKeyValueStore(KeyValueStore):
         lo: Optional[bytes] = None,
         hi: Optional[bytes] = None,
     ):
-        """The chooser behind all scan flavours: offload when the peer can.
+        """The ``kv_scan_prefix`` walk behind all scan flavours.
 
         Yields ``(key, value_length)`` pairs when ``keys_only`` else
-        ``(key, value)`` pairs, optionally restricted to ``lo <= key <= hi``.
-        """
-        if self._offload_supported("kv_scan_prefix"):
-            yield from self._offload_scan(prefix, after, keys_only, lo, hi)
-            return
-        scan = self._paged_scan(prefix, after, keys_only)
-        if lo is None:
-            yield from scan
-            return
-        # Legacy peer: the range filter runs client-side, which still stops
-        # the page walk at the first key past ``hi``.
-        for key, payload in scan:
-            if key > hi:
-                return
-            if key >= lo:
-                yield key, payload
-
-    def _offload_scan(
-        self,
-        prefix: bytes,
-        after: Optional[bytes],
-        keys_only: bool,
-        lo: Optional[bytes],
-        hi: Optional[bytes],
-    ):
-        """The ``kv_scan_prefix`` fast path: node-side filtering per region.
-
-        ``scan_page_size`` still bounds the items per round trip (laziness is
-        part of the scan contract); the win over ``kv_scan_page`` is that
-        range filters run on the node, so skipped keys never cross the wire.
+        ``(key, value)`` pairs, optionally restricted to ``lo <= key <= hi``
+        (filtered on the node).  ``scan_page_size`` bounds the items per
+        round trip — laziness is part of the scan contract.
         """
         while True:
             args: Dict = {"limit": self._scan_page_size}
@@ -417,30 +359,8 @@ class RemoteKeyValueStore(KeyValueStore):
                 raise ProtocolError("kv_scan_prefix returned a truncated empty region")
             after = blobs[-1] if keys_only else blobs[-2]
 
-    def _paged_scan(self, prefix: bytes, after: Optional[bytes], keys_only: bool):
-        """The legacy ``kv_scan_page`` pager (peers without scan offload).
-
-        ``keys_only`` pages yield ``(key, value_length)`` pairs (lengths
-        travel as integers in the header); value pages yield ``(key,
-        value)`` pairs.
-        """
-        args = {"limit": self._scan_page_size}
-        if keys_only:
-            args["keys_only"] = True
-        while True:
-            attachments = [prefix] if after is None else [prefix, after]
-            response = self._call(Request("kv_scan_page", dict(args), attachments))
-            blobs = [retain(blob) for blob in response.attachments]
-            if keys_only:
-                yield from zip(blobs, response.result.get("value_bytes", ()))
-            else:
-                yield from zip(blobs[0::2], blobs[1::2])
-            if not response.result.get("truncated"):
-                return
-            after = blobs[-1] if keys_only else blobs[-2]
-
     def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """Stream ``(key, value)`` pairs lazily; one round trip per region/page."""
+        """Stream ``(key, value)`` pairs lazily; one round trip per region."""
         return self._scan(prefix, None, keys_only=False)
 
     def scan_from(
@@ -449,8 +369,8 @@ class RemoteKeyValueStore(KeyValueStore):
         return self._scan(prefix, after, keys_only=False)
 
     def scan_range(self, prefix: bytes, lo: bytes, hi: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """Range-filtered scan: on a current peer the filter runs node-side,
-        so only keys in ``[lo, hi]`` ever cross the wire."""
+        """Range-filtered scan: the filter runs node-side, so only keys in
+        ``[lo, hi]`` ever cross the wire."""
         return self._scan(prefix, None, keys_only=False, lo=lo, hi=hi)
 
     def scan_keys(self, prefix: bytes) -> Iterator[bytes]:
@@ -477,29 +397,12 @@ class RemoteKeyValueStore(KeyValueStore):
         return self.delete_prefixes([prefix])
 
     def delete_prefixes(self, prefixes: Iterable[bytes]) -> int:
-        """Erase whole keyspaces in one ``kv_delete_prefix`` round trip.
-
-        Against a peer that predates the op, fall back to the client-driven
-        walk: stream the keys and ``multi_delete`` them in request-sized
-        batches (the O(pages) behaviour the offload exists to remove).
-        """
+        """Erase whole keyspaces in one ``kv_delete_prefix`` round trip."""
         materialized = list(prefixes)
         if not materialized:
             return 0
-        if self._offload_supported("kv_delete_prefix"):
-            response = self._call(Request("kv_delete_prefix", {}, materialized))
-            return int(response.result["deleted"])
-        deleted = 0
-        for prefix in materialized:
-            batch: List[bytes] = []
-            for key in self.scan_keys(prefix):
-                batch.append(key)
-                if len(batch) >= self._max_keys_per_request:
-                    deleted += len(self.multi_delete(batch))
-                    batch = []
-            if batch:
-                deleted += len(self.multi_delete(batch))
-        return deleted
+        response = self._call(Request("kv_delete_prefix", {}, materialized))
+        return int(response.result["deleted"])
 
     def count_prefix(self, prefix: bytes) -> int:
         return sum(1 for _ in self.scan_keys(prefix))

@@ -411,42 +411,6 @@ def test_created_stream_pins_resolved_prg(owner):
     assert persisted in available_prgs()
 
 
-def test_remote_client_downgrades_without_bulk_wire_op(monkeypatch, small_config):
-    """A new client against an old server falls back to per-chunk ingest.
-
-    A pre-bulk server rejects the op in ``Request.decode`` — its OPERATIONS
-    tuple lacks ``insert_chunks`` — so the dispatch below reproduces the exact
-    error response ("unknown operation ...") such a server puts on the wire.
-    """
-    from repro.exceptions import ProtocolError
-    from repro.net.client import RemoteServerClient
-    from repro.net.messages import Response
-    from repro.net.server import RequestDispatcher, TimeCryptTCPServer
-    from repro.core.timecrypt import TimeCrypt as TC
-
-    original_dispatch = RequestDispatcher.dispatch
-
-    def old_server_dispatch(self, request):
-        if request.operation == "insert_chunks":
-            return Response.failure(ProtocolError("unknown operation 'insert_chunks'"))
-        return original_dispatch(self, request)
-
-    monkeypatch.setattr(RequestDispatcher, "dispatch", old_server_dispatch)
-    engine = ServerEngine()
-    with TimeCryptTCPServer(engine) as tcp:
-        host, port = tcp.address
-        with RemoteServerClient(host, port) as remote:
-            owner = TC(server=remote, owner_id="compat")
-            uuid = owner.create_stream(metric="m", config=small_config)
-            owner.insert_records(uuid, [(t * 100, 2.0) for t in range(100)])
-            owner.flush(uuid)
-            # The failed round trip strips the op from the negotiated set.
-            assert not remote.supports_operation("insert_chunks")
-            assert remote.stream_head(uuid) == 10
-            stats = owner.get_stat_range(uuid, 0, 10_000, operators=("count", "sum"))
-            assert stats == {"count": 100, "sum": 200.0}
-
-
 def test_plaintext_bulk_ingest_matches_scalar():
     config = StreamConfig(chunk_interval=1_000, index_fanout=4)
     scalar = PlaintextTimeSeriesStore()

@@ -38,6 +38,14 @@ def test_every_manifest_path_exists_in_committed_baselines():
                 )
 
 
+def test_no_manifest_path_gates_a_frozen_historical_row():
+    """``historical`` blocks record deleted arms; nothing re-measures them."""
+    for name, (_file, checks) in gate.MANIFEST.items():
+        for _kind, first, second in checks:
+            for path in filter(None, (first, second)):
+                assert "legacy" not in path and not path.startswith("historical"), (name, path)
+
+
 def test_identical_results_pass():
     for name in gate.MANIFEST:
         committed = _committed(name)

@@ -399,11 +399,7 @@ class TestScanOffload:
         assert [key for key, _value in got] == [f"k/{i:03d}".encode() for i in range(5, 13)]
         assert [value for _key, value in got] == [bytes([i]) for i in range(5, 13)]
         assert remote.wire_stats.round_trips == 1
-        # Legacy peers fall back to a client-side filter with equal results.
-        legacy = RemoteKeyValueStore(host, port, timeout=5.0, prefix_ops=False)
-        assert list(legacy.scan_range(b"k/", b"k/005", b"k/012")) == got
         remote.close()
-        legacy.close()
 
     def test_delete_prefix_is_one_round_trip(self, node):
         host, port = node.address
@@ -415,18 +411,6 @@ class TestScanOffload:
         assert remote.wire_stats.round_trips == 1
         assert len(node.store) == 0
         remote.close()
-
-    def test_legacy_delete_prefix_pages_the_keyspace(self, node):
-        host, port = node.address
-        legacy = RemoteKeyValueStore(host, port, timeout=5.0, prefix_ops=False, scan_page_size=8)
-        legacy.multi_put([(f"d/{index:03d}".encode(), b"x") for index in range(64)])
-        legacy.wire_stats.reset()
-        assert legacy.delete_prefix(b"d/") == 64
-        # 64 keys at 8 per page: the walk alone is 8 round trips, plus the
-        # delete — exactly the O(keyspace) cost the offload removes.
-        assert legacy.wire_stats.round_trips >= 8
-        assert len(node.store) == 0
-        legacy.close()
 
     def test_delete_stream_round_trips_independent_of_keyspace(self, node):
         host, port = node.address

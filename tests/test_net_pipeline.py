@@ -1,20 +1,23 @@
-"""Tests for the pipelined v2 wire protocol and its batch fast paths.
+"""Tests for the pipelined wire protocol and its batch fast paths.
 
-Covers the framing v2 header and incremental assembler, out-of-order
-response correlation, ``call_many``/``pipeline()`` batching, mid-batch
-error isolation, v1 interop and ``hello`` negotiation (including the
-fallback against a v1-only lockstep server), concurrent clients against
-the bounded-worker-pool server, thread-pooled cluster fan-out fault paths,
-and the batched token-store / grant-burst plumbing.
+Covers the frame header and incremental assembler (every cut point, the
+frame cap, typed version/magic errors), out-of-order response correlation,
+``call_many``/``pipeline()`` batching, mid-batch error isolation, ``hello``
+negotiation against hostile and broken peers (no fallback wire exists: a
+peer that is not a protocol-2 server fails the constructor, typed, with the
+socket closed), concurrent clients against the bounded-worker-pool server,
+thread-pooled cluster fan-out fault paths, and the batched token-store /
+grant-burst plumbing.
 """
 
 from __future__ import annotations
 
 import io
 import socket
+import struct
 import threading
 import time
-from typing import Optional
+from typing import Callable, List
 
 import pytest
 
@@ -27,77 +30,99 @@ from repro.exceptions import (
     ProtocolError,
     StorageError,
     StreamNotFoundError,
-    TimeCryptError,
     TransportError,
 )
 from repro.net.client import RemoteServerClient
 from repro.net.framing import (
+    HEADER_BYTES,
+    MAX_FRAME_BYTES,
     Frame,
     FrameAssembler,
-    encode_frame,
-    encode_frame_v2,
-    read_any_frame,
-    read_frame,
-    write_frame,
-    write_frame_v2,
+    FrameReader,
+    encode_frame_segments_v2,
 )
 from repro.net.messages import Request, Response
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer
+from repro.obs.metrics import REGISTRY
 from repro.storage.cluster import StorageCluster
 from repro.storage.memory import MemoryStore
 from repro.util.blocking import before_blocking
 from repro.util.timeutil import TimeRange
 
 
-class TestFramingV2:
-    def test_v2_roundtrip_over_stream(self):
-        buffer = io.BytesIO()
-        write_frame_v2(buffer, 0xDEADBEEF, b"payload")
-        buffer.seek(0)
-        frame = read_any_frame(buffer)
-        assert frame == Frame(version=2, correlation_id=0xDEADBEEF, payload=b"payload")
+def _frame(correlation_id: int, payload: bytes) -> bytes:
+    """One whole frame as bytes (tests splice, truncate and corrupt these)."""
+    return b"".join(encode_frame_segments_v2(correlation_id, [payload]))
 
-    def test_read_any_frame_accepts_v1(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, b"legacy")
-        buffer.seek(0)
-        frame = read_any_frame(buffer)
-        assert frame.version == 1 and frame.correlation_id == 0 and frame.payload == b"legacy"
 
-    def test_correlation_id_range_checked(self):
-        with pytest.raises(ProtocolError):
-            encode_frame_v2(1 << 64, b"")
-        with pytest.raises(ProtocolError):
-            encode_frame_v2(-1, b"")
+def _header(magic: bytes, version: int, correlation_id: int, length: int) -> bytes:
+    return struct.pack(">2sBQI", magic, version, correlation_id, length)
+
+
+class TestFraming:
+    def test_roundtrip_over_stream(self):
+        frame = FrameReader(io.BytesIO(_frame(0xDEADBEEF, b"payload"))).read()
+        assert frame == Frame(correlation_id=0xDEADBEEF, payload=b"payload")
+        assert isinstance(frame.payload, memoryview) and frame.payload.readonly
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(ProtocolError):
-            read_any_frame(io.BytesIO(b"XX\x00\x00\x00\x00\x00"))
+        with pytest.raises(ProtocolError, match="bad frame magic"):
+            FrameReader(io.BytesIO(b"XX" + bytes(HEADER_BYTES))).read()
+
+    def test_retired_tc_framing_is_bad_magic(self):
+        """The old lockstep header (``TC`` + 4-byte length) is just garbage now."""
+        wire = b"TC" + struct.pack(">I", 4) + b"ping" + bytes(HEADER_BYTES)
+        with pytest.raises(ProtocolError, match="bad frame magic"):
+            FrameReader(io.BytesIO(wire)).read()
+        with pytest.raises(ProtocolError, match="bad frame magic"):
+            FrameAssembler().feed(wire[:2])  # rejected at the magic, not at 15 bytes
+
+    def test_every_split_point_yields_the_same_frames(self):
+        """Cut a 3-frame stream anywhere into two feeds: same frames out."""
+        wire = _frame(7, b"first") + _frame(8, b"") + _frame(2**64 - 1, b"third" * 9)
+        expected = [(7, b"first"), (8, b""), (2**64 - 1, b"third" * 9)]
+        for cut in range(len(wire) + 1):
+            assembler = FrameAssembler()
+            frames = assembler.feed(wire[:cut]) + assembler.feed(wire[cut:])
+            assert [(f.correlation_id, bytes(f.payload)) for f in frames] == expected, cut
 
     def test_assembler_reassembles_byte_by_byte(self):
-        wire = (
-            encode_frame_v2(7, b"first")
-            + encode_frame(b"legacy")
-            + encode_frame_v2(9, b"third")
-        )
+        wire = _frame(7, b"first") + _frame(9, b"third")
         assembler = FrameAssembler()
         frames = []
         for index in range(len(wire)):
             frames.extend(assembler.feed(wire[index : index + 1]))
-        assert [(f.version, f.correlation_id, f.payload) for f in frames] == [
-            (2, 7, b"first"),
-            (1, 0, b"legacy"),
-            (2, 9, b"third"),
-        ]
+        assert [(f.correlation_id, f.payload) for f in frames] == [(7, b"first"), (9, b"third")]
 
     def test_assembler_returns_multiple_frames_per_feed(self):
-        wire = encode_frame_v2(1, b"a") + encode_frame_v2(2, b"b")
-        frames = FrameAssembler().feed(wire)
+        frames = FrameAssembler().feed(_frame(1, b"a") + _frame(2, b"b"))
         assert [frame.correlation_id for frame in frames] == [1, 2]
 
     def test_assembler_rejects_garbage(self):
         with pytest.raises(ProtocolError):
             FrameAssembler().feed(b"nonsense")
+
+    def test_oversized_length_rejected_before_allocation(self):
+        """``MAX_FRAME_BYTES + 1`` in the length field: typed, nothing allocated."""
+        header = _header(b"T2", 2, 1, MAX_FRAME_BYTES + 1)
+        assembler = FrameAssembler()
+        with pytest.raises(ProtocolError, match="exceeds"):
+            assembler.feed(header)
+        assert len(assembler._payload) == 0
+        with pytest.raises(ProtocolError, match="exceeds"):
+            FrameReader(io.BytesIO(header)).read()
+        # Exactly at the cap the header is accepted and the payload awaited.
+        at_cap = FrameAssembler()
+        assert at_cap.feed(_header(b"T2", 2, 1, MAX_FRAME_BYTES)) == []
+        assert len(at_cap._payload) == MAX_FRAME_BYTES
+
+    @pytest.mark.parametrize("version", [0, 1, 3, 255])
+    def test_unknown_version_byte_is_typed(self, version):
+        header = _header(b"T2", version, 1, 0)
+        with pytest.raises(ProtocolError, match="unsupported frame version"):
+            FrameAssembler().feed(header)
+        with pytest.raises(ProtocolError, match="unsupported frame version"):
+            FrameReader(io.BytesIO(header)).read()
 
 
 class _SlowPingDispatcher(RequestDispatcher):
@@ -112,12 +137,12 @@ class _SlowPingDispatcher(RequestDispatcher):
 
 
 class TestPipelinedTransport:
-    def test_hello_negotiates_v2_and_operations(self):
+    def test_hello_negotiates_operations(self):
         engine = ServerEngine()
         with TimeCryptTCPServer(engine) as server:
             host, port = server.address
             with RemoteServerClient(host, port) as remote:
-                assert remote.protocol_version == 2
+                assert remote.hello_info["protocol"] == 2
                 assert remote.supports_operation("insert_chunks")
                 assert remote.supports_operation("put_grants")
                 assert not remote.supports_operation("drop_everything")
@@ -317,131 +342,175 @@ class TestPipelinedTransport:
                 assert results == [4] * (8 * 20)
 
 
-class _V1OnlyServer:
-    """A lockstep v1-only peer: rejects v2 frames by dropping the connection."""
+class _FakePeer:
+    """A listener running ``script(sock)`` on each accepted connection."""
 
-    def __init__(self, engine: ServerEngine) -> None:
-        self._dispatcher = RequestDispatcher(engine)
+    def __init__(self, script: Callable[[socket.socket], None]) -> None:
+        self._script = script
         self._listener = socket.create_server(("127.0.0.1", 0))
-        self._thread: Optional[threading.Thread] = None
-        self._running = False
+        self._listener.settimeout(0.05)  # close() alone does not wake accept()
+        self._running = True
+        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self.accepts = 0
+        #: Set once a connection's script returned (the scripts below return
+        #: when they read EOF or after they hung up themselves).
+        self.done = threading.Event()
 
     @property
     def address(self):
         return self._listener.getsockname()
 
-    def __enter__(self) -> "_V1OnlyServer":
-        self._running = True
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+    def __enter__(self) -> "_FakePeer":
         self._thread.start()
         return self
 
     def __exit__(self, *_exc_info: object) -> None:
         self._running = False
+        self._thread.join(timeout=5)
         self._listener.close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
 
     def _accept_loop(self) -> None:
         while self._running:
             try:
                 sock, _address = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(sock,), daemon=True).start()
-
-    def _serve(self, sock: socket.socket) -> None:
-        with sock:
-            while True:
+            except socket.timeout:
+                continue
+            self.accepts += 1
+            with sock:
+                sock.settimeout(5)
                 try:
-                    payload = read_frame(sock)
-                except (TimeCryptError, OSError):
-                    return  # v2 magic or EOF: a v1-only peer just hangs up
-                try:
-                    response = self._dispatcher.dispatch(Request.decode(payload))
-                except TimeCryptError as exc:
-                    response = Response.failure(exc)
-                try:
-                    write_frame(sock, response.encode())
+                    self._script(sock)
                 except OSError:
-                    return
+                    pass
+            self.done.set()
 
 
-class TestVersionInterop:
-    def test_v1_client_against_new_server(self, small_config):
-        """A forced-v1 lockstep client gets correct results from the v2 server."""
-        engine = ServerEngine()
-        with TimeCryptTCPServer(engine) as server:
-            host, port = server.address
-            with RemoteServerClient(host, port, protocol_version=1) as remote:
-                assert remote.protocol_version == 1
-                owner = TimeCrypt(server=remote, owner_id="alice")
-                uuid = owner.create_stream(metric="hr", config=small_config)
-                records = [(t, float(50 + t % 40)) for t in range(0, 10_000, 100)]
-                owner.insert_records(uuid, records)
-                owner.flush(uuid)
-                assert remote.stream_head(uuid) == 10
-                stats = owner.get_stat_range(uuid, 0, 10_000, operators=("count", "sum"))
-                assert stats["count"] == len(records)
-                # Lockstep: every request was its own round trip.
-                assert remote.wire_stats.round_trips == remote.wire_stats.requests_sent
+def _read_until_eof(sock: socket.socket) -> None:
+    while sock.recv(4096):
+        pass
 
-    def test_raw_v1_frames_against_new_server(self):
-        """A hand-rolled v1 exchange (no client class) still works."""
-        engine = ServerEngine()
-        with TimeCryptTCPServer(engine) as server:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                write_frame(sock, Request("ping").encode())
-                response = Response.decode(read_frame(sock))
-                assert response.ok and response.result["pong"] is True
 
-    def test_v1_responses_stay_in_request_order(self):
-        """Pipelined v1 frames must be answered strictly in order."""
-        engine = ServerEngine()
-        dispatcher = _SlowPingDispatcher(engine)
-        with TimeCryptTCPServer(engine, dispatcher=dispatcher) as server:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=10) as sock:
-                # Two v1 requests back to back: the first sleeps, the second
-                # does not.  The slow response must still arrive first.
-                sock.sendall(
-                    encode_frame(Request("ping", {"sleep_ms": 300}).encode())
-                    + encode_frame(Request("ping").encode())
-                )
-                first = Response.decode(read_frame(sock))
-                second = Response.decode(read_frame(sock))
-                assert first.result["slept_ms"] == 300
-                assert second.result["slept_ms"] == 0
+def _hang_up_on_hello(sock: socket.socket) -> None:
+    sock.recv(4096)
 
-    def test_negotiation_falls_back_to_v1_only_peer(self, small_config):
-        """Against a v1-only lockstep server the client downgrades and works."""
-        engine = ServerEngine()
-        with _V1OnlyServer(engine) as server:
-            host, port = server.address
-            with RemoteServerClient(host, port) as remote:
-                assert remote.protocol_version == 1
-                owner = TimeCrypt(server=remote, owner_id="alice")
-                uuid = owner.create_stream(metric="hr", config=small_config)
-                owner.insert_records(uuid, [(t, 1.0) for t in range(0, 3_000, 100)])
-                owner.flush(uuid)
-                assert remote.stream_head(uuid) == 3
-                stats = owner.get_stat_range(uuid, 0, 3_000, operators=("count",))
-                assert stats["count"] == 30
 
-    def test_unknown_protocol_version_rejected(self):
-        with pytest.raises(ProtocolError):
-            RemoteServerClient("127.0.0.1", 1, protocol_version=3)
+def _answer_hello_with(result: dict) -> Callable[[socket.socket], None]:
+    def script(sock: socket.socket) -> None:
+        hello = FrameReader(sock).read()
+        sock.sendall(_frame(hello.correlation_id, Response.success(result).encode()))
+        _read_until_eof(sock)
+
+    return script
+
+
+def _wire_keys(host: str, port: int) -> List[str]:
+    return [name for name in REGISTRY.snapshot() if name.startswith(f"client.wire[{host}:{port}]")]
+
+
+class TestNegotiationFailures:
+    """No peer of this client speaks anything but protocol 2: a failed
+    ``hello`` is a typed constructor error that leaves nothing behind."""
 
     def test_negotiation_timeout_raises_instead_of_downgrading(self):
-        """A silent peer (slow, not v1) must raise, not pin the session to v1."""
-        listener = socket.create_server(("127.0.0.1", 0))
-        try:
-            host, port = listener.getsockname()
-            with pytest.raises(TransportError):
+        """A silent peer: typed, and the client closes its own socket at once."""
+        with _FakePeer(_read_until_eof) as peer:
+            host, port = peer.address
+            with pytest.raises(TransportError, match="timed out") as caught:
                 RemoteServerClient(host, port, timeout=0.3)
-        finally:
-            listener.close()
+            # ``caught`` still holds the exception, its traceback and through
+            # it the half-built client: the EOF below is the constructor
+            # closing the socket itself, not the garbage collector.
+            assert peer.done.wait(1.0), "the client left its socket open"
+            assert caught.value is not None
+            assert _wire_keys(host, port) == []
+
+    def test_peer_hanging_up_on_hello_is_not_redialled(self):
+        with _FakePeer(_hang_up_on_hello) as peer:
+            host, port = peer.address
+            with pytest.raises(TransportError):
+                RemoteServerClient(host, port, timeout=2.0)
+            assert peer.done.wait(1.0)
+            time.sleep(0.2)  # a second dial would have been accepted by now
+            assert peer.accepts == 1
+            assert _wire_keys(host, port) == []
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            {"protocol": 1, "operations": ["ping"]},
+            {"protocol": 2},
+            {"protocol": "2", "operations": ["ping"]},
+            {"protocol": 2, "operations": "ping"},
+        ],
+    )
+    def test_hello_without_protocol_2_and_operations_is_refused(self, result):
+        with _FakePeer(_answer_hello_with(result)) as peer:
+            host, port = peer.address
+            with pytest.raises(ProtocolError, match="did not answer hello") as caught:
+                RemoteServerClient(host, port, timeout=2.0)
+            assert peer.done.wait(1.0), "the client left its socket open"
+            assert caught.value is not None
+            assert peer.accepts == 1
+            assert _wire_keys(host, port) == []
+
+    def test_unparseable_hello_answer_is_typed(self):
+        def script(sock: socket.socket) -> None:
+            sock.recv(4096)
+            sock.sendall(b"TC" + struct.pack(">I", 4) + b"nope" + bytes(HEADER_BYTES))
+            _read_until_eof(sock)
+
+        with _FakePeer(script) as peer:
+            host, port = peer.address
+            with pytest.raises(ProtocolError, match="bad frame magic"):
+                RemoteServerClient(host, port, timeout=2.0)
+            assert peer.done.wait(1.0)
+            assert peer.accepts == 1
+
+
+def _closed_by_peer(sock: socket.socket, within: float = 1.0) -> bool:
+    """True if the peer closes (EOF or reset) the connection within ``within`` s."""
+    sock.settimeout(within)
+    try:
+        return sock.recv(4096) == b""
+    except ConnectionError:
+        return True
+    except socket.timeout:
+        return False
+
+
+class TestHostileBytesAgainstLiveServer:
+    """Bytes that are not a frame close that connection — and only that one."""
+
+    @pytest.mark.parametrize(
+        "hostile",
+        [
+            # A well-formed frame of the retired lockstep framing.
+            b"TC" + struct.pack(">I", len(Request("ping").encode())) + Request("ping").encode(),
+            b"\x00garbage!!!",  # 11 bytes: shorter than a header
+        ],
+        ids=["retired-TC-frame", "11-byte-garbage"],
+    )
+    def test_connection_closed_and_server_unharmed(self, hostile):
+        engine = ServerEngine()
+        with TimeCryptTCPServer(engine, node_name="hostile-bytes") as server:
+            host, port = server.address
+            with RemoteServerClient(host, port) as bystander:
+                with socket.create_connection((host, port), timeout=5) as sock:
+                    sock.sendall(hostile)
+                    assert _closed_by_peer(sock), "the server kept a non-frame connection open"
+                assert bystander.ping()
+            deadline = time.monotonic() + 1.0
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._connections == set()
+            stats = REGISTRY.snapshot()["server.scheduler[hostile-bytes]"]
+            assert stats["enqueued_interactive"] == stats["dispatched_interactive"]
+            assert stats["enqueued_bulk"] == stats["dispatched_bulk"] == 0
+            assert stats["shed_interactive"] == stats["shed_bulk"] == 0
+            scheduler = server._scheduler
+            assert not scheduler._queues["interactive"] and not scheduler._queues["bulk"]
+            assert scheduler._active == 0
 
 
 class _FlakyStore(MemoryStore):

@@ -306,20 +306,6 @@ def test_error_spans_record_the_error_type():
     assert statuses["client"] == "StreamNotFoundError"
 
 
-def test_v1_lockstep_client_with_tracing_is_harmless():
-    """A forced-v1 client attaches the trace key; the server drops it cleanly."""
-    engine = ServerEngine()
-    with TimeCryptTCPServer(engine) as server:
-        host, port = server.address
-        with RemoteServerClient(host, port, protocol_version=1, tracing=True) as remote:
-            assert remote.protocol_version == 1
-            assert remote.ping()
-            # No protocol error, correct results, and the un-negotiated
-            # connection produced no server spans.
-    spans = SPANS.spans()
-    assert all(span["kind"] == "client" for span in spans)
-
-
 def test_tracing_rides_compressed_frames():
     engine = ServerEngine()
     with TimeCryptTCPServer(engine, wire_compression=True, node_name="zip") as server:

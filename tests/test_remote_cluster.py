@@ -174,7 +174,7 @@ class TestKVWireOps:
             with pytest.raises(ProtocolError):
                 client._call(Request("kv_put", {}, [b"key-without-value"]))
             with pytest.raises(ProtocolError):
-                client._call(Request("kv_scan_page", {"limit": 0}, [b""]))
+                client._call(Request("kv_scan_prefix", {"limit": 0}, [b""]))
             with pytest.raises(ProtocolError):
                 client._call(Request("kv_get", {}, []))
 
@@ -263,14 +263,14 @@ class TestKVWireOps:
         host, port = node.address
         with RemoteServerClient(host, port, timeout=5.0) as client:
             with pytest.raises(ProtocolError, match="dispatch"):
-                client._call(Request("kv_scan_page", {"limit": "not-a-number"}, [b""]))
+                client._call(Request("kv_scan_prefix", {"limit": "not-a-number"}, [b""]))
             assert client.ping()  # connection unharmed
 
     def test_malformed_frame_header_gets_a_typed_error_not_dead_air(self, node):
         import json
         import socket as socket_module
 
-        from repro.net.framing import encode_frame_v2, read_any_frame
+        from repro.net.framing import FrameReader, encode_frame_segments_v2
         from repro.net.messages import Response
 
         host, port = node.address
@@ -281,8 +281,8 @@ class TestKVWireOps:
 
         payload = encode_varint(len(header)) + header
         with socket_module.create_connection((host, port), timeout=5.0) as sock:
-            sock.sendall(encode_frame_v2(7, payload))
-            frame = read_any_frame(sock)
+            sock.sendall(b"".join(encode_frame_segments_v2(7, [payload])))
+            frame = FrameReader(sock).read()
             assert frame.correlation_id == 7
             response = Response.decode(frame.payload)
             assert not response.ok
@@ -673,18 +673,18 @@ class TestRemoteCluster:
         assert cluster.get(b"sv/new") == b"routed-around"
         assert cluster.delete(b"sv/new") is True
 
-    def test_v1_only_peer_is_retryable_outage_not_config_error(self):
-        from test_net_pipeline import _V1OnlyServer
+    def test_peer_dropping_hello_is_retryable_outage_not_config_error(self):
+        from test_net_pipeline import _FakePeer, _hang_up_on_hello
 
-        engine = ServerEngine()
-        with _V1OnlyServer(engine) as server:
-            host, port = server.address
+        with _FakePeer(_hang_up_on_hello) as peer:
+            host, port = peer.address
             store = RemoteKeyValueStore(host, port, timeout=2.0)
-            # The transport's v1 downgrade fires for a dropped-mid-hello
-            # connection — what a restarting node looks like — so it maps
-            # to the retryable StorageError, never the wrong-tier error.
-            with pytest.raises(StorageError, match="negotiation"):
+            # A connection dropped mid-hello is what a restarting node looks
+            # like: the retryable StorageError, never the wrong-tier error.
+            with pytest.raises(StorageError, match="unreachable"):
                 store.get(b"anything")
+            store.close()
+            assert peer.accepts == 2  # the store's one redial, not the transport's
 
     def test_concurrent_fan_out(self, harness):
         cluster = harness.cluster

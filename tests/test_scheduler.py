@@ -25,11 +25,7 @@ import time
 import pytest
 
 from repro import ServerEngine, TimeCrypt
-from repro.exceptions import (
-    OverloadedError,
-    StorageError,
-    StreamNotFoundError,
-)
+from repro.exceptions import OverloadedError, StorageError
 from repro.net.client import RemoteServerClient, _CreditGate
 from repro.net.messages import (
     BULK_OPERATIONS,
@@ -290,18 +286,6 @@ def test_credit_window_never_negative_under_concurrent_call_many():
             assert not errors
             assert remote.credits_available == remote.credit_window == 4
         assert server.scheduler_stats()["max_in_flight"] <= 4
-
-
-def test_v1_lockstep_client_still_served_by_weighted_server():
-    engine = ServerEngine()
-    with TimeCryptTCPServer(engine) as server:
-        host, port = server.address
-        with RemoteServerClient(host, port, protocol_version=1) as remote:
-            assert remote.protocol_version == 1
-            assert remote.credit_window == 0  # no credits on the lockstep wire
-            assert remote.ping()
-            with pytest.raises(StreamNotFoundError):
-                remote.stream_head("missing")
 
 
 # -- sliced giant-ingest dispatch ----------------------------------------------------

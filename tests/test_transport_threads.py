@@ -15,8 +15,7 @@ design has to keep:
   and deadlines hold with nobody else reading;
 - a handler about to wait on another tier gives up leadership first, so
   pings are answered and floods are shed while it is parked;
-- ``max_workers`` still bounds concurrently running handlers and v1
-  replies stay in request order.
+- ``max_workers`` still bounds concurrently running handlers.
 """
 
 from __future__ import annotations
@@ -31,13 +30,7 @@ import pytest
 
 from repro.exceptions import TransportError
 from repro.net.client import RemoteServerClient
-from repro.net.framing import (
-    FrameAssembler,
-    encode_frame,
-    encode_frame_v2,
-    read_any_frame,
-    read_frame,
-)
+from repro.net.framing import FrameAssembler, FrameReader
 from repro.net.messages import OPERATIONS, Request, Response, ShardRoutingTable
 from repro.net.server import TimeCryptTCPServer, WireDispatcher
 from repro.server.router import RouterDispatcher, RoutingTableRef
@@ -46,6 +39,8 @@ from repro.storage.memory import MemoryStore
 from repro.storage.node import StorageNodeServer
 from repro.storage.remote import RemoteKeyValueStore
 from repro.util.blocking import before_blocking
+
+from test_net_pipeline import _frame
 
 _RETIRED_THREAD_NAMES = ("tc-client-reader", "tc-io-loop", "tc-dispatch", "tc-shed")
 
@@ -203,11 +198,9 @@ class _ScriptedPeer:
         except OSError:
             return
         with sock:
-            hello = read_any_frame(sock)
-            reply = Response.success(
-                {"protocol": 2, "operations": list(OPERATIONS), "credits": 16}
-            ).encode()
-            sock.sendall(encode_frame_v2(hello.correlation_id, reply))
+            hello = FrameReader(sock).read()
+            reply = Response.success({"protocol": 2, "operations": list(OPERATIONS), "credits": 16})
+            sock.sendall(_frame(hello.correlation_id, reply.encode()))
             assembler = FrameAssembler()
             frames: List = []
             while len(frames) < self._expect:
@@ -223,7 +216,7 @@ def _hang_up(sock: socket.socket, _frames: List) -> None:
 
 
 def _truncate(sock: socket.socket, frames: List) -> None:
-    whole = encode_frame_v2(frames[0].correlation_id, Response.success({"pong": True}).encode())
+    whole = _frame(frames[0].correlation_id, Response.success({"pong": True}).encode())
     sock.sendall(whole[: len(whole) - 5])
     sock.shutdown(socket.SHUT_RDWR)
 
@@ -472,7 +465,7 @@ def test_leadership_released_while_parked_in_the_router_cross_shard_split():
                 router.close()
 
 
-# -- (g) max_workers still bounds handlers; v1 stays ordered -------------------------
+# -- (g) max_workers still bounds handlers ---------------------------------------------
 
 
 def test_max_workers_one_runs_one_handler_at_a_time():
@@ -501,19 +494,6 @@ def test_max_workers_one_runs_one_handler_at_a_time():
         assert dispatcher.peak == 1
         serving = [t for t in threading.enumerate() if t.name.startswith("tc-serve")]
         assert len(serving) <= 2
-
-
-def test_max_workers_one_keeps_v1_replies_in_request_order():
-    with TimeCryptTCPServer(dispatcher=_SleepyDispatcher(), max_workers=1) as server:
-        with socket.create_connection(server.address, timeout=10) as sock:
-            delays = [120, 0, 40, 0]
-            sock.sendall(
-                b"".join(
-                    encode_frame(Request("ping", {"sleep_ms": delay}).encode()) for delay in delays
-                )
-            )
-            replies = [Response.decode(read_frame(sock)).result["slept_ms"] for _ in delays]
-            assert replies == delays
 
 
 # -- stress: role hand-overs on both ends under a hostile switch interval ------------

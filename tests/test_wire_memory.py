@@ -1,18 +1,21 @@
-"""Tests for the zero-copy wire memory path and negotiated frame compression.
+"""Tests for the wire memory path and negotiated frame compression.
 
-Covers the segment-based encode path (byte identity with the legacy
-join-everything encoding), vectored writes, the view-emitting frame
-assembler and reader (frame-cap edges, v1/v2 interleave, buffer-reuse
-safety for retained views), hostile varint hardening in the message codec,
-the ``hello`` compression negotiation matrix, and the end-to-end retain
-audit (stored attachments survive later traffic over the same buffers).
+Covers the segment-based encode path (byte identity with the golden frames
+in ``tests/fixtures/wire/golden_frames.json``, recorded with the copying
+encoder of the commit named there before it was deleted), vectored writes,
+the view-emitting frame assembler (frame-cap edges, buffer-reuse safety for
+retained views), hostile varint hardening in the message codec, the
+``hello`` compression negotiation matrix, and the end-to-end retain audit
+(stored attachments survive later traffic over the same buffers).
 """
 
 from __future__ import annotations
 
 import io
+import json
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +25,7 @@ from repro.net.client import RemoteServerClient
 from repro.net.framing import (
     MAX_FRAME_BYTES,
     FrameAssembler,
-    encode_frame,
     encode_frame_segments_v2,
-    encode_frame_v2,
     write_vectored,
 )
 from repro.net.messages import (
@@ -42,31 +43,64 @@ from repro.storage.memory import MemoryStore
 from repro.storage.node import StorageNodeServer
 from repro.storage.remote import RemoteKeyValueStore
 from repro.util.encoding import encode_varint
+from repro.util.timeutil import TimeRange
+
+from test_net_pipeline import _frame
+
+GOLDEN_FRAMES = json.loads(
+    (Path(__file__).parent / "fixtures" / "wire" / "golden_frames.json").read_text()
+)["cases"]
+
+
+def golden_message(spec: dict):
+    """Rebuild the :class:`Request` / :class:`Response` a golden case describes."""
+    attachments = [bytes.fromhex(blob) for blob in spec["attachments"]]
+    if spec["kind"] == "request":
+        trace = tuple(spec["trace"]) if spec["trace"] else None
+        return Request(spec["operation"], spec["args"], attachments, trace=trace)
+    return Response(
+        ok=spec["ok"],
+        result=spec["result"],
+        attachments=attachments,
+        error=spec["error"],
+        error_type=spec["error_type"],
+        credit_grant=spec["credit_grant"],
+    )
+
+
+class TestGoldenFrames:
+    """The wire bytes, pinned against frames recorded before the copying
+    encoder (``encode_frame_v2(id, message.encode())``) was deleted."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+    def test_segments_join_to_the_recorded_bytes_and_decode_back(self, name):
+        case = GOLDEN_FRAMES[name]
+        message = golden_message(case["message"])
+        golden = bytes.fromhex(case["frame"])
+        segments = encode_frame_segments_v2(case["correlation_id"], message.encode_segments())
+        assert b"".join(segments) == golden
+        assembler = FrameAssembler()
+        frames = [f for index in range(len(golden)) for f in assembler.feed(golden[index : index + 1])]
+        (frame,) = frames
+        assert frame.correlation_id == case["correlation_id"]
+        decoded = type(message).decode(frame.payload)
+        decoded.attachments = [retain(blob) for blob in decoded.attachments]
+        assert decoded == message
 
 
 class TestSegmentEncoding:
-    def test_segments_join_is_byte_identical_to_legacy_encode(self):
-        request = Request("insert_chunks", {"uuid": "s", "n": 3}, [b"a" * 100, b"", b"b" * 7])
-        assert b"".join(request.encode_segments()) == request.encode()
-        response = Response.success({"found": [0, 2]}, [b"x" * 64, b"y"])
-        assert b"".join(response.encode_segments()) == response.encode()
-
     def test_attachments_pass_through_by_reference(self):
         big = bytes(1 << 20)
         segments = encode_message_segments({"op": "ping"}, [big, memoryview(big)])
         assert segments[1] is big
         assert segments[2].obj is big
 
-    def test_frame_segments_match_legacy_frame(self):
-        request = Request("put_grant", {"uuid": "s"}, [b"sealed-token" * 50])
-        segments = encode_frame_segments_v2(7, request.encode_segments())
-        assert b"".join(segments) == encode_frame_v2(7, request.encode())
-
     def test_frame_segments_enforce_cap_and_correlation_range(self):
         with pytest.raises(ProtocolError):
             encode_frame_segments_v2(1, [b"\x00" * (MAX_FRAME_BYTES + 1)])
-        with pytest.raises(ProtocolError):
-            encode_frame_segments_v2(1 << 64, [b""])
+        for out_of_range in (1 << 64, -1):
+            with pytest.raises(ProtocolError):
+                encode_frame_segments_v2(out_of_range, [b""])
         # Exactly at the cap is legal.
         header, payload = encode_frame_segments_v2(1, [bytes(MAX_FRAME_BYTES)])
         assert len(payload) == MAX_FRAME_BYTES
@@ -105,33 +139,20 @@ class TestSegmentEncoding:
 
 
 class TestViewAssembler:
-    def test_v1_v2_interleave_yields_views(self):
-        wire = (
-            encode_frame_v2(3, b"alpha")
-            + encode_frame(b"legacy")
-            + encode_frame_v2(4, b"")
-            + encode_frame(b"")
-            + encode_frame_v2(5, b"omega" * 1000)
-        )
-        assembler = FrameAssembler(views=True)
+    def test_chunked_feed_yields_views(self):
+        wire = _frame(3, b"alpha") + _frame(4, b"") + _frame(5, b"omega" * 1000)
+        assembler = FrameAssembler()
         frames = []
         for start in range(0, len(wire), 7):
             frames.extend(assembler.feed(wire[start : start + 7]))
-        assert [(f.version, f.correlation_id) for f in frames] == [
-            (2, 3),
-            (1, 0),
-            (2, 4),
-            (1, 0),
-            (2, 5),
-        ]
+        assert [f.correlation_id for f in frames] == [3, 4, 5]
         assert all(isinstance(f.payload, memoryview) for f in frames)
         assert bytes(frames[0].payload) == b"alpha"
-        assert bytes(frames[1].payload) == b"legacy"
-        assert bytes(frames[4].payload) == b"omega" * 1000
+        assert bytes(frames[2].payload) == b"omega" * 1000
 
     def test_payload_at_exactly_the_frame_cap(self):
         payload = bytes(MAX_FRAME_BYTES)
-        assembler = FrameAssembler(views=True)
+        assembler = FrameAssembler()
         frames = assembler.feed(encode_frame_segments_v2(9, [payload])[0])
         assert frames == []
         # Feed the payload in two halves to exercise mid-payload resume.
@@ -141,19 +162,12 @@ class TestViewAssembler:
         assert frame.correlation_id == 9
         assert len(frame.payload) == MAX_FRAME_BYTES
 
-    def test_payload_one_past_the_cap_rejected_before_allocation(self):
-        import struct
-
-        header = struct.pack(">2sBQI", b"T2", 2, 1, MAX_FRAME_BYTES + 1)
-        with pytest.raises(ProtocolError):
-            FrameAssembler(views=True).feed(header)
-
     def test_retained_view_survives_feed_buffer_reuse(self):
         """Mutating the fed buffer after feed() must not corrupt emitted frames."""
         scratch = bytearray(1 << 12)
-        wire = encode_frame_v2(1, b"precious-payload")
+        wire = _frame(1, b"precious-payload")
         scratch[: len(wire)] = wire
-        assembler = FrameAssembler(views=True)
+        assembler = FrameAssembler()
         (frame,) = assembler.feed(memoryview(scratch)[: len(wire)])
         # The caller reuses its receive buffer for the next read.
         scratch[:] = b"\xff" * len(scratch)
@@ -162,8 +176,8 @@ class TestViewAssembler:
 
     def test_view_attachments_decode_and_retain(self):
         request = Request("kv_put", {}, [b"key-1", b"value-1"])
-        wire = encode_frame_v2(2, request.encode())
-        (frame,) = FrameAssembler(views=True).feed(wire)
+        wire = _frame(2, request.encode())
+        (frame,) = FrameAssembler().feed(wire)
         decoded = Request.decode(frame.payload)
         assert all(isinstance(blob, memoryview) for blob in decoded.attachments)
         assert retain(decoded.attachments[0]) == b"key-1"
@@ -299,26 +313,13 @@ class TestCompressionNegotiation:
                 assert remote.wire_stats.frames_compressed == 0
                 assert server.scheduler_stats()["frames_compressed"] == 0
 
-    def test_v1_peer_never_compresses(self):
-        engine = ServerEngine()
-        with TimeCryptTCPServer(engine, wire_compression=True) as server:
-            host, port = server.address
-            with RemoteServerClient(
-                host, port, protocol_version=1, compression=True
-            ) as remote:
-                assert remote.protocol_version == 1
-                assert remote._compress is False
-                self._grant_burst(remote)
-                assert remote.wire_stats.frames_compressed == 0
-                assert server.scheduler_stats()["frames_compressed"] == 0
-
 
 class TestEndToEndRetention:
     def test_stored_kv_values_survive_later_traffic(self):
         """The retain audit, end to end: values stored from view attachments
         must not alias frame buffers that later requests overwrite."""
         store = MemoryStore()
-        with StorageNodeServer(store, zero_copy=True) as node:
+        with StorageNodeServer(store) as node:
             host, port = node.address
             remote = RemoteKeyValueStore(host, port)
             try:
@@ -340,22 +341,19 @@ class TestEndToEndRetention:
             finally:
                 remote.close()
 
-    def test_zero_copy_and_legacy_clients_get_identical_bytes(self, small_config):
-        """Byte-identity acceptance: both client modes read the same stream."""
+    def test_wire_client_reads_the_same_bytes_as_the_engine(self, small_config):
+        """Byte-identity acceptance: view-decoded chunks equal the engine's own."""
         engine = ServerEngine()
-        with TimeCryptTCPServer(engine, zero_copy=True) as server:
+        with TimeCryptTCPServer(engine) as server:
             host, port = server.address
-            with RemoteServerClient(host, port, zero_copy=True) as fast:
-                owner = TimeCrypt(server=fast, owner_id="alice")
+            with RemoteServerClient(host, port) as remote:
+                owner = TimeCrypt(server=remote, owner_id="alice")
                 uuid = owner.create_stream(metric="hr", config=small_config)
                 owner.insert_records(uuid, [(t, float(t % 13)) for t in range(0, 8_000, 100)])
                 owner.flush(uuid)
-                from repro.util.timeutil import TimeRange
-
-                fast_chunks = fast.get_range(uuid, TimeRange(0, 8_000))
-            with RemoteServerClient(host, port, zero_copy=False) as legacy:
-                legacy_chunks = legacy.get_range(uuid, TimeRange(0, 8_000))
-        assert len(fast_chunks) == len(legacy_chunks) == 8
-        for fast_chunk, legacy_chunk in zip(fast_chunks, legacy_chunks):
-            assert fast_chunk.payload == legacy_chunk.payload
-            assert fast_chunk.stream_uuid == legacy_chunk.stream_uuid
+                wire_chunks = remote.get_range(uuid, TimeRange(0, 8_000))
+        local_chunks = engine.get_range(uuid, TimeRange(0, 8_000))
+        assert len(wire_chunks) == len(local_chunks) == 8
+        for wire_chunk, local_chunk in zip(wire_chunks, local_chunks):
+            assert isinstance(wire_chunk.payload, bytes)
+            assert wire_chunk == local_chunk
