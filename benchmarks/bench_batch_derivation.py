@@ -11,6 +11,13 @@ Tracks the two hot-path claims of the batch fast path introduced with
    encryption + ``ServerEngine.insert_chunks`` + ``append_many``) must give
    ≥ 2× the ingest throughput of the per-record scalar pipeline.
 
+3. **Derivation counts** (``derive_counts``, deterministic, CI-gated) — the
+   PRG steps and keyed-PRF set-ups one two-boundary stat decrypt and one
+   8-window ``window_batch`` cost, on a fixed query sequence.  Wall clock
+   moves with the runner; these integers move only when a boundary key
+   starts costing more than the construction does (an independent walk per
+   boundary, a PRF key set-up per component, both children per step).
+
 Run as a script to print the tables and refresh the ``BENCH_batch.json``
 baseline (merged via :func:`repro.bench.reporting.merge_json_report`, which
 the Fig. 7 batch-size sweep shares):
@@ -27,15 +34,19 @@ also run under plain pytest: ``pytest benchmarks/bench_batch_derivation.py``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import random
 import time
 from pathlib import Path
+from unittest import mock
 
 from repro import ServerEngine, TimeCrypt
 from repro.bench.harness import measure
 from repro.bench.reporting import ResultTable, format_duration, merge_json_report
+from repro.crypto.heac import HEACCipher, HEACCiphertext
 from repro.crypto.keytree import KeyDerivationTree
-from repro.crypto.prf import DEFAULT_PRG, available_prgs
+from repro.crypto.prf import DEFAULT_PRG, KeyedPRF, available_prgs
 from repro.timeseries.stream import StreamConfig
 
 from conftest import scaled
@@ -50,7 +61,92 @@ INGEST_CHUNKS = scaled(1024, minimum=64)
 POINTS_PER_CHUNK = 4
 CHUNK_INTERVAL_MS = 1_000
 
+#: Derivation-count workload (the e2e ``stat_hot`` shape): log-uniform range
+#: lengths over 1 024 windows, mhealth digest width, 8-chunk ingest batches.
+COUNT_WINDOWS = 1024
+COUNT_QUERIES = 256
+COUNT_WIDTH = 11
+COUNT_BATCH = 8
+COUNT_CACHE_LEVELS = 16  # the owner tree's default top-of-tree memo
+
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
+
+
+class _CountingPRG:
+    """Forwards to a real PRG, counting one-child steps and batch-expanded seeds."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.steps = 0
+
+    def child(self, seed: bytes, bit: int) -> bytes:
+        self.steps += 1
+        return self._inner.child(seed, bit)
+
+    def expand_many(self, seeds):
+        self.steps += len(seeds)
+        return self._inner.expand_many(seeds)
+
+
+def measure_derive_counts():
+    """PRG steps and keyed-PRF set-ups per stat decrypt and per window batch.
+
+    Fixed seed, fixed query sequence, independent of ``--smoke`` and of the
+    PRG in use: every number is an exact count, so the smoke run must
+    reproduce the committed block bit for bit.
+    """
+    tree = KeyDerivationTree(
+        seed=b"b" * 16, height=TREE_HEIGHT, prg=DEFAULT_PRG, cache_levels=COUNT_CACHE_LEVELS
+    )
+    prg = tree._prg = _CountingPRG(tree._prg)
+    cipher = HEACCipher(tree)
+    setups = [0]
+    set_up = KeyedPRF.__init__
+
+    def counting_set_up(self, key):
+        setups[0] += 1
+        set_up(self, key)
+
+    rng = random.Random(20)
+    ranges = []
+    for _ in range(COUNT_QUERIES):
+        length = min(COUNT_WINDOWS, max(1, round(math.exp(rng.uniform(0, math.log(COUNT_WINDOWS))))))
+        start = rng.randrange(0, COUNT_WINDOWS - length + 1)
+        ranges.append((start, start + length))
+    tree.leaf(0)  # top-of-tree memo warm, as in a running client
+    with mock.patch.object(KeyedPRF, "__init__", counting_set_up):
+        prg.steps = 0
+        budget = 0
+        for start, end in ranges:
+            cipher.decrypt_ranges([[HEACCiphertext(0, start, end)] * COUNT_WIDTH])
+            lca_depth = TREE_HEIGHT - (start ^ end).bit_length()
+            budget += (TREE_HEIGHT - COUNT_CACHE_LEVELS) + (TREE_HEIGHT - lca_depth)
+        decrypt = {
+            "queries": COUNT_QUERIES,
+            "prg_steps": prg.steps,
+            "prg_step_budget": budget,
+            "within_budget": prg.steps <= budget,
+            "keyed_prf_setups": setups[0],
+        }
+        prg.steps = setups[0] = 0
+        batches = COUNT_WINDOWS // COUNT_BATCH
+        for first in range(0, COUNT_WINDOWS, COUNT_BATCH):
+            batch = cipher.window_batch(first, first + COUNT_BATCH)
+            for window in range(first, first + COUNT_BATCH):
+                batch.encrypt_vector([0] * COUNT_WIDTH, window)
+                batch.chunk_payload_key(window)
+        window_batch = {
+            "batches": batches,
+            "windows_per_batch": COUNT_BATCH,
+            "prg_steps": prg.steps,
+            "keyed_prf_setups": setups[0],
+        }
+    return {
+        "tree_height": TREE_HEIGHT,
+        "digest_width": COUNT_WIDTH,
+        "two_boundary_decrypt": decrypt,
+        "window_batch": window_batch,
+    }
 
 
 def measure_derivation(prg: str = DEFAULT_PRG, num_keys: int = NUM_KEYS):
@@ -128,6 +224,17 @@ def test_batch_ingest_speedup():
         f"bulk-ingest speedup {speedup:.1f}x below the 2x target "
         f"(scalar {scalar_s:.3f}s, batch {batch_s:.3f}s)"
     )
+
+
+def test_derive_counts_within_the_construction_budget():
+    """A boundary pair costs ≤ (h - cached) + (h - lca) steps and two PRF set-ups."""
+    counts = measure_derive_counts()
+    decrypt = counts["two_boundary_decrypt"]
+    assert decrypt["within_budget"], decrypt
+    assert decrypt["keyed_prf_setups"] == 2 * decrypt["queries"]
+    batch = counts["window_batch"]
+    # One set-up per boundary's pad vector and one per payload key.
+    assert batch["keyed_prf_setups"] == batch["batches"] * (2 * COUNT_BATCH + 1)
 
 
 def test_batch_ingest_equals_scalar_results():
@@ -215,6 +322,29 @@ def main(argv=None) -> None:
         "batch_records_per_s": round(num_records / batch_s, 1),
         "speedup": round(speedup, 2),
     }
+
+    counts = measure_derive_counts()
+    counts_table = ResultTable(
+        title=f"Derivation counts — height {TREE_HEIGHT}, width {COUNT_WIDTH} (deterministic)",
+        columns=["operation", "PRG steps", "keyed-PRF set-ups"],
+    )
+    decrypt = counts["two_boundary_decrypt"]
+    counts_table.add_row(
+        "two-boundary stat decrypt",
+        f"{decrypt['prg_steps'] / decrypt['queries']:.1f}",
+        f"{decrypt['keyed_prf_setups'] / decrypt['queries']:.0f}",
+    )
+    batch = counts["window_batch"]
+    counts_table.add_row(
+        f"{COUNT_BATCH}-window batch (digests + payload keys)",
+        f"{batch['prg_steps'] / batch['batches']:.1f}",
+        f"{batch['keyed_prf_setups'] / batch['batches']:.0f}",
+    )
+    counts_table.add_note(
+        f"decrypt budget (h - cached) + (h - lca): {decrypt['prg_step_budget'] / decrypt['queries']:.1f} steps"
+    )
+    counts_table.print()
+    results["derive_counts"] = counts
 
     output = os.environ.get("BENCH_OUTPUT", str(_DEFAULT_OUTPUT))
     print(f"baseline written to {merge_json_report(output, results)}")

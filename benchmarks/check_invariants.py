@@ -19,9 +19,11 @@ the committed full baseline (``BENCH_*.json``) on a manifest of checks:
               difference: ``wire_round_trips - num_batches`` is the fixed
               per-ingest overhead whatever the batch count.
 
-``BENCH_batch.json`` is deliberately not gated — it records wall-clock
-sweeps only.  Usage (paths are smoke files; committed baselines are found
-next to this script's parent directory, override with ``--baseline-dir``):
+``BENCH_batch.json`` is gated on its ``derive_counts`` block only (PRG steps
+and keyed-PRF set-ups per stat decrypt / window batch — exact counts on a
+fixed query sequence); the rest of it is wall-clock sweeps.  Usage (paths are
+smoke files; committed baselines are found next to this script's parent
+directory, override with ``--baseline-dir``):
 
     python benchmarks/check_invariants.py net=bench-smoke-net.json \
         sched=bench-smoke-sched.json ...
@@ -53,6 +55,15 @@ def delta(minuend: str, subtrahend: str) -> Tuple[str, str, str]:
 #: name -> (committed baseline filename, checks). Every path is relative to
 #: the ``results`` block of the baseline JSON.
 MANIFEST: Dict[str, Tuple[str, List[Tuple[str, str, str]]]] = {
+    "batch": (
+        "BENCH_batch.json",
+        [
+            # Exact counts on a fixed seed, the same at smoke and full scale:
+            # a boundary key that starts costing an extra walk, both PRG
+            # children per step or a PRF key set-up per component moves them.
+            eq("derive_counts"),
+        ],
+    ),
     "storage": (
         "BENCH_storage.json",
         [

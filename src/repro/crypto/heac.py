@@ -15,6 +15,19 @@ Keys come from the GGM key-derivation tree (:mod:`repro.crypto.keytree`);
 any object exposing ``leaf(index) -> bytes`` works as a keystream, so both
 the data owner's full tree and a consumer's token-derived partial keystream
 plug in directly.
+
+What a decrypt costs
+--------------------
+
+A range aggregate over ``[i, j)`` with a ``w``-component digest needs the two
+boundary keystream keys — one ``keystream.leaves([i, j])`` call: a walk to
+``k_i`` plus ``h - lca(i, j)`` PRG steps to ``k_j`` (cost model in
+:mod:`repro.crypto.keytree`) — and per boundary its ``w`` component keys,
+all from one keyed PRF state (:func:`component_keys_from_leaf`).  That is
+``≈ 20`` AES blocks and ``2·(w - 1)`` short HMACs whatever the range length:
+symmetric-key speed, the paper's argument against ABE-style enforcement.
+Nothing is remembered between calls; a cache of pads would only add state to
+size and invalidate.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Protocol, Sequence, Tuple
 
-from repro.crypto.prf import kdf
+from repro.crypto.prf import KeyedPRF, kdf
 from repro.exceptions import DecryptionError, KeyDerivationError
 
 #: Plaintext/ciphertext ring modulus.  The paper sets M = 2^64 so that any
@@ -34,42 +47,22 @@ _MASK = MODULUS - 1
 class Keystream(Protocol):
     """Anything that can produce the i-th 16-byte keystream key.
 
-    Implementations may additionally expose ``leaf_range(start, end)``
-    returning the keys of a half-open interval in one batch; the HEAC batch
-    paths use it when present and fall back to per-leaf derivation otherwise.
+    Implementations may additionally expose ``leaves(indices)`` returning the
+    keys of many positions in one call (sharing tree walks between them); the
+    HEAC batch paths use it when present and fall back to per-leaf derivation
+    otherwise.
     """
 
     def leaf(self, leaf_index: int) -> bytes:  # pragma: no cover - protocol
         ...
 
 
-def _fetch_leaves(keystream: Keystream, indices: Sequence[int]) -> Dict[int, bytes]:
-    """Fetch keystream keys for sorted unique ``indices``, batching where possible.
-
-    Contiguous index runs go through the keystream's ``leaf_range`` when it
-    has one (amortized O(1) PRG calls per key); isolated indices and
-    keystreams without batch support use ``leaf``.  Either way each index is
-    derived exactly once.
-    """
-    leaf_range = getattr(keystream, "leaf_range", None)
-    leaves: Dict[int, bytes] = {}
-    if leaf_range is None:
-        for index in indices:
-            leaves[index] = keystream.leaf(index)
-        return leaves
-    run_start = 0
-    while run_start < len(indices):
-        run_end = run_start + 1
-        while run_end < len(indices) and indices[run_end] == indices[run_end - 1] + 1:
-            run_end += 1
-        if run_end - run_start > 1:
-            first = indices[run_start]
-            for offset, key in enumerate(leaf_range(first, indices[run_end - 1] + 1)):
-                leaves[first + offset] = key
-        else:
-            leaves[indices[run_start]] = keystream.leaf(indices[run_start])
-        run_start = run_end
-    return leaves
+def _fetch_leaves(keystream: Keystream, indices: Sequence[int]) -> List[bytes]:
+    """Keystream keys for ``indices`` (sorted, for the most shared walks), in order."""
+    leaves = getattr(keystream, "leaves", None)
+    if leaves is not None:
+        return leaves(indices)
+    return [keystream.leaf(index) for index in indices]
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,18 +132,36 @@ def payload_key_from_leaf(leaf: bytes, encoded_key: int, length: int = 16) -> by
     return kdf(leaf, "chunk-payload:" + encoded.hex(), length)
 
 
-def component_key_from_leaf(leaf: bytes, component: int) -> int:
-    """The 64-bit additive key of one digest component, from a keystream key.
+def _component_label(component: int) -> bytes:
+    return f"digest-component:{component}".encode("utf-8")
 
-    Component 0 folds the keystream key directly; higher components first
-    derive an independent key via a domain-separated PRF so each component of
-    a digest vector gets its own pad stream.  This is the single definition
-    all scalar and batch paths share — batch/scalar bit-identity depends on
-    there being exactly one.
+
+#: PRF labels of components 1..64, built once; wider digests format the rest.
+_COMPONENT_LABELS = tuple(map(_component_label, range(1, 65)))
+
+
+def component_keys_from_leaf(leaf: bytes, width: int) -> List[int]:
+    """The 64-bit additive keys of digest components ``0 .. width-1``, from a keystream key.
+
+    Component 0 folds the keystream key directly; every higher component
+    folds ``PRF(leaf, "digest-component:<c>")`` so each component of a digest
+    vector gets its own pad stream.  The whole vector comes from one keyed
+    PRF state (the HMAC key set-up is paid once per leaf, not once per
+    component).  This is the single definition every encrypt and decrypt path
+    shares — their bit-identity depends on there being exactly one.
     """
-    if component == 0:
-        return key_to_int(leaf)
-    return key_to_int(kdf(leaf, f"digest-component:{component}"))
+    if width <= 0:
+        return []
+    keys = [key_to_int(leaf)]
+    if width > 1:
+        derive = KeyedPRF(leaf)
+        labels: Iterable[bytes] = (
+            _COMPONENT_LABELS[: width - 1]
+            if width <= len(_COMPONENT_LABELS) + 1
+            else map(_component_label, range(1, width))
+        )
+        keys += map(key_to_int, derive.blocks(labels))
+    return keys
 
 
 def key_to_int(key: bytes) -> int:
@@ -161,9 +172,8 @@ def key_to_int(key: bytes) -> int:
     """
     if len(key) < 16:
         raise ValueError("keystream keys must be at least 16 bytes")
-    high = int.from_bytes(key[:8], "big")
-    low = int.from_bytes(key[8:16], "big")
-    return (high ^ low) & _MASK
+    folded = int.from_bytes(key[:16], "big")
+    return (folded >> 64) ^ (folded & _MASK)
 
 
 class HEACCipher:
@@ -180,13 +190,31 @@ class HEACCipher:
 
     def encoded_key(self, window_index: int) -> int:
         """The encoded one-time pad ``k_i - k_{i+1} mod M``."""
-        return (self.window_key(window_index) - self.window_key(window_index + 1)) & _MASK
+        return self.window_batch(window_index, window_index + 1).encoded_key(window_index)
 
     def chunk_payload_key(self, window_index: int, length: int = 16) -> bytes:
         """Derive the AEAD key for the raw chunk payload of window ``i``."""
-        return payload_key_from_leaf(
-            self._keystream.leaf(window_index), self.encoded_key(window_index), length
+        return self.window_batch(window_index, window_index + 1).chunk_payload_key(
+            window_index, length
         )
+
+    def _outer_keys(self, boundaries: Sequence[int], width: int) -> Dict[int, List[int]]:
+        """Component keys ``0 .. width-1`` of every boundary window (sorted, distinct).
+
+        The one place decryption derives keys.  A keystream that cannot
+        derive a boundary raises :class:`DecryptionError` — that failure *is*
+        the access-control enforcement.
+        """
+        try:
+            leaves = _fetch_leaves(self._keystream, boundaries)
+        except KeyDerivationError as exc:
+            raise DecryptionError(
+                f"missing outer keys for windows [{boundaries[0]}, {boundaries[-1]})"
+            ) from exc
+        return {
+            window: component_keys_from_leaf(leaf, width)
+            for window, leaf in zip(boundaries, leaves)
+        }
 
     # -- encryption / decryption ---------------------------------------------
 
@@ -203,45 +231,19 @@ class HEACCipher:
         mixing the component index into the keystream key via the PRF.  This
         keeps one tree per stream while never reusing a pad.
         """
-        return [
-            HEACCiphertext(
-                value=(plaintext + self._component_pad(window_index, component)) & _MASK,
-                window_start=window_index,
-                window_end=window_index + 1,
-            )
-            for component, plaintext in enumerate(plaintexts)
-        ]
+        return self.window_batch(window_index, window_index + 1).encrypt_vector(
+            plaintexts, window_index
+        )
 
     def decrypt(self, ciphertext: HEACCiphertext) -> int:
-        """Decrypt a (possibly range-aggregated) ciphertext.
-
-        Only the two outer keys ``k_start`` and ``k_end`` are needed; a
-        consumer whose keystream cannot derive them gets a
-        :class:`DecryptionError` — that failure *is* the access-control
-        enforcement.
-        """
-        try:
-            outer_start = self.window_key(ciphertext.window_start)
-            outer_end = self.window_key(ciphertext.window_end)
-        except KeyDerivationError as exc:
-            raise DecryptionError(
-                "missing outer keys for windows "
-                f"[{ciphertext.window_start}, {ciphertext.window_end})"
-            ) from exc
-        return (ciphertext.value - outer_start + outer_end) & _MASK
+        """Decrypt a (possibly range-aggregated) ciphertext from its two outer keys."""
+        return self.decrypt_ranges([[ciphertext]])[0][0]
 
     def decrypt_vector(
         self, ciphertexts: Sequence[HEACCiphertext], component_offset: int = 0
     ) -> List[int]:
         """Decrypt a vector of per-component range aggregates."""
-        plaintexts = []
-        for component, ciphertext in enumerate(ciphertexts, start=component_offset):
-            pad = (
-                self._component_outer_pad(ciphertext.window_start, component)
-                - self._component_outer_pad(ciphertext.window_end, component)
-            ) & _MASK
-            plaintexts.append((ciphertext.value - pad) & _MASK)
-        return plaintexts
+        return self.decrypt_ranges([ciphertexts], component_offset)[0]
 
     # -- batch paths ---------------------------------------------------------
 
@@ -250,9 +252,8 @@ class HEACCipher:
 
         Encrypting ``n`` consecutive windows needs the ``n + 1`` boundary
         keys ``k_start .. k_end``; the batch derives them once (through the
-        keystream's ``leaf_range`` when available) and memoises per-component
-        derived keys, so adjacent windows share their boundary key material
-        instead of re-deriving it.
+        keystream's batch derivation when available), so adjacent windows
+        share their boundary key material instead of re-deriving it.
         """
         return HEACWindowBatch(self._keystream, window_start, window_end)
 
@@ -262,8 +263,8 @@ class HEACCipher:
         """Encrypt digest vectors for consecutive windows starting at ``window_start``.
 
         Bit-identical to calling :meth:`encrypt_vector` per window, but each
-        boundary key (and each per-component derived key) is computed once
-        for the whole batch instead of twice per adjacent window pair.
+        boundary key (and its component keys) is computed once for the whole
+        batch instead of twice per adjacent window pair.
         """
         batch = self.window_batch(window_start, window_start + len(plaintext_vectors))
         return [
@@ -279,74 +280,48 @@ class HEACCipher:
         """Decrypt many range-aggregate vectors, deriving shared keys once.
 
         Dashboard-style series share every inner bucket boundary between two
-        adjacent aggregates (and all components of one aggregate share its two
-        boundary keys); the scalar path re-derives each of those from scratch.
-        Here every distinct boundary window is derived exactly once —
-        contiguous boundaries (granularity-1 series) additionally go through
-        the keystream's batch derivation.  Results are bit-identical to
-        :meth:`decrypt_vector` per vector.
+        adjacent aggregates, and all components of one aggregate share its two
+        boundary keys: every distinct boundary window is derived exactly once
+        (see :meth:`_outer_keys`).  Raises :class:`DecryptionError` when the
+        keystream cannot derive a boundary.
         """
         boundaries = sorted(
             {c.window_start for vector in ciphertext_vectors for c in vector}
             | {c.window_end for vector in ciphertext_vectors for c in vector}
         )
-        leaves = _fetch_leaves(self._keystream, boundaries)
-        component_keys: Dict[Tuple[int, int], int] = {}
-
-        def component_key(window_index: int, component: int) -> int:
-            memo_key = (window_index, component)
-            cached = component_keys.get(memo_key)
-            if cached is None:
-                cached = component_keys[memo_key] = component_key_from_leaf(
-                    leaves[window_index], component
-                )
-            return cached
-
-        plaintext_vectors: List[List[int]] = []
-        for vector in ciphertext_vectors:
-            plaintexts = []
-            for component, ciphertext in enumerate(vector, start=component_offset):
-                pad = (
-                    component_key(ciphertext.window_start, component)
-                    - component_key(ciphertext.window_end, component)
-                ) & _MASK
-                plaintexts.append((ciphertext.value - pad) & _MASK)
-            plaintext_vectors.append(plaintexts)
-        return plaintext_vectors
+        if not boundaries:
+            return [[] for _ in ciphertext_vectors]
+        width = component_offset + max(map(len, ciphertext_vectors))
+        keys = self._outer_keys(boundaries, width)
+        return [
+            [
+                (c.value - keys[c.window_start][component] + keys[c.window_end][component]) & _MASK
+                for component, c in enumerate(vector, start=component_offset)
+            ]
+            for vector in ciphertext_vectors
+        ]
 
     def outer_pad(self, window_start: int, window_end: int, component: int = 0) -> int:
         """The additive pad covering ``[window_start, window_end)`` for one component.
 
         Subtracting this pad from a range-aggregated ciphertext value yields
         the plaintext aggregate; it is what remains after all inner keys
-        cancel.  Exposed for multi-stream decryption, where pads from several
-        streams are removed from one combined value.
+        cancel.
         """
-        return (
-            self._component_key(window_start, component)
-            - self._component_key(window_end, component)
-        ) & _MASK
+        return self.outer_pads(window_start, window_end, component + 1)[component]
 
     def outer_pads(self, window_start: int, window_end: int, num_components: int) -> List[int]:
         """All component pads covering ``[window_start, window_end)`` in one pass.
 
-        The scalar path (:meth:`outer_pad` per component) re-derives both
-        boundary keystream keys for every component — ``2·num_components``
-        keystream walks.  Here the two boundary leaves are fetched once
-        (through the keystream's ``leaf_range`` when the boundaries are
-        adjacent) and every component key is derived from the cached leaf,
-        so an inter-stream dashboard pulls each involved stream's outer pads
-        with exactly one keystream pass per stream.  Bit-identical to the
-        scalar path.
+        Exposed for multi-stream decryption, where pads from several streams
+        are removed from one combined value: an inter-stream dashboard pulls
+        each involved stream's outer pads with one keystream pass (both
+        boundaries, shared walk) and one keyed PRF state per boundary.
         """
-        leaves = _fetch_leaves(self._keystream, sorted({window_start, window_end}))
+        keys = self._outer_keys(sorted({window_start, window_end}), num_components)
         return [
-            (
-                component_key_from_leaf(leaves[window_start], component)
-                - component_key_from_leaf(leaves[window_end], component)
-            )
-            & _MASK
-            for component in range(num_components)
+            (start_key - end_key) & _MASK
+            for start_key, end_key in zip(keys[window_start], keys[window_end])
         ]
 
     def decrypt_signed(self, ciphertext: HEACCiphertext) -> int:
@@ -354,30 +329,15 @@ class HEACCipher:
         value = self.decrypt(ciphertext)
         return value - MODULUS if value >= MODULUS // 2 else value
 
-    # -- component pads ------------------------------------------------------
-
-    def _component_key(self, window_index: int, component: int) -> int:
-        return component_key_from_leaf(self._keystream.leaf(window_index), component)
-
-    def _component_outer_pad(self, window_index: int, component: int) -> int:
-        return self._component_key(window_index, component)
-
-    def _component_pad(self, window_index: int, component: int) -> int:
-        return (
-            self._component_key(window_index, component)
-            - self._component_key(window_index + 1, component)
-        ) & _MASK
-
 
 class HEACWindowBatch:
-    """Precomputed HEAC key material for consecutive windows ``[start, end)``.
+    """HEAC key material for the consecutive windows ``[start, end)``.
 
     Built by :meth:`HEACCipher.window_batch`.  Holds the ``n + 1`` boundary
-    keystream keys for ``n`` windows (derived in one batch) and memoises the
-    per-component derived keys, so encrypting window ``i`` and window
-    ``i + 1`` shares their common boundary instead of deriving it twice —
-    the scalar path derives every boundary key ``2·(components)`` times.
-    All outputs are bit-identical to the scalar :class:`HEACCipher` methods.
+    keystream keys for ``n`` windows (derived in one batch) and each
+    boundary's component keys (derived on first use, all components from one
+    keyed PRF state), so encrypting window ``i`` and window ``i + 1`` shares
+    their common boundary instead of deriving it twice.
     """
 
     def __init__(self, keystream: Keystream, window_start: int, window_end: int) -> None:
@@ -385,10 +345,8 @@ class HEACWindowBatch:
             raise ValueError("window batch interval must not be reversed")
         self._start = window_start
         self._end = window_end
-        leaves = _fetch_leaves(keystream, range(window_start, window_end + 1))
-        self._leaves = [leaves[i] for i in range(window_start, window_end + 1)]
-        self._window_keys = [key_to_int(leaf) for leaf in self._leaves]
-        self._component_keys: Dict[Tuple[int, int], int] = {}
+        self._leaves = _fetch_leaves(keystream, range(window_start, window_end + 1))
+        self._keys: List[List[int]] = [[] for _ in self._leaves]
 
     @property
     def window_start(self) -> int:
@@ -406,53 +364,38 @@ class HEACWindowBatch:
             )
         return self._leaves[window_index - self._start]
 
+    def _component_keys(self, window_index: int, width: int) -> List[int]:
+        """Component keys ``0 .. width-1`` (at least) of one boundary."""
+        leaf = self.leaf(window_index)
+        keys = self._keys[window_index - self._start]
+        if len(keys) < width:
+            keys = self._keys[window_index - self._start] = component_keys_from_leaf(leaf, width)
+        return keys
+
     def window_key(self, window_index: int) -> int:
-        if not self._start <= window_index <= self._end:
-            raise KeyDerivationError(
-                f"window {window_index} outside batch [{self._start}, {self._end}]"
-            )
-        return self._window_keys[window_index - self._start]
+        return self._component_keys(window_index, 1)[0]
 
     def encoded_key(self, window_index: int) -> int:
         """The encoded one-time pad ``k_i - k_{i+1} mod M``."""
         return (self.window_key(window_index) - self.window_key(window_index + 1)) & _MASK
 
     def chunk_payload_key(self, window_index: int, length: int = 16) -> bytes:
-        """Same derivation as :meth:`HEACCipher.chunk_payload_key`, from cached keys."""
+        """The AEAD key for the raw chunk payload of window ``i``."""
         return payload_key_from_leaf(
             self.leaf(window_index), self.encoded_key(window_index), length
         )
 
-    def _component_key(self, window_index: int, component: int) -> int:
-        if component == 0:
-            return self.window_key(window_index)  # precomputed for the whole batch
-        memo_key = (window_index, component)
-        cached = self._component_keys.get(memo_key)
-        if cached is None:
-            cached = self._component_keys[memo_key] = component_key_from_leaf(
-                self.leaf(window_index), component
-            )
-        return cached
-
     def encrypt_vector(self, plaintexts: Sequence[int], window_index: int) -> List[HEACCiphertext]:
         """Encrypt one window's digest vector from the batch's key material."""
+        width = len(plaintexts)
+        window_end = window_index + 1
         return [
-            HEACCiphertext(
-                value=(
-                    plaintext
-                    + (
-                        (
-                            self._component_key(window_index, component)
-                            - self._component_key(window_index + 1, component)
-                        )
-                        & _MASK
-                    )
-                )
-                & _MASK,
-                window_start=window_index,
-                window_end=window_index + 1,
+            HEACCiphertext((plaintext + key - next_key) & _MASK, window_index, window_end)
+            for plaintext, key, next_key in zip(
+                plaintexts,
+                self._component_keys(window_index, width),
+                self._component_keys(window_end, width),
             )
-            for component, plaintext in enumerate(plaintexts)
         ]
 
 

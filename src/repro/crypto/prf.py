@@ -18,20 +18,22 @@ the same menu:
   high-throughput GGM/FSS implementations, secure in the random-permutation
   model) reuses one context and lets the batch path encrypt a whole expansion
   frontier in a single native call.  Default when native AES is available.
-* ``hmac-sha256`` — an HMAC-based PRF, used where a keyed PRF (rather than a
-  PRG) is the natural primitive (e.g. deriving AEAD keys from HEAC keys).
+* ``hmac-sha256`` — an HMAC-based PRF (:func:`prf`, :class:`KeyedPRF`), used
+  where a keyed PRF (rather than a PRG) is the natural primitive (digest
+  component keys and AEAD keys from HEAC keys).
 
 All PRGs operate on λ = 16-byte (128-bit) seeds and produce 16-byte children,
-matching the paper's 128-bit security level.
+matching the paper's 128-bit security level.  A tree walk needs one child per
+level, so ``child(seed, bit)`` computes only that one (one AES block or one
+hash); ``expand`` / ``expand_many`` produce both for subtree expansion.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Sequence, Tuple, Type
 
 from repro.exceptions import ConfigurationError
 
@@ -71,7 +73,7 @@ class PRG(ABC):
         return self.expand(seed)[1]
 
     def child(self, seed: bytes, bit: int) -> bytes:
-        """Return ``G_bit(seed)`` for ``bit`` in {0, 1}."""
+        """Return ``G_bit(seed)`` for ``bit`` in {0, 1}; overrides compute only that child."""
         if bit not in (0, 1):
             raise ValueError("child bit must be 0 or 1")
         return self.expand(seed)[bit]
@@ -93,16 +95,30 @@ class Sha256PRG(PRG):
         right = hashlib.sha256(b"\x01" + seed).digest()[:SEED_BYTES]
         return left, right
 
+    def child(self, seed: bytes, bit: int) -> bytes:
+        if bit not in (0, 1):
+            raise ValueError("child bit must be 0 or 1")
+        self._check_seed(seed)
+        return hashlib.sha256((b"\x01" if bit else b"\x00") + seed).digest()[:SEED_BYTES]
+
 
 class Blake2PRG(PRG):
     """``G(x) = BLAKE2b(x)`` producing 32 bytes split into two children."""
 
     name = "blake2"
+    _PERSON = b"timecryptPRG0000"
 
     def expand(self, seed: bytes) -> Tuple[bytes, bytes]:
         self._check_seed(seed)
-        digest = hashlib.blake2b(seed, digest_size=32, person=b"timecryptPRG0000").digest()
+        digest = hashlib.blake2b(seed, digest_size=32, person=self._PERSON).digest()
         return digest[:SEED_BYTES], digest[SEED_BYTES:]
+
+    def child(self, seed: bytes, bit: int) -> bytes:
+        if bit not in (0, 1):
+            raise ValueError("child bit must be 0 or 1")
+        self._check_seed(seed)
+        digest = hashlib.blake2b(seed, digest_size=32, person=self._PERSON).digest()
+        return digest[SEED_BYTES:] if bit else digest[:SEED_BYTES]
 
 
 class AesPRG(PRG):
@@ -125,6 +141,12 @@ class AesPRG(PRG):
         self._check_seed(seed)
         cipher = self._aes_cls(seed)
         return cipher.encrypt_block(self._block0), cipher.encrypt_block(self._block1)
+
+    def child(self, seed: bytes, bit: int) -> bytes:
+        if bit not in (0, 1):
+            raise ValueError("child bit must be 0 or 1")
+        self._check_seed(seed)
+        return self._aes_cls(seed).encrypt_block(self._block1 if bit else self._block0)
 
 
 class AesNiPRG(PRG):
@@ -151,6 +173,7 @@ class AesNiPRG(PRG):
                 "the 'cryptography' package is required for the aes-ni PRG"
             )
         self._plain = b"\x00" * 16 + b"\x01" + b"\x00" * 15
+        self._halves = (self._plain[:16], self._plain[16:])
         self._contexts: "OrderedDict[bytes, object]" = OrderedDict()
 
     def _context(self, seed: bytes):
@@ -169,6 +192,11 @@ class AesNiPRG(PRG):
     def expand(self, seed: bytes) -> Tuple[bytes, bytes]:
         out = self._context(seed).update(self._plain)
         return out[:16], out[16:]
+
+    def child(self, seed: bytes, bit: int) -> bytes:
+        if bit not in (0, 1):
+            raise ValueError("child bit must be 0 or 1")
+        return self._context(seed).update(self._halves[bit])
 
     def expand_many(self, seeds: Sequence[bytes]) -> List[Tuple[bytes, bytes]]:
         context = self._context
@@ -217,6 +245,17 @@ class AesNiFixedKeyPRG(PRG):
         left = (int.from_bytes(ct[:16], "big") ^ int.from_bytes(seed, "big")).to_bytes(16, "big")
         right = (int.from_bytes(ct[16:], "big") ^ int.from_bytes(in1, "big")).to_bytes(16, "big")
         return left, right
+
+    def child(self, seed: bytes, bit: int) -> bytes:
+        if bit not in (0, 1):
+            raise ValueError("child bit must be 0 or 1")
+        if len(seed) != SEED_BYTES:  # inline: this runs once per tree level
+            self._check_seed(seed)
+        block = int.from_bytes(seed, "big")
+        if bit:
+            block ^= 1 << 120  # c_1, as in _tweaked
+            seed = block.to_bytes(16, "big")
+        return (int.from_bytes(self._encrypt(seed), "big") ^ block).to_bytes(16, "big")
 
     def expand_many(self, seeds: Sequence[bytes]) -> List[Tuple[bytes, bytes]]:
         buffer = bytearray()
@@ -277,18 +316,60 @@ def get_prg(name: str = DEFAULT_PRG) -> PRG:
         ) from None
 
 
+_HMAC_BLOCK = 64  # SHA-256 block size: the length HMAC pads (or hashes) its key to
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
+class KeyedPRF:
+    """The HMAC-SHA256 PRF under one key: ipad/opad states built once, copied per message.
+
+    Deriving many labels from one key (a digest's pad vector from one
+    keystream key) otherwise repeats the key set-up per label.
+    ``KeyedPRF(key)(message, n) == prf(key, message, n)`` byte for byte.
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes) -> None:
+        if len(key) > _HMAC_BLOCK:
+            key = hashlib.sha256(key).digest()
+        block = key.ljust(_HMAC_BLOCK, b"\x00")
+        self._inner = hashlib.sha256(block.translate(_IPAD))
+        self._outer = hashlib.sha256(block.translate(_OPAD))
+
+    def blocks(self, messages: Iterable[bytes], counter: int = 0) -> List[bytes]:
+        """Output block ``counter`` (32 bytes) of each message: HMAC of ``counter || message``.
+
+        ``blocks(messages)[i][:n] == self(messages[i], n)`` for ``n <= 32``, as one loop.
+        """
+        frame = counter.to_bytes(4, "big")
+        inner_copy = self._inner.copy
+        outer_copy = self._outer.copy
+        blocks = []
+        for message in messages:
+            inner = inner_copy()
+            inner.update(frame + message)
+            outer = outer_copy()
+            outer.update(inner.digest())
+            blocks.append(outer.digest())
+        return blocks
+
+    def __call__(self, message: bytes, out_len: int = SEED_BYTES) -> bytes:
+        """``out_len`` bytes for one message; counter mode past one 32-byte block."""
+        if out_len <= 0:
+            raise ValueError("output length must be positive")
+        if out_len <= 32:
+            return self.blocks((message,))[0][:out_len]
+        count = -(-out_len // 32)
+        return b"".join(
+            self.blocks((message,), counter)[0] for counter in range(count)
+        )[:out_len]
+
+
 def prf(key: bytes, message: bytes, out_len: int = SEED_BYTES) -> bytes:
     """HMAC-SHA256 based PRF, truncated or expanded (counter mode) to ``out_len``."""
-    if out_len <= 0:
-        raise ValueError("output length must be positive")
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < out_len:
-        blocks.append(
-            hmac.new(key, counter.to_bytes(4, "big") + message, hashlib.sha256).digest()
-        )
-        counter += 1
-    return b"".join(blocks)[:out_len]
+    return KeyedPRF(key)(message, out_len)
 
 
 def prf_int(key: bytes, message: bytes, modulus: int) -> int:

@@ -21,7 +21,7 @@ from repro.core.plaintext import PlaintextTimeSeriesStore
 from repro.crypto.heac import HEACCipher, aggregate
 from repro.crypto.keytree import DerivedKeystream, KeyDerivationTree
 from repro.crypto.prf import available_prgs, get_prg
-from repro.exceptions import KeyDerivationError, QueryError
+from repro.exceptions import DecryptionError, KeyDerivationError, QueryError
 from repro.index.node import plaintext_combiner
 from repro.index.tree import AggregationIndex
 from repro.server.engine import ServerEngine
@@ -209,8 +209,17 @@ def test_decrypt_ranges_with_derived_keystream_enforces_scope(key_tree, cipher):
     granted = HEACCipher(DerivedKeystream(key_tree.tokens_for_range(12, 19), prg=key_tree.prg_name))
     assert granted.decrypt_ranges(vectors) == [cipher.decrypt_vector(v) for v in vectors]
     denied = HEACCipher(DerivedKeystream(key_tree.tokens_for_range(13, 19), prg=key_tree.prg_name))
-    with pytest.raises(KeyDerivationError):
-        denied.decrypt_ranges(vectors)
+    # One error contract for missing outer keys, as scalar ``decrypt`` has
+    # always had: DecryptionError, caused by the keystream's refusal.
+    for attempt in (
+        lambda: denied.decrypt_ranges(vectors),
+        lambda: denied.decrypt_vector(vectors[0]),
+        lambda: denied.outer_pads(12, 18, 2),
+        lambda: denied.decrypt(vectors[0][0]),
+    ):
+        with pytest.raises(DecryptionError, match=r"windows \[12, 1[38]\)") as raised:
+            attempt()
+        assert isinstance(raised.value.__cause__, KeyDerivationError)
 
 
 # ---------------------------------------------------------------------------
