@@ -18,6 +18,10 @@ itself crosses sockets.  Three claims are measured:
 3. **Reads and grant bursts** — a whole-stream range read, a stat query,
    and a K-principal grant burst each cost a handful of per-node round
    trips, independent of K and of the number of chunks touched.
+4. **Placement** — storage is placed by stream partition, so one
+   single-stream ingest batch writes exactly RF nodes and one cold stat
+   cover reads one node, on a new stream and on one aged past window
+   4 096 (the per-key placement's rows are kept under ``historical``).
 
 Run as a script to print the tables and refresh ``BENCH_remote.json``:
 
@@ -32,6 +36,7 @@ full run.  The assertions also run under plain pytest:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import time
 from contextlib import contextmanager
@@ -62,6 +67,11 @@ CHUNK_INTERVAL_MS = 1_000
 CHUNKS_PER_BATCH = 32
 
 GRANT_BURST = scaled(16, minimum=8)
+
+#: Placement probes -> the stream's ``head`` window: a new stream, and one
+#: aged past window 4 096 whose cold cover spans leaves and whole level-1
+#: index nodes.
+PLACEMENT_HEADS = {"new_stream": 1, "aged_stream": 4_300}
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_remote.json"
 
@@ -192,6 +202,43 @@ def _run_queries(stack: _RemoteCluster, engine, uuid: str, num_chunks: int) -> D
     }
 
 
+def _nodes_touched(stack: _RemoteCluster, *counters: str) -> int:
+    return sum(
+        1 for store in stack.backing.values() if any(getattr(store.stats, name) for name in counters)
+    )
+
+
+def _run_placement(stack: _RemoteCluster, head: int) -> Dict[str, int]:
+    """Storage nodes one single-stream ingest batch writes and one cold cover reads.
+
+    The stream holds window 0, empty windows up to ``head`` (≥ 1) and one
+    batch from there; the measured batch follows it, and the cover spans up
+    to 200 windows before ``head`` through both batches.  Placement is by
+    stream partition, so both counts are deterministic at any ``head``: RF
+    nodes written, one node (the partition's primary) read.
+    """
+    engine = ServerEngine(store=stack.cluster, token_store=TokenStore(stack.cluster))
+    owner = TimeCrypt(server=engine, owner_id="placement")
+    uuid = owner.create_stream(metric="placement", config=_stream_config())
+    records = _ingest_records(head + 2 * CHUNKS_PER_BATCH)
+    batch_start = (head + CHUNKS_PER_BATCH) * POINTS_PER_CHUNK
+    owner.insert_records(uuid, records[:1] + records[head * POINTS_PER_CHUNK : batch_start])
+    for store in stack.backing.values():
+        store.stats.reset()
+    owner.insert_records(uuid, records[batch_start:])
+    written = _nodes_touched(stack, "puts", "multi_puts")
+    # A fresh engine has a cold node cache; its start-up metadata scan
+    # (every node) is not part of the cover, so count after it.
+    cold = ServerEngine(store=stack.cluster)
+    for store in stack.backing.values():
+        store.stats.reset()
+    cold.stat_range_windows(uuid, max(1, head - 200), head + 2 * CHUNKS_PER_BATCH - 1)
+    return {
+        "ingest_batch_nodes_written": written,
+        "cold_cover_nodes_read": _nodes_touched(stack, "gets", "multi_gets"),
+    }
+
+
 def _run_grant_burst(stack: _RemoteCluster, owner: TimeCrypt, uuid: str, cohort_size: int) -> Dict[str, float]:
     cohort = [Principal.create(f"principal-{index}") for index in range(cohort_size)]
     for principal in cohort:
@@ -312,6 +359,10 @@ def main(argv=None) -> None:
         remote_ingest = _run_ingest(stack.cluster, num_chunks, stack=stack)
         queries = _run_queries(stack, remote_ingest["engine"], remote_ingest["uuid"], num_chunks)
         burst = _run_grant_burst(stack, remote_ingest["owner"], remote_ingest["uuid"], cohort)
+    placement = {}
+    for label, head in PLACEMENT_HEADS.items():
+        with _remote_cluster() as stack:
+            placement[label] = _run_placement(stack, head)
     inproc_cluster = StorageCluster(num_nodes=NUM_NODES, replication_factor=REPLICATION_FACTOR)
     inproc_ingest = _run_ingest(inproc_cluster, num_chunks)
     inproc_cluster.close()
@@ -364,6 +415,26 @@ def main(argv=None) -> None:
     query_table.print()
     results["queries"] = queries
     results["grant_burst"] = burst
+
+    # The per-key placement's last recorded rows ride along, frozen.
+    with open(_DEFAULT_OUTPUT, "r", encoding="utf-8") as handle:
+        historical = json.load(handle)["results"]["historical"]
+    placement_table = ResultTable(
+        title="Storage nodes touched by one single-stream operation",
+        columns=["placement, stream", "ingest batch writes", "cold stat cover reads"],
+    )
+    for label, row in (
+        ("per key (historical), new", historical["per_key_placement"]["placement"]),
+        ("per stream partition, new", placement["new_stream"]),
+        ("per stream partition, aged", placement["aged_stream"]),
+    ):
+        placement_table.add_row(
+            label, f"{row['ingest_batch_nodes_written']}", f"{row['cold_cover_nodes_read']}"
+        )
+    placement_table.add_note(f"targets: RF = {REPLICATION_FACTOR} nodes written, 1 node read")
+    placement_table.print()
+    results["placement"] = placement
+    results["historical"] = historical
 
     print(f"baseline written to {write_json_report(args.output, results)}")
 

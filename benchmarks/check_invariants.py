@@ -103,6 +103,10 @@ MANIFEST: Dict[str, Tuple[str, List[Tuple[str, str, str]]]] = {
             eq("kv_batch.batched.total_round_trips"),
             eq("kv_batch.scalar.max_node_round_trips"),
             eq("kv_batch.scalar.total_round_trips"),
+            # Placement by stream partition: a single-stream ingest batch
+            # writes RF nodes and a cold stat cover reads one, on a new and
+            # on an aged stream.
+            eq("placement"),
         ],
     ),
     "topology": (

@@ -2,59 +2,52 @@
 
 This is the "distributed" half of the Cassandra substitution: a
 :class:`StorageCluster` owns one :class:`~repro.storage.kv.KeyValueStore`
-per virtual node, places every key with consistent hashing, writes to all
-replicas, and reads from the first healthy one.  Nodes can be marked down to
-exercise replica failover in tests.
+per node, writes every key to all replicas and reads from the first healthy
+one.  It implements :class:`~repro.storage.kv.KeyValueStore` itself, so the
+engine does not care whether it talks to one store or a cluster.  Nodes
+come from ``store_factory``: in-process
+:class:`~repro.storage.memory.MemoryStore` nodes, or
+:class:`~repro.storage.remote.RemoteKeyValueStore` clients of
+:class:`~repro.storage.node.StorageNodeServer` processes — then every
+per-node batch below is one wire round trip, and socket failures surface as
+:class:`~repro.exceptions.StorageError` into the same mark-down / re-route /
+repair machinery.
 
-The cluster itself implements :class:`~repro.storage.kv.KeyValueStore`, so
-the server engine does not care whether it talks to a single in-memory store
-or a replicated cluster.  The nodes themselves are pluggable through
-``store_factory``: in-process :class:`~repro.storage.memory.MemoryStore`
-nodes for tests, or :class:`~repro.storage.remote.RemoteKeyValueStore`
-clients dialing :class:`~repro.storage.node.StorageNodeServer` processes —
-then every per-node batch below is one real wire round trip and
-replication crosses sockets (socket failures surface as
-:class:`~repro.exceptions.StorageError` and feed the same mark-down /
-re-route / repair machinery).
+**Placement is by partition, not by key** (see
+:func:`~repro.storage.partitioner.partition_key`): one stream lives on
+exactly RF nodes and its primary replica serves every read of it, so an
+ingest batch is one ``multi_put`` on RF nodes and a cold node cover is one
+node's round trip, at any stream age.  Routing below compares ring
+replica sets key by key, so handoff, hints, ``repair_node`` and tombstones
+move whole partitions.
 
 Batch operations scatter-gather: ``multi_put``/``multi_get``/``multi_delete``
-group the keys by owning replica via the consistent-hash ring and issue one
-batched call per healthy node, so a write set of n keys over an N-node
-cluster costs at most N (typically ``replication_factor``-ish) backend round
-trips instead of n·RF.  The per-node calls **fan out concurrently** through
-a shared :class:`~concurrent.futures.ThreadPoolExecutor` sized against the
-*live* membership (it grows when ``add_node`` outgrows it); outcomes are
-gathered and then applied in deterministic node order, so failure handling
-behaves identically to a sequential loop.  A node whose local store raises
-mid-``multi_put``/``multi_get`` is marked down and its share of the batch
-is re-routed to the surviving replicas — the same mark-down state that
-``mark_up`` + ``repair_node`` later heal; ``multi_delete`` instead
-propagates node errors (deterministically: the lowest-named failing node's
-error), because a missed tombstone cannot be repaired after the fact.
+group the keys by replica and issue one batched call per healthy node,
+**concurrently** through a shared :class:`~concurrent.futures.ThreadPoolExecutor`
+sized against the *live* membership; outcomes are applied in deterministic
+node order, so failure handling behaves like a sequential loop.  A node
+whose store raises mid-``multi_put``/``multi_get`` is marked down and its
+share re-routed to the surviving replicas (``mark_up`` + ``repair_node``
+heal it later); ``multi_delete`` propagates the lowest-named failing node's
+error instead, because a missed tombstone cannot be repaired after the fact.
 
 Two production behaviours of the real Cassandra tier ride on top:
 
 * **Elastic membership** — :meth:`StorageCluster.add_node` and
-  :meth:`StorageCluster.decommission_node` change the topology *live*.  The
-  new ring is built as a copy and swapped in atomically; while the handoff
-  streams the moved key ranges to their new owners (bounded batches, one
-  ``multi_get`` asking each destination what it already holds, one batched
-  read from the *old* owners, one ``multi_put`` per destination — the same
-  shape as :meth:`repair_node`), every operation routes over the **union**
-  of the old and new replica walks: reads fall back to the old owner of a
-  not-yet-moved key, writes land on both owner sets, deletes tombstone
-  both.  Only ~1/N of the keyspace moves on an add (± virtual-token
-  variance), and a read issued mid-handoff is always served correctly.
+  :meth:`StorageCluster.decommission_node` swap in a copied ring atomically
+  and stream the moved partitions to their new owners in bounded batches
+  (per batch: one ``multi_get`` asking each destination what it holds, one
+  read from the *old* owners, one ``multi_put`` per destination).  Until
+  the handoff completes every operation routes over the **union** of the
+  old and new replica walks — reads fall back to the old owner, writes land
+  on both, deletes tombstone both — so a read mid-handoff is always right.
 
 * **Hinted handoff** — a write that misses a downed replica parks a *hint*
-  (the key and value, under the reserved :data:`HINT_PREFIX` keyspace) on a
-  surviving replica of the same key, and :meth:`mark_up` replays the parked
-  hints straight onto the recovered node before reads return to it.  The
-  hint lives in the surviving node's regular store, so it survives process
-  restarts on persistent backends; :meth:`repair_node` becomes the backstop
-  for cascaded failures (hint host lost too) instead of the only heal path.
-  Hint keys never appear in cluster-level scans, sizes, or repairs, and
-  writing a user key under ``hint/`` is rejected.
+  (key and value under the reserved :data:`HINT_PREFIX` keyspace) on a
+  surviving replica of the key's partition; :meth:`mark_up` replays it onto
+  the recovered node, and :meth:`repair_node` is the backstop for cascaded
+  failures.  Hints never appear in cluster scans, sizes or repairs, and a
+  user key under ``hint/`` is rejected.
 """
 
 from __future__ import annotations
@@ -315,7 +308,7 @@ class StorageCluster(KeyValueStore):
             # them mid-handoff, and re-park hints whose host fell off its
             # key's replica walk — both would otherwise go stale.
             # repro: allow[REPRO004] same serialized-rebalance design as _stream_handoff above
-            self._sweep_rebalance_writes(recorded, old_ring, old_rf)
+            self._sweep_rebalance_writes(recorded, old_ring, old_rf, handoff_batch_size)
             # repro: allow[REPRO004] same serialized-rebalance design as _stream_handoff above
             self._rebalance_hints()
             self.last_rebalance = {"action": "add", "node": name, **stats}
@@ -364,7 +357,7 @@ class StorageCluster(KeyValueStore):
                 recorded, self._rebalance_writes = self._rebalance_writes, None
                 self._prev = None
             # repro: allow[REPRO004] same serialized-rebalance design as _stream_handoff above
-            self._sweep_rebalance_writes(recorded, old_ring, old_rf)
+            self._sweep_rebalance_writes(recorded, old_ring, old_rf, handoff_batch_size)
             # After _prev is cleared the leaving node is off every replica
             # walk, so the hint rebalance below moves every hint it hosts
             # onto the survivors and can never place one back on it.
@@ -553,7 +546,7 @@ class StorageCluster(KeyValueStore):
         """Park ``(target, key) -> value`` hints on surviving replicas.
 
         Each hint is written to the first healthy replica of its *original*
-        key (never the downed target itself), so the hint sits next to live
+        key's partition (never the downed target), so the hint sits next to live
         data the recovered node will be read-repaired against and survives
         restarts on persistent backends.  A host failing mid-park is marked
         down and the hint re-picks the next survivor; a hint with no
@@ -730,7 +723,7 @@ class StorageCluster(KeyValueStore):
                 self._mark_failed(host)
 
     def _sweep_rebalance_writes(
-        self, recorded: Optional[Set[bytes]], old_ring: ConsistentHashRing, old_rf: int
+        self, recorded: Optional[Set[bytes]], old_ring: ConsistentHashRing, old_rf: int, batch_size: int
     ) -> None:
         """Re-clean keys written mid-handoff from the range-losing old owners.
 
@@ -759,7 +752,7 @@ class StorageCluster(KeyValueStore):
             if not gained and not lost:
                 continue
             batch[key] = (gained, lost)
-            if len(batch) >= 256:
+            if len(batch) >= batch_size:
                 self._handoff_batch(batch, old_ring, old_rf)
                 batch = {}
         if batch:
@@ -951,9 +944,10 @@ class StorageCluster(KeyValueStore):
     def multi_get(self, keys: Iterable[bytes]) -> Dict[bytes, Optional[bytes]]:
         """Group reads by first healthy replica; one ``multi_get`` per node.
 
-        Keys a node reports missing fall back to their next replica (batched
-        with that node's other keys on the following round); a node that
-        raises is marked down and its keys are re-routed.  A key resolves to
+        A healthy partition's keys all go to its primary.  Keys a node
+        reports missing fall back to their next replica (batched with that
+        node's other keys on the following round); a node that raises is
+        marked down and its keys are re-routed.  A key resolves to
         ``None`` only once every healthy replica has denied it, and raises
         :class:`~repro.exceptions.PartitionError` when no healthy replica
         remains — both matching the scalar read path.  During a rebalance
@@ -1068,22 +1062,14 @@ class StorageCluster(KeyValueStore):
     def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Merge prefix scans across nodes, deduplicating replicated keys.
 
-        A streaming k-way heap merge over the per-node scans (each already
-        sorted by key): duplicates of a replicated key arrive adjacently in
-        the merged order, so dedup only has to remember the last yielded key
-        — O(1) memory however large the keyspace, which is what lets
-        :meth:`repair_node` and :meth:`size_bytes` walk a big (possibly
-        remote) cluster without materializing it.  Keys in the reserved
-        hinted-handoff keyspace are never surfaced.  Replica disagreements
-        (a stale replica holding a different value after a partial failure)
-        resolve deterministically: the *earliest node in cluster order*
-        (``node-0``, ``node-1``, …, the ``_node_names`` construction order
-        — not lexicographic) wins.  Note this tie-break differs from the
-        scalar/batch ``get`` path, which reads replicas in consistent-hash
-        ring order — after a partial failure the two may surface different
-        replicas' values until ``repair_node`` (or an overwrite)
-        reconverges them; scans just guarantee a deterministic choice, not
-        read-your-ring-order.
+        A streaming k-way heap merge over the per-node sorted scans:
+        duplicates of a replicated key arrive adjacently, so dedup remembers
+        only the last yielded key — O(1) memory, which lets
+        :meth:`repair_node` and :meth:`size_bytes` walk a big remote cluster.
+        Hint keys are never surfaced.  A replica disagreement (a stale copy
+        after a partial failure) resolves to the *earliest node in cluster
+        construction order*, unlike ``get``, which reads in ring order — the
+        two may differ until ``repair_node`` or an overwrite reconverges them.
         """
         yield from self._merged_scan(
             lambda store: store.scan_prefix(prefix), key_of=lambda item: item[0]

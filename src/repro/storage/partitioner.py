@@ -1,13 +1,14 @@
 """Consistent-hash partitioning (how the Cassandra stand-in places data).
 
-Keys are hashed onto a ring; each physical node owns several virtual tokens
-so that adding or removing a node only moves a small fraction of the keys.
-Replica sets are the N distinct nodes encountered walking clockwise from the
-key's position — the same token-ring design Cassandra and Dynamo use.
-Ownership is *inclusive*: the first token whose position is greater than or
-equal to the key's hash owns the key (the Dynamo/Cassandra convention), so a
-key whose hash collides exactly with a virtual token belongs to that token's
-node, not its successor.
+Partitions, not keys, are hashed onto a ring (:func:`partition_key` maps a
+key to its partition); each physical node owns several virtual tokens so
+that adding or removing a node only moves a small fraction of the
+partitions.  Replica sets are the N distinct nodes encountered walking
+clockwise from the partition's position — the same token-ring design
+Cassandra and Dynamo use.  Ownership is *inclusive*: the first token whose
+position is greater than or equal to the hash owns it (the
+Dynamo/Cassandra convention), so a hash colliding exactly with a virtual
+token belongs to that token's node, not its successor.
 
 Rings are cheap to :meth:`~ConsistentHashRing.copy`: a cluster performing a
 live membership change builds the *new* ring as a copy, mutates the copy,
@@ -22,6 +23,35 @@ import hashlib
 from typing import Dict, List, Sequence, Tuple
 
 from repro.exceptions import PartitionError
+
+
+#: Key families the repo writes per stream; the field after the family is
+#: the stream uuid.
+_STREAM_FAMILIES = frozenset((b"chunk", b"index", b"meta", b"grant", b"envelope"))
+
+
+def partition_key(key: bytes) -> bytes:
+    """The partition ``key`` is placed by: its stream.
+
+    Like the paper's Cassandra back end, a stream's data stays together:
+    ``chunk/<uuid>/…``, ``index/<uuid>/…`` (nodes and the meta record),
+    ``meta/<uuid>``, ``grant/<uuid>/…`` and ``envelope/<uuid>/…`` all map to
+    the stream uuid, whatever the window, so one stream lives on exactly RF
+    nodes at any age.  Every other key (hints, routing-table uuids, generic
+    keys) and a stream-family key with no uuid field is its own partition;
+    this never raises.
+
+    Hot partitions: a busy stream's whole volume sits on its RF nodes and
+    its primary serves every read of it; load spreads over the ring only
+    across streams.  Leakage: one node sees a stream's whole volume — no
+    worse than per-key placement, since every key already names its stream
+    uuid in plaintext.
+    """
+    family, _sep, rest = key.partition(b"/")
+    uuid = rest.partition(b"/")[0]
+    if family not in _STREAM_FAMILIES or not uuid:
+        return key
+    return b"partition/" + uuid
 
 
 def _hash_to_ring(data: bytes) -> int:
@@ -82,15 +112,15 @@ class ConsistentHashRing:
         return self.replicas(key, 1)[0]
 
     def replicas(self, key: bytes, replication_factor: int) -> List[str]:
-        """The ``replication_factor`` distinct nodes responsible for ``key``."""
+        """The ``replication_factor`` distinct nodes responsible for ``key``'s partition."""
         if not self._tokens:
             raise PartitionError("the ring has no nodes")
         if replication_factor <= 0:
             raise ValueError("replication_factor must be positive")
         available = len(self._nodes)
         wanted = min(replication_factor, available)
-        position = _hash_to_ring(key)
-        # Inclusive clockwise seek: the first token with position >= hash(key)
+        position = _hash_to_ring(partition_key(key))
+        # Inclusive clockwise seek: the first token with position >= the hash
         # owns the key.  Node names are non-empty, so (position, "") sorts
         # before every real token at that position and bisect_left lands on
         # it — a bisect_right past (position, "￿") would skip a token

@@ -20,7 +20,8 @@ protocol (the ``kv_*`` op family), so a
   cross the wire).  ``delete_prefix`` is one ``kv_delete_prefix`` round
   trip whatever the keyspace size.
 * **Failures are node outages.**  Connection refusal, timeouts, dropped
-  sockets, and transport-level protocol errors all surface as
+  sockets, transport-level protocol errors and malformed ``found`` /
+  ``deferred`` / ``existed`` index lists all surface as
   :class:`~repro.exceptions.StorageError`, which is exactly what the
   cluster's ``_NODE_FAILURES`` mark-down/re-route/repair machinery treats
   as a downed node.  Typed remote errors raised *by* the store itself
@@ -275,17 +276,24 @@ class RemoteKeyValueStore(KeyValueStore):
         parts = list(self._key_parts(materialized))
         # The node byte-caps responses and defers the tail (see
         # ``kv_multi_get`` in storage/node.py); each retry wave re-requests
-        # every deferred key in one further round trip.  The node always
-        # serves at least one value per request, so the loop terminates.
+        # every deferred key in one further round trip.  A wave that defers
+        # must serve a value, and nothing is both served and deferred, so
+        # the loop terminates even against a hostile node.
         while parts:
             responses = self._call_many([Request("kv_multi_get", {}, part) for part in parts])
             deferred_keys: List[bytes] = []
+            served = 0
             for part, response in zip(parts, responses):
-                for index, value in zip(response.result["found"], response.attachments):
+                found = self._indices(response, "found", len(part))
+                deferred = self._indices(response, "deferred", len(part), optional=True)
+                if len(found) != len(response.attachments) or not set(found).isdisjoint(deferred):
+                    raise StorageError(f"storage node {self._address} sent a malformed kv_multi_get")
+                for index, value in zip(found, response.attachments):
                     result[part[index]] = retain(value)
-                deferred_keys.extend(
-                    part[index] for index in response.result.get("deferred", ())
-                )
+                deferred_keys.extend(part[index] for index in deferred)
+                served += len(found)
+            if deferred_keys and not served:
+                raise StorageError(f"storage node {self._address} deferred a wave without serving")
             parts = list(self._key_parts(deferred_keys)) if deferred_keys else []
         return result
 
@@ -314,8 +322,26 @@ class RemoteKeyValueStore(KeyValueStore):
         )
         existed: Set[bytes] = set()
         for part, response in zip(parts, responses):
-            existed.update(part[index] for index in response.result["existed"])
+            existed.update(part[index] for index in self._indices(response, "existed", len(part)))
         return existed
+
+    def _indices(self, response: Response, field: str, bound: int, optional: bool = False) -> List[int]:
+        """``response.result[field]``, checked: strictly increasing ints in ``[0, bound)``.
+
+        Anything else is a broken or hostile node; :class:`StorageError` makes
+        the cluster mark it down and read another replica.
+        """
+        result = response.result
+        indices = result.get(field, [] if optional else None) if isinstance(result, dict) else None
+        if isinstance(indices, list):
+            previous = -1
+            for index in indices:
+                if type(index) is not int or not previous < index < bound:
+                    break
+                previous = index
+            else:
+                return indices
+        raise StorageError(f"storage node {self._address} sent a malformed {field!r} index list")
 
     # -- scans / sizing ------------------------------------------------------------
 

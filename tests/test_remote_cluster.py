@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
 
 import pytest
@@ -22,11 +23,11 @@ from repro import Principal, ServerEngine, StreamConfig, TimeCrypt, TimeCryptCon
 from repro.access.keystore import TokenStore
 from repro.exceptions import ProtocolError, StorageError
 from repro.net.client import RemoteServerClient
-from repro.net.messages import KV_OPERATIONS, Request
+from repro.net.messages import KV_OPERATIONS, Request, Response
 from repro.net.server import TimeCryptTCPServer
 from repro.storage.cluster import StorageCluster
 from repro.storage.memory import MemoryStore
-from repro.storage.node import StorageNodeServer
+from repro.storage.node import StorageNodeDispatcher, StorageNodeServer
 from repro.storage.remote import RemoteKeyValueStore
 from repro.util.blocking import before_blocking
 
@@ -500,6 +501,129 @@ class TestRemoteStoreFailures:
         with pytest.raises(StorageError):
             remote.multi_put([(b"a", b"b")])
         remote.close()
+
+
+class _HostileNodeDispatcher(StorageNodeDispatcher):
+    """A storage node that rewrites its honest ``kv_multi_*`` answers.
+
+    ``rewrite(honest_response) -> (result, attachments)``; after 20 answers
+    it turns honest, so a client that would spin forever on a hostile node
+    ends the test with a failed assertion instead of a hang.
+    """
+
+    def __init__(self, store, rewrite) -> None:
+        super().__init__(store)
+        self.rewrite = rewrite
+        self.answers = 0
+
+    def _hostile(self, honest: Response) -> Response:
+        self.answers += 1
+        if self.answers > 20:
+            return honest
+        result, attachments = self.rewrite(honest)
+        return Response(ok=True, result=result, attachments=attachments)
+
+    def _op_kv_multi_get(self, request: Request) -> Response:
+        return self._hostile(super()._op_kv_multi_get(request))
+
+    def _op_kv_multi_delete(self, request: Request) -> Response:
+        return self._hostile(super()._op_kv_multi_delete(request))
+
+
+_KEYS = [b"h/0", b"h/1", b"h/2"]
+
+#: Hostile ``kv_multi_get`` answers to a request for ``_KEYS`` (all stored).
+_HOSTILE_GETS = {
+    "negative_index": lambda r: ({"found": [-1, 1, 2]}, r.attachments),
+    "index_past_the_part": lambda r: ({"found": [0, 1, 3]}, r.attachments),
+    "bool_index": lambda r: ({"found": [False, 1, 2]}, r.attachments),
+    "float_index": lambda r: ({"found": [0.0, 1, 2]}, r.attachments),
+    "decreasing": lambda r: ({"found": [1, 0, 2]}, r.attachments),
+    "duplicate": lambda r: ({"found": [0, 0, 2]}, r.attachments),
+    "not_a_list": lambda r: ({"found": "012"}, r.attachments),
+    "missing_found": lambda r: ({}, r.attachments),
+    "result_not_a_dict": lambda r: ([0, 1, 2], r.attachments),
+    "fewer_values_than_found": lambda r: ({"found": [0, 1, 2]}, r.attachments[:2]),
+    "more_values_than_found": lambda r: ({"found": [0, 1]}, r.attachments),
+    "defers_every_key": lambda r: ({"found": [], "deferred": [0, 1, 2]}, []),
+    "serves_and_defers_one_key": lambda r: ({"found": [0], "deferred": [0, 1, 2]}, r.attachments[:1]),
+    "deferred_past_the_part": lambda r: ({"found": [0], "deferred": [3]}, r.attachments[:1]),
+    "deferred_negative": lambda r: ({"found": [0], "deferred": [-1]}, r.attachments[:1]),
+    "deferred_not_a_list": lambda r: ({"found": [0], "deferred": 1}, r.attachments[:1]),
+}
+
+#: Hostile ``kv_multi_delete`` answers to a request for ``_KEYS``.
+_HOSTILE_DELETES = {
+    "negative_index": lambda r: ({"existed": [-1]}, []),
+    "index_past_the_part": lambda r: ({"existed": [3]}, []),
+    "bool_index": lambda r: ({"existed": [True]}, []),
+    "decreasing": lambda r: ({"existed": [2, 1]}, []),
+    "duplicate": lambda r: ({"existed": [1, 1]}, []),
+    "not_a_list": lambda r: ({"existed": 0}, []),
+    "missing_existed": lambda r: ({}, []),
+}
+
+
+@contextmanager
+def _hostile_node(rewrite) -> Iterator[Tuple[_HostileNodeDispatcher, RemoteKeyValueStore]]:
+    store = MemoryStore()
+    store.multi_put([(key, b"value-" + key) for key in _KEYS])
+    dispatcher = _HostileNodeDispatcher(store, rewrite)
+    with TimeCryptTCPServer(dispatcher=dispatcher) as server:
+        remote = RemoteKeyValueStore(*server.address, timeout=5.0)
+        try:
+            yield dispatcher, remote
+        finally:
+            remote.close()
+
+
+class TestHostileKVResponses:
+    """A node's index lists are checked, never trusted: every hostile shape
+    is a ``StorageError`` (the cluster's node-outage signal), never a value
+    under the wrong key, a bare ``IndexError`` or an endless retry loop."""
+
+    def test_honest_node_passes_the_checks(self):
+        with _hostile_node(lambda r: (r.result, r.attachments)) as (_dispatcher, remote):
+            assert remote.multi_get(_KEYS + [b"h/missing"]) == {
+                **{key: b"value-" + key for key in _KEYS},
+                b"h/missing": None,
+            }
+            assert remote.multi_delete([b"h/1", b"h/missing"]) == {b"h/1"}
+
+    @pytest.mark.parametrize("shape", sorted(_HOSTILE_GETS))
+    def test_hostile_multi_get_is_a_storage_error(self, shape):
+        with _hostile_node(_HOSTILE_GETS[shape]) as (dispatcher, remote):
+            with pytest.raises(StorageError, match="storage node"):
+                remote.multi_get(_KEYS)
+            assert dispatcher.answers == 1  # failed on the first wave, no spin
+
+    @pytest.mark.parametrize("shape", sorted(_HOSTILE_DELETES))
+    def test_hostile_multi_delete_is_a_storage_error(self, shape):
+        with _hostile_node(_HOSTILE_DELETES[shape]) as (dispatcher, remote):
+            with pytest.raises(StorageError, match="storage node"):
+                remote.multi_delete(_KEYS)
+            assert dispatcher.answers == 1
+
+    def test_cluster_marks_hostile_node_down_and_reads_the_other_replica(self):
+        honest = StorageNodeServer(MemoryStore()).start()
+        hostile = _HostileNodeDispatcher(MemoryStore(), _HOSTILE_GETS["negative_index"])
+        addresses = {"node-1": honest.address}
+        with TimeCryptTCPServer(dispatcher=hostile) as hostile_server:
+            addresses["node-0"] = hostile_server.address
+            cluster = StorageCluster(
+                num_nodes=2,
+                replication_factor=2,
+                store_factory=lambda name: RemoteKeyValueStore(*addresses[name], timeout=5.0),
+            )
+            try:
+                items = {f"c/{index:03d}".encode(): bytes([index]) for index in range(40)}
+                cluster.multi_put(list(items.items()))
+                assert any(cluster.healthy_replicas(key)[0] == "node-0" for key in items)
+                assert cluster.multi_get(list(items)) == items
+                assert cluster._down == {"node-0"}
+            finally:
+                cluster.close()
+                honest.stop()
 
 
 # ---------------------------------------------------------------------------

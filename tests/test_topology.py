@@ -228,6 +228,41 @@ class TestElasticMembership:
             assert fetched[key] == value, key
         cluster.close()
 
+    def test_sweep_honours_handoff_batch_size(self):
+        """The post-handoff sweep batches at the caller's ``handoff_batch_size``."""
+        sweep_batches: List[int] = []
+
+        class SweepCountingCluster(StorageCluster):
+            sweeping = False
+
+            def _handoff_batch(self, batch, old_ring, old_rf):
+                if self.sweeping:
+                    sweep_batches.append(len(batch))
+                result = super()._handoff_batch(batch, old_ring, old_rf)
+                if not self.sweeping:
+                    # Re-write the batch's keys after its cleanup: the union
+                    # walk re-creates loser copies the sweep must re-clean.
+                    self.multi_put([(key, b"mid/" + key) for key in batch])
+                return result
+
+            def _sweep_rebalance_writes(self, *args):
+                self.sweeping = True
+                try:
+                    return super()._sweep_rebalance_writes(*args)
+                finally:
+                    self.sweeping = False
+
+        cluster = SweepCountingCluster(num_nodes=3, replication_factor=2)
+        _fill(cluster, 120)
+        cluster.add_node(handoff_batch_size=1)
+        moved = cluster.last_rebalance["moved_keys"]
+        assert moved > 1
+        assert sweep_batches == [1] * moved
+        sweep_batches.clear()
+        cluster.decommission_node("node-1", handoff_batch_size=1)
+        assert len(sweep_batches) > 1 and set(sweep_batches) == {1}
+        cluster.close()
+
     def test_delete_after_membership_change_not_resurrected_by_replay(self):
         """Hints must follow (or die with) their key's replica walk: a hint
         parked before an add_node would otherwise dodge the delete's
