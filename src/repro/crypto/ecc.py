@@ -3,8 +3,8 @@
 The paper's second strawman encrypts index digests with additive EC-ElGamal
 over prime256v1 (via OpenSSL).  We implement the curve group here: points in
 Jacobian coordinates for fast double-and-add scalar multiplication, plus the
-affine interface EC-ElGamal needs.  The same group also backs the ECIES-style
-hybrid encryption used to wrap access tokens for principals.
+affine interface EC-ElGamal needs.  Token sealing (:mod:`repro.crypto.hybrid`)
+falls back to this group when the native ``cryptography`` P-256 is absent.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class Point:
             raise CryptoError("invalid P-256 point encoding")
         x = int.from_bytes(data[1:33], "big")
         y = int.from_bytes(data[33:], "big")
+        if x >= P or y >= P:
+            raise CryptoError("non-canonical P-256 point coordinate")
         point = Point(x, y)
         if not is_on_curve(point):
             raise CryptoError("decoded point is not on the curve")

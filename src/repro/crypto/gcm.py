@@ -162,4 +162,4 @@ def aead_decrypt(
             return _NativeAESGCM(key).decrypt(nonce, body, aad or None)
         except Exception as exc:
             raise IntegrityError("AES-GCM tag mismatch") from exc
-    return AesGcm(key).decrypt(nonce, body, aad)
+    return AesGcm(key).decrypt(bytes(nonce), bytes(body), aad)
