@@ -17,6 +17,9 @@ Tracks the two hot-path claims of the batch fast path introduced with
    moves with the runner; these integers move only when a boundary key
    starts costing more than the construction does (an independent walk per
    boundary, a PRF key set-up per component, both children per step).
+   Its ``key_regression`` block counts the hash-chain steps of a restricted
+   grant's 128 wrapping keys: one walk per chain, and a fresh keystream
+   pays its primary chain's single walk down once.
 
 Run as a script to print the tables and refresh the ``BENCH_batch.json``
 baseline (merged via :func:`repro.bench.reporting.merge_json_report`, which
@@ -42,8 +45,10 @@ from pathlib import Path
 from unittest import mock
 
 from repro import ServerEngine, TimeCrypt
+from repro.access.resolution import ResolutionKeystream
 from repro.bench.harness import measure
 from repro.bench.reporting import ResultTable, format_duration, merge_json_report
+from repro.crypto import hashchain
 from repro.crypto.heac import HEACCipher, HEACCiphertext
 from repro.crypto.keytree import KeyDerivationTree
 from repro.crypto.prf import DEFAULT_PRG, KeyedPRF, available_prgs
@@ -68,6 +73,11 @@ COUNT_QUERIES = 256
 COUNT_WIDTH = 11
 COUNT_BATCH = 8
 COUNT_CACHE_LEVELS = 16  # the owner tree's default top-of-tree memo
+
+#: Restricted-grant workload (the e2e ``stat_hot`` / ``read_cold`` grant):
+#: 8-chunk resolution over windows 0..1016, 128 envelopes.
+REGRESSION_RESOLUTION = 8
+REGRESSION_WINDOW_END = 1016
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 
@@ -146,6 +156,46 @@ def measure_derive_counts():
         "digest_width": COUNT_WIDTH,
         "two_boundary_decrypt": decrypt,
         "window_batch": window_batch,
+        "key_regression": measure_regression_counts(),
+    }
+
+
+def measure_regression_counts():
+    """Hash-chain steps of one restricted grant (the e2e ``stat_hot`` shape).
+
+    A grant is what ``GrantManager`` does for a resolution-restricted policy:
+    ``share`` plus ``make_envelopes`` over 1 017 windows at r = 8, i.e. 128
+    envelopes.  Steps are counted by wrapping ``hashchain.next_state``; the
+    chains' random seeds do not change the counts.
+    """
+    tree = KeyDerivationTree(seed=b"b" * 16, height=TREE_HEIGHT, prg=DEFAULT_PRG)
+    steps = [0]
+    step = hashchain.next_state
+
+    def counting_step(state):
+        steps[0] += 1
+        return step(state)
+
+    def grant(keystream):
+        keystream.share(0, REGRESSION_WINDOW_END)
+        keystream.make_envelopes(0, REGRESSION_WINDOW_END)
+        return keystream
+
+    with mock.patch.object(hashchain, "next_state", counting_step):
+        # The first grant includes constructing the keystream.
+        keystream = grant(ResolutionKeystream("bench", REGRESSION_RESOLUTION, tree))
+        first, steps[0] = steps[0], 0
+        grant(keystream)
+    steady = steps[0]
+    envelopes = REGRESSION_WINDOW_END // REGRESSION_RESOLUTION + 1
+    return {
+        "resolution_chunks": REGRESSION_RESOLUTION,
+        "envelopes_per_grant": envelopes,
+        "chain_length": keystream._regression.length,
+        "first_grant_steps": first,
+        "first_grant_step_budget": keystream._regression.length - 1 + 2 * 64,
+        "grant_steps": steady,
+        "grant_step_budget": 2 * envelopes + 64,
     }
 
 
@@ -235,6 +285,9 @@ def test_derive_counts_within_the_construction_budget():
     batch = counts["window_batch"]
     # One set-up per boundary's pad vector and one per payload key.
     assert batch["keyed_prf_setups"] == batch["batches"] * (2 * COUNT_BATCH + 1)
+    regression = counts["key_regression"]
+    assert regression["first_grant_steps"] <= regression["first_grant_step_budget"], regression
+    assert regression["grant_steps"] <= regression["grant_step_budget"], regression
 
 
 def test_batch_ingest_equals_scalar_results():
@@ -344,6 +397,16 @@ def main(argv=None) -> None:
         f"decrypt budget (h - cached) + (h - lca): {decrypt['prg_step_budget'] / decrypt['queries']:.1f} steps"
     )
     counts_table.print()
+    regression = counts["key_regression"]
+    regression_table = ResultTable(
+        title=f"Key regression — {regression['envelopes_per_grant']}-envelope restricted grant (deterministic)",
+        columns=["grant", "hash-chain steps", "budget"],
+    )
+    regression_table.add_row(
+        "fresh keystream", regression["first_grant_steps"], regression["first_grant_step_budget"]
+    )
+    regression_table.add_row("steady state", regression["grant_steps"], regression["grant_step_budget"])
+    regression_table.print()
     results["derive_counts"] = counts
 
     output = os.environ.get("BENCH_OUTPUT", str(_DEFAULT_OUTPUT))

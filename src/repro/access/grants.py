@@ -194,16 +194,15 @@ class GrantManager:
         return token, envelopes
 
     def resolution_keystream(self, resolution: Resolution) -> ResolutionKeystream:
-        """The (lazily created) resolution keystream for a granularity."""
-        existing = self._resolutions.get(resolution.chunks)
-        if existing is None:
-            existing = ResolutionKeystream(
-                stream_uuid=self.stream_uuid,
-                resolution_chunks=resolution.chunks,
-                base_keystream=self.key_tree,
-            )
-            self._resolutions[resolution.chunks] = existing
-        return existing
+        """The (lazily created) resolution keystream for a granularity.
+
+        ``setdefault``: concurrent first grants must share one random chain, or
+        the later one's envelopes lock the earlier one's principal out.
+        """
+        chunks = resolution.chunks
+        return self._resolutions.get(chunks) or self._resolutions.setdefault(
+            chunks, ResolutionKeystream(self.stream_uuid, chunks, self.key_tree)
+        )
 
     def publish_envelopes(self, resolution: Resolution, window_start: int, window_end: int) -> int:
         """Publish (or refresh) envelopes for a window interval; returns the count."""

@@ -21,9 +21,14 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.crypto.gcm import aead_decrypt, aead_encrypt
-from repro.crypto.heac import Keystream
+from repro.crypto.heac import Keystream, _fetch_leaves
 from repro.crypto.keyregression import DualKeyRegression, DualKeyRegressionToken
 from repro.exceptions import AccessDeniedError, KeyDerivationError
+
+
+def _aad(stream_uuid: str, resolution_chunks: int, window_index: int) -> bytes:
+    """What an envelope is bound to: its stream, resolution and window."""
+    return f"{stream_uuid}:{resolution_chunks}:{window_index}".encode()
 
 
 @dataclass(frozen=True)
@@ -76,23 +81,24 @@ class ResolutionKeystream:
             )
         return window_index // self._resolution_chunks
 
-    def make_envelope(self, window_index: int) -> bytes:
-        """Wrap outer key ``k_window_index`` under the regression keystream."""
-        envelope_index = self.envelope_index(window_index)
-        wrapping_key = self._regression.key(envelope_index)
-        outer_key = self._base.leaf(window_index)
-        aad = f"{self._stream_uuid}:{self._resolution_chunks}:{window_index}".encode()
-        return aead_encrypt(wrapping_key, outer_key, aad)
-
     def make_envelopes(self, window_start: int, window_end: int) -> Dict[int, bytes]:
-        """Envelopes for every aligned boundary in ``[window_start, window_end]``."""
-        envelopes: Dict[int, bytes] = {}
-        first = ((window_start + self._resolution_chunks - 1) // self._resolution_chunks)
-        last = window_end // self._resolution_chunks
-        for envelope_index in range(first, last + 1):
-            window_index = envelope_index * self._resolution_chunks
-            envelopes[window_index] = self.make_envelope(window_index)
-        return envelopes
+        """Envelopes for every aligned boundary in ``[window_start, window_end]``.
+
+        One run of regression keys and one shared tree walk for the outer
+        keys, then one AEAD per envelope wrapping ``k_w`` under key ``w / r``.
+        """
+        resolution = self._resolution_chunks
+        first = -(-window_start // resolution)
+        last = window_end // resolution
+        if last < first:
+            return {}
+        windows = [index * resolution for index in range(first, last + 1)]
+        wrapping_keys = self._regression.keys(first, last + 1)
+        outer_keys = _fetch_leaves(self._base, windows)
+        return {
+            window: aead_encrypt(key, outer, _aad(self._stream_uuid, resolution, window))
+            for window, key, outer in zip(windows, wrapping_keys, outer_keys)
+        }
 
     # -- sharing (owner -> principal) --------------------------------------------
 
@@ -155,7 +161,7 @@ class ResolutionConsumerKeystream:
         if envelope is None:
             raise AccessDeniedError(f"no key envelope available for window {window_index}")
         wrapping_key = DualKeyRegression.derive_from_token(self._share.token, envelope_index)
-        aad = f"{self._share.stream_uuid}:{self._share.resolution_chunks}:{window_index}".encode()
+        aad = _aad(self._share.stream_uuid, self._share.resolution_chunks, window_index)
         outer_key = aead_decrypt(wrapping_key, envelope, aad)
         self._cache[window_index] = outer_key
         return outer_key

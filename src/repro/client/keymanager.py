@@ -61,17 +61,17 @@ class OwnerKeyManager:
         """The grant manager wired to a directory and a server token store.
 
         One manager is kept per token store so repeated calls share issued
-        grant/revocation state.
+        grant/revocation state; ``setdefault`` keeps it one under concurrent
+        first calls.
         """
         key = id(token_store)
-        manager = self._grant_managers.get(key)
-        if manager is None:
-            manager = GrantManager(
+        return self._grant_managers.get(key) or self._grant_managers.setdefault(
+            key,
+            GrantManager(
                 stream_uuid=self.stream_uuid,
                 config=self.config,
                 key_tree=self.key_tree,
                 identity_provider=identity_provider,
                 token_store=token_store,
-            )
-            self._grant_managers[key] = manager
-        return manager
+            ),
+        )

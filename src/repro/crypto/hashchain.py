@@ -18,6 +18,10 @@ from repro.exceptions import KeyDerivationError
 STATE_BYTES = 16
 KEY_BYTES = 16
 
+#: ``G``'s personalised BLAKE2b state; every evaluation copies it, which is
+#: cheaper than constructing a hash from keyword arguments per step.
+_G = hashlib.blake2b(digest_size=STATE_BYTES + KEY_BYTES, person=b"tc-hashchain0000")
+
 
 def expand(state: bytes) -> bytes:
     """Length-expanding one-way function ``G: {0,1}^λ -> {0,1}^{λ+l}``.
@@ -27,11 +31,13 @@ def expand(state: bytes) -> bytes:
     """
     if len(state) != STATE_BYTES:
         raise ValueError(f"hash-chain state must be {STATE_BYTES} bytes")
-    return hashlib.blake2b(state, digest_size=STATE_BYTES + KEY_BYTES, person=b"tc-hashchain0000").digest()
+    g = _G.copy()
+    g.update(state)
+    return g.digest()
 
 
 def next_state(state: bytes) -> bytes:
-    """``MSB_λ(G(state))`` — one step along the chain."""
+    """``MSB_λ(G(state))`` — one step along the chain; every walk steps through here."""
     return expand(state)[:STATE_BYTES]
 
 
@@ -44,21 +50,23 @@ def walk(state: bytes, steps: int) -> bytes:
     """Apply :func:`next_state` ``steps`` times."""
     if steps < 0:
         raise KeyDerivationError("cannot walk a hash chain backwards")
-    current = state
     for _ in range(steps):
-        current = next_state(current)
-    return current
+        state = next_state(state)
+    return state
 
 
 class HashChain:
-    """A materialised hash chain of ``length`` states.
+    """A hash chain of ``length`` states, checkpointed as far as it is read.
 
     The chain is generated from a random ``seed`` assigned to the *last*
     state ``s_{length-1}``; earlier states are derived by repeated hashing.
-    For long chains, materialising every state costs O(n) memory; the
-    ``checkpoint_interval`` option keeps only every k-th state and re-derives
-    the rest on demand (O(n/k) memory, O(k) worst-case lookup), which is how
-    we keep million-entry resolution keystreams practical.
+    Construction stores only the seed.  A read below the lowest checkpoint
+    walks down from it and keeps every ``checkpoint_interval``-th state it
+    passes: a chain pays only for the part that is read, memory stays O(n/k)
+    and a lookup in the reached part walks at most k steps.  Concurrent
+    readers need no lock: checkpoints are pure functions of the seed, each is
+    stored before the "lowest" mark moves below it, and a stale mark only
+    means a longer walk.
     """
 
     def __init__(self, seed: bytes, length: int, checkpoint_interval: int = 64) -> None:
@@ -70,15 +78,9 @@ class HashChain:
             raise ValueError("checkpoint interval must be positive")
         self._length = length
         self._interval = checkpoint_interval
-        self._checkpoints: Dict[int, bytes] = {}
-        # Generate from the tail (index length-1) towards the head (index 0),
-        # storing checkpoints along the way.
-        state = seed
-        for index in range(length - 1, -1, -1):
-            if index % checkpoint_interval == 0 or index == length - 1:
-                self._checkpoints[index] = state
-            if index > 0:
-                state = next_state(state)
+        self._checkpoints: Dict[int, bytes] = {length - 1: seed}
+        # Every multiple of the interval at or above this index is stored.
+        self._lowest = length - 1
 
     @property
     def length(self) -> int:
@@ -88,21 +90,31 @@ class HashChain:
         """The chain state ``s_index``."""
         if not 0 <= index < self._length:
             raise KeyDerivationError(f"chain index {index} out of range [0, {self._length})")
-        cached = self._checkpoints.get(index)
-        if cached is not None:
-            return cached
-        # The nearest checkpoint with a *higher* index can walk down to us.
-        checkpoint_index = ((index // self._interval) + 1) * self._interval
-        checkpoint_index = min(checkpoint_index, self._length - 1)
-        checkpoint = self._checkpoints.get(checkpoint_index)
-        if checkpoint is None:
-            raise KeyDerivationError(f"missing checkpoint for index {index}")
-        return walk(checkpoint, checkpoint_index - index)
+        interval = self._interval
+        lowest = self._lowest
+        if index >= lowest:
+            above = min(-(-index // interval) * interval, self._length - 1)
+            return walk(self._checkpoints[above], above - index)
+        mark, state = lowest, self._checkpoints[lowest]
+        for checkpoint in range((lowest - 1) // interval * interval, index - 1, -interval):
+            state = walk(state, mark - checkpoint)
+            self._checkpoints[checkpoint] = state
+            mark = checkpoint
+        if mark < self._lowest:
+            self._lowest = mark
+        return walk(state, mark - index)
 
     def key(self, index: int) -> bytes:
         """The key derived from state ``s_index``."""
         return state_key(self.state(index))
 
     def states(self, start: int, end: int) -> List[bytes]:
-        """States for indices ``[start, end)`` in order."""
-        return [self.state(i) for i in range(start, end)]
+        """States for indices ``[start, end)`` in order, in one walk down from ``end - 1``."""
+        if not 0 <= start <= end <= self._length:
+            raise KeyDerivationError(
+                f"chain indices [{start}, {end}) out of range [0, {self._length}]"
+            )
+        run = [self.state(end - 1)] if end > start else []
+        for _ in range(end - 1 - start):
+            run.append(next_state(run[-1]))
+        return run[::-1]

@@ -100,18 +100,19 @@ class DualKeyRegression:
 
     # -- owner-side API -----------------------------------------------------
 
-    def _secondary_state(self, position: int) -> bytes:
-        return self._secondary.state(self._length - 1 - position)
-
     def key(self, position: int) -> bytes:
         """The ``position``-th key of the regression keystream."""
-        if not 0 <= position < self._length:
-            raise KeyDerivationError(f"position {position} out of range [0, {self._length})")
-        mixed = bytes(a ^ b for a, b in zip(self._primary.state(position), self._secondary_state(position)))
-        return kdf(mixed, "dual-key-regression")
+        return self.keys(position, position + 1)[0]
 
     def keys(self, start: int, end: int) -> List[bytes]:
-        return [self.key(position) for position in range(start, end)]
+        """Keys ``start .. end - 1``: one walk down the primary chain, one along the secondary."""
+        if not 0 <= start <= end <= self._length:
+            raise KeyDerivationError(
+                f"positions [{start}, {end}) out of range [0, {self._length}]"
+            )
+        primary = self._primary.states(start, end)
+        secondary = self._secondary.states(self._length - end, self._length - start)
+        return [_mix(p, s) for p, s in zip(primary, reversed(secondary))]
 
     def share(self, lower: int, upper: int) -> DualKeyRegressionToken:
         """Produce the token granting exactly the keys ``lower .. upper`` (inclusive)."""
@@ -123,7 +124,7 @@ class DualKeyRegression:
             lower=lower,
             upper=upper,
             primary_state=self._primary.state(upper),
-            secondary_state=self._secondary_state(lower),
+            secondary_state=self._secondary.state(self._length - 1 - lower),
             length=self._length,
         )
 
@@ -142,7 +143,12 @@ class DualKeyRegression:
                 f"token grants keys [{token.lower}, {token.upper}]; "
                 f"position {position} is outside"
             )
-        primary = walk(token.primary_state, token.upper - position)
-        secondary = walk(token.secondary_state, position - token.lower)
-        mixed = bytes(a ^ b for a, b in zip(primary, secondary))
-        return kdf(mixed, "dual-key-regression")
+        return _mix(
+            walk(token.primary_state, token.upper - position),
+            walk(token.secondary_state, position - token.lower),
+        )
+
+
+def _mix(primary: bytes, secondary: bytes) -> bytes:
+    """The key at one position: ``KDF(s1 XOR s2)``."""
+    return kdf(bytes(a ^ b for a, b in zip(primary, secondary)), "dual-key-regression")

@@ -189,21 +189,27 @@ class AesNiPRG(PRG):
             self._contexts.popitem(last=False)
         return context
 
+    def _encrypt(self, seed: bytes, data: bytes) -> bytes:
+        try:
+            return self._context(seed).update(data)
+        except (KeyError, RuntimeError):  # another thread evicted it / is inside it
+            return Cipher(algorithms.AES(seed), modes.ECB()).encryptor().update(data)
+
     def expand(self, seed: bytes) -> Tuple[bytes, bytes]:
-        out = self._context(seed).update(self._plain)
+        out = self._encrypt(seed, self._plain)
         return out[:16], out[16:]
 
     def child(self, seed: bytes, bit: int) -> bytes:
         if bit not in (0, 1):
             raise ValueError("child bit must be 0 or 1")
-        return self._context(seed).update(self._halves[bit])
+        return self._encrypt(seed, self._halves[bit])
 
     def expand_many(self, seeds: Sequence[bytes]) -> List[Tuple[bytes, bytes]]:
-        context = self._context
+        encrypt = self._encrypt
         plain = self._plain
         results: List[Tuple[bytes, bytes]] = []
         for seed in seeds:
-            out = context(seed).update(plain)
+            out = encrypt(seed, plain)
             results.append((out[:16], out[16:]))
         return results
 
@@ -231,7 +237,13 @@ class AesNiFixedKeyPRG(PRG):
             raise ConfigurationError(
                 "the 'cryptography' package is required for the aes-ni-fk PRG"
             )
-        self._encrypt = Cipher(algorithms.AES(self._KEY), modes.ECB()).encryptor().update
+        self._update = Cipher(algorithms.AES(self._KEY), modes.ECB()).encryptor().update
+
+    def _encrypt(self, data: bytes) -> bytes:
+        try:
+            return self._update(data)
+        except RuntimeError:  # "Already borrowed": another thread is inside it; ECB is stateless
+            return Cipher(algorithms.AES(self._KEY), modes.ECB()).encryptor().update(data)
 
     @staticmethod
     def _tweaked(seed: bytes) -> bytes:

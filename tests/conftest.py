@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -91,3 +93,18 @@ def make_principal(owner: TimeCrypt, name: str) -> Principal:
     principal = Principal.create(name)
     owner.register_principal(principal)
     return principal
+
+
+def run_concurrently(target, arguments, timeout: float = 60.0) -> None:
+    """One thread per argument tuple, with a short switch interval; all must finish."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=target, args=args) for args in arguments]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)

@@ -186,7 +186,8 @@ class TestResolutionKeystream:
     def test_envelope_alignment_enforced(self, key_tree):
         keystream = ResolutionKeystream("s", 6, key_tree, length=256)
         with pytest.raises(KeyDerivationError):
-            keystream.make_envelope(7)
+            keystream.envelope_index(7)
+        assert keystream.envelope_index(12) == 2
 
     def test_consumer_recovers_outer_keys(self, key_tree):
         keystream = ResolutionKeystream("s", 6, key_tree, length=256)

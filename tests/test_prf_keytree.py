@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.crypto.keytree import DerivedKeystream, KeyDerivationTree, merge_token_sets
 from repro.crypto.prf import available_prgs, get_prg, kdf, prf, prf_int
 from repro.exceptions import ConfigurationError, KeyDerivationError
+from tests.conftest import run_concurrently
 
 SEED = bytes(range(16))
 
@@ -53,6 +56,36 @@ class TestPRGs:
         if "aes-ni" not in available_prgs():
             pytest.skip("native AES backend not available")
         assert get_prg("aes").expand(SEED) == get_prg("aes-ni").expand(SEED)
+
+    @pytest.mark.parametrize("name", available_prgs())
+    def test_one_instance_serves_concurrent_threads(self, name):
+        """A stream's tree (one PRG) derives keys for an ingest and a grant thread at once."""
+        prg = get_prg(name)
+        seeds = [i.to_bytes(16, "big") for i in range(16 if name == "aes" else 2048)]
+
+        def derive_all():
+            return (
+                [prg.child(seed, seed[-1] & 1) for seed in seeds[:64]],
+                [prg.expand(seed) for seed in seeds[:8]],
+                prg.expand_many(seeds),
+            )
+
+        expected = derive_all()
+        rounds = 1 if name == "aes" else 20
+        barrier = threading.Barrier(4, timeout=30)
+        failures = []
+
+        def derive() -> None:
+            barrier.wait()
+            try:
+                for _ in range(rounds):
+                    if derive_all() != expected:
+                        failures.append("mismatch")
+            except Exception as exc:  # pragma: no cover - reported below
+                failures.append(repr(exc))
+
+        run_concurrently(derive, [()] * 4)
+        assert failures == []
 
 
 class TestPRF:
