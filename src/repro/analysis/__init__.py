@@ -22,9 +22,10 @@ REPRO001  retain audit: attachment-derived buffers stored past request
           lifetime must go through ``retain()``
 REPRO002  telemetry leakage: logging/span calls must not reference
           key-/seed-/plaintext-named bindings
-REPRO003  wire-op completeness: every declared operation has a handler
-          and an explicit interactive/bulk classification; handlers
-          raise typed errors
+REPRO003  typed wire errors: ``_op_*`` handlers raise
+          :mod:`repro.exceptions` errors, never builtins (the op inventory
+          itself is one table, ``repro.net.messages.OP_TABLE``, checked by
+          a tier-1 test)
 REPRO004  lock discipline: global lock-acquisition order is acyclic and
           no blocking call (socket I/O, ``Future.result``, dials) runs
           while a lock is held

@@ -1,34 +1,22 @@
-"""REPRO003 — the wire-operation inventory is complete and classified.
+"""REPRO003 — wire handlers raise typed errors.
 
-``net/messages.py`` declares the protocol surface: ``OPERATIONS`` (every
-op name the dispatchers accept), ``BULK_OPERATIONS`` and
-``INTERACTIVE_OPERATIONS`` (the scheduler's two-class partition).
-Dispatchers implement ops as ``_op_<name>`` methods.  Four things can
-silently rot:
+A handler (an ``_op_<name>`` method on a dispatcher) that raises a
+*builtin* exception (``ValueError`` & co.) surfaces to remote clients as an
+untyped ``internal`` failure instead of the :mod:`repro.exceptions`
+taxonomy the wire maps, so a client cannot tell a refused request from a
+crashed one.
 
-a. an op declared but handled by no dispatcher anywhere (wire clients
-   get ``unknown operation`` for a name the protocol promises);
-b. an ``_op_<name>`` method whose name is not a declared op (dead
-   handler — unreachable via the wire, usually a typo);
-c. an op missing from the bulk/interactive partition, or in both
-   (scheduler class decided by accident rather than on purpose);
-d. a handler raising a *builtin* exception (``ValueError`` & co.) —
-   those surface to remote clients as untyped ``internal`` failures
-   instead of the :mod:`repro.exceptions` taxonomy the wire maps.
-
-The rule finds every src module that declares a module-level
-``OPERATIONS`` (the inventory module), literal-evaluates the
-declarations (resolving name references and ``frozenset(...)`` /
-tuple-concatenation forms), and checks a/b/c against the project-wide
-``_op_*`` method scan and d inside every handler body.
+Which ops exist, their scheduler class and which tier handles them are
+declared once, in :data:`repro.net.messages.OP_TABLE`, and checked by a
+tier-1 test (``tests/test_op_table.py``) rather than by this rule.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator
 
-from repro.analysis.core import Finding, ModuleInfo, Project
+from repro.analysis.core import Finding, Project
 from repro.analysis.rules._shared import walk_functions
 
 #: Builtin exceptions that must not escape a wire handler raw.
@@ -56,105 +44,18 @@ _BUILTIN_EXCEPTIONS = frozenset(
 
 class _Rule:
     rule_id = "REPRO003"
-    summary = "every wire op has a handler and a scheduler class; handlers raise typed errors"
+    summary = "wire handlers raise typed errors"
 
     def run(self, project: Project) -> Iterator[Finding]:
-        inventories = [
-            (info, decls)
-            for info in project.src_modules()
-            if "repro/analysis/" not in info.path
-            for decls in [_operation_decls(info)]
-            if decls is not None
-        ]
-        if not inventories:
-            return
-
-        handlers: Dict[str, List[Tuple[str, int]]] = {}
         for info in project.src_modules():
             if "repro/analysis/" in info.path:
                 continue
             for _cls, func in walk_functions(info.tree):
                 if func.name.startswith("_op_"):
-                    handlers.setdefault(func.name[len("_op_"):], []).append((info.path, func.lineno))
-
-        declared: Set[str] = set()
-        for info, decls in inventories:
-            operations, bulk, interactive, lineno = decls
-            declared |= operations
-            yield from _check_inventory(info, operations, bulk, interactive, lineno, handlers)
-
-        # (b) dead handlers: an _op_ method for an undeclared op.
-        for suffix, sites in sorted(handlers.items()):
-            if suffix not in declared:
-                for path, lineno in sites:
-                    yield Finding(
-                        "REPRO003",
-                        path,
-                        lineno,
-                        f"handler _op_{suffix} does not correspond to any declared operation",
-                    )
-
-        # (d) untyped raises inside handler bodies.
-        for info in project.src_modules():
-            if "repro/analysis/" in info.path:
-                continue
-            for _cls, func in walk_functions(info.tree):
-                if not func.name.startswith("_op_"):
-                    continue
-                yield from _check_raises(info.path, func)
+                    yield from _check_raises(info.path, func)
 
 
 RULE = _Rule()
-
-
-def _check_inventory(
-    info: ModuleInfo,
-    operations: Set[str],
-    bulk: Optional[Set[str]],
-    interactive: Optional[Set[str]],
-    lineno: int,
-    handlers: Dict[str, List[Tuple[str, int]]],
-) -> Iterator[Finding]:
-    # (a) every declared op is handled somewhere.
-    for op in sorted(operations):
-        if op not in handlers:
-            yield Finding(
-                "REPRO003",
-                info.path,
-                lineno,
-                f"operation '{op}' is declared but no dispatcher defines _op_{op}",
-            )
-    # (c) the scheduler partition is total and disjoint.
-    if bulk is None or interactive is None:
-        missing = "BULK_OPERATIONS" if bulk is None else "INTERACTIVE_OPERATIONS"
-        yield Finding(
-            "REPRO003",
-            info.path,
-            lineno,
-            f"operation inventory has no evaluable {missing} classification",
-        )
-        return
-    for op in sorted(operations - (bulk | interactive)):
-        yield Finding(
-            "REPRO003",
-            info.path,
-            lineno,
-            f"operation '{op}' is in neither BULK_OPERATIONS nor INTERACTIVE_OPERATIONS",
-        )
-    for op in sorted(bulk & interactive):
-        yield Finding(
-            "REPRO003",
-            info.path,
-            lineno,
-            f"operation '{op}' is classified both bulk and interactive",
-        )
-    for op in sorted((bulk | interactive) - operations):
-        yield Finding(
-            "REPRO003",
-            info.path,
-            lineno,
-            f"classified operation '{op}' is not declared in OPERATIONS",
-        )
 
 
 def _check_raises(path: str, func: ast.AST) -> Iterator[Finding]:
@@ -174,79 +75,3 @@ def _check_raises(path: str, func: ast.AST) -> Iterator[Finding]:
                 node.lineno,
                 f"wire handler raises builtin {name} — raise a typed repro.exceptions error instead",
             )
-
-
-def _operation_decls(
-    info: ModuleInfo,
-) -> Optional[Tuple[Set[str], Optional[Set[str]], Optional[Set[str]], int]]:
-    """``(OPERATIONS, BULK, INTERACTIVE, lineno-of-OPERATIONS)`` or None."""
-    env: Dict[str, object] = {}
-    linenos: Dict[str, int] = {}
-    for stmt in info.tree.body:
-        if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-            continue
-        target = stmt.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        value = _literal_eval(stmt.value, env)
-        if value is not None:
-            env[target.id] = value
-            linenos[target.id] = stmt.lineno
-    operations = env.get("OPERATIONS")
-    if not isinstance(operations, (tuple, frozenset, set, list)):
-        return None
-    ops = {op for op in operations if isinstance(op, str)}
-    if not ops:
-        return None
-
-    def _as_set(name: str) -> Optional[Set[str]]:
-        value = env.get(name)
-        if isinstance(value, (tuple, frozenset, set, list)):
-            return {op for op in value if isinstance(op, str)}
-        return None
-
-    return ops, _as_set("BULK_OPERATIONS"), _as_set("INTERACTIVE_OPERATIONS"), linenos["OPERATIONS"]
-
-
-def _literal_eval(node: ast.expr, env: Dict[str, object]) -> Optional[object]:
-    """Evaluate string-collection literals, resolving prior names."""
-    if isinstance(node, ast.Constant):
-        return node.value if isinstance(node.value, str) else None
-    if isinstance(node, (ast.Tuple, ast.List)):
-        elements = [_literal_eval(element, env) for element in node.elts]
-        if any(element is None for element in elements):
-            return None
-        out: List[str] = []
-        for element in elements:
-            if isinstance(element, str):
-                out.append(element)
-            elif isinstance(element, (tuple, list, frozenset, set)):
-                out.extend(element)
-        return tuple(out)
-    if isinstance(node, ast.Set):
-        elements = [_literal_eval(element, env) for element in node.elts]
-        if any(element is None for element in elements):
-            return None
-        return frozenset(element for element in elements if isinstance(element, str))
-    if isinstance(node, ast.Name):
-        return env.get(node.id)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        left = _literal_eval(node.left, env)
-        right = _literal_eval(node.right, env)
-        if isinstance(left, tuple) and isinstance(right, tuple):
-            return left + right
-        return None
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("frozenset", "set", "tuple")
-        and len(node.args) == 1
-        and not node.keywords
-    ):
-        inner = _literal_eval(node.args[0], env)
-        if inner is None:
-            return None
-        if isinstance(inner, str):
-            return None
-        return frozenset(inner) if node.func.id in ("frozenset", "set") else tuple(inner)
-    return None

@@ -1,11 +1,14 @@
 """Client/server transport: the Netty + protobuf stand-in.
 
 The original prototype exposes the TimeCrypt API over Netty with protobuf
-messages.  Here the wire format is a hand-rolled length-prefixed binary
-protocol (:mod:`repro.net.messages`, :mod:`repro.net.framing`) carried either
-over real TCP sockets (:mod:`repro.net.server`, :mod:`repro.net.client`) or
-over a zero-copy in-process transport used by benchmarks so that socket
-overhead does not mask the cryptography being measured.
+messages, declared once as a schema.  Here the wire format is a hand-rolled
+length-prefixed binary protocol (:mod:`repro.net.messages`,
+:mod:`repro.net.framing`) over real TCP sockets (:mod:`repro.net.server`,
+:mod:`repro.net.client`), and the schema's role is played by one op table,
+:data:`repro.net.messages.OP_TABLE`: each op's name, scheduler class, scope
+(engine, storage node, or answered locally by every tier) and routing key.
+Every op-name set a tier needs is derived from it, and the client writes
+each engine method once for all three calling styles.
 
 The wire is **pipelined and request-multiplexed**: frames carry
 per-request correlation ids (see :mod:`repro.net.framing` for the exact

@@ -24,6 +24,14 @@ that sit three calling styles:
   exit, so heterogeneous bursts (grant pickups, range reads, stat queries)
   also collapse into one round trip.
 
+Each ServerEngine-shaped method is written once, in ``_EngineCalls``: it
+builds its request and names the one decoder for the answer, and
+:class:`RemoteServerClient`, :class:`ShardedServerClient` (which routes to
+the owning shard first) and :class:`RequestPipeline` differ only in how
+they carry the pair.  The decoders are where a hostile server's answers are
+refused: a malformed one is a typed :class:`~repro.exceptions.ProtocolError`,
+and every blob a caller can keep is retained off the frame buffer.
+
 Every connection opens with one synchronous ``hello``; a peer that hangs
 up on it, answers something unparseable, or does not advertise protocol 2
 and an operation list fails the constructor with a typed
@@ -53,7 +61,6 @@ from collections import deque
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.heac import HEACCiphertext
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import SPANS, current_context, new_span_id, new_trace_id
 from repro.exceptions import (
@@ -76,8 +83,10 @@ from repro.net.messages import (
     Request,
     Response,
     ShardRoutingTable,
+    aggregate_from_json,
     maybe_compress_segments,
     retain,
+    stat_from_json,
 )
 from repro.server.engine import _metadata_from_json, _metadata_to_json
 from repro.server.query_executor import MultiStreamAggregate, StatQueryResult
@@ -93,10 +102,7 @@ from repro.util.timeutil import TimeRange
 logger = logging.getLogger(__name__)
 
 #: Exception classes re-raised by name when the server reports them.
-_ERROR_TYPES: Dict[str, type] = {
-    cls.__name__: cls
-    for cls in TimeCryptError.__subclasses__() + [TimeCryptError]
-}
+_ERROR_TYPES: Dict[str, type] = {}
 
 
 def _register_error_types() -> None:
@@ -233,10 +239,14 @@ class _PendingCall:
         return self._client._await(self, timeout)
 
 
+#: Turns one engine answer into the value its ServerEngine method returns.
+Decoder = Callable[[Response], Any]
+
+
 class PipelineResult:
     """A deferred result handle returned by :class:`RequestPipeline` methods."""
 
-    def __init__(self, decoder: Callable[[Response], Any]) -> None:
+    def __init__(self, decoder: Decoder) -> None:
         self._decoder = decoder
         self._response: Optional[Response] = None
         self._error: Optional[Exception] = None
@@ -262,7 +272,181 @@ class PipelineResult:
         return self._decoder(self._response)
 
 
-class RequestPipeline:
+# -- answer decoders, one per answer shape ---------------------------------------------
+#
+# The server enforces nothing, so refusing a malformed answer is the client's
+# job.  Each decoder is the one place its answer shape is checked, for all
+# three calling styles and the router's splits: a malformed answer raises
+# ProtocolError (never a bare KeyError / IndexError or a silently truncated
+# result), and every blob a caller may keep is retained off the frame buffer.
+
+
+def _answer_decoder(decode: Decoder) -> Decoder:
+    """``decode`` with any lookup / conversion failure reported as a ProtocolError."""
+
+    def checked(response: Response) -> Any:
+        try:
+            return decode(response)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed engine answer: {type(exc).__name__}: {exc}") from exc
+
+    return checked
+
+
+def _int_result(key: str) -> Decoder:
+    return _answer_decoder(lambda response: int(response.result[key]))
+
+
+_decode_nothing = _answer_decoder(lambda _response: None)
+_decode_pong = _answer_decoder(lambda response: bool(response.result.get("pong")))
+_decode_head = _int_result("head")
+_decode_window_index = _int_result("window_index")
+_decode_deleted = _int_result("deleted")
+_decode_grant_id = _int_result("grant_id")
+_decode_chunks = _answer_decoder(lambda response: [decode_encrypted_chunk(blob) for blob in response.attachments])
+decode_stat = _answer_decoder(lambda response: stat_from_json(response.result["stat"]))
+_decode_series = _answer_decoder(lambda response: [stat_from_json(item) for item in response.result["series"]])
+_decode_aggregate = _answer_decoder(lambda response: aggregate_from_json(response.result))
+_decode_blobs = _answer_decoder(lambda response: [retain(blob) for blob in response.attachments])
+
+
+@_answer_decoder
+def _decode_metadata(response: Response) -> StreamMetadata:
+    if len(response.attachments) != 1:
+        raise ProtocolError("a stream_metadata answer carries exactly one attachment")
+    return _metadata_from_json(response.attachments[0])
+
+
+@_answer_decoder
+def _decode_envelopes(response: Response) -> Dict[int, bytes]:
+    windows = response.result["windows"]
+    if len(windows) != len(response.attachments) or not all(isinstance(window, int) for window in windows):
+        raise ProtocolError("fetch_envelopes answer does not pair each window with one envelope")
+    return dict(zip(windows, map(retain, response.attachments)))
+
+
+def decode_grant_ids(count: int) -> Decoder:
+    """The decoder for a ``put_grants`` answer to ``count`` grants."""
+
+    @_answer_decoder
+    def decode(response: Response) -> List[int]:
+        grant_ids = [int(grant_id) for grant_id in response.result["grant_ids"]]
+        if len(grant_ids) != count:
+            raise ProtocolError(f"put_grants answered {len(grant_ids)} grant ids for {count} grants")
+        return grant_ids
+
+    return decode
+
+
+# -- request builders shared with the splits ---------------------------------------------
+
+
+def _range_args(stream_uuid: str, time_range: TimeRange) -> Dict[str, Any]:
+    return {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end}
+
+
+def stat_range_request(stream_uuid: str, time_range: TimeRange) -> Request:
+    return Request("stat_range", _range_args(stream_uuid, time_range))
+
+
+def put_grants_request(grants: Sequence[Tuple[str, str, bytes]]) -> Request:
+    targets = [{"uuid": stream_uuid, "principal_id": principal_id} for stream_uuid, principal_id, _sealed in grants]
+    return Request("put_grants", {"grants": targets}, [sealed for _uuid, _principal, sealed in grants])
+
+
+class _EngineCalls:
+    """The ServerEngine-shaped wire surface, each method written once.
+
+    Every method builds its :class:`Request` and hands it, with the one
+    decoder for its answer, to ``_engine_call(stream_uuid, request, decode)``
+    — the only thing the calling styles implement.
+    :class:`RemoteServerClient` sends and decodes, :class:`ShardedServerClient`
+    first routes to the shard owning ``stream_uuid``, and
+    :class:`RequestPipeline` defers both, so its methods return
+    :class:`PipelineResult` handles instead of values.
+    """
+
+    def _engine_call(self, stream_uuid: Optional[str], request: Request, decode: Decoder) -> Any:
+        raise NotImplementedError
+
+    def ping(self) -> bool:
+        return self._engine_call(None, Request("ping"), _decode_pong)
+
+    def create_stream(self, metadata: StreamMetadata) -> None:
+        request = Request("create_stream", {}, [_metadata_to_json(metadata)])
+        return self._engine_call(metadata.uuid, request, _decode_nothing)
+
+    def delete_stream(self, stream_uuid: str) -> None:
+        return self._engine_call(stream_uuid, Request("delete_stream", {"uuid": stream_uuid}), _decode_nothing)
+
+    def stream_metadata(self, stream_uuid: str) -> StreamMetadata:
+        return self._engine_call(stream_uuid, Request("stream_metadata", {"uuid": stream_uuid}), _decode_metadata)
+
+    def stream_head(self, stream_uuid: str) -> int:
+        return self._engine_call(stream_uuid, Request("stream_head", {"uuid": stream_uuid}), _decode_head)
+
+    def rollup_stream(self, stream_uuid: str, resolution_windows: int, before_time: Optional[int] = None) -> int:
+        args = {"uuid": stream_uuid, "resolution_windows": resolution_windows, "before_time": before_time}
+        return self._engine_call(stream_uuid, Request("rollup_stream", args), _decode_deleted)
+
+    def insert_chunk(self, chunk: EncryptedChunk) -> int:
+        request = Request("insert_chunk", {}, [encode_encrypted_chunk(chunk)])
+        return self._engine_call(chunk.stream_uuid, request, _decode_window_index)
+
+    def insert_chunks(self, chunks: Sequence[EncryptedChunk]) -> int:
+        """Bulk ingest over one round trip; returns the first appended window index."""
+        if not chunks:
+            raise ProtocolError("insert_chunks requires at least one chunk")
+        request = Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks])
+        return self._engine_call(chunks[0].stream_uuid, request, _decode_window_index)
+
+    def get_range(self, stream_uuid: str, time_range: TimeRange) -> List[EncryptedChunk]:
+        request = Request("get_range", _range_args(stream_uuid, time_range))
+        return self._engine_call(stream_uuid, request, _decode_chunks)
+
+    def delete_range(self, stream_uuid: str, time_range: TimeRange) -> int:
+        request = Request("delete_range", _range_args(stream_uuid, time_range))
+        return self._engine_call(stream_uuid, request, _decode_deleted)
+
+    def stat_range(self, stream_uuid: str, time_range: TimeRange) -> StatQueryResult:
+        return self._engine_call(stream_uuid, stat_range_request(stream_uuid, time_range), decode_stat)
+
+    def stat_series(self, stream_uuid: str, time_range: TimeRange, granularity_windows: int) -> List[StatQueryResult]:
+        args = {**_range_args(stream_uuid, time_range), "granularity_windows": granularity_windows}
+        return self._engine_call(stream_uuid, Request("stat_series", args), _decode_series)
+
+    def stat_range_multi(self, stream_uuids: Sequence[str], time_range: TimeRange) -> MultiStreamAggregate:
+        uuids = list(stream_uuids)
+        args = {"uuids": uuids, "start": time_range.start, "end": time_range.end}
+        return self._engine_call(uuids[0] if uuids else None, Request("stat_range_multi", args), _decode_aggregate)
+
+    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
+        request = Request("put_grant", {"uuid": stream_uuid, "principal_id": principal_id}, [sealed_token])
+        return self._engine_call(stream_uuid, request, _decode_grant_id)
+
+    def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
+        """A cohort grant burst: one wire round trip, one storage ``multi_put``."""
+        if not grants:
+            return []
+        return self._engine_call(grants[0][0], put_grants_request(grants), decode_grant_ids(len(grants)))
+
+    def fetch_grants(self, stream_uuid: str, principal_id: str) -> List[bytes]:
+        request = Request("fetch_grants", {"uuid": stream_uuid, "principal_id": principal_id})
+        return self._engine_call(stream_uuid, request, _decode_blobs)
+
+    def fetch_envelopes(
+        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
+    ) -> Dict[int, bytes]:
+        args = {
+            "uuid": stream_uuid,
+            "resolution_chunks": resolution_chunks,
+            "window_start": window_start,
+            "window_end": window_end,
+        }
+        return self._engine_call(stream_uuid, Request("fetch_envelopes", args), _decode_envelopes)
+
+
+class RequestPipeline(_EngineCalls):
     """Records ServerEngine-shaped calls; one round trip flushes them all.
 
     Used as a context manager::
@@ -314,162 +498,46 @@ class RequestPipeline:
         for handle, response in zip(handles, responses):
             handle._resolve(response)
 
-    def _defer(self, request: Request, decoder: Callable[[Response], Any]) -> PipelineResult:
-        handle = PipelineResult(decoder)
+    def _engine_call(self, _stream_uuid: Optional[str], request: Request, decode: Decoder) -> PipelineResult:
+        handle = PipelineResult(decode)
         self._requests.append(request)
         self._handles.append(handle)
         return handle
 
-    # -- deferred ServerEngine-shaped calls ---------------------------------------
 
-    def ping(self) -> PipelineResult:
-        return self._defer(Request("ping"), lambda r: bool(r.result.get("pong")))
+class _WireTokenStore:
+    """The :class:`~repro.access.keystore.TokenStore` surface over an engine client."""
 
-    def stream_head(self, stream_uuid: str) -> PipelineResult:
-        return self._defer(
-            Request("stream_head", {"uuid": stream_uuid}), lambda r: int(r.result["head"])
-        )
-
-    def stream_metadata(self, stream_uuid: str) -> PipelineResult:
-        return self._defer(
-            Request("stream_metadata", {"uuid": stream_uuid}),
-            lambda r: _metadata_from_json(r.attachments[0]),
-        )
-
-    def insert_chunks(self, chunks: Sequence[EncryptedChunk]) -> PipelineResult:
-        if not chunks:
-            raise ProtocolError("insert_chunks requires at least one chunk")
-        return self._defer(
-            Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks]),
-            lambda r: int(r.result["window_index"]),
-        )
-
-    def get_range(self, stream_uuid: str, time_range: TimeRange) -> PipelineResult:
-        return self._defer(
-            Request(
-                "get_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            ),
-            lambda r: [decode_encrypted_chunk(blob) for blob in r.attachments],
-        )
-
-    def stat_range(self, stream_uuid: str, time_range: TimeRange) -> PipelineResult:
-        return self._defer(
-            Request(
-                "stat_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            ),
-            lambda r: RemoteServerClient._stat_from_json(r.result["stat"]),
-        )
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> PipelineResult:
-        return self._defer(
-            Request(
-                "put_grant", {"uuid": stream_uuid, "principal_id": principal_id}, [sealed_token]
-            ),
-            lambda r: int(r.result["grant_id"]),
-        )
-
-    def fetch_grants(self, stream_uuid: str, principal_id: str) -> PipelineResult:
-        return self._defer(
-            Request("fetch_grants", {"uuid": stream_uuid, "principal_id": principal_id}),
-            lambda r: [retain(blob) for blob in r.attachments],
-        )
-
-    def fetch_envelopes(
-        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
-    ) -> PipelineResult:
-        return self._defer(
-            Request(
-                "fetch_envelopes",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_chunks": resolution_chunks,
-                    "window_start": window_start,
-                    "window_end": window_end,
-                },
-            ),
-            lambda r: dict(zip(r.result["windows"], (retain(blob) for blob in r.attachments))),
-        )
-
-
-class _RemoteTokenStore:
-    """Token-store facade forwarding grant/envelope traffic over the wire."""
-
-    def __init__(self, client: "RemoteServerClient") -> None:
+    def __init__(self, client: _EngineCalls) -> None:
         self._client = client
 
     def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        response = self._client._call(
-            Request(
-                "put_grant",
-                {"uuid": stream_uuid, "principal_id": principal_id},
-                [sealed_token],
-            )
-        )
-        return int(response.result["grant_id"])
+        return self._client.put_grant(stream_uuid, principal_id, sealed_token)
 
     def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
-        """A cohort grant burst: one wire round trip, one storage ``multi_put``."""
-        if not grants:
-            return []
-        response = self._client._call(
-            Request(
-                "put_grants",
-                {
-                    "grants": [
-                        {"uuid": stream_uuid, "principal_id": principal_id}
-                        for stream_uuid, principal_id, _sealed in grants
-                    ]
-                },
-                [sealed for _uuid, _principal, sealed in grants],
-            )
-        )
-        return [int(grant_id) for grant_id in response.result["grant_ids"]]
+        return self._client.put_grants(grants)
 
     def grants_for(self, stream_uuid: str, principal_id: str) -> List[bytes]:
-        response = self._client._call(
-            Request("fetch_grants", {"uuid": stream_uuid, "principal_id": principal_id})
-        )
-        # Copy-on-retain: zero-copy decode hands out views over the frame
-        # buffer; sealed tokens outlive the response, so own the bytes here.
-        return [retain(blob) for blob in response.attachments]
+        return self._client.fetch_grants(stream_uuid, principal_id)
+
+    def envelopes_for_range(
+        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
+    ) -> Dict[int, bytes]:
+        return self._client.fetch_envelopes(stream_uuid, resolution_chunks, window_start, window_end)
 
     def put_envelopes(
         self, stream_uuid: str, resolution_chunks: int, envelopes: Dict[int, bytes]
     ) -> None:
         windows = sorted(envelopes)
-        self._client._call(
-            Request(
-                "put_envelopes",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_chunks": resolution_chunks,
-                    "windows": windows,
-                },
-                [envelopes[window] for window in windows],
-            )
+        request = Request(
+            "put_envelopes",
+            {"uuid": stream_uuid, "resolution_chunks": resolution_chunks, "windows": windows},
+            [envelopes[window] for window in windows],
         )
-
-    def envelopes_for_range(
-        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
-    ) -> Dict[int, bytes]:
-        response = self._client._call(
-            Request(
-                "fetch_envelopes",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_chunks": resolution_chunks,
-                    "window_start": window_start,
-                    "window_end": window_end,
-                },
-            )
-        )
-        windows = response.result["windows"]
-        return dict(zip(windows, (retain(blob) for blob in response.attachments)))
+        self._client._engine_call(stream_uuid, request, _decode_nothing)
 
 
-class RemoteServerClient:
+class RemoteServerClient(_EngineCalls):
     """A ServerEngine-compatible proxy over a TCP connection.
 
     ``flow_control`` (default on) honours the credit window the server
@@ -504,7 +572,7 @@ class RemoteServerClient:
         self._timeout = timeout
         self._lock = threading.Lock()  # serialises frame writes on the socket
         self._closed = False
-        self.token_store = _RemoteTokenStore(self)
+        self.token_store = _WireTokenStore(self)
         self.wire_stats = WireStats()
         #: Distributed tracing (off by default — with it off the request path
         #: never touches a clock or builds a span).  When on, every call gets
@@ -997,182 +1065,11 @@ class RemoteServerClient:
         """A deferred-call context; everything inside flushes as one batch."""
         return RequestPipeline(self)
 
-    def ping(self) -> bool:
-        return bool(self._call(Request("ping")).result.get("pong"))
-
-    # -- ServerEngine-compatible surface ----------------------------------------------
-
-    def create_stream(self, metadata: StreamMetadata) -> None:
-        self._call(Request("create_stream", {}, [_metadata_to_json(metadata)]))
-
-    def delete_stream(self, stream_uuid: str) -> None:
-        self._call(Request("delete_stream", {"uuid": stream_uuid}))
-
-    def stream_metadata(self, stream_uuid: str) -> StreamMetadata:
-        response = self._call(Request("stream_metadata", {"uuid": stream_uuid}))
-        if not response.attachments:
-            raise ProtocolError("stream_metadata response missing attachment")
-        return _metadata_from_json(response.attachments[0])
-
-    def stream_head(self, stream_uuid: str) -> int:
-        return int(self._call(Request("stream_head", {"uuid": stream_uuid})).result["head"])
-
-    def rollup_stream(
-        self, stream_uuid: str, resolution_windows: int, before_time: Optional[int] = None
-    ) -> int:
-        response = self._call(
-            Request(
-                "rollup_stream",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_windows": resolution_windows,
-                    "before_time": before_time,
-                },
-            )
-        )
-        return int(response.result["deleted"])
-
-    def insert_chunk(self, chunk: EncryptedChunk) -> int:
-        response = self._call(Request("insert_chunk", {}, [encode_encrypted_chunk(chunk)]))
-        return int(response.result["window_index"])
-
-    def insert_chunks(self, chunks: Sequence[EncryptedChunk]) -> int:
-        """Bulk ingest over one round trip; returns the first appended window index."""
-        if not chunks:
-            raise ProtocolError("insert_chunks requires at least one chunk")
-        response = self._call(
-            Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks])
-        )
-        return int(response.result["window_index"])
-
-    def get_range(self, stream_uuid: str, time_range: TimeRange) -> List[EncryptedChunk]:
-        response = self._call(
-            Request("get_range", {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end})
-        )
-        return [decode_encrypted_chunk(blob) for blob in response.attachments]
-
-    def delete_range(self, stream_uuid: str, time_range: TimeRange) -> int:
-        response = self._call(
-            Request(
-                "delete_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            )
-        )
-        return int(response.result["deleted"])
-
-    @staticmethod
-    def _stat_from_json(payload: Dict) -> StatQueryResult:
-        return StatQueryResult(
-            stream_uuid=payload["stream_uuid"],
-            window_start=payload["window_start"],
-            window_end=payload["window_end"],
-            cells=tuple(
-                HEACCiphertext(value=cell["value"], window_start=cell["start"], window_end=cell["end"])
-                for cell in payload["cells"]
-            ),
-            component_names=tuple(payload["component_names"]),
-            num_index_nodes=payload["num_index_nodes"],
-        )
-
-    def stat_range(self, stream_uuid: str, time_range: TimeRange) -> StatQueryResult:
-        response = self._call(
-            Request("stat_range", {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end})
-        )
-        return self._stat_from_json(response.result["stat"])
-
-    def stat_series(
-        self, stream_uuid: str, time_range: TimeRange, granularity_windows: int
-    ) -> List[StatQueryResult]:
-        response = self._call(
-            Request(
-                "stat_series",
-                {
-                    "uuid": stream_uuid,
-                    "start": time_range.start,
-                    "end": time_range.end,
-                    "granularity_windows": granularity_windows,
-                },
-            )
-        )
-        return [self._stat_from_json(item) for item in response.result["series"]]
-
-    def stat_range_multi(
-        self, stream_uuids: Sequence[str], time_range: TimeRange
-    ) -> MultiStreamAggregate:
-        response = self._call(
-            Request(
-                "stat_range_multi",
-                {"uuids": list(stream_uuids), "start": time_range.start, "end": time_range.end},
-            )
-        )
-        return MultiStreamAggregate(
-            values=tuple(response.result["values"]),
-            component_names=tuple(response.result["component_names"]),
-            per_stream_intervals=tuple(
-                (item[0], item[1], item[2]) for item in response.result["per_stream_intervals"]
-            ),
-        )
-
-    # -- grant / envelope passthrough (ServerEngine-compatible) -----------------------------
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        return self.token_store.put_grant(stream_uuid, principal_id, sealed_token)
-
-    def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
-        return self.token_store.put_grants(grants)
-
-    def fetch_grants(self, stream_uuid: str, principal_id: str) -> List[bytes]:
-        return self.token_store.grants_for(stream_uuid, principal_id)
-
-    def fetch_envelopes(
-        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
-    ) -> Dict[int, bytes]:
-        return self.token_store.envelopes_for_range(
-            stream_uuid, resolution_chunks, window_start, window_end
-        )
+    def _engine_call(self, _stream_uuid: Optional[str], request: Request, decode: Decoder) -> Any:
+        return decode(self._call(request))
 
 
-class _ShardedTokenStore:
-    """Token-store facade routing grant/envelope traffic to the owning shard."""
-
-    def __init__(self, client: "ShardedServerClient") -> None:
-        self._client = client
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        return self._client.put_grant(stream_uuid, principal_id, sealed_token)
-
-    def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
-        return self._client.put_grants(grants)
-
-    def grants_for(self, stream_uuid: str, principal_id: str) -> List[bytes]:
-        return self._client.fetch_grants(stream_uuid, principal_id)
-
-    def put_envelopes(
-        self, stream_uuid: str, resolution_chunks: int, envelopes: Dict[int, bytes]
-    ) -> None:
-        windows = sorted(envelopes)
-        self._client._call(
-            stream_uuid,
-            Request(
-                "put_envelopes",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_chunks": resolution_chunks,
-                    "windows": windows,
-                },
-                [envelopes[window] for window in windows],
-            ),
-        )
-
-    def envelopes_for_range(
-        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
-    ) -> Dict[int, bytes]:
-        return self._client.fetch_envelopes(
-            stream_uuid, resolution_chunks, window_start, window_end
-        )
-
-
-class ShardedServerClient:
+class ShardedServerClient(_EngineCalls):
     """A routing-aware client for the sharded engine tier.
 
     Dials the :class:`~repro.server.router.StreamRouter`, learns the shard
@@ -1207,7 +1104,7 @@ class ShardedServerClient:
         self._router: Optional[RemoteServerClient] = None
         self._engines: Dict[str, Tuple[Tuple[str, int], RemoteServerClient]] = {}
         self._table = self._table_from_hello(self._router_client())
-        self.token_store = _ShardedTokenStore(self)
+        self.token_store = _WireTokenStore(self)
 
     # -- table management -------------------------------------------------------
 
@@ -1395,11 +1292,11 @@ class ShardedServerClient:
             f"{self._MAX_ROUTE_ATTEMPTS} attempts"
         )
 
-    def _call(self, stream_uuid: str, request: Request) -> Response:
+    def _engine_call(self, stream_uuid: str, request: Request, decode: Decoder) -> Any:
         response = self._routed(stream_uuid, request)
         if not response.ok:
             _raise_remote(response)
-        return response
+        return decode(response)
 
     def ping(self) -> bool:
         """Liveness of the tier: the router, or failing that any live shard."""
@@ -1414,102 +1311,6 @@ class ShardedServerClient:
                 self._drop_engine(name)
         return False
 
-    # -- ServerEngine-compatible surface ----------------------------------------
-
-    def create_stream(self, metadata: StreamMetadata) -> None:
-        self._call(metadata.uuid, Request("create_stream", {}, [_metadata_to_json(metadata)]))
-
-    def delete_stream(self, stream_uuid: str) -> None:
-        self._call(stream_uuid, Request("delete_stream", {"uuid": stream_uuid}))
-
-    def stream_metadata(self, stream_uuid: str) -> StreamMetadata:
-        response = self._call(stream_uuid, Request("stream_metadata", {"uuid": stream_uuid}))
-        if not response.attachments:
-            raise ProtocolError("stream_metadata response missing attachment")
-        return _metadata_from_json(response.attachments[0])
-
-    def stream_head(self, stream_uuid: str) -> int:
-        response = self._call(stream_uuid, Request("stream_head", {"uuid": stream_uuid}))
-        return int(response.result["head"])
-
-    def rollup_stream(
-        self, stream_uuid: str, resolution_windows: int, before_time: Optional[int] = None
-    ) -> int:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "rollup_stream",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_windows": resolution_windows,
-                    "before_time": before_time,
-                },
-            ),
-        )
-        return int(response.result["deleted"])
-
-    def insert_chunk(self, chunk: EncryptedChunk) -> int:
-        response = self._call(
-            chunk.stream_uuid, Request("insert_chunk", {}, [encode_encrypted_chunk(chunk)])
-        )
-        return int(response.result["window_index"])
-
-    def insert_chunks(self, chunks: Sequence[EncryptedChunk]) -> int:
-        if not chunks:
-            raise ProtocolError("insert_chunks requires at least one chunk")
-        response = self._call(
-            chunks[0].stream_uuid,
-            Request("insert_chunks", {}, [encode_encrypted_chunk(chunk) for chunk in chunks]),
-        )
-        return int(response.result["window_index"])
-
-    def get_range(self, stream_uuid: str, time_range: TimeRange) -> List[EncryptedChunk]:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "get_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            ),
-        )
-        return [decode_encrypted_chunk(blob) for blob in response.attachments]
-
-    def delete_range(self, stream_uuid: str, time_range: TimeRange) -> int:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "delete_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            ),
-        )
-        return int(response.result["deleted"])
-
-    def stat_range(self, stream_uuid: str, time_range: TimeRange) -> StatQueryResult:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "stat_range",
-                {"uuid": stream_uuid, "start": time_range.start, "end": time_range.end},
-            ),
-        )
-        return RemoteServerClient._stat_from_json(response.result["stat"])
-
-    def stat_series(
-        self, stream_uuid: str, time_range: TimeRange, granularity_windows: int
-    ) -> List[StatQueryResult]:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "stat_series",
-                {
-                    "uuid": stream_uuid,
-                    "start": time_range.start,
-                    "end": time_range.end,
-                    "granularity_windows": granularity_windows,
-                },
-            ),
-        )
-        return [RemoteServerClient._stat_from_json(item) for item in response.result["series"]]
-
     def stat_range_multi(
         self, stream_uuids: Sequence[str], time_range: TimeRange
     ) -> MultiStreamAggregate:
@@ -1521,37 +1322,11 @@ class ShardedServerClient:
         if not uuids:
             raise QueryError("an inter-stream query needs at least one stream")
         table = self._table
-        owners = {table.owner_of(stream_uuid) for stream_uuid in uuids}
-        if len(owners) == 1:
-            response = self._call(
-                uuids[0],
-                Request(
-                    "stat_range_multi",
-                    {"uuids": uuids, "start": time_range.start, "end": time_range.end},
-                ),
-            )
-            return MultiStreamAggregate(
-                values=tuple(response.result["values"]),
-                component_names=tuple(response.result["component_names"]),
-                per_stream_intervals=tuple(
-                    (item[0], item[1], item[2])
-                    for item in response.result["per_stream_intervals"]
-                ),
-            )
+        if len({table.owner_of(stream_uuid) for stream_uuid in uuids}) == 1:
+            return super().stat_range_multi(uuids, time_range)
         return MultiStreamAggregate.combine(
             [self.stat_range(stream_uuid, time_range) for stream_uuid in uuids]
         )
-
-    # -- grant / envelope passthrough -------------------------------------------
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "put_grant", {"uuid": stream_uuid, "principal_id": principal_id}, [sealed_token]
-            ),
-        )
-        return int(response.result["grant_id"])
 
     def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
         """A grant burst, split into one ``put_grants`` per owning shard.
@@ -1561,8 +1336,6 @@ class ShardedServerClient:
         of its streams; that surfaces as the redirect error rather than a
         silent partial write.
         """
-        if not grants:
-            return []
         table = self._table
         slots_by_owner: Dict[str, List[int]] = {}
         for slot, (stream_uuid, _principal, _sealed) in enumerate(grants):
@@ -1570,44 +1343,6 @@ class ShardedServerClient:
         grant_ids: List[int] = [0] * len(grants)
         for owner in sorted(slots_by_owner):
             slots = slots_by_owner[owner]
-            subset = [grants[slot] for slot in slots]
-            response = self._call(
-                subset[0][0],
-                Request(
-                    "put_grants",
-                    {
-                        "grants": [
-                            {"uuid": stream_uuid, "principal_id": principal_id}
-                            for stream_uuid, principal_id, _sealed in subset
-                        ]
-                    },
-                    [sealed for _uuid, _principal, sealed in subset],
-                ),
-            )
-            for slot, grant_id in zip(slots, response.result["grant_ids"]):
-                grant_ids[slot] = int(grant_id)
+            for slot, grant_id in zip(slots, super().put_grants([grants[slot] for slot in slots])):
+                grant_ids[slot] = grant_id
         return grant_ids
-
-    def fetch_grants(self, stream_uuid: str, principal_id: str) -> List[bytes]:
-        response = self._call(
-            stream_uuid,
-            Request("fetch_grants", {"uuid": stream_uuid, "principal_id": principal_id}),
-        )
-        return list(response.attachments)
-
-    def fetch_envelopes(
-        self, stream_uuid: str, resolution_chunks: int, window_start: int, window_end: int
-    ) -> Dict[int, bytes]:
-        response = self._call(
-            stream_uuid,
-            Request(
-                "fetch_envelopes",
-                {
-                    "uuid": stream_uuid,
-                    "resolution_chunks": resolution_chunks,
-                    "window_start": window_start,
-                    "window_end": window_end,
-                },
-            ),
-        )
-        return dict(zip(response.result["windows"], response.attachments))

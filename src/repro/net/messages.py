@@ -5,7 +5,9 @@ chunk ingest (scalar and bulk), raw range retrieval, statistical queries
 (single and multi-stream), grant/envelope pickup (scalar and burst), and
 rollup.  A second op family (``kv_*``) carries the raw key-value store
 contract for remote storage nodes, so the same framing/pipelining serves
-both the engine tier and the storage tier.  ``hello`` opens every
+both the engine tier and the storage tier.  Each op is declared once, as a
+row of :data:`OP_TABLE`; every op-name set a tier needs is derived from it.
+``hello`` opens every
 connection: the server answers with its protocol version, the operations
 its dispatcher supports and its capabilities (credit window, compression,
 tracing, routing table), so a client dialling the wrong tier finds out
@@ -25,118 +27,88 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.crypto.heac import HEACCiphertext
 from repro.exceptions import ProtocolError
 from repro.net.framing import MAX_FRAME_BYTES, MEMORY_COUNTERS
+from repro.server.query_executor import MultiStreamAggregate, StatQueryResult
 from repro.util.encoding import decode_varint, encode_varint
 
 Buffer = Union[bytes, bytearray, memoryview]
 
-#: The storage-node op family: the raw :class:`~repro.storage.kv.KeyValueStore`
-#: contract carried over the same framing.  Keys and values are opaque byte
-#: strings, so they always travel as attachments, never inside the JSON
-#: header.  ``kv_scan_prefix`` is the wire shape of ``scan_prefix``: the node
-#: walks its own keyspace (optionally key-range-filtered) and ships matching
-#: items in byte-capped regions resumed with an exclusive ``after`` cursor,
-#: so a remote client can stream an arbitrarily large keyspace without ever
-#: materializing it (or hitting the frame cap).  ``kv_delete_prefix`` erases
-#: whole keyspaces node-side and ships back only a deletion count.
-KV_OPERATIONS = (
-    "kv_get",
-    "kv_put",
-    "kv_delete",
-    "kv_multi_get",
-    "kv_multi_put",
-    "kv_multi_delete",
-    "kv_scan_prefix",
-    "kv_delete_prefix",
-    "kv_size_bytes",
-)
 
-#: Operation names accepted by the server dispatchers (engine + storage node).
-OPERATIONS = (
-    "hello",
-    "create_stream",
-    "delete_stream",
-    "insert_chunk",
-    "insert_chunks",
-    "get_range",
-    "delete_range",
-    "stat_range",
-    "stat_range_multi",
-    "stat_series",
-    "rollup_stream",
-    "stream_head",
-    "stream_metadata",
-    "put_grant",
-    "put_grants",
-    "fetch_grants",
-    "fetch_envelopes",
-    "put_envelopes",
-    "routing_table",
-    "ping",
-    # Observability scrape ops, answered locally by every tier's dispatcher:
-    # `stats` returns the process metrics-registry snapshot, `trace_dump` the
-    # node's span ring buffer.  Deliberately absent from BULK_OPERATIONS so an
-    # operator can scrape a node that is drowning in bulk traffic.
-    "stats",
-    "trace_dump",
-) + KV_OPERATIONS
+class Op(NamedTuple):
+    """One wire operation, declared once in :data:`OP_TABLE`."""
 
-#: Operations that move bulk payloads (ingest batches, grant bursts, prefix
-#: deletes, repair scans).  Everything else — small stats, metadata, grant
-#: pickup, liveness — is interactive.  The server's two-class scheduler
-#: drains the classes from separate bounded queues so a small ``stat_range``
-#: never waits behind a whole ingest burst; ``kv_multi_get`` stays
-#: interactive because query fetches (index covers, chunk reads) ride on it
-#: and are byte-capped.
-BULK_OPERATIONS = frozenset(
-    {
-        "insert_chunk",
-        "insert_chunks",
-        "delete_stream",
-        "delete_range",
-        "rollup_stream",
-        "put_grants",
-        "put_envelopes",
-        "kv_multi_put",
-        "kv_multi_delete",
-        "kv_scan_prefix",
-        "kv_delete_prefix",
-    }
-)
+    name: str
+    #: Scheduler class, ``"bulk"`` or ``"interactive"``.
+    klass: str
+    #: ``"engine"`` (served by an engine, proxied by the router, routed by the
+    #: sharded client), ``"kv"`` (storage node only) or ``"local"`` (answered
+    #: by every tier itself, lock-free, never proxied, never shed).
+    scope: str
+    #: Where an engine op names its stream(s): a ``uuid`` / ``uuids`` arg,
+    #: the ``grants`` targets, or the first ``chunk`` / ``metadata``
+    #: attachment.  ``None``: the op addresses no stream.
+    route: Optional[str] = None
 
 
-#: The complement of :data:`BULK_OPERATIONS`, spelled out so the scheduler
-#: classification is a checked partition rather than an implicit default:
-#: the static analyzer (REPRO003) verifies ``BULK_OPERATIONS`` and
-#: ``INTERACTIVE_OPERATIONS`` are disjoint and together cover every name in
-#: ``OPERATIONS``, so adding an op without deciding its class is an error.
-INTERACTIVE_OPERATIONS = frozenset(
-    {
-        "hello",
-        "create_stream",
-        "get_range",
-        "stat_range",
-        "stat_range_multi",
-        "stat_series",
-        "stream_head",
-        "stream_metadata",
-        "put_grant",
-        "fetch_grants",
-        "fetch_envelopes",
-        "routing_table",
-        "ping",
-        "stats",
-        "trace_dump",
-        "kv_get",
-        "kv_put",
-        "kv_delete",
-        "kv_multi_get",
-        "kv_size_bytes",
-    }
-)
+#: Every wire operation, in ``hello`` advertisement order.
+#:
+#: Bulk ops move bulk payloads (ingest batches, grant bursts, prefix deletes,
+#: repair scans); the server's two-class scheduler drains the classes from
+#: separate bounded queues, so a small ``stat_range`` never waits behind a
+#: whole ingest burst.  ``kv_multi_get`` stays interactive because query
+#: fetches (index covers, chunk reads) ride on it and are byte-capped.  The
+#: scrape ops (``stats``: the process metrics registry, ``trace_dump``: the
+#: node's span ring buffer) are local, so an operator can scrape a node that
+#: is drowning in bulk traffic.
+#:
+#: The ``kv_*`` family is the raw :class:`~repro.storage.kv.KeyValueStore`
+#: contract over the same framing (wire shapes in :mod:`repro.storage.node`):
+#: keys and values are opaque bytes and always travel as attachments.
+OP_TABLE: Dict[str, Op] = {
+    row[0]: Op(*row)
+    for row in (
+        # name               class          scope     route
+        ("hello",            "interactive", "local"),
+        ("create_stream",    "interactive", "engine", "metadata"),
+        ("delete_stream",    "bulk",        "engine", "uuid"),
+        ("insert_chunk",     "bulk",        "engine", "chunk"),
+        ("insert_chunks",    "bulk",        "engine", "chunk"),
+        ("get_range",        "interactive", "engine", "uuid"),
+        ("delete_range",     "bulk",        "engine", "uuid"),
+        ("stat_range",       "interactive", "engine", "uuid"),
+        ("stat_range_multi", "interactive", "engine", "uuids"),
+        ("stat_series",      "interactive", "engine", "uuid"),
+        ("rollup_stream",    "bulk",        "engine", "uuid"),
+        ("stream_head",      "interactive", "engine", "uuid"),
+        ("stream_metadata",  "interactive", "engine", "uuid"),
+        ("put_grant",        "interactive", "engine", "uuid"),
+        ("put_grants",       "bulk",        "engine", "grants"),
+        ("fetch_grants",     "interactive", "engine", "uuid"),
+        ("fetch_envelopes",  "interactive", "engine", "uuid"),
+        ("put_envelopes",    "bulk",        "engine", "uuid"),
+        ("routing_table",    "interactive", "local"),
+        ("ping",             "interactive", "local"),
+        ("stats",            "interactive", "local"),
+        ("trace_dump",       "interactive", "local"),
+        ("kv_get",           "interactive", "kv"),
+        ("kv_put",           "interactive", "kv"),
+        ("kv_delete",        "interactive", "kv"),
+        ("kv_multi_get",     "interactive", "kv"),
+        ("kv_multi_put",     "bulk",        "kv"),
+        ("kv_multi_delete",  "bulk",        "kv"),
+        ("kv_scan_prefix",   "bulk",        "kv"),
+        ("kv_delete_prefix", "bulk",        "kv"),
+        ("kv_size_bytes",    "interactive", "kv"),
+    )
+}
+
+OPERATIONS = tuple(OP_TABLE)
+KV_OPERATIONS = tuple(name for name, op in OP_TABLE.items() if op.scope == "kv")
+BULK_OPERATIONS = frozenset(name for name, op in OP_TABLE.items() if op.klass == "bulk")
 
 
 def classify_operation(operation: Optional[str]) -> str:
@@ -145,7 +117,63 @@ def classify_operation(operation: Optional[str]) -> str:
     Unknown or unparseable operations classify interactive so they reach the
     dispatcher, which answers them with the proper typed error.
     """
-    return "bulk" if operation in BULK_OPERATIONS else "interactive"
+    op = OP_TABLE.get(operation)
+    return op.klass if op is not None else "interactive"
+
+
+def is_local(operation: Optional[str]) -> bool:
+    """Whether every tier answers ``operation`` itself (see :attr:`Op.scope`)."""
+    op = OP_TABLE.get(operation)
+    return op is not None and op.scope == "local"
+
+
+# -- stat / aggregate codec (engine dispatcher, router split, clients) ----------
+
+
+def stat_to_json(result: StatQueryResult) -> Dict[str, Any]:
+    return {
+        "stream_uuid": result.stream_uuid,
+        "window_start": result.window_start,
+        "window_end": result.window_end,
+        "cells": [
+            {"value": cell.value, "start": cell.window_start, "end": cell.window_end}
+            for cell in result.cells
+        ],
+        "component_names": list(result.component_names),
+        "num_index_nodes": result.num_index_nodes,
+    }
+
+
+def stat_from_json(payload: Dict[str, Any]) -> StatQueryResult:
+    return StatQueryResult(
+        stream_uuid=payload["stream_uuid"],
+        window_start=payload["window_start"],
+        window_end=payload["window_end"],
+        cells=tuple(
+            HEACCiphertext(value=cell["value"], window_start=cell["start"], window_end=cell["end"])
+            for cell in payload["cells"]
+        ),
+        component_names=tuple(payload["component_names"]),
+        num_index_nodes=payload["num_index_nodes"],
+    )
+
+
+def aggregate_to_json(aggregate: MultiStreamAggregate) -> Dict[str, Any]:
+    return {
+        "values": list(aggregate.values),
+        "component_names": list(aggregate.component_names),
+        "per_stream_intervals": [list(item) for item in aggregate.per_stream_intervals],
+    }
+
+
+def aggregate_from_json(payload: Dict[str, Any]) -> MultiStreamAggregate:
+    return MultiStreamAggregate(
+        values=tuple(payload["values"]),
+        component_names=tuple(payload["component_names"]),
+        per_stream_intervals=tuple(
+            (item[0], item[1], item[2]) for item in payload["per_stream_intervals"]
+        ),
+    )
 
 
 #: The one compression scheme currently negotiated in ``hello``.  A
@@ -319,7 +347,7 @@ class Request:
     trace: Optional[Tuple[str, str]] = None
 
     def __post_init__(self) -> None:
-        if self.operation not in OPERATIONS:
+        if not isinstance(self.operation, str) or self.operation not in OP_TABLE:
             raise ProtocolError(f"unknown operation '{self.operation}'")
 
     def _header(self) -> Dict[str, Any]:

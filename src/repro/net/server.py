@@ -62,15 +62,18 @@ from repro.net.framing import (
     write_vectored,
 )
 from repro.net.messages import (
-    OPERATIONS,
+    OP_TABLE,
     WIRE_COMPRESSION_SCHEMES,
     WIRE_COMPRESSION_THRESHOLD,
     Request,
     Response,
+    aggregate_to_json,
     classify_operation,
+    is_local,
     maybe_compress_segments,
     peek_operation,
     retain,
+    stat_to_json,
 )
 from repro.server.engine import ServerEngine, _metadata_from_json, _metadata_to_json
 from repro.timeseries.serialization import decode_encrypted_chunk, encode_encrypted_chunk
@@ -140,7 +143,7 @@ class WireDispatcher:
 
     def supported_operations(self) -> List[str]:
         """The wire operations this dispatcher actually implements."""
-        return [op for op in OPERATIONS if hasattr(self, f"_op_{op}")]
+        return [op for op in OP_TABLE if hasattr(self, f"_op_{op}")]
 
     def dispatch(self, request: Request) -> Response:
         """Execute one request, translating library errors into error responses."""
@@ -217,15 +220,11 @@ class RequestDispatcher(WireDispatcher):
     not thread-safe, so engine-touching operations are serialised behind one
     lock: a single engine is deliberately serial, and scaling comes from
     running *several* engines behind the shard router
-    (:mod:`repro.server.router`), not from intra-engine concurrency.
-    ``hello``/``ping`` stay lock-free so negotiation and liveness probes are
-    never queued behind a long-running query.
+    (:mod:`repro.server.router`), not from intra-engine concurrency.  The
+    table's ``local`` ops stay lock-free: negotiation, liveness probes and
+    scrapes (which read only the internally locked metrics registry and span
+    buffer) are never queued behind a long-running query.
     """
-
-    #: Operations dispatched without taking the engine lock.  The scrape ops
-    #: read only the metrics registry and the span buffer (both internally
-    #: locked), so an operator can always pull stats from a busy engine.
-    _LOCK_FREE_OPS = frozenset({"hello", "ping", "stats", "trace_dump"})
 
     #: Ingest batches above this many chunks are applied in slices, with the
     #: engine lock released between slices, so one enormous ``insert_chunks``
@@ -239,7 +238,7 @@ class RequestDispatcher(WireDispatcher):
         self._bulk_slice_chunks = max(0, int(bulk_slice_chunks))
 
     def dispatch(self, request: Request) -> Response:
-        if request.operation in self._LOCK_FREE_OPS:
+        if is_local(request.operation):
             return super().dispatch(request)
         if (
             request.operation == "insert_chunks"
@@ -350,25 +349,11 @@ class RequestDispatcher(WireDispatcher):
 
     # -- statistical queries ----------------------------------------------------------------
 
-    @staticmethod
-    def _result_to_json(result) -> Dict:
-        return {
-            "stream_uuid": result.stream_uuid,
-            "window_start": result.window_start,
-            "window_end": result.window_end,
-            "cells": [
-                {"value": cell.value, "start": cell.window_start, "end": cell.window_end}
-                for cell in result.cells
-            ],
-            "component_names": list(result.component_names),
-            "num_index_nodes": result.num_index_nodes,
-        }
-
     def _op_stat_range(self, request: Request) -> Response:
         result = self._engine.stat_range(
             request.args["uuid"], TimeRange(request.args["start"], request.args["end"])
         )
-        return Response.success({"stat": self._result_to_json(result)})
+        return Response.success({"stat": stat_to_json(result)})
 
     def _op_stat_series(self, request: Request) -> Response:
         results = self._engine.stat_series(
@@ -376,19 +361,13 @@ class RequestDispatcher(WireDispatcher):
             TimeRange(request.args["start"], request.args["end"]),
             request.args["granularity_windows"],
         )
-        return Response.success({"series": [self._result_to_json(result) for result in results]})
+        return Response.success({"series": [stat_to_json(result) for result in results]})
 
     def _op_stat_range_multi(self, request: Request) -> Response:
         aggregate = self._engine.stat_range_multi(
             request.args["uuids"], TimeRange(request.args["start"], request.args["end"])
         )
-        return Response.success(
-            {
-                "values": list(aggregate.values),
-                "component_names": list(aggregate.component_names),
-                "per_stream_intervals": [list(item) for item in aggregate.per_stream_intervals],
-            }
-        )
+        return Response.success(aggregate_to_json(aggregate))
 
     # -- grants / envelopes --------------------------------------------------------------------
 
@@ -530,7 +509,7 @@ class _FrameScheduler:
     ) -> str:
         """Place one classified frame: ``"inline"``, ``"queued"``, ``"spawn"`` or ``"shed"``.
 
-        ``force`` bypasses the capacity check (``hello``, ``ping``:
+        ``force`` bypasses the capacity check (the table's ``local`` ops:
         saturation must never read as an outage).  ``inline`` is the
         leader's offer to run the frame itself, taken only for an
         interactive frame with both queues empty and a handler slot free —
@@ -984,9 +963,9 @@ class TimeCryptTCPServer:
             depth = connection.in_flight
         # Tracing-gated: untraced connections never read the clock here.
         enqueue_ns = time.monotonic_ns() if connection.tracing else 0
-        # hello/ping bypass the caps: liveness must never read as an outage.
+        # Local ops bypass the caps: liveness must never read as an outage.
         task = (connection, frame, enqueue_ns, request)
-        if self._place(task, klass, operation in ("hello", "ping"), depth) == "shed":
+        if self._place(task, klass, is_local(operation), depth) == "shed":
             self._shed_frame(connection, frame, klass)
 
     def _place(self, task: _Task, klass: str, force: bool, in_flight: int = 0) -> str:

@@ -31,14 +31,28 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ProtocolError, QueryError, TimeCryptError, TransportError
-from repro.net.client import RemoteServerClient
-from repro.net.messages import KV_OPERATIONS, OPERATIONS, Request, Response, ShardRoutingTable
+from repro.net.client import (
+    RemoteServerClient,
+    decode_grant_ids,
+    decode_stat,
+    put_grants_request,
+    stat_range_request,
+)
+from repro.net.messages import (
+    OP_TABLE,
+    Request,
+    Response,
+    ShardRoutingTable,
+    aggregate_to_json,
+    is_local,
+)
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer, WireDispatcher
 from repro.obs.tracing import current_context, set_context
 from repro.server.engine import ServerEngine, _metadata_from_json
 from repro.server.query_executor import MultiStreamAggregate
 from repro.timeseries.serialization import peek_chunk_stream_uuid
 from repro.util.blocking import before_blocking
+from repro.util.timeutil import TimeRange
 
 logger = logging.getLogger(__name__)
 
@@ -84,46 +98,25 @@ class RoutingTableRef:
         return table
 
 
-#: Engine operations whose target stream is a plain ``uuid`` argument.
-_UUID_ARG_OPS = frozenset(
-    {
-        "delete_stream",
-        "stream_head",
-        "stream_metadata",
-        "rollup_stream",
-        "get_range",
-        "delete_range",
-        "stat_range",
-        "stat_series",
-        "put_grant",
-        "fetch_grants",
-        "fetch_envelopes",
-        "put_envelopes",
-    }
-)
-
-
 def _request_stream_uuids(request: Request) -> List[str]:
-    """The stream uuids a request addresses (empty: not stream-routed).
+    """The stream uuids a request addresses, found by its op's routing key.
 
     Ingest requests are placed by peeking the uuid out of the first chunk
     attachment — a magic check, one varint and a slice, no full decode; the
     engine itself enforces that a batch is single-stream.
     """
-    operation = request.operation
-    if operation in _UUID_ARG_OPS:
+    route = OP_TABLE[request.operation].route
+    if route == "uuid":
         return [request.args["uuid"]]
-    if operation == "stat_range_multi":
+    if route == "uuids":
         return list(request.args["uuids"])
-    if operation == "put_grants":
+    if route == "grants":
         return [target["uuid"] for target in request.args["grants"]]
-    if operation in ("insert_chunk", "insert_chunks"):
+    if route in ("chunk", "metadata"):
         if not request.attachments:
-            raise ProtocolError(f"{operation} requires a chunk attachment")
-        return [peek_chunk_stream_uuid(request.attachments[0])]
-    if operation == "create_stream":
-        if not request.attachments:
-            raise ProtocolError("create_stream requires a metadata attachment")
+            raise ProtocolError(f"{request.operation} requires a {route} attachment")
+        if route == "chunk":
+            return [peek_chunk_stream_uuid(request.attachments[0])]
         return [_metadata_from_json(request.attachments[0]).uuid]
     return []
 
@@ -154,8 +147,6 @@ class ShardedEngineDispatcher(RequestDispatcher):
     just (re)gained may have advanced under its previous owner, so indexes
     rebuild lazily from shared storage.
     """
-
-    _LOCK_FREE_OPS = RequestDispatcher._LOCK_FREE_OPS | {"routing_table"}
 
     def __init__(self, engine: ServerEngine, table_ref: RoutingTableRef, shard_name: str) -> None:
         super().__init__(engine)
@@ -227,15 +218,6 @@ class EngineShardServer:
         self.stop()
 
 
-#: Engine-tier operations the router will proxy (kv_* belongs to storage nodes;
-#: the scrape ops describe the node answering them, so they are never proxied).
-_PROXYABLE_OPS = (
-    frozenset(OPERATIONS)
-    - frozenset(KV_OPERATIONS)
-    - {"hello", "ping", "routing_table", "stats", "trace_dump"}
-)
-
-
 class RouterDispatcher(WireDispatcher):
     """The router's dispatcher: advertises the table, proxies the rest.
 
@@ -265,10 +247,9 @@ class RouterDispatcher(WireDispatcher):
         )
 
     def supported_operations(self) -> List[str]:
-        # The proxy surface, not the handler list: a client negotiating
-        # against the router must not downgrade to per-chunk ingest just
-        # because the router itself has no _op_insert_chunks.
-        return [op for op in OPERATIONS if op not in KV_OPERATIONS]
+        # The proxy surface, not the handler list: the router itself has no
+        # _op_insert_chunks, yet it serves every engine op.
+        return [name for name, op in OP_TABLE.items() if op.scope != "kv"]
 
     def hello_extras(self) -> Dict:
         return {"routing": self._table_ref.table.to_payload(), "role": "router"}
@@ -277,7 +258,7 @@ class RouterDispatcher(WireDispatcher):
         return Response.success({"routing": self._table_ref.table.to_payload()})
 
     def dispatch(self, request: Request) -> Response:
-        if request.operation in ("hello", "ping", "routing_table", "stats", "trace_dump"):
+        if is_local(request.operation):
             return super().dispatch(request)
         try:
             return self._proxy(request)
@@ -359,7 +340,7 @@ class RouterDispatcher(WireDispatcher):
         table = self._table_ref.table
         if not len(table):
             return Response.failure(ProtocolError("the routing table has no engine shards"))
-        if request.operation not in _PROXYABLE_OPS:
+        if OP_TABLE[request.operation].scope != "engine":
             return Response.failure(
                 ProtocolError(f"unsupported operation '{request.operation}'")
             )
@@ -403,16 +384,13 @@ class RouterDispatcher(WireDispatcher):
         pipelined per owner and fanned out to all owners concurrently,
         recombined exactly as a single engine would."""
         uuids = list(request.args["uuids"])
-        start, end = request.args["start"], request.args["end"]
+        time_range = TimeRange(request.args["start"], request.args["end"])
         by_owner: Dict[str, List[str]] = {}
         for stream_uuid in uuids:
             by_owner.setdefault(table.owner_of(stream_uuid), []).append(stream_uuid)
         responses_by_owner = self._fan_out(
             {
-                owner: [
-                    Request("stat_range", {"uuid": stream_uuid, "start": start, "end": end})
-                    for stream_uuid in owned
-                ]
+                owner: [stat_range_request(stream_uuid, time_range) for stream_uuid in owned]
                 for owner, owned in by_owner.items()
             }
         )
@@ -424,15 +402,8 @@ class RouterDispatcher(WireDispatcher):
             response = per_stream[stream_uuid]
             if not response.ok:
                 return response
-            results.append(RemoteServerClient._stat_from_json(response.result["stat"]))
-        aggregate = MultiStreamAggregate.combine(results)
-        return Response.success(
-            {
-                "values": list(aggregate.values),
-                "component_names": list(aggregate.component_names),
-                "per_stream_intervals": [list(item) for item in aggregate.per_stream_intervals],
-            }
-        )
+            results.append(decode_stat(response))
+        return Response.success(aggregate_to_json(MultiStreamAggregate.combine(results)))
 
     def _split_put_grants(self, request: Request, table: ShardRoutingTable) -> Response:
         """A cross-shard grant burst: one ``put_grants`` sub-batch per owner,
@@ -444,26 +415,24 @@ class RouterDispatcher(WireDispatcher):
         slots_by_owner: Dict[str, List[int]] = {}
         for slot, target in enumerate(targets):
             slots_by_owner.setdefault(table.owner_of(target["uuid"]), []).append(slot)
+        grants = [
+            (target["uuid"], target["principal_id"], sealed)
+            for target, sealed in zip(targets, request.attachments)
+        ]
         responses_by_owner = self._fan_out(
             {
-                owner: [
-                    Request(
-                        "put_grants",
-                        {"grants": [targets[slot] for slot in slots]},
-                        [request.attachments[slot] for slot in slots],
-                    )
-                ]
+                owner: [put_grants_request([grants[slot] for slot in slots])]
                 for owner, slots in slots_by_owner.items()
             }
         )
-        grant_ids: List[Optional[int]] = [None] * len(targets)
+        grant_ids: List[int] = [0] * len(targets)
         for owner in sorted(slots_by_owner):
             slots = slots_by_owner[owner]
             response = responses_by_owner[owner][0]
             if not response.ok:
                 return response
-            for slot, grant_id in zip(slots, response.result["grant_ids"]):
-                grant_ids[slot] = int(grant_id)
+            for slot, grant_id in zip(slots, decode_grant_ids(len(slots))(response)):
+                grant_ids[slot] = grant_id
         return Response.success({"grant_ids": grant_ids})
 
 

@@ -1,18 +1,4 @@
-"""REPRO003 bad fixture: ragged operation inventory and untyped raises."""
-
-KV_OPERATIONS = ("kv_get", "kv_put")
-
-OPERATIONS = (
-    "ping",
-    "fetch",
-    "push",
-    "orphan",  # declared, no handler anywhere
-) + KV_OPERATIONS
-
-BULK_OPERATIONS = frozenset({"push", "fetch", "kv_put"})
-
-INTERACTIVE_OPERATIONS = frozenset({"ping", "fetch", "kv_get"})  # fetch in both
-# "orphan" is additionally in neither class.
+"""REPRO003 bad fixture: a wire handler raising a builtin exception."""
 
 
 class Dispatcher:
@@ -22,16 +8,9 @@ class Dispatcher:
         return {"pong": True}
 
     def _op_fetch(self, request):
+        if not request:
+            raise KeyError  # bare builtin class, same problem
         return {}
 
-    def _op_push(self, request):
-        return {}
-
-    def _op_kv_get(self, request):
-        return {}
-
-    def _op_kv_put(self, request):
-        return {}
-
-    def _op_ghost(self, request):  # handler for an undeclared op
-        return {}
+    def helper(self, request):
+        raise ValueError("not a handler: never reaches the wire raw")

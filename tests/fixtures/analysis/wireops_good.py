@@ -1,21 +1,8 @@
-"""REPRO003 good fixture: total, disjoint inventory; typed raises."""
+"""REPRO003 good fixture: wire handlers raise typed errors only."""
 
 
 class FixtureError(Exception):
     """A typed wire error."""
-
-
-KV_OPERATIONS = ("kv_get", "kv_put")
-
-OPERATIONS = (
-    "ping",
-    "fetch",
-    "push",
-) + KV_OPERATIONS
-
-BULK_OPERATIONS = frozenset({"push", "kv_put"})
-
-INTERACTIVE_OPERATIONS = frozenset({"ping", "fetch", "kv_get"})
 
 
 class Dispatcher:
@@ -25,13 +12,4 @@ class Dispatcher:
         return {"pong": True}
 
     def _op_fetch(self, request):
-        return {}
-
-    def _op_push(self, request):
-        return {}
-
-    def _op_kv_get(self, request):
-        return {}
-
-    def _op_kv_put(self, request):
         return {}

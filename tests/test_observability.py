@@ -33,7 +33,6 @@ from repro.net.server import (
     DEFAULT_RETRY_AFTER_MS,
     MAX_RETRY_AFTER_MS,
     MIN_RETRY_AFTER_MS,
-    RequestDispatcher,
     TimeCryptTCPServer,
     WireDispatcher,
     _FrameScheduler,
@@ -238,12 +237,12 @@ def test_trace_dump_filters_by_trace_id():
 
 
 def test_scrape_ops_are_interactive_and_lock_free():
-    from repro.net.messages import BULK_OPERATIONS, classify_operation
+    from repro.net.messages import BULK_OPERATIONS, classify_operation, is_local
 
     for operation in ("stats", "trace_dump"):
         assert operation not in BULK_OPERATIONS
         assert classify_operation(operation) == "interactive"
-        assert operation in RequestDispatcher._LOCK_FREE_OPS
+        assert is_local(operation)  # dispatched without the engine lock
 
 
 # ---------------------------------------------------------------------------
