@@ -10,8 +10,8 @@ in prose but were, until this package, enforced by nothing:
   names, byte sizes, and timings; never keys, seeds, or plaintext"
   (PR 9);
 * the *lock discipline* spread across ~19 ``Lock``/``RLock`` sites in
-  four threaded tiers (selector server, router fan-out, cluster
-  replication pool, dispatcher engine locks).
+  four threaded tiers (selector server, outbound connection slots,
+  cluster replication pool, dispatcher engine locks).
 
 This package machine-checks them.  ``python -m repro.analysis`` walks the
 repo, parses every module once, and runs a registry of AST rules over the

@@ -18,7 +18,9 @@ that sit three calling styles:
 
 * ``_call`` — write one request, wait for its future (one round trip);
 * :meth:`call_many` — write a whole batch of requests back-to-back in one
-  vectored write, then wait for all futures: N requests, **one** round trip;
+  vectored write, then wait for all futures: N requests, **one** round trip.
+  It is :meth:`send_many` followed by the handle's ``result()``, so a caller
+  can send batches to several peers before awaiting any of them;
 * :meth:`pipeline` — a context manager that records ServerEngine-shaped
   calls as deferred handles and flushes them through :meth:`call_many` on
   exit, so heterogeneous bursts (grant pickups, range reads, stat queries)
@@ -37,8 +39,10 @@ up on it, answers something unparseable, or does not advertise protocol 2
 and an operation list fails the constructor with a typed
 :class:`~repro.exceptions.TransportError` / :class:`~repro.exceptions.ProtocolError`
 (and the socket closed) — there is no second dial and no other wire to fall
-back to.  :class:`WireStats` counts requests and round trips, which is what
-the network benchmarks assert against.
+back to.  Redialling is the job of :class:`ConnectionSlot`, the one holder
+of every outbound connection (client → router → engines → storage nodes).
+:class:`WireStats` counts requests and round trips, which is what the
+network benchmarks assert against.
 
 Two backpressure mechanisms ride on the transport (see
 :mod:`repro.net.server`): servers advertise a per-connection **credit
@@ -237,6 +241,40 @@ class _PendingCall:
 
     def result(self, timeout: Optional[float] = None) -> Response:
         return self._client._await(self, timeout)
+
+
+class SentBatch:
+    """A request batch on the wire, returned by :meth:`RemoteServerClient.send_many`."""
+
+    __slots__ = ("_client", "_requests", "_calls", "_trace")
+
+    def __init__(
+        self,
+        client: "RemoteServerClient",
+        requests: Sequence[Request],
+        calls: List[_PendingCall],
+        trace: Optional[Tuple[List[Optional[Dict[str, Any]]], int]],
+    ) -> None:
+        self._client = client
+        self._requests = requests
+        self._calls = calls
+        self._trace = trace
+
+    def result(self) -> List[Response]:
+        """Await the responses (in request order), re-sending overload sheds.
+
+        Per-request errors stay inside their :class:`Response`; only
+        transport trouble raises.  The batch's trace spans close here.
+        """
+        client = self._client
+        try:
+            responses = [client._await(call) for call in self._calls]
+            responses = client._retry_overloaded(list(self._requests), responses)
+        except Exception as exc:
+            client._finish_trace(self._trace, error=exc)
+            raise
+        client._finish_trace(self._trace, responses=responses)
+        return responses
 
 
 #: Turns one engine answer into the value its ServerEngine method returns.
@@ -613,8 +651,8 @@ class RemoteServerClient(_EngineCalls):
             # now, not whenever the exception's traceback is collected.
             self._socket.close()
             raise
-        # Snapshot through the client, not the stats object: wrappers like
-        # RemoteKeyValueStore swap in a shared WireStats after construction.
+        # Snapshot through the client, not the stats object: a ConnectionSlot
+        # swaps in its shared WireStats after construction.
         self._metrics_key = REGISTRY.register(
             f"client.wire[{host}:{port}]", self, snapshot=lambda client: asdict(client.wire_stats)
         )
@@ -645,7 +683,7 @@ class RemoteServerClient(_EngineCalls):
         mid-frame raises :class:`TransportError`; one that answers with
         anything but a well-formed protocol-2 ``hello`` result raises
         :class:`ProtocolError`.  Nothing is retried here — redialling is the
-        owner's decision (see ``RemoteKeyValueStore._ensure_client``).
+        owner's decision (see :class:`ConnectionSlot`).
         """
         hello_args: Dict[str, Any] = {"protocol": PROTOCOL_VERSION}
         if self._compression:
@@ -997,17 +1035,7 @@ class RemoteServerClient(_EngineCalls):
 
     def _call(self, request: Request) -> Response:
         """One request, one round trip; raises the remote error on failure."""
-        begun = self._begin_trace((request,))
-        try:
-            future = self._send_requests([request])[0]
-            self.wire_stats.round_trips += 1
-            response = self._await(future)
-            if _is_overloaded(response):
-                response = self._retry_overloaded([request], [response])[0]
-        except Exception as exc:
-            self._finish_trace(begun, error=exc)
-            raise
-        self._finish_trace(begun, responses=(response,))
+        response = self.call_many([request])[0]
         if not response.ok:
             _raise_remote(response)
         return response
@@ -1039,6 +1067,25 @@ class RemoteServerClient(_EngineCalls):
                 responses[slot] = self._await(future)
         return responses
 
+    def send_many(self, requests: Sequence[Request]) -> SentBatch:
+        """Frame and send a request batch; the handle's ``result()`` awaits it.
+
+        Sending takes the flow-control credits, counts the round trip and
+        opens the trace spans.  Nothing here waits for an answer, so a
+        caller can send to several peers and then await each handle in
+        turn: the awaiting thread reads each socket itself, and N peers
+        cost one round-trip time.
+        """
+        begun = self._begin_trace(requests)
+        try:
+            calls = self._send_requests(requests)
+        except Exception as exc:
+            self._finish_trace(begun, error=exc)
+            raise
+        self.wire_stats.round_trips += 1
+        self.wire_stats.batches_sent += 1
+        return SentBatch(self, requests, calls, begun)
+
     def call_many(self, requests: Sequence[Request]) -> List[Response]:
         """Ship a request batch in one round trip; responses in request order.
 
@@ -1048,18 +1095,9 @@ class RemoteServerClient(_EngineCalls):
         """
         if not requests:
             return []
-        begun = self._begin_trace(requests)
-        try:
-            futures = self._send_requests(requests)
-            self.wire_stats.round_trips += 1
-            self.wire_stats.batches_sent += 1
-            responses = [self._await(future) for future in futures]
-            responses = self._retry_overloaded(list(requests), responses)
-        except Exception as exc:
-            self._finish_trace(begun, error=exc)
-            raise
-        self._finish_trace(begun, responses=responses)
-        return responses
+        batch = self.send_many(requests)
+        before_blocking()
+        return batch.result()
 
     def pipeline(self) -> RequestPipeline:
         """A deferred-call context; everything inside flushes as one batch."""
@@ -1067,6 +1105,146 @@ class RemoteServerClient(_EngineCalls):
 
     def _engine_call(self, _stream_uuid: Optional[str], request: Request, decode: Decoder) -> Any:
         return decode(self._call(request))
+
+
+class ConnectionSlot:
+    """The one holder of an outbound connection to a peer at ``address``.
+
+    Every hop that dials keeps its :class:`RemoteServerClient` here: the
+    sharded client to its router and engines, the router to its engines, a
+    remote store to its node.  :meth:`get` dials lazily and outside the
+    lock; when dials race, the first to finish is installed and every loser
+    closes its own client.  :meth:`discard` drops a client only while it is
+    still the installed one, so a caller holding a dead client never closes
+    the fresh one another thread just dialled.  :meth:`send_many` and
+    :meth:`call_many` redial once after a transport error, and after
+    :meth:`close` the next call redials.
+
+    A failed dial leaves the slot empty and raises :class:`TransportError`
+    — whether the peer refused, hung up or answered ``hello`` wrongly, it
+    is an outage to retry.  ``require`` names an operation the peer must
+    advertise; a peer of the wrong tier is a :class:`ProtocolError`, which
+    nothing retries.  Every dialled client shares the slot's
+    :class:`WireStats`, so counters run on across reconnects.  ``options``
+    are :class:`RemoteServerClient` keyword arguments.
+    """
+
+    def __init__(self, address: Tuple[str, int], require: Optional[str] = None, **options: Any) -> None:
+        self.address = address
+        self.wire_stats = WireStats()
+        self._require = require
+        self._options = options
+        self._client: Optional[RemoteServerClient] = None
+        self._lock = threading.Lock()
+
+    def get(self) -> RemoteServerClient:
+        """The installed client, dialling one if there is none."""
+        client = self._client
+        if client is not None:
+            return client
+        before_blocking()  # connect + hello can take the whole timeout
+        try:
+            client = RemoteServerClient(*self.address, **self._options)
+        except (OSError, TransportError) as exc:
+            raise TransportError(f"cannot dial {self.address}: {exc}") from exc
+        if self._require is not None and not client.supports_operation(self._require):
+            client.close()
+            raise ProtocolError(f"peer at {self.address} does not serve the {self._require} operation")
+        with self._lock:
+            if self._client is None:
+                client.wire_stats = self.wire_stats
+                self._client = client
+                return client
+            winner = self._client
+        client.close()  # lost the dial race
+        return winner
+
+    def discard(self, client: RemoteServerClient) -> None:
+        """Drop and close ``client`` if it is still the installed one."""
+        with self._lock:
+            if self._client is not client:
+                return
+            self._client = None
+        client.close()
+
+    def close(self) -> None:
+        """Close the installed client; the next call redials."""
+        with self._lock:
+            client, self._client = self._client, None
+        if client is not None:
+            client.close()
+
+    def send_many(self, requests: Sequence[Request]) -> "_SlotBatch":
+        """Send a batch on the installed client; its ``result()`` redials once."""
+        return _SlotBatch(self, requests)
+
+    def call_many(self, requests: Sequence[Request]) -> List[Response]:
+        batch = self.send_many(requests)
+        before_blocking()
+        return batch.result()
+
+
+class _SlotBatch:
+    """A batch sent through a :class:`ConnectionSlot`.
+
+    If the dial, the send or the wait fails with a transport error, the
+    dead client is discarded and :meth:`result` redials and re-sends once —
+    at-least-once, like any retry after a lost answer.
+    """
+
+    __slots__ = ("_slot", "_requests", "_client", "_sent")
+
+    def __init__(self, slot: ConnectionSlot, requests: Sequence[Request]) -> None:
+        self._slot = slot
+        self._requests = requests
+        self._client: Optional[RemoteServerClient] = None
+        self._sent: Optional[SentBatch] = None
+        try:
+            self._client = slot.get()
+        except ProtocolError:
+            raise
+        except TransportError:
+            return  # result() redials
+        self._sent = self._client.send_many(requests)
+
+    def result(self) -> List[Response]:
+        before_blocking()
+        if self._sent is not None:
+            try:
+                return self._sent.result()
+            except TransportError as exc:
+                logger.info("connection to %s lost (%s); redialling", self._slot.address, exc)
+                self._slot.discard(self._client)
+        client = self._slot.get()
+        try:
+            return client.call_many(self._requests)
+        except TransportError:
+            self._slot.discard(client)
+            raise
+
+
+def slot_for(
+    slots: Dict[str, ConnectionSlot],
+    lock: threading.Lock,
+    name: str,
+    address: Tuple[str, int],
+    options: Dict[str, Any],
+) -> ConnectionSlot:
+    """``slots[name]``, replaced (and the old slot closed) when ``address`` moved.
+
+    Creating a slot dials nothing, so the lock is only held for the swap.
+    """
+    slot = slots.get(name)
+    if slot is not None and slot.address == address:
+        return slot
+    with lock:
+        stale = slots.get(name)
+        if stale is not None and stale.address == address:
+            return stale
+        slot = slots[name] = ConnectionSlot(address, **options)
+    if stale is not None:
+        stale.close()
+    return slot
 
 
 class ShardedServerClient(_EngineCalls):
@@ -1080,6 +1258,8 @@ class ShardedServerClient(_EngineCalls):
     triggers a refresh and a bounded re-route; an engine that died
     mid-workload surfaces as a transport error, which likewise refreshes
     the table and redials, so a membership change needs no client restart.
+    Each connection is a :class:`ConnectionSlot`: one for the router and
+    one per engine, replaced when the table moves that engine's address.
     """
 
     _MAX_ROUTE_ATTEMPTS = 5
@@ -1094,16 +1274,21 @@ class ShardedServerClient(_EngineCalls):
         compression: bool = False,
         tracing: bool = False,
     ) -> None:
-        self._router_address = (host, port)
-        self._timeout = timeout
-        self._flow_control = bool(flow_control)
-        self._overload_retries = max(0, int(overload_retries))
-        self._compression = bool(compression)
-        self._tracing = bool(tracing)
+        self._options: Dict[str, Any] = {
+            "timeout": timeout,
+            "flow_control": flow_control,
+            "overload_retries": overload_retries,
+            "compression": compression,
+            "tracing": tracing,
+        }
         self._lock = threading.Lock()
-        self._router: Optional[RemoteServerClient] = None
-        self._engines: Dict[str, Tuple[Tuple[str, int], RemoteServerClient]] = {}
-        self._table = self._table_from_hello(self._router_client())
+        self._router = ConnectionSlot((host, port), **self._options)
+        self._engines: Dict[str, ConnectionSlot] = {}
+        try:
+            self._table = self._table_from_hello(self._router.get())
+        except BaseException:
+            self._router.close()
+            raise
         self.token_store = _WireTokenStore(self)
 
     # -- table management -------------------------------------------------------
@@ -1112,7 +1297,7 @@ class ShardedServerClient(_EngineCalls):
         payload = client.hello_info.get("routing")
         if payload is None:
             raise ProtocolError(
-                f"peer at {self._router_address} did not advertise a shard routing table"
+                f"peer at {self._router.address} did not advertise a shard routing table"
             )
         return ShardRoutingTable.from_payload(payload)
 
@@ -1124,11 +1309,11 @@ class ShardedServerClient(_EngineCalls):
     def routing_epoch(self) -> int:
         return self._table.epoch
 
-    def _fetch_table(self, client: RemoteServerClient) -> Optional[ShardRoutingTable]:
+    def _fetch_table(self, slot: ConnectionSlot) -> Optional[ShardRoutingTable]:
         """Ask one peer for its current table; ``None`` on any failure."""
         try:
-            response = client.call_many([Request("routing_table")])[0]
-        except (TransportError, OSError):
+            response = slot.call_many([Request("routing_table")])[0]
+        except TransportError:
             return None
         payload = response.result.get("routing") if response.ok else None
         if payload is None:
@@ -1146,90 +1331,25 @@ class ShardedServerClient(_EngineCalls):
         return True
 
     def _refresh_table(self) -> bool:
-        """Refresh from the router (redialling once), else from any live shard."""
-        for _attempt in range(2):
-            try:
-                client = self._router_client()
-            except (TransportError, OSError):
-                self._drop_router()
-                continue
-            table = self._fetch_table(client)
-            if table is None:
-                self._drop_router()
-                continue
-            return self._adopt_table(table)
-        for name in self._table.engine_names:
-            with self._lock:
-                cached = self._engines.get(name)
-            if cached is None:
-                continue
-            table = self._fetch_table(cached[1])
+        """Refresh from the router (its slot redials once), else from any shard."""
+        for slot in self._slots():
+            table = self._fetch_table(slot)
             if table is not None:
                 return self._adopt_table(table)
         return False
 
     # -- connections ------------------------------------------------------------
 
-    def _connect(self, address: Tuple[str, int]) -> RemoteServerClient:
-        return RemoteServerClient(
-            address[0],
-            address[1],
-            timeout=self._timeout,
-            flow_control=self._flow_control,
-            overload_retries=self._overload_retries,
-            compression=self._compression,
-            tracing=self._tracing,
-        )
+    def _engine(self, name: str) -> ConnectionSlot:
+        return slot_for(self._engines, self._lock, name, self._table.address_of(name), self._options)
 
-    def _router_client(self) -> RemoteServerClient:
-        with self._lock:
-            if self._router is not None:
-                return self._router
-        # Dial outside the lock, like _engine_client below: a dead router
-        # must not wedge threads that only need an already-cached transport.
-        client = self._connect(self._router_address)
-        with self._lock:
-            if self._router is None:
-                self._router = client
-                return client
-            winner = self._router
-        # Lost a concurrent dial race: keep the installed transport.
-        client.close()
-        return winner
-
-    def _drop_router(self) -> None:
-        with self._lock:
-            router, self._router = self._router, None
-        if router is not None:
-            router.close()
-
-    def _engine_client(self, name: str) -> RemoteServerClient:
-        address = self._table.address_of(name)
-        with self._lock:
-            cached = self._engines.get(name)
-            if cached is not None and cached[0] == address:
-                return cached[1]
-            stale = self._engines.pop(name, None)
-        if stale is not None:
-            stale[1].close()
-        client = self._connect(address)
-        with self._lock:
-            self._engines[name] = (address, client)
-        return client
-
-    def _drop_engine(self, name: str) -> None:
-        with self._lock:
-            cached = self._engines.pop(name, None)
-        if cached is not None:
-            cached[1].close()
+    def _slots(self) -> List[ConnectionSlot]:
+        """The router's slot first, then every engine's."""
+        return [self._router, *self._engines.values()]
 
     def close(self) -> None:
-        self._drop_router()
-        with self._lock:
-            engines = [client for _address, client in self._engines.values()]
-            self._engines.clear()
-        for client in engines:
-            client.close()
+        for slot in self._slots():
+            slot.close()
 
     def __enter__(self) -> "ShardedServerClient":
         return self
@@ -1241,13 +1361,9 @@ class ShardedServerClient(_EngineCalls):
     def wire_stats(self) -> WireStats:
         """Aggregate wire accounting across the router and all shard connections."""
         total = WireStats()
-        with self._lock:
-            clients = [client for _address, client in self._engines.values()]
-            if self._router is not None:
-                clients.append(self._router)
-        for client in clients:
+        for slot in self._slots():
             for counter in fields(WireStats):
-                value = getattr(total, counter.name) + getattr(client.wire_stats, counter.name)
+                value = getattr(total, counter.name) + getattr(slot.wire_stats, counter.name)
                 setattr(total, counter.name, value)
         return total
 
@@ -1256,8 +1372,8 @@ class ShardedServerClient(_EngineCalls):
     def _routed(self, stream_uuid: str, request: Request) -> Response:
         """Send one request to the stream's owner, chasing redirects boundedly.
 
-        Transport loss drops the shard connection, refreshes the table and
-        retries; a ``wrong_shard`` redirect refreshes the table, falling back
+        Transport loss the engine's slot could not heal with its one redial
+        refreshes the table and retries; a ``wrong_shard`` redirect refreshes the table, falling back
         to the redirect's owner hint only when no newer table materialises.
         A topology that never converges (peers answering for each other's
         shards) is reported as a protocol error instead of looping forever.
@@ -1271,13 +1387,9 @@ class ShardedServerClient(_EngineCalls):
                 owner = table.owner_of(stream_uuid)
             owner_hint = None
             try:
-                client = self._engine_client(owner)
-                response = client.call_many([request])[0]
-            except (TransportError, OSError):
-                logger.info(
-                    "engine shard '%s' unreachable; refreshing table and redialling", owner
-                )
-                self._drop_engine(owner)
+                response = self._engine(owner).call_many([request])[0]
+            except TransportError:
+                logger.info("engine shard '%s' unreachable; refreshing the table", owner)
                 self._refresh_table()
                 continue
             if response.ok or response.error_type != "WrongShardError":
@@ -1300,15 +1412,14 @@ class ShardedServerClient(_EngineCalls):
 
     def ping(self) -> bool:
         """Liveness of the tier: the router, or failing that any live shard."""
-        try:
-            return self._router_client().ping()
-        except (TimeCryptError, OSError):
-            self._drop_router()
-        for name in self._table.engine_names:
+        engines = (self._engine(name) for name in self._table.engine_names)
+        for slot in itertools.chain([self._router], engines):
             try:
-                return self._engine_client(name).ping()
-            except (TimeCryptError, OSError):
-                self._drop_engine(name)
+                response = slot.call_many([Request("ping")])[0]
+            except TransportError:
+                continue
+            if response.ok:
+                return _decode_pong(response)
         return False
 
     def stat_range_multi(

@@ -16,7 +16,10 @@ across them.  This module provides that tier:
   table in ``hello`` (clients that understand it route straight to the
   owning engine — no extra hop on the hot path) and proxies requests for
   clients that do not, including splitting cross-shard ``stat_range_multi``
-  and ``put_grants`` across the owning engines.
+  and ``put_grants`` across the owning engines.  It holds one
+  :class:`~repro.net.client.ConnectionSlot` per engine and runs no threads
+  of its own: a split sends every owner's sub-batch from the handler
+  thread, then awaits each in turn, so N owners cost one round-trip time.
 
 Membership changes bump the table epoch.  Shards observe the bump on their
 next request and drop cached stream state (indexes rebuild lazily from
@@ -27,15 +30,15 @@ from __future__ import annotations
 
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ProtocolError, QueryError, TimeCryptError, TransportError
 from repro.net.client import (
-    RemoteServerClient,
+    ConnectionSlot,
     decode_grant_ids,
     decode_stat,
     put_grants_request,
+    slot_for,
     stat_range_request,
 )
 from repro.net.messages import (
@@ -47,7 +50,6 @@ from repro.net.messages import (
     is_local,
 )
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer, WireDispatcher
-from repro.obs.tracing import current_context, set_context
 from repro.server.engine import ServerEngine, _metadata_from_json
 from repro.server.query_executor import MultiStreamAggregate
 from repro.timeseries.serialization import peek_chunk_stream_uuid
@@ -224,27 +226,22 @@ class RouterDispatcher(WireDispatcher):
     Routing-aware clients never send it stream traffic — they learn the
     table from ``hello`` and dial the owning engines directly.  For plain
     :class:`~repro.net.client.RemoteServerClient` users the router is a
-    transparent proxy: it forwards each request to the owning shard over a
-    pooled multiplexed connection, and splits the two cross-shard batch ops
-    (``stat_range_multi``, ``put_grants``) across owners concurrently.
-    Backpressure composes per hop: each upstream connection honours the
-    credit window that shard advertised in ``hello``, so the router cannot
-    flood a saturated engine on a proxied burst.
+    transparent proxy: it forwards each request to the owning shard over
+    that shard's :class:`~repro.net.client.ConnectionSlot` (one multiplexed
+    connection, shared by every handler thread), and splits the two
+    cross-shard batch ops (``stat_range_multi``, ``put_grants``) across
+    owners — every sub-batch is sent before the first is awaited, on the
+    handler thread itself.  Backpressure composes per hop: each upstream
+    connection honours the credit window that shard advertised in
+    ``hello``, so the router cannot flood a saturated engine on a proxied
+    burst.
     """
-
-    #: Concurrent per-owner sub-batches for the cross-shard split ops.  The
-    #: pool is shared across requests (fan-out is I/O-bound waiting on
-    #: shards, so a handful of threads covers many in-flight splits).
-    _FANOUT_WORKERS = 8
 
     def __init__(self, table_ref: RoutingTableRef, timeout: float = 30.0) -> None:
         self._table_ref = table_ref
         self._timeout = timeout
-        self._clients: Dict[str, Tuple[Tuple[str, int], RemoteServerClient]] = {}
-        self._clients_lock = threading.Lock()
-        self._fanout = ThreadPoolExecutor(
-            max_workers=self._FANOUT_WORKERS, thread_name_prefix="tc-router-fanout"
-        )
+        self._slots: Dict[str, ConnectionSlot] = {}
+        self._slots_lock = threading.Lock()
 
     def supported_operations(self) -> List[str]:
         # The proxy surface, not the handler list: the router itself has no
@@ -267,72 +264,37 @@ class RouterDispatcher(WireDispatcher):
         except Exception as exc:  # noqa: BLE001 — the proxy must always answer
             return Response.failure(self._unexpected_error(exc))
 
-    # -- engine connections -----------------------------------------------------
-
-    def _engine_client(self, name: str) -> RemoteServerClient:
-        address = self._table_ref.table.address_of(name)
-        with self._clients_lock:
-            cached = self._clients.get(name)
-            if cached is not None and cached[0] == address:
-                return cached[1]
-        # Mirror the server-side tracing flag onto the outbound hop: a
-        # proxied request forwarded from inside a traced handler then shows
-        # up as a child span of the router's server span.
-        client = RemoteServerClient(
-            address[0], address[1], timeout=self._timeout, tracing=self.tracing
-        )
-        with self._clients_lock:
-            stale = self._clients.get(name)
-            self._clients[name] = (address, client)
-        if stale is not None:
-            stale[1].close()
-        return client
-
-    def _drop_engine_client(self, name: str) -> None:
-        with self._clients_lock:
-            cached = self._clients.pop(name, None)
-        if cached is not None:
-            cached[1].close()
-
     def close(self) -> None:
-        self._fanout.shutdown(wait=True)
-        with self._clients_lock:
-            clients = [client for _address, client in self._clients.values()]
-            self._clients.clear()
-        for client in clients:
-            client.close()
+        for slot in list(self._slots.values()):
+            slot.close()
 
-    def _fan_out(
-        self, batches: Dict[str, List[Request]]
-    ) -> Dict[str, List[Response]]:
-        """Run one ``_forward_many`` per owner concurrently.
+    def _fan_out(self, batches: Dict[str, List[Request]]) -> Dict[str, List[Response]]:
+        """Forward one sub-batch per owner: send them all, then await each.
 
-        ``_forward_many`` already degrades transport loss to per-request
-        failure responses, so the futures only raise on programming errors —
-        which the dispatch catch-all turns into a typed failure.  Owners'
-        sub-batches ride separate pipelined connections, so a cross-shard
-        split costs one round-trip *time*, not one per owner.
-
-        The submitting thread's trace context is re-installed around each
-        sub-batch — pool threads have no thread-local context of their own,
-        and without this the split sub-requests would start fresh traces
-        instead of joining the proxied request's tree.
+        The handler thread awaits each owner's batch by reading that
+        shard's socket itself, so N owners still cost one round-trip time.
+        Transport loss the slot could not heal with its one redial becomes
+        a failure response per request; a cross-shard split then answers
+        with that failure.
         """
-        parent = current_context()
-
-        def forward(owner: str, requests: List[Request]) -> List[Response]:
-            previous = set_context(parent)
-            try:
-                return self._forward_many(owner, requests)
-            finally:
-                set_context(previous)
-
-        futures = {
-            owner: self._fanout.submit(forward, owner, requests)
-            for owner, requests in sorted(batches.items())
-        }
+        table = self._table_ref.table
+        # Mirror the server-side tracing flag onto the outbound hop: a
+        # request forwarded from inside a traced handler then shows up as a
+        # child span of the router's server span.
+        options = {"timeout": self._timeout, "tracing": self.tracing}
+        sent = {}
+        for owner, requests in sorted(batches.items()):
+            slot = slot_for(self._slots, self._slots_lock, owner, table.address_of(owner), options)
+            sent[owner] = slot.send_many(requests)
         before_blocking()
-        return {owner: future.result() for owner, future in futures.items()}
+        responses: Dict[str, List[Response]] = {}
+        for owner, batch in sent.items():
+            try:
+                responses[owner] = batch.result()
+            except TransportError as exc:
+                failure = TransportError(f"engine shard '{owner}' is unreachable: {exc}")
+                responses[owner] = [Response.failure(failure) for _request in batches[owner]]
+        return responses
 
     # -- proxying ---------------------------------------------------------------
 
@@ -350,7 +312,7 @@ class RouterDispatcher(WireDispatcher):
             owners.setdefault(table.owner_of(stream_uuid), []).append(stream_uuid)
         if len(owners) <= 1:
             owner = next(iter(owners)) if owners else sorted(table.engine_names)[0]
-            return self._forward_many(owner, [request])[0]
+            return self._fan_out({owner: [request]})[owner][0]
         if request.operation == "stat_range_multi":
             return self._split_stat_range_multi(request, table)
         if request.operation == "put_grants":
@@ -362,27 +324,10 @@ class RouterDispatcher(WireDispatcher):
             )
         )
 
-    def _forward_many(self, owner: str, requests: List[Request]) -> List[Response]:
-        """Forward a batch to one shard; one reconnect attempt on transport loss."""
-        last_error: Optional[Exception] = None
-        for _attempt in range(2):
-            try:
-                client = self._engine_client(owner)
-                return client.call_many(requests)
-            except (TransportError, OSError) as exc:
-                last_error = exc
-                self._drop_engine_client(owner)
-        return [
-            Response.failure(
-                TransportError(f"engine shard '{owner}' is unreachable: {last_error}")
-            )
-            for _request in requests
-        ]
-
     def _split_stat_range_multi(self, request: Request, table: ShardRoutingTable) -> Response:
         """A cross-shard inter-stream query: per-stream ``stat_range`` sub-requests,
-        pipelined per owner and fanned out to all owners concurrently,
-        recombined exactly as a single engine would."""
+        pipelined per owner and in flight to all owners at once, recombined
+        exactly as a single engine would."""
         uuids = list(request.args["uuids"])
         time_range = TimeRange(request.args["start"], request.args["end"])
         by_owner: Dict[str, List[str]] = {}
@@ -407,8 +352,8 @@ class RouterDispatcher(WireDispatcher):
 
     def _split_put_grants(self, request: Request, table: ShardRoutingTable) -> Response:
         """A cross-shard grant burst: one ``put_grants`` sub-batch per owner,
-        fanned out to all owners concurrently, grant ids stitched back into
-        input order."""
+        in flight to all owners at once, grant ids stitched back into input
+        order."""
         targets = list(request.args["grants"])
         if len(targets) != len(request.attachments):
             return Response.failure(ProtocolError("put_grants targets and attachments must align"))
@@ -473,7 +418,9 @@ class StreamRouter:
 
     def remove_engine(self, name: str) -> ShardRoutingTable:
         table = self.table_ref.remove_engine(name)
-        self._dispatcher._drop_engine_client(name)
+        slot = self._dispatcher._slots.pop(name, None)
+        if slot is not None:
+            slot.close()
         return table
 
     def start(self) -> "StreamRouter":

@@ -24,8 +24,9 @@ move whole partitions.
 Batch operations scatter-gather: ``multi_put``/``multi_get``/``multi_delete``
 group the keys by replica and issue one batched call per healthy node,
 **concurrently** through a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-sized against the *live* membership; outcomes are applied in deterministic
-node order, so failure handling behaves like a sequential loop.  A node
+eight wide (its threads start on demand, so a smaller cluster never runs
+more than it fans out to); outcomes are applied in deterministic node
+order, so failure handling behaves like a sequential loop.  A node
 whose store raises mid-``multi_put``/``multi_get`` is marked down and its
 share re-routed to the surviving replicas (``mark_up`` + ``repair_node``
 heal it later); ``multi_delete`` propagates the lowest-named failing node's
@@ -109,15 +110,12 @@ class StorageCluster(KeyValueStore):
         replication_factor: int = 2,
         store_factory: Optional[Callable[[str], KeyValueStore]] = None,
         virtual_tokens: int = 64,
-        max_fanout_workers: int = 8,
         hinted_handoff: bool = True,
     ) -> None:
         if num_nodes <= 0:
             raise ValueError("the cluster needs at least one node")
         if replication_factor <= 0:
             raise ValueError("replication_factor must be positive")
-        if max_fanout_workers <= 0:
-            raise ValueError("max_fanout_workers must be positive")
         self._requested_rf = replication_factor
         self._replication_factor = min(replication_factor, num_nodes)
         self._store_factory = store_factory or (lambda _name: MemoryStore())
@@ -135,9 +133,7 @@ class StorageCluster(KeyValueStore):
         #: range-losing old owners); the post-handoff sweep re-cleans them.
         self._rebalance_writes: Optional[Set[bytes]] = None
         self._hinted_handoff = hinted_handoff
-        self._max_fanout_workers = max_fanout_workers
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_workers = 0
         self._executor_lock = threading.Lock()
         self._membership_lock = threading.RLock()
         #: Stats of the most recent ``add_node``/``decommission_node``
@@ -777,24 +773,10 @@ class StorageCluster(KeyValueStore):
     # -- concurrent per-node fan-out -----------------------------------------------
 
     def _pool(self) -> ThreadPoolExecutor:
-        """The shared fan-out executor, sized against the live membership.
-
-        Created on first multi-node batch; when ``add_node`` grows the
-        cluster past the current pool a wider one is swapped in (in-flight
-        futures on the retiring pool run to completion), so a 3→8-node
-        cluster really fans out 8 wide instead of keeping the width it was
-        born with.
-        """
-        desired = min(self._max_fanout_workers, max(1, len(self._node_names)))
+        """The shared fan-out executor, created on the first multi-node batch."""
         with self._executor_lock:
-            if self._executor is not None and self._executor_workers < desired:
-                retiring, self._executor = self._executor, None
-                retiring.shutdown(wait=False)
             if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=desired, thread_name_prefix="tc-cluster"
-                )
-                self._executor_workers = desired
+                self._executor = ThreadPoolExecutor(max_workers=8, thread_name_prefix="tc-cluster")
             return self._executor
 
     def _fan_out(
@@ -828,18 +810,7 @@ class StorageCluster(KeyValueStore):
                 set_context(previous)
 
         pool = self._pool()
-        futures = {}
-        for node, thunk in tasks.items():
-            while True:
-                try:
-                    futures[node] = pool.submit(traced, thunk)
-                    break
-                except RuntimeError:
-                    # A concurrent add_node retired this pool between our
-                    # _pool() call and the submit; take the replacement.
-                    # Futures already submitted on the retiring pool still
-                    # run to completion (shutdown cancels nothing queued).
-                    pool = self._pool()
+        futures = {node: pool.submit(traced, thunk) for node, thunk in tasks.items()}
         before_blocking()
         for node, future in futures.items():
             try:
@@ -1281,7 +1252,6 @@ class StorageCluster(KeyValueStore):
     def close(self) -> None:
         with self._executor_lock:
             executor, self._executor = self._executor, None
-            self._executor_workers = 0
         if executor is not None:
             # Drain outside the lock: waiting on in-flight fan-out futures
             # while holding _executor_lock would deadlock any worker that

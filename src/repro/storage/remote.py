@@ -26,9 +26,10 @@ protocol (the ``kv_*`` op family), so a
   cluster's ``_NODE_FAILURES`` mark-down/re-route/repair machinery treats
   as a downed node.  Typed remote errors raised *by* the store itself
   propagate unchanged.
-* **Reconnect.**  The connection is created lazily and dropped on any
-  transport failure; the next operation dials again (one retry per
-  operation), so a node restart heals transparently.  Idempotent KV
+* **Reconnect.**  The connection lives in a
+  :class:`~repro.net.client.ConnectionSlot`: dialled lazily, discarded on
+  transport failure and redialled once per operation, so a node restart
+  heals transparently and wire counters run on across it.  Idempotent KV
   operations make the at-least-once retry safe; the one observable wrinkle
   is that a ``delete`` retried across a reconnect can report
   ``existed=False`` for a key its first, half-lost attempt removed.
@@ -41,17 +42,13 @@ protocol (the ``kv_*`` op family), so a
 
 from __future__ import annotations
 
-import logging
-import threading
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import OverloadedError, ProtocolError, StorageError, TransportError
-from repro.net.client import RemoteServerClient, WireStats, _remote_error
+from repro.net.client import ConnectionSlot, _remote_error
 from repro.net.messages import Request, Response, retain
 from repro.obs.metrics import REGISTRY
 from repro.storage.kv import KeyValueStore
-
-logger = logging.getLogger(__name__)
 
 #: Soft cap on one request's attachment payload; frames are hard-capped at
 #: 64 MiB, so splitting at 32 MiB leaves ample room for headers and keys.
@@ -71,33 +68,33 @@ class RemoteKeyValueStore(KeyValueStore):
         scan_page_size: int = 1024,
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         max_keys_per_request: int = DEFAULT_MAX_KEYS_PER_REQUEST,
-        reconnect: bool = True,
         overload_retries: int = 4,
         compression: bool = False,
         tracing: bool = False,
     ) -> None:
         if scan_page_size < 1:
             raise ValueError("scan_page_size must be positive")
-        #: When True the underlying transport attaches trace contexts to
-        #: outbound kv_* requests — inside a traced engine handler those
-        #: spans join the request's tree (see repro.obs.tracing).
-        self._tracing = bool(tracing)
-        #: Transport-level retry budget for typed ``overloaded`` sheds; once
-        #: exhausted, the shed surfaces here and is wrapped as StorageError.
-        self._overload_retries = max(0, int(overload_retries))
         self._address = (host, port)
-        self._timeout = timeout
         self._scan_page_size = scan_page_size
         self._max_request_bytes = max_request_bytes
         self._max_keys_per_request = max_keys_per_request
-        self._reconnect = reconnect
-        self._compression = compression
-        self._client: Optional[RemoteServerClient] = None
-        self._client_lock = threading.Lock()
-        #: Wire accounting that survives reconnects: the same WireStats
-        #: object is handed to every underlying client, so per-node
-        #: round-trip counters stay continuous across node restarts.
-        self.wire_stats = WireStats()
+        #: A reachable peer of the wrong tier (an engine server) is refused
+        #: with the non-retryable ProtocolError: a configuration error, not
+        #: an outage the cluster should mark down and redial.  Overload
+        #: sheds still there after the transport's own ``overload_retries``
+        #: surface as StorageError.  With ``tracing`` outbound kv_* requests
+        #: carry trace contexts, so inside a traced engine handler their
+        #: spans join the request's tree (see repro.obs.tracing).
+        self._slot = ConnectionSlot(
+            self._address,
+            require="kv_multi_put",
+            timeout=timeout,
+            overload_retries=overload_retries,
+            compression=compression,
+            tracing=tracing,
+        )
+        #: Wire accounting shared by every connection the slot dials.
+        self.wire_stats = self._slot.wire_stats
         self._metrics_key: Optional[str] = REGISTRY.register(
             f"store.remote.{host}:{port}", self.wire_stats
         )
@@ -108,63 +105,9 @@ class RemoteKeyValueStore(KeyValueStore):
 
     # -- connection management -----------------------------------------------------
 
-    def _ensure_client(self) -> RemoteServerClient:
-        """The live transport, dialing (or redialing) if necessary."""
-        with self._client_lock:
-            if self._client is not None:
-                return self._client
-        # Dial outside the lock: the connect + hello handshake can block for
-        # the full timeout against a dead peer, and holding _client_lock for
-        # that long wedges every thread that merely wants the cached
-        # transport (the cluster's fan-out pool among them).
-        try:
-            client = RemoteServerClient(
-                self._address[0],
-                self._address[1],
-                timeout=self._timeout,
-                overload_retries=self._overload_retries,
-                compression=self._compression,
-                tracing=self._tracing,
-            )
-        except (OSError, TransportError) as exc:
-            raise StorageError(
-                f"storage node {self._address} unreachable: {exc}"
-            ) from exc
-        client.wire_stats = self.wire_stats
-        if not client.supports_operation("kv_multi_put"):
-            client.close()
-            # A reachable peer of the wrong tier is a topology /
-            # configuration error, not an outage: raise the
-            # non-retryable ProtocolError so callers (and the
-            # cluster) do not redial or mark the node down.
-            raise ProtocolError(
-                f"peer at {self._address} does not serve the kv_* storage-node "
-                "operations (is it an engine server?)"
-            )
-        with self._client_lock:
-            if self._client is None:
-                self._client = client
-                if self._metrics_key is None:
-                    # Store reused after close(): re-attach its wire stats.
-                    self._metrics_key = REGISTRY.register(
-                        f"store.remote.{self._address[0]}:{self._address[1]}",
-                        self.wire_stats,
-                    )
-                return client
-            winner = self._client
-        # Lost a concurrent dial race: keep the installed transport.
-        client.close()
-        return winner
-
-    def _drop_client(self) -> None:
-        with self._client_lock:
-            client, self._client = self._client, None
-        if client is not None:
-            client.close()
-
     def connect(self) -> "RemoteKeyValueStore":
         """Eagerly dial the node (the first operation otherwise does it lazily)."""
-        self._ensure_client()
+        self._as_storage(self._slot.get)
         return self
 
     def ping(self) -> bool:
@@ -175,62 +118,54 @@ class RemoteKeyValueStore(KeyValueStore):
         if self._metrics_key is not None:
             REGISTRY.unregister(self._metrics_key)
             self._metrics_key = None
-        self._drop_client()
+        self._slot.close()
 
     # -- wire plumbing -------------------------------------------------------------
 
-    def _call(self, request: Request) -> Response:
-        """One request, one round trip, with one reconnect retry.
+    def _as_storage(self, operation: Callable[..., Any], *args: Any) -> Any:
+        """``operation(*args)`` with transport failures reported as node outages.
 
-        Transport failures (refused, reset, timed out, unparseable peer)
-        become :class:`StorageError` so the cluster marks the node down;
-        typed errors the remote store raised propagate unchanged.
+        Refused, reset, timed-out or unparseable peers become
+        :class:`StorageError`, so the cluster marks the node down.  A
+        :class:`ProtocolError` is deterministic — a frame past the 64 MiB
+        cap, a peer of the wrong tier — and propagates unchanged: wrapping
+        it would make the cluster mark a healthy node down and replay the
+        same failure on every replica.
         """
+        if self._metrics_key is None:  # reused after close(): re-attach the stats
+            self._metrics_key = REGISTRY.register(
+                f"store.remote.{self._address[0]}:{self._address[1]}", self.wire_stats
+            )
+        try:
+            return operation(*args)
+        except ProtocolError:
+            raise
+        except TransportError as exc:
+            raise StorageError(f"storage node {self._address} unreachable: {exc}") from exc
+
+    def _call(self, request: Request) -> Response:
+        """One request, one round trip (see :meth:`_call_many`)."""
         return self._call_many([request])[0]
 
     def _call_many(self, requests: Sequence[Request]) -> List[Response]:
-        """A request batch in one round trip, with one reconnect retry."""
-        last_error: Optional[Exception] = None
-        for _attempt in range(2 if self._reconnect else 1):
-            try:
-                client = self._ensure_client()
-                responses = client.call_many(list(requests))
-            except StorageError as exc:  # dial failure from _ensure_client
-                last_error = exc
-                continue
-            except ProtocolError:
-                # Raised locally by frame encoding (e.g. a single value past
-                # the 64 MiB cap) or by a peer that is not a storage node: a
-                # deterministic error no reconnect can fix.  Propagate it
-                # unchanged — wrapping it in
-                # StorageError would make the cluster mark a healthy node
-                # down and replay the same failure on every replica.
-                raise
-            except TransportError as exc:
-                # call_many itself only raises transport-level trouble
-                # (remote per-request errors come back inside responses).
-                logger.info(
-                    "storage node %s connection lost (%s); redialling", self._address, exc
-                )
-                self._drop_client()
-                last_error = exc
-                continue
-            for response in responses:
-                if not response.ok:
-                    error = _remote_error(response)
-                    if isinstance(error, OverloadedError):
-                        # The node is still shedding after the client's own
-                        # capped backoff retries: treat persistent overload
-                        # like an outage so the cluster marks the node down
-                        # and re-routes, instead of crashing the caller.
-                        raise StorageError(
-                            f"storage node {self._address} overloaded: {error}"
-                        ) from error
-                    raise error
-            return responses
-        raise StorageError(
-            f"storage node {self._address} unreachable: {last_error}"
-        ) from last_error
+        """A request batch in one round trip; the slot redials once on transport loss.
+
+        Typed errors the remote store raised propagate unchanged.
+        """
+        responses = self._as_storage(self._slot.call_many, requests)
+        for response in responses:
+            if not response.ok:
+                error = _remote_error(response)
+                if isinstance(error, OverloadedError):
+                    # The node is still shedding after the client's own
+                    # capped backoff retries: treat persistent overload
+                    # like an outage so the cluster marks the node down
+                    # and re-routes, instead of crashing the caller.
+                    raise StorageError(
+                        f"storage node {self._address} overloaded: {error}"
+                    ) from error
+                raise error
+        return responses
 
     # -- KeyValueStore contract ----------------------------------------------------
 

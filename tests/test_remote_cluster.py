@@ -242,12 +242,13 @@ class TestKVWireOps:
 
         host, port = node.address
         remote = RemoteKeyValueStore(host, port, timeout=5.0)
-        remote.connect()
+        client = remote.connect()._slot.get()
         with pytest.raises(ProtocolError, match="exceeds"):
             remote.put(b"huge", bytes(MAX_FRAME_BYTES + 1))
         # The connection survives (no reconnect churn), the pending table is
         # clean (no ghost correlation ids), and the node keeps serving.
-        assert not remote._client._pending
+        assert remote._slot.get() is client
+        assert not client._pending
         assert remote.get(b"huge") is None
         remote.close()
 

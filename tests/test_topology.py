@@ -12,11 +12,12 @@ Covers the live-topology half of the Cassandra stand-in:
 * hinted handoff — a write that misses a downed replica parks a hint on a
   surviving replica (reserved ``hint/`` keyspace, invisible to cluster
   scans) and ``mark_up`` replays it so ``repair_node`` heals 0 keys;
-* the fan-out pool growing with live membership.
+* a full-width (RF = 8) write reaching all eight remote nodes at once.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Tuple
 
 import pytest
@@ -32,6 +33,7 @@ from repro.storage.partitioner import ConsistentHashRing
 from repro.storage.remote import RemoteKeyValueStore
 
 import repro.storage.partitioner as partitioner_module
+from repro.util.blocking import before_blocking
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +87,19 @@ class TestRingPlacement:
 # ---------------------------------------------------------------------------
 # Elastic membership, in process
 # ---------------------------------------------------------------------------
+
+
+#: How long each node of the full-width write test takes to store a batch.
+_SLOW_PUT_S = 0.2
+
+
+class _SlowPutStore(MemoryStore):
+    """A node store whose ``multi_put`` takes ``_SLOW_PUT_S`` (announced)."""
+
+    def multi_put(self, items):
+        before_blocking()
+        time.sleep(_SLOW_PUT_S)
+        return super().multi_put(items)
 
 
 def _fill(cluster: StorageCluster, count: int, prefix: str = "k") -> List[Tuple[bytes, bytes]]:
@@ -324,17 +339,27 @@ class TestElasticMembership:
             assert len(holders) == 2, key
         cluster.close()
 
-    def test_fanout_pool_grows_with_membership(self):
-        cluster = StorageCluster(num_nodes=3, replication_factor=2, max_fanout_workers=8)
-        _fill(cluster, 50)
-        assert cluster._executor_workers == 3  # live membership, not the cap
-        for _ in range(5):
-            cluster.add_node()
-        cluster.multi_put([(b"wide/1", b"v")])
-        cluster.multi_get([key for key, _ in _fill(cluster, 50, prefix="wide")])
-        assert len(cluster.node_names) == 8
-        assert cluster._executor_workers == 8  # a 3→8 cluster fans out 8 wide
-        cluster.close()
+    def test_rf8_write_reaches_eight_remote_nodes_at_once(self):
+        nodes = [StorageNodeServer(_SlowPutStore()).start() for _ in range(8)]
+        addresses = {f"node-{index}": node.address for index, node in enumerate(nodes)}
+        cluster = StorageCluster(
+            num_nodes=8,
+            replication_factor=8,
+            store_factory=lambda name: RemoteKeyValueStore(*addresses[name], timeout=10.0),
+        )
+        try:
+            for name in cluster.node_names:
+                cluster.node_store(name).connect()  # dial outside the timed write
+            begin = time.monotonic()
+            cluster.multi_put([(b"wide/1", b"v")])
+            elapsed = time.monotonic() - begin
+            assert all(node.store.get(b"wide/1") == b"v" for node in nodes)
+            # Eight sequential node writes would take 8 × the delay.
+            assert elapsed < 2 * _SLOW_PUT_S, elapsed
+        finally:
+            cluster.close()
+            for node in nodes:
+                node.stop()
 
 
 # ---------------------------------------------------------------------------

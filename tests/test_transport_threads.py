@@ -42,7 +42,7 @@ from repro.util.blocking import before_blocking
 
 from test_net_pipeline import _frame
 
-_RETIRED_THREAD_NAMES = ("tc-client-reader", "tc-io-loop", "tc-dispatch", "tc-shed")
+_RETIRED_THREAD_NAMES = ("tc-client-reader", "tc-io-loop", "tc-dispatch", "tc-shed", "tc-router-fanout")
 
 
 def _wait_until(predicate: Callable[[], bool], timeout: float = 5.0) -> None:
@@ -463,6 +463,27 @@ def test_leadership_released_while_parked_in_the_router_cross_shard_split():
                     assert response.error_type == "TransportError"
             finally:
                 router.close()
+
+
+def test_router_cross_shard_split_starts_no_threads():
+    from test_engine_sharding import _sharded_deployment, _stop_all
+
+    _store, router, shards = _sharded_deployment(2)
+    try:
+        table = router.table
+        owned = {}  # one stream per shard, so the burst really is split
+        index = 0
+        while len(owned) < 2:
+            owned[table.owner_of(f"stream-{index}")] = f"stream-{index}"
+            index += 1
+        grants = [(uuid, "bob", b"sealed-" + uuid.encode()) for uuid in sorted(owned.values())]
+        with RemoteServerClient(*router.address, timeout=10.0) as remote:
+            assert remote.put_grants(grants) == [0, 0]
+            assert remote.fetch_grants(grants[1][0], "bob") == [grants[1][2]]
+        names = [thread.name for thread in threading.enumerate()]
+        assert not [name for name in names if name.startswith(_RETIRED_THREAD_NAMES)]
+    finally:
+        _stop_all(router, shards)
 
 
 # -- (g) max_workers still bounds handlers ---------------------------------------------
