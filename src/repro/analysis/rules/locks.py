@@ -1,8 +1,8 @@
 """REPRO004 — static lock discipline: acyclic order, no blocking while held.
 
 The repo's four threaded tiers (selector server, outbound connection
-slots, cluster replication pool, dispatcher engine locks) share ~19 ``Lock``/``RLock``
-sites.  Two classes of rot this rule catches without running anything:
+slots, cluster replication pool, dispatcher engine locks) share ~19
+``Lock``/``RLock`` sites.  Two classes of rot this rule catches without running anything:
 
 * **ordering cycles** — module M takes A then B, module N takes B then
   A: a deadlock waiting for the right interleaving.  The rule builds a

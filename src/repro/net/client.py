@@ -1373,8 +1373,9 @@ class ShardedServerClient(_EngineCalls):
         """Send one request to the stream's owner, chasing redirects boundedly.
 
         Transport loss the engine's slot could not heal with its one redial
-        refreshes the table and retries; a ``wrong_shard`` redirect refreshes the table, falling back
-        to the redirect's owner hint only when no newer table materialises.
+        refreshes the table and retries; a ``wrong_shard`` redirect refreshes
+        the table, falling back to the redirect's owner hint only when no
+        newer table materialises.
         A topology that never converges (peers answering for each other's
         shards) is reported as a protocol error instead of looping forever.
         """
