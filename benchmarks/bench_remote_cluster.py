@@ -17,7 +17,8 @@ itself crosses sockets.  Three claims are measured:
    identical in-process cluster to show the socket tax.
 3. **Reads and grant bursts** — a whole-stream range read, a stat query,
    and a K-principal grant burst each cost a handful of per-node round
-   trips, independent of K and of the number of chunks touched.
+   trips, independent of K and of the number of chunks touched; a repeat
+   burst on the same stream is one write per replica (no id scan).
 4. **Placement** — storage is placed by stream partition, so one
    single-stream ingest batch writes exactly RF nodes and one cold stat
    cover reads one node, on a new stream and on one aged past window
@@ -244,16 +245,22 @@ def _run_grant_burst(stack: _RemoteCluster, owner: TimeCrypt, uuid: str, cohort_
     for principal in cohort:
         owner.register_principal(principal)
     horizon = 4 * CHUNK_INTERVAL_MS
+    policies = [(p.principal_id, 0, horizon, None) for p in cohort]
     stack.reset_round_trips()
     begin = time.perf_counter()
-    owner.grant_access_many(uuid, [(p.principal_id, 0, horizon, None) for p in cohort])
+    owner.grant_access_many(uuid, policies)
     elapsed = time.perf_counter() - begin
     per_node = stack.per_node_round_trips()
+    # The same cohort again: the stream's grant ids are known, so the burst
+    # is its one replicated write and nothing else.
+    stack.reset_round_trips()
+    owner.grant_access_many(uuid, policies)
     return {
         "principals": cohort_size,
         "seconds": elapsed,
         "max_node_round_trips": max(per_node.values()),
         "total_round_trips": sum(per_node.values()),
+        "repeat_total_round_trips": sum(stack.per_node_round_trips().values()),
     }
 
 
@@ -298,6 +305,8 @@ def test_queries_and_grant_bursts_are_constant_round_trips():
         # slack for paging — but never one round trip per principal.
         assert burst["max_node_round_trips"] <= REPLICATION_FACTOR + 3, burst
         assert burst["max_node_round_trips"] < cohort
+        # A repeat burst needs no scan: one write on each of the RF replicas.
+        assert burst["repeat_total_round_trips"] == REPLICATION_FACTOR, burst
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +419,10 @@ def main(argv=None) -> None:
     query_table.add_row(
         "grant burst", f"{burst['principals']:.0f} principals",
         f"{burst['max_node_round_trips']:.0f}",
+    )
+    query_table.add_row(
+        "repeat grant burst", f"{burst['principals']:.0f} principals",
+        f"{burst['repeat_total_round_trips']:.0f} in total",
     )
     query_table.add_note("targets: constant per-node round trips, independent of payload size")
     query_table.print()

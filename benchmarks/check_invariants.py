@@ -98,6 +98,8 @@ MANIFEST: Dict[str, Tuple[str, List[Tuple[str, str, str]]]] = {
             eq("queries.stat_max_node_round_trips"),
             eq("grant_burst.max_node_round_trips"),
             eq("grant_burst.total_round_trips"),
+            # A second burst on the stream pays no grant-id scan.
+            eq("grant_burst.repeat_total_round_trips"),
             eq("ingest.remote.flush_round_trips"),
             eq("kv_batch.batched.max_node_round_trips"),
             eq("kv_batch.batched.total_round_trips"),

@@ -18,8 +18,9 @@ revocation point, and open-ended subscriptions stop being refreshed.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.access.keystore import TokenStore
 from repro.access.policy import AccessPolicy, OPEN_END, Resolution
@@ -56,6 +57,11 @@ class GrantManager:
     token_store: TokenStore
     _grants: Dict[Tuple[str, int], AccessGrant] = field(default_factory=dict, init=False)
     _resolutions: Dict[int, ResolutionKeystream] = field(default_factory=dict, init=False)
+    #: resolution chunks -> windows whose envelopes this token store holds.
+    _published: Dict[int, FrozenSet[int]] = field(default_factory=dict, init=False)
+
+    def __post_init__(self) -> None:
+        self._published_lock = threading.Lock()
 
     # -- window mapping ---------------------------------------------------------
 
@@ -79,10 +85,11 @@ class GrantManager:
     def grant_many(self, policies: List[AccessPolicy]) -> List[AccessGrant]:
         """Issue a burst of grants (e.g. onboarding a cohort of principals).
 
-        All tokens are derived and sealed first; then every envelope batch
-        lands in one ``put_envelopes`` per resolution and every sealed token
-        in one ``put_grants`` call — over a remote token store that is one
-        wire round trip for the whole cohort instead of one per grant.
+        All tokens are derived and sealed first; then the envelopes no
+        earlier grant published land in one ``put_envelopes`` per resolution
+        and every sealed token in one ``put_grants`` call — over a remote
+        token store that is one wire round trip for the whole cohort instead
+        of one per grant, and none for envelopes a repeated grant reuses.
         """
         if not policies:
             return []
@@ -114,7 +121,7 @@ class GrantManager:
             )
         )
         sealed_batch: List[Tuple[str, str, bytes]] = []
-        envelope_batches: Dict[int, Dict[int, bytes]] = {}
+        needed_windows: Dict[int, Set[int]] = {}
         for slot, policy in enumerate(policies):
             window_start, window_end = window_bounds[slot]
             if policy.resolution.is_full:
@@ -122,18 +129,19 @@ class GrantManager:
                     policy, window_start, window_end, tree_tokens=cohort_tokens[slot]
                 )
             else:
-                token, envelopes = self._restricted_resolution_token(
-                    policy, window_start, window_end
+                token = self._restricted_resolution_token(policy, window_start, window_end)
+                chunks = policy.resolution.chunks
+                needed_windows.setdefault(chunks, set()).update(
+                    range(-(-window_start // chunks) * chunks, window_end + 1, chunks)
                 )
-                envelope_batches.setdefault(policy.resolution.chunks, {}).update(envelopes)
             sealed = self.identity_provider.encrypt_for(
                 policy.principal_id, token.to_bytes(), context=self.stream_uuid.encode("utf-8")
             )
             sealed_batch.append((self.stream_uuid, policy.principal_id, sealed))
         # Envelopes before grants: a consumer that sees its sealed token must
-        # also find the envelopes its keystream needs (idempotent re-publish).
-        for resolution_chunks, envelopes in sorted(envelope_batches.items()):
-            self.token_store.put_envelopes(self.stream_uuid, resolution_chunks, envelopes)
+        # also find the envelopes its keystream needs.
+        for resolution_chunks, windows in sorted(needed_windows.items()):
+            self._publish_missing(resolution_chunks, windows)
         grant_ids = self.token_store.put_grants(sealed_batch)
         grants: List[AccessGrant] = []
         for policy, grant_id in zip(policies, grant_ids):
@@ -170,17 +178,12 @@ class GrantManager:
 
     def _restricted_resolution_token(
         self, policy: AccessPolicy, window_start: int, window_end: int
-    ) -> Tuple[AccessToken, Dict[int, bytes]]:
-        """The sealed share plus the envelopes the principal will need.
-
-        The caller publishes the envelopes (batched across a grant burst);
-        re-publication is idempotent.
-        """
+    ) -> AccessToken:
+        """The share to seal; the caller publishes the envelopes it needs
+        (batched across a grant burst, skipping those already published)."""
         resolution = policy.resolution
-        keystream = self.resolution_keystream(resolution)
-        share = keystream.share(window_start, window_end)
-        envelopes = keystream.make_envelopes(window_start, window_end)
-        token = AccessToken(
+        share = self.resolution_keystream(resolution).share(window_start, window_end)
+        return AccessToken(
             stream_uuid=self.stream_uuid,
             principal_id=policy.principal_id,
             time_range=policy.time_range,
@@ -191,7 +194,6 @@ class GrantManager:
             tree_tokens=[],
             regression_token=share.token,
         )
-        return token, envelopes
 
     def resolution_keystream(self, resolution: Resolution) -> ResolutionKeystream:
         """The (lazily created) resolution keystream for a granularity.
@@ -205,11 +207,48 @@ class GrantManager:
         )
 
     def publish_envelopes(self, resolution: Resolution, window_start: int, window_end: int) -> int:
-        """Publish (or refresh) envelopes for a window interval; returns the count."""
+        """Publish (or refresh) envelopes for a window interval; returns the count.
+
+        Republishes every envelope of the interval, recorded or not: the way
+        to restore envelopes a server lost.
+        """
         keystream = self.resolution_keystream(resolution)
         envelopes = keystream.make_envelopes(window_start, window_end)
         self.token_store.put_envelopes(self.stream_uuid, resolution.chunks, envelopes)
+        self._mark_published(resolution.chunks, envelopes)
         return len(envelopes)
+
+    def _publish_missing(self, resolution_chunks: int, windows: Iterable[int]) -> None:
+        """Wrap and publish the envelopes of ``windows`` not yet recorded as published.
+
+        Missing windows are wrapped in runs of consecutive boundaries (one
+        ``make_envelopes`` each) and land in one ``put_envelopes``; they are
+        recorded only once it returns, so a failed publication is retried
+        by the next grant that needs them.
+        """
+        published = self._published.get(resolution_chunks, frozenset())
+        runs: List[List[int]] = []
+        for window in sorted(set(windows) - published):
+            if runs and window == runs[-1][1] + resolution_chunks:
+                runs[-1][1] = window
+            else:
+                runs.append([window, window])
+        if not runs:
+            return
+        keystream = self._resolutions[resolution_chunks]
+        envelopes: Dict[int, bytes] = {}
+        for first, last in runs:
+            envelopes.update(keystream.make_envelopes(first, last))
+        self.token_store.put_envelopes(self.stream_uuid, resolution_chunks, envelopes)
+        self._mark_published(resolution_chunks, envelopes)
+
+    def _mark_published(self, resolution_chunks: int, windows: Iterable[int]) -> None:
+        # Two owner threads may grant at once: swap the record under a lock
+        # so neither drops the other's windows.
+        with self._published_lock:
+            self._published[resolution_chunks] = self._published.get(
+                resolution_chunks, frozenset()
+            ).union(windows)
 
     # -- revocation --------------------------------------------------------------------
 

@@ -7,14 +7,19 @@ by ``(stream, principal)`` — and additionally stores the public key envelopes
 of resolution keystreams (wrapped outer keys), which are equally opaque.
 
 Persistence goes through the storage batch primitives: a cohort grant burst
-(:meth:`TokenStore.put_grants`) costs one prefix scan per involved stream
-plus one ``multi_put``, an envelope publication is one ``multi_put``, and
-grant deletion is a single ``delete_prefix`` (erased server-side on remote
-backends) — instead of one round trip per record each.
+(:meth:`TokenStore.put_grants`) is one ``multi_put``, an envelope
+publication is one ``multi_put``, and grant deletion is a single
+``delete_prefix`` (erased server-side on remote backends) — instead of one
+round trip per record each.  Grant ids come from per-stream
+``{principal → next id}`` counters held in memory: one keys-only scan
+recovers a stream's counters the first time it is touched, so a steady
+burst pays no scan, and every id equals the count of the principal's grants
+stored before it.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import AccessDeniedError
@@ -22,14 +27,28 @@ from repro.storage.kv import KeyValueStore
 from repro.storage.memory import MemoryStore
 
 
+def _principal_segment(principal_id: str) -> str:
+    """``principal_id`` as one key segment: '%' and '/' escaped, all else verbatim.
+
+    An id without either character is its own segment, so its keys keep
+    their bytes; an id with a '/' can no longer fall under another
+    principal's prefix.
+    """
+    return principal_id.replace("%", "%25").replace("/", "%2F")
+
+
+def _principal_of(segment: str) -> str:
+    return segment.replace("%2F", "/").replace("%25", "%")
+
+
 def _grant_key(stream_uuid: str, principal_id: str, grant_id: int) -> bytes:
-    return f"grant/{stream_uuid}/{principal_id}/{grant_id:08d}".encode("utf-8")
+    return f"grant/{stream_uuid}/{_principal_segment(principal_id)}/{grant_id:08d}".encode("utf-8")
 
 
 def _grant_prefix(stream_uuid: str, principal_id: Optional[str] = None) -> bytes:
     if principal_id is None:
         return f"grant/{stream_uuid}/".encode("utf-8")
-    return f"grant/{stream_uuid}/{principal_id}/".encode("utf-8")
+    return f"grant/{stream_uuid}/{_principal_segment(principal_id)}/".encode("utf-8")
 
 
 def _envelope_key(stream_uuid: str, resolution_chunks: int, window_index: int) -> bytes:
@@ -43,46 +62,85 @@ class TokenStore:
         # Explicit None check: an *empty* MemoryStore is falsy (__len__ == 0),
         # so `store or MemoryStore()` would silently drop a caller's store.
         self._store = store if store is not None else MemoryStore()
+        #: stream -> {principal -> next grant id}; a missing stream is
+        #: recovered from storage by the next burst that touches it.
+        self._next_ids: Dict[str, Dict[str, int]] = {}
+        #: Bumped by every drop, so a scan that raced one is not installed.
+        self._generation = 0
+        self._lock = threading.Lock()
 
     # -- sealed grant envelopes -----------------------------------------------
 
     def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
         """Store a sealed grant envelope; returns its grant id."""
-        grant_id = self._next_grant_id(stream_uuid, principal_id)
-        self._store.put(_grant_key(stream_uuid, principal_id, grant_id), sealed_token)
-        return grant_id
+        return self.put_grants([(stream_uuid, principal_id, sealed_token)])[0]
 
     def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
         """Store a burst of sealed grants; returns their ids in input order.
 
-        Bit-identical to calling :meth:`put_grant` per entry — ids come from
-        the same prefix-count rule, replayed in input order against one
-        prefix scan per involved stream — but the whole write set lands in a
-        single ``multi_put``, so a cohort grant burst costs O(streams)
-        storage round trips instead of O(grants)·2.
+        Each id is the number of grants the principal already holds on the
+        stream (the first is 0), counted in input order.  Ids are reserved
+        from the in-memory counters under a lock and the whole write set
+        lands outside it in one ``multi_put``, so two owner threads granting
+        one principal at once get distinct ids.  A stream seen for the first
+        time costs one keys-only scan; a failed write drops its streams'
+        counters, so the next burst re-reads what actually landed.
         """
         if not grants:
             return []
-        # All known grant keys per stream (stored now + assigned in-burst),
-        # so each id is counted exactly as the sequential scalar path would.
-        known_keys: Dict[str, List[bytes]] = {}
-        for stream_uuid in {stream_uuid for stream_uuid, _principal, _sealed in grants}:
-            known_keys[stream_uuid] = self._store.keys_with_prefix(_grant_prefix(stream_uuid))
-        grant_ids: List[int] = []
-        items: List[Tuple[bytes, bytes]] = []
-        for stream_uuid, principal_id, sealed_token in grants:
-            prefix = _grant_prefix(stream_uuid, principal_id)
-            grant_id = sum(1 for key in known_keys[stream_uuid] if key.startswith(prefix))
-            grant_ids.append(grant_id)
-            key = _grant_key(stream_uuid, principal_id, grant_id)
-            known_keys[stream_uuid].append(key)
-            items.append((key, sealed_token))
-        self._store.multi_put(items)
+        streams = list(dict.fromkeys(stream_uuid for stream_uuid, _principal, _sealed in grants))
+        while True:
+            with self._lock:
+                generation = self._generation
+                missing = [stream_uuid for stream_uuid in streams if stream_uuid not in self._next_ids]
+            recovered = {stream_uuid: self._scan_next_ids(stream_uuid) for stream_uuid in missing}
+            with self._lock:
+                if generation != self._generation:
+                    continue
+                for stream_uuid, next_ids in recovered.items():
+                    self._next_ids.setdefault(stream_uuid, next_ids)
+                grant_ids = []
+                for stream_uuid, principal_id, _sealed in grants:
+                    next_ids = self._next_ids[stream_uuid]
+                    grant_ids.append(next_ids.get(principal_id, 0))
+                    next_ids[principal_id] = grant_ids[-1] + 1
+                break
+        try:
+            self._store.multi_put(
+                [
+                    (_grant_key(stream_uuid, principal_id, grant_id), sealed_token)
+                    for (stream_uuid, principal_id, sealed_token), grant_id in zip(grants, grant_ids)
+                ]
+            )
+        except BaseException:
+            self.reset_grant_ids(streams)
+            raise
         return grant_ids
 
-    def _next_grant_id(self, stream_uuid: str, principal_id: str) -> int:
-        existing = self._store.keys_with_prefix(_grant_prefix(stream_uuid, principal_id))
-        return len(existing)
+    def _scan_next_ids(self, stream_uuid: str) -> Dict[str, int]:
+        """One keys-only scan of a stream's grants: each principal's next id."""
+        prefix = _grant_prefix(stream_uuid)
+        next_ids: Dict[str, int] = {}
+        for key in self._store.scan_keys(prefix):
+            segment, _sep, grant_id = key[len(prefix) :].decode("utf-8").rpartition("/")
+            principal_id = _principal_of(segment)
+            next_ids[principal_id] = max(next_ids.get(principal_id, 0), int(grant_id) + 1)
+        return next_ids
+
+    def reset_grant_ids(self, streams: Optional[Sequence[str]] = None) -> None:
+        """Forget grant-id counters (every stream's, or some); rescanned on next use.
+
+        Called after a delete, a failed write, and a shard-ownership change
+        (another engine may have granted on a stream this store counted).
+        A drop racing a burst that is still writing can reissue its ids; over
+        the wire the engine lock serialises both.
+        """
+        with self._lock:
+            self._generation += 1
+            if streams is None:
+                self._next_ids.clear()
+            for stream_uuid in streams or ():
+                self._next_ids.pop(stream_uuid, None)
 
     def grants_for(self, stream_uuid: str, principal_id: str) -> List[bytes]:
         """All sealed envelopes addressed to a principal for a stream."""
@@ -102,10 +160,10 @@ class TokenStore:
     def principals_with_grants(self, stream_uuid: str) -> List[str]:
         """Principal ids that have at least one stored grant for the stream."""
         principals = set()
-        for key, _value in self._store.scan_prefix(_grant_prefix(stream_uuid)):
+        for key in self._store.scan_keys(_grant_prefix(stream_uuid)):
             parts = key.decode("utf-8").split("/")
             if len(parts) >= 3:
-                principals.add(parts[2])
+                principals.add(_principal_of(parts[2]))
         return sorted(principals)
 
     def delete_grants(self, stream_uuid: str, principal_id: Optional[str] = None) -> int:
@@ -114,7 +172,19 @@ class TokenStore:
         A single ``delete_prefix``: remote/cluster backends erase server-side
         in one round trip, however many grants fall.
         """
-        return self._store.delete_prefix(_grant_prefix(stream_uuid, principal_id))
+        try:
+            return self._store.delete_prefix(_grant_prefix(stream_uuid, principal_id))
+        finally:
+            self.reset_grant_ids([stream_uuid])
+
+    def delete_stream(self, stream_uuid: str) -> int:
+        """Remove a stream's grants and key envelopes in one ``delete_prefixes``."""
+        try:
+            return self._store.delete_prefixes(
+                [_grant_prefix(stream_uuid), f"envelope/{stream_uuid}/".encode("utf-8")]
+            )
+        finally:
+            self.reset_grant_ids([stream_uuid])
 
     # -- resolution key envelopes -----------------------------------------------
 

@@ -52,6 +52,8 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 #: ``REPRO_LOCKWATCH=1 pytest tests/test_x.py`` watches them regardless of
 #: collection order.
 _WATCHED_MODULES = (
+    "repro.access.grants",
+    "repro.access.keystore",
     "repro.net.server",
     "repro.net.client",
     "repro.server.router",

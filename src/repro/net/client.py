@@ -566,6 +566,8 @@ class _WireTokenStore:
     def put_envelopes(
         self, stream_uuid: str, resolution_chunks: int, envelopes: Dict[int, bytes]
     ) -> None:
+        if not envelopes:
+            return
         windows = sorted(envelopes)
         request = Request(
             "put_envelopes",

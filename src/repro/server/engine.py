@@ -206,7 +206,7 @@ class ServerEngine:
             ]
         )
         self.store.delete(metadata_storage_key(stream_uuid))
-        self.token_store.delete_grants(stream_uuid)
+        self.token_store.delete_stream(stream_uuid)
         # The node cache is shared by every stream of this engine: drop only
         # the deleted stream's nodes.
         state.index.cache.invalidate_stream(stream_uuid)
@@ -249,11 +249,12 @@ class ServerEngine:
         """Drop all in-memory stream state (indexes rebuild lazily from storage).
 
         Called when shard ownership changes: a stream this engine used to own
-        may have advanced under a different owner, so cached index heads and
-        node caches are no longer trustworthy.
+        may have advanced under a different owner, so cached index heads,
+        node caches and grant-id counters are no longer trustworthy.
         """
         self._streams.clear()
         self._cache.clear()
+        self.token_store.reset_grant_ids()
 
     # -- ingest --------------------------------------------------------------------
 

@@ -386,7 +386,7 @@ class StorageCluster(KeyValueStore):
         new_ring, new_rf = self._ring, self._replication_factor
         moved_keys = copied_keys = handoff_batches = 0
         batch: Dict[bytes, Tuple[List[str], List[str]]] = {}
-        for key in self._merged_keys(b""):
+        for key in self.scan_keys(b""):
             old_replicas = old_ring.replicas(key, old_rf)
             new_replicas = new_ring.replicas(key, new_rf)
             gained = [node for node in new_replicas if node not in old_replicas]
@@ -1189,7 +1189,7 @@ class StorageCluster(KeyValueStore):
         """Raw size including replication overhead (and any parked hints)."""
         return sum(store.size_bytes() for store in self._stores.values())
 
-    def _merged_keys(self, prefix: bytes) -> Iterator[bytes]:
+    def scan_keys(self, prefix: bytes) -> Iterator[bytes]:
         """Deduplicated key stream across healthy nodes — no value traffic.
 
         The keys-only analogue of :meth:`scan_prefix`: over remote nodes
@@ -1204,7 +1204,7 @@ class StorageCluster(KeyValueStore):
         """Copy any keys a recovered node is missing from its peers; returns count.
 
         Streams the deduplicated *key* space (no values — see
-        :meth:`_merged_keys`) and works in bounded batches: for every
+        :meth:`scan_keys`) and works in bounded batches: for every
         ``batch_size`` keys the ring assigns to the recovering node, one
         ``multi_get`` asks the node what it already holds, and only the
         confirmed-missing keys have their values fetched from the healthy
@@ -1238,7 +1238,7 @@ class StorageCluster(KeyValueStore):
 
         repaired = 0
         batch: List[bytes] = []
-        for key in self._merged_keys(b""):
+        for key in self.scan_keys(b""):
             if name not in self._ring.replicas(key, self._replication_factor):
                 continue
             batch.append(key)

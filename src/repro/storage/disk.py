@@ -106,7 +106,7 @@ class AppendLogStore(SortedKeyCache, KeyValueStore):
         record = _RECORD_HEADER.pack(len(key), len(value), 0) + key + value
         end = self._append_blob(record)
         if key not in self._index:
-            self._invalidate_sorted_keys()
+            self._note_added_keys((key,))
         self._index[key] = (end - len(value), len(value))
         self.stats.puts += 1
 
@@ -184,9 +184,12 @@ class AppendLogStore(SortedKeyCache, KeyValueStore):
         blob = b"".join(chunks)
         end = self._append_blob(blob)
         base = end - len(blob)
+        added = []
         for key, relative_offset, length in spans:
+            if key not in self._index:
+                added.append(key)
             self._index[key] = (base + relative_offset, length)
-        self._invalidate_sorted_keys()
+        self._note_added_keys(added)
         self.stats.multi_puts += 1
         self.stats.multi_put_keys += len(materialized)
 

@@ -45,15 +45,17 @@ def sorted_keys_from(keys: List[bytes], prefix: bytes, after: Optional[bytes]) -
 
 
 class SortedKeyCache:
-    """Mixin owning the lazily rebuilt sorted-key list behind cursor scans.
+    """Mixin owning the sorted-key list behind cursor scans.
 
     Backends with an in-memory key set (memory, append-log) share the same
     pattern: keep ``sorted(keys)`` around so paged scans bisect instead of
-    re-sorting, and throw the list away whenever the key *set* changes (a
-    value overwrite keeps it valid).  Invariant: a published list is never
-    mutated in place — mutations only call :meth:`_invalidate_sorted_keys`
-    and the next scan builds a *new* list — so an in-flight iterator can
-    keep walking its captured snapshot.
+    re-sorting.  A write that adds keys queues them
+    (:meth:`_note_added_keys`) and the next scan ``insort``s them into a
+    copy of the list; once the queue outgrows 1/64 of the keys the list is
+    dropped and the next scan sorts afresh.  A removal drops the list
+    (:meth:`_invalidate_sorted_keys`); a value overwrite keeps it as is.
+    Invariant: a published list is never mutated in place, so an in-flight
+    iterator can keep walking its captured snapshot.
 
     Subclasses implement :meth:`_live_keys` and call the cache accessors
     under whatever lock guards their key set; the mixin itself adds none.
@@ -66,14 +68,30 @@ class SortedKeyCache:
         raise NotImplementedError
 
     def _invalidate_sorted_keys(self) -> None:
-        """Drop the cache; call whenever a key is added or removed."""
+        """Drop the cache; call whenever a key is removed."""
         self._sorted_keys = None
+
+    def _note_added_keys(self, keys: Iterable[bytes]) -> None:
+        """Queue keys new to the key set for the next scan to merge."""
+        if self._sorted_keys is not None:
+            self._added_keys.extend(keys)
+            if len(self._added_keys) > len(self._sorted_keys) // 64:
+                self._sorted_keys = None
 
     def _keys_sorted(self) -> List[bytes]:
         """The cached sorted key list (call under the subclass's lock)."""
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(self._live_keys())
-        return self._sorted_keys
+        keys = self._sorted_keys
+        if keys is None:
+            keys = sorted(self._live_keys())
+        elif self._added_keys:
+            keys = list(keys)
+            for key in self._added_keys:
+                bisect.insort(keys, key)
+        else:
+            return keys
+        self._sorted_keys = keys
+        self._added_keys: List[bytes] = []
+        return keys
 
     def _keys_from(self, prefix: bytes, after: Optional[bytes] = None) -> Iterator[bytes]:
         """Seek into the cached sorted keys (call under the subclass's lock)."""
@@ -200,10 +218,10 @@ class KeyValueStore(ABC):
         return self.get(key) is not None
 
     def keys_with_prefix(self, prefix: bytes) -> List[bytes]:
-        return [key for key, _value in self.scan_prefix(prefix)]
+        return list(self.scan_keys(prefix))
 
     def count_prefix(self, prefix: bytes) -> int:
-        return sum(1 for _ in self.scan_prefix(prefix))
+        return sum(1 for _ in self.scan_keys(prefix))
 
     def size_bytes(self) -> int:
         """Total stored bytes (keys + values); used for index-size reporting."""

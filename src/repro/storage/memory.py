@@ -72,9 +72,10 @@ class StoreStats:
 class MemoryStore(SortedKeyCache, KeyValueStore):
     """A dict-backed store with ordered prefix scans and single-lock bulk ops.
 
-    Cursor scans lean on :class:`SortedKeyCache`: the sorted key list is
-    rebuilt lazily after key-set changes and published lists are never
-    mutated, so in-flight scans keep iterating their captured snapshot.
+    Cursor scans lean on :class:`SortedKeyCache`: new keys are merged into
+    a copy of the sorted key list at the next scan, removals rebuild it, and
+    published lists are never mutated, so in-flight scans keep iterating
+    their captured snapshot.
     """
 
     def __init__(self) -> None:
@@ -103,7 +104,7 @@ class MemoryStore(SortedKeyCache, KeyValueStore):
         with self._lock:
             self.stats.puts += 1
             if key not in self._data:
-                self._invalidate_sorted_keys()
+                self._note_added_keys((key,))
             self._data[key] = value
 
     def delete(self, key: bytes) -> bool:
@@ -117,14 +118,14 @@ class MemoryStore(SortedKeyCache, KeyValueStore):
     def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
         with self._lock:
             self.stats.scans += 1
-            snapshot = [(key, self._data[key]) for key in sorted(self._data) if key.startswith(prefix)]
+            snapshot = [(key, self._data[key]) for key in self._keys_from(prefix)]
         yield from snapshot
 
     def scan_from(self, prefix: bytes, after: Optional[bytes] = None) -> Iterator[Tuple[bytes, bytes]]:
         """Cursor-resumed scan: bisect into the sorted-key cache, values lazy.
 
         On a quiescent store each page is O(page): the sorted key list is
-        reused across pages (rebuilt only after a write), the cursor is a
+        reused across pages (updated only after a key-set change), the cursor is a
         bisect, the prefix region is contiguous in sorted order, and values
         are looked up as the consumer advances — a paged reader that stops
         early never touches the values behind the rest of the keyspace.
@@ -156,9 +157,12 @@ class MemoryStore(SortedKeyCache, KeyValueStore):
         if not materialized:
             return
         with self._lock:
+            added = []
             for key, value in materialized:
+                if key not in self._data:
+                    added.append(key)
                 self._data[key] = value
-            self._invalidate_sorted_keys()
+            self._note_added_keys(added)
             self.stats.multi_puts += 1
             self.stats.multi_put_keys += len(materialized)
 

@@ -349,9 +349,6 @@ class RemoteKeyValueStore(KeyValueStore):
         """Cursor-resumed ``(key, value_length)`` pairs via keys-only scans."""
         return self._scan(prefix, after, keys_only=True)
 
-    def keys_with_prefix(self, prefix: bytes) -> List[bytes]:
-        return list(self.scan_keys(prefix))
-
     # -- bulk erase ----------------------------------------------------------------
 
     def delete_prefix(self, prefix: bytes, batch_size: int = 4096) -> int:
@@ -364,9 +361,6 @@ class RemoteKeyValueStore(KeyValueStore):
             return 0
         response = self._call(Request("kv_delete_prefix", {}, materialized))
         return int(response.result["deleted"])
-
-    def count_prefix(self, prefix: bytes) -> int:
-        return sum(1 for _ in self.scan_keys(prefix))
 
     def size_bytes(self) -> int:
         return int(self._call(Request("kv_size_bytes")).result["bytes"])

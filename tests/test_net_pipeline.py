@@ -638,25 +638,35 @@ class TestTokenStoreBatching:
         assert backing.stats.puts == 0
         assert backing.stats.multi_put_keys == 32
 
-    def test_put_grants_handles_slash_in_principal_id(self):
-        """'/'-containing principal ids get the exact scalar-path numbering."""
-        scalar = TokenStore()
-        batch = TokenStore()
+    def test_principal_ids_with_slash_stay_apart(self):
+        """'org' and 'org/alice' are two principals, whatever the key layout."""
+        store = TokenStore()
         grants = [
             ("s", "org/alice", b"a0"),
             ("s", "org/bob", b"b0"),
             ("s", "org/alice", b"a1"),
-            # Scalar counting is prefix-based, so "org" sees the three
-            # "org/..." keys above; the batch must reproduce that exactly.
             ("s", "org", b"plain"),
+            ("s", "org%2Falice", b"literal"),
         ]
-        scalar_ids = [scalar.put_grant(*grant) for grant in grants]
-        batch_ids = batch.put_grants(grants)
-        assert batch_ids == scalar_ids == [0, 0, 1, 3]
-        assert batch.grants_for("s", "org/alice") == [b"a0", b"a1"]
-        assert batch.grants_for("s", "org/bob") == [b"b0"]
-        # A second burst keeps counting correctly on top of the first.
-        assert batch.put_grants([("s", "org/alice", b"a2")]) == [2]
+        assert store.put_grants(grants) == [0, 0, 1, 0, 0]
+        assert store.grants_for("s", "org") == [b"plain"]
+        assert store.latest_grant("s", "org") == b"plain"
+        assert store.grants_for("s", "org/alice") == [b"a0", b"a1"]
+        assert store.grants_for("s", "org%2Falice") == [b"literal"]
+        assert store.principals_with_grants("s") == ["org", "org%2Falice", "org/alice", "org/bob"]
+        assert store.delete_grants("s", "org") == 1
+        assert store.grants_for("s", "org/alice") == [b"a0", b"a1"]
+        # A fresh store over the same keys recovers each principal's count.
+        fresh = TokenStore(store._store)
+        assert fresh.put_grants([("s", "org/alice", b"a2"), ("s", "org", b"again")]) == [2, 0]
+
+    def test_plain_principal_keys_keep_their_bytes(self):
+        backing = MemoryStore()
+        TokenStore(backing).put_grants([("s", "alice", b"a0"), ("s", "alice", b"a1")])
+        assert [key for key, _value in backing.scan_prefix(b"grant/")] == [
+            b"grant/s/alice/00000000",
+            b"grant/s/alice/00000001",
+        ]
 
     def test_put_grants_appends_after_existing(self):
         store = TokenStore()

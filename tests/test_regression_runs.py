@@ -394,13 +394,17 @@ def test_concurrent_first_restricted_grants_share_one_chain(slow_construction, a
     def grant(principal) -> None:
         barrier.wait()
         try:
-            owner.grant_access(uuid, principal.principal_id, 0, 16_000, resolution_interval=4_000)
+            # The repeat races the other thread's first grant: it must reuse
+            # the published envelopes, and both grants must be stored.
+            for _repeat in range(2):
+                owner.grant_access(uuid, principal.principal_id, 0, 16_000, resolution_interval=4_000)
         except Exception as exc:  # pragma: no cover - reported below
             failures.append(exc)
 
     run_concurrently(grant, [(p,) for p in principals])
     assert failures == []
     for principal in principals:
+        assert len(owner.server.fetch_grants(uuid, principal.principal_id)) == 2
         consumer = TimeCryptConsumer(server=owner.server, principal=principal)
         consumer.fetch_access(uuid, config)
         assert consumer.get_stat_range(uuid, 0, 16_000, operators=("count",))["count"] == 32

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +131,77 @@ class TestAppendLogStore:
             store.delete(b"k")
             store.put(b"k", b"v2")
             assert store.get(b"k") == b"v2"
+
+
+_KEYS = st.text(alphabet="ab/", min_size=1, max_size=4).map(str.encode)
+_CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _KEYS),
+        st.tuples(st.just("multi_put"), st.lists(_KEYS, max_size=5)),
+        st.tuples(st.just("delete"), _KEYS),
+        st.tuples(st.just("multi_delete"), st.lists(_KEYS, max_size=3)),
+        st.tuples(st.just("scan"), _KEYS),
+        st.tuples(st.just("open_scan"), _KEYS),
+    ),
+    max_size=40,
+)
+
+
+class TestSortedKeyCache:
+    """Queued inserts plus removal rebuilds scan exactly like ``sorted(dict)``."""
+
+    @given(backend=st.sampled_from(["memory", "append-log"]), ops=_CACHE_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_scans_match_a_sorted_dict(self, backend, ops):
+        with tempfile.TemporaryDirectory() as directory:
+            store = MemoryStore() if backend == "memory" else AppendLogStore(Path(directory) / "s.log")
+            # 256 keys outside the ops' alphabet, so a handful of added keys
+            # stays under the 1/64 queue bound and takes the insort path.
+            model = {b"z/%03d" % index: b"base" for index in range(256)}
+            store.multi_put(list(model.items()))
+            live = []  # (iterator, captured list, its contents when captured)
+            for step, (op, arg) in enumerate(ops):
+                value = b"v%d" % step
+                if op == "put":
+                    store.put(arg, value)
+                    model[arg] = value
+                elif op == "multi_put":
+                    store.multi_put([(key, value) for key in arg])
+                    model.update((key, value) for key in arg)
+                elif op == "delete":
+                    assert store.delete(arg) is (model.pop(arg, None) is not None)
+                elif op == "multi_delete":
+                    existed = {key for key in arg if key in model}
+                    assert store.multi_delete(arg) == existed
+                    for key in existed:
+                        del model[key]
+                elif op == "scan":
+                    want = sorted(key for key in model if key.startswith(arg))
+                    assert [key for key, _value in store.scan_prefix(arg)] == want
+                    assert [key for key, _value in store.scan_from(arg)] == want
+                    assert list(store.scan_keys(arg)) == want
+                else:
+                    iterator = store.scan_from(arg)
+                    next(iterator, None)  # captures the published list
+                    captured = store._keys_sorted()
+                    live.append((iterator, captured, list(captured)))
+                assert store._keys_sorted() == sorted(model)
+            for iterator, captured, contents in live:
+                list(iterator)
+                assert captured == contents  # a published list is never mutated
+            assert [key for key, _value in store.scan_prefix(b"")] == sorted(model)
+            store.close()
+
+    def test_overwrite_keeps_the_list_and_an_insert_copies_it(self):
+        store = MemoryStore()
+        store.multi_put([(b"k/%03d" % index, b"v") for index in range(128)])
+        first = store._keys_sorted()
+        store.multi_put([(b"k/000", b"w"), (b"k/001", b"w")])
+        assert store._keys_sorted() is first
+        store.multi_put([(b"k/0005", b"v")])
+        second = store._keys_sorted()
+        assert second is not first and b"k/0005" not in first
+        assert second == sorted(first + [b"k/0005"])
 
 
 class TestConsistentHashRing:
