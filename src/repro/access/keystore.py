@@ -13,8 +13,8 @@ publication is one ``multi_put``, and grant deletion is a single
 round trip per record each.  Grant ids come from per-stream
 ``{principal → next id}`` counters held in memory: one keys-only scan
 recovers a stream's counters the first time it is touched, so a steady
-burst pays no scan, and every id equals the count of the principal's grants
-stored before it.
+burst pays no scan, and ids stay dense: a principal's i-th grant on a
+stream has id i.
 """
 
 from __future__ import annotations
@@ -118,7 +118,11 @@ class TokenStore:
         return grant_ids
 
     def _scan_next_ids(self, stream_uuid: str) -> Dict[str, int]:
-        """One keys-only scan of a stream's grants: each principal's next id."""
+        """One keys-only scan of a stream's grants: each principal's next id.
+
+        One past its highest stored id, which for dense ids is its count; a
+        gap left by a failed write is never filled, so no id is reused.
+        """
         prefix = _grant_prefix(stream_uuid)
         next_ids: Dict[str, int] = {}
         for key in self._store.scan_keys(prefix):
