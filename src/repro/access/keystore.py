@@ -65,8 +65,7 @@ class TokenStore:
         #: stream -> {principal -> next grant id}; a missing stream is
         #: recovered from storage by the next burst that touches it.
         self._next_ids: Dict[str, Dict[str, int]] = {}
-        #: Bumped by every drop, so a scan that raced one is not installed.
-        self._generation = 0
+        #: Held across a burst's scan, id reservation and write.
         self._lock = threading.Lock()
 
     # -- sealed grant envelopes -----------------------------------------------
@@ -79,42 +78,34 @@ class TokenStore:
         """Store a burst of sealed grants; returns their ids in input order.
 
         Each id is the number of grants the principal already holds on the
-        stream (the first is 0), counted in input order.  Ids are reserved
-        from the in-memory counters under a lock and the whole write set
-        lands outside it in one ``multi_put``, so two owner threads granting
-        one principal at once get distinct ids.  A stream seen for the first
-        time costs one keys-only scan; a failed write drops its streams'
+        stream (the first is 0), counted in input order.  The first-touch
+        scan, the id reservation and the one ``multi_put`` all run under one
+        lock, so neither a concurrent burst nor a counter drop can hand out
+        an id whose write has not landed.  A stream seen for the first time
+        costs one keys-only scan; a failed scan or write drops the burst's
         counters, so the next burst re-reads what actually landed.
         """
         if not grants:
             return []
-        streams = list(dict.fromkeys(stream_uuid for stream_uuid, _principal, _sealed in grants))
-        while True:
-            with self._lock:
-                generation = self._generation
-                missing = [stream_uuid for stream_uuid in streams if stream_uuid not in self._next_ids]
-            recovered = {stream_uuid: self._scan_next_ids(stream_uuid) for stream_uuid in missing}
-            with self._lock:
-                if generation != self._generation:
-                    continue
-                for stream_uuid, next_ids in recovered.items():
-                    self._next_ids.setdefault(stream_uuid, next_ids)
+        with self._lock:
+            try:
                 grant_ids = []
                 for stream_uuid, principal_id, _sealed in grants:
-                    next_ids = self._next_ids[stream_uuid]
+                    next_ids = self._next_ids.get(stream_uuid)
+                    if next_ids is None:
+                        next_ids = self._next_ids[stream_uuid] = self._scan_next_ids(stream_uuid)
                     grant_ids.append(next_ids.get(principal_id, 0))
                     next_ids[principal_id] = grant_ids[-1] + 1
-                break
-        try:
-            self._store.multi_put(
-                [
-                    (_grant_key(stream_uuid, principal_id, grant_id), sealed_token)
-                    for (stream_uuid, principal_id, sealed_token), grant_id in zip(grants, grant_ids)
-                ]
-            )
-        except BaseException:
-            self.reset_grant_ids(streams)
-            raise
+                self._store.multi_put(
+                    [
+                        (_grant_key(stream_uuid, principal_id, grant_id), sealed_token)
+                        for (stream_uuid, principal_id, sealed_token), grant_id in zip(grants, grant_ids)
+                    ]
+                )
+            except BaseException:
+                for stream_uuid, _principal, _sealed in grants:
+                    self._next_ids.pop(stream_uuid, None)
+                raise
         return grant_ids
 
     def _scan_next_ids(self, stream_uuid: str) -> Dict[str, int]:
@@ -134,13 +125,12 @@ class TokenStore:
     def reset_grant_ids(self, streams: Optional[Sequence[str]] = None) -> None:
         """Forget grant-id counters (every stream's, or some); rescanned on next use.
 
-        Called after a delete, a failed write, and a shard-ownership change
-        (another engine may have granted on a stream this store counted).
-        A drop racing a burst that is still writing can reissue its ids; over
-        the wire the engine lock serialises both.
+        Called after a delete and a shard-ownership change (another engine
+        may have granted on a stream this store counted).  It waits for a
+        burst still writing, so that burst's ids are stored before any
+        rescan.
         """
         with self._lock:
-            self._generation += 1
             if streams is None:
                 self._next_ids.clear()
             for stream_uuid in streams or ():

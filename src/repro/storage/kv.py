@@ -50,9 +50,9 @@ class SortedKeyCache:
     Backends with an in-memory key set (memory, append-log) share the same
     pattern: keep ``sorted(keys)`` around so paged scans bisect instead of
     re-sorting.  A write that adds keys queues them
-    (:meth:`_note_added_keys`) and the next scan ``insort``s them into a
-    copy of the list; once the queue outgrows 1/64 of the keys the list is
-    dropped and the next scan sorts afresh.  A removal drops the list
+    (:meth:`_note_added_keys`) and the next scan merges them into a new
+    list; once the queue outgrows the list, the list is dropped and the
+    next scan sorts afresh.  A removal drops the list
     (:meth:`_invalidate_sorted_keys`); a value overwrite keeps it as is.
     Invariant: a published list is never mutated in place, so an in-flight
     iterator can keep walking its captured snapshot.
@@ -75,7 +75,9 @@ class SortedKeyCache:
         """Queue keys new to the key set for the next scan to merge."""
         if self._sorted_keys is not None:
             self._added_keys.extend(keys)
-            if len(self._added_keys) > len(self._sorted_keys) // 64:
+            if len(self._added_keys) > len(self._sorted_keys):
+                # A fresh sort now costs no more than the merge, and the
+                # queue stops growing with every write between scans.
                 self._sorted_keys = None
 
     def _keys_sorted(self) -> List[bytes]:
@@ -84,9 +86,10 @@ class SortedKeyCache:
         if keys is None:
             keys = sorted(self._live_keys())
         elif self._added_keys:
-            keys = list(keys)
-            for key in self._added_keys:
-                bisect.insort(keys, key)
+            # A new list, so the published one stays intact; timsort finds
+            # the cached run and merges the queue in, O(n + k log k).
+            keys = keys + self._added_keys
+            keys.sort()
         else:
             return keys
         self._sorted_keys = keys

@@ -128,6 +128,41 @@ def test_a_failed_write_rescans_before_the_next_id():
     assert store.grants_for("s", "alice") == [b"a0", b"a1"]
 
 
+def test_a_drop_waits_for_a_burst_still_writing():
+    """A delete on the stream while a burst writes cannot hand that burst's id out again."""
+
+    class PausedWrite(MemoryStore):
+        def __init__(self) -> None:
+            super().__init__()
+            self.writing = threading.Event()
+            self.resume = threading.Event()
+
+        def multi_put(self, items):
+            if not self.writing.is_set():
+                self.writing.set()
+                assert self.resume.wait(30)
+            return super().multi_put(items)
+
+    backing = PausedWrite()
+    store = TokenStore(backing)
+    ids = []
+    first = threading.Thread(target=lambda: ids.extend(store.put_grants([("s", "alice", b"first")])))
+    first.start()
+    assert backing.writing.wait(30)
+    delete = threading.Thread(target=store.delete_grants, args=("s", "bob"))
+    delete.start()
+    delete.join(0.2)  # a drop that does not wait for the write has returned by now
+    second = threading.Thread(target=lambda: ids.extend(store.put_grants([("s", "alice", b"second")])))
+    second.start()
+    time.sleep(0.05)
+    backing.resume.set()
+    for thread in (first, delete, second):
+        thread.join(30)
+    assert not any(thread.is_alive() for thread in (first, delete, second))
+    assert sorted(ids) == [0, 1]
+    assert sorted(store.grants_for("s", "alice")) == [b"first", b"second"]
+
+
 def test_delete_grants_restarts_the_count():
     store = TokenStore()
     store.put_grants([("s", "alice", b"a0"), ("s", "alice", b"a1")])

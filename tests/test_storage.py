@@ -155,10 +155,7 @@ class TestSortedKeyCache:
     def test_scans_match_a_sorted_dict(self, backend, ops):
         with tempfile.TemporaryDirectory() as directory:
             store = MemoryStore() if backend == "memory" else AppendLogStore(Path(directory) / "s.log")
-            # 256 keys outside the ops' alphabet, so a handful of added keys
-            # stays under the 1/64 queue bound and takes the insort path.
-            model = {b"z/%03d" % index: b"base" for index in range(256)}
-            store.multi_put(list(model.items()))
+            model = {}
             live = []  # (iterator, captured list, its contents when captured)
             for step, (op, arg) in enumerate(ops):
                 value = b"v%d" % step
