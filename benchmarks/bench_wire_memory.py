@@ -9,7 +9,7 @@ path they replaced (three materializations between ``Request.encode()`` and
 the socket, up to three more on decode) was deleted in ISSUE 19; its last
 recorded rows ride along under ``historical`` in ``BENCH_wire.json``.
 
-Five claims, measured two ways:
+Four claims, measured two ways:
 
 1. **Copies per frame** (deterministic, gated): the library's
    ``MEMORY_COUNTERS.payload_copies`` over fixed call sequences — encode 0,
@@ -23,9 +23,6 @@ Five claims, measured two ways:
 4. **Throughput / peak memory** (wall clock, informational): bulk-ingest
    (``kv_multi_put``) and big-response (``kv_multi_get``) shapes over a real
    loopback socket, with ``tracemalloc`` peaks.
-5. **Compression** (deterministic, gated): negotiated zlib frame
-   compression engages only above the size threshold and only when both
-   ends opt in, and the codec round-trips byte-identically.
 
 Run as a script to print the tables and refresh ``BENCH_wire.json``:
 
@@ -47,9 +44,7 @@ import tracemalloc
 from pathlib import Path
 from typing import Dict, List
 
-from repro import ServerEngine, TimeCrypt
 from repro.bench.reporting import ResultTable, write_json_report
-from repro.net.client import RemoteServerClient
 from repro.net.framing import (
     MEMORY_COUNTERS,
     FrameAssembler,
@@ -57,8 +52,7 @@ from repro.net.framing import (
     encode_frame_segments_v2,
     write_vectored,
 )
-from repro.net.messages import Request, Response, maybe_compress_segments, retain
-from repro.net.server import TimeCryptTCPServer
+from repro.net.messages import Request, Response, retain
 from repro.storage.memory import MemoryStore
 from repro.storage.node import StorageNodeServer
 from repro.storage.remote import RemoteKeyValueStore
@@ -242,45 +236,6 @@ def run_throughput(num_values: int, value_bytes: int) -> Dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# 4. Compression (deterministic negotiation + codec)
-# ---------------------------------------------------------------------------
-
-
-def compression_counters() -> Dict[str, object]:
-    """Codec ratio plus negotiated end-to-end frame counts (fixed sizes)."""
-    # Codec: a redundant grant burst compresses far below 1:1.
-    segments = Request(
-        "put_grants", {"uuid": "s"}, [b"sealed-token-" * 600 for _ in range(4)]
-    ).encode_segments()
-    raw_bytes = sum(len(segment) for segment in segments)
-    squeezed, compressed = maybe_compress_segments(segments)
-    wire_bytes = sum(len(segment) for segment in squeezed)
-
-    # Negotiated end to end: one compressible request frame, one
-    # compressible response frame, tiny frames left alone.
-    engine = ServerEngine()
-    with TimeCryptTCPServer(engine, wire_compression=True) as server:
-        host, port = server.address
-        with RemoteServerClient(host, port, compression=True) as remote:
-            owner = TimeCrypt(server=remote, owner_id="bench")
-            uuid = owner.create_stream(metric="wire-bench")
-            remote.wire_stats.reset()
-            remote.put_grants([(uuid, f"w-{i}", b"sealed" * 1200) for i in range(8)])
-            request_frames_compressed = remote.wire_stats.frames_compressed
-            assert remote.fetch_grants(uuid, "w-3") == [b"sealed" * 1200]
-            assert remote.ping()  # small frame: must stay uncompressed
-            server_frames_compressed = server.scheduler_stats()["frames_compressed"]
-    return {
-        "codec_compressed": bool(compressed),
-        "raw_bytes": raw_bytes,
-        "wire_bytes": wire_bytes,
-        "ratio": round(raw_bytes / wire_bytes, 2) if wire_bytes else 0.0,
-        "request_frames_compressed": request_frames_compressed,
-        "response_frames_compressed": server_frames_compressed,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Assertions (collected by pytest, reused by the script)
 # ---------------------------------------------------------------------------
 
@@ -303,14 +258,6 @@ def test_vectored_batch_is_one_syscall_and_no_copy():
 
 def test_golden_frames_are_byte_identical():
     assert golden_frames_identical()
-
-
-def test_compression_engages_only_when_negotiated_and_large():
-    counters = compression_counters()
-    assert counters["codec_compressed"] is True
-    assert counters["ratio"] > 2.0
-    assert counters["request_frames_compressed"] == 1
-    assert counters["response_frames_compressed"] >= 1
 
 
 def test_throughput_run_is_byte_identical():
@@ -388,17 +335,6 @@ def main(argv=None) -> None:
     results["throughput"] = {"zero_copy": row}
     results["byte_identity"] = {"identical": golden_frames_identical()}
 
-    compression = compression_counters()
-    compression_table = ResultTable(
-        title="Negotiated zlib frame compression (fixed workload)",
-        columns=["counter", "value"],
-    )
-    compression_table.add_row("codec ratio", f"{compression['ratio']:.2f}x")
-    compression_table.add_row("request frames compressed", str(compression["request_frames_compressed"]))
-    compression_table.add_row("response frames compressed", str(compression["response_frames_compressed"]))
-    compression_table.add_note("engages only above 4 KiB and only when both ends negotiate it")
-    compression_table.print()
-    results["compression"] = compression
     results["historical"] = historical
 
     print(f"baseline written to {write_json_report(args.output, results)}")

@@ -144,9 +144,6 @@ MANIFEST: Dict[str, Tuple[str, List[Tuple[str, str, str]]]] = {
             eq("syscalls.zero_copy_copies"),
             eq("syscalls.headers_coalesced"),
             eq("byte_identity.identical"),
-            eq("compression.codec_compressed"),
-            eq("compression.request_frames_compressed"),
-            eq("compression.response_frames_compressed"),
         ],
     ),
     "sched": (

@@ -82,13 +82,10 @@ from repro.net.framing import (
     write_vectored,
 )
 from repro.net.messages import (
-    WIRE_COMPRESSION_SCHEMES,
-    WIRE_COMPRESSION_THRESHOLD,
     Request,
     Response,
     ShardRoutingTable,
     aggregate_from_json,
-    maybe_compress_segments,
     retain,
     stat_from_json,
 )
@@ -104,6 +101,9 @@ from repro.util.blocking import before_blocking
 from repro.util.timeutil import TimeRange
 
 logger = logging.getLogger(__name__)
+
+#: Upper bound (seconds) on the backoff before re-sending a shed request.
+OVERLOAD_BACKOFF_CAP_S = 0.25
 
 #: Exception classes re-raised by name when the server reports them.
 _ERROR_TYPES: Dict[str, type] = {}
@@ -164,8 +164,6 @@ class WireStats:
     #: and small segments it merged into a single iovec.
     vectored_writes: int = 0
     frames_coalesced: int = 0
-    #: Request frames that went out in the negotiated compressed form.
-    frames_compressed: int = 0
 
     def reset(self) -> None:
         for counter in fields(self):
@@ -589,11 +587,7 @@ class RemoteServerClient(_EngineCalls):
 
     Request batches go out through ``socket.sendmsg`` as header + attachment
     views (no batch concatenation) and responses decode as memoryviews over
-    per-frame buffers.  ``compression=True`` offers zlib frame
-    compression in ``hello`` and compresses requests over
-    ``compress_threshold`` bytes once the server advertises support; off by
-    default (chunk ciphertext is incompressible — see
-    :mod:`repro.net.messages`).
+    per-frame buffers.
     """
 
     def __init__(
@@ -603,9 +597,6 @@ class RemoteServerClient(_EngineCalls):
         timeout: float = 30.0,
         flow_control: bool = True,
         overload_retries: int = 4,
-        overload_backoff_cap: float = 0.25,
-        compression: bool = False,
-        compress_threshold: int = WIRE_COMPRESSION_THRESHOLD,
         tracing: bool = False,
     ) -> None:
         self._address = (host, port)
@@ -633,11 +624,6 @@ class RemoteServerClient(_EngineCalls):
         self._flow_control = bool(flow_control)
         self._credits: Optional[_CreditGate] = None
         self._overload_retries = max(0, int(overload_retries))
-        self._overload_backoff_cap = max(0.0, float(overload_backoff_cap))
-        self._compression = bool(compression)
-        self._compress_threshold = max(1, int(compress_threshold))
-        #: True once both ends negotiated a compression scheme in ``hello``.
-        self._compress = False
         self._server_operations: frozenset = frozenset()
         #: The full ``hello`` result: capability fields beyond the op list
         #: (e.g. a shard routing table).
@@ -688,9 +674,6 @@ class RemoteServerClient(_EngineCalls):
         owner's decision (see :class:`ConnectionSlot`).
         """
         hello_args: Dict[str, Any] = {"protocol": PROTOCOL_VERSION}
-        if self._compression:
-            # Offering a scheme also means: compressed responses welcome.
-            hello_args["compression"] = list(WIRE_COMPRESSION_SCHEMES)
         if self._tracing:
             hello_args["tracing"] = True
         hello = Request("hello", hello_args)
@@ -717,10 +700,6 @@ class RemoteServerClient(_EngineCalls):
             )
         self._server_operations = frozenset(op for op in operations if isinstance(op, str))
         self.hello_info = dict(result)
-        advertised = result.get("compression") or ()
-        self._compress = self._compression and any(
-            scheme in advertised for scheme in WIRE_COMPRESSION_SCHEMES
-        )
         window = result.get("credits")
         if self._flow_control and isinstance(window, int) and window > 0:
             # The hello exchange itself was synchronous — its grant is
@@ -883,19 +862,11 @@ class RemoteServerClient(_EngineCalls):
                         self._credits.grant(1)
 
     def _encode_batch(self, requests: Sequence[Request]) -> List[List[Any]]:
-        """Message-segment lists for a batch, compressed where negotiated.
+        """Message-segment lists for a batch.
 
         Attachments stay uncoalesced segments for the vectored writer.
         """
-        encoded: List[List[Any]] = []
-        for request in requests:
-            segments = request.encode_segments()
-            if self._compress:
-                segments, compressed = maybe_compress_segments(segments, self._compress_threshold)
-                if compressed:
-                    self.wire_stats.frames_compressed += 1
-            encoded.append(segments)
-        return encoded
+        return [request.encode_segments() for request in requests]
 
     def _write_frames(self, frames: Sequence[List[Any]]) -> None:
         """Ship framed segment lists in one vectored write."""
@@ -1046,7 +1017,7 @@ class RemoteServerClient(_EngineCalls):
         """Backoff before re-sending a shed request: server hint × 2^attempt, capped."""
         hint = response.result.get("retry_after_ms") if isinstance(response.result, dict) else None
         base = (hint if isinstance(hint, (int, float)) and hint > 0 else 10.0) / 1000.0
-        return min(self._overload_backoff_cap, base * (2 ** attempt))
+        return min(OVERLOAD_BACKOFF_CAP_S, base * (2 ** attempt))
 
     def _retry_overloaded(self, requests: List[Request], responses: List[Response]) -> List[Response]:
         """Re-send requests the server shed, with capped exponential backoff.
@@ -1273,14 +1244,12 @@ class ShardedServerClient(_EngineCalls):
         timeout: float = 30.0,
         flow_control: bool = True,
         overload_retries: int = 4,
-        compression: bool = False,
         tracing: bool = False,
     ) -> None:
         self._options: Dict[str, Any] = {
             "timeout": timeout,
             "flow_control": flow_control,
             "overload_retries": overload_retries,
-            "compression": compression,
             "tracing": tracing,
         }
         self._lock = threading.Lock()

@@ -7,14 +7,18 @@ rollup.  A second op family (``kv_*``) carries the raw key-value store
 contract for remote storage nodes, so the same framing/pipelining serves
 both the engine tier and the storage tier.  Each op is declared once, as a
 row of :data:`OP_TABLE`; every op-name set a tier needs is derived from it.
-``hello`` opens every
-connection: the server answers with its protocol version, the operations
-its dispatcher supports and its capabilities (credit window, compression,
-tracing, routing table), so a client dialling the wrong tier finds out
-without probing.  Messages are encoded as a JSON header plus optional
+``hello`` opens every connection: the server answers with its protocol
+version, the operations its dispatcher supports and its capabilities (credit
+window, tracing, routing table), so a client dialling the wrong tier finds
+out without probing.  Messages are encoded as a JSON header plus optional
 binary attachments:
 
 ``frame = varint(header_len) || header_json || attachments``
+
+That is the only message form.  Payloads are ciphertext (the codecs squeeze
+points before AES-GCM), so there is no frame compression: a frame carries
+exactly its encoded message, and a ``header_len`` of 0 is malformed like any
+other bad header.
 
 Binary payloads (encrypted chunks, sealed tokens) travel as attachments so
 they are never base64-inflated; the header references them by index and
@@ -25,13 +29,12 @@ protobuf text dump would be) while staying compact where it matters.
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.crypto.heac import HEACCiphertext
 from repro.exceptions import ProtocolError
-from repro.net.framing import MAX_FRAME_BYTES, MEMORY_COUNTERS
+from repro.net.framing import MEMORY_COUNTERS
 from repro.server.query_executor import MultiStreamAggregate, StatQueryResult
 from repro.util.encoding import decode_varint, encode_varint
 
@@ -176,58 +179,6 @@ def aggregate_from_json(payload: Dict[str, Any]) -> MultiStreamAggregate:
     )
 
 
-#: The one compression scheme currently negotiated in ``hello``.  A
-#: compressed message travels as ``varint(0) || varint(raw_len) ||
-#: zlib(encoded_message)`` — a real message's JSON header is never empty, so
-#: a zero ``header_len`` is an unambiguous sentinel and needs no frame-level
-#: flag.  Off by default: chunk ciphertext is incompressible; the win is
-#: JSON-heavy headers, grant bursts, and ``kv`` scan pages of plaintext
-#: metadata.
-WIRE_COMPRESSION_SCHEMES = ("zlib",)
-
-#: Messages below this size are never compressed — the zlib header plus the
-#: CPU round trip outweighs any saving on small frames.
-WIRE_COMPRESSION_THRESHOLD = 4096
-
-#: ``peek_operation`` decompresses at most this much output looking for the
-#: header of a compressed request, so a hostile frame cannot force a large
-#: decompression on the server's leader thread.
-_PEEK_DECOMPRESS_LIMIT = 64 * 1024
-
-
-def peek_operation(payload: Buffer) -> Optional[str]:
-    """The operation name of an encoded request, without decoding attachments.
-
-    The server's leader classifies every frame before admitting it.  An
-    uncompressed frame it decodes outright; a compressed one goes through
-    here, which parses only the varint-prefixed JSON header — bounded by the
-    actual payload size before any slice or ``json.loads``, so a forged
-    multi-gigabyte ``header_len`` classifies as ``None`` instead of driving a
-    pathological allocation.  Compressed messages get a bounded incremental
-    decompression (at most 64 KiB of output) to reach the header.
-    """
-    try:
-        header_len, pos = decode_varint(payload, 0)
-        if header_len == 0:
-            raw_len, pos = decode_varint(payload, pos)
-            if raw_len > MAX_FRAME_BYTES:
-                return None
-            head = zlib.decompressobj().decompress(
-                bytes(payload[pos:]), min(raw_len, _PEEK_DECOMPRESS_LIMIT)
-            )
-            header_len, pos = decode_varint(head, 0)
-            if header_len == 0 or header_len > len(head) - pos:
-                return None
-            payload = head
-        if header_len > len(payload) - pos:
-            return None
-        header = json.loads(bytes(payload[pos : pos + header_len]).decode("utf-8"))
-        operation = header.get("op")
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError, AttributeError, zlib.error):
-        return None
-    return operation if isinstance(operation, str) else None
-
-
 def encode_message_segments(
     header: Dict[str, Any], attachments: Sequence[Buffer]
 ) -> List[Buffer]:
@@ -243,42 +194,6 @@ def encode_message_segments(
     return [encode_varint(len(header_bytes)) + header_bytes, *attachments]
 
 
-def compress_message(payload: Buffer, level: int = 6) -> bytes:
-    """Wrap an encoded message in the compressed-sentinel wire form."""
-    raw_len = len(payload)
-    return b"\x00" + encode_varint(raw_len) + zlib.compress(bytes(payload), level)
-
-
-def maybe_compress_segments(
-    segments: Sequence[Buffer], threshold: int = WIRE_COMPRESSION_THRESHOLD
-) -> Tuple[List[Buffer], bool]:
-    """Compress a segment list into one segment if it crosses ``threshold``.
-
-    Returns ``(segments, compressed)``; below the threshold the input passes
-    through untouched.  Only call this after both peers negotiated
-    compression in ``hello``.
-    """
-    total = sum(len(segment) for segment in segments)
-    if total < threshold:
-        return list(segments), False
-    return [compress_message(b"".join(segments))], True
-
-
-def _decompress_message(payload: Buffer, pos: int) -> bytes:
-    """Expand the compressed-sentinel form back to a raw encoded message."""
-    raw_len, pos = decode_varint(payload, pos)
-    if raw_len > MAX_FRAME_BYTES:
-        raise ProtocolError(f"compressed message declares {raw_len} raw bytes, above the frame cap")
-    decompressor = zlib.decompressobj()
-    try:
-        raw = decompressor.decompress(bytes(payload[pos:]), raw_len)
-    except zlib.error as exc:
-        raise ProtocolError("malformed compressed message") from exc
-    if len(raw) != raw_len or decompressor.unconsumed_tail or not decompressor.eof:
-        raise ProtocolError("compressed message does not match its declared length")
-    return raw
-
-
 def _decode_message(payload: Buffer) -> tuple[Dict[str, Any], List[Buffer]]:
     """Decode ``varint(header_len) || header_json || attachments``.
 
@@ -290,10 +205,6 @@ def _decode_message(payload: Buffer) -> tuple[Dict[str, Any], List[Buffer]]:
     """
     try:
         header_len, pos = decode_varint(payload, 0)
-        if header_len == 0:
-            # Compressed sentinel — expand (a copy, inherent to the scheme)
-            # and decode the raw bytes.
-            return _decode_message(_decompress_message(payload, pos))
         if header_len > len(payload) - pos:
             raise ProtocolError(f"header length {header_len} exceeds the {len(payload)}-byte payload")
         header = json.loads(bytes(payload[pos : pos + header_len]).decode("utf-8"))

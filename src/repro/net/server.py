@@ -53,7 +53,7 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import OverloadedError, ProtocolError, TimeCryptError
 from repro.obs.metrics import REGISTRY
-from repro.obs.tracing import SPANS, SpanCollector, new_span_id, set_context
+from repro.obs.tracing import SPANS, new_span_id, set_context
 from repro.net.framing import (
     PROTOCOL_VERSION,
     Frame,
@@ -63,15 +63,11 @@ from repro.net.framing import (
 )
 from repro.net.messages import (
     OP_TABLE,
-    WIRE_COMPRESSION_SCHEMES,
-    WIRE_COMPRESSION_THRESHOLD,
     Request,
     Response,
     aggregate_to_json,
     classify_operation,
     is_local,
-    maybe_compress_segments,
-    peek_operation,
     retain,
     stat_to_json,
 )
@@ -122,20 +118,10 @@ class WireDispatcher:
     #: e.g. for in-process dispatch) advertises no credits.
     credit_window: Optional[int] = None
 
-    #: Frame-compression schemes advertised in ``hello`` (set by the owning
-    #: transport when ``wire_compression`` is enabled; ``None`` advertises
-    #: none, so clients never send compressed frames to this dispatcher).
-    wire_compression: Optional[List[str]] = None
-
     #: Whether this node records server-side spans for peers that offer the
     #: ``tracing`` capability in ``hello``.  Set by the owning transport;
     #: advertised back so clients know their trace context will be honoured.
     tracing: bool = False
-
-    #: Span ring buffer served by ``trace_dump``.  Set by the owning
-    #: transport; defaults to the process-global collector so in-process
-    #: dispatchers dump something sensible too.
-    span_collector: Optional[SpanCollector] = None
 
     #: Human-readable node identity stamped on spans and scrape responses
     #: (an engine-shard name, ``router``, a storage-node name).
@@ -180,8 +166,6 @@ class WireDispatcher:
         payload = {"protocol": PROTOCOL_VERSION, "operations": self.supported_operations()}
         if self.credit_window:
             payload["credits"] = int(self.credit_window)
-        if self.wire_compression:
-            payload["compression"] = list(self.wire_compression)
         if self.tracing:
             payload["tracing"] = True
         payload.update(self.hello_extras())
@@ -202,11 +186,10 @@ class WireDispatcher:
         return Response.success({"node": self.node_name, "metrics": REGISTRY.snapshot()})
 
     def _op_trace_dump(self, request: Request) -> Response:
-        """Dump this node's span ring buffer (optionally one trace id)."""
+        """Dump this process's span ring buffer (optionally one trace id)."""
         trace_id = request.args.get("trace_id")
         limit = request.args.get("limit")
-        collector = self.span_collector if self.span_collector is not None else SPANS
-        spans = collector.spans(
+        spans = SPANS.spans(
             trace_id=trace_id if isinstance(trace_id, str) else None,
             limit=int(limit) if isinstance(limit, int) and not isinstance(limit, bool) else None,
         )
@@ -443,14 +426,13 @@ class SchedulerStats:
     #: Highest in-flight frame count observed on any single connection —
     #: a credit-respecting client keeps this at or below the advertised window.
     max_in_flight: int = 0
-    #: Wire-memory counters, filled in by the owning transport: bytes on the wire each way, responses shipped through
-    #: ``write_vectored``, small segments it merged, and responses sent in
-    #: the negotiated compressed form.
+    #: Wire-memory counters, filled in by the owning transport: bytes on the
+    #: wire each way, responses shipped through ``write_vectored`` and small
+    #: segments it merged.
     bytes_sent: int = 0
     bytes_received: int = 0
     vectored_writes: int = 0
     frames_coalesced: int = 0
-    frames_compressed: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         return asdict(self)
@@ -652,10 +634,6 @@ class _Connection:
         #: Reusable receive staging buffer for ``recv_into`` — safe to reuse
         #: because the assembler copies into per-frame payload buffers.
         self.recv_buffer = bytearray(1 << 16)
-        #: True once this peer's ``hello`` offered a compression scheme the
-        #: transport also enables; responses over the threshold then go out
-        #: compressed.
-        self.accepts_compression = False
         #: True once this peer's ``hello`` offered the ``tracing`` capability
         #: and the transport has tracing enabled.  Every per-frame tracing
         #: cost (timestamps, span dicts) is gated on this flag, so untraced
@@ -690,16 +668,10 @@ class TimeCryptTCPServer:
         max_workers: int = 8,
         dispatcher: Optional[WireDispatcher] = None,
         credit_window: int = DEFAULT_CREDIT_WINDOW,
-        interactive_queue_limit: int = DEFAULT_INTERACTIVE_QUEUE_LIMIT,
         bulk_queue_limit: int = DEFAULT_BULK_QUEUE_LIMIT,
-        interactive_weight: int = DEFAULT_INTERACTIVE_WEIGHT,
         retry_after_ms: int = DEFAULT_RETRY_AFTER_MS,
-        wire_compression: bool = False,
-        compress_threshold: int = WIRE_COMPRESSION_THRESHOLD,
         tracing: bool = True,
         node_name: Optional[str] = None,
-        span_collector: Optional[SpanCollector] = None,
-        slow_request_ms: Optional[float] = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("the server needs at least one handler slot")
@@ -715,13 +687,6 @@ class TimeCryptTCPServer:
         #: until a client opts in.  ``tracing=False`` refuses the capability
         #: outright (the hot path then never checks a clock).
         self._tracing = bool(tracing)
-        self._spans = span_collector if span_collector is not None else SPANS
-        self._slow_request_ms = slow_request_ms
-        self._wire_compression = bool(wire_compression)
-        self._compress_threshold = max(1, int(compress_threshold))
-        self._dispatcher.wire_compression = (
-            list(WIRE_COMPRESSION_SCHEMES) if self._wire_compression else None
-        )
         # Transport-level wire counters, merged into scheduler_stats().
         self._wire_lock = threading.Lock()
         self._wire_counters = {
@@ -729,13 +694,11 @@ class TimeCryptTCPServer:
             "bytes_received": 0,
             "vectored_writes": 0,
             "frames_coalesced": 0,
-            "frames_compressed": 0,
         }
         self._listener = socket.create_server((host, port), reuse_port=False)
         self._listener.setblocking(True)
         self._node_name = node_name or f"server:{self._listener.getsockname()[1]}"
         self._dispatcher.tracing = self._tracing
-        self._dispatcher.span_collector = self._spans
         self._dispatcher.node_name = self._node_name
         # Register this server's scheduler/wire counters into the unified
         # metrics plane (weakly — a stopped, dropped server unregisters
@@ -748,9 +711,9 @@ class TimeCryptTCPServer:
         self._selector = selectors.DefaultSelector()
         self._scheduler = _FrameScheduler(
             max_workers=max_workers,
-            interactive_limit=interactive_queue_limit,
+            interactive_limit=DEFAULT_INTERACTIVE_QUEUE_LIMIT,
             bulk_limit=bulk_queue_limit,
-            interactive_weight=interactive_weight,
+            interactive_weight=DEFAULT_INTERACTIVE_WEIGHT,
         )
         self._connections: Set[_Connection] = set()
         #: Frames the leader has assembled but not yet admitted.  Touched
@@ -778,8 +741,8 @@ class TimeCryptTCPServer:
         """A snapshot of the scheduler's deterministic counters.
 
         The wire-memory counters (``bytes_sent``/``bytes_received``,
-        ``vectored_writes``, ``frames_coalesced``, ``frames_compressed``)
-        are transport-level and ride in the same snapshot.
+        ``vectored_writes``, ``frames_coalesced``) are transport-level and
+        ride in the same snapshot.
         """
         snapshot = self._scheduler.snapshot()
         with self._wire_lock:
@@ -941,22 +904,17 @@ class TimeCryptTCPServer:
     def _admit(self, connection: _Connection, frame: Frame) -> None:
         """Classify a frame, then run it here, queue it, or shed it (typed).
 
-        The header is parsed once: an uncompressed message is decoded here
-        (attachments stay views) and the :class:`Request` rides the task.  A
-        compressed frame gets only the bounded header peek, so a bomb cannot
-        expand on the leader; an undecodable one classifies interactive and
-        the handler answers it with its typed error.
+        The message is decoded once, here (attachments stay views), and the
+        :class:`Request` rides the task.  An undecodable frame classifies
+        interactive and the handler answers it with its typed error.
         """
         request: Optional[Request] = None
         operation: Optional[str] = None
-        if frame.payload[:1] == b"\x00":
-            operation = peek_operation(frame.payload)
-        else:
-            try:
-                request = Request.decode(frame.payload)
-                operation = request.operation
-            except Exception:  # noqa: BLE001 — _handle_frame re-decodes and answers the error
-                pass
+        try:
+            request = Request.decode(frame.payload)
+            operation = request.operation
+        except Exception:  # noqa: BLE001 — _handle_frame re-decodes and answers the error
+            pass
         klass = classify_operation(operation)
         with connection.state_lock:
             connection.in_flight += 1
@@ -1021,8 +979,8 @@ class TimeCryptTCPServer:
         span: Optional[Dict[str, Any]] = None
         try:
             if request is None:
-                # Compressed, or undecodable at admission (the error raised
-                # again here is what answers the correlation id).
+                # Undecodable at admission: the error raised again here is
+                # what answers the correlation id.
                 request = Request.decode(frame.payload)
             if request.operation == "hello":
                 self._note_hello(connection, request)
@@ -1079,34 +1037,17 @@ class TimeCryptTCPServer:
         span["total_ms"] = span["queue_ms"] + (end_ns - start_ns) / 1e6
         span["status"] = "ok" if response.ok else (response.error_type or "error")
         span["response_bytes"] = sum(len(blob) for blob in response.attachments)
-        self._spans.record(span)
-        if self._slow_request_ms is not None and span["total_ms"] >= self._slow_request_ms:
-            logger.warning(
-                "slow request on %s: op=%s trace=%s queue_ms=%.1f handler_ms=%.1f total_ms=%.1f",
-                self._node_name,
-                span["op"],
-                span["trace_id"],
-                span["queue_ms"],
-                span["handler_ms"],
-                span["total_ms"],
-            )
+        SPANS.record(span)
 
     def _note_hello(self, connection: _Connection, request: Request) -> None:
         """Record the peer's capability offers (transport-level negotiation).
 
-        Compression and tracing are each on only when *both* ends opt in: the
-        transport enables the capability *and* this peer's ``hello`` offers
-        it.  Clients that never offer get uncompressed, untraced frames.
+        Tracing is on only when *both* ends opt in: the transport enables it
+        *and* this peer's ``hello`` offers it.  Clients that never offer get
+        untraced frames.
         """
         if self._tracing and request.args.get("tracing") is True:
             connection.tracing = True
-        if not self._wire_compression:
-            return
-        offered = request.args.get("compression")
-        if isinstance(offered, (list, tuple)) and any(
-            scheme in WIRE_COMPRESSION_SCHEMES for scheme in offered
-        ):
-            connection.accepts_compression = True
 
     def _shed_frame(self, connection: _Connection, frame: Frame, klass: str) -> None:
         """Answer a refused frame with a typed ``overloaded`` (never dead air).
@@ -1131,7 +1072,7 @@ class TimeCryptTCPServer:
             # is conserved.
             response.credit_grant = 1
         try:
-            encoded = self._encode_response(connection, frame, response)
+            encoded = self._encode_response(frame, response)
         except TimeCryptError as exc:
             # An unencodable response (e.g. attachments past the frame cap)
             # must still answer the correlation id — swallowing it here
@@ -1139,7 +1080,7 @@ class TimeCryptTCPServer:
             # which a storage client reads as a node outage.
             fallback = Response.failure(exc)
             fallback.credit_grant = response.credit_grant
-            encoded = self._encode_response(connection, frame, fallback)
+            encoded = self._encode_response(frame, fallback)
         with connection.state_lock:
             if connection.in_flight > 0:
                 connection.in_flight -= 1
@@ -1169,16 +1110,10 @@ class TimeCryptTCPServer:
             self._wire_counters["vectored_writes"] += 1
             self._wire_counters["frames_coalesced"] += coalesced
 
-    def _encode_response(self, connection: _Connection, frame: Frame, response: Response) -> List:
+    def _encode_response(self, frame: Frame, response: Response) -> List:
         """The response's wire form: ``[frame_header, message_header, *attachment_views]``.
 
         Nothing is joined, so a 32 MiB ``get_range`` response is never
         concatenated.
         """
-        segments = response.encode_segments()
-        if connection.accepts_compression:
-            segments, compressed = maybe_compress_segments(segments, self._compress_threshold)
-            if compressed:
-                with self._wire_lock:
-                    self._wire_counters["frames_compressed"] += 1
-        return encode_frame_segments_v2(frame.correlation_id, segments)
+        return encode_frame_segments_v2(frame.correlation_id, response.encode_segments())

@@ -311,7 +311,6 @@ class StorageNodeServer:
         max_workers: int = 4,
         credit_window: int = DEFAULT_CREDIT_WINDOW,
         bulk_queue_limit: int = DEFAULT_BULK_QUEUE_LIMIT,
-        wire_compression: bool = False,
         node_name: Optional[str] = None,
         tracing: bool = True,
     ) -> None:
@@ -327,7 +326,6 @@ class StorageNodeServer:
             dispatcher=self._dispatcher,
             credit_window=credit_window,
             bulk_queue_limit=bulk_queue_limit,
-            wire_compression=wire_compression,
             node_name=node_name,
             tracing=tracing,
         )

@@ -69,7 +69,6 @@ class RemoteKeyValueStore(KeyValueStore):
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         max_keys_per_request: int = DEFAULT_MAX_KEYS_PER_REQUEST,
         overload_retries: int = 4,
-        compression: bool = False,
         tracing: bool = False,
     ) -> None:
         if scan_page_size < 1:
@@ -90,7 +89,6 @@ class RemoteKeyValueStore(KeyValueStore):
             require="kv_multi_put",
             timeout=timeout,
             overload_retries=overload_retries,
-            compression=compression,
             tracing=tracing,
         )
         #: Wire accounting shared by every connection the slot dials.

@@ -10,8 +10,8 @@ Covers the unified plane added in :mod:`repro.obs`:
 - trace-context propagation: the ``trace`` header key, the per-connection
   negotiation, thread-local parenting through server handlers, and the
   connected span tree across client → router → engine shard → storage node,
-- edge cases: v1 lockstep fallback, compressed frames, ``overloaded`` sheds
-  retried under the same trace id, and zero span recording with tracing off,
+- edge cases: ``overloaded`` sheds retried under the same trace id, and
+  zero span recording with tracing off,
 - the adaptive ``retry_after_ms`` hint derived from the bulk drain rate,
 - library-style logging (NullHandler on the ``repro`` root logger; cluster
   lifecycle events emitted at INFO/WARNING).
@@ -303,23 +303,6 @@ def test_error_spans_record_the_error_type():
     statuses = {span["kind"]: span["status"] for span in SPANS.spans() if span["op"] == "stream_head"}
     assert statuses["server"] == "StreamNotFoundError"
     assert statuses["client"] == "StreamNotFoundError"
-
-
-def test_tracing_rides_compressed_frames():
-    engine = ServerEngine()
-    with TimeCryptTCPServer(engine, wire_compression=True, node_name="zip") as server:
-        host, port = server.address
-        with RemoteServerClient(host, port, compression=True, tracing=True) as remote:
-            assert "zlib" in remote.hello_info.get("compression", [])
-            # Big compressible args force the compressed-frame path.
-            response = remote.call_many(
-                [Request("ping", {"pad": "x" * 65536}) for _ in range(3)]
-            )
-            assert all(r.ok for r in response)
-            sent = remote.wire_stats.frames_compressed
-    assert sent > 0, "the padded requests must have travelled compressed"
-    server_spans = [span for span in SPANS.spans() if span["kind"] == "server"]
-    assert len([span for span in server_spans if span["op"] == "ping"]) == 3
 
 
 def test_shed_retry_keeps_the_trace_id():

@@ -12,6 +12,7 @@ lifecycle edge cases, and the consumer cold-start warm-up pipeline.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from contextlib import contextmanager
@@ -30,6 +31,13 @@ from repro.storage.memory import MemoryStore
 from repro.storage.node import StorageNodeDispatcher, StorageNodeServer
 from repro.storage.remote import RemoteKeyValueStore
 from repro.util.blocking import before_blocking
+from repro.util.encoding import encode_varint
+
+
+def _encoded_header(header: dict) -> bytes:
+    """``varint(len) || header_json`` with the header taken as given, unchecked."""
+    raw = json.dumps(header).encode()
+    return encode_varint(len(raw)) + raw
 
 
 @pytest.fixture()
@@ -268,20 +276,26 @@ class TestKVWireOps:
                 client._call(Request("kv_scan_prefix", {"limit": "not-a-number"}, [b""]))
             assert client.ping()  # connection unharmed
 
-    def test_malformed_frame_header_gets_a_typed_error_not_dead_air(self, node):
-        import json
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # A null attachment length used to raise TypeError past the
+            # dispatcher and leave the correlation id unanswered.
+            _encoded_header({"op": "ping", "args": {}, "attachment_lengths": [None]}),
+            # Undecodable, so classified interactive although it names a bulk op.
+            _encoded_header({"op": "kv_multi_put", "args": {}, "attachment_lengths": [None]}),
+            b"\x05notjs",  # the header is not JSON
+        ],
+        ids=["null-length", "null-length-bulk-op", "not-json"],
+    )
+    def test_malformed_frame_header_gets_a_typed_error_not_dead_air(self, node, payload):
         import socket as socket_module
 
         from repro.net.framing import FrameReader, encode_frame_segments_v2
         from repro.net.messages import Response
 
         host, port = node.address
-        # A hostile header: null attachment length used to raise TypeError
-        # past the dispatcher and leave the correlation id unanswered.
-        header = json.dumps({"op": "ping", "args": {}, "attachment_lengths": [None]}).encode()
-        from repro.util.encoding import encode_varint
-
-        payload = encode_varint(len(header)) + header
+        before = node.scheduler_stats()
         with socket_module.create_connection((host, port), timeout=5.0) as sock:
             sock.sendall(b"".join(encode_frame_segments_v2(7, [payload])))
             frame = FrameReader(sock).read()
@@ -289,6 +303,9 @@ class TestKVWireOps:
             response = Response.decode(frame.payload)
             assert not response.ok
             assert response.error_type == "ProtocolError"
+        after = node.scheduler_stats()
+        assert after["enqueued_interactive"] == before["enqueued_interactive"] + 1
+        assert after["enqueued_bulk"] == before["enqueued_bulk"]
 
     def test_memory_store_scan_from_resumes_by_cursor(self):
         store = MemoryStore()

@@ -2,13 +2,12 @@
 
 Covers the QoS layer added to :class:`~repro.net.server.TimeCryptTCPServer`:
 
-- frame classification (bulk vs. interactive) and header peeking,
+- frame classification (bulk vs. interactive),
 - the client-side credit gate (window never goes negative, grants clamp),
 - typed ``overloaded`` responses when the bulk queue is full — a shed is a
   prompt, typed answer, never a timeout or a dead correlation id,
 - weighted dispatch: interactive ops answer while bulk traffic saturates
   the workers,
-- v1 (lockstep) clients served unchanged by a weighted server,
 - capped-backoff retry of shed requests in the v2 client,
 - sliced dispatch of giant ingest batches (engine lock released between
   slices, validation per slice),
@@ -33,7 +32,6 @@ from repro.net.messages import (
     Response,
     ShardRoutingTable,
     classify_operation,
-    peek_operation,
 )
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer, WireDispatcher
 from repro.server.router import RouterDispatcher, RoutingTableRef
@@ -96,7 +94,7 @@ class _FlakyDispatcher(WireDispatcher):
         return Response.success({"head": 7})
 
 
-# -- classification and peeking ------------------------------------------------------
+# -- classification ------------------------------------------------------------------
 
 
 def test_classify_operation():
@@ -108,13 +106,6 @@ def test_classify_operation():
     assert classify_operation("hello") == "interactive"
     assert classify_operation(None) == "interactive"
     assert BULK_OPERATIONS.isdisjoint({"hello", "ping", "stat_range", "get_range"})
-
-
-def test_peek_operation_reads_only_the_header():
-    payload = Request("insert_chunks", {"x": 1}, [b"\x00" * 64]).encode()
-    assert peek_operation(payload) == "insert_chunks"
-    assert peek_operation(b"\x05notjs") is None
-    assert peek_operation(b"") is None
 
 
 # -- the credit gate -----------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Tests for the wire memory path and negotiated frame compression.
+"""Tests for the wire memory path.
 
 Covers the segment-based encode path (byte identity with the golden frames
 in ``tests/fixtures/wire/golden_frames.json``, recorded with the copying
 encoder of the commit named there before it was deleted), vectored writes,
 the view-emitting frame assembler (frame-cap edges, buffer-reuse safety for
-retained views), hostile varint hardening in the message codec, the
-``hello`` compression negotiation matrix, and the end-to-end retain audit
-(stored attachments survive later traffic over the same buffers).
+retained views), hostile varint hardening in the message codec, the one
+message form (a zero ``header_len`` is malformed on every tier and on the
+client, and is never expanded), and the end-to-end retain audit (stored
+attachments survive later traffic over the same buffers).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import io
 import json
 import socket
 import threading
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -24,21 +27,21 @@ from repro.exceptions import ProtocolError
 from repro.net.client import RemoteServerClient
 from repro.net.framing import (
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     FrameAssembler,
+    FrameReader,
     encode_frame_segments_v2,
     write_vectored,
 )
 from repro.net.messages import (
     Request,
     Response,
-    compress_message,
     encode_message_segments,
-    maybe_compress_segments,
-    peek_operation,
     retain,
     _decode_message,
 )
 from repro.net.server import TimeCryptTCPServer
+from repro.server.router import StreamRouter
 from repro.storage.memory import MemoryStore
 from repro.storage.node import StorageNodeServer
 from repro.storage.remote import RemoteKeyValueStore
@@ -185,11 +188,6 @@ class TestViewAssembler:
 
 
 class TestHostileHeaders:
-    def test_forged_giant_header_len_peeks_as_none(self):
-        # varint says 3 GiB of JSON header; actual payload is tiny.
-        forged = encode_varint(3 << 30) + b"{}"
-        assert peek_operation(forged) is None
-
     def test_forged_giant_header_len_decode_raises_typed(self):
         forged = encode_varint(3 << 30) + b"{}"
         with pytest.raises(ProtocolError):
@@ -218,100 +216,84 @@ class TestHostileHeaders:
         with pytest.raises(ProtocolError):
             _decode_message(wire[:-3])
 
-    def test_compressed_message_declaring_wrong_length_rejected(self):
-        wire = compress_message(b"".join(encode_message_segments({"op": "ping"}, [])))
-        # Corrupt the declared raw length (second varint).
-        tampered = wire[:1] + encode_varint(5) + wire[2:]
-        with pytest.raises(ProtocolError):
-            _decode_message(tampered)
 
-    def test_compressed_message_above_frame_cap_rejected(self):
-        bomb = b"\x00" + encode_varint(MAX_FRAME_BYTES + 1) + b"x"
-        with pytest.raises(ProtocolError):
-            _decode_message(bomb)
-        assert peek_operation(bomb) is None
+def _zero_header_bomb() -> bytes:
+    """A 65 KB payload with ``header_len == 0`` declaring ~64 MiB of zeros.
 
-
-class TestCompressionCodec:
-    def test_round_trip_preserves_header_and_attachments(self):
-        original = Request("put_grants", {"uuid": "s"}, [b"tok" * 2000, b"x"])
-        wire = compress_message(original.encode())
-        assert len(wire) < len(original.encode())
-        decoded = Request.decode(wire)
-        assert decoded.operation == "put_grants"
-        assert [retain(blob) for blob in decoded.attachments] == [b"tok" * 2000, b"x"]
-
-    def test_peek_operation_sees_through_compression(self):
-        wire = compress_message(Request("stat_range", {"uuid": "s"}).encode())
-        assert peek_operation(wire) == "stat_range"
-
-    def test_maybe_compress_respects_threshold(self):
-        small = encode_message_segments({"op": "ping"}, [])
-        passed, compressed = maybe_compress_segments(small, threshold=4096)
-        assert not compressed and b"".join(passed) == b"".join(small)
-        big = encode_message_segments({"op": "ping"}, [b"z" * 10_000])
-        squeezed, compressed = maybe_compress_segments(big, threshold=4096)
-        assert compressed and len(squeezed) == 1
-        header, attachments = _decode_message(squeezed[0])
-        assert retain(attachments[0]) == b"z" * 10_000
+    ``varint(0) || varint(raw_len) || deflate(raw)`` was the compressed
+    message form before it was deleted; a decoder that still expanded it
+    peaked near 192 MiB.  The deflate stream is built in 1 MiB steps so the
+    test itself never holds the raw bytes.
+    """
+    raw_len = MAX_FRAME_BYTES - 16
+    deflate = zlib.compressobj(9)
+    parts = [deflate.compress(bytes(1 << 20)) for _ in range(raw_len >> 20)]
+    parts.append(deflate.compress(bytes(raw_len & ((1 << 20) - 1))))
+    parts.append(deflate.flush())
+    return b"\x00" + encode_varint(raw_len) + b"".join(parts)
 
 
-class TestCompressionNegotiation:
-    def _grant_burst(self, remote: RemoteServerClient) -> None:
-        """One compressible request (a large, redundant grant burst)."""
-        owner = TimeCrypt(server=remote, owner_id="alice")
-        uuid = owner.create_stream(metric="hr")
-        remote.put_grants([(uuid, f"worker-{i}", b"sealed" * 300) for i in range(8)])
-        fetched = remote.fetch_grants(uuid, "worker-3")
-        assert fetched == [b"sealed" * 300]
+ZERO_HEADER_BOMB = _zero_header_bomb()
 
-    def test_both_ends_on_compresses_large_frames(self):
-        engine = ServerEngine()
-        with TimeCryptTCPServer(engine, wire_compression=True) as server:
-            host, port = server.address
-            with RemoteServerClient(host, port, compression=True) as remote:
-                assert remote._compress is True
-                self._grant_burst(remote)
-                assert remote.wire_stats.frames_compressed >= 1
-                # Small frames (ping) stay uncompressed.
-                before = remote.wire_stats.frames_compressed
-                assert remote.ping()
-                assert remote.wire_stats.frames_compressed == before
+#: Peak traced allocation allowed while one tier refuses the bomb.
+BOMB_PEAK_BYTES = 4 << 20
 
-    def test_server_side_compression_counter_visible_in_stats(self, small_config):
-        engine = ServerEngine()
-        with TimeCryptTCPServer(engine, wire_compression=True) as server:
-            host, port = server.address
-            with RemoteServerClient(host, port, compression=True) as remote:
-                owner = TimeCrypt(server=remote, owner_id="alice")
-                uuid = owner.create_stream(metric="hr", config=small_config)
-                remote.put_grants(
-                    [(uuid, f"w-{i}", b"sealed" * 1200) for i in range(16)]
-                )
-                # A large, highly-redundant response: every worker's grants.
-                for index in range(16):
-                    assert remote.fetch_grants(uuid, f"w-{index}")
-                stats = server.scheduler_stats()
-                assert stats["frames_compressed"] >= 1
 
-    def test_client_on_server_off_negotiates_uncompressed(self):
-        engine = ServerEngine()
-        with TimeCryptTCPServer(engine, wire_compression=False) as server:
-            host, port = server.address
-            with RemoteServerClient(host, port, compression=True) as remote:
-                assert remote._compress is False
-                self._grant_burst(remote)
-                assert remote.wire_stats.frames_compressed == 0
+def _peak_bytes(action) -> tuple:
+    """``(action(), peak traced bytes)`` — every thread's allocations count."""
+    tracemalloc.start()
+    try:
+        result = action()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
-    def test_client_off_server_on_negotiates_uncompressed(self):
-        engine = ServerEngine()
-        with TimeCryptTCPServer(engine, wire_compression=True) as server:
-            host, port = server.address
-            with RemoteServerClient(host, port, compression=False) as remote:
-                assert remote._compress is False
-                self._grant_burst(remote)
-                assert remote.wire_stats.frames_compressed == 0
-                assert server.scheduler_stats()["frames_compressed"] == 0
+
+@pytest.fixture(params=["storage-node", "engine", "router"])
+def tier_address(request):
+    """A default server of each tier, started and listening."""
+    if request.param == "storage-node":
+        server = StorageNodeServer(MemoryStore())
+    elif request.param == "engine":
+        server = TimeCryptTCPServer(ServerEngine())
+    else:
+        server = StreamRouter()
+    with server:
+        yield server.address
+
+
+class TestOneMessageForm:
+    """A zero ``header_len`` is malformed like any other bad header — never expanded."""
+
+    def test_bomb_is_a_typed_error_and_the_connection_serves_on(self, tier_address):
+        assert 60_000 < len(ZERO_HEADER_BOMB) < 70_000
+        with socket.create_connection(tier_address, timeout=10) as sock:
+            reader = FrameReader(sock)
+
+            def exchange(correlation_id: int, payload: bytes) -> Response:
+                sock.sendall(b"".join(encode_frame_segments_v2(correlation_id, [payload])))
+                frame = reader.read()
+                assert frame is not None and frame.correlation_id == correlation_id
+                return Response.decode(frame.payload)
+
+            hello = exchange(1, Request("hello", {"protocol": PROTOCOL_VERSION}).encode())
+            assert hello.ok and "compression" not in hello.result
+            refusal, peak = _peak_bytes(lambda: exchange(2, ZERO_HEADER_BOMB))
+            assert not refusal.ok and refusal.error_type == "ProtocolError"
+            assert peak < BOMB_PEAK_BYTES, f"refusing the bomb peaked at {peak} bytes"
+            assert exchange(3, Request("ping").encode()).result == {"pong": True}
+
+    @pytest.mark.parametrize("message", [Request, Response], ids=["request", "response"])
+    def test_decode_refuses_without_expanding(self, message):
+        """A malicious server is the threat model: the client decodes nothing larger."""
+
+        def decode() -> None:
+            with pytest.raises(ProtocolError):
+                message.decode(ZERO_HEADER_BOMB)
+
+        _none, peak = _peak_bytes(decode)
+        assert peak < BOMB_PEAK_BYTES
 
 
 class TestEndToEndRetention:
