@@ -83,13 +83,14 @@ from repro.util.timeutil import TimeRange
 
 #: Default per-connection credit window advertised in ``hello``.
 DEFAULT_CREDIT_WINDOW = 256
-#: Default bounded-queue depths for the two scheduler classes.  Interactive
-#: requests are small and fast, so the queue is generous; the bulk cap is the
-#: backpressure point — beyond it, writers get typed ``overloaded`` sheds.
-DEFAULT_INTERACTIVE_QUEUE_LIMIT = 1024
+#: Bounded-queue depths for the two scheduler classes (the bulk one is the
+#: default of ``bulk_queue_limit``).  Interactive requests are small and
+#: fast, so the queue is generous; the bulk cap is the backpressure point —
+#: beyond it, writers get typed ``overloaded`` sheds.
+INTERACTIVE_QUEUE_LIMIT = 1024
 DEFAULT_BULK_QUEUE_LIMIT = 128
 #: Interactive frames dispatched per bulk frame when both queues are non-empty.
-DEFAULT_INTERACTIVE_WEIGHT = 4
+INTERACTIVE_WEIGHT = 4
 #: Fallback retry hint carried in ``overloaded`` responses before the
 #: scheduler has observed any bulk drain (the adaptive hint needs at least
 #: two dispatched bulk frames to measure an interval).
@@ -711,9 +712,9 @@ class TimeCryptTCPServer:
         self._selector = selectors.DefaultSelector()
         self._scheduler = _FrameScheduler(
             max_workers=max_workers,
-            interactive_limit=DEFAULT_INTERACTIVE_QUEUE_LIMIT,
+            interactive_limit=INTERACTIVE_QUEUE_LIMIT,
             bulk_limit=bulk_queue_limit,
-            interactive_weight=DEFAULT_INTERACTIVE_WEIGHT,
+            interactive_weight=INTERACTIVE_WEIGHT,
         )
         self._connections: Set[_Connection] = set()
         #: Frames the leader has assembled but not yet admitted.  Touched

@@ -212,13 +212,14 @@ def test_trace_dump_scrape_over_socket():
     with TimeCryptTCPServer(engine, node_name="engine-main") as server:
         host, port = server.address
         with RemoteServerClient(host, port, tracing=True) as remote:
-            remote.ping()
+            assert all(r.ok for r in remote.call_many([Request("ping") for _ in range(3)]))
             response = remote.call_many([Request("trace_dump")])[0]
     assert response.ok
     spans = response.result["spans"]
     server_spans = [span for span in spans if span["kind"] == "server"]
-    assert server_spans, "the traced ping must have produced a server span"
-    ping = next(span for span in server_spans if span["op"] == "ping")
+    pings = [span for span in server_spans if span["op"] == "ping"]
+    assert len(pings) == 3, "every traced frame of the batch gets its own server span"
+    ping = pings[0]
     assert ping["node"] == "engine-main"
     assert ping["status"] == "ok"
     for field in ("queue_ms", "handler_ms", "write_ms", "total_ms", "request_bytes"):

@@ -285,8 +285,9 @@ class TestKVWireOps:
             # Undecodable, so classified interactive although it names a bulk op.
             _encoded_header({"op": "kv_multi_put", "args": {}, "attachment_lengths": [None]}),
             b"\x05notjs",  # the header is not JSON
+            b"",  # no header length at all
         ],
-        ids=["null-length", "null-length-bulk-op", "not-json"],
+        ids=["null-length", "null-length-bulk-op", "not-json", "empty"],
     )
     def test_malformed_frame_header_gets_a_typed_error_not_dead_air(self, node, payload):
         import socket as socket_module
