@@ -19,7 +19,7 @@ key tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.access.resolution import ResolutionConsumerKeystream, ResolutionShare
 from repro.access.tokens import AccessToken
@@ -228,25 +228,37 @@ class ConsumerReader:
 
     # -- raw data ----------------------------------------------------------------------------------------
 
-    def _decrypt_columns(self, chunk: EncryptedChunk) -> Tuple[List[int], List[int]]:
-        """Decrypt and decompress one raw chunk payload into its columns."""
+    def _payload_keys(self, windows: Sequence[int]) -> List[bytes]:
+        """The AEAD payload keys of a range answer's chunk windows, in one derivation.
+
+        The server enforces nothing, so the answer's shape is checked here:
+        its windows must be strictly increasing (a duplicated or reordered
+        chunk would return repeated or unsorted points) and lie inside the
+        grant.  Derivation then costs at most two leaves per chunk, however
+        far apart the windows are.
+        """
         if self._resolution_chunks != 1:
             raise AccessDeniedError(
                 "raw data access requires a full-resolution grant"
             )
-        if not (self._window_start <= chunk.window_index < self._window_end):
+        if not windows:
+            return []
+        for earlier, later in zip(windows, windows[1:]):
+            if later <= earlier:
+                raise QueryError(
+                    f"range answer's chunk windows are not strictly increasing: {later} after {earlier}"
+                )
+        if windows[0] < self._window_start or windows[-1] >= self._window_end:
+            outside = windows[0] if windows[0] < self._window_start else windows[-1]
             raise AccessDeniedError(
-                f"chunk window {chunk.window_index} outside granted "
+                f"chunk window {outside} outside granted "
                 f"[{self._window_start}, {self._window_end})"
             )
-        payload_key = self._cipher.chunk_payload_key(chunk.window_index)
-        aad = f"{self._stream_uuid}:{chunk.window_index}".encode("utf-8")
-        compressed = aead_decrypt(payload_key, chunk.payload, aad)
-        return self._codec.decompress_columns(compressed)
+        return self._cipher.chunk_payload_keys(windows)
 
     def decrypt_chunk(self, chunk: EncryptedChunk) -> List[DataPoint]:
         """Decrypt and decompress one raw chunk payload (full resolution only)."""
-        return points_from_columns(*self._decrypt_columns(chunk))
+        return self.decrypt_range([chunk])
 
     def decrypt_range(
         self,
@@ -254,16 +266,23 @@ class ConsumerReader:
         start: Optional[int] = None,
         end: Optional[int] = None,
     ) -> List[DataPoint]:
-        """Decrypt a sequence of chunks into one ordered point list.
+        """Decrypt a range answer's chunks into one ordered point list.
 
-        With ``start`` and ``end`` only the points in ``[start, end)`` are
-        returned; the cut is made on the timestamp columns, so points outside
-        the interval are never materialised.
+        The chunks must come in strictly increasing window order, as the
+        server's ``get_range`` answers them; anything else raises
+        :class:`QueryError`.  With ``start`` and ``end`` only the points in
+        ``[start, end)`` are returned; the cut is made on the timestamp
+        columns, so points outside the interval are never materialised.
         """
+        payload_keys = self._payload_keys([chunk.window_index for chunk in chunks])
+        clip = start is not None and end is not None
         points: List[DataPoint] = []
-        for chunk in chunks:
-            timestamps, values = self._decrypt_columns(chunk)
-            if start is not None and end is not None:
+        for chunk, payload_key in zip(chunks, payload_keys):
+            aad = f"{self._stream_uuid}:{chunk.window_index}".encode("utf-8")
+            timestamps, values = self._codec.decompress_columns(
+                aead_decrypt(payload_key, chunk.payload, aad)
+            )
+            if clip:
                 timestamps, values = clip_columns(timestamps, values, start, end)
             points += points_from_columns(timestamps, values)
         return points

@@ -132,6 +132,11 @@ def payload_key_from_leaf(leaf: bytes, encoded_key: int, length: int = 16) -> by
     return kdf(leaf, "chunk-payload:" + encoded.hex(), length)
 
 
+def _payload_key(leaf: bytes, next_leaf: bytes, length: int) -> bytes:
+    """The payload key of the window whose keystream key is ``leaf``."""
+    return payload_key_from_leaf(leaf, (key_to_int(leaf) - key_to_int(next_leaf)) & _MASK, length)
+
+
 def _component_label(component: int) -> bytes:
     return f"digest-component:{component}".encode("utf-8")
 
@@ -194,9 +199,21 @@ class HEACCipher:
 
     def chunk_payload_key(self, window_index: int, length: int = 16) -> bytes:
         """Derive the AEAD key for the raw chunk payload of window ``i``."""
-        return self.window_batch(window_index, window_index + 1).chunk_payload_key(
-            window_index, length
-        )
+        return self.chunk_payload_keys([window_index], length)[0]
+
+    def chunk_payload_keys(self, windows: Sequence[int], length: int = 16) -> List[bytes]:
+        """The AEAD payload keys of ``windows`` (strictly increasing), in order.
+
+        A payload key needs the keystream keys of its window and the next
+        one, so all of them come from one shared-walk derivation over the
+        boundaries ``{w, w + 1}`` — at most two leaves per window, however
+        far apart the windows are.
+        """
+        boundaries = sorted(set(windows).union([window + 1 for window in windows]))
+        leaves = dict(zip(boundaries, _fetch_leaves(self._keystream, boundaries)))
+        return [
+            _payload_key(leaves[window], leaves[window + 1], length) for window in windows
+        ]
 
     def _outer_keys(self, boundaries: Sequence[int], width: int) -> Dict[int, List[int]]:
         """Component keys ``0 .. width-1`` of every boundary window (sorted, distinct).
@@ -381,9 +398,7 @@ class HEACWindowBatch:
 
     def chunk_payload_key(self, window_index: int, length: int = 16) -> bytes:
         """The AEAD key for the raw chunk payload of window ``i``."""
-        return payload_key_from_leaf(
-            self.leaf(window_index), self.encoded_key(window_index), length
-        )
+        return _payload_key(self.leaf(window_index), self.leaf(window_index + 1), length)
 
     def encrypt_vector(self, plaintexts: Sequence[int], window_index: int) -> List[HEACCiphertext]:
         """Encrypt one window's digest vector from the batch's key material."""

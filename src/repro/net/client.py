@@ -68,6 +68,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import SPANS, current_context, new_span_id, new_trace_id
 from repro.exceptions import (
+    ChunkError,
     OverloadedError,
     ProtocolError,
     QueryError,
@@ -339,11 +340,20 @@ _decode_head = _int_result("head")
 _decode_window_index = _int_result("window_index")
 _decode_deleted = _int_result("deleted")
 _decode_grant_id = _int_result("grant_id")
-_decode_chunks = _answer_decoder(lambda response: [decode_encrypted_chunk(blob) for blob in response.attachments])
 decode_stat = _answer_decoder(lambda response: stat_from_json(response.result["stat"]))
 _decode_series = _answer_decoder(lambda response: [stat_from_json(item) for item in response.result["series"]])
 _decode_aggregate = _answer_decoder(lambda response: aggregate_from_json(response.result))
 _decode_blobs = _answer_decoder(lambda response: [retain(blob) for blob in response.attachments])
+
+
+@_answer_decoder
+def _decode_chunks(response: Response) -> List[EncryptedChunk]:
+    if int(response.result["num_chunks"]) != len(response.attachments):
+        raise ProtocolError("get_range answer does not carry one attachment per chunk")
+    try:
+        return [decode_encrypted_chunk(blob) for blob in response.attachments]
+    except ChunkError as exc:
+        raise ProtocolError(f"malformed chunk in a get_range answer: {exc}") from exc
 
 
 @_answer_decoder

@@ -5,32 +5,44 @@ digests operate over integers modulo 2^64, so float-valued metrics (heart
 rate in bpm, CPU utilisation in percent, ...) are stored as fixed-point
 integers with a per-stream scale factor; the helpers here perform that
 conversion consistently on the write and read paths.
+
+:class:`DataPoint` is a named 2-tuple: ``DataPoint(1, 2) == (1, 2)``, and a
+point unpacks as ``timestamp, value = point``.  Hash, ordering and ``repr``
+are those of the ``(timestamp, value)`` pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from functools import partial
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
 
-@dataclass(frozen=True, order=True)
-class DataPoint:
-    """A single measurement: integer timestamp plus fixed-point integer value."""
-
+class _PointFields(NamedTuple):
     timestamp: int
     value: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.timestamp, int):
+
+class DataPoint(_PointFields):
+    """A single measurement: integer timestamp plus fixed-point integer value."""
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: int, value: int) -> "DataPoint":
+        if not isinstance(timestamp, int):
             raise TypeError("timestamps must be integers")
-        if not isinstance(self.value, int):
+        if not isinstance(value, int):
             raise TypeError(
                 "DataPoint values are fixed-point integers; use encode_value() "
                 "to convert floats"
             )
+        return tuple.__new__(cls, (timestamp, value))
+
+
+#: ``DataPoint`` from a ``(timestamp, value)`` pair of checked integers, unvalidated.
+_trusted_point = partial(tuple.__new__, DataPoint)
 
 
 def encode_value(value: Number, scale: int = 1) -> int:
@@ -82,20 +94,11 @@ def points_from_columns(timestamps: Sequence[int], values: Sequence[int]) -> Lis
     """Materialise points from columns of integers the codecs or builder produced.
 
     Trusted constructor: the columns are already validated integers, so the
-    per-point type checks of ``DataPoint(...)`` are skipped.  The result is
-    indistinguishable from normally constructed points — each point gets its
-    attributes the way ``__init__`` sets them, right after it is created, so
-    it is also exactly as small.
+    per-point type checks of ``DataPoint(...)`` are skipped and the points
+    are built in one C-level pass over the column pairs.  The result is
+    indistinguishable from normally constructed points.
     """
-    new, put = object.__new__, object.__setattr__
-    points: List[DataPoint] = []
-    append = points.append
-    for timestamp, value in zip(timestamps, values):
-        point = new(DataPoint)
-        put(point, "timestamp", timestamp)
-        put(point, "value", value)
-        append(point)
-    return points
+    return list(map(_trusted_point, zip(timestamps, values)))
 
 
 def columns_from_points(points: Iterable[DataPoint]) -> Tuple[List[int], List[int]]:

@@ -36,6 +36,7 @@ from repro.crypto.heac import (
     component_keys_from_leaf,
     fold_vectors,
     key_to_int,
+    payload_key_from_leaf,
 )
 from repro.crypto.keyregression import DualKeyRegressionToken
 from repro.crypto.keytree import DerivedKeystream, KeyDerivationTree, TreeToken
@@ -258,6 +259,36 @@ def test_leaves_equals_per_leaf_for_pairs_differing_in_exactly_bit_n(prg_name, c
         assert tree.leaves(pair[::-1]) == expected[::-1]
         tokens = reference.tokens_for_range(min(pair), max(pair) + 1)
         assert DerivedKeystream(tokens, prg=prg_name).leaves(pair) == expected
+
+
+@pytest.mark.parametrize("prg_name", [p for p in ("blake2", "aes-ni-fk") if p in available_prgs()])
+def test_batched_payload_keys_equal_per_window_keys(prg_name):
+    """One key batch per range answer, bit-identical to one window at a time."""
+    height = 30
+    tree = KeyDerivationTree(seed=SEED, height=height, prg=prg_name)
+    last = (1 << height) - 2  # the last window with a successor boundary
+    rng = random.Random(height)
+    answers = [[0], [last], [0, last], [0, 1, 2, 5, 6, 1 << 29]]
+    for n in range(height):  # the pair straddling bit n: LCA at every depth
+        edge = 1 << n
+        answers.append([edge - 1, edge])
+        answers.append([edge - 1, edge + 1, min(edge + 2 + rng.randrange(edge), last)])  # gaps
+    for windows in answers:
+        owner = HEACCipher(tree)
+        consumer = HEACCipher(
+            DerivedKeystream(tree.tokens_for_range(windows[0], windows[-1] + 2), prg=prg_name)
+        )
+        for cipher in (owner, consumer):
+            for length in (16, 32):
+                per_window = []
+                for window in windows:
+                    batch = cipher.window_batch(window, window + 1)
+                    leaf, encoded = batch.leaf(window), batch.encoded_key(window)
+                    per_window.append(payload_key_from_leaf(leaf, encoded, length))
+                assert cipher.chunk_payload_keys(windows, length) == per_window, windows
+                assert [cipher.chunk_payload_key(window, length) for window in windows] == per_window
+        assert consumer.chunk_payload_keys(windows) == owner.chunk_payload_keys(windows)
+    assert HEACCipher(tree).chunk_payload_keys([]) == []
 
 
 def test_leaves_accepts_unsorted_duplicate_and_empty_input_and_rejects_out_of_range(key_tree):

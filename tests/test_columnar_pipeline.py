@@ -11,11 +11,14 @@ and new chunks must be byte-identical.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 import zlib
+from dataclasses import make_dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,8 +30,12 @@ import repro.client.reader as reader_module
 import repro.core.plaintext as plaintext_module
 from repro import PlaintextTimeSeriesStore, ServerEngine, TimeCrypt
 from repro.client.keymanager import OwnerKeyManager
+from repro.client.reader import ConsumerReader
 from repro.client.writer import StreamWriter
-from repro.exceptions import ChunkError, ConfigurationError, OutOfOrderError
+from repro.crypto.gcm import aead_encrypt
+from repro.crypto.heac import HEACCipher
+from repro.crypto.keytree import KeyDerivationTree
+from repro.exceptions import AccessDeniedError, ChunkError, ConfigurationError, OutOfOrderError, QueryError
 from repro.timeseries.chunk import Chunk, ChunkBuilder
 from repro.timeseries.compression import available_codecs, deserialize_points, get_codec, serialize_points
 from repro.timeseries.digest import Digest, DigestConfig, HistogramConfig
@@ -39,6 +46,7 @@ from repro.timeseries.point import (
     encode_value,
     points_from_columns,
 )
+from repro.timeseries.serialization import EncryptedChunk
 from repro.timeseries.stream import StreamConfig
 from repro.util.encoding import decode_varint, encode_signed_varint, encode_varint
 from repro.util.timeutil import TimeRange
@@ -50,6 +58,10 @@ GOLDEN = json.loads(
 
 
 # -- per-point references (the algorithms the bulk passes replaced) ---------------------
+
+
+#: The frozen, ordered dataclass ``DataPoint`` was before it became a named tuple.
+_DataclassPoint = make_dataclass("DataPoint", [("timestamp", int), ("value", int)], frozen=True, order=True)
 
 
 def reference_serialize(points: Sequence[DataPoint]) -> bytes:
@@ -498,6 +510,32 @@ class TestRecordsAndPoints:
         assert all(type(p) is DataPoint for p in trusted)
         with pytest.raises(AttributeError):
             trusted[0].value = 5  # still frozen
+        # Hash, equality, ordering and repr are those of the dataclass the
+        # tuple-backed type replaced.
+        dataclass_points = [_DataclassPoint(t, v) for t, v in zip(timestamps, values)]
+        assert [hash(p) for p in trusted] == [hash(p) for p in dataclass_points]
+        assert [repr(p) for p in trusted] == [repr(p) for p in dataclass_points]
+        assert [(p.timestamp, p.value) for p in sorted(trusted)] == [
+            (p.timestamp, p.value) for p in sorted(dataclass_points)
+        ]
+        for left, right in zip(trusted, dataclass_points):
+            for other, old in zip(trusted, dataclass_points):
+                assert (left == other, left < other, left <= other) == (right == old, right < old, right <= old)
+        # The one visible change: a point is its (timestamp, value) pair.
+        assert DataPoint(1, 2) == (1, 2) and tuple(trusted[0]) == (3, 30)
+        timestamp, value = trusted[1]
+        assert (timestamp, value) == (1, -10)
+        # Copies go back through the validating constructor.
+        for point in trusted:
+            for clone in (pickle.loads(pickle.dumps(point)), copy.copy(point), copy.deepcopy(point)):
+                assert clone == point and type(clone) is DataPoint
+        smuggled = tuple.__new__(DataPoint, (1.5, 2))
+        for revive in (lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy):
+            with pytest.raises(TypeError):
+                revive(smuggled)
+        for bad in ((1.0, 2), (1, 2.0), ("1", 2)):
+            with pytest.raises(TypeError):
+                DataPoint(*bad)
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc for resident-set size")
     def test_trusted_points_are_as_small_as_constructed_ones(self):
@@ -591,6 +629,87 @@ class TestRangeReads:
         plain.get_range(uuid, 0, 1000)
         plain.insert_records(uuid, [(2000, 1.0), (2100, 1.0)])
         assert calls == ["delta-zlib", "delta-zlib"]  # + one reader, however many chunks
+
+
+class _CountingKeystream:
+    """A key tree that counts the keystream positions asked of it.
+
+    A batch larger than ``limit`` fails before anything is derived, so a
+    reader that would walk every window between two far-apart chunks fails
+    fast instead of deriving 2^29 leaves.
+    """
+
+    def __init__(self, inner: KeyDerivationTree, limit: int) -> None:
+        self._inner = inner
+        self._limit = limit
+        self.derived = 0
+
+    def leaf(self, index: int) -> bytes:
+        self.derived += 1
+        return self._inner.leaf(index)
+
+    def leaves(self, indices: Sequence[int]) -> List[bytes]:
+        assert len(indices) <= self._limit, f"asked for {len(indices)} leaves"
+        self.derived += len(indices)
+        return self._inner.leaves(indices)
+
+
+class TestHostileRangeAnswers:
+    """The server picks which chunks a range answer holds and in what order."""
+
+    CONFIG = StreamConfig(chunk_interval=100, compression="delta-zlib")
+    UUID = "hostile-range"
+    FAR = 1 << 29  # 2^29 windows from window 0, inside the 2^30-leaf tree
+    TREE = KeyDerivationTree(seed=bytes(range(16)), height=CONFIG.key_tree_height)
+
+    def _chunk(self, window: int) -> EncryptedChunk:
+        timestamps = [window * 100 + offset for offset in (0, 30, 60)]
+        values = [window % 7, -3, 1 << 40]
+        payload = aead_encrypt(
+            HEACCipher(self.TREE).chunk_payload_key(window),
+            get_codec(self.CONFIG.compression).compress_columns(timestamps, values),
+            f"{self.UUID}:{window}".encode(),
+        )
+        return EncryptedChunk(self.UUID, window, payload, digest=[], num_points=len(timestamps))
+
+    def _reader(self, limit: int, **scope) -> Tuple[ConsumerReader, _CountingKeystream]:
+        keystream = _CountingKeystream(self.TREE, limit)
+        return ConsumerReader(self.UUID, self.CONFIG, keystream, **scope), keystream
+
+    def test_far_apart_chunks_cost_two_leaves_each(self):
+        windows = [0, 3, self.FAR]
+        chunks = [self._chunk(window) for window in windows]
+        reader, keystream = self._reader(limit=2 * len(chunks))
+        expected = [
+            DataPoint(window * 100 + offset, value)
+            for window in windows
+            for offset, value in zip((0, 30, 60), (window % 7, -3, 1 << 40))
+        ]
+        assert reader.decrypt_range(chunks) == expected
+        assert keystream.derived <= 2 * len(chunks)
+        keystream.derived = 0
+        assert reader.decrypt_range(chunks, 330, self.FAR * 100 + 31) == expected[4:8]
+        assert keystream.derived <= 2 * len(chunks)
+        assert [reader.decrypt_chunk(chunk) for chunk in chunks] == [expected[:3], expected[3:6], expected[6:]]
+
+    @pytest.mark.parametrize(
+        "windows", [[0, 0], [3, 0], [0, 1 << 29, 3], [2, 3, 3]], ids=["duplicate", "reversed", "unsorted", "repeated-tail"]
+    )
+    def test_duplicated_or_reordered_chunks_are_refused(self, windows):
+        reader, keystream = self._reader(limit=2 * len(windows))
+        with pytest.raises(QueryError, match="strictly increasing"):
+            reader.decrypt_range([self._chunk(window) for window in windows])
+        assert keystream.derived == 0
+
+    def test_restricted_or_out_of_scope_readers_are_denied(self):
+        chunks = [self._chunk(window) for window in (0, 3, self.FAR)]
+        for scope in ({"resolution_chunks": 4}, {"window_start": 1}, {"window_end": self.FAR}):
+            reader, keystream = self._reader(limit=2 * len(chunks), **scope)
+            with pytest.raises(AccessDeniedError):
+                reader.decrypt_range(chunks)
+            assert keystream.derived == 0
+        reader, _keystream = self._reader(limit=2, window_start=3, window_end=4)
+        assert len(reader.decrypt_range(chunks[1:2])) == 3
 
 
 def test_header_varints_still_decode():

@@ -192,8 +192,11 @@ class TestBulkVarints:
         for blob, count in ((overlong, 1), (b"\x01" + overlong + b"\x02", 3)):
             with pytest.raises(ValueError):
                 decode_varints(blob, 0, count)
+            with pytest.raises(ValueError):
+                decode_signed_varints(blob, 0, count)
         ten_bytes = b"\xff" * 9 + b"\x7f"
         assert decode_varints(ten_bytes, 0, 1) == ([MAX_VARINT], 10)
+        assert decode_signed_varints(ten_bytes, 0, 1) == ([MIN_SIGNED_VARINT], 10)
 
 
 class TestVarintList:

@@ -269,6 +269,7 @@ def deployment():
         assert sharded.routing_table.owner_of(STREAMS["A"]) != sharded.routing_table.owner_of(STREAMS["B"])
         for label in ("A", "B"):
             remote.create_stream(_arg({"metadata": STREAMS[label]}))
+        remote.insert_chunks(_arg({"chunks": [STREAMS["A"], 0, 4]}))
         remote.put_grant(STREAMS["A"], "bob", b"sealed-for-bob")
         remote.token_store.put_envelopes(STREAMS["A"], 2, {0: b"env-0", 2: b"env-2", 4: b"env-4"})
         yield list(shards.values()), {"remote": remote, "sharded": sharded}
@@ -306,6 +307,16 @@ _HOSTILE = {
         "put_grants",
         lambda r: Response(ok=True, result={"grant_ids": r.result["grant_ids"][:-1]}),
         lambda c, s: c.put_grants([(s["A"], "mallory", b"sealed-a"), (s["B"], "mallory", b"sealed-b")]),
+    ),
+    "truncated_chunk_blob": (
+        "get_range",
+        lambda r: Response(ok=True, result=r.result, attachments=[bytes(r.attachments[0])[:-3], *r.attachments[1:]]),
+        lambda c, s: c.get_range(s["A"], TimeRange(0, 2000)),
+    ),
+    "fewer_chunks_than_num_chunks": (
+        "get_range",
+        lambda r: Response(ok=True, result=r.result, attachments=r.attachments[:-1]),
+        lambda c, s: c.get_range(s["A"], TimeRange(0, 2000)),
     ),
     "head_not_a_number": (
         "stream_head",
