@@ -202,12 +202,12 @@ class HEACCipher:
         return self.chunk_payload_keys([window_index], length)[0]
 
     def chunk_payload_keys(self, windows: Sequence[int], length: int = 16) -> List[bytes]:
-        """The AEAD payload keys of ``windows`` (strictly increasing), in order.
+        """The AEAD payload keys of ``windows``, in the order given.
 
         A payload key needs the keystream keys of its window and the next
         one, so all of them come from one shared-walk derivation over the
-        boundaries ``{w, w + 1}`` — at most two leaves per window, however
-        far apart the windows are.
+        sorted boundaries ``{w, w + 1}`` — at most two leaves per window,
+        however far apart the windows are.
         """
         boundaries = sorted(set(windows).union([window + 1 for window in windows]))
         leaves = dict(zip(boundaries, _fetch_leaves(self._keystream, boundaries)))
