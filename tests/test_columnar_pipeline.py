@@ -539,10 +539,10 @@ class TestRecordsAndPoints:
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc for resident-set size")
     def test_trusted_points_are_as_small_as_constructed_ones(self):
-        # An instance whose attributes arrive the wrong way gets a private
-        # dict (3x the memory); callers keep decoded ranges alive, so the
-        # trusted constructor must not cost resident memory.  Measured in a
-        # fresh interpreter: nothing has constructed a DataPoint before.
+        # Callers keep decoded ranges alive, so the trusted constructor must
+        # not cost resident memory (a point that grows a per-instance dict
+        # takes 3x).  Measured in a fresh interpreter: nothing has
+        # constructed a DataPoint before.
         script = """
 import os, sys
 from repro.timeseries.point import DataPoint, points_from_columns
