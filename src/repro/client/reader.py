@@ -237,12 +237,12 @@ class ConsumerReader:
         grant.  Derivation then costs at most two leaves per chunk, however
         far apart the windows are.
         """
+        if not windows:
+            return []
         if self._resolution_chunks != 1:
             raise AccessDeniedError(
                 "raw data access requires a full-resolution grant"
             )
-        if not windows:
-            return []
         for earlier, later in zip(windows, windows[1:]):
             if later <= earlier:
                 raise QueryError(

@@ -132,6 +132,15 @@ def payload_key_from_leaf(leaf: bytes, encoded_key: int, length: int = 16) -> by
     return kdf(leaf, "chunk-payload:" + encoded.hex(), length)
 
 
+def _payload_key(leaf: bytes, next_leaf: bytes, length: int) -> bytes:
+    """The payload key of the window whose keystream key is ``leaf``.
+
+    The one derivation behind both :meth:`HEACCipher.chunk_payload_keys`
+    (the reader) and :meth:`HEACWindowBatch.chunk_payload_key` (the writer).
+    """
+    return payload_key_from_leaf(leaf, (key_to_int(leaf) - key_to_int(next_leaf)) & _MASK, length)
+
+
 def _component_label(component: int) -> bytes:
     return f"digest-component:{component}".encode("utf-8")
 
@@ -207,12 +216,7 @@ class HEACCipher:
         boundaries = sorted(set(windows).union([window + 1 for window in windows]))
         leaves = dict(zip(boundaries, _fetch_leaves(self._keystream, boundaries)))
         return [
-            payload_key_from_leaf(
-                leaves[window],
-                (key_to_int(leaves[window]) - key_to_int(leaves[window + 1])) & _MASK,
-                length,
-            )
-            for window in windows
+            _payload_key(leaves[window], leaves[window + 1], length) for window in windows
         ]
 
     def _outer_keys(self, boundaries: Sequence[int], width: int) -> Dict[int, List[int]]:
@@ -398,9 +402,7 @@ class HEACWindowBatch:
 
     def chunk_payload_key(self, window_index: int, length: int = 16) -> bytes:
         """The AEAD key for the raw chunk payload of window ``i``."""
-        return payload_key_from_leaf(
-            self.leaf(window_index), self.encoded_key(window_index), length
-        )
+        return _payload_key(self.leaf(window_index), self.leaf(window_index + 1), length)
 
     def encrypt_vector(self, plaintexts: Sequence[int], window_index: int) -> List[HEACCiphertext]:
         """Encrypt one window's digest vector from the batch's key material."""

@@ -8,7 +8,11 @@ conversion consistently on the write and read paths.
 
 :class:`DataPoint` is a named 2-tuple: ``DataPoint(1, 2) == (1, 2)``, and a
 point unpacks as ``timestamp, value = point``.  Hash, ordering and ``repr``
-are those of the ``(timestamp, value)`` pair.
+are those of the ``(timestamp, value)`` pair.  A point's value is already
+fixed-point, so a point is not a ``(timestamp, measurement)`` record:
+:func:`columns_from_records` (behind every ``insert_records``) refuses one
+with :class:`TypeError` rather than scale it a second time.  Points are
+stored through ``insert_points``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ class DataPoint(_PointFields):
                 "to convert floats"
             )
         return tuple.__new__(cls, (timestamp, value))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "DataPoint":
+        # Validated, like ``__new__``; ``_replace`` builds through this too.
+        return cls(*iterable)
 
 
 #: ``DataPoint`` from a ``(timestamp, value)`` pair of checked integers, unvalidated.
@@ -71,11 +80,18 @@ def columns_from_records(
     The bulk form of ``DataPoint(timestamp, encode_value(value, scale))``:
     the same rounding and the same :class:`TypeError` for a timestamp or a
     rounded value that is not an integer, without building a point per record.
+    A :class:`DataPoint` among the records raises :class:`TypeError`: its
+    value is already fixed-point.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if not isinstance(records, (list, tuple)):
         records = list(records)
+    if DataPoint in set(map(type, records)):
+        raise TypeError(
+            "a DataPoint holds a fixed-point value, not a measurement; "
+            "store points with insert_points"
+        )
     timestamps = [timestamp for timestamp, _value in records]
     values = [round(value * scale) for _timestamp, value in records]
     _require_integers(timestamps, "timestamps must be integers")

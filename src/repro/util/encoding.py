@@ -190,25 +190,12 @@ def decode_signed_varints(data: bytes, offset: int, count: int) -> Tuple[List[in
     body = _varint_run(data, offset, count)
     small = _UNZIGZAG_BYTE
     if len(body) == count:  # every varint is a single byte
-        return [small[byte] for byte in body], offset + len(body)
-    # _decode_run with the zigzag inverse folded into its loop: one pass.
-    values: List[int] = []
-    append = values.append
-    pending = 0
-    shift = 0
-    for byte in body:
-        if byte < 0x80:
-            if shift:
-                value = pending | byte << shift
-                append((value >> 1) ^ -(value & 1))
-                pending = shift = 0
-            else:
-                append(small[byte])
-        else:
-            if shift > 56:
-                raise ValueError("varint too long")
-            pending |= (byte & 0x7F) << shift
-            shift += 7
+        values = [small[byte] for byte in body]
+    else:
+        values = [
+            small[value] if value < 0x80 else (value >> 1) ^ -(value & 1)
+            for value in _decode_run(body)
+        ]
     return values, offset + len(body)
 
 

@@ -529,6 +529,10 @@ class TestRecordsAndPoints:
         for point in trusted:
             for clone in (pickle.loads(pickle.dumps(point)), copy.copy(point), copy.deepcopy(point)):
                 assert clone == point and type(clone) is DataPoint
+        assert trusted[0]._replace(value=7) == DataPoint(3, 7) and DataPoint._make((4, 5)) == (4, 5)
+        for rebuild in (lambda: trusted[0]._replace(value=7.5), lambda: DataPoint._make((4.0, 5))):
+            with pytest.raises(TypeError):
+                rebuild()
         smuggled = tuple.__new__(DataPoint, (1.5, 2))
         for revive in (lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy):
             with pytest.raises(TypeError):
@@ -602,6 +606,19 @@ class TestRangeReads:
             expected = [p for p in everything if start <= p.timestamp < end]
             assert owner.get_range(uuid, start, end) == expected
             assert plain.get_range(uuid, start, end) == expected
+
+    def test_points_read_back_are_not_records(self):
+        # A point's value is already fixed-point: re-inserting a read answer
+        # as records would scale it by value_scale a second time.
+        owner, plain, uuid = self._stores()
+        for store in (owner, plain):
+            points = store.get_range(uuid, 0, 300)
+            moved = [DataPoint(p.timestamp + 1000, p.value) for p in points]
+            with pytest.raises(TypeError, match="insert_points"):
+                store.insert_records(uuid, moved)
+            store.insert_points(uuid, moved)
+            store.flush(uuid)
+            assert store.get_range(uuid, 1000, 1300) == moved
 
     def test_decrypt_range_without_bounds_returns_every_point(self):
         owner, _plain, uuid = self._stores()
@@ -708,6 +725,8 @@ class TestHostileRangeAnswers:
             with pytest.raises(AccessDeniedError):
                 reader.decrypt_range(chunks)
             assert keystream.derived == 0
+            # An empty answer holds no raw data, so every reader gets no points.
+            assert reader.decrypt_range([]) == []
         reader, _keystream = self._reader(limit=2, window_start=3, window_end=4)
         assert len(reader.decrypt_range(chunks[1:2])) == 3
 
