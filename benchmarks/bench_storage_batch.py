@@ -17,7 +17,13 @@ per key:
    touches — and, since the cluster places by stream partition, one node
    round trip on a cluster too (the per-key placement's rows are kept
    under ``historical``).
-4. **Query fold** — on a cache-resident index of the e2e ``stat_hot`` shape
+4. **Spine reads** — under an index cache smaller than one node, a fresh
+   engine's first append reads the whole index spine in one ``multi_get``,
+   and a steady single-chunk append reads storage only when it opens a
+   level-1 block at the head: once per ``fanout`` appends.  The engine holds
+   the right-most node per level outside the cache (``AggregationIndex``'s
+   resident spine); before it, every append read one node per level.
+5. **Query fold** — on a cache-resident index of the e2e ``stat_hot`` shape
    (1 024 windows, 11 digest components, fanout 64, log-uniform range
    lengths) the HEAC ``query_range`` must stay within 3× of the plaintext
    one, interleaved in the same process.  The "before" arm is the same HEAC
@@ -73,6 +79,14 @@ TREE_HEIGHT = 30
 
 CLUSTER_NODES = 3
 REPLICATION_FACTOR = 2
+
+#: Spine-read arm: fanout 4 gives the default stream 15 index levels; the
+#: steady appends are a multiple of the fanout, so exactly one in ``fanout``
+#: opens a level-1 block.  Fixed sizes: the counts are exact at any scale.
+SPINE_FANOUT = 4
+SPINE_CACHE_BYTES = 1
+SPINE_POPULATED_CHUNKS = 37
+SPINE_STEADY_APPENDS = 64
 
 #: Query-fold arm: the e2e ``stat_hot`` index shape.
 FOLD_WINDOWS = 1024
@@ -197,6 +211,49 @@ def _query_fetch_round_trips(num_chunks: int) -> Dict[str, float]:
     }
 
 
+def _spine_reads() -> Dict[str, object]:
+    """Storage reads per append under a one-byte index cache (no node fits).
+
+    A fresh engine over a populated store makes one append, then single-chunk
+    appends follow, each after a stat query.  Counted are the backend read
+    round trips (``get`` + ``multi_get``) inside the append calls only.
+    """
+    num_chunks = SPINE_POPULATED_CHUNKS + 1 + SPINE_STEADY_APPENDS
+    writer = ServerEngine()
+    owner = TimeCrypt(server=writer, owner_id="bench")
+    config = StreamConfig(
+        chunk_interval=CHUNK_INTERVAL_MS, key_tree_height=TREE_HEIGHT, index_fanout=SPINE_FANOUT
+    )
+    uuid = owner.create_stream(metric="spine-bench", config=config)
+    owner.insert_records(uuid, _ingest_records(num_chunks))
+    owner.flush(uuid)
+    chunks = [writer.get_chunk(uuid, window) for window in range(num_chunks)]
+    store = MemoryStore()
+    populate = ServerEngine(store=store)
+    populate.create_stream(writer.stream_metadata(uuid))
+    populate.insert_chunks(chunks[:SPINE_POPULATED_CHUNKS])
+    cold = ServerEngine(store=store, index_cache_bytes=SPINE_CACHE_BYTES)
+
+    def append_reads(chunk) -> int:
+        store.stats.reset()
+        cold.insert_chunk(chunk)
+        return store.stats.gets + store.stats.multi_gets
+
+    first = append_reads(chunks[SPINE_POPULATED_CHUNKS])
+    steady = 0
+    for chunk in chunks[SPINE_POPULATED_CHUNKS + 1 :]:
+        cold.stat_range_windows(uuid, 0, chunk.window_index)
+        steady += append_reads(chunk)
+    return {
+        "fanout": SPINE_FANOUT,
+        "levels": cold._state(uuid).index.max_level,
+        "index_cache_bytes": SPINE_CACHE_BYTES,
+        "steady_appends": SPINE_STEADY_APPENDS,
+        "cold_first_append": first,
+        "per_steady_append": steady / SPINE_STEADY_APPENDS,
+    }
+
+
 def _query_fold(num_queries: int) -> Dict[str, object]:
     """Cache-resident ``query_range``: HEAC column fold vs pairwise ``+`` vs plaintext.
 
@@ -303,6 +360,13 @@ def test_query_fetch_is_one_round_trip_per_node():
     assert fetch["max_multi_gets_per_node"] <= 1
 
 
+def test_spine_reads_under_a_small_cache():
+    """One batched spine read on a cold append; one read per ``fanout`` steady appends."""
+    spine = _spine_reads()
+    assert spine["cold_first_append"] == 1
+    assert spine["per_steady_append"] == 1 / SPINE_FANOUT
+
+
 def test_query_fold_heac_within_3x_plaintext():
     """Encrypted index aggregation stays within 3x of plaintext, as Table 2 claims."""
     fold = _query_fold(200)
@@ -383,6 +447,21 @@ def main(argv=None) -> None:
     query_table.add_note("target: one multi_get per query per cluster node")
     query_table.print()
 
+    spine = _spine_reads()
+    spine_table = ResultTable(
+        title=(
+            f"Index spine reads under a {spine['index_cache_bytes']}-byte node cache — "
+            f"fanout {spine['fanout']}, {spine['levels']} levels"
+        ),
+        columns=["append", "storage reads"],
+    )
+    spine_table.add_row("first, on a fresh engine", f"{spine['cold_first_append']}")
+    spine_table.add_row(
+        f"steady (mean of {spine['steady_appends']})", f"{spine['per_steady_append']:.2f}"
+    )
+    spine_table.add_note("target: 1 batched read cold, 1 per fanout appends steady")
+    spine_table.print()
+
     fold = _query_fold(200 if args.smoke else FOLD_QUERIES)
     fold_table = ResultTable(
         title=(
@@ -420,6 +499,7 @@ def main(argv=None) -> None:
         "round_trip_reduction": round(cluster_reduction, 2),
     }
     results["query_fetch"] = fetch
+    results["spine_reads"] = spine
     results["query_fold"] = fold
     # The per-key placement's last recorded rows ride along, frozen.
     with open(_DEFAULT_OUTPUT, "r", encoding="utf-8") as handle:

@@ -72,6 +72,10 @@ MANIFEST: Dict[str, Tuple[str, List[Tuple[str, str, str]]]] = {
             eq("query_fetch.total_node_round_trips"),
             # Fixed per-ingest overhead beyond one write round trip per batch.
             delta("appendlog_ingest.batch.write_round_trips", "appendlog_ingest.batch.num_batches"),
+            # Storage reads an append spends on the index spine under a cache
+            # that holds no node: one batched read cold, one per fanout steady.
+            eq("spine_reads.cold_first_append"),
+            eq("spine_reads.per_steady_append"),
             # A same-run ratio, not a wall-clock number: the HEAC index fold
             # stays within 3x of the plaintext fold it is interleaved with.
             eq("query_fold.heac_within_3x_plaintext"),

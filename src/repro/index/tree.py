@@ -5,7 +5,8 @@ leaf node ``i`` holds the digest of chunk window ``i``; an inner node at
 level ``L`` and position ``P`` aggregates the windows ``[P·k^L, (P+1)·k^L)``.
 Because time series ingest is in-order append-only, updating the tree on
 ingest touches exactly one node per level (the right-most "spine"), so an
-append costs one combine and one store write per level — constant work.
+append costs one combine per level and one batched store write — constant
+work.
 
 The tree persists every node in the backing key-value store and serves reads
 through the byte-budgeted :class:`~repro.index.cache.NodeCache`, mirroring
@@ -39,34 +40,46 @@ where vectors enter the tree, once per vector rather than once per fold:
 * at query time every loaded node's header is matched against the plan
   (:meth:`AggregationIndex.query_range`), so the cover is gap-free.
 
-Nodes are immutable, so a cached node stays validated.
+Nodes are immutable, so a cached or resident node stays validated.
 
 Batch ingest
 ------------
 
-A scalar :meth:`AggregationIndex.append` costs one node load, one combine and
-one store write per tree level, plus a meta-record write — O(levels) writes
-per chunk.  :meth:`AggregationIndex.append_many` appends ``n`` consecutive
-digests in one pass: per level it walks the touched spine positions (at most
+:meth:`AggregationIndex.append_many` appends ``n`` consecutive digests in
+one pass, and :meth:`AggregationIndex.append` is ``append_many`` of one.
+Per level it walks the touched spine positions (at most
 ``n / fanout^level + 1`` of them), folds every new leaf of a position into
 its node in memory (one fold per node), and writes each touched node exactly
-once; the
-window-count meta record is written once per batch.  Store writes drop from
-``n · (levels + 1) + n`` to ``n + Σ_L (n / fanout^L + 1) + 1`` — for
-``n = fanout`` that is ~2 writes per leaf instead of ``levels + 2``.  The
-final stored bytes are identical to ``n`` scalar appends (intermediate spine
-states are simply never materialised).
+once.  The whole write set — the ``n`` leaves, the touched inner nodes, the
+window-count meta record and any caller-coalesced extra records, e.g. the
+chunk payloads of an ingest — lands in **one** ``multi_put`` round trip,
+whatever ``n`` is.  The stored bytes are identical to ``n`` single appends
+(intermediate spine states are simply never materialised).
 
-Beyond writing each node once, the whole batch (touched nodes + the meta
-record + any caller-coalesced extra records, e.g. the chunk payloads of a
-bulk ingest) lands in **one** ``multi_put`` round trip against the backend,
-and a range query fetches every plan node missing from the cache with one
-``multi_get`` — the storage-side half of the batching story.
+Resident spine
+--------------
+
+An append folds into the right-most node of every inner level, so the index
+keeps the node it last wrote at each level (:attr:`AggregationIndex._spine`).
+That is at most ``max_level`` nodes per stream, held outside the
+byte-budgeted cache (a small cache cannot evict them) and dropped with the
+index object, i.e. with the engine's stream state.  They are replaced only
+after a batch's ``multi_put`` succeeds, so a rejected batch leaves head and
+spine as storage has them.  Levels the spine cannot answer are read with
+one ``multi_get`` per append, through the same loader as a query's node
+cover: every level on the first append after open (or recovery, or
+``reset_stream_cache``), a level whose spine node :meth:`prune_below`
+deleted, and each level where the append opens a block at the head — that
+read finds nothing unless a node is ahead of the meta record, which the
+"spine out of sync" check then rejects.  A steady single-chunk append
+therefore reads storage once per ``fanout`` appends, however small the
+cache, and a range query still fetches every plan node missing from the
+cache with one ``multi_get``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.exceptions import IndexError_, QueryError
 from repro.index.cache import NodeCache
@@ -122,6 +135,9 @@ class AggregationIndex(Generic[Cell]):
         # cache (NodeCache defines __len__), so compare against None explicitly.
         self._cache = cache if cache is not None else NodeCache()
         self._pruned_watermarks: Dict[int, int] = {}
+        #: The resident spine (module docstring): inner level -> the
+        #: right-most node this index last wrote there.
+        self._spine: Dict[int, IndexNode] = {}
         #: Cumulative count of batched store round trips (multi_get/multi_put/
         #: multi_delete) issued by this index; the engine diffs it around a
         #: query to report fetch round trips per query.
@@ -212,36 +228,58 @@ class AggregationIndex(Generic[Cell]):
             cells=cells,
         )
 
-    def _load_node(self, level: int, position: int) -> Optional[IndexNode]:
-        cache_key = (self._stream_uuid, level, position)
-
-        def loader() -> Optional[IndexNode]:
-            blob = self._store.get(self._node_key(level, position))
-            return self._decode_node(level, position, blob) if blob is not None else None
-
-        return self._cache.get_or_load(cache_key, loader)
-
-    def _load_plan_nodes(self, plan: RangePlan) -> List[Optional[IndexNode]]:
-        """Load a query plan's node cover (in cover order), batching cache misses.
+    def _load_nodes(self, coords: Sequence[Tuple[int, int]]) -> List[Optional[IndexNode]]:
+        """Load nodes by ``(level, position)``, in order, batching cache misses.
 
         Every node missing from the cache is fetched with one ``multi_get``
         against the backend and cached; storage keys are computed only for
-        those misses, so a fully cached cover costs neither a round trip nor
-        any key formatting.
+        those misses, so a fully cached request costs neither a round trip
+        nor any key formatting.  A node absent from storage comes back as
+        ``None``.  Range queries, the spine of a cold append and
+        :meth:`node` all load through here.
         """
         uuid = self._stream_uuid
-        nodes = [self._cache.get((uuid, ref.level, ref.position)) for ref in plan.nodes]
+        nodes = [self._cache.get((uuid, level, position)) for level, position in coords]
         missing = [i for i, node in enumerate(nodes) if node is None]
         if missing:
-            keys = [self._node_key(plan.nodes[i].level, plan.nodes[i].position) for i in missing]
+            keys = [self._node_key(*coords[i]) for i in missing]
             blobs = self._store.multi_get(keys)
             self.store_batch_ops += 1
             for i, key in zip(missing, keys):
                 blob = blobs.get(key)
                 if blob is not None:
-                    ref = plan.nodes[i]
-                    nodes[i] = self._decode_node(ref.level, ref.position, blob)
-                    self._cache.put((uuid, ref.level, ref.position), nodes[i])
+                    level, position = coords[i]
+                    nodes[i] = self._decode_node(level, position, blob)
+                    self._cache.put((uuid, level, position), nodes[i])
+        return nodes
+
+    def _spine_at(self, start: int) -> List[Optional[IndexNode]]:
+        """The stored node at each inner level's first position touched by an
+        append starting at window ``start`` (level 1 first; ``None`` if absent).
+
+        A resident spine node answers for its level when the append continues
+        its block; every other level goes to :meth:`_load_nodes`, all in one
+        ``multi_get``.  A block that starts at the head is always read: its
+        absence in storage is the only guard against a node ahead of the meta
+        record.
+        """
+        nodes: List[Optional[IndexNode]] = []
+        wanted: List[Tuple[int, int]] = []
+        block = 1
+        for level in range(1, self._max_level + 1):
+            block *= self._fanout
+            position = start // block
+            held = self._spine.get(level)
+            # At a block head the held node is the previous, full block, so a
+            # head position is always read from storage.
+            if held is not None and held.position == position:
+                nodes.append(held)
+            else:
+                nodes.append(None)
+                wanted.append((level, position))
+        if wanted:
+            for (level, _position), node in zip(wanted, self._load_nodes(wanted)):
+                nodes[level - 1] = node
         return nodes
 
     # -- ingest -------------------------------------------------------------------
@@ -249,8 +287,8 @@ class AggregationIndex(Generic[Cell]):
     def append(self, cells: Sequence[Cell]) -> int:
         """Append the digest of the next chunk window; returns its window index.
 
-        The leaf is written and every ancestor on the right-most spine is
-        updated (or created), which costs one combine and one write per level.
+        The leaf and every ancestor on the right-most spine are written in
+        one ``multi_put``, with one fold per level.
         """
         return self.append_many([cells])
 
@@ -305,6 +343,7 @@ class AggregationIndex(Generic[Cell]):
                 ),
             )
         end = start + len(leaf_cells)
+        spine = self._spine_at(start)
         block = 1
         for level in range(1, self._max_level + 1):
             block *= self._fanout
@@ -315,7 +354,7 @@ class AggregationIndex(Generic[Cell]):
                 # every new leaf of its block.
                 vectors = leaf_cells[block_start - start : block_end - start]
                 window_start = block_start
-                existing = self._load_node(level, position) if block_start == start else None
+                existing = spine[level - 1] if block_start == start else None
                 if existing is not None:
                     if existing.window_end != block_start:
                         raise IndexError_(
@@ -348,6 +387,9 @@ class AggregationIndex(Generic[Cell]):
         self.store_batch_ops += 1
         for node in staged:
             self._cache.put((self._stream_uuid, node.level, node.position), node)
+            if node.level:
+                # Staged in position order per level: the last one is the spine.
+                self._spine[node.level] = node
         return start
 
     # -- queries ---------------------------------------------------------------------
@@ -376,7 +418,8 @@ class AggregationIndex(Generic[Cell]):
                 f"asked for [{window_start}, {window_end})"
             )
         vectors = []
-        for ref, node in zip(plan.nodes, self._load_plan_nodes(plan)):
+        coords = [(ref.level, ref.position) for ref in plan.nodes]
+        for ref, node in zip(plan.nodes, self._load_nodes(coords)):
             if node is None:
                 raise IndexError_(
                     f"missing index node level={ref.level} position={ref.position}"
@@ -396,7 +439,7 @@ class AggregationIndex(Generic[Cell]):
 
     def node(self, level: int, position: int) -> Optional[IndexNode]:
         """Fetch a single node (used by rollup and inspection tooling)."""
-        return self._load_node(level, position)
+        return self._load_nodes([(level, position)])[0]
 
     # -- maintenance -------------------------------------------------------------------
 
@@ -437,6 +480,9 @@ class AggregationIndex(Generic[Cell]):
             deleted = len(existed)
             for target_level, position in doomed:
                 self._cache.invalidate((self._stream_uuid, target_level, position))
+                held = self._spine.get(target_level)
+                if held is not None and held.position == position:
+                    del self._spine[target_level]
         if watermarks_moved:
             self._save_meta()
         return deleted

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ServerEngine, StreamConfig, TimeCrypt
 from repro.exceptions import IndexError_, QueryError
 from repro.index.cache import NodeCache
 from repro.index.node import DigestCombiner, IndexNode, heac_combiner, plaintext_combiner
 from repro.index.query import plan_range, worst_case_nodes
 from repro.index.tree import AggregationIndex, levels_for
 from repro.storage.memory import MemoryStore
-from repro.util.encoding import pack_varint_list, unpack_varint_list
+from repro.timeseries.serialization import index_node_storage_key
+from repro.util.encoding import encode_varint, pack_varint_list, unpack_varint_list
 
 
 def _encode(cells) -> bytes:
@@ -247,3 +249,139 @@ class TestAggregationIndex:
         cells = index.query_range(start, end)
         assert cells[0] == sum(values[start:end])
         assert cells[1] == end - start
+
+
+def _store_copy(store: MemoryStore) -> MemoryStore:
+    copy = MemoryStore()
+    copy.multi_put(list(store.scan_prefix(b"")))
+    return copy
+
+
+class _RefusingStore(MemoryStore):
+    def __init__(self) -> None:
+        super().__init__()
+        self.refusing = False
+
+    def multi_put(self, items):
+        if self.refusing:
+            raise IOError("injected write failure")
+        return super().multi_put(items)
+
+
+class TestResidentSpine:
+    """The right-most node per level held across appends stays true to storage."""
+
+    def test_failed_flush_keeps_head_and_spine(self):
+        store = _RefusingStore()
+        # A cache that holds nothing: the retry can only use the spine or storage.
+        index = _make_index(fanout=4, store=store, cache=NodeCache(capacity_bytes=1))
+        for value in range(6):
+            index.append([value])
+        spine_before = dict(index._spine)
+        store.refusing = True
+        with pytest.raises(IOError):
+            index.append_many([[6], [7], [8]])
+        assert index.num_windows == 6
+        assert index._spine == spine_before
+        store.refusing = False
+        index.append_many([[6], [7], [8]])
+        clean_store = MemoryStore()
+        clean = _make_index(fanout=4, store=clean_store)
+        for value in range(6):
+            clean.append([value])
+        clean.append_many([[6], [7], [8]])
+        assert dict(store.scan_prefix(b"")) == dict(clean_store.scan_prefix(b""))
+
+    def test_prune_of_full_spine_nodes_then_append(self):
+        store = MemoryStore()
+        index = _make_index(fanout=4, store=store)
+        for value in range(16):
+            index.append([value])
+        full_spine = {level: index._spine[level] for level in (1, 2)}
+        assert all(node.window_end == 16 for node in full_spine.values())
+        # Levels 0-2 below window 16 go, the full level-1 and level-2 spine
+        # nodes among them.
+        index.prune_below(level=3, before_window=16)
+        assert all(level not in index._spine for level in full_spine)
+        cold_store = _store_copy(store)
+        cold = _make_index(fanout=4, store=cold_store)
+        values = list(range(16, 41))
+        for value in values:
+            index.append([value])
+            cold.append([value])
+        for a in range(16, 41):
+            for b in range(a + 1, 42):
+                assert index.query_range(a, b)[0] == sum(range(a, b))
+        assert dict(store.scan_prefix(b"")) == dict(cold_store.scan_prefix(b""))
+
+    @pytest.mark.parametrize("head", [4, 5])
+    def test_cold_append_rejects_node_past_meta_head(self, head):
+        store = MemoryStore()
+        index = _make_index(fanout=4, store=store)
+        for value in range(7):
+            index.append([value])
+        # Roll the meta record back: the level-1 node [4, 7) now ends past it.
+        store.put(b"index/s/meta", encode_varint(head))
+        cold = _make_index(fanout=4, store=store)
+        assert cold.num_windows == head
+        with pytest.raises(IndexError_, match="out of sync"):
+            cold.append([99])
+
+    def test_warm_append_still_reads_a_block_that_starts_at_the_head(self):
+        store = MemoryStore()
+        index = _make_index(fanout=4, store=store)
+        for value in range(4):
+            index.append([value])
+        # A level-1 node ahead of the meta record, as a torn peer write would leave.
+        ahead = MemoryStore()
+        writer = _make_index(fanout=4, store=ahead)
+        for value in range(6):
+            writer.append([value])
+        key = index_node_storage_key("s", 1, 1)
+        store.put(key, ahead.get(key))
+        with pytest.raises(IndexError_, match="out of sync"):
+            index.append([4])
+        assert index.num_windows == 4
+
+
+def _encrypted_chunks(num_chunks: int):
+    """One stream's encrypted chunks (fanout 4) and its metadata."""
+    server = ServerEngine()
+    owner = TimeCrypt(server=server, owner_id="spine")
+    uuid = owner.create_stream(metric="spine", config=StreamConfig(chunk_interval=1_000, index_fanout=4))
+    owner.insert_records(uuid, [(t, float(t % 7)) for t in range(0, num_chunks * 1_000, 250)])
+    owner.flush(uuid)
+    return server.stream_metadata(uuid), [server.get_chunk(uuid, w) for w in range(num_chunks)]
+
+
+class TestEngineDropsSpineWithStreamState:
+    def test_reset_stream_cache_forgets_the_spine(self):
+        metadata, chunks = _encrypted_chunks(12)
+        store = MemoryStore()
+        owner, peer = ServerEngine(store=store), ServerEngine(store=store)
+        owner.create_stream(metadata)
+        owner.insert_chunks(chunks[:6])
+        # The stream moves to a peer over the same storage and advances there.
+        peer.insert_chunks(chunks[6:10])
+        owner.reset_stream_cache()
+        owner.insert_chunks(chunks[10:])
+        clean_store = MemoryStore()
+        clean = ServerEngine(store=clean_store)
+        clean.create_stream(metadata)
+        clean.insert_chunks(chunks)
+        assert dict(store.scan_prefix(b"")) == dict(clean_store.scan_prefix(b""))
+
+    def test_recreated_stream_starts_without_the_old_spine(self):
+        metadata, chunks = _encrypted_chunks(6)
+        store = MemoryStore()
+        server = ServerEngine(store=store)
+        server.create_stream(metadata)
+        server.insert_chunks(chunks)
+        server.delete_stream(metadata.uuid)
+        server.create_stream(metadata)
+        server.insert_chunks(chunks[:3])
+        clean_store = MemoryStore()
+        clean = ServerEngine(store=clean_store)
+        clean.create_stream(metadata)
+        clean.insert_chunks(chunks[:3])
+        assert dict(store.scan_prefix(b"")) == dict(clean_store.scan_prefix(b""))

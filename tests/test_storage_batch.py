@@ -338,6 +338,50 @@ class TestEngineBatchRoundTrips:
         assert store.stats.multi_puts == len(chunks)
         assert store.stats.puts == 0
 
+    def test_cold_first_insert_reads_the_spine_in_one_multi_get(self):
+        metadata, chunks = _encrypted_chunks(12)
+        store = MemoryStore()
+        warm = ServerEngine(store=store)
+        warm.create_stream(metadata)
+        warm.insert_chunks(chunks[:7])
+        # A fresh engine over the populated store holds no spine yet.
+        cold = ServerEngine(store=store)
+        assert cold._state(metadata.uuid).index.max_level == 15
+        store.stats.reset()
+        cold.insert_chunks(chunks[7:])
+        # Every level's spine node comes back in one batched read, never
+        # one get per level.
+        assert store.stats.multi_gets == 1
+        assert store.stats.multi_puts == 1
+        assert store.stats.gets == 0
+
+    def test_small_cache_appends_read_storage_only_at_block_heads(self):
+        metadata, chunks = _encrypted_chunks(40)
+        uuid = metadata.uuid
+        store = MemoryStore()
+        # A cache smaller than one node holds nothing: every lookup misses.
+        server = ServerEngine(store=store, index_cache_bytes=16)
+        server.create_stream(metadata)
+        multi_gets = gets = 0
+        for chunk in chunks:
+            if chunk.window_index:
+                server.stat_range_windows(uuid, 0, chunk.window_index)
+            store.stats.reset()
+            server.insert_chunk(chunk)
+            multi_gets += store.stats.multi_gets
+            gets += store.stats.gets
+        # The resident spine answers every level that continues a block; only
+        # an append opening a level-1 block at the head reads storage.
+        opens_block = sum(1 for chunk in chunks if chunk.window_index % 4 == 0)
+        assert multi_gets == opens_block
+        assert gets == 0
+        roomy_store = MemoryStore()
+        roomy = ServerEngine(store=roomy_store)
+        roomy.create_stream(metadata)
+        for chunk in chunks:
+            roomy.insert_chunk(chunk)
+        assert dict(store.scan_prefix(b"")) == dict(roomy_store.scan_prefix(b""))
+
     def test_failed_scalar_ingest_leaves_no_orphan_payload(self):
         metadata, chunks = _encrypted_chunks(2)
 
