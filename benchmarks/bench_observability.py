@@ -41,6 +41,7 @@ from typing import Dict
 from repro import ServerEngine, StreamConfig, TimeCrypt
 from repro.access.keystore import TokenStore
 from repro.bench.reporting import ResultTable, write_json_report
+from repro.deploy import Deployment
 from repro.net.client import RemoteServerClient
 from repro.net.framing import MEMORY_COUNTERS
 from repro.net.messages import Request
@@ -178,18 +179,16 @@ def span_tree() -> Dict[str, object]:
 
 def scrape_cost() -> Dict[str, int]:
     """stats / trace_dump each cost one round trip, on both server tiers."""
-    engine = ServerEngine()
     counters: Dict[str, int] = {}
-    with TimeCryptTCPServer(engine) as server:
-        with RemoteServerClient(*server.address) as remote:
+    with Deployment("four_tier", engines=1) as deployment:
+        with RemoteServerClient(*deployment.shards["engine-0"].address) as remote:
             before = remote.wire_stats.round_trips
             assert remote.call_many([Request("stats")])[0].ok
             counters["engine_stats_round_trips"] = remote.wire_stats.round_trips - before
             before = remote.wire_stats.round_trips
             assert remote.call_many([Request("trace_dump")])[0].ok
             counters["engine_trace_dump_round_trips"] = remote.wire_stats.round_trips - before
-    with StorageNodeServer(MemoryStore()) as node:
-        with RemoteServerClient(*node.address) as remote:
+        with RemoteServerClient(*deployment.addresses["node-0"]) as remote:
             before = remote.wire_stats.round_trips
             assert remote.call_many([Request("stats")])[0].ok
             counters["storage_stats_round_trips"] = remote.wire_stats.round_trips - before

@@ -40,24 +40,18 @@ import argparse
 import json
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro import Principal, ServerEngine, TimeCrypt
 from repro.access.keystore import TokenStore
 from repro.bench.reporting import ResultTable, format_duration, write_json_report
+from repro.deploy import NUM_NODES, REPLICATION_FACTOR, Deployment
 from repro.storage.cluster import StorageCluster
-from repro.storage.memory import MemoryStore
-from repro.storage.node import StorageNodeServer
-from repro.storage.remote import RemoteKeyValueStore
 from repro.timeseries.stream import StreamConfig
 from repro.util.timeutil import TimeRange
 
 from conftest import scaled
-
-NUM_NODES = 3
-REPLICATION_FACTOR = 2
 
 #: Direct KV batch workload.
 KV_KEYS = scaled(2000, minimum=200)
@@ -77,44 +71,13 @@ PLACEMENT_HEADS = {"new_stream": 1, "aged_stream": 4_300}
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_remote.json"
 
 
-class _RemoteCluster:
-    """NUM_NODES storage-node TCP servers plus a cluster dialing them."""
-
-    def __init__(self) -> None:
-        self.backing = {f"node-{index}": MemoryStore() for index in range(NUM_NODES)}
-        self.servers = {
-            name: StorageNodeServer(store).start() for name, store in self.backing.items()
-        }
-        addresses = {name: server.address for name, server in self.servers.items()}
-        self.cluster = StorageCluster(
-            num_nodes=NUM_NODES,
-            replication_factor=REPLICATION_FACTOR,
-            store_factory=lambda name: RemoteKeyValueStore(*addresses[name], timeout=10.0),
-        )
-
-    def per_node_round_trips(self) -> Dict[str, int]:
-        return {
-            name: self.cluster.node_store(name).wire_stats.round_trips
-            for name in self.cluster.node_names
-        }
-
-    def reset_round_trips(self) -> None:
-        for name in self.cluster.node_names:
-            self.cluster.node_store(name).wire_stats.reset()
-
-    def close(self) -> None:
-        self.cluster.close()
-        for server in self.servers.values():
-            server.stop()
+def _per_node_round_trips(cluster: StorageCluster) -> Dict[str, int]:
+    return {name: cluster.node_store(name).wire_stats.round_trips for name in cluster.node_names}
 
 
-@contextmanager
-def _remote_cluster() -> Iterator[_RemoteCluster]:
-    stack = _RemoteCluster()
-    try:
-        yield stack
-    finally:
-        stack.close()
+def _reset_round_trips(cluster: StorageCluster) -> None:
+    for name in cluster.node_names:
+        cluster.node_store(name).wire_stats.reset()
 
 
 def _ingest_records(num_chunks: int) -> List[Tuple[int, float]]:
@@ -128,21 +91,21 @@ def _stream_config() -> StreamConfig:
     return StreamConfig(chunk_interval=CHUNK_INTERVAL_MS)
 
 
-def _run_kv_batches(stack: _RemoteCluster, num_keys: int, scalar: bool) -> Dict[str, float]:
+def _run_kv_batches(cluster: StorageCluster, num_keys: int, scalar: bool) -> Dict[str, float]:
     """Direct cluster write/read of ``num_keys``; per-node wire accounting."""
     items = [(f"kv/{'s' if scalar else 'b'}/{index:06d}".encode(), bytes(64)) for index in range(num_keys)]
-    stack.reset_round_trips()
+    _reset_round_trips(cluster)
     begin = time.perf_counter()
     if scalar:
         for key, value in items:
-            stack.cluster.put(key, value)
+            cluster.put(key, value)
         for key, _value in items:
-            stack.cluster.get(key)
+            cluster.get(key)
     else:
-        stack.cluster.multi_put(items)
-        stack.cluster.multi_get([key for key, _ in items])
+        cluster.multi_put(items)
+        cluster.multi_get([key for key, _ in items])
     elapsed = time.perf_counter() - begin
-    per_node = stack.per_node_round_trips()
+    per_node = _per_node_round_trips(cluster)
     return {
         "keys": num_keys,
         "seconds": elapsed,
@@ -152,7 +115,7 @@ def _run_kv_batches(stack: _RemoteCluster, num_keys: int, scalar: bool) -> Dict[
     }
 
 
-def _run_ingest(cluster, num_chunks: int, stack: _RemoteCluster = None) -> Dict[str, float]:
+def _run_ingest(cluster, num_chunks: int, over_wire: bool = False) -> Dict[str, float]:
     """Encrypted ingest through an engine over ``cluster``; wire accounting optional."""
     engine = ServerEngine(store=cluster, token_store=TokenStore(cluster))
     owner = TimeCrypt(server=engine, owner_id="bench")
@@ -160,8 +123,8 @@ def _run_ingest(cluster, num_chunks: int, stack: _RemoteCluster = None) -> Dict[
     records = _ingest_records(num_chunks)
     batch_records = CHUNKS_PER_BATCH * POINTS_PER_CHUNK
     num_batches = 0
-    if stack is not None:
-        stack.reset_round_trips()
+    if over_wire:
+        _reset_round_trips(cluster)
     begin = time.perf_counter()
     for offset in range(0, len(records), batch_records):
         owner.insert_records(uuid, records[offset : offset + batch_records])
@@ -169,7 +132,7 @@ def _run_ingest(cluster, num_chunks: int, stack: _RemoteCluster = None) -> Dict[
     # The batched deliveries are the claim under test; the final flush seals
     # one trailing partial chunk through the scalar path and is accounted
     # separately.
-    batch_trips = max(stack.per_node_round_trips().values()) if stack is not None else 0
+    batch_trips = max(_per_node_round_trips(cluster).values()) if over_wire else 0
     owner.flush(uuid)
     elapsed = time.perf_counter() - begin
     result: Dict[str, float] = {
@@ -181,21 +144,21 @@ def _run_ingest(cluster, num_chunks: int, stack: _RemoteCluster = None) -> Dict[
         "engine": engine,
         "owner": owner,
     }
-    if stack is not None:
-        per_node = stack.per_node_round_trips()
+    if over_wire:
+        per_node = _per_node_round_trips(cluster)
         result["max_node_round_trips"] = max(per_node.values())
         result["max_node_round_trips_per_batch"] = batch_trips / num_batches
         result["flush_round_trips"] = max(per_node.values()) - batch_trips
     return result
 
 
-def _run_queries(stack: _RemoteCluster, engine, uuid: str, num_chunks: int) -> Dict[str, float]:
-    stack.reset_round_trips()
+def _run_queries(cluster: StorageCluster, engine, uuid: str, num_chunks: int) -> Dict[str, float]:
+    _reset_round_trips(cluster)
     chunks = engine.get_range(uuid, TimeRange(0, num_chunks * CHUNK_INTERVAL_MS))
-    range_trips = max(stack.per_node_round_trips().values())
-    stack.reset_round_trips()
+    range_trips = max(_per_node_round_trips(cluster).values())
+    _reset_round_trips(cluster)
     engine.stat_range(uuid, TimeRange(0, num_chunks * CHUNK_INTERVAL_MS))
-    stat_trips = max(stack.per_node_round_trips().values())
+    stat_trips = max(_per_node_round_trips(cluster).values())
     return {
         "chunks_fetched": len(chunks),
         "range_max_node_round_trips": range_trips,
@@ -203,13 +166,13 @@ def _run_queries(stack: _RemoteCluster, engine, uuid: str, num_chunks: int) -> D
     }
 
 
-def _nodes_touched(stack: _RemoteCluster, *counters: str) -> int:
+def _nodes_touched(deployment: Deployment, *counters: str) -> int:
     return sum(
-        1 for store in stack.backing.values() if any(getattr(store.stats, name) for name in counters)
+        1 for store in deployment.backing.values() if any(getattr(store.stats, name) for name in counters)
     )
 
 
-def _run_placement(stack: _RemoteCluster, head: int) -> Dict[str, int]:
+def _run_placement(deployment: Deployment, head: int) -> Dict[str, int]:
     """Storage nodes one single-stream ingest batch writes and one cold cover reads.
 
     The stream holds window 0, empty windows up to ``head`` (≥ 1) and one
@@ -218,49 +181,48 @@ def _run_placement(stack: _RemoteCluster, head: int) -> Dict[str, int]:
     stream partition, so both counts are deterministic at any ``head``: RF
     nodes written, one node (the partition's primary) read.
     """
-    engine = ServerEngine(store=stack.cluster, token_store=TokenStore(stack.cluster))
-    owner = TimeCrypt(server=engine, owner_id="placement")
+    owner = TimeCrypt(server=deployment.engines["engine-0"], owner_id="placement")
     uuid = owner.create_stream(metric="placement", config=_stream_config())
     records = _ingest_records(head + 2 * CHUNKS_PER_BATCH)
     batch_start = (head + CHUNKS_PER_BATCH) * POINTS_PER_CHUNK
     owner.insert_records(uuid, records[:1] + records[head * POINTS_PER_CHUNK : batch_start])
-    for store in stack.backing.values():
+    for store in deployment.backing.values():
         store.stats.reset()
     owner.insert_records(uuid, records[batch_start:])
-    written = _nodes_touched(stack, "puts", "multi_puts")
+    written = _nodes_touched(deployment, "puts", "multi_puts")
     # A fresh engine has a cold node cache; its start-up metadata scan
     # (every node) is not part of the cover, so count after it.
-    cold = ServerEngine(store=stack.cluster)
-    for store in stack.backing.values():
+    cold = ServerEngine(store=deployment.store)
+    for store in deployment.backing.values():
         store.stats.reset()
     cold.stat_range_windows(uuid, max(1, head - 200), head + 2 * CHUNKS_PER_BATCH - 1)
     return {
         "ingest_batch_nodes_written": written,
-        "cold_cover_nodes_read": _nodes_touched(stack, "gets", "multi_gets"),
+        "cold_cover_nodes_read": _nodes_touched(deployment, "gets", "multi_gets"),
     }
 
 
-def _run_grant_burst(stack: _RemoteCluster, owner: TimeCrypt, uuid: str, cohort_size: int) -> Dict[str, float]:
+def _run_grant_burst(cluster: StorageCluster, owner: TimeCrypt, uuid: str, cohort_size: int) -> Dict[str, float]:
     cohort = [Principal.create(f"principal-{index}") for index in range(cohort_size)]
     for principal in cohort:
         owner.register_principal(principal)
     horizon = 4 * CHUNK_INTERVAL_MS
     policies = [(p.principal_id, 0, horizon, None) for p in cohort]
-    stack.reset_round_trips()
+    _reset_round_trips(cluster)
     begin = time.perf_counter()
     owner.grant_access_many(uuid, policies)
     elapsed = time.perf_counter() - begin
-    per_node = stack.per_node_round_trips()
+    per_node = _per_node_round_trips(cluster)
     # The same cohort again: the stream's grant ids are known, so the burst
     # is its one replicated write and nothing else.
-    stack.reset_round_trips()
+    _reset_round_trips(cluster)
     owner.grant_access_many(uuid, policies)
     return {
         "principals": cohort_size,
         "seconds": elapsed,
         "max_node_round_trips": max(per_node.values()),
         "total_round_trips": sum(per_node.values()),
-        "repeat_total_round_trips": sum(stack.per_node_round_trips().values()),
+        "repeat_total_round_trips": sum(_per_node_round_trips(cluster).values()),
     }
 
 
@@ -272,10 +234,10 @@ def _run_grant_burst(stack: _RemoteCluster, owner: TimeCrypt, uuid: str, cohort_
 def test_cluster_batch_costs_rf_round_trips_per_node():
     """An N-key cluster batch costs ≤ RF+1 round trips per node, not n·RF."""
     num_keys = min(KV_KEYS, 400)
-    with _remote_cluster() as stack:
-        batched = _run_kv_batches(stack, num_keys, scalar=False)
-    with _remote_cluster() as stack:
-        scalar = _run_kv_batches(stack, min(num_keys, 200), scalar=True)
+    with Deployment("four_tier") as deployment:
+        batched = _run_kv_batches(deployment.store, num_keys, scalar=False)
+    with Deployment("four_tier") as deployment:
+        scalar = _run_kv_batches(deployment.store, min(num_keys, 200), scalar=True)
     # One kv_multi_put + one kv_multi_get per node (re-route slack allowed).
     assert batched["max_node_round_trips"] <= 2 * (REPLICATION_FACTOR + 1), batched
     # The scalar loop pays roughly one round trip per key per replica.
@@ -285,8 +247,8 @@ def test_cluster_batch_costs_rf_round_trips_per_node():
 def test_ingest_batches_stay_in_round_trip_budget():
     """Per delivered chunk batch, each node sees ≤ RF+1 wire round trips."""
     num_chunks = min(INGEST_CHUNKS, 96)
-    with _remote_cluster() as stack:
-        ingest = _run_ingest(stack.cluster, num_chunks, stack=stack)
+    with Deployment("four_tier") as deployment:
+        ingest = _run_ingest(deployment.store, num_chunks, over_wire=True)
         assert ingest["max_node_round_trips_per_batch"] <= REPLICATION_FACTOR + 1, ingest
 
 
@@ -294,13 +256,13 @@ def test_queries_and_grant_bursts_are_constant_round_trips():
     """Whole-stream reads and K-principal grant bursts cost O(1) trips/node."""
     num_chunks = min(INGEST_CHUNKS, 96)
     cohort = min(GRANT_BURST, 8)
-    with _remote_cluster() as stack:
-        ingest = _run_ingest(stack.cluster, num_chunks, stack=stack)
-        queries = _run_queries(stack, ingest["engine"], ingest["uuid"], num_chunks)
+    with Deployment("four_tier") as deployment:
+        ingest = _run_ingest(deployment.store, num_chunks, over_wire=True)
+        queries = _run_queries(deployment.store, ingest["engine"], ingest["uuid"], num_chunks)
         assert queries["chunks_fetched"] == num_chunks
         assert queries["range_max_node_round_trips"] <= REPLICATION_FACTOR + 1
         assert queries["stat_max_node_round_trips"] <= REPLICATION_FACTOR + 1
-        burst = _run_grant_burst(stack, ingest["owner"], ingest["uuid"], cohort)
+        burst = _run_grant_burst(deployment.store, ingest["owner"], ingest["uuid"], cohort)
         # One token-store prefix scan page + one multi_put per node, with
         # slack for paging — but never one round trip per principal.
         assert burst["max_node_round_trips"] <= REPLICATION_FACTOR + 3, burst
@@ -337,10 +299,10 @@ def main(argv=None) -> None:
     }
 
     # -- direct cluster batches ---------------------------------------------------
-    with _remote_cluster() as stack:
-        batched = _run_kv_batches(stack, num_keys, scalar=False)
-    with _remote_cluster() as stack:
-        scalar = _run_kv_batches(stack, min(num_keys, max(200, num_keys // 10)), scalar=True)
+    with Deployment("four_tier") as deployment:
+        batched = _run_kv_batches(deployment.store, num_keys, scalar=False)
+    with Deployment("four_tier") as deployment:
+        scalar = _run_kv_batches(deployment.store, min(num_keys, max(200, num_keys // 10)), scalar=True)
     kv_table = ResultTable(
         title=(
             f"Cluster batch wire round trips — {NUM_NODES} remote TCP nodes, "
@@ -364,14 +326,14 @@ def main(argv=None) -> None:
     results["kv_batch"] = {"scalar": scalar, "batched": batched}
 
     # -- end-to-end ingest: remote vs in-process cluster --------------------------
-    with _remote_cluster() as stack:
-        remote_ingest = _run_ingest(stack.cluster, num_chunks, stack=stack)
-        queries = _run_queries(stack, remote_ingest["engine"], remote_ingest["uuid"], num_chunks)
-        burst = _run_grant_burst(stack, remote_ingest["owner"], remote_ingest["uuid"], cohort)
+    with Deployment("four_tier") as deployment:
+        remote_ingest = _run_ingest(deployment.store, num_chunks, over_wire=True)
+        queries = _run_queries(deployment.store, remote_ingest["engine"], remote_ingest["uuid"], num_chunks)
+        burst = _run_grant_burst(deployment.store, remote_ingest["owner"], remote_ingest["uuid"], cohort)
     placement = {}
     for label, head in PLACEMENT_HEADS.items():
-        with _remote_cluster() as stack:
-            placement[label] = _run_placement(stack, head)
+        with Deployment("four_tier") as deployment:
+            placement[label] = _run_placement(deployment, head)
     inproc_cluster = StorageCluster(num_nodes=NUM_NODES, replication_factor=REPLICATION_FACTOR)
     inproc_ingest = _run_ingest(inproc_cluster, num_chunks)
     inproc_cluster.close()

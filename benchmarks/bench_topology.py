@@ -37,20 +37,15 @@ from __future__ import annotations
 import argparse
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bench.reporting import ResultTable, format_duration, write_json_report
+from repro.deploy import NUM_NODES, REPLICATION_FACTOR, Deployment
 from repro.storage.cluster import StorageCluster
-from repro.storage.memory import MemoryStore
-from repro.storage.node import StorageNodeServer
-from repro.storage.remote import RemoteKeyValueStore
 
 from conftest import scaled
 
-NUM_NODES = 3
-REPLICATION_FACTOR = 2
 #: Keys loaded before the topology change.
 TOPOLOGY_KEYS = scaled(3000, minimum=400)
 #: Keys written while a replica is down (the hint window).
@@ -61,53 +56,6 @@ HANDOFF_BATCH = 128
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_topology.json"
 
 
-class _ElasticStack:
-    """Remote storage-node servers plus a cluster dialing them, growable."""
-
-    def __init__(self, hinted_handoff: bool = True) -> None:
-        self.backing: Dict[str, MemoryStore] = {}
-        self.servers: Dict[str, StorageNodeServer] = {}
-        self.addresses: Dict[str, Tuple[str, int]] = {}
-        for index in range(NUM_NODES):
-            self.launch(f"node-{index}")
-        self.cluster = StorageCluster(
-            num_nodes=NUM_NODES,
-            replication_factor=REPLICATION_FACTOR,
-            hinted_handoff=hinted_handoff,
-            store_factory=lambda name: RemoteKeyValueStore(
-                *self.addresses[name], timeout=10.0
-            ),
-        )
-
-    def launch(self, name: str) -> None:
-        self.backing[name] = MemoryStore()
-        server = StorageNodeServer(self.backing[name]).start()
-        self.servers[name] = server
-        self.addresses[name] = server.address
-
-    def kill(self, name: str) -> None:
-        self.servers[name].stop()
-
-    def restart(self, name: str) -> None:
-        self.servers[name] = StorageNodeServer(
-            self.backing[name], port=self.addresses[name][1]
-        ).start()
-
-    def close(self) -> None:
-        self.cluster.close()
-        for server in self.servers.values():
-            server.stop()
-
-
-@contextmanager
-def _elastic_stack(hinted_handoff: bool = True) -> Iterator[_ElasticStack]:
-    stack = _ElasticStack(hinted_handoff=hinted_handoff)
-    try:
-        yield stack
-    finally:
-        stack.close()
-
-
 def _items(count: int, prefix: str = "k") -> List[Tuple[bytes, bytes]]:
     return [
         (f"{prefix}/{index:06d}".encode(), bytes([index % 251]) * VALUE_BYTES)
@@ -115,20 +63,21 @@ def _items(count: int, prefix: str = "k") -> List[Tuple[bytes, bytes]]:
     ]
 
 
-def _run_scale_out(stack: _ElasticStack, num_keys: int) -> Dict[str, float]:
+def _run_scale_out(deployment: Deployment, num_keys: int) -> Dict[str, float]:
     """Load the cluster, add a remote node, account the handoff."""
     items = _items(num_keys)
-    stack.cluster.multi_put(items)
-    stack.launch("node-3")
-    destination = RemoteKeyValueStore(*stack.addresses["node-3"], timeout=10.0)
+    cluster = deployment.store
+    cluster.multi_put(items)
+    deployment.launch("node-3")
+    destination = deployment.dial("node-3")
     destination.connect()
     destination.wire_stats.reset()
     begin = time.perf_counter()
-    stack.cluster.add_node("node-3", store=destination, handoff_batch_size=HANDOFF_BATCH)
+    cluster.add_node("node-3", store=destination, handoff_batch_size=HANDOFF_BATCH)
     elapsed = time.perf_counter() - begin
-    stats = dict(stack.cluster.last_rebalance)
+    stats = dict(cluster.last_rebalance)
     destination_trips = destination.wire_stats.round_trips  # before the read check
-    fetched = stack.cluster.multi_get([key for key, _ in items])
+    fetched = cluster.multi_get([key for key, _ in items])
     assert all(fetched[key] == value for key, value in items), "post-add read failed"
     batches = max(1, stats["handoff_batches"])
     return {
@@ -147,14 +96,14 @@ def _run_scale_out(stack: _ElasticStack, num_keys: int) -> Dict[str, float]:
     }
 
 
-def _run_scale_in(stack: _ElasticStack, num_keys: int) -> Dict[str, float]:
+def _run_scale_in(deployment: Deployment, num_keys: int) -> Dict[str, float]:
     """Decommission the added node and check against a static control."""
     begin = time.perf_counter()
-    stats = stack.cluster.decommission_node("node-3", handoff_batch_size=HANDOFF_BATCH)
+    stats = deployment.store.decommission_node("node-3", handoff_batch_size=HANDOFF_BATCH)
     elapsed = time.perf_counter() - begin
     control = StorageCluster(num_nodes=NUM_NODES, replication_factor=REPLICATION_FACTOR)
     control.multi_put(_items(num_keys))
-    identical = list(stack.cluster.scan_prefix(b"")) == list(control.scan_prefix(b""))
+    identical = list(deployment.store.scan_prefix(b"")) == list(control.scan_prefix(b""))
     control.close()
     return {
         "moved_keys": stats["moved_keys"],
@@ -166,25 +115,36 @@ def _run_scale_in(stack: _ElasticStack, num_keys: int) -> Dict[str, float]:
 
 
 def _run_outage_heal(hinted: bool, num_keys: int, outage_keys: int) -> Dict[str, float]:
-    """Kill a replica, write through the outage, restart, heal, account it."""
-    with _elastic_stack(hinted_handoff=hinted) as stack:
-        stack.cluster.multi_put(_items(num_keys, prefix="pre"))
-        stack.kill("node-1")
+    """Kill a replica, write through the outage, restart, heal, account it.
+
+    The cluster is this arm's own, over the deployment's storage nodes, so
+    hinted handoff can be switched off for the control arm.
+    """
+    with Deployment("four_tier") as deployment:
+        cluster = StorageCluster(
+            num_nodes=NUM_NODES,
+            replication_factor=REPLICATION_FACTOR,
+            hinted_handoff=hinted,
+            store_factory=deployment.dial,
+        )
+        cluster.multi_put(_items(num_keys, prefix="pre"))
+        deployment.kill("node-1")
         during = _items(outage_keys, prefix="outage")
-        stack.cluster.multi_put(during)  # socket failure -> mark-down -> hints
-        assert "node-1" in stack.cluster._down
-        stack.restart("node-1")
-        recovered = stack.cluster.node_store("node-1")
+        cluster.multi_put(during)  # socket failure -> mark-down -> hints
+        assert "node-1" in cluster._down
+        deployment.restart("node-1")
+        recovered = cluster.node_store("node-1")
         recovered.wire_stats.reset()
         begin = time.perf_counter()
-        replayed = stack.cluster.mark_up("node-1")
+        replayed = cluster.mark_up("node-1")
         replay_seconds = time.perf_counter() - begin
         replay_trips = recovered.wire_stats.round_trips
         begin = time.perf_counter()
-        repaired = stack.cluster.repair_node("node-1")
+        repaired = cluster.repair_node("node-1")
         repair_seconds = time.perf_counter() - begin
-        fetched = stack.cluster.multi_get([key for key, _ in during])
+        fetched = cluster.multi_get([key for key, _ in during])
         assert all(fetched[key] == value for key, value in during), "post-heal read failed"
+        cluster.close()
         return {
             "hinted_handoff": hinted,
             "keys_before_outage": num_keys,
@@ -204,8 +164,8 @@ def _run_outage_heal(hinted: bool, num_keys: int, outage_keys: int) -> Dict[str,
 
 def test_add_node_moves_one_over_n_with_bounded_handoff():
     num_keys = min(TOPOLOGY_KEYS, 600)
-    with _elastic_stack() as stack:
-        out = _run_scale_out(stack, num_keys)
+    with Deployment("four_tier") as deployment:
+        out = _run_scale_out(deployment, num_keys)
     expected = out["expected_fraction"]
     assert 0.5 * expected <= out["moved_fraction"] <= 1.5 * expected, out
     # One membership multi_get + one backfill multi_put per batch, plus
@@ -216,9 +176,9 @@ def test_add_node_moves_one_over_n_with_bounded_handoff():
 
 def test_add_then_decommission_is_byte_identical_to_static():
     num_keys = min(TOPOLOGY_KEYS, 600)
-    with _elastic_stack() as stack:
-        _run_scale_out(stack, num_keys)
-        back = _run_scale_in(stack, num_keys)
+    with Deployment("four_tier") as deployment:
+        _run_scale_out(deployment, num_keys)
+        back = _run_scale_in(deployment, num_keys)
     assert back["byte_identical_to_static"], back
 
 
@@ -261,9 +221,9 @@ def main(argv=None) -> None:
     }
 
     # -- scale out / scale in over real sockets -----------------------------------
-    with _elastic_stack() as stack:
-        out = _run_scale_out(stack, num_keys)
-        back = _run_scale_in(stack, num_keys)
+    with Deployment("four_tier") as deployment:
+        out = _run_scale_out(deployment, num_keys)
+        back = _run_scale_in(deployment, num_keys)
     assert 0.5 * out["expected_fraction"] <= out["moved_fraction"] <= 1.5 * out["expected_fraction"], out
     assert out["destination_round_trips"] <= 2 * out["handoff_batches"] + 2, out
     assert back["byte_identical_to_static"], back

@@ -2,14 +2,16 @@
 """A genuinely distributed deployment: TimeCrypt over remote storage nodes.
 
 The other examples keep storage in-process.  This one runs the paper's
-deployment shape end to end: three *storage node* processes
+deployment shape end to end, as the ``four_tier``
+:class:`~repro.deploy.Deployment`: three *storage node* processes
 (:class:`~repro.storage.node.StorageNodeServer`, each a TCP server fronting
 its own local store, speaking the pipelined ``kv_*`` wire protocol), a
 :class:`~repro.storage.cluster.StorageCluster` whose ``store_factory`` dials
-them with :class:`~repro.storage.remote.RemoteKeyValueStore` clients, and a
-crypto-oblivious :class:`~repro.server.engine.ServerEngine` on top — so every
-replicated write and every batched read crosses a real socket, one wire
-round trip per owning node per cluster batch.
+them with :class:`~repro.storage.remote.RemoteKeyValueStore` clients, and
+crypto-oblivious engine shards on top, behind a stream router and reached
+with a routing-aware client — so every request, every replicated write and
+every batched read crosses a real socket, one wire round trip per owning
+node per cluster batch.
 
 The demo ingests, queries, onboards a consumer with the pipelined cold-start
 warm-up, then kills a node mid-traffic, shows the cluster re-routing around
@@ -26,37 +28,20 @@ Run it with ``python examples/remote_cluster.py``.
 
 from __future__ import annotations
 
-from repro import Principal, ServerEngine, StreamConfig, TimeCrypt, TimeCryptConsumer
-from repro.access.keystore import TokenStore
+from repro import Principal, StreamConfig, TimeCrypt, TimeCryptConsumer
+from repro.deploy import REPLICATION_FACTOR, Deployment
 from repro.net.client import RemoteServerClient
 from repro.net.messages import Request
-from repro.storage import MemoryStore, StorageCluster
-from repro.storage.node import StorageNodeServer
-from repro.storage.remote import RemoteKeyValueStore
-
-NUM_NODES = 3
-REPLICATION_FACTOR = 2
 
 
 def main() -> None:
-    # -- the storage tier: one TCP server per node ------------------------------
-    backing = {f"node-{index}": MemoryStore() for index in range(NUM_NODES)}
-    servers = {name: StorageNodeServer(store).start() for name, store in backing.items()}
-    addresses = {name: server.address for name, server in servers.items()}
-    for name, (host, port) in addresses.items():
-        print(f"storage {name} listening on {host}:{port}")
+    # -- storage nodes, engine shards, router and client, all over TCP ----------
+    with Deployment("four_tier", tracing=True) as deployment:
+        for name, (host, port) in deployment.addresses.items():
+            print(f"storage {name} listening on {host}:{port}")
+        cluster, server = deployment.store, deployment.client
+        owner = TimeCrypt(server=server, owner_id="alice")
 
-    cluster = StorageCluster(
-        num_nodes=NUM_NODES,
-        replication_factor=REPLICATION_FACTOR,
-        store_factory=lambda name: RemoteKeyValueStore(
-            *addresses[name], timeout=5.0, tracing=True
-        ),
-    )
-    engine = ServerEngine(store=cluster, token_store=TokenStore(cluster))
-    owner = TimeCrypt(server=engine, owner_id="alice")
-
-    try:
         # -- ingest: every cluster batch is one round trip per owning node -----
         config = StreamConfig(chunk_interval=5_000, value_scale=100)
         stream = owner.create_stream(metric="temperature", unit="celsius", config=config)
@@ -68,7 +53,7 @@ def main() -> None:
             for name in cluster.node_names
         }
         print(
-            f"ingested {len(records)} records into {engine.stream_head(stream)} encrypted "
+            f"ingested {len(records)} records into {server.stream_head(stream)} encrypted "
             f"chunks replicated over TCP (per-node wire round trips: {per_node})"
         )
 
@@ -79,7 +64,7 @@ def main() -> None:
         bob = Principal.create("bob")
         owner.register_principal(bob)
         owner.grant_access(stream, bob.principal_id, 0, 450_000, resolution_interval=25_000)
-        consumer = TimeCryptConsumer(server=engine, principal=bob)
+        consumer = TimeCryptConsumer(server=server, principal=bob)
         consumer.warm_up([stream])
         print(
             "restricted consumer after warm-up:",
@@ -88,19 +73,17 @@ def main() -> None:
 
         # -- kill a node: traffic re-routes, hints park on the survivors -------
         victim = "node-1"
-        servers[victim].stop()
+        deployment.kill(victim)
         owner.insert_records(stream, [(t * 1000, 20.0) for t in range(900, 1200)])
         owner.flush(stream)
         print(
             f"{victim} killed mid-ingest: cluster re-routed around it "
-            f"(marked down: {sorted(cluster._down)}), head now {engine.stream_head(stream)}; "
+            f"(marked down: {sorted(cluster._down)}), head now {server.stream_head(stream)}; "
             "every write it missed parked a hint on a surviving replica"
         )
 
         # -- restart on the same port: mark_up replays the hints ---------------
-        servers[victim] = StorageNodeServer(
-            backing[victim], port=addresses[victim][1]
-        ).start()
+        deployment.restart(victim)
         replayed = cluster.mark_up(victim)
         repaired = cluster.repair_node(victim)
         print(
@@ -117,12 +100,7 @@ def main() -> None:
         )
 
         # -- scale out: a fourth node joins live -------------------------------
-        backing["node-3"] = MemoryStore()
-        servers["node-3"] = StorageNodeServer(backing["node-3"]).start()
-        addresses["node-3"] = servers["node-3"].address
-        cluster.add_node(
-            "node-3", store=RemoteKeyValueStore(*addresses["node-3"], timeout=5.0)
-        )
+        deployment.add_node("node-3")
         moved = cluster.last_rebalance
         print(
             f"node-3 joined live: {moved['moved_keys']} keys changed replicas, "
@@ -131,8 +109,7 @@ def main() -> None:
         )
 
         # -- scale back in: the newcomer leaves, survivors re-absorb its ranges
-        cluster.decommission_node("node-3")
-        servers.pop("node-3").stop()
+        deployment.decommission("node-3")
         stats = owner.get_stat_range(stream, 0, 1_200_000, operators=("count", "mean"))
         print(
             f"node-3 decommissioned (cluster back to {cluster.node_names}); "
@@ -141,7 +118,7 @@ def main() -> None:
         )
 
         # -- observability: scrape a storage node's telemetry over the wire ----
-        with RemoteServerClient(*addresses["node-0"], timeout=5.0) as probe:
+        with RemoteServerClient(*deployment.addresses["node-0"], timeout=5.0) as probe:
             reply = probe.call_many([Request("stats")])[0].result
             metrics = reply["metrics"]
             print(
@@ -155,11 +132,7 @@ def main() -> None:
                 f"trace_dump: {len(kv)} kv_* server spans buffered from the "
                 "replicated wire traffic"
             )
-    finally:
-        cluster.close()
-        for server in servers.values():
-            server.stop()
-        print("storage nodes shut down")
+    print("storage nodes, engine shards and router shut down")
 
 
 if __name__ == "__main__":

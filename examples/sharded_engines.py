@@ -26,13 +26,11 @@ Run it with ``python examples/sharded_engines.py``.
 
 from __future__ import annotations
 
-from repro import Principal, ServerEngine, StreamConfig, TimeCrypt, TimeCryptConsumer
-from repro.access.keystore import TokenStore
+from repro import Principal, StreamConfig, TimeCrypt, TimeCryptConsumer
+from repro.deploy import Deployment
 from repro.exceptions import WrongShardError
-from repro.net.client import RemoteServerClient, ShardedServerClient
+from repro.net.client import RemoteServerClient
 from repro.net.messages import Request
-from repro.server.router import deploy_sharded_engines
-from repro.storage import MemoryStore
 
 NUM_ENGINES = 4
 NUM_STREAMS = 6
@@ -40,20 +38,14 @@ NUM_STREAMS = 6
 
 def main() -> None:
     # -- the engine tier: four shards over one shared storage tier --------------
-    shared = MemoryStore()
-    engines = {
-        f"engine-{index}": ServerEngine(store=shared, token_store=TokenStore(shared))
-        for index in range(NUM_ENGINES)
-    }
-    router, shards = deploy_sharded_engines(engines)
-    for name, shard in sorted(shards.items()):
-        host, port = shard.address
-        print(f"engine shard {name} listening on {host}:{port}")
-    host, port = router.address
-    print(f"stream router listening on {host}:{port}")
+    with Deployment("sharded", engines=NUM_ENGINES, tracing=True) as deployment:
+        router, shards, client = deployment.router, deployment.shards, deployment.client
+        for name, shard in sorted(shards.items()):
+            host, port = shard.address
+            print(f"engine shard {name} listening on {host}:{port}")
+        host, port = router.address
+        print(f"stream router listening on {host}:{port}")
 
-    client = ShardedServerClient(host, port, timeout=5.0, tracing=True)
-    try:
         table = client.routing_table
         print(f"client learned the routing table at hello (epoch {table.epoch}, {len(table)} engines)")
 
@@ -128,12 +120,7 @@ def main() -> None:
                 f"trace_dump: the last stat_range trace ({last['trace_id']}) has "
                 f"{len(tree)} spans across {sorted({s['node'] for s in tree})}"
             )
-    finally:
-        client.close()
-        router.stop()
-        for shard in shards.values():
-            shard.stop()
-        print("router and engine shards shut down")
+    print("router and engine shards shut down")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ from repro import (
     TimeCrypt,
 )
 from repro.crypto.keytree import KeyDerivationTree
+from repro.deploy import SHAPES, Deployment
+from repro.obs.metrics import REGISTRY
 from repro.storage.memory import MemoryStore
 
 
@@ -38,6 +40,30 @@ def _lockwatch():
     if watcher is not None:
         watcher.uninstall()
         assert not watcher.ordering_violations, watcher.report()
+
+
+def _transport_keys():
+    """Registry keys of clients, storage clients, engines and servers."""
+    families = ("client.wire", "store.remote", "engine.", "server.")
+    return {key for key in REGISTRY.snapshot() if key.startswith(families)}
+
+
+@pytest.fixture(scope="module", params=SHAPES)
+def deployment(request):
+    """One :class:`Deployment` of each shape, shared by a module's tests.
+
+    Its engines have a one-byte index cache, which holds no node, so every
+    index append and query reads storage.  After ``close()`` no thread the
+    deployment started may be alive, and the metrics registry may hold no
+    client, storage-client, engine or server key it did not hold before the
+    build.
+    """
+    threads = set(threading.enumerate())
+    keys = _transport_keys()
+    with Deployment(request.param, index_cache_bytes=1) as built:
+        yield built
+    assert [thread.name for thread in threading.enumerate() if thread not in threads] == []
+    assert sorted(_transport_keys() - keys) == []
 
 
 @pytest.fixture

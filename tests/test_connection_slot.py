@@ -24,6 +24,7 @@ from typing import Dict, List
 import pytest
 
 import repro.net.client as client_module
+from repro.deploy import Deployment
 from repro.exceptions import ProtocolError, TransportError
 from repro.net.client import ConnectionSlot, RemoteServerClient, ShardedServerClient
 from repro.net.messages import Request, Response, ShardRoutingTable
@@ -32,7 +33,7 @@ from repro.obs.metrics import REGISTRY
 from repro.server.router import RouterDispatcher, RoutingTableRef
 from repro.util.blocking import before_blocking
 
-from test_engine_sharding import _replay, _sharded_deployment, _stop_all, _streams_spanning_owners
+from test_engine_sharding import _replay, _streams_spanning_owners
 
 
 def _wire_keys(address) -> List[str]:
@@ -110,11 +111,11 @@ def test_cold_router_answers_every_concurrent_proxied_request_over_one_connectio
 
 
 def test_fresh_sharded_client_keeps_one_client_per_engine(dialled):
-    _store, router, shards = _sharded_deployment(2)
-    try:
+    with Deployment("sharded") as deployment:
+        router = deployment.router
         streams = _streams_spanning_owners(router.table, 2, 1)
-        with ShardedServerClient(*router.address, timeout=10.0) as setup:
-            _replay(setup, streams)
+        _replay(deployment.client, streams)
+        deployment.client.close()  # leaves only the fresh client below dialled
         table = router.table
         by_owner: Dict[str, str] = {}
         for metadata, _chunks in streams:
@@ -135,10 +136,8 @@ def test_fresh_sharded_client_keeps_one_client_per_engine(dialled):
         finally:
             client.close()
         assert all(c._closed for c in dialled)
-        for address in [router.address, *(shard.address for shard in shards.values())]:
+        for address in [router.address, *(shard.address for shard in deployment.shards.values())]:
             assert _wire_keys(address) == []
-    finally:
-        _stop_all(router, shards)
 
 
 # -- the slot on its own --------------------------------------------------------------

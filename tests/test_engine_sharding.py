@@ -26,6 +26,7 @@ from repro.access.keystore import TokenStore
 from repro.access.policy import AccessPolicy
 from repro.access.principal import IdentityProvider, Principal
 from repro.crypto.keytree import KeyDerivationTree
+from repro.deploy import Deployment
 from repro.exceptions import ChunkError, ProtocolError, StreamNotFoundError, WrongShardError
 from repro.net.client import RemoteServerClient, ShardedServerClient
 from repro.net.messages import Request, ShardRoutingTable
@@ -33,7 +34,6 @@ from repro.server.router import (
     EngineShardServer,
     RoutingTableRef,
     StreamRouter,
-    deploy_sharded_engines,
 )
 from repro.storage.cluster import StorageCluster
 from repro.storage.disk import AppendLogStore
@@ -92,23 +92,6 @@ def _streams_spanning_owners(table, num_streams: int, num_chunks: int):
             return streams
         streams.extend(_encrypted_streams(1, num_chunks))
     raise AssertionError("could not spread streams across shards")
-
-
-def _sharded_deployment(num_engines: int):
-    """N engines over ONE shared store (disjoint key prefixes per concern)."""
-    shared = MemoryStore()
-    engines = {
-        f"engine-{index}": ServerEngine(store=shared, token_store=TokenStore(store=shared))
-        for index in range(num_engines)
-    }
-    router, shards = deploy_sharded_engines(engines)
-    return shared, router, shards
-
-
-def _stop_all(router, shards) -> None:
-    router.stop()
-    for shard in shards.values():
-        shard.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -200,93 +183,74 @@ def _read_everything(client, streams) -> Dict:
 
 class TestShardedEquivalence:
     def test_one_engine_vs_four_shards_byte_identical(self):
-        _store_a, router_a, shards_a = _sharded_deployment(1)
-        _store_b, router_b, shards_b = _sharded_deployment(4)
-        streams = _streams_spanning_owners(router_b.table, 5, 4)
-        try:
-            with ShardedServerClient(*router_a.address, timeout=10.0) as client_a, \
-                    ShardedServerClient(*router_b.address, timeout=10.0) as client_b:
-                for client in (client_a, client_b):
-                    _replay(client, streams)
-                    grants = [
-                        (metadata.uuid, "alice", f"sealed-{metadata.uuid}".encode())
-                        for metadata, _chunks in streams
-                    ]
-                    assert client.put_grants(grants) == [0] * len(streams)
-                    for metadata, _chunks in streams:
-                        client.token_store.put_envelopes(
-                            metadata.uuid, 4, {0: b"env0-" + metadata.uuid.encode(), 4: b"env4"}
-                        )
-                # The 4-shard deployment actually spread the workload.
-                owners = {
-                    client_b.routing_table.owner_of(metadata.uuid)
+        with Deployment("sharded", engines=1) as one, Deployment("sharded", engines=4) as four:
+            streams = _streams_spanning_owners(four.router.table, 5, 4)
+            for client in (one.client, four.client):
+                _replay(client, streams)
+                grants = [
+                    (metadata.uuid, "alice", f"sealed-{metadata.uuid}".encode())
                     for metadata, _chunks in streams
-                }
-                assert len(owners) > 1
-                assert _read_everything(client_a, streams) == _read_everything(client_b, streams)
-        finally:
-            _stop_all(router_a, shards_a)
-            _stop_all(router_b, shards_b)
+                ]
+                assert client.put_grants(grants) == [0] * len(streams)
+                for metadata, _chunks in streams:
+                    client.token_store.put_envelopes(
+                        metadata.uuid, 4, {0: b"env0-" + metadata.uuid.encode(), 4: b"env4"}
+                    )
+            # The 4-shard deployment actually spread the workload.
+            owners = {
+                four.client.routing_table.owner_of(metadata.uuid) for metadata, _chunks in streams
+            }
+            assert len(owners) > 1
+            assert _read_everything(one.client, streams) == _read_everything(four.client, streams)
 
     def test_engine_kill_redial_and_refresh(self):
-        _store, router, shards = _sharded_deployment(3)
         streams = _encrypted_streams(4, 3)
-        victim = None
-        try:
-            with ShardedServerClient(*router.address, timeout=10.0) as client:
-                _replay(client, streams)
-                before = _read_everything(client, streams)
-                victim = client.routing_table.owner_of(streams[0][0].uuid)
-                shards[victim].stop()
-                router.remove_engine(victim)
-                # Transport loss on the dead shard → redial + table refresh →
-                # the new owner rebuilds the stream lazily from shared storage.
-                after = _read_everything(client, streams)
-                assert after == before
-                assert client.routing_epoch == 2
-                assert victim not in client.routing_table.engine_names
-                # Writes keep working on the survivors.
-                assert client.stream_head(streams[0][0].uuid) == 3
-        finally:
-            _stop_all(router, {n: s for n, s in shards.items() if n != victim})
+        with Deployment("sharded", engines=3) as deployment:
+            client = deployment.client
+            _replay(client, streams)
+            before = _read_everything(client, streams)
+            victim = client.routing_table.owner_of(streams[0][0].uuid)
+            deployment.shards[victim].stop()
+            deployment.router.remove_engine(victim)
+            # Transport loss on the dead shard → redial + table refresh →
+            # the new owner rebuilds the stream lazily from shared storage.
+            after = _read_everything(client, streams)
+            assert after == before
+            assert client.routing_epoch == 2
+            assert victim not in client.routing_table.engine_names
+            # Writes keep working on the survivors.
+            assert client.stream_head(streams[0][0].uuid) == 3
 
     def test_stale_epoch_client_converges(self):
         streams = _encrypted_streams(6, 2)
-        shared, router, shards = _sharded_deployment(3)
-        extra = None
-        try:
-            with ShardedServerClient(*router.address, timeout=10.0) as client:
-                _replay(client, streams)
-                assert client.routing_epoch == 1
-                # Pick a (stream, shard-name) pair the ring maps together, so
-                # the membership change provably moves a stream the client
-                # already routed under the old epoch.  Searching every stream
-                # matters: a single stream whose hash lands just before an
-                # existing token leaves only a sliver of ring for a new
-                # node's tokens to claim, and all 256 candidates can miss it
-                # (~1% of runs when pinned to streams[0]).
-                current = router.table
-                target, name = next(
-                    (metadata.uuid, candidate)
-                    for metadata, _chunks in streams
-                    for candidate in (f"engine-9{index}" for index in range(256))
-                    if current.with_engine(candidate, "127.0.0.1", 1).owner_of(
-                        metadata.uuid
-                    )
-                    == candidate
-                )
-                engine = ServerEngine(store=shared, token_store=TokenStore(store=shared))
-                extra = EngineShardServer(name, engine, router.table_ref).start()
+        with Deployment("sharded", engines=3) as deployment:
+            client, router = deployment.client, deployment.router
+            _replay(client, streams)
+            assert client.routing_epoch == 1
+            # Pick a (stream, shard-name) pair the ring maps together, so
+            # the membership change provably moves a stream the client
+            # already routed under the old epoch.  Searching every stream
+            # matters: a single stream whose hash lands just before an
+            # existing token leaves only a sliver of ring for a new
+            # node's tokens to claim, and all 256 candidates can miss it
+            # (~1% of runs when pinned to streams[0]).
+            current = router.table
+            target, name = next(
+                (metadata.uuid, candidate)
+                for metadata, _chunks in streams
+                for candidate in (f"engine-9{index}" for index in range(256))
+                if current.with_engine(candidate, "127.0.0.1", 1).owner_of(metadata.uuid)
+                == candidate
+            )
+            shared = deployment.store
+            engine = ServerEngine(store=shared, token_store=TokenStore(store=shared))
+            with EngineShardServer(name, engine, router.table_ref) as extra:
                 router.add_engine(name, *extra.address)
                 assert router.table.owner_of(target) == name
                 # The client still holds epoch 1 and routes to the old owner,
                 # whose wrong_shard redirect forces the refresh.
                 assert client.stream_head(target) == 2
                 assert client.routing_epoch == 2
-        finally:
-            if extra is not None:
-                extra.stop()
-            _stop_all(router, shards)
 
     def test_miswired_shard_names_do_not_loop(self):
         """Peers answering for each other's shards must error out, not spin."""
@@ -309,15 +273,12 @@ class TestShardedEquivalence:
 
     def test_wrong_shard_redirect_payload(self):
         ((metadata, chunks),) = _encrypted_streams(1, 2)
-        _store, router, shards = _sharded_deployment(3)
-        try:
-            table = router.table
+        with Deployment("sharded", engines=3) as deployment:
+            table = deployment.router.table
             owner = table.owner_of(metadata.uuid)
             foreign = next(name for name in table.engine_names if name != owner)
-            with RemoteServerClient(*shards[foreign].address, timeout=10.0) as direct:
-                response = direct.call_many(
-                    [Request("stream_head", {"uuid": metadata.uuid})]
-                )[0]
+            with RemoteServerClient(*deployment.shards[foreign].address, timeout=10.0) as direct:
+                response = direct.call_many([Request("stream_head", {"uuid": metadata.uuid})])[0]
                 assert not response.ok
                 assert response.error_type == "WrongShardError"
                 assert response.result["owner"] == owner
@@ -326,14 +287,12 @@ class TestShardedEquivalence:
                 # And the error registry re-raises it as the typed class.
                 with pytest.raises(WrongShardError):
                     direct.stream_head(metadata.uuid)
-        finally:
-            _stop_all(router, shards)
 
     def test_router_proxies_routing_unaware_clients(self):
-        _store, router, shards = _sharded_deployment(3)
-        streams = _streams_spanning_owners(router.table, 4, 3)
-        reference_engine = ServerEngine()
-        try:
+        with Deployment("sharded", engines=3) as deployment:
+            router = deployment.router
+            streams = _streams_spanning_owners(router.table, 4, 3)
+            reference_engine = ServerEngine()
             # A plain RemoteServerClient that knows nothing about shards.
             with RemoteServerClient(*router.address, timeout=10.0) as plain:
                 _replay(plain, streams)
@@ -363,8 +322,6 @@ class TestShardedEquivalence:
                     )
                 with pytest.raises(StreamNotFoundError):
                     plain.stream_head("no-such-stream")
-        finally:
-            _stop_all(router, shards)
 
 
 # ---------------------------------------------------------------------------

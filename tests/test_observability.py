@@ -26,8 +26,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import ServerEngine, StreamConfig, TimeCrypt
+from repro.deploy import Deployment
 from repro.exceptions import OverloadedError, StreamNotFoundError
-from repro.net.client import RemoteServerClient, ShardedServerClient
+from repro.net.client import RemoteServerClient
 from repro.net.messages import Request, Response
 from repro.net.server import (
     DEFAULT_RETRY_AFTER_MS,
@@ -40,11 +41,7 @@ from repro.net.server import (
 from repro.obs import SPANS
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracing import SpanCollector, current_context, set_context
-from repro.server.router import deploy_sharded_engines
 from repro.storage.cluster import StorageCluster
-from repro.storage.memory import MemoryStore
-from repro.storage.node import StorageNodeServer
-from repro.storage.remote import RemoteKeyValueStore
 from repro.util.timeutil import TimeRange
 
 CHUNK_INTERVAL = 1_000
@@ -371,133 +368,101 @@ def _one_encrypted_stream(num_chunks: int = 8):
 
 def test_sharded_stat_range_yields_connected_tree_to_storage():
     """The acceptance path: client → engine shard → storage node, one tree."""
-    backing = MemoryStore()
-    with StorageNodeServer(backing, node_name="storage-0") as node:
-        host, port = node.address
-        from repro.access.keystore import TokenStore
+    with Deployment("four_tier", tracing=True) as deployment:
+        metadata, chunks = _one_encrypted_stream()
+        client = deployment.client
+        client.create_stream(metadata)
+        client.insert_chunks(chunks)
+        # Drop cached index state so the query must read storage.
+        for engine in deployment.engines.values():
+            engine.reset_stream_cache()
+        SPANS.clear()
+        result = client.stat_range(metadata.uuid, TimeRange(0, 8 * CHUNK_INTERVAL))
+        assert result.cells
 
-        engines = {}
-        for index in range(2):
-            store = RemoteKeyValueStore(host, port, timeout=10.0, tracing=True)
-            engines[f"engine-{index}"] = ServerEngine(
-                store=store, token_store=TokenStore(store=store)
-            )
-        router, shards = deploy_sharded_engines(engines)
-        try:
-            metadata, chunks = _one_encrypted_stream()
-            with ShardedServerClient(*router.address, timeout=10.0, tracing=True) as client:
-                client.create_stream(metadata)
-                client.insert_chunks(chunks)
-                # Drop cached index state so the query must read storage.
-                for shard in shards.values():
-                    shard.engine.reset_stream_cache()
-                SPANS.clear()
-                result = client.stat_range(metadata.uuid, TimeRange(0, 8 * CHUNK_INTERVAL))
-                assert result.cells
-        finally:
-            router.stop()
-            for shard in shards.values():
-                shard.stop()
-
-        spans = SPANS.spans()
-        root = next(
-            span
-            for span in spans
-            if span["kind"] == "client" and span["op"] == "stat_range" and span["parent_id"] is None
-        )
-        tree, _ = _assert_connected_tree(spans, root["trace_id"])
-        engine_spans = [
-            span for span in tree if span["kind"] == "server" and span["op"] == "stat_range"
-        ]
-        assert len(engine_spans) == 1
-        assert engine_spans[0]["node"].startswith("engine:engine-")
-        assert engine_spans[0]["parent_id"] == root["span_id"]
-        # The engine's storage reads hang off its server span...
-        kv_clients = [
-            span for span in tree if span["kind"] == "client" and span["op"].startswith("kv_")
-        ]
-        assert kv_clients
-        assert all(span["parent_id"] == engine_spans[0]["span_id"] for span in kv_clients)
-        # ...and the storage node's server spans hang off those.
-        kv_servers = [
-            span for span in tree if span["kind"] == "server" and span["op"].startswith("kv_")
-        ]
-        assert kv_servers
-        assert kv_servers[0]["node"] == "storage-0"
-        kv_client_ids = {span["span_id"] for span in kv_clients}
-        assert all(span["parent_id"] in kv_client_ids for span in kv_servers)
+    spans = SPANS.spans()
+    root = next(
+        span
+        for span in spans
+        if span["kind"] == "client" and span["op"] == "stat_range" and span["parent_id"] is None
+    )
+    tree, _ = _assert_connected_tree(spans, root["trace_id"])
+    engine_spans = [
+        span for span in tree if span["kind"] == "server" and span["op"] == "stat_range"
+    ]
+    assert len(engine_spans) == 1
+    assert engine_spans[0]["node"].startswith("engine:engine-")
+    assert engine_spans[0]["parent_id"] == root["span_id"]
+    # The engine's storage reads hang off its server span...
+    kv_clients = [
+        span for span in tree if span["kind"] == "client" and span["op"].startswith("kv_")
+    ]
+    assert kv_clients
+    assert all(span["parent_id"] == engine_spans[0]["span_id"] for span in kv_clients)
+    # ...and the storage node's server spans hang off those.
+    kv_servers = [
+        span for span in tree if span["kind"] == "server" and span["op"].startswith("kv_")
+    ]
+    assert kv_servers
+    assert all(span["node"].startswith("node-") for span in kv_servers)
+    kv_client_ids = {span["span_id"] for span in kv_clients}
+    assert all(span["parent_id"] in kv_client_ids for span in kv_servers)
 
 
 def test_router_proxied_request_yields_four_tier_tree():
     """A plain client through the router: client → router → engine → storage."""
-    backing = MemoryStore()
-    with StorageNodeServer(backing, node_name="storage-0") as node:
-        host, port = node.address
-        from repro.access.keystore import TokenStore
+    with Deployment("four_tier", engines=1, tracing=True) as deployment:
+        metadata, chunks = _one_encrypted_stream()
+        with RemoteServerClient(*deployment.router.address, tracing=True) as remote:
+            remote.create_stream(metadata)
+            remote.insert_chunks(chunks)
+            deployment.engines["engine-0"].reset_stream_cache()
+            SPANS.clear()
+            remote.stat_range(metadata.uuid, TimeRange(0, 8 * CHUNK_INTERVAL))
 
-        store = RemoteKeyValueStore(host, port, timeout=10.0, tracing=True)
-        engines = {"engine-0": ServerEngine(store=store, token_store=TokenStore(store=store))}
-        router, shards = deploy_sharded_engines(engines)
-        try:
-            metadata, chunks = _one_encrypted_stream()
-            with RemoteServerClient(*router.address, tracing=True) as remote:
-                remote.create_stream(metadata)
-                remote.insert_chunks(chunks)
-                shards["engine-0"].engine.reset_stream_cache()
-                SPANS.clear()
-                remote.stat_range(metadata.uuid, TimeRange(0, 8 * CHUNK_INTERVAL))
-        finally:
-            router.stop()
-            for shard in shards.values():
-                shard.stop()
+    spans = SPANS.spans()
+    root = next(
+        span
+        for span in spans
+        if span["kind"] == "client" and span["op"] == "stat_range" and span["parent_id"] is None
+    )
+    tree, _ = _assert_connected_tree(spans, root["trace_id"])
+    nodes_by_kind = {(span["kind"], span["node"]) for span in tree}
+    assert ("server", "router") in nodes_by_kind
+    assert ("server", "engine:engine-0") in nodes_by_kind
+    assert any(kind == "server" and node.startswith("node-") for kind, node in nodes_by_kind)
+    # Four tiers deep: root client → router server → (forwarded request
+    # keeps the root's trace context) engine server → kv client → storage.
+    depths = {}
 
-        spans = SPANS.spans()
-        root = next(
-            span
-            for span in spans
-            if span["kind"] == "client" and span["op"] == "stat_range" and span["parent_id"] is None
-        )
-        tree, _ = _assert_connected_tree(spans, root["trace_id"])
-        nodes_by_kind = {(span["kind"], span["node"]) for span in tree}
-        assert ("server", "router") in nodes_by_kind
-        assert ("server", "engine:engine-0") in nodes_by_kind
-        assert ("server", "storage-0") in nodes_by_kind
-        # Four tiers deep: root client → router server → (forwarded request
-        # keeps the root's trace context) engine server → kv client → storage.
-        depths = {}
+    def depth(span_id, by_id):
+        span = by_id[span_id]
+        if span["parent_id"] is None:
+            return 0
+        return 1 + depth(span["parent_id"], by_id)
 
-        def depth(span_id, by_id):
-            span = by_id[span_id]
-            if span["parent_id"] is None:
-                return 0
-            return 1 + depth(span["parent_id"], by_id)
-
-        by_id = {span["span_id"]: span for span in tree}
-        for span in tree:
-            depths[span["span_id"]] = depth(span["span_id"], by_id)
-        assert max(depths.values()) >= 3
+    by_id = {span["span_id"]: span for span in tree}
+    for span in tree:
+        depths[span["span_id"]] = depth(span["span_id"], by_id)
+    assert max(depths.values()) >= 3
 
 
 def test_scrape_each_tier_in_one_round_trip():
     """stats / trace_dump pull from router, engine shard, and storage node."""
-    backing = MemoryStore()
-    with StorageNodeServer(backing, node_name="storage-0") as node:
-        engines = {"engine-0": ServerEngine()}
-        router, shards = deploy_sharded_engines(engines)
-        try:
-            targets = [router.address, shards["engine-0"].address, node.address]
-            for address in targets:
-                with RemoteServerClient(*address, timeout=10.0) as remote:
-                    before = remote.wire_stats.round_trips
-                    stats = remote.call_many([Request("stats")])[0]
-                    dump = remote.call_many([Request("trace_dump")])[0]
-                    assert stats.ok and dump.ok
-                    assert "metrics" in stats.result and "spans" in dump.result
-                    assert remote.wire_stats.round_trips == before + 2
-        finally:
-            router.stop()
-            for shard in shards.values():
-                shard.stop()
+    with Deployment("four_tier", engines=1) as deployment:
+        targets = [
+            deployment.router.address,
+            deployment.shards["engine-0"].address,
+            deployment.addresses["node-0"],
+        ]
+        for address in targets:
+            with RemoteServerClient(*address, timeout=10.0) as remote:
+                before = remote.wire_stats.round_trips
+                stats = remote.call_many([Request("stats")])[0]
+                dump = remote.call_many([Request("trace_dump")])[0]
+                assert stats.ok and dump.ok
+                assert "metrics" in stats.result and "spans" in dump.result
+                assert remote.wire_stats.round_trips == before + 2
 
 
 # ---------------------------------------------------------------------------

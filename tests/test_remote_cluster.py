@@ -22,6 +22,7 @@ import pytest
 
 from repro import Principal, ServerEngine, StreamConfig, TimeCrypt, TimeCryptConsumer
 from repro.access.keystore import TokenStore
+from repro.deploy import Deployment
 from repro.exceptions import ProtocolError, StorageError
 from repro.net.client import RemoteServerClient
 from repro.net.messages import KV_OPERATIONS, Request, Response
@@ -57,46 +58,11 @@ def remote(node):
     store.close()
 
 
-class _ClusterHarness:
-    """N storage-node servers plus a StorageCluster dialing them."""
-
-    def __init__(self, num_nodes: int = 3, replication_factor: int = 2, **store_kwargs) -> None:
-        self.backing: Dict[str, MemoryStore] = {}
-        self.servers: Dict[str, StorageNodeServer] = {}
-        self.addresses: Dict[str, Tuple[str, int]] = {}
-        for index in range(num_nodes):
-            name = f"node-{index}"
-            self.backing[name] = MemoryStore()
-            server = StorageNodeServer(self.backing[name]).start()
-            self.servers[name] = server
-            self.addresses[name] = server.address
-        self.cluster = StorageCluster(
-            num_nodes=num_nodes,
-            replication_factor=replication_factor,
-            store_factory=lambda name: RemoteKeyValueStore(
-                *self.addresses[name], timeout=5.0, **store_kwargs
-            ),
-        )
-
-    def kill(self, name: str) -> None:
-        self.servers[name].stop()
-
-    def restart(self, name: str) -> None:
-        self.servers[name] = StorageNodeServer(
-            self.backing[name], port=self.addresses[name][1]
-        ).start()
-
-    def close(self) -> None:
-        self.cluster.close()
-        for server in self.servers.values():
-            server.stop()
-
-
 @pytest.fixture()
 def harness():
-    h = _ClusterHarness()
-    yield h
-    h.close()
+    """Three storage nodes at RF 2 (the ``four_tier`` deployment's storage tier)."""
+    with Deployment("four_tier") as deployment:
+        yield deployment
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +230,10 @@ class TestKVWireOps:
         from repro.net.framing import MAX_FRAME_BYTES
 
         with pytest.raises(ProtocolError):
-            harness.cluster.multi_put([(b"huge", bytes(MAX_FRAME_BYTES + 1))])
-        assert not harness.cluster._down  # deterministic caller error, no outage
-        harness.cluster.put(b"fine", b"v")
-        assert harness.cluster.get(b"fine") == b"v"
+            harness.store.multi_put([(b"huge", bytes(MAX_FRAME_BYTES + 1))])
+        assert not harness.store._down  # deterministic caller error, no outage
+        harness.store.put(b"fine", b"v")
+        assert harness.store.get(b"fine") == b"v"
 
     def test_malformed_args_get_a_typed_error_not_dead_air(self, node):
         host, port = node.address
@@ -705,16 +671,14 @@ def _mirrored_workload(engine_a: ServerEngine, engine_b: ServerEngine) -> str:
 class TestRemoteCluster:
     def test_byte_identity_with_in_process_cluster(self, harness):
         inproc = StorageCluster(num_nodes=3, replication_factor=2)
-        engine_remote = ServerEngine(
-            store=harness.cluster, token_store=TokenStore(harness.cluster)
-        )
+        engine_remote = harness.engines["engine-0"]
         engine_inproc = ServerEngine(store=inproc, token_store=TokenStore(inproc))
         _mirrored_workload(engine_inproc, engine_remote)
         local = list(inproc.scan_prefix(b""))
-        over_wire = list(harness.cluster.scan_prefix(b""))
+        over_wire = list(harness.store.scan_prefix(b""))
         assert local, "workload stored nothing"
         assert over_wire == local
-        assert harness.cluster.size_bytes() == inproc.size_bytes()
+        assert harness.store.size_bytes() == inproc.size_bytes()
         # Per-replica contents match node by node too (same ring layout).
         for name in inproc.node_names:
             assert list(harness.backing[name].scan_prefix(b"")) == list(
@@ -724,24 +688,24 @@ class TestRemoteCluster:
 
     def test_cluster_batch_round_trips_per_node(self, harness):
         items = [(f"rt/{index:04d}".encode(), bytes(32)) for index in range(200)]
-        for name in harness.cluster.node_names:
-            harness.cluster.node_store(name).connect()
-            harness.cluster.node_store(name).wire_stats.reset()
-        harness.cluster.multi_put(items)
-        rf = harness.cluster.replication_factor
-        for name in harness.cluster.node_names:
-            trips = harness.cluster.node_store(name).wire_stats.round_trips
+        for name in harness.store.node_names:
+            harness.store.node_store(name).connect()
+            harness.store.node_store(name).wire_stats.reset()
+        harness.store.multi_put(items)
+        rf = harness.store.replication_factor
+        for name in harness.store.node_names:
+            trips = harness.store.node_store(name).wire_stats.round_trips
             assert 1 <= trips <= rf + 1, (name, trips)  # not n·RF
-        for name in harness.cluster.node_names:
-            harness.cluster.node_store(name).wire_stats.reset()
-        fetched = harness.cluster.multi_get([key for key, _ in items])
+        for name in harness.store.node_names:
+            harness.store.node_store(name).wire_stats.reset()
+        fetched = harness.store.multi_get([key for key, _ in items])
         assert all(fetched[key] == value for key, value in items)
-        for name in harness.cluster.node_names:
-            trips = harness.cluster.node_store(name).wire_stats.round_trips
+        for name in harness.store.node_names:
+            trips = harness.store.node_store(name).wire_stats.round_trips
             assert trips <= rf + 1, (name, trips)
 
     def test_node_kill_reroute_restart_repair(self, harness):
-        cluster = harness.cluster
+        cluster = harness.store
         first = [(f"a/{index:03d}".encode(), bytes([index % 251])) for index in range(60)]
         cluster.multi_put(first)
         harness.kill("node-1")
@@ -764,7 +728,7 @@ class TestRemoteCluster:
         assert all(fetched[key] == value for key, value in first + second)
 
     def test_scan_paths_survive_node_outage(self, harness):
-        cluster = harness.cluster
+        cluster = harness.store
         items = [(f"sc/{index:03d}".encode(), bytes(100)) for index in range(80)]
         cluster.multi_put(items)
         expected_size = cluster.size_bytes()
@@ -780,9 +744,9 @@ class TestRemoteCluster:
     def test_scan_with_every_node_dead_raises_partition_error(self, harness):
         from repro.exceptions import PartitionError
 
-        cluster = harness.cluster
+        cluster = harness.store
         cluster.multi_put([(b"dead/key", b"value")])
-        for name in list(harness.servers):
+        for name in list(harness.nodes):
             harness.kill(name)
         # A dead cluster must not masquerade as an empty one (engine
         # recovery over the store would silently "find" zero streams).
@@ -792,7 +756,7 @@ class TestRemoteCluster:
             cluster.size_bytes()
 
     def test_size_bytes_over_wire_ships_no_values(self, harness):
-        cluster = harness.cluster
+        cluster = harness.store
         cluster.multi_put([(f"sz/{index:02d}".encode(), bytes(10_000)) for index in range(20)])
         for name in cluster.node_names:
             cluster.node_store(name).wire_stats.reset()
@@ -806,7 +770,7 @@ class TestRemoteCluster:
 
     def test_scalar_ops_fail_over_like_batches(self, harness):
         """Scalar get/put/delete mark a dead node down and use the survivors."""
-        cluster = harness.cluster
+        cluster = harness.store
         cluster.multi_put([(f"sv/{index:02d}".encode(), bytes([index])) for index in range(30)])
         harness.kill("node-2")
         for index in range(30):
@@ -830,7 +794,7 @@ class TestRemoteCluster:
             assert peer.accepts == 2  # the store's one redial, not the transport's
 
     def test_concurrent_fan_out(self, harness):
-        cluster = harness.cluster
+        cluster = harness.store
         errors = []
 
         def worker(worker_id: int) -> None:
@@ -956,9 +920,9 @@ class TestClusterStreamingAndLifecycle:
         cluster.close()
 
     def test_remote_cluster_close_then_reuse(self, harness):
-        harness.cluster.multi_put([(b"x", b"1")])
-        harness.cluster.close()
-        assert harness.cluster.get(b"x") == b"1"  # redials after close
+        harness.store.multi_put([(b"x", b"1")])
+        harness.store.close()
+        assert harness.store.get(b"x") == b"1"  # redials after close
 
 
 # ---------------------------------------------------------------------------

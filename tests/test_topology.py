@@ -24,6 +24,7 @@ import pytest
 
 from repro import Principal, ServerEngine, StreamConfig, TimeCrypt
 from repro.access.keystore import TokenStore
+from repro.deploy import Deployment
 from repro.exceptions import ClusterMembershipError
 from repro.storage.cluster import HINT_PREFIX, StorageCluster, _hint_prefix_for
 from repro.storage.disk import AppendLogStore
@@ -535,56 +536,11 @@ class TestHintedHandoff:
 # ---------------------------------------------------------------------------
 
 
-class _ElasticHarness:
-    """Storage-node TCP servers plus a cluster dialing them, growable."""
-
-    def __init__(self, num_nodes: int = 3, replication_factor: int = 2) -> None:
-        self.backing: Dict[str, MemoryStore] = {}
-        self.servers: Dict[str, StorageNodeServer] = {}
-        self.addresses: Dict[str, Tuple[str, int]] = {}
-        for index in range(num_nodes):
-            self._launch(f"node-{index}")
-        self.cluster = StorageCluster(
-            num_nodes=num_nodes,
-            replication_factor=replication_factor,
-            store_factory=lambda name: RemoteKeyValueStore(
-                *self.addresses[name], timeout=5.0
-            ),
-        )
-
-    def _launch(self, name: str) -> None:
-        self.backing[name] = MemoryStore()
-        server = StorageNodeServer(self.backing[name]).start()
-        self.servers[name] = server
-        self.addresses[name] = server.address
-
-    def add_node(self, name: str, **kwargs) -> str:
-        self._launch(name)
-        return self.cluster.add_node(name, **kwargs)
-
-    def decommission(self, name: str) -> None:
-        self.cluster.decommission_node(name)
-        self.servers.pop(name).stop()
-
-    def kill(self, name: str) -> None:
-        self.servers[name].stop()
-
-    def restart(self, name: str) -> None:
-        self.servers[name] = StorageNodeServer(
-            self.backing[name], port=self.addresses[name][1]
-        ).start()
-
-    def close(self) -> None:
-        self.cluster.close()
-        for server in self.servers.values():
-            server.stop()
-
-
 @pytest.fixture()
 def elastic():
-    harness = _ElasticHarness()
-    yield harness
-    harness.close()
+    """Three storage nodes at RF 2, growable (the ``four_tier`` storage tier)."""
+    with Deployment("four_tier") as deployment:
+        yield deployment
 
 
 def _engine_workload(engine_a: ServerEngine, engine_b: ServerEngine, topology_hook) -> None:
@@ -627,42 +583,41 @@ class TestRemoteElasticity:
     def test_add_then_decommission_byte_identical_to_static_cluster(self, elastic):
         static = StorageCluster(num_nodes=3, replication_factor=2)
         engine_static = ServerEngine(store=static, token_store=TokenStore(static))
-        engine_elastic = ServerEngine(
-            store=elastic.cluster, token_store=TokenStore(elastic.cluster)
-        )
+        engine_elastic = elastic.engines["engine-0"]
 
         def topology_hook(phase: str) -> None:
             if phase == "after-first-wave":
-                elastic.add_node("node-3", handoff_batch_size=64)
+                elastic.launch("node-3")
+                elastic.store.add_node("node-3", handoff_batch_size=64)
             elif phase == "after-second-wave":
                 elastic.decommission("node-0")
 
         _engine_workload(engine_elastic, engine_static, topology_hook)
-        assert elastic.cluster.node_names == ["node-1", "node-2", "node-3"]
-        over_wire = list(elastic.cluster.scan_prefix(b""))
+        assert elastic.store.node_names == ["node-1", "node-2", "node-3"]
+        over_wire = list(elastic.store.scan_prefix(b""))
         local = list(static.scan_prefix(b""))
         assert local, "workload stored nothing"
         assert over_wire == local  # byte identity across the add/decommission cycle
-        assert elastic.cluster.size_bytes() == static.size_bytes()
+        assert elastic.store.size_bytes() == static.size_bytes()
         static.close()
 
     def test_remote_add_node_moves_and_serves(self, elastic):
-        items = _fill(elastic.cluster, 300)
+        items = _fill(elastic.store, 300)
         elastic.add_node("node-3")
-        stats = elastic.cluster.last_rebalance
+        stats = elastic.store.last_rebalance
         assert stats["moved_keys"] > 0
         assert len(elastic.backing["node-3"]) == stats["copied_keys"] > 0
-        fetched = elastic.cluster.multi_get([key for key, _ in items])
+        fetched = elastic.store.multi_get([key for key, _ in items])
         assert all(fetched[key] == value for key, value in items)
 
     def test_remote_handoff_round_trips_bounded_per_batch(self, elastic):
-        _fill(elastic.cluster, 400)
-        elastic._launch("node-3")
-        store = RemoteKeyValueStore(*elastic.addresses["node-3"], timeout=5.0)
+        _fill(elastic.store, 400)
+        elastic.launch("node-3")
+        store = elastic.dial("node-3")
         store.connect()
         store.wire_stats.reset()
-        elastic.cluster.add_node("node-3", store=store, handoff_batch_size=64)
-        stats = elastic.cluster.last_rebalance
+        elastic.store.add_node("node-3", store=store, handoff_batch_size=64)
+        stats = elastic.store.last_rebalance
         assert stats["handoff_batches"] >= 2
         # Per batch the destination sees one multi_get (what do you hold)
         # and one multi_put (the backfill) — the old owners absorb the value
@@ -672,22 +627,22 @@ class TestRemoteElasticity:
         assert store.wire_stats.round_trips <= 2 * stats["handoff_batches"] + 2
 
     def test_remote_hint_replay_over_sockets(self, elastic):
-        _fill(elastic.cluster, 60, prefix="pre")
+        _fill(elastic.store, 60, prefix="pre")
         elastic.kill("node-1")
-        during = _fill(elastic.cluster, 60, prefix="during")
-        assert "node-1" in elastic.cluster._down
+        during = _fill(elastic.store, 60, prefix="during")
+        assert "node-1" in elastic.store._down
         elastic.restart("node-1")
-        assert elastic.cluster.mark_up("node-1") > 0
-        assert elastic.cluster.repair_node("node-1") == 0
-        fetched = elastic.cluster.multi_get([key for key, _ in during])
+        assert elastic.store.mark_up("node-1") > 0
+        assert elastic.store.repair_node("node-1") == 0
+        fetched = elastic.store.multi_get([key for key, _ in during])
         assert all(fetched[key] == value for key, value in during)
 
     def test_decommission_while_one_node_down(self, elastic):
-        items = _fill(elastic.cluster, 200)
+        items = _fill(elastic.store, 200)
         elastic.kill("node-2")
         # First write marks it down and parks hints; then node-0 leaves.
-        more = _fill(elastic.cluster, 50, prefix="more")
+        more = _fill(elastic.store, 50, prefix="more")
         elastic.decommission("node-0")
-        assert elastic.cluster.node_names == ["node-1", "node-2"]
-        fetched = elastic.cluster.multi_get([key for key, _ in items + more])
+        assert elastic.store.node_names == ["node-1", "node-2"]
+        fetched = elastic.store.multi_get([key for key, _ in items + more])
         assert all(fetched[key] == value for key, value in items + more)

@@ -1,4 +1,4 @@
-"""The transport constructors' options, pinned by name.
+"""The transport constructors' and the deployment's options, pinned by name.
 
 Every parameter below is a value some caller sets; options that nothing set
 were folded into the constants they defaulted to.  A change that adds,
@@ -12,6 +12,7 @@ import inspect
 
 import pytest
 
+from repro.deploy import Deployment
 from repro.net.client import RemoteServerClient, ShardedServerClient
 from repro.net.server import TimeCryptTCPServer
 from repro.server.router import EngineShardServer, StreamRouter
@@ -55,6 +56,7 @@ _OPTIONS = {
         "overload_retries",
         "tracing",
     ],
+    Deployment: ["shape", "engines", "tracing", "index_cache_bytes"],
 }
 
 
