@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.reporting import ResultTable
+from repro.index.query import plan_range, worst_case_nodes
+
 
 # Interval exponents: [0, 2^x] windows.  The paper sweeps x up to 26 with 100M
 # chunks; we sweep up to the size of the pre-ingested benchmark stream.
@@ -61,3 +64,28 @@ def test_fig5_latency_flat_for_aligned_ranges(timecrypt_with_data, bench_config)
     # Query size grows 256x; node count must grow far slower than linearly.
     assert nodes_touched[-1] <= nodes_touched[0] * 64
     assert nodes_touched[-1] < 2 * (bench_config.index_fanout - 1) * 4
+
+
+def test_fig5_signed_node_counts(timecrypt_with_data, bench_config):
+    """Nodes a query reads: the signed cover, the additive cover and the §6.1 bound.
+
+    Each interval ``[0, 2^x]`` and its ragged shift ``[1, 2^x + 1)``; the
+    bound stays an upper bound on both covers.
+    """
+    owner, uuid, num_chunks = timecrypt_with_data
+    server = owner.server
+    index = server._state(uuid).index
+    fanout = bench_config.index_fanout
+    table = ResultTable(
+        title=f"Fig. 5 plan sizes — fanout {fanout}, {num_chunks} windows",
+        columns=["interval", "signed", "additive", "paper bound"],
+    )
+    for exponent in EXPONENTS:
+        for start in (0, 1):
+            end = min(start + 2**exponent, num_chunks)
+            signed = server.stat_range_windows(uuid, start, end).num_index_nodes
+            additive = plan_range(start, end, fanout, index.max_level).num_nodes
+            bound = worst_case_nodes(fanout, end)
+            table.add_row(f"[{start}, {end})", signed, additive, bound)
+            assert signed <= additive <= bound + 1
+    table.print()

@@ -120,7 +120,9 @@ def _run_queries(remote: RemoteServerClient, uuid: str, num_chunks: int) -> Dict
     chunks = remote.get_range(uuid, TimeRange(0, num_chunks * CHUNK_INTERVAL_MS))
     range_round_trips = remote.wire_stats.round_trips
     remote.wire_stats.reset()
-    result = remote.stat_range(uuid, TimeRange(0, num_chunks * CHUNK_INTERVAL_MS))
+    # Ragged by one chunk: a whole-stream stat is the single head node of a
+    # signed cover, and the point is one round trip for a multi-node plan.
+    result = remote.stat_range(uuid, TimeRange(CHUNK_INTERVAL_MS, num_chunks * CHUNK_INTERVAL_MS))
     stat_round_trips = remote.wire_stats.round_trips
     return {
         "chunks_fetched": len(chunks),

@@ -51,7 +51,7 @@ import random
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import ServerEngine, TimeCrypt
 from repro.bench.reporting import ResultTable, format_duration, write_json_report
@@ -94,6 +94,9 @@ FOLD_WIDTH = 11
 FOLD_FANOUT = 64
 FOLD_QUERIES = scaled(2000, minimum=200)
 FOLD_ROUNDS = 5
+#: Ranges the mean plan size is taken over: fixed, so the count is exact at
+#: any scale (the timed ranges are a prefix of the same sequence).
+FOLD_PLAN_QUERIES = 2000
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_storage.json"
 
@@ -254,6 +257,17 @@ def _spine_reads() -> Dict[str, object]:
     }
 
 
+def _fold_ranges(count: int) -> List[Tuple[int, int]]:
+    """``count`` log-uniform-length ranges over the fold index, from a fixed seed."""
+    rng = random.Random(7)
+    ranges = []
+    for _ in range(count):
+        length = min(FOLD_WINDOWS, max(1, round(math.exp(rng.uniform(0, math.log(FOLD_WINDOWS))))))
+        first = rng.randrange(FOLD_WINDOWS - length + 1)
+        ranges.append((first, first + length))
+    return ranges
+
+
 def _query_fold(num_queries: int) -> Dict[str, object]:
     """Cache-resident ``query_range``: HEAC column fold vs pairwise ``+`` vs plaintext.
 
@@ -288,12 +302,7 @@ def _query_fold(num_queries: int) -> Dict[str, object]:
         for first in range(0, FOLD_WINDOWS, 8):
             index.append_many(vectors[first : first + 8])
         indexes[name] = index
-    rng = random.Random(7)
-    ranges = []
-    for _ in range(num_queries):
-        length = min(FOLD_WINDOWS, max(1, round(math.exp(rng.uniform(0, math.log(FOLD_WINDOWS))))))
-        first = rng.randrange(FOLD_WINDOWS - length + 1)
-        ranges.append((first, first + length))
+    ranges = _fold_ranges(num_queries)
     # Same answers on every arm before anything is timed.
     for first, last in ranges[:50]:
         cells = indexes["heac"].query_range(first, last)
@@ -307,13 +316,14 @@ def _query_fold(num_queries: int) -> Dict[str, object]:
                 index.query_range(first, last)
             best[name] = min(best[name], time.perf_counter() - begin)
     micros = {name: seconds / len(ranges) * 1e6 for name, seconds in best.items()}
-    plan_nodes = sum(indexes["heac"].plan(first, last).num_nodes for first, last in ranges)
+    plan_ranges = _fold_ranges(FOLD_PLAN_QUERIES)
+    plan_nodes = sum(indexes["heac"].plan(first, last).num_nodes for first, last in plan_ranges)
     return {
         "windows": FOLD_WINDOWS,
         "width": FOLD_WIDTH,
         "fanout": FOLD_FANOUT,
         "queries": len(ranges),
-        "mean_plan_nodes": round(plan_nodes / len(ranges), 2),
+        "mean_plan_nodes": round(plan_nodes / len(plan_ranges), 2),
         "before_heac_pairwise_us_per_query": round(micros["heac_pairwise"], 1),
         "after_heac_us_per_query": round(micros["heac"], 1),
         "plaintext_us_per_query": round(micros["plaintext"], 1),

@@ -70,6 +70,11 @@ MANIFEST: Dict[str, Tuple[str, List[Tuple[str, str, str]]]] = {
             eq("query_fetch.index_store_round_trips"),
             eq("query_fetch.max_multi_gets_per_node"),
             eq("query_fetch.total_node_round_trips"),
+            # Signed covers: the cold query [1, head) is the head node minus
+            # one leaf at any stream length, and the fold arm's mean plan
+            # size is taken over a fixed range sequence.
+            eq("query_fetch.plan_nodes"),
+            eq("query_fold.mean_plan_nodes"),
             # Fixed per-ingest overhead beyond one write round trip per batch.
             delta("appendlog_ingest.batch.write_round_trips", "appendlog_ingest.batch.num_batches"),
             # Storage reads an append spends on the index spine under a cache

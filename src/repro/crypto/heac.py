@@ -490,6 +490,42 @@ def fold_vectors(vectors: Sequence[Sequence[HEACCiphertext]]) -> List[HEACCipher
     return [HEACCiphertext(total & _MASK, start, end) for total in sum_columns(rows)]
 
 
+def signed_sum_columns(
+    added: Sequence[Sequence[int]], subtracted: Sequence[Sequence[int]]
+) -> List[int]:
+    """Per component, the added rows' sum minus the subtracted rows' (plain integers).
+
+    ``added`` is non-empty; HEAC callers mask the totals into the ring.
+    """
+    totals = sum_columns(added)
+    if subtracted:
+        totals = [total - out for total, out in zip(totals, sum_columns(subtracted))]
+    return totals
+
+
+def fold_signed(
+    added: Sequence[Sequence[HEACCiphertext]],
+    subtracted: Sequence[Sequence[HEACCiphertext]],
+    window_start: int,
+    window_end: int,
+) -> List[HEACCiphertext]:
+    """``Σ added − Σ subtracted`` of digest vectors whose signed intervals
+    tile exactly ``[window_start, window_end)``.
+
+    HEAC is additive mod 2^64, so a block's aggregate minus the pieces of it
+    outside a range is the same ciphertext as the sum of the pieces inside.
+    The cell intervals are not read: the caller guarantees the tiling (the
+    index plans it and checks every node's stored interval against the
+    plan), and the ``width`` result cells are tagged with the range.
+    """
+    rows = [[cell.value for cell in vector] for vector in added]
+    out = [[cell.value for cell in vector] for vector in subtracted]
+    return [
+        HEACCiphertext(total & _MASK, window_start, window_end)
+        for total in signed_sum_columns(rows, out)
+    ]
+
+
 def aggregate_componentwise(
     vectors: Iterable[Sequence[HEACCiphertext]],
 ) -> List[HEACCiphertext]:

@@ -23,13 +23,19 @@ addition per add" without an object per intermediate cell; only the
 and ``size_of`` (the Paillier / EC-ElGamal strawmen) folds by left-to-right
 pairwise ``add``.
 
-A fold trusts each vector to cover one window interval and only checks that
-consecutive vectors are adjacent — that is a precondition of
-:meth:`DigestCombiner.fold`, not something it verifies.  The per-cell
-interval check runs once, where a vector enters the tree
-(:meth:`DigestCombiner.check_interval`, called on every appended digest and
-every node decoded from storage); nodes are immutable afterwards.  A
-payload-only stream has zero-width digests; folding those yields ``[]``.
+Signed fold
+-----------
+
+A combiner that can subtract (HEAC, its bare ring-integer form, the
+plaintext baseline) also answers :meth:`DigestCombiner.signed_fold`:
+``Σ added − Σ subtracted`` tagged with the queried range, which is what a
+signed cover (:mod:`repro.index.query`) needs.  It reads cell values only.
+What makes that safe is checked elsewhere: every vector entering the tree
+covers one interval (:meth:`DigestCombiner.check_interval` on every appended
+digest and every node decoded from storage), and the tree matches each
+loaded node's interval exactly against the plan, whose signed intervals
+tile the range.  A payload-only stream has zero-width digests; folding
+those yields ``[]``.
 """
 
 from __future__ import annotations
@@ -38,7 +44,15 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Generic, List, Optional, Sequence, TypeVar
 
-from repro.crypto.heac import HEACCiphertext, fold_vectors, sum_columns, vector_interval
+from repro.crypto.heac import (
+    MODULUS,
+    HEACCiphertext,
+    fold_signed,
+    fold_vectors,
+    signed_sum_columns,
+    sum_columns,
+    vector_interval,
+)
 from repro.exceptions import IndexError_
 
 Cell = TypeVar("Cell")
@@ -88,10 +102,12 @@ class DigestCombiner(Generic[Cell]):
 
     ``add`` must be associative; ``size_of`` reports the serialized size of a
     cell so index-size accounting (Table 2) works uniformly across ciphers.
-    ``fold`` optionally sums many equal-width vectors at once (in order) and
+    ``fold`` optionally sums many equal-width vectors at once (in order),
     ``check_interval`` optionally validates that a vector's cells cover a
-    given window interval; without them a fold is pairwise ``add`` and cells
-    are taken to carry no interval.
+    given window interval, and ``signed_fold`` optionally computes
+    ``Σ added − Σ subtracted`` tagged with a window range; without them a
+    fold is pairwise ``add``, cells are taken to carry no interval, and the
+    combiner cannot subtract (query plans stay additive).
     """
 
     def __init__(
@@ -100,17 +116,33 @@ class DigestCombiner(Generic[Cell]):
         size_of: Callable[[Cell], int],
         fold: Optional[Callable[[Sequence[Sequence[Cell]]], List[Cell]]] = None,
         check_interval: Optional[Callable[[Sequence[Cell], int, int], None]] = None,
+        signed_fold: Optional[
+            Callable[[Sequence[Sequence[Cell]], Sequence[Sequence[Cell]], int, int], List[Cell]]
+        ] = None,
     ) -> None:
         self._add = add
         self._size_of = size_of
         self._fold = fold
         self._check_interval = check_interval
+        self._signed_fold = signed_fold
 
     def add(self, left: Cell, right: Cell) -> Cell:
         return self._add(left, right)
 
     def size_of(self, cell: Cell) -> int:
         return self._size_of(cell)
+
+    @property
+    def can_subtract(self) -> bool:
+        return self._signed_fold is not None
+
+    @staticmethod
+    def _width(vectors: Sequence[Sequence[Cell]]) -> int:
+        width = len(vectors[0])
+        for vector in vectors:
+            if len(vector) != width:
+                raise IndexError_("cannot combine digest vectors of different widths")
+        return width
 
     def fold(self, vectors: Sequence[Sequence[Cell]]) -> List[Cell]:
         """Component-wise sum of ``vectors`` (non-empty, equal widths), in order.
@@ -121,11 +153,7 @@ class DigestCombiner(Generic[Cell]):
         """
         if not vectors:
             raise IndexError_("cannot fold an empty digest vector sequence")
-        width = len(vectors[0])
-        for vector in vectors:
-            if len(vector) != width:
-                raise IndexError_("cannot combine digest vectors of different widths")
-        if width == 0:
+        if self._width(vectors) == 0:
             return []
         if self._fold is not None:
             return self._fold(vectors)
@@ -133,6 +161,26 @@ class DigestCombiner(Generic[Cell]):
         for vector in vectors[1:]:
             total = [self._add(a, b) for a, b in zip(total, vector)]
         return total
+
+    def signed_fold(
+        self,
+        added: Sequence[Sequence[Cell]],
+        subtracted: Sequence[Sequence[Cell]],
+        window_start: int,
+        window_end: int,
+    ) -> List[Cell]:
+        """``Σ added − Σ subtracted``, tagged ``[window_start, window_end)``.
+
+        Precondition: the vectors' signed intervals tile exactly that range
+        (the caller checked each one); only cell values are read.
+        """
+        if self._signed_fold is None:
+            raise IndexError_("this digest cipher cannot subtract")
+        if not added:
+            raise IndexError_("cannot fold an empty digest vector sequence")
+        if self._width([*added, *subtracted]) == 0:
+            return []
+        return self._signed_fold(added, subtracted, window_start, window_end)
 
     def check_interval(self, cells: Sequence[Cell], window_start: int, window_end: int) -> None:
         """Reject a vector whose cells do not all cover ``[window_start, window_end)``."""
@@ -166,9 +214,35 @@ def heac_combiner() -> DigestCombiner[HEACCiphertext]:
         size_of=lambda _cell: 8,
         fold=fold_vectors,
         check_interval=_check_heac_interval,
+        signed_fold=fold_signed,
+    )
+
+
+def _ring_signed_fold(
+    added: Sequence[Sequence[int]], subtracted: Sequence[Sequence[int]], _start: int, _end: int
+) -> List[int]:
+    return [total % MODULUS for total in signed_sum_columns(added, subtracted)]
+
+
+def ring_combiner() -> DigestCombiner[int]:
+    """Combiner for HEAC cells held as bare ring integers (8-byte cells).
+
+    The interval lives on the node, not on each cell, so there is nothing
+    per cell to check; sums and differences are taken mod 2^64.
+    """
+    return DigestCombiner(
+        add=lambda left, right: (left + right) % MODULUS,
+        size_of=lambda _cell: 8,
+        fold=lambda vectors: [total % MODULUS for total in sum_columns(vectors)],
+        signed_fold=_ring_signed_fold,
     )
 
 
 def plaintext_combiner() -> DigestCombiner[int]:
     """Combiner for the plaintext baseline (plain integer addition, 8-byte cells)."""
-    return DigestCombiner(add=operator.add, size_of=lambda _cell: 8, fold=sum_columns)
+    return DigestCombiner(
+        add=operator.add,
+        size_of=lambda _cell: 8,
+        fold=sum_columns,
+        signed_fold=lambda added, subtracted, _start, _end: signed_sum_columns(added, subtracted),
+    )

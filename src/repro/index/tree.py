@@ -17,30 +17,46 @@ The tree is cipher-agnostic: cells are combined via a
 supplied functions, so the same code serves HEAC, Paillier, EC-ElGamal, and
 the plaintext baseline.
 
-Column fold
------------
+Nodes and their intervals
+-------------------------
 
-Every aggregation is **one** :meth:`DigestCombiner.fold
-<repro.index.node.DigestCombiner.fold>` call over all the vectors involved:
-a range query folds the cells of its whole node cover at once, and an append
-folds, per touched spine node, the stored node plus every new leaf of its
-block.  For HEAC that is one integer ``sum`` per digest component and
-``width`` result ciphertexts per query — the same arithmetic as the
-plaintext baseline plus a 64-bit mask — rather than one ciphertext object
-per cell per node.
-
-The fold takes each vector to cover a single window interval and checks only
-that consecutive vectors are adjacent.  What makes that safe is validated
-where vectors enter the tree, once per vector rather than once per fold:
+The interval lives on the node: an :class:`~repro.index.node.IndexNode`
+carries ``[window_start, window_end)`` — its block clipped at the stream
+head — next to its cells, and the stored form starts with it.  Cells may
+repeat it (HEAC ciphertexts do) or not (the engine's
+:class:`~repro.server.engine.HEACColumnIndex` holds bare ring integers).
+What is validated where vectors enter the tree, once per vector:
 
 * an appended digest must cover exactly ``[w, w + 1)`` for the window ``w``
   it becomes (:meth:`AggregationIndex.append_many`);
 * a node decoded from storage must carry cells covering exactly the
   interval in its header (:meth:`AggregationIndex._decode_node`);
-* at query time every loaded node's header is matched against the plan
-  (:meth:`AggregationIndex.query_range`), so the cover is gap-free.
+* at query time every loaded node's interval must equal its plan entry's
+  exactly (:meth:`AggregationIndex.query_range`).
 
 Nodes are immutable, so a cached or resident node stays validated.
+
+Signed covers
+-------------
+
+A range query reads the cover :func:`~repro.index.query.plan_range` plans.
+When the combiner can subtract (HEAC is additive mod 2^64) the cover is
+signed: a block the range only partly covers may be taken whole, minus its
+children outside the range and the complements of its edge children, since
+``block − outside`` is the same ciphertext as the sum of the pieces
+inside.  That reads up to half the nodes of the additive cover.  Added and
+subtracted nodes load in one :meth:`AggregationIndex._load_nodes` call, and
+the answer is **one** :meth:`DigestCombiner.signed_fold
+<repro.index.node.DigestCombiner.signed_fold>` — one integer ``sum`` per
+digest component over the added rows, one over the subtracted rows, and
+``width`` result cells tagged with the queried range.  The exact interval
+check above is what makes the signed sum the range's aggregate.  A
+combiner that cannot subtract (the Paillier and EC-ElGamal strawmen) gets
+the additive cover from the same planner and folds it in window order.
+
+An append folds, per touched spine node, the stored node plus every new
+leaf of its block with one :meth:`DigestCombiner.fold
+<repro.index.node.DigestCombiner.fold>` call.
 
 Batch ingest
 ------------
@@ -81,7 +97,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.exceptions import IndexError_, QueryError
+from repro.exceptions import ChunkError, IndexError_, QueryError
 from repro.index.cache import NodeCache
 from repro.index.node import DigestCombiner, IndexNode
 from repro.index.query import RangePlan, plan_range
@@ -215,9 +231,18 @@ class AggregationIndex(Generic[Cell]):
         batch[self._node_key(node.level, node.position)] = self._encode_node(node)
         staged.append(node)
 
+    def _leaf_cells(self, cells: Sequence[Cell], window: int) -> tuple:
+        """The stored form of an appended digest, which must cover ``[window, window + 1)``."""
+        leaf = tuple(cells)
+        self._combiner.check_interval(leaf, window, window + 1)
+        return leaf
+
     def _decode_node(self, level: int, position: int, blob: bytes) -> IndexNode:
-        window_start, pos = decode_varint(blob, 0)
-        window_end, pos = decode_varint(blob, pos)
+        try:
+            window_start, pos = decode_varint(blob, 0)
+            window_end, pos = decode_varint(blob, pos)
+        except ValueError as exc:
+            raise ChunkError(f"malformed index node: {exc}") from exc
         cells = tuple(self._decode_cells(blob[pos:]))
         self._combiner.check_interval(cells, window_start, window_end)
         return IndexNode(
@@ -328,8 +353,7 @@ class AggregationIndex(Generic[Cell]):
         leaf_cells: List[tuple] = []
         for offset, cells in enumerate(cell_vectors):
             window_index = start + offset
-            leaf = tuple(cells)
-            self._combiner.check_interval(leaf, window_index, window_index + 1)
+            leaf = self._leaf_cells(cells, window_index)
             leaf_cells.append(leaf)
             self._buffer_node(
                 batch,
@@ -399,10 +423,41 @@ class AggregationIndex(Generic[Cell]):
     ) -> List[Cell]:
         """Aggregate digest cells over the window interval ``[start, end)``.
 
-        A caller that already computed the cover (the engine does, for its
-        query statistics) passes it as ``plan`` so the greedy cover walk runs
-        once per query, not twice.
+        Every node of the plan — added and subtracted — is loaded in one
+        :meth:`_load_nodes` call, and each must carry exactly the interval
+        its plan entry names.  A caller that already computed the cover (the
+        engine does, for its query statistics) passes it as ``plan`` so the
+        planner runs once per query, not twice.
         """
+        if plan is None:
+            plan = self.plan(window_start, window_end)
+        else:
+            self._check_range(window_start, window_end)
+        if plan.window_start != window_start or plan.window_end != window_end:
+            raise QueryError(
+                f"plan covers [{plan.window_start}, {plan.window_end}), query "
+                f"asked for [{window_start}, {window_end})"
+            )
+        refs = plan.nodes + plan.subtracted
+        nodes = self._load_nodes([(ref.level, ref.position) for ref in refs])
+        for ref, node in zip(refs, nodes):
+            if node is None:
+                raise IndexError_(
+                    f"missing index node level={ref.level} position={ref.position}"
+                )
+            if node.window_start != ref.window_start or node.window_end != ref.window_end:
+                raise IndexError_(
+                    f"index node level={ref.level} position={ref.position} covers "
+                    f"[{node.window_start}, {node.window_end}), plan expected "
+                    f"[{ref.window_start}, {ref.window_end})"
+                )
+        cells = [node.cells for node in nodes]
+        added = len(plan.nodes)
+        if self._combiner.can_subtract:
+            return self._combiner.signed_fold(cells[:added], cells[added:], window_start, window_end)
+        return self._combiner.fold(cells)
+
+    def _check_range(self, window_start: int, window_end: int) -> None:
         if window_end <= window_start:
             raise QueryError(f"empty window range [{window_start}, {window_end})")
         if window_start < 0 or window_end > self._num_windows:
@@ -410,32 +465,19 @@ class AggregationIndex(Generic[Cell]):
                 f"window range [{window_start}, {window_end}) outside ingested "
                 f"range [0, {self._num_windows})"
             )
-        if plan is None:
-            plan = self.plan(window_start, window_end)
-        elif plan.window_start != window_start or plan.window_end != window_end:
-            raise QueryError(
-                f"plan covers [{plan.window_start}, {plan.window_end}), query "
-                f"asked for [{window_start}, {window_end})"
-            )
-        vectors = []
-        coords = [(ref.level, ref.position) for ref in plan.nodes]
-        for ref, node in zip(plan.nodes, self._load_nodes(coords)):
-            if node is None:
-                raise IndexError_(
-                    f"missing index node level={ref.level} position={ref.position}"
-                )
-            if node.window_start != ref.window_start or node.window_end < ref.window_end:
-                raise IndexError_(
-                    f"index node level={ref.level} position={ref.position} covers "
-                    f"[{node.window_start}, {node.window_end}), plan expected "
-                    f"[{ref.window_start}, {ref.window_end})"
-                )
-            vectors.append(node.cells)
-        return self._combiner.fold(vectors)
 
     def plan(self, window_start: int, window_end: int) -> RangePlan:
-        """The node cover used to answer a range query (exposed for benchmarks)."""
-        return plan_range(window_start, window_end, self._fanout, self._max_level)
+        """The node cover used to answer a range query: signed when the
+        combiner can subtract, additive otherwise."""
+        self._check_range(window_start, window_end)
+        return plan_range(
+            window_start,
+            window_end,
+            self._fanout,
+            self._max_level,
+            self._num_windows,
+            self._combiner.can_subtract,
+        )
 
     def node(self, level: int, position: int) -> Optional[IndexNode]:
         """Fetch a single node (used by rollup and inspection tooling)."""

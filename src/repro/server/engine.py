@@ -23,13 +23,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.access.keystore import TokenStore
+from repro.crypto.heac import HEACCiphertext
 from repro.exceptions import (
+    IndexError_,
     QueryError,
     StreamExistsError,
     StreamNotFoundError,
 )
 from repro.index.cache import NodeCache
-from repro.index.node import heac_combiner
+from repro.index.node import IndexNode, ring_combiner
 from repro.index.tree import AggregationIndex
 from repro.obs.metrics import REGISTRY
 from repro.server.query_executor import (
@@ -43,10 +45,10 @@ from repro.timeseries.digest import DigestConfig, HistogramConfig
 from repro.timeseries.serialization import (
     EncryptedChunk,
     chunk_storage_key,
-    decode_digest_vector,
     decode_encrypted_chunk,
-    encode_digest_vector,
+    decode_index_node,
     encode_encrypted_chunk,
+    encode_index_node,
     metadata_storage_key,
 )
 from repro.timeseries.stream import StreamConfig, StreamMetadata
@@ -112,12 +114,46 @@ def _metadata_from_json(blob: bytes) -> StreamMetadata:
     )
 
 
+class HEACColumnIndex(AggregationIndex[int]):
+    """The engine's aggregation index: each node is one interval (its
+    header) plus a tuple of ring integers, one per digest component.
+
+    Stored bytes are the HEAC digest-vector format every index node has
+    always had (:func:`~repro.timeseries.serialization.encode_index_node`);
+    only the in-memory form differs, so a decoded or cached node costs no
+    ciphertext objects and a query folds plain integer columns.  An
+    appended digest must cover exactly ``[w, w + 1)`` for its window ``w``
+    before its values are taken.
+    """
+
+    def __init__(self, stream_uuid: str, store: KeyValueStore, **kwargs) -> None:
+        super().__init__(
+            stream_uuid, store, ring_combiner(), encode_cells=None, decode_cells=None, **kwargs
+        )
+
+    def _leaf_cells(self, cells: Sequence[HEACCiphertext], window: int) -> tuple:
+        for cell in cells:
+            if cell.window_start != window or cell.window_end != window + 1:
+                raise IndexError_(
+                    f"digest cells cover [{cell.window_start}, {cell.window_end}), "
+                    f"expected [{window}, {window + 1})"
+                )
+        return tuple([cell.value for cell in cells])
+
+    def _encode_node(self, node: IndexNode) -> bytes:
+        return encode_index_node(node.window_start, node.window_end, node.cells)
+
+    def _decode_node(self, level: int, position: int, blob: bytes) -> IndexNode:
+        window_start, window_end, values = decode_index_node(blob)
+        return IndexNode(level, position, window_start, window_end, values)
+
+
 @dataclass
 class StreamState:
     """Per-stream server-side state: metadata plus the encrypted index."""
 
     metadata: StreamMetadata
-    index: AggregationIndex
+    index: HEACColumnIndex
     num_chunks: int = 0
     num_records: int = 0
     #: Windows below this bound had their raw payloads deleted by a rollup.
@@ -166,12 +202,9 @@ class ServerEngine:
             self._streams[metadata.uuid] = state
 
     def _make_state(self, metadata: StreamMetadata) -> StreamState:
-        index = AggregationIndex(
-            stream_uuid=metadata.uuid,
-            store=self.store,
-            combiner=heac_combiner(),
-            encode_cells=encode_digest_vector,
-            decode_cells=decode_digest_vector,
+        index = HEACColumnIndex(
+            metadata.uuid,
+            self.store,
             fanout=metadata.config.index_fanout,
             cache=self._cache,
             max_windows=metadata.config.max_chunks,
@@ -370,7 +403,7 @@ class ServerEngine:
             raise QueryError(f"empty window range [{window_start}, {window_end})")
         plan = state.index.plan(window_start, window_end)
         batch_ops_before = state.index.store_batch_ops
-        cells = state.index.query_range(window_start, window_end, plan=plan)
+        values = state.index.query_range(window_start, window_end, plan=plan)
         self.query_stats.record_stat_query(
             plan.num_nodes, store_round_trips=state.index.store_batch_ops - batch_ops_before
         )
@@ -378,7 +411,7 @@ class ServerEngine:
             stream_uuid=stream_uuid,
             window_start=window_start,
             window_end=window_end,
-            cells=tuple(cells),
+            cells=tuple(HEACCiphertext(value, window_start, window_end) for value in values),
             component_names=state.metadata.config.digest.component_names,
             num_index_nodes=plan.num_nodes,
         )

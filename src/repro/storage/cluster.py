@@ -63,7 +63,7 @@ from repro.exceptions import ClusterMembershipError, PartitionError, StorageErro
 from repro.obs.tracing import current_context, set_context
 from repro.storage.kv import KeyValueStore
 from repro.storage.memory import MemoryStore
-from repro.storage.partitioner import ConsistentHashRing
+from repro.storage.partitioner import ConsistentHashRing, partition_key
 from repro.util.blocking import before_blocking
 
 logger = logging.getLogger(__name__)
@@ -224,8 +224,13 @@ class StorageCluster(KeyValueStore):
         has no healthy replica, matching the scalar ops.
         """
         groups: Dict[str, List[bytes]] = {}
+        # A replica walk hashes only the key's partition: one per partition.
+        walks: Dict[bytes, List[str]] = {}
         for key in keys:
-            replicas = self.healthy_replicas(key)
+            partition = partition_key(key)
+            replicas = walks.get(partition)
+            if replicas is None:
+                replicas = walks[partition] = self.healthy_replicas(key)
             if not replicas:
                 raise PartitionError(f"no healthy replica for key {key!r}")
             for node in replicas:
@@ -948,12 +953,18 @@ class StorageCluster(KeyValueStore):
         unresolved: Set[bytes] = set(result)
         while unresolved:
             groups: Dict[str, List[bytes]] = {}
+            # Candidates depend on the key's partition only (both walks hash
+            # it), and nothing is marked down while a round groups its keys.
+            walks: Dict[bytes, List[str]] = {}
             for key in list(unresolved):
-                replicas = [
-                    node
-                    for node in candidates_of(key)
-                    if node not in self._down and node in self._stores
-                ]
+                partition = partition_key(key)
+                replicas = walks.get(partition)
+                if replicas is None:
+                    replicas = walks[partition] = [
+                        node
+                        for node in candidates_of(key)
+                        if node not in self._down and node in self._stores
+                    ]
                 if not replicas:
                     if strict:
                         raise PartitionError(f"no healthy replica for key {key!r}")

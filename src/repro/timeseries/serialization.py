@@ -17,11 +17,13 @@ stand in for the protobuf messages of the original prototype.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from repro.crypto.heac import HEACCiphertext
-from repro.exceptions import ChunkError
+from repro.exceptions import ChunkError, IndexError_
 from repro.util.encoding import decode_varint, encode_varint
 
 _MAGIC_CHUNK = b"TCC1"
@@ -76,6 +78,66 @@ def decode_digest_vector(blob: bytes) -> List[HEACCiphertext]:
     except ValueError as exc:
         raise ChunkError(f"malformed digest vector: {exc}") from exc
     return digest
+
+
+# -- index nodes as integer columns ------------------------------------------------
+#
+# A stored HEAC index node is ``varint(start) varint(end)`` followed by the
+# digest vector of its cells, and every cell repeats the node's interval:
+# ``TCD1 varint(width) (u64 value, varint(start), varint(end)) * width``.
+# The engine's index holds a node as that interval plus a tuple of ring
+# integers; these two functions convert without building a ciphertext per
+# cell, and write exactly the bytes the ciphertext path writes.
+
+
+@lru_cache(maxsize=64)
+def _cell_layout(width: int, interval_bytes: int) -> struct.Struct:
+    """``width`` cells of one u64 value plus the interval's varint bytes."""
+    return struct.Struct(">" + f"Q{interval_bytes}s" * width)
+
+
+def encode_index_node(window_start: int, window_end: int, values: Sequence[int]) -> bytes:
+    """A node covering ``[window_start, window_end)`` whose cells hold ``values``."""
+    interval = encode_varint(window_start) + encode_varint(window_end)
+    fields: list = [interval] * (2 * len(values))
+    fields[0::2] = values
+    return (
+        interval
+        + _MAGIC_DIGEST
+        + encode_varint(len(values))
+        + _cell_layout(len(values), len(interval)).pack(*fields)
+    )
+
+
+def decode_index_node(blob: bytes) -> Tuple[int, int, Tuple[int, ...]]:
+    """Inverse of :func:`encode_index_node`: ``(start, end, values)``.
+
+    Every cell's interval bytes must equal the node's header, else
+    :class:`~repro.exceptions.IndexError_` (as when a decoded ciphertext
+    vector disagrees with its node); a truncated blob, a bad magic or bytes
+    after the last cell raise :class:`ChunkError`.
+    """
+    try:
+        window_start, pos = decode_varint(blob, 0)
+        window_end, pos = decode_varint(blob, pos)
+        width, body = decode_varint(blob, pos + 4)
+    except ValueError as exc:
+        raise ChunkError(f"malformed index node: {exc}") from exc
+    if blob[pos : pos + 4] != _MAGIC_DIGEST:
+        raise ChunkError("not a digest vector blob")
+    # Sized before any layout is built: a hostile width cannot allocate.
+    if len(blob) - body == width * (8 + pos):
+        fields = _cell_layout(width, pos).unpack_from(blob, body)
+        if fields[1::2].count(bytes(blob[:pos])) == width:
+            return window_start, window_end, fields[0::2]
+    # Malformed: say how, with the same errors as the ciphertext path.
+    for cell in decode_digest_vector(blob[pos:]):
+        if (cell.window_start, cell.window_end) != (window_start, window_end):
+            raise IndexError_(
+                f"digest cells cover [{cell.window_start}, {cell.window_end}), "
+                f"expected [{window_start}, {window_end})"
+            )
+    raise ChunkError("trailing bytes after the index node's digest vector")
 
 
 def encode_encrypted_chunk(chunk: EncryptedChunk) -> bytes:

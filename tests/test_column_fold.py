@@ -123,20 +123,27 @@ class TestFoldEquivalence:
         assert plaintext_combiner().fold(vectors) == expected
 
     def test_fold_trusts_per_vector_uniformity(self):
-        """Documented precondition: ``fold`` reads each vector's first cell only.
+        """Documented precondition: the folds read what was checked on entry only.
 
-        A vector whose cells disagree must be stopped by ``check_interval``
-        before it reaches a fold; the fold itself tags the result from the
-        first cells and does not notice.
+        ``fold`` tags its result from each vector's first cell, and
+        ``signed_fold`` reads no interval at all — it tags the range its
+        caller names (the index, after matching every node's stored interval
+        against the plan).  A vector whose cells disagree must be stopped by
+        ``check_interval`` before it reaches either; neither fold notices.
         """
+        combiner = heac_combiner()
         bad = [HEACCiphertext(1, 0, 1), HEACCiphertext(2, 0, 2)]
         after = [HEACCiphertext(10, 1, 2), HEACCiphertext(20, 1, 2)]
+        block = [HEACCiphertext(15, 0, 4), HEACCiphertext(30, 0, 4)]
         with pytest.raises(IndexError_):
-            heac_combiner().check_interval(bad, 0, 1)
-        assert heac_combiner().fold([bad, after]) == [
-            HEACCiphertext(11, 0, 2),
-            HEACCiphertext(22, 0, 2),
+            combiner.check_interval(bad, 0, 1)
+        assert combiner.fold([bad, after]) == [HEACCiphertext(11, 0, 2), HEACCiphertext(22, 0, 2)]
+        assert combiner.signed_fold([block], [bad], 1, 4) == [
+            HEACCiphertext(14, 1, 4),
+            HEACCiphertext(28, 1, 4),
         ]
+        # Subtraction wraps in the ring like addition does.
+        assert combiner.signed_fold([after], [block], 1, 2)[0].value == MODULUS - 5
 
     @pytest.mark.parametrize("combiner", [heac_combiner(), plaintext_combiner(), _pairwise_combiner()])
     def test_fold_rejects_empty_and_ragged_input(self, combiner):

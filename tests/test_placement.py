@@ -275,3 +275,40 @@ class TestMembershipMovesWholePartitions:
         assert cluster.mark_up(target) == len(keys)
         assert all(cluster.node_store(target).get(key) == b"v" for key in keys)
         cluster.close()
+
+
+class TestOneWalkPerPartition:
+    """A replica walk hashes only the key's partition, so a batch computes
+    it once per partition per round, not once per key."""
+
+    def _counting(self, cluster, monkeypatch) -> List[bytes]:
+        calls: List[bytes] = []
+        ring_replicas = cluster._ring.replicas
+
+        def replicas(key: bytes, replication_factor: int) -> List[str]:
+            calls.append(partition_key(key))
+            return ring_replicas(key, replication_factor)
+
+        monkeypatch.setattr(cluster._ring, "replicas", replicas)
+        return calls
+
+    def test_reads_writes_and_deletes(self, monkeypatch):
+        cluster = StorageCluster(num_nodes=3, replication_factor=2)
+        other = "0c4d6e8f-1a2b-4c3d-8e9f-a0b1c2d3e4f5"
+        present = [chunk_storage_key(UUID, window) for window in range(40)]
+        absent = [index_node_storage_key(other, 0, position) for position in range(30)]
+        cluster.multi_put([(key, b"v") for key in present])
+        calls = self._counting(cluster, monkeypatch)
+        found = cluster.multi_get(present + absent)
+        assert all(found[key] == b"v" for key in present)
+        assert all(found[key] is None for key in absent)
+        # Round 1 reads both partitions; the absent keys go on to the second
+        # replica (round 2) and are settled in round 3.
+        home, away = partition_key(present[0]), partition_key(absent[0])
+        assert sorted(calls) == sorted([home, away, away, away])
+        calls.clear()
+        cluster.multi_put([(key, b"w") for key in present + absent])
+        assert sorted(calls) == sorted([home, away])
+        calls.clear()
+        assert cluster.multi_delete(present + absent) == set(present + absent)
+        assert sorted(calls) == sorted([home, away])
