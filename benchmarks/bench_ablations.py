@@ -4,8 +4,7 @@ Not in the paper's evaluation, but each sweep isolates one design decision:
 
 * index fanout k (the paper fixes k=64) — query cost vs ingest cost trade-off,
 * compression codec for chunk payloads (zlib default vs delta variants),
-* AEAD choice for chunk payloads (AES-GCM native, AES-GCM pure-Python,
-  ChaCha20-Poly1305),
+* AEAD choice for chunk payloads (native AES-GCM, ChaCha20-Poly1305),
 * index-cache size (the Fig. 7c small-cache effect in isolation).
 """
 
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.chacha import chacha_decrypt, chacha_encrypt
+from repro.baselines.chacha import chacha_decrypt, chacha_encrypt
 from repro.crypto.gcm import aead_decrypt, aead_encrypt
 from repro.index.cache import NodeCache
 from repro.index.node import plaintext_combiner
@@ -98,15 +97,6 @@ def test_ablation_aead_aesgcm_native(benchmark):
     key = b"k" * 16
     blob = aead_encrypt(key, PAYLOAD_BYTES)
     benchmark(lambda: aead_decrypt(key, blob))
-
-
-def test_ablation_aead_aesgcm_pure_python(benchmark):
-    benchmark.group = "ablation-aead"
-    key = b"k" * 16
-    blob = aead_encrypt(key, PAYLOAD_BYTES, force_pure_python=True)
-    benchmark.pedantic(
-        lambda: aead_decrypt(key, blob, force_pure_python=True), rounds=3, iterations=1
-    )
 
 
 def test_ablation_aead_chacha20poly1305(benchmark):

@@ -14,7 +14,7 @@ measured values are visible in the report.
 
 from __future__ import annotations
 
-from repro.crypto.abe import ABEAuthority, ABEPrincipal, wrap_chunk_key
+from repro.baselines.abe import ABEAuthority, ABEPrincipal, wrap_chunk_key
 from repro.crypto.heac import HEACCipher
 from repro.crypto.keyregression import DualKeyRegression
 from repro.crypto.keytree import KeyDerivationTree

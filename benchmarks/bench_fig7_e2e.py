@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import Dict
 
 from repro import ServerEngine, TimeCrypt
+from repro.baselines.strawman import StrawmanStore
 from repro.bench.reporting import ResultTable, format_duration, merge_json_report
 from repro.core.plaintext import PlaintextTimeSeriesStore
-from repro.core.strawman import StrawmanStore
 from repro.workloads.generator import LoadGenerator
 from repro.workloads.mhealth import MHealthWorkload
 

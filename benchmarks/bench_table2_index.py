@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.ecelgamal import ECElGamal
+from repro.baselines.ecelgamal import ECElGamal
+from repro.baselines.paillier import generate_keypair
 from repro.crypto.heac import HEACCipher, MODULUS
 from repro.crypto.keytree import KeyDerivationTree
-from repro.crypto.paillier import generate_keypair
 
 from conftest import scaled
 

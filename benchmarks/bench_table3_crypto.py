@@ -9,10 +9,10 @@ as a documented model rather than measuring on hardware we do not have.
 
 from __future__ import annotations
 
-from repro.crypto.ecelgamal import ECElGamal
+from repro.baselines.ecelgamal import ECElGamal
+from repro.baselines.paillier import generate_keypair
 from repro.crypto.heac import HEACCipher
 from repro.crypto.keytree import KeyDerivationTree
-from repro.crypto.paillier import generate_keypair
 
 #: Paper-reported laptop-to-IoT slowdown (Table 3): ~1.08 ms / 5.08 µs ≈ 213x
 #: for TimeCrypt, ~53x for Paillier, ~180x for EC-ElGamal encryption.

@@ -16,8 +16,8 @@ import os
 import pytest
 
 from repro import DigestConfig, ServerEngine, StreamConfig, TimeCrypt
+from repro.baselines.strawman import StrawmanStore
 from repro.core.plaintext import PlaintextTimeSeriesStore
-from repro.core.strawman import StrawmanStore
 
 SCALE = float(os.environ.get("BENCH_SCALE", "1.0"))
 

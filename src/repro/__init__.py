@@ -4,9 +4,8 @@ This package reimplements the system described in *TimeCrypt: Encrypted Data
 Stream Processing at Scale with Cryptographic Access Control* (NSDI 2020):
 
 * :mod:`repro.crypto` — HEAC (the additively homomorphic, access-controlled
-  stream cipher), the GGM key-derivation tree, dual key regression, the AEADs
-  protecting raw chunk payloads, and the baseline ciphers the paper compares
-  against (Paillier, EC-ElGamal, an ABE stand-in).
+  stream cipher), the GGM key-derivation tree, dual key regression, the
+  AES-GCM payload AEAD and the P-256 token sealing.
 * :mod:`repro.timeseries` — points, streams, chunking, digests, compression.
 * :mod:`repro.index` — the encrypted k-ary time-partitioned aggregation index.
 * :mod:`repro.storage` — the embedded replicated key-value store (Cassandra
@@ -16,7 +15,10 @@ Stream Processing at Scale with Cryptographic Access Control* (NSDI 2020):
 * :mod:`repro.client` / :mod:`repro.server` — the trusted client engine and
   the untrusted server engine.
 * :mod:`repro.core` — the Table-1 API facade (:class:`repro.TimeCrypt`) plus
-  the plaintext and strawman baselines.
+  the plaintext baseline.
+* :mod:`repro.baselines` — what the paper compares against (Paillier and
+  EC-ElGamal strawman stores, an ABE stand-in, software AES, ChaCha20); no
+  serving module imports it.
 * :mod:`repro.net` — the client/server wire protocol and transports.
 * :mod:`repro.workloads` — the mHealth and DevOps workload generators used in
   the evaluation.
@@ -36,7 +38,6 @@ Quickstart::
 from repro.access.policy import AccessPolicy, Resolution
 from repro.access.principal import IdentityProvider, Principal
 from repro.core.plaintext import PlaintextTimeSeriesStore
-from repro.core.strawman import StrawmanStore
 from repro.core.timecrypt import TimeCrypt, TimeCryptConsumer
 from repro.server.engine import ServerEngine
 from repro.timeseries.digest import DigestConfig, HistogramConfig
@@ -51,7 +52,6 @@ __all__ = [
     "TimeCryptConsumer",
     "ServerEngine",
     "PlaintextTimeSeriesStore",
-    "StrawmanStore",
     "Principal",
     "IdentityProvider",
     "AccessPolicy",

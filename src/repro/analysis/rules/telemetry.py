@@ -17,8 +17,8 @@ Sinks are telemetry emission points:
 
 A finding fires when any *argument expression* of a sink references a
 binding (variable, attribute, dict key) whose name matches the
-sensitive-identifier pattern.  Inside ``crypto/`` and ``access/``
-modules the pattern widens: a bare ``key``/``keys``/``seed`` is
+sensitive-identifier pattern.  Inside ``crypto/``, ``baselines/`` and
+``access/`` modules the pattern widens: a bare ``key``/``keys``/``seed`` is
 sensitive there, while in storage/net code ``key`` is a kv-store key
 (already ciphertext or an opaque identifier) and stays loggable.
 """
@@ -44,10 +44,10 @@ _SENSITIVE_RE = re.compile(
     r")(?![a-z])"
 )
 
-#: Inside crypto/access modules even a bare ``key`` is key material.
+#: Inside crypto/baselines/access modules even a bare ``key`` is key material.
 _SENSITIVE_STRICT_RE = re.compile(r"(?i)(?<![a-z])(key|keys)(?![a-z])")
 
-_STRICT_PATH_PARTS = ("crypto/", "access/")
+_STRICT_PATH_PARTS = ("crypto/", "baselines/", "access/")
 
 
 class _Rule:

@@ -1,11 +1,9 @@
 """Pure-Python AES block cipher (AES-128/192/256).
 
 TimeCrypt derives its keystream with an AES-based PRG and encrypts chunk
-payloads with AES-GCM.  The paper runs on AES-NI; in this reproduction the
-block cipher itself is a substrate we implement from scratch so that the
-whole pipeline works without native dependencies.  :mod:`repro.crypto.gcm`
-uses this implementation when the optional ``cryptography`` backend is not
-available.
+payloads with AES-GCM, both on AES-NI (here: the ``cryptography`` package).
+This software block cipher is the paper's "AES (software)" PRG baseline in
+Fig. 6; the ``aes`` PRG (:class:`repro.crypto.prf.AesPRG`) runs on it.
 
 This is a straightforward table-driven implementation of FIPS-197:
 SubBytes/ShiftRows/MixColumns/AddRoundKey operating on a 16-byte state.

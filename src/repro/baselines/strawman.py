@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.crypto.ecelgamal import ECElGamal, ECElGamalCiphertext
-from repro.crypto.paillier import PaillierPublicKey, generate_keypair
+from repro.baselines.ecelgamal import ECElGamal, ECElGamalCiphertext
+from repro.baselines.paillier import PaillierPublicKey, generate_keypair
 from repro.exceptions import ConfigurationError, QueryError, StreamExistsError, StreamNotFoundError
 from repro.index.cache import NodeCache
 from repro.index.node import DigestCombiner

@@ -41,7 +41,6 @@ class StreamWriter:
     config: StreamConfig
     cipher: HEACCipher
     sink: Callable[[EncryptedChunk], None]
-    use_pure_python_aead: bool = False
     #: Optional bulk delivery path; when set, multi-chunk completions are
     #: handed over in one call (e.g. ``ServerEngine.insert_chunks``) instead
     #: of one ``sink`` call per chunk.
@@ -133,9 +132,7 @@ class StreamWriter:
             payload_key = batch.chunk_payload_key(chunk.window_index)
             compressed = self._codec.compress_columns(chunk.timestamps, chunk.values)
             aad = f"{self.stream_uuid}:{chunk.window_index}".encode("utf-8")
-            payload = aead_encrypt(
-                payload_key, compressed, aad, force_pure_python=self.use_pure_python_aead
-            )
+            payload = aead_encrypt(payload_key, compressed, aad)
             encrypted.append(
                 EncryptedChunk(
                     stream_uuid=self.stream_uuid,

@@ -1,12 +1,10 @@
-"""The TimeCrypt public API (Table 1) and the baseline systems it is compared to."""
+"""The TimeCrypt public API (Table 1) and the plaintext baseline it is compared to."""
 
 from repro.core.plaintext import PlaintextTimeSeriesStore
-from repro.core.strawman import StrawmanStore
 from repro.core.timecrypt import TimeCrypt, TimeCryptConsumer
 
 __all__ = [
     "TimeCrypt",
     "TimeCryptConsumer",
     "PlaintextTimeSeriesStore",
-    "StrawmanStore",
 ]

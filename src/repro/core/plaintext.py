@@ -48,7 +48,6 @@ class _PlainStream:
     index: AggregationIndex
     builder: ChunkBuilder
     codec: Codec
-    num_records: int = 0
 
 
 @dataclass
@@ -141,7 +140,6 @@ class PlaintextTimeSeriesStore:
             self.store.put(
                 chunk_storage_key(state.metadata.uuid, chunk.window_index), payload
             )
-            state.num_records += chunk.num_points
         # The builder emits windows consecutively (including empties), so the
         # whole completion is one index batch.
         state.index.append_many([chunk.digest.values for chunk in chunks])

@@ -1,21 +1,20 @@
-"""Cryptographic substrates for the TimeCrypt reproduction.
+"""Cryptographic substrates on TimeCrypt's serving path.
 
-This package contains every cryptographic building block the paper uses or
-compares against:
+Every primitive runs on one backend: the ``cryptography`` package's native
+AES and P-256, our stand-in for the paper's AES-NI.
 
-* :mod:`repro.crypto.prf` — PRF/PRG abstractions (SHA-256, BLAKE2b, AES).
-* :mod:`repro.crypto.aes` / :mod:`repro.crypto.gcm` — AES and AES-GCM, with a
-  pure-Python reference path and an optional fast backend.
-* :mod:`repro.crypto.chacha` — ChaCha20-Poly1305 (RFC 8439) from scratch.
+* :mod:`repro.crypto.prf` — PRG/PRF constructions for key derivation
+  (fixed-key AES by default; SHA-256, BLAKE2b and AES for persisted streams).
+* :mod:`repro.crypto.gcm` — AES-GCM, the chunk payload AEAD.
 * :mod:`repro.crypto.keytree` — the GGM key-derivation tree with access tokens.
 * :mod:`repro.crypto.heac` — the Homomorphic Encryption-based Access Control
   scheme (key-cancelling additive stream cipher).
 * :mod:`repro.crypto.hashchain` / :mod:`repro.crypto.keyregression` — hash
   chains and single/dual key regression for resolution keystreams.
-* :mod:`repro.crypto.paillier` / :mod:`repro.crypto.ecelgamal` — the strawman
-  additively-homomorphic schemes the paper benchmarks against.
-* :mod:`repro.crypto.abe` — an attribute-gated scheme with a calibrated cost
-  model standing in for pairing-based ABE (Sieve).
+* :mod:`repro.crypto.hybrid` / :mod:`repro.crypto.ecc` — ECIES token sealing
+  on P-256, and the affine curve arithmetic it recovers shared points with.
+
+The ciphers the paper compares against live in :mod:`repro.baselines`.
 """
 
 from repro.crypto.heac import HEACCipher, HEACCiphertext

@@ -3,8 +3,10 @@
 The paper's second strawman encrypts index digests with additive EC-ElGamal
 over prime256v1 (via OpenSSL).  We implement the curve group here: points in
 Jacobian coordinates for fast double-and-add scalar multiplication, plus the
-affine interface EC-ElGamal needs.  Token sealing (:mod:`repro.crypto.hybrid`)
-falls back to this group when the native ``cryptography`` P-256 is absent.
+affine interface EC-ElGamal (:mod:`repro.baselines.ecelgamal`) needs.  Token
+sealing (:mod:`repro.crypto.hybrid`) uses it to recover the y coordinate the
+native ECDH omits and to multiply by ``N − 1``, and its tests use
+:func:`scalar_mult` as the reference.
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ ECIES construction over the P-256 group:
 * an ephemeral keypair is generated per message,
 * the shared point ``ephemeral_priv · recipient_pub`` is hashed, with the
   ephemeral public key, into an AEAD key,
-* the payload is sealed with AES-GCM (or the pure-Python fallback).
+* the payload is sealed with AES-GCM.
 
-The curve is the native ``cryptography`` P-256 when it imports, else the
-from-scratch :mod:`repro.crypto.ecc`.  Native ECDH yields only x of the shared
-point; y comes from the curve equation, its sign from a second exchange
-(``x((k+1)·P) == x(S + P)``), so both paths key the AEAD identically.
+The curve is the native ``cryptography`` P-256.  Native ECDH yields only x of
+the shared point; y comes from the curve equation (:mod:`repro.crypto.ecc`),
+its sign from a second exchange (``x((k+1)·P) == x(S + P)``).  The scalar
+``N − 1``, where that second exchange would hit infinity, is multiplied by
+:func:`repro.crypto.ecc.scalar_mult`.
 
 The identity provider mapping principal identities to public keys (Keybase in
 the paper) is modelled in :mod:`repro.access.principal`.
@@ -24,17 +25,13 @@ import hashlib
 from dataclasses import dataclass
 from typing import Tuple
 
+from cryptography.hazmat.primitives.asymmetric import ec as _ec
+
 from repro.crypto import ecc
 from repro.crypto.gcm import aead_decrypt, aead_encrypt
 from repro.exceptions import DecryptionError
 
-try:  # pragma: no cover - environment dependent
-    from cryptography.hazmat.primitives.asymmetric import ec as _ec
-
-    _CURVE = _ec.SECP256R1()
-    _HAVE_NATIVE = True
-except Exception:  # pragma: no cover
-    _HAVE_NATIVE = False
+_CURVE = _ec.SECP256R1()
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ def _shared_point(scalar: int, public: bytes) -> ecc.Point:
     scalar %= ecc.N
     if point.is_infinity or scalar == 0:
         raise DecryptionError("ECIES key agreement with the point at infinity")
-    if not _HAVE_NATIVE or scalar == ecc.N - 1:
+    if scalar == ecc.N - 1:
         return ecc.scalar_mult(scalar, point)
     peer = _ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, bytes(public))
     x = _ecdh_x(scalar, peer)
@@ -91,9 +88,6 @@ def _shared_point(scalar: int, public: bytes) -> ecc.Point:
 
 def generate_keypair() -> Tuple[int, bytes]:
     """A recipient keypair ``(private_scalar, encoded_public_point)``."""
-    if not _HAVE_NATIVE:
-        private, public = ecc.generate_keypair()
-        return private, public.encode()
     key = _ec.generate_private_key(_CURVE)
     numbers = key.public_key().public_numbers()
     return key.private_numbers().private_value, ecc.Point(numbers.x, numbers.y).encode()

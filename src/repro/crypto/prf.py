@@ -7,9 +7,10 @@ the same menu:
 
 * ``sha256``   — ``G_b(x) = SHA256(b || x)``
 * ``blake2``   — ``G_b(x) = BLAKE2b(b || x)`` (fast software hash)
-* ``aes``      — ``G_b(x) = AES_x(b)`` using the pure-Python block cipher
-* ``aes-ni``   — same construction but backed by the ``cryptography`` package's
-  native AES when it is importable (our stand-in for hardware AES)
+* ``aes``      — ``G_b(x) = AES_x(b)`` using the pure-Python block cipher in
+  :mod:`repro.baselines.aes` (the paper's "AES (software)" point)
+* ``aes-ni``   — same construction backed by the ``cryptography`` package's
+  native AES (our stand-in for hardware AES)
 * ``aes-ni-fk`` — fixed-key AES in Matyas–Meyer–Oseas mode,
   ``G_b(x) = AES_K(x ⊕ c_b) ⊕ (x ⊕ c_b)`` with a public constant key ``K``.
   The paper's construction re-keys AES with every node label, which is ~free
@@ -17,7 +18,7 @@ the same menu:
   through Python's ``cryptography`` layer; the fixed-key variant (standard in
   high-throughput GGM/FSS implementations, secure in the random-permutation
   model) reuses one context and lets the batch path encrypt a whole expansion
-  frontier in a single native call.  Default when native AES is available.
+  frontier in a single native call.  The default (:data:`DEFAULT_PRG`).
 * ``hmac-sha256`` — an HMAC-based PRF (:func:`prf`, :class:`KeyedPRF`), used
   where a keyed PRF (rather than a PRG) is the natural primitive (digest
   component keys and AEAD keys from HEAC keys).
@@ -35,16 +36,11 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Sequence, Tuple, Type
 
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
 from repro.exceptions import ConfigurationError
 
 SEED_BYTES = 16
-
-try:  # pragma: no cover - depends on environment
-    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
-    _HAVE_FAST_AES = True
-except Exception:  # pragma: no cover
-    _HAVE_FAST_AES = False
 
 
 class PRG(ABC):
@@ -124,14 +120,14 @@ class Blake2PRG(PRG):
 class AesPRG(PRG):
     """``G_b(x) = AES_x(block(b))`` with the seed as the AES key.
 
-    Uses the pure-Python AES implementation in :mod:`repro.crypto.aes`, which
+    Uses the pure-Python AES implementation in :mod:`repro.baselines.aes`, which
     mirrors the paper's "AES (software)" data point in Figure 6.
     """
 
     name = "aes"
 
     def __init__(self) -> None:
-        from repro.crypto.aes import AES  # local import to avoid cycles
+        from repro.baselines.aes import AES  # a baseline: load it only when asked for
 
         self._aes_cls = AES
         self._block0 = b"\x00" * 16
@@ -168,10 +164,6 @@ class AesNiPRG(PRG):
     _CACHE_CAPACITY = 4096
 
     def __init__(self) -> None:
-        if not _HAVE_FAST_AES:  # pragma: no cover - environment dependent
-            raise ConfigurationError(
-                "the 'cryptography' package is required for the aes-ni PRG"
-            )
         self._plain = b"\x00" * 16 + b"\x01" + b"\x00" * 15
         self._halves = (self._plain[:16], self._plain[16:])
         self._contexts: "OrderedDict[bytes, object]" = OrderedDict()
@@ -233,10 +225,6 @@ class AesNiFixedKeyPRG(PRG):
     _KEY = hashlib.sha256(b"timecrypt fixed-key aes prg").digest()[:SEED_BYTES]
 
     def __init__(self) -> None:
-        if not _HAVE_FAST_AES:  # pragma: no cover - environment dependent
-            raise ConfigurationError(
-                "the 'cryptography' package is required for the aes-ni-fk PRG"
-            )
         self._update = Cipher(algorithms.AES(self._KEY), modes.ECB()).encryptor().update
 
     def _encrypt(self, data: bytes) -> bytes:
@@ -295,31 +283,30 @@ _PRG_REGISTRY: Dict[str, Type[PRG]] = {
     Sha256PRG.name: Sha256PRG,
     Blake2PRG.name: Blake2PRG,
     AesPRG.name: AesPRG,
+    AesNiPRG.name: AesNiPRG,
+    AesNiFixedKeyPRG.name: AesNiFixedKeyPRG,
 }
-if _HAVE_FAST_AES:
-    _PRG_REGISTRY[AesNiPRG.name] = AesNiPRG
-    _PRG_REGISTRY[AesNiFixedKeyPRG.name] = AesNiFixedKeyPRG
 
-DEFAULT_PRG = "aes-ni-fk" if _HAVE_FAST_AES else "blake2"
+DEFAULT_PRG = AesNiFixedKeyPRG.name
 
 
 def available_prgs() -> Tuple[str, ...]:
-    """Names of the PRG constructions usable in this environment."""
+    """Names of every PRG construction a stream may name."""
     return tuple(sorted(_PRG_REGISTRY))
 
 
 def resolve_prg(name: str) -> str:
-    """Map the ``auto`` selector to the fastest available PRG.
+    """Map the ``auto`` selector to :data:`DEFAULT_PRG`.
 
     ``auto`` must be resolved exactly once, when a stream is created, and the
-    concrete name persisted — re-resolving later could pick a different
-    default and silently derive a different keystream.
+    concrete name persisted — a later build may change the default, and
+    re-resolving would then silently derive a different keystream.
     """
     return DEFAULT_PRG if name == "auto" else name
 
 
 def get_prg(name: str = DEFAULT_PRG) -> PRG:
-    """Instantiate a PRG by name (``sha256``, ``blake2``, ``aes``, ``aes-ni``)."""
+    """Instantiate a PRG by name (``sha256``, ``blake2``, ``aes``, ``aes-ni``, ``aes-ni-fk``)."""
     try:
         return _PRG_REGISTRY[name]()
     except KeyError:

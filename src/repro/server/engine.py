@@ -154,8 +154,6 @@ class StreamState:
 
     metadata: StreamMetadata
     index: HEACColumnIndex
-    num_chunks: int = 0
-    num_records: int = 0
     #: Windows below this bound had their raw payloads deleted by a rollup.
     #: In-memory only: after a restart the first rollup re-scans once (the
     #: deletes are no-ops) and re-establishes the bound, so repeated rollups
@@ -197,9 +195,7 @@ class ServerEngine:
         """Reload stream metadata (and index head positions) from storage."""
         for _key, blob in self.store.scan_prefix(b"meta/"):
             metadata = _metadata_from_json(blob)
-            state = self._make_state(metadata)
-            state.num_chunks = state.index.num_windows
-            self._streams[metadata.uuid] = state
+            self._streams[metadata.uuid] = self._make_state(metadata)
 
     def _make_state(self, metadata: StreamMetadata) -> StreamState:
         index = HEACColumnIndex(
@@ -274,7 +270,6 @@ class ServerEngine:
         if blob is None:
             return None
         state = self._make_state(_metadata_from_json(blob))
-        state.num_chunks = state.index.num_windows
         self._streams[stream_uuid] = state
         return state
 
@@ -316,8 +311,6 @@ class ServerEngine:
             for chunk in chunks
         ]
         state.index.append_many([chunk.digest for chunk in chunks], extra_puts=payload_puts)
-        state.num_chunks += len(chunks)
-        state.num_records += sum(chunk.num_points for chunk in chunks)
 
     def validate_chunk_batch(self, chunks: Sequence[EncryptedChunk]) -> int:
         """Check a batch is non-empty, single-stream, and consecutive from the

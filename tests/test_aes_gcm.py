@@ -1,4 +1,4 @@
-"""Tests for the pure-Python AES block cipher and AES-GCM."""
+"""Tests for the software AES baseline (FIPS-197) and the AES-GCM payload AEAD."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES
-from repro.crypto.gcm import AesGcm, aead_decrypt, aead_encrypt
+from repro.baselines.aes import AES
+from repro.crypto.gcm import aead_decrypt, aead_encrypt
 from repro.exceptions import IntegrityError
 
 
@@ -53,6 +53,8 @@ class TestAESBlockCipher:
 
 
 class TestAesGcm:
+    """NIST GCM known answers through :func:`aead_encrypt` / :func:`aead_decrypt`."""
+
     # NIST GCM test case 4 (AES-128, 96-bit IV, with AAD).
     KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
     IV = bytes.fromhex("cafebabefacedbaddecaf888")
@@ -68,36 +70,80 @@ class TestAesGcm:
     TAG = bytes.fromhex("5bc94fbc3221a5db94fae95ae7121a47")
 
     def test_nist_vector_encrypt(self):
-        out = AesGcm(self.KEY).encrypt(self.IV, self.PLAINTEXT, self.AAD)
-        assert out[:-16] == self.CIPHERTEXT
-        assert out[-16:] == self.TAG
+        out = aead_encrypt(self.KEY, self.PLAINTEXT, self.AAD, nonce=self.IV)
+        assert out == self.IV + self.CIPHERTEXT + self.TAG
 
     def test_nist_vector_decrypt(self):
-        out = AesGcm(self.KEY).decrypt(self.IV, self.CIPHERTEXT + self.TAG, self.AAD)
+        out = aead_decrypt(self.KEY, self.IV + self.CIPHERTEXT + self.TAG, self.AAD)
         assert out == self.PLAINTEXT
 
     def test_empty_plaintext_nist_case1(self):
-        key = bytes(16)
         iv = bytes(12)
-        out = AesGcm(key).encrypt(iv, b"", b"")
-        assert out.hex() == "58e2fccefa7e3061367f1d57a4e7455a"
+        out = aead_encrypt(bytes(16), b"", b"", nonce=iv)
+        assert out == iv + bytes.fromhex("58e2fccefa7e3061367f1d57a4e7455a")
+
+    # NIST GCM test cases 2, 3, 7, 8, 13-16: AES-128/192/256, with and without
+    # plaintext and AAD.  Columns: key, IV, plaintext, AAD, ciphertext, tag.
+    NIST_CASES = {
+        "case2": ("00" * 16, "00" * 12, "00" * 16, "",
+                  "0388dace60b6a392f328c2b971b2fe78", "ab6e47d42cec13bdf53a67b21257bddf"),
+        "case3": (KEY.hex(), IV.hex(), PLAINTEXT.hex() + "1aafd255", "",
+                  CIPHERTEXT.hex() + "473f5985", "4d5c2af327cd64a62cf35abd2ba6fab4"),
+        "case7": ("00" * 24, "00" * 12, "", "", "", "cd33b28ac773f74ba00ed1f312572435"),
+        "case8": ("00" * 24, "00" * 12, "00" * 16, "",
+                  "98e7247c07f0fe411c267e4384b0f600", "2ff58d80033927ab8ef4d4587514f0fb"),
+        "case13": ("00" * 32, "00" * 12, "", "", "", "530f8afbc74536b9a963b4f1c4cb738b"),
+        "case14": ("00" * 32, "00" * 12, "00" * 16, "",
+                   "cea7403d4d606b6e074ec5d3baf39d18", "d0d1c8a799996bf0265b98b5d48ab919"),
+        "case15": (KEY.hex() * 2, IV.hex(), PLAINTEXT.hex() + "1aafd255", "",
+                   "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+                   "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad",
+                   "b094dac5d93471bdec1a502270e3cc6c"),
+        "case16": (KEY.hex() * 2, IV.hex(), PLAINTEXT.hex(), AAD.hex(),
+                   "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+                   "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662",
+                   "76fc6ece0f4e1768cddf8853bb2d551b"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NIST_CASES, key=lambda name: int(name[4:])))
+    def test_nist_known_answers(self, case):
+        key, iv, plaintext, aad, ciphertext, tag = map(bytes.fromhex, self.NIST_CASES[case])
+        blob = aead_encrypt(key, plaintext, aad, nonce=iv)
+        assert blob == iv + ciphertext + tag
+        assert aead_decrypt(key, blob, aad) == plaintext
 
     def test_tamper_detection_ciphertext(self):
-        gcm = AesGcm(self.KEY)
-        blob = bytearray(gcm.encrypt(self.IV, self.PLAINTEXT, self.AAD))
-        blob[0] ^= 1
+        blob = bytearray(aead_encrypt(self.KEY, self.PLAINTEXT, self.AAD, nonce=self.IV))
+        blob[len(self.IV)] ^= 1
         with pytest.raises(IntegrityError):
-            gcm.decrypt(self.IV, bytes(blob), self.AAD)
+            aead_decrypt(self.KEY, bytes(blob), self.AAD)
 
     def test_tamper_detection_aad(self):
-        gcm = AesGcm(self.KEY)
-        blob = gcm.encrypt(self.IV, self.PLAINTEXT, self.AAD)
+        blob = aead_encrypt(self.KEY, self.PLAINTEXT, self.AAD, nonce=self.IV)
         with pytest.raises(IntegrityError):
-            gcm.decrypt(self.IV, blob, self.AAD + b"x")
+            aead_decrypt(self.KEY, blob, self.AAD + b"x")
+
+    def test_tamper_detection_tag(self):
+        blob = bytearray(aead_encrypt(self.KEY, self.PLAINTEXT, self.AAD, nonce=self.IV))
+        blob[-1] ^= 0x80
+        with pytest.raises(IntegrityError):
+            aead_decrypt(self.KEY, bytes(blob), self.AAD)
+
+    def test_tamper_detection_nonce(self):
+        blob = bytearray(aead_encrypt(self.KEY, self.PLAINTEXT, self.AAD, nonce=self.IV))
+        blob[0] ^= 1
+        with pytest.raises(IntegrityError):
+            aead_decrypt(self.KEY, bytes(blob), self.AAD)
+
+    def test_cut_tag_rejected(self):
+        blob = aead_encrypt(self.KEY, self.PLAINTEXT, self.AAD, nonce=self.IV)
+        for cut in (1, 4, 16):
+            with pytest.raises(IntegrityError):
+                aead_decrypt(self.KEY, blob[:-cut], self.AAD)
 
     def test_short_ciphertext_rejected(self):
         with pytest.raises(IntegrityError):
-            AesGcm(self.KEY).decrypt(self.IV, b"short")
+            aead_decrypt(self.KEY, self.IV + b"short")
 
 
 class TestAeadHelpers:
@@ -105,20 +151,14 @@ class TestAeadHelpers:
         key = b"k" * 16
         blob = aead_encrypt(key, b"payload", b"aad")
         assert aead_decrypt(key, blob, b"aad") == b"payload"
-
-    def test_roundtrip_pure_python(self):
-        key = b"k" * 16
-        blob = aead_encrypt(key, b"payload", b"aad", force_pure_python=True)
-        assert aead_decrypt(key, blob, b"aad", force_pure_python=True) == b"payload"
         # Sealed tokens arrive off the wire as memoryviews of the receive buffer.
-        assert aead_decrypt(key, memoryview(blob), b"aad", force_pure_python=True) == b"payload"
+        assert aead_decrypt(key, memoryview(blob), b"aad") == b"payload"
 
-    def test_cross_backend_interoperability(self):
-        key = b"q" * 16
-        blob_pure = aead_encrypt(key, b"data", b"ctx", force_pure_python=True)
-        assert aead_decrypt(key, blob_pure, b"ctx") == b"data"
-        blob_native = aead_encrypt(key, b"data", b"ctx")
-        assert aead_decrypt(key, blob_native, b"ctx", force_pure_python=True) == b"data"
+    def test_fresh_nonce_per_call(self):
+        key = b"k" * 16
+        blobs = {aead_encrypt(key, b"payload", b"aad") for _ in range(8)}
+        assert len({blob[:12] for blob in blobs}) == 8
+        assert all(aead_decrypt(key, blob, b"aad") == b"payload" for blob in blobs)
 
     def test_wrong_key_fails(self):
         blob = aead_encrypt(b"a" * 16, b"data")

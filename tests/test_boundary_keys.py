@@ -55,8 +55,7 @@ def _golden_cases():
     cases = []
     for name, case in GOLDEN["cases"].items():
         prg, height = name.split("/")
-        marks = [] if prg in available_prgs() else [pytest.mark.skip(reason=f"{prg} unavailable")]
-        cases.append(pytest.param(prg, int(height), case, id=name, marks=marks))
+        cases.append(pytest.param(prg, int(height), case, id=name))
     return cases
 
 
@@ -243,7 +242,7 @@ def test_values_and_pads_at_every_bit_position_survive_the_modular_wrap(n, key_t
 # -- leaves(): every LCA depth, any input shape ----------------------------------------------
 
 
-@pytest.mark.parametrize("prg_name", [p for p in ("blake2", "aes-ni-fk") if p in available_prgs()])
+@pytest.mark.parametrize("prg_name", ["blake2", "aes-ni-fk"])
 @pytest.mark.parametrize("cache_levels", [0, 5, 16])
 def test_leaves_equals_per_leaf_for_pairs_differing_in_exactly_bit_n(prg_name, cache_levels):
     height = 30
@@ -261,7 +260,7 @@ def test_leaves_equals_per_leaf_for_pairs_differing_in_exactly_bit_n(prg_name, c
         assert DerivedKeystream(tokens, prg=prg_name).leaves(pair) == expected
 
 
-@pytest.mark.parametrize("prg_name", [p for p in ("blake2", "aes-ni-fk") if p in available_prgs()])
+@pytest.mark.parametrize("prg_name", ["blake2", "aes-ni-fk"])
 def test_batched_payload_keys_equal_per_window_keys(prg_name):
     """One key batch per range answer, bit-identical to one window at a time."""
     height = 30

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.chacha import (
+from repro.baselines.chacha import (
     ChaCha20Poly1305,
     chacha20_block,
     chacha20_xor,

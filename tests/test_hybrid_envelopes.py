@@ -1,21 +1,18 @@
-"""Token sealing (``crypto/hybrid.py``) on both curve paths.
+"""Token sealing (``crypto/hybrid.py``) on the native P-256.
 
 Access tokens are sealed ECIES-style: the AEAD key hashes the *full* shared
 point ``k·P`` plus the ephemeral public key.  The native ``cryptography``
-P-256 only hands back x, so the native path recovers y and its sign; the
-pure-Python curve in ``crypto/ecc.py`` is the fallback when the package does
-not import.  The evidence that the two paths are one format:
+P-256 only hands back x, so ``hybrid`` recovers y and its sign.  The evidence
+that it computes the full point the format was defined with:
 
 * **golden fixtures** (``tests/fixtures/crypto/golden_envelopes.json``,
-  recorded with the pure-Python path at the commit before the native one
-  existed): shared-point encodings for ``1 << n`` (n = 0..255)
+  recorded with the from-scratch curve in ``crypto/ecc.py`` before the native
+  one existed): shared-point encodings for ``1 << n`` (n = 0..255)
   plus 2, N-2, N-1 and N+1 times two fixed points, and envelopes sealed under
-  fixed recipient scalars — recomputed / opened on both paths;
-* a ``hypothesis`` property: native and pure shared points agree;
-* cross-path round trips: each path opens the other's envelopes.
+  fixed recipient scalars — recomputed / opened here;
+* a ``hypothesis`` property: the native shared point equals
+  ``ecc.scalar_mult``.
 
-The paths are switched by flipping the module flag ``hybrid._HAVE_NATIVE``
-(the pure path is otherwise reachable only when ``cryptography`` is absent).
 Every refusal — wrong key, wrong context, a flipped bit, a cut envelope, a
 forged ephemeral key — must raise a typed :class:`TimeCryptError`, never
 return bytes and never leak a bare ``ValueError`` from the native layer.
@@ -47,20 +44,6 @@ from repro.util.timeutil import TimeRange
 GOLDEN = json.loads(
     (Path(__file__).parent / "fixtures" / "crypto" / "golden_envelopes.json").read_text()
 )
-NATIVE_AVAILABLE = hybrid._HAVE_NATIVE
-needs_native = pytest.mark.skipif(
-    not NATIVE_AVAILABLE, reason="the native P-256 path needs the cryptography package"
-)
-PATHS = [pytest.param(True, id="native", marks=needs_native), pytest.param(False, id="pure")]
-
-
-@pytest.fixture(params=PATHS)
-def native(request, monkeypatch):
-    """Run the test on one curve path by flipping the module flag."""
-    monkeypatch.setattr(hybrid, "_HAVE_NATIVE", request.param)
-    return request.param
-
-
 def _golden_rows():
     for name, rows in GOLDEN["shared"].items():
         for scalar, shared in rows:
@@ -81,7 +64,7 @@ def _non_canonical_point() -> bytes:
     return b"\x04" + (x + ecc.P).to_bytes(32, "big") + y.to_bytes(32, "big")
 
 
-# -- golden fixtures and cross-path agreement -------------------------------------------
+# -- golden fixtures and the reference curve --------------------------------------------
 
 
 class TestGoldenEnvelopes:
@@ -90,12 +73,12 @@ class TestGoldenEnvelopes:
         assert {1 << n for n in range(256)} | {2, ecc.N - 2, ecc.N - 1, ecc.N + 1} == scalars
         assert set(GOLDEN["shared"]) == set(GOLDEN["points"])
 
-    def test_shared_points_match_the_parent(self, native):
+    def test_shared_points_match_the_parent(self):
         for name, scalar, shared in _golden_rows():
             point = bytes.fromhex(GOLDEN["points"][name])
             assert hybrid._shared_point(scalar, point).encode().hex() == shared, (name, hex(scalar))
 
-    def test_parent_envelopes_open(self, native):
+    def test_parent_envelopes_open(self):
         for case in GOLDEN["envelopes"]:
             private = int(case["recipient_private"], 16)
             assert ecc.scalar_mult(private).encode().hex() == case["recipient_public"]
@@ -104,7 +87,7 @@ class TestGoldenEnvelopes:
             )
             assert opened.hex() == case["plaintext"]
 
-    def test_envelope_layout_is_unchanged(self, native):
+    def test_envelope_layout_is_unchanged(self):
         private, public = hybrid.generate_keypair()
         assert len(public) == 65 and public[0] == 0x04
         assert ecc.scalar_mult(private).encode() == public
@@ -114,46 +97,35 @@ class TestGoldenEnvelopes:
         assert ecc.is_on_curve(ecc.Point.decode(envelope.ephemeral_public))
         assert len(envelope.sealed) == 12 + 3 + 16
 
+    def test_generated_keypairs_are_fresh_and_in_range(self):
+        pairs = [hybrid.generate_keypair() for _ in range(4)]
+        assert len({private for private, _public in pairs}) == len(pairs)
+        for private, public in pairs:
+            assert 1 <= private < ecc.N
+            assert ecc.scalar_mult(private).encode() == public
 
-@needs_native
-class TestCrossPath:
     @given(
         scalar=st.one_of(st.integers(1, ecc.N - 1), st.sampled_from([1, 2, ecc.N - 2, ecc.N - 1])),
         point_scalar=st.integers(1, ecc.N - 1),
     )
     @settings(max_examples=25, deadline=None)
-    def test_native_and_pure_shared_points_agree(self, scalar, point_scalar):
+    def test_native_shared_point_matches_the_reference_curve(self, scalar, point_scalar):
         point = ecc.scalar_mult(point_scalar).encode()
-        try:
-            hybrid._HAVE_NATIVE = True
-            native_shared = hybrid._shared_point(scalar, point)
-            hybrid._HAVE_NATIVE = False
-            pure_shared = hybrid._shared_point(scalar, point)
-        finally:
-            hybrid._HAVE_NATIVE = NATIVE_AVAILABLE
-        assert native_shared == pure_shared == ecc.scalar_mult(scalar, ecc.Point.decode(point))
-
-    @pytest.mark.parametrize("seal_native", [True, False], ids=["native-seals", "pure-seals"])
-    def test_each_path_opens_the_others_envelopes(self, monkeypatch, seal_native):
-        monkeypatch.setattr(hybrid, "_HAVE_NATIVE", seal_native)
-        private, public = hybrid.generate_keypair()
-        blob = hybrid.encrypt(public, b"token bytes", b"stream-1")
-        monkeypatch.setattr(hybrid, "_HAVE_NATIVE", not seal_native)
-        assert hybrid.decrypt(private, blob, b"stream-1") == b"token bytes"
-        assert hybrid.decrypt(private, hybrid.encrypt(public, b"back", b"")) == b"back"
+        shared = hybrid._shared_point(scalar, point)
+        assert shared == ecc.scalar_mult(scalar, ecc.Point.decode(point))
 
 
 # -- forged and malformed keys ----------------------------------------------------------
 
 
 class TestForgeryAndDecoding:
-    def test_point_at_infinity_ephemeral_is_refused(self, native):
+    def test_point_at_infinity_ephemeral_is_refused(self):
         principal = Principal.create("victim")
         forged = _forged_envelope(b"attacker-chosen token", b"stream-1")
         with pytest.raises(DecryptionError):
             principal.decrypt_envelope(forged, context=b"stream-1")
 
-    def test_point_at_infinity_recipient_is_refused(self, native):
+    def test_point_at_infinity_recipient_is_refused(self):
         with pytest.raises(DecryptionError):
             hybrid.encrypt(ecc.INFINITY.encode(), b"token")
         _private, public = hybrid.generate_keypair()
@@ -162,11 +134,20 @@ class TestForgeryAndDecoding:
             with pytest.raises(DecryptionError):
                 hybrid.decrypt(zero, blob)
 
+    def test_another_valid_ephemeral_key_is_refused(self):
+        """The AEAD key binds the ephemeral point: a swapped on-curve point cannot open it."""
+        private, public = hybrid.generate_keypair()
+        envelope = hybrid.HybridCiphertext.decode(hybrid.encrypt(public, b"token", b"ctx"))
+        _other_private, other_public = hybrid.generate_keypair()
+        swapped = hybrid.HybridCiphertext(other_public, envelope.sealed).encode()
+        with pytest.raises(DecryptionError):
+            hybrid.decrypt(private, swapped, b"ctx")
+
     def test_non_canonical_coordinates_are_refused(self):
         with pytest.raises(CryptoError):
             ecc.Point.decode(_non_canonical_point())
 
-    def test_both_paths_refuse_the_same_bytes_the_same_way(self, native):
+    def test_malformed_points_are_refused(self):
         private, _public = hybrid.generate_keypair()
         bad_points = [_non_canonical_point(), b"\x04" + b"\x01" * 64, b"\x02" + b"\x01" * 32]
         for point in bad_points:
@@ -198,7 +179,7 @@ def _sealed_token():
 
 class TestEnvelopeTamper:
     @pytest.mark.parametrize("size", [0, 1, 64 * 1024], ids=["empty", "1B", "64KiB"])
-    def test_roundtrip(self, native, size):
+    def test_roundtrip(self, size):
         private, public = hybrid.generate_keypair()
         payload = bytes(i % 251 for i in range(size))
         blob = hybrid.encrypt(public, payload, b"ctx")
@@ -206,20 +187,27 @@ class TestEnvelopeTamper:
         # The wire hands envelopes over as memoryviews of the receive buffer.
         assert hybrid.decrypt(private, memoryview(blob), b"ctx") == payload
 
-    def test_wrong_principal_key_fails(self, native):
+    def test_each_seal_uses_a_fresh_ephemeral_key(self):
+        private, public = hybrid.generate_keypair()
+        blobs = [hybrid.encrypt(public, b"token", b"ctx") for _ in range(4)]
+        ephemerals = {hybrid.HybridCiphertext.decode(blob).ephemeral_public for blob in blobs}
+        assert len(ephemerals) == len(blobs)
+        assert all(hybrid.decrypt(private, blob, b"ctx") == b"token" for blob in blobs)
+
+    def test_wrong_principal_key_fails(self):
         _private_a, public_a = hybrid.generate_keypair()
         private_b, _public_b = hybrid.generate_keypair()
         with pytest.raises(DecryptionError):
             hybrid.decrypt(private_b, hybrid.encrypt(public_a, b"token", b"ctx"), b"ctx")
 
-    def test_wrong_context_fails(self, native):
+    def test_wrong_context_fails(self):
         private, public = hybrid.generate_keypair()
         blob = hybrid.encrypt(public, b"token", b"stream-1")
         for context in (b"", b"stream-2", b"stream-1\x00"):
             with pytest.raises(DecryptionError):
                 hybrid.decrypt(private, blob, context)
 
-    def test_every_bit_flip_and_cut_of_a_sealed_token_is_refused(self, native, monkeypatch):
+    def test_every_bit_flip_and_cut_of_a_sealed_token_is_refused(self, monkeypatch):
         principal, sealed = _sealed_token()
         token = AccessToken.from_bytes(principal.decrypt_envelope(sealed, context=b"stream-1"))
         assert (token.window_start, token.window_end) == (2, 4)

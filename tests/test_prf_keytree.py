@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.keytree import DerivedKeystream, KeyDerivationTree, merge_token_sets
-from repro.crypto.prf import available_prgs, get_prg, kdf, prf, prf_int
+from repro.crypto.prf import (
+    DEFAULT_PRG,
+    available_prgs,
+    get_prg,
+    kdf,
+    prf,
+    prf_int,
+    resolve_prg,
+)
 from repro.exceptions import ConfigurationError, KeyDerivationError
 from tests.conftest import run_concurrently
 
@@ -34,6 +42,16 @@ class TestPRGs:
         assert prg.child(SEED, 0) == prg.left(SEED)
         assert prg.child(SEED, 1) == prg.right(SEED)
 
+    def test_registry_holds_every_persisted_name(self):
+        """Each PRG name a stream may have persisted resolves, whatever the build."""
+        assert available_prgs() == ("aes", "aes-ni", "aes-ni-fk", "blake2", "sha256")
+
+    def test_auto_resolves_to_the_fixed_key_aes_prg(self):
+        assert DEFAULT_PRG == "aes-ni-fk"
+        assert resolve_prg("auto") == DEFAULT_PRG
+        for name in available_prgs():
+            assert resolve_prg(name) == name
+
     def test_invalid_child_bit(self):
         with pytest.raises(ValueError):
             get_prg("blake2").child(SEED, 2)
@@ -52,9 +70,7 @@ class TestPRGs:
         assert len(set(outputs.values())) == len(outputs)
 
     def test_aes_backends_agree(self):
-        """The pure-Python AES PRG and the native-backend PRG are interchangeable."""
-        if "aes-ni" not in available_prgs():
-            pytest.skip("native AES backend not available")
+        """The software AES baseline PRG and the native-backend PRG are interchangeable."""
         assert get_prg("aes").expand(SEED) == get_prg("aes-ni").expand(SEED)
 
     @pytest.mark.parametrize("name", available_prgs())

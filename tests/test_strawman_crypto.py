@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.abe import ABEAuthority, ABECostModel, ABEPrincipal, wrap_chunk_key
+from repro.baselines.ecelgamal import ECElGamal
+from repro.baselines.paillier import generate_keypair, generate_prime, _is_probable_prime
 from repro.crypto import ecc, hybrid
-from repro.exceptions import DecryptionError
-from repro.crypto.abe import ABEAuthority, ABECostModel, ABEPrincipal, wrap_chunk_key
-from repro.crypto.ecelgamal import ECElGamal
-from repro.crypto.paillier import generate_keypair, generate_prime, _is_probable_prime
 from repro.exceptions import AccessDeniedError, CryptoError, DecryptionError
 
 
