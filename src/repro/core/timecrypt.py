@@ -364,14 +364,16 @@ class TimeCryptConsumer:
         """Cold-start access to many streams in (at most) two round trips.
 
         Over a pipelined transport (:class:`~repro.net.client
-        .RemoteServerClient` or anything exposing a compatible
-        ``pipeline()``), the first round trip batches every stream's grant
-        pickup together with the stream metadata not already in the session
-        cache; tokens are unsealed locally, and a second round trip batches
-        the key-envelope fetches for whichever tokens turned out to be
-        resolution-restricted (their windows are inside the token, so this
-        round trip cannot be merged into the first).  Full-resolution
-        grants finish in one.  Against a non-pipelined server handle the
+        .RemoteServerClient`, :class:`~repro.net.client.ShardedServerClient`
+        or anything exposing a compatible ``pipeline()``), the first round
+        trip batches every stream's grant pickup together with the stream
+        metadata not already in the session cache; tokens are unsealed
+        locally, and a second round trip batches the key-envelope fetches
+        for whichever tokens turned out to be resolution-restricted (their
+        windows are inside the token, so this round trip cannot be merged
+        into the first).  Full-resolution grants finish in one.  On the
+        sharded client each phase is one batch per owning engine, all in
+        flight at once.  Against a non-pipelined server handle the
         per-stream scalar path is used instead — same result, more trips.
 
         Failures are per stream: a stream whose grant is missing, revoked,

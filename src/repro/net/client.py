@@ -22,15 +22,15 @@ that sit three calling styles:
   It is :meth:`send_many` followed by the handle's ``result()``, so a caller
   can send batches to several peers before awaiting any of them;
 * :meth:`pipeline` — a context manager that records ServerEngine-shaped
-  calls as deferred handles and flushes them through :meth:`call_many` on
-  exit, so heterogeneous bursts (grant pickups, range reads, stat queries)
-  also collapse into one round trip.
+  calls as deferred handles and flushes them as one batch on exit, so
+  heterogeneous bursts (grant pickups, range reads, stat queries) also
+  collapse into one round trip.
 
 Each ServerEngine-shaped method is written once, in ``_EngineCalls``: it
 builds its request and names the one decoder for the answer, and
-:class:`RemoteServerClient`, :class:`ShardedServerClient` (which routes to
-the owning shard first) and :class:`RequestPipeline` differ only in how
-they carry the pair.  The decoders are where a hostile server's answers are
+:class:`RemoteServerClient`, :class:`ShardedServerClient` (which sends
+through :class:`ShardRoutes`, the routed batch the router proxies with too)
+and :class:`RequestPipeline` differ only in how they carry the pair.  The decoders are where a hostile server's answers are
 refused: a malformed one is a typed :class:`~repro.exceptions.ProtocolError`,
 and every blob a caller can keep is retained off the frame buffer.
 
@@ -63,7 +63,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import SPANS, current_context, new_span_id, new_trace_id
@@ -83,10 +83,12 @@ from repro.net.framing import (
     write_vectored,
 )
 from repro.net.messages import (
+    OP_TABLE,
     Request,
     Response,
     ShardRoutingTable,
     aggregate_from_json,
+    aggregate_to_json,
     retain,
     stat_from_json,
 )
@@ -96,6 +98,7 @@ from repro.timeseries.serialization import (
     EncryptedChunk,
     decode_encrypted_chunk,
     encode_encrypted_chunk,
+    peek_chunk_stream_uuid,
 )
 from repro.timeseries.stream import StreamMetadata
 from repro.util.blocking import before_blocking
@@ -312,8 +315,8 @@ class PipelineResult:
 # -- answer decoders, one per answer shape ---------------------------------------------
 #
 # The server enforces nothing, so refusing a malformed answer is the client's
-# job.  Each decoder is the one place its answer shape is checked, for all
-# three calling styles and the router's splits: a malformed answer raises
+# job.  Each decoder is the one place its answer shape is checked, for every
+# calling style and the cross-shard splits: a malformed answer raises
 # ProtocolError (never a bare KeyError / IndexError or a silently truncated
 # result), and every blob a caller may keep is retained off the frame buffer.
 
@@ -395,11 +398,6 @@ def stat_range_request(stream_uuid: str, time_range: TimeRange) -> Request:
     return Request("stat_range", _range_args(stream_uuid, time_range))
 
 
-def put_grants_request(grants: Sequence[Tuple[str, str, bytes]]) -> Request:
-    targets = [{"uuid": stream_uuid, "principal_id": principal_id} for stream_uuid, principal_id, _sealed in grants]
-    return Request("put_grants", {"grants": targets}, [sealed for _uuid, _principal, sealed in grants])
-
-
 class _EngineCalls:
     """The ServerEngine-shaped wire surface, each method written once.
 
@@ -407,7 +405,7 @@ class _EngineCalls:
     decoder for its answer, to ``_engine_call(stream_uuid, request, decode)``
     — the only thing the calling styles implement.
     :class:`RemoteServerClient` sends and decodes, :class:`ShardedServerClient`
-    first routes to the shard owning ``stream_uuid``, and
+    routes by ``stream_uuid`` to the owning shard, and
     :class:`RequestPipeline` defers both, so its methods return
     :class:`PipelineResult` handles instead of values.
     """
@@ -474,7 +472,9 @@ class _EngineCalls:
         """A cohort grant burst: one wire round trip, one storage ``multi_put``."""
         if not grants:
             return []
-        return self._engine_call(grants[0][0], put_grants_request(grants), decode_grant_ids(len(grants)))
+        targets = [{"uuid": stream_uuid, "principal_id": principal_id} for stream_uuid, principal_id, _sealed in grants]
+        request = Request("put_grants", {"grants": targets}, [sealed for _uuid, _principal, sealed in grants])
+        return self._engine_call(grants[0][0], request, decode_grant_ids(len(grants)))
 
     def fetch_grants(self, stream_uuid: str, principal_id: str) -> List[bytes]:
         request = Request("fetch_grants", {"uuid": stream_uuid, "principal_id": principal_id})
@@ -506,11 +506,14 @@ class RequestPipeline(_EngineCalls):
     after the ``with`` block (or an explicit :meth:`flush`).  A failed
     request raises its remote error from ``result()`` without affecting the
     other requests in the batch — mid-batch errors stay per-request.
+    ``call_many`` carries the recorded ``(stream uuid, request)`` pairs:
+    one batch on one connection for :class:`RemoteServerClient`, one routed
+    batch for :class:`ShardedServerClient`.
     """
 
-    def __init__(self, client: "RemoteServerClient") -> None:
-        self._client = client
-        self._requests: List[Request] = []
+    def __init__(self, call_many: Callable[[List[Tuple[Optional[str], Request]]], List[Response]]) -> None:
+        self._call_many = call_many
+        self._requests: List[Tuple[Optional[str], Request]] = []
         self._handles: List[PipelineResult] = []
 
     def __len__(self) -> int:
@@ -524,7 +527,7 @@ class RequestPipeline(_EngineCalls):
             self.flush()
 
     def flush(self) -> None:
-        """Ship all recorded requests as one framed batch and resolve handles.
+        """Ship all recorded requests as one batch and resolve handles.
 
         On a transport failure every handle is failed with that error (so
         ``result()`` reports the real cause, not an unflushed-pipeline
@@ -536,7 +539,7 @@ class RequestPipeline(_EngineCalls):
         self._requests = []
         self._handles = []
         try:
-            responses = self._client.call_many(requests)
+            responses = self._call_many(requests)
         except Exception as exc:
             for handle in handles:
                 handle._fail(exc)
@@ -544,9 +547,9 @@ class RequestPipeline(_EngineCalls):
         for handle, response in zip(handles, responses):
             handle._resolve(response)
 
-    def _engine_call(self, _stream_uuid: Optional[str], request: Request, decode: Decoder) -> PipelineResult:
+    def _engine_call(self, stream_uuid: Optional[str], request: Request, decode: Decoder) -> PipelineResult:
         handle = PipelineResult(decode)
-        self._requests.append(request)
+        self._requests.append((stream_uuid, request))
         self._handles.append(handle)
         return handle
 
@@ -573,16 +576,16 @@ class _WireTokenStore:
 
     def put_envelopes(
         self, stream_uuid: str, resolution_chunks: int, envelopes: Dict[int, bytes]
-    ) -> None:
+    ) -> Any:
         if not envelopes:
-            return
+            return None
         windows = sorted(envelopes)
         request = Request(
             "put_envelopes",
             {"uuid": stream_uuid, "resolution_chunks": resolution_chunks, "windows": windows},
             [envelopes[window] for window in windows],
         )
-        self._client._engine_call(stream_uuid, request, _decode_nothing)
+        return self._client._engine_call(stream_uuid, request, _decode_nothing)
 
 
 class RemoteServerClient(_EngineCalls):
@@ -1084,7 +1087,7 @@ class RemoteServerClient(_EngineCalls):
 
     def pipeline(self) -> RequestPipeline:
         """A deferred-call context; everything inside flushes as one batch."""
-        return RequestPipeline(self)
+        return RequestPipeline(lambda routed: self.call_many([request for _uuid, request in routed]))
 
     def _engine_call(self, _stream_uuid: Optional[str], request: Request, decode: Decoder) -> Any:
         return decode(self._call(request))
@@ -1206,28 +1209,242 @@ class _SlotBatch:
             raise
 
 
-def slot_for(
-    slots: Dict[str, ConnectionSlot],
-    lock: threading.Lock,
-    name: str,
-    address: Tuple[str, int],
-    options: Dict[str, Any],
-) -> ConnectionSlot:
-    """``slots[name]``, replaced (and the old slot closed) when ``address`` moved.
+def request_stream_uuids(request: Request) -> List[str]:
+    """The stream uuids a request addresses, found by its op's routing key.
 
-    Creating a slot dials nothing, so the lock is only held for the swap.
+    Ingest requests are placed by peeking the uuid out of the first chunk
+    attachment — a magic check, one varint and a slice, no full decode; the
+    engine itself enforces that a batch is single-stream.
     """
-    slot = slots.get(name)
-    if slot is not None and slot.address == address:
+    route = OP_TABLE[request.operation].route
+    if route == "uuid":
+        return [request.args["uuid"]]
+    if route == "uuids":
+        return list(request.args["uuids"])
+    if route == "grants":
+        return [target["uuid"] for target in request.args["grants"]]
+    if route in ("chunk", "metadata"):
+        if not request.attachments:
+            raise ProtocolError(f"{request.operation} requires a {route} attachment")
+        if route == "chunk":
+            return [peek_chunk_stream_uuid(request.attachments[0])]
+        return [_metadata_from_json(request.attachments[0]).uuid]
+    return []
+
+
+def _by_owner(
+    table: ShardRoutingTable, routed: Iterable[Tuple[int, Optional[str]]], hints: Mapping[int, str]
+) -> Dict[str, List[int]]:
+    """Positions grouped by the shard owning their stream uuid.
+
+    A hint (a redirect's owner) wins while the table still names it; a
+    position with no stream goes to the first shard.
+    """
+    groups: Dict[str, List[int]] = {}
+    for position, stream_uuid in routed:
+        owner = hints.get(position)
+        if owner is None or owner not in table.engine_names:
+            owner = table.owner_of(stream_uuid) if stream_uuid is not None else table.engine_names[0]
+        groups.setdefault(owner, []).append(position)
+    return groups
+
+
+#: Folds a split's successful sub-answers (in sub-request order) into the
+#: one answer a single engine would have given the whole request.
+Combine = Callable[[List[Response]], Response]
+
+
+def _stat_range_per_stream(request: Request, _owners: Dict[str, List[int]]) -> Tuple[List, Combine]:
+    """A cross-shard inter-stream query: one ``stat_range`` per stream,
+    recombined in request order exactly as a single engine would."""
+    time_range = TimeRange(request.args["start"], request.args["end"])
+
+    def combine(responses: List[Response]) -> Response:
+        aggregate = MultiStreamAggregate.combine([decode_stat(response) for response in responses])
+        return Response.success(aggregate_to_json(aggregate))
+
+    return [(uuid, stat_range_request(uuid, time_range)) for uuid in request.args["uuids"]], combine
+
+
+def _put_grants_per_owner(request: Request, owners: Dict[str, List[int]]) -> Tuple[List, Combine]:
+    """A cross-shard grant burst: one ``put_grants`` per owning shard, grant
+    ids stitched back into input order."""
+    targets, sealed = request.args["grants"], request.attachments
+    if len(targets) != len(sealed):
+        raise ProtocolError("put_grants targets and attachments must align")
+    groups = [owners[owner] for owner in sorted(owners)]
+
+    def combine(responses: List[Response]) -> Response:
+        grant_ids: List[int] = [0] * len(targets)
+        for positions, response in zip(groups, responses):
+            for position, grant_id in zip(positions, decode_grant_ids(len(positions))(response)):
+                grant_ids[position] = grant_id
+        return Response.success({"grant_ids": grant_ids})
+
+    parts = [
+        (
+            targets[positions[0]]["uuid"],
+            Request("put_grants", {"grants": [targets[p] for p in positions]}, [sealed[p] for p in positions]),
+        )
+        for positions in groups
+    ]
+    return parts, combine
+
+
+#: The cross-shard splits, by op: ``split(request, owners)``, where
+#: ``owners`` groups the positions of the request's streams by shard, gives
+#: the routed ``(uuid, sub-request)`` parts and their :data:`Combine`.
+#: Every engine op whose route can name several streams needs an entry;
+#: a multi-owner request for an op without one is refused.
+SPLITS: Dict[str, Callable[[Request, Dict[str, List[int]]], Tuple[List, Combine]]] = {
+    "stat_range_multi": _stat_range_per_stream,
+    "put_grants": _put_grants_per_owner,
+}
+
+
+class ShardRoutes:
+    """One :class:`ConnectionSlot` per engine shard, and the routed batch over them.
+
+    The sharded client and the router's proxy both send through
+    :meth:`call_many`.  ``table()`` reads the current routing table;
+    ``refresh()`` tries to learn a newer one (the router's table is always
+    current, so it has nothing to fetch); ``options()`` are the slots'
+    :class:`RemoteServerClient` keyword arguments.  A slot is replaced when
+    the table moves its engine, and closed once the table drops it.
+    """
+
+    MAX_ROUTE_ATTEMPTS = 5
+
+    def __init__(
+        self,
+        table: Callable[[], ShardRoutingTable],
+        refresh: Callable[[], Any],
+        options: Callable[[], Dict[str, Any]],
+    ) -> None:
+        self._table = table
+        self._refresh = refresh
+        self._options = options
+        self._slots: Dict[str, ConnectionSlot] = {}
+        self._lock = threading.Lock()
+        self._epoch: Optional[int] = None
+
+    def slot(self, name: str) -> ConnectionSlot:
+        """Shard ``name``'s slot; creating one dials nothing, so the lock only guards the swap."""
+        address = self._table().address_of(name)
+        slot = self._slots.get(name)
+        if slot is not None and slot.address == address:
+            return slot
+        with self._lock:
+            stale = self._slots.get(name)
+            if stale is not None and stale.address == address:
+                return stale
+            slot = self._slots[name] = ConnectionSlot(address, **self._options())
+        if stale is not None:
+            stale.close()
         return slot
-    with lock:
-        stale = slots.get(name)
-        if stale is not None and stale.address == address:
-            return stale
-        slot = slots[name] = ConnectionSlot(address, **options)
-    if stale is not None:
-        stale.close()
-    return slot
+
+    def slots(self) -> List[ConnectionSlot]:
+        return list(self._slots.values())
+
+    def close(self) -> None:
+        for slot in self.slots():
+            slot.close()
+
+    def call_many(self, routed: Sequence[Tuple[Optional[str], Request]]) -> List[Response]:
+        """The routed batch: ``(routing uuid, request)`` pairs in, answers in request order.
+
+        A request whose streams live on several shards is split by its
+        :data:`SPLITS` entry; it answers with its first failed sub-request's
+        answer, or else with the combined one.  Errors stay per request.
+        """
+        table = self._table()
+        if table.epoch != self._epoch:  # membership moved: drop removed shards' slots
+            self._epoch = table.epoch
+            with self._lock:
+                removed = [self._slots.pop(name) for name in list(self._slots) if name not in table.engine_names]
+            for slot in removed:
+                slot.close()
+        parts: List[Tuple[Optional[str], Request]] = []
+        joins: List[Tuple[int, int, Optional[Combine]]] = []
+        for stream_uuid, request in routed:
+            split, combine = [(stream_uuid, request)], None
+            try:
+                if OP_TABLE[request.operation].route in ("uuids", "grants"):
+                    owners = _by_owner(table, enumerate(request_stream_uuids(request)), {})
+                    if len(owners) > 1:
+                        if request.operation not in SPLITS:
+                            raise QueryError(
+                                f"'{request.operation}' addresses streams on several shards and cannot be split"
+                            )
+                        split, combine = SPLITS[request.operation](request, owners)
+            except TimeCryptError as exc:
+                split, combine = [], lambda _responses, failure=Response.failure(exc): failure
+            joins.append((len(parts), len(parts) + len(split), combine))
+            parts.extend(split)
+        responses = self._route(parts)
+        answers = []
+        for start, stop, combine in joins:
+            if combine is None:
+                answers.append(responses[start])
+                continue
+            answered = responses[start:stop]
+            failed = [response for response in answered if not response.ok]
+            try:
+                answers.append(failed[0] if failed else combine(answered))
+            except TimeCryptError as exc:
+                answers.append(Response.failure(exc))
+        return answers
+
+    def _route(self, parts: List[Tuple[Optional[str], Request]]) -> List[Response]:
+        """Send each part to its owner, all owners at once, chasing redirects boundedly.
+
+        A ``WrongShardError`` redirect, or transport loss the slot could
+        not heal with its one redial, re-routes only the affected parts:
+        the table is refreshed, and a redirect's owner hint is followed
+        when the epoch did not move.  A topology that never converges
+        (peers answering for each other's shards) answers those parts with
+        a protocol error instead of looping forever.
+        """
+        responses: List[Any] = [None] * len(parts)
+        pending = list(range(len(parts)))
+        hints: Dict[int, str] = {}
+        for _attempt in range(self.MAX_ROUTE_ATTEMPTS):
+            table = self._table()
+            owners = _by_owner(table, ((index, parts[index][0]) for index in pending), hints)
+            sent = [
+                (owner, positions, self.slot(owner).send_many([parts[index][1] for index in positions]))
+                for owner, positions in sorted(owners.items())
+            ]
+            before_blocking()
+            pending, redirects = [], []
+            for owner, positions, batch in sent:
+                try:
+                    answered = batch.result()
+                except TransportError:
+                    logger.info("engine shard '%s' unreachable; refreshing the table", owner)
+                    pending.extend(positions)
+                    continue
+                for index, response in zip(positions, answered):
+                    responses[index] = response
+                    if response.error_type == "WrongShardError":
+                        pending.append(index)
+                        redirects.append((index, owner, response.result))
+            if not pending:
+                return responses
+            self._refresh()
+            hints = {}
+            if self._table().epoch == table.epoch:
+                for index, owner, redirect in redirects:
+                    hinted = redirect.get("owner") if isinstance(redirect, dict) else None
+                    if hinted in table.engine_names and hinted != owner:
+                        hints[index] = hinted
+        for index in pending:
+            error = ProtocolError(
+                f"shard routing for stream '{parts[index][0]}' did not converge after "
+                f"{self.MAX_ROUTE_ATTEMPTS} attempts"
+            )
+            responses[index] = Response.failure(error)
+        return responses
 
 
 class ShardedServerClient(_EngineCalls):
@@ -1237,15 +1454,14 @@ class ShardedServerClient(_EngineCalls):
     routing table from its ``hello``, and from then on sends every stream
     operation *directly* to the owning engine over one multiplexed
     connection per shard — the router is only revisited to refresh the
-    table.  A ``WrongShardError`` redirect (the client's table was stale)
-    triggers a refresh and a bounded re-route; an engine that died
-    mid-workload surfaces as a transport error, which likewise refreshes
-    the table and redials, so a membership change needs no client restart.
-    Each connection is a :class:`ConnectionSlot`: one for the router and
-    one per engine, replaced when the table moves that engine's address.
+    table.  Every call, and every :meth:`pipeline` flush, is one routed
+    batch (:class:`ShardRoutes`): grouped by owner, in flight to all owners
+    at once, with cross-shard ``stat_range_multi`` and ``put_grants`` split
+    per owner and recombined as one engine would answer.  A
+    ``WrongShardError`` redirect (the client's table was stale) or an
+    engine that died mid-workload refreshes the table and re-routes, so a
+    membership change needs no client restart.
     """
-
-    _MAX_ROUTE_ATTEMPTS = 5
 
     def __init__(
         self,
@@ -1262,9 +1478,8 @@ class ShardedServerClient(_EngineCalls):
             "overload_retries": overload_retries,
             "tracing": tracing,
         }
-        self._lock = threading.Lock()
         self._router = ConnectionSlot((host, port), **self._options)
-        self._engines: Dict[str, ConnectionSlot] = {}
+        self._routes = ShardRoutes(lambda: self._table, self._refresh_table, lambda: self._options)
         try:
             self._table = self._table_from_hello(self._router.get())
         except BaseException:
@@ -1304,29 +1519,20 @@ class ShardedServerClient(_EngineCalls):
         except ProtocolError:
             return None
 
-    def _adopt_table(self, table: Optional[ShardRoutingTable]) -> bool:
-        """Adopt a strictly newer table; returns whether the epoch advanced."""
-        if table is None or table.epoch <= self._table.epoch:
-            return False
-        self._table = table
-        return True
-
-    def _refresh_table(self) -> bool:
-        """Refresh from the router (its slot redials once), else from any shard."""
+    def _refresh_table(self) -> None:
+        """Adopt a newer table from the router (its slot redials once), else from any shard."""
         for slot in self._slots():
             table = self._fetch_table(slot)
             if table is not None:
-                return self._adopt_table(table)
-        return False
+                if table.epoch > self._table.epoch:
+                    self._table = table
+                return
 
     # -- connections ------------------------------------------------------------
 
-    def _engine(self, name: str) -> ConnectionSlot:
-        return slot_for(self._engines, self._lock, name, self._table.address_of(name), self._options)
-
     def _slots(self) -> List[ConnectionSlot]:
         """The router's slot first, then every engine's."""
-        return [self._router, *self._engines.values()]
+        return [self._router, *self._routes.slots()]
 
     def close(self) -> None:
         for slot in self._slots():
@@ -1348,53 +1554,21 @@ class ShardedServerClient(_EngineCalls):
                 setattr(total, counter.name, value)
         return total
 
-    # -- routing ----------------------------------------------------------------
+    # -- calling styles ---------------------------------------------------------
 
-    def _routed(self, stream_uuid: str, request: Request) -> Response:
-        """Send one request to the stream's owner, chasing redirects boundedly.
-
-        Transport loss the engine's slot could not heal with its one redial
-        refreshes the table and retries; a ``wrong_shard`` redirect refreshes
-        the table, falling back to the redirect's owner hint only when no
-        newer table materialises.
-        A topology that never converges (peers answering for each other's
-        shards) is reported as a protocol error instead of looping forever.
-        """
-        owner_hint: Optional[str] = None
-        for _attempt in range(self._MAX_ROUTE_ATTEMPTS):
-            table = self._table
-            if owner_hint is not None and owner_hint in table.engine_names:
-                owner = owner_hint
-            else:
-                owner = table.owner_of(stream_uuid)
-            owner_hint = None
-            try:
-                response = self._engine(owner).call_many([request])[0]
-            except TransportError:
-                logger.info("engine shard '%s' unreachable; refreshing the table", owner)
-                self._refresh_table()
-                continue
-            if response.ok or response.error_type != "WrongShardError":
-                return response
-            progressed = self._refresh_table()
-            if not progressed and self._table.epoch == table.epoch:
-                hinted = response.result.get("owner")
-                if hinted in table.engine_names and hinted != owner:
-                    owner_hint = hinted
-        raise ProtocolError(
-            f"shard routing for stream '{stream_uuid}' did not converge after "
-            f"{self._MAX_ROUTE_ATTEMPTS} attempts"
-        )
-
-    def _engine_call(self, stream_uuid: str, request: Request, decode: Decoder) -> Any:
-        response = self._routed(stream_uuid, request)
+    def _engine_call(self, stream_uuid: Optional[str], request: Request, decode: Decoder) -> Any:
+        response = self._routes.call_many([(stream_uuid, request)])[0]
         if not response.ok:
             _raise_remote(response)
         return decode(response)
 
+    def pipeline(self) -> RequestPipeline:
+        """A deferred-call context; everything inside flushes as one routed batch."""
+        return RequestPipeline(self._routes.call_many)
+
     def ping(self) -> bool:
         """Liveness of the tier: the router, or failing that any live shard."""
-        engines = (self._engine(name) for name in self._table.engine_names)
+        engines = (self._routes.slot(name) for name in self._table.engine_names)
         for slot in itertools.chain([self._router], engines):
             try:
                 response = slot.call_many([Request("ping")])[0]
@@ -1403,39 +1577,3 @@ class ShardedServerClient(_EngineCalls):
             if response.ok:
                 return _decode_pong(response)
         return False
-
-    def stat_range_multi(
-        self, stream_uuids: Sequence[str], time_range: TimeRange
-    ) -> MultiStreamAggregate:
-        """Inter-stream query: forwarded whole when one shard owns every
-        stream, otherwise per-stream ``stat_range`` calls recombined exactly
-        as a single engine would (:meth:`MultiStreamAggregate.combine` over
-        results in request order)."""
-        uuids = list(stream_uuids)
-        if not uuids:
-            raise QueryError("an inter-stream query needs at least one stream")
-        table = self._table
-        if len({table.owner_of(stream_uuid) for stream_uuid in uuids}) == 1:
-            return super().stat_range_multi(uuids, time_range)
-        return MultiStreamAggregate.combine(
-            [self.stat_range(stream_uuid, time_range) for stream_uuid in uuids]
-        )
-
-    def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
-        """A grant burst, split into one ``put_grants`` per owning shard.
-
-        Ids are stitched back into input order.  A membership change racing
-        the burst can strand a sub-batch on a shard that no longer owns one
-        of its streams; that surfaces as the redirect error rather than a
-        silent partial write.
-        """
-        table = self._table
-        slots_by_owner: Dict[str, List[int]] = {}
-        for slot, (stream_uuid, _principal, _sealed) in enumerate(grants):
-            slots_by_owner.setdefault(table.owner_of(stream_uuid), []).append(slot)
-        grant_ids: List[int] = [0] * len(grants)
-        for owner in sorted(slots_by_owner):
-            slots = slots_by_owner[owner]
-            for slot, grant_id in zip(slots, super().put_grants([grants[slot] for slot in slots])):
-                grant_ids[slot] = grant_id
-        return grant_ids

@@ -216,19 +216,14 @@ class RequestDispatcher(WireDispatcher):
     #: batches (≤ the slice) take the single-acquisition fast path.
     DEFAULT_BULK_SLICE_CHUNKS = 64
 
-    def __init__(self, engine: ServerEngine, bulk_slice_chunks: int = DEFAULT_BULK_SLICE_CHUNKS) -> None:
+    def __init__(self, engine: ServerEngine) -> None:
         self._engine = engine
         self._engine_lock = threading.Lock()
-        self._bulk_slice_chunks = max(0, int(bulk_slice_chunks))
 
     def dispatch(self, request: Request) -> Response:
         if is_local(request.operation):
             return super().dispatch(request)
-        if (
-            request.operation == "insert_chunks"
-            and self._bulk_slice_chunks
-            and len(request.attachments) > self._bulk_slice_chunks
-        ):
+        if request.operation == "insert_chunks" and len(request.attachments) > self.DEFAULT_BULK_SLICE_CHUNKS:
             return self._dispatch_sliced_ingest(request)
         # Queuing behind another request on the serial engine is a wait like
         # any other: a leader announces it (and steps down) first.
@@ -255,7 +250,7 @@ class RequestDispatcher(WireDispatcher):
         (:meth:`~repro.server.engine.ServerEngine.validate_chunk_batch`)
         makes the failure typed and precise.
         """
-        size = self._bulk_slice_chunks
+        size = self.DEFAULT_BULK_SLICE_CHUNKS
         total = len(request.attachments)
         first_window: Optional[int] = None
         for start in range(0, total, size):

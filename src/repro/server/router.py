@@ -15,11 +15,13 @@ across them.  This module provides that tier:
 * The :class:`StreamRouter` is the front door: it advertises the routing
   table in ``hello`` (clients that understand it route straight to the
   owning engine — no extra hop on the hot path) and proxies requests for
-  clients that do not, including splitting cross-shard ``stat_range_multi``
-  and ``put_grants`` across the owning engines.  It holds one
-  :class:`~repro.net.client.ConnectionSlot` per engine and runs no threads
-  of its own: a split sends every owner's sub-batch from the handler
-  thread, then awaits each in turn, so N owners cost one round-trip time.
+  clients that do not.  It proxies through the routed batch the sharded
+  client sends with (:class:`~repro.net.client.ShardRoutes`): one
+  :class:`~repro.net.client.ConnectionSlot` per engine, cross-shard
+  ``stat_range_multi`` and ``put_grants`` split per owner by the one split
+  table, and no threads of its own — the handler thread sends every
+  owner's sub-batch, then awaits each in turn, so N owners cost one
+  round-trip time.
 
 Membership changes bump the table epoch.  Shards observe the bump on their
 next request and drop cached stream state (indexes rebuild lazily from
@@ -32,29 +34,11 @@ import logging
 import threading
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.exceptions import ProtocolError, QueryError, TimeCryptError, TransportError
-from repro.net.client import (
-    ConnectionSlot,
-    decode_grant_ids,
-    decode_stat,
-    put_grants_request,
-    slot_for,
-    stat_range_request,
-)
-from repro.net.messages import (
-    OP_TABLE,
-    Request,
-    Response,
-    ShardRoutingTable,
-    aggregate_to_json,
-    is_local,
-)
+from repro.exceptions import ProtocolError, TimeCryptError
+from repro.net.client import ShardRoutes, request_stream_uuids
+from repro.net.messages import OP_TABLE, Request, Response, ShardRoutingTable, is_local
 from repro.net.server import RequestDispatcher, TimeCryptTCPServer, WireDispatcher
-from repro.server.engine import ServerEngine, _metadata_from_json
-from repro.server.query_executor import MultiStreamAggregate
-from repro.timeseries.serialization import peek_chunk_stream_uuid
-from repro.util.blocking import before_blocking
-from repro.util.timeutil import TimeRange
+from repro.server.engine import ServerEngine
 
 logger = logging.getLogger(__name__)
 
@@ -98,29 +82,6 @@ class RoutingTableRef:
             table = self._table
         logger.info("engine shard '%s' removed, epoch %d", name, table.epoch)
         return table
-
-
-def _request_stream_uuids(request: Request) -> List[str]:
-    """The stream uuids a request addresses, found by its op's routing key.
-
-    Ingest requests are placed by peeking the uuid out of the first chunk
-    attachment — a magic check, one varint and a slice, no full decode; the
-    engine itself enforces that a batch is single-stream.
-    """
-    route = OP_TABLE[request.operation].route
-    if route == "uuid":
-        return [request.args["uuid"]]
-    if route == "uuids":
-        return list(request.args["uuids"])
-    if route == "grants":
-        return [target["uuid"] for target in request.args["grants"]]
-    if route in ("chunk", "metadata"):
-        if not request.attachments:
-            raise ProtocolError(f"{request.operation} requires a {route} attachment")
-        if route == "chunk":
-            return [peek_chunk_stream_uuid(request.attachments[0])]
-        return [_metadata_from_json(request.attachments[0]).uuid]
-    return []
 
 
 def _wrong_shard_response(
@@ -173,7 +134,7 @@ class ShardedEngineDispatcher(RequestDispatcher):
             )
             self._engine.reset_stream_cache()
             self._seen_epoch = table.epoch
-        for stream_uuid in _request_stream_uuids(request):
+        for stream_uuid in request_stream_uuids(request):
             owner = table.owner_of(stream_uuid) if len(table) else self._shard_name
             if owner != self._shard_name:
                 return _wrong_shard_response(stream_uuid, owner, table)
@@ -226,12 +187,13 @@ class RouterDispatcher(WireDispatcher):
     Routing-aware clients never send it stream traffic — they learn the
     table from ``hello`` and dial the owning engines directly.  For plain
     :class:`~repro.net.client.RemoteServerClient` users the router is a
-    transparent proxy: it forwards each request to the owning shard over
-    that shard's :class:`~repro.net.client.ConnectionSlot` (one multiplexed
-    connection, shared by every handler thread), and splits the two
-    cross-shard batch ops (``stat_range_multi``, ``put_grants``) across
-    owners — every sub-batch is sent before the first is awaited, on the
-    handler thread itself.  Backpressure composes per hop: each upstream
+    transparent proxy: each request is one routed batch
+    (:class:`~repro.net.client.ShardRoutes`, the same one the sharded
+    client sends through), forwarded over one multiplexed connection per
+    shard shared by every handler thread, with the cross-shard
+    ``stat_range_multi`` and ``put_grants`` split per owner and every
+    owner's sub-batch sent before the first is awaited, on the handler
+    thread itself.  Backpressure composes per hop: each upstream
     connection honours the credit window that shard advertised in
     ``hello``, so the router cannot flood a saturated engine on a proxied
     burst.
@@ -239,9 +201,15 @@ class RouterDispatcher(WireDispatcher):
 
     def __init__(self, table_ref: RoutingTableRef, timeout: float = 30.0) -> None:
         self._table_ref = table_ref
-        self._timeout = timeout
-        self._slots: Dict[str, ConnectionSlot] = {}
-        self._slots_lock = threading.Lock()
+        # Mirror the server-side tracing flag onto the outbound hop: a
+        # request forwarded from inside a traced handler then shows up as a
+        # child span of the router's server span.  The router's table is
+        # always current, so a refresh has nothing to fetch.
+        self._routes = ShardRoutes(
+            lambda: table_ref.table,
+            lambda: None,
+            lambda: {"timeout": timeout, "tracing": self.tracing},
+        )
 
     def supported_operations(self) -> List[str]:
         # The proxy surface, not the handler list: the router itself has no
@@ -265,120 +233,17 @@ class RouterDispatcher(WireDispatcher):
             return Response.failure(self._unexpected_error(exc))
 
     def close(self) -> None:
-        for slot in list(self._slots.values()):
-            slot.close()
-
-    def _fan_out(self, batches: Dict[str, List[Request]]) -> Dict[str, List[Response]]:
-        """Forward one sub-batch per owner: send them all, then await each.
-
-        The handler thread awaits each owner's batch by reading that
-        shard's socket itself, so N owners still cost one round-trip time.
-        Transport loss the slot could not heal with its one redial becomes
-        a failure response per request; a cross-shard split then answers
-        with that failure.
-        """
-        table = self._table_ref.table
-        # Mirror the server-side tracing flag onto the outbound hop: a
-        # request forwarded from inside a traced handler then shows up as a
-        # child span of the router's server span.
-        options = {"timeout": self._timeout, "tracing": self.tracing}
-        sent = {}
-        for owner, requests in sorted(batches.items()):
-            slot = slot_for(self._slots, self._slots_lock, owner, table.address_of(owner), options)
-            sent[owner] = slot.send_many(requests)
-        before_blocking()
-        responses: Dict[str, List[Response]] = {}
-        for owner, batch in sent.items():
-            try:
-                responses[owner] = batch.result()
-            except TransportError as exc:
-                failure = TransportError(f"engine shard '{owner}' is unreachable: {exc}")
-                responses[owner] = [Response.failure(failure) for _request in batches[owner]]
-        return responses
-
-    # -- proxying ---------------------------------------------------------------
+        self._routes.close()
 
     def _proxy(self, request: Request) -> Response:
-        table = self._table_ref.table
-        if not len(table):
+        if not len(self._table_ref.table):
             return Response.failure(ProtocolError("the routing table has no engine shards"))
         if OP_TABLE[request.operation].scope != "engine":
             return Response.failure(
                 ProtocolError(f"unsupported operation '{request.operation}'")
             )
-        stream_uuids = _request_stream_uuids(request)
-        owners: Dict[str, List[str]] = {}
-        for stream_uuid in stream_uuids:
-            owners.setdefault(table.owner_of(stream_uuid), []).append(stream_uuid)
-        if len(owners) <= 1:
-            owner = next(iter(owners)) if owners else sorted(table.engine_names)[0]
-            return self._fan_out({owner: [request]})[owner][0]
-        if request.operation == "stat_range_multi":
-            return self._split_stat_range_multi(request, table)
-        if request.operation == "put_grants":
-            return self._split_put_grants(request, table)
-        return Response.failure(
-            QueryError(
-                f"'{request.operation}' addresses streams on several shards "
-                "and cannot be split"
-            )
-        )
-
-    def _split_stat_range_multi(self, request: Request, table: ShardRoutingTable) -> Response:
-        """A cross-shard inter-stream query: per-stream ``stat_range`` sub-requests,
-        pipelined per owner and in flight to all owners at once, recombined
-        exactly as a single engine would."""
-        uuids = list(request.args["uuids"])
-        time_range = TimeRange(request.args["start"], request.args["end"])
-        by_owner: Dict[str, List[str]] = {}
-        for stream_uuid in uuids:
-            by_owner.setdefault(table.owner_of(stream_uuid), []).append(stream_uuid)
-        responses_by_owner = self._fan_out(
-            {
-                owner: [stat_range_request(stream_uuid, time_range) for stream_uuid in owned]
-                for owner, owned in by_owner.items()
-            }
-        )
-        per_stream: Dict[str, Response] = {}
-        for owner, owned in by_owner.items():
-            per_stream.update(zip(owned, responses_by_owner[owner]))
-        results = []
-        for stream_uuid in uuids:  # combine in request order, as one engine would
-            response = per_stream[stream_uuid]
-            if not response.ok:
-                return response
-            results.append(decode_stat(response))
-        return Response.success(aggregate_to_json(MultiStreamAggregate.combine(results)))
-
-    def _split_put_grants(self, request: Request, table: ShardRoutingTable) -> Response:
-        """A cross-shard grant burst: one ``put_grants`` sub-batch per owner,
-        in flight to all owners at once, grant ids stitched back into input
-        order."""
-        targets = list(request.args["grants"])
-        if len(targets) != len(request.attachments):
-            return Response.failure(ProtocolError("put_grants targets and attachments must align"))
-        slots_by_owner: Dict[str, List[int]] = {}
-        for slot, target in enumerate(targets):
-            slots_by_owner.setdefault(table.owner_of(target["uuid"]), []).append(slot)
-        grants = [
-            (target["uuid"], target["principal_id"], sealed)
-            for target, sealed in zip(targets, request.attachments)
-        ]
-        responses_by_owner = self._fan_out(
-            {
-                owner: [put_grants_request([grants[slot] for slot in slots])]
-                for owner, slots in slots_by_owner.items()
-            }
-        )
-        grant_ids: List[int] = [0] * len(targets)
-        for owner in sorted(slots_by_owner):
-            slots = slots_by_owner[owner]
-            response = responses_by_owner[owner][0]
-            if not response.ok:
-                return response
-            for slot, grant_id in zip(slots, decode_grant_ids(len(slots))(response)):
-                grant_ids[slot] = grant_id
-        return Response.success({"grant_ids": grant_ids})
+        stream_uuids = request_stream_uuids(request)
+        return self._routes.call_many([(stream_uuids[0] if stream_uuids else None, request)])[0]
 
 
 class StreamRouter:
@@ -417,11 +282,7 @@ class StreamRouter:
         return self.table_ref.add_engine(name, host, port)
 
     def remove_engine(self, name: str) -> ShardRoutingTable:
-        table = self.table_ref.remove_engine(name)
-        slot = self._dispatcher._slots.pop(name, None)
-        if slot is not None:
-            slot.close()
-        return table
+        return self.table_ref.remove_engine(name)
 
     def start(self) -> "StreamRouter":
         self._server.start()

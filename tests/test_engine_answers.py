@@ -1,8 +1,9 @@
 """Engine answers through every client shape: pinned bytes, hostile answers, kept blobs.
 
-The engine surface is spoken by three client shapes — ``RemoteServerClient``,
-``ShardedServerClient`` and ``RequestPipeline`` — over one set of request
-builders and answer decoders.  This file checks that set from three sides:
+The engine surface is spoken by four client shapes — ``RemoteServerClient``,
+``ShardedServerClient`` and a ``RequestPipeline`` on each — over one set of
+request builders and answer decoders.  This file checks that set from three
+sides:
 
 * **golden ops** — ``tests/fixtures/wire/golden_ops.json`` holds, for every
   engine op and every shape, the request bytes the shape sent and the
@@ -10,11 +11,13 @@ builders and answer decoders.  This file checks that set from three sides:
   one implementation.  A replay server answers each recorded request with
   its recorded response; the client must send byte-identical requests and
   decode to the recorded values (inputs — chunk blobs, sealed tokens,
-  envelopes — come from the fixture, never re-encrypted);
+  envelopes — come from the fixture, never re-encrypted).  The sharded
+  pipeline has no recording of its own: it replays the ``sharded`` cases,
+  since its flush is the same routed batch;
 * **hostile answers** — the server enforces nothing, so the client refuses
   malformed answers: shards that rewrite their honest answers must get a
-  typed ``ProtocolError`` out of every shape (and out of the router's
-  cross-shard split), never a bare ``IndexError`` or a silently truncated
+  typed ``ProtocolError`` out of every shape (and out of the routed
+  batch's cross-shard split), never a bare ``IndexError`` or a silently truncated
   or zero-filled result;
 * **kept blobs** — sealed grants and key envelopes outlive the response
   frame, so every shape hands them out as ``bytes``, never as views pinning
@@ -31,7 +34,7 @@ import pytest
 from repro import ServerEngine
 from repro.access.keystore import TokenStore
 from repro.exceptions import ProtocolError
-from repro.net.client import RemoteServerClient, ShardedServerClient
+from repro.net.client import RemoteServerClient, ShardedServerClient, _WireTokenStore
 from repro.net.messages import Request, Response, ShardRoutingTable
 from repro.net.server import TimeCryptTCPServer, WireDispatcher
 from repro.server.engine import _metadata_from_json, _metadata_to_json
@@ -51,7 +54,13 @@ GOLDEN = json.loads(
 )
 INPUTS = GOLDEN["inputs"]
 STREAMS = GOLDEN["streams"]  # A and C on shard e0, B on shard e1
-SHAPES = ("remote", "sharded", "pipeline")
+SHAPES = ("remote", "sharded", "pipeline", "sharded_pipeline")
+#: The client each pipeline shape records on.
+_PIPELINED = {"pipeline": "remote", "sharded_pipeline": "sharded"}
+#: Every recorded case, plus each ``sharded`` case replayed through a sharded pipeline.
+CASES = GOLDEN["cases"] + [
+    {**case, "shape": "sharded_pipeline"} for case in GOLDEN["cases"] if case["shape"] == "sharded"
+]
 _LOCAL = ("hello", "ping", "stats", "trace_dump", "routing_table")
 
 
@@ -122,9 +131,9 @@ def _normalized(value):
 
 def _call(clients, shape, call):
     """Run ``call(client, STREAMS)`` on one shape; a pipeline flushes and reads its handle."""
-    if shape != "pipeline":
+    if shape not in _PIPELINED:
         return call(clients[shape], STREAMS)
-    with clients["remote"].pipeline() as batch:
+    with clients[_PIPELINED[shape]].pipeline() as batch:
         handle = call(batch, STREAMS)
     return handle.result()
 
@@ -192,8 +201,8 @@ def test_the_fixture_covers_every_engine_op():
 
 @pytest.mark.parametrize(
     "case",
-    GOLDEN["cases"],
-    ids=[f"{index:02d}-{case['shape']}-{case['call']}" for index, case in enumerate(GOLDEN["cases"])],
+    CASES,
+    ids=[f"{index:02d}-{case['shape']}-{case['call']}" for index, case in enumerate(CASES)],
 )
 def test_requests_and_decoded_answers_match_the_recording(replay, monkeypatch, case):
     dispatcher, clients = replay
@@ -218,7 +227,8 @@ def test_requests_and_decoded_answers_match_the_recording(replay, monkeypatch, c
 
     def call(client, _streams):
         if name.startswith("token_store."):
-            return getattr(client.token_store, name.split(".", 1)[1])(*args)
+            token_store = getattr(client, "token_store", None) or _WireTokenStore(client)
+            return getattr(token_store, name.split(".", 1)[1])(*args)
         return getattr(client, name)(*args)
 
     value = _call(clients, case["shape"], call)
@@ -374,7 +384,7 @@ def test_grants_and_envelopes_are_bytes_not_frame_views(deployment, shape):
     assert envelopes == {0: b"env-0", 2: b"env-2", 4: b"env-4"}
     assert all(type(blob) is bytes for blob in grants)
     assert all(type(blob) is bytes for blob in envelopes.values())
-    if shape != "pipeline":
+    if shape not in _PIPELINED:
         token_store = clients[shape].token_store
         assert all(type(blob) is bytes for blob in token_store.grants_for(STREAMS["A"], "bob"))
         stored = token_store.envelopes_for_range(STREAMS["A"], 2, 0, 8)

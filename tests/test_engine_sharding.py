@@ -203,6 +203,27 @@ class TestShardedEquivalence:
             assert len(owners) > 1
             assert _read_everything(one.client, streams) == _read_everything(four.client, streams)
 
+    def test_cross_shard_stat_range_multi_is_one_batch_per_owner(self):
+        with Deployment("sharded") as deployment:
+            client = deployment.client
+            table = client.routing_table
+            candidates = [f"multi-{index}" for index in range(256)]
+            uuids = sorted(
+                uuid
+                for name in table.engine_names
+                for uuid in [uuid for uuid in candidates if table.owner_of(uuid) == name][:4]
+            )
+            owner = TimeCrypt(server=client, owner_id="tester")
+            for uuid in uuids:
+                owner.create_stream(metric="multi", config=StreamConfig(chunk_interval=CHUNK_INTERVAL), uuid=uuid)
+                owner.insert_records(uuid, _records(2))
+                owner.flush(uuid)
+            before = client.wire_stats.round_trips
+            aggregate = client.stat_range_multi(uuids, TimeRange(0, 2 * CHUNK_INTERVAL))
+            # 8 streams on 2 owners: one batch per owner, not one per stream.
+            assert client.wire_stats.round_trips - before == 2
+            assert [item[0] for item in aggregate.per_stream_intervals] == uuids
+
     def test_engine_kill_redial_and_refresh(self):
         streams = _encrypted_streams(4, 3)
         with Deployment("sharded", engines=3) as deployment:

@@ -13,6 +13,7 @@ import pytest
 
 from repro import ServerEngine
 from repro.exceptions import ProtocolError
+from repro.net.client import SPLITS
 from repro.net.messages import (
     BULK_OPERATIONS,
     KV_OPERATIONS,
@@ -121,6 +122,15 @@ def test_rows_are_well_formed():
             assert op.route in ("uuid", "uuids", "grants", "chunk", "metadata"), name
         else:
             assert op.route is None, name
+
+
+def test_every_multi_stream_engine_op_has_a_cross_shard_split():
+    # Sent whole to one owner, such an op would reach a shard that refuses
+    # the streams it does not own.
+    multi_stream = {
+        name for name, op in OP_TABLE.items() if op.scope == "engine" and op.route in ("uuids", "grants")
+    }
+    assert multi_stream == set(SPLITS)
 
 
 @pytest.mark.parametrize(

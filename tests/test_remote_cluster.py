@@ -12,6 +12,7 @@ lifecycle edge cases, and the consumer cold-start warm-up pipeline.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -930,11 +931,16 @@ class TestClusterStreamingAndLifecycle:
 # ---------------------------------------------------------------------------
 
 
-def _grant_two_streams(server) -> Tuple[TimeCrypt, Principal, str, str]:
+def _grant_two_streams(server, table=None) -> Tuple[TimeCrypt, Principal, str, str]:
+    """A full and a restricted grant for bob; on different shards when ``table`` is given."""
     owner = TimeCrypt(server=server, owner_id="alice")
     config = StreamConfig(chunk_interval=1_000)
     full = owner.create_stream(metric="full", config=config)
-    restricted = owner.create_stream(metric="restricted", config=config)
+    apart = None
+    if table is not None:
+        candidates = (f"restricted-{index}" for index in itertools.count())
+        apart = next(uuid for uuid in candidates if table.owner_of(uuid) != table.owner_of(full))
+    restricted = owner.create_stream(metric="restricted", config=config, uuid=apart)
     for uuid in (full, restricted):
         owner.insert_records(uuid, [(t, float(t % 11)) for t in range(0, 8_000, 250)])
         owner.flush(uuid)
@@ -946,21 +952,21 @@ def _grant_two_streams(server) -> Tuple[TimeCrypt, Principal, str, str]:
 
 
 class TestConsumerWarmUp:
-    def test_warm_up_over_the_wire_is_two_round_trips(self):
-        engine = ServerEngine()
-        with TimeCryptTCPServer(engine) as server:
-            host, port = server.address
-            with RemoteServerClient(host, port, timeout=5.0) as remote:
-                _owner, bob, full, restricted = _grant_two_streams(remote)
-                consumer = TimeCryptConsumer(server=remote, principal=bob)
-                remote.wire_stats.reset()
-                tokens = consumer.warm_up([full, restricted])
-                # RT 1: grants + metadata for both streams; RT 2: envelopes
-                # for the restricted one.  Not one per call site.
-                assert remote.wire_stats.round_trips == 2
-                assert set(tokens) == {full, restricted}
-                assert consumer.get_stat_range(full, 0, 8_000)["count"] == 32
-                assert consumer.get_stat_range(restricted, 0, 8_000)["count"] == 32
+    @pytest.mark.parametrize("shape, round_trips", [("remote", 2), ("sharded", 3)])
+    def test_warm_up_over_the_wire_is_two_round_trips(self, shape, round_trips):
+        with Deployment(shape) as deployment:
+            client = deployment.client
+            _owner, bob, full, restricted = _grant_two_streams(client, getattr(client, "routing_table", None))
+            consumer = TimeCryptConsumer(server=client, principal=bob)
+            before = client.wire_stats.round_trips
+            tokens = consumer.warm_up([full, restricted])
+            # Phase 1: grants + metadata for both streams, one batch per
+            # owning engine; phase 2: envelopes for the restricted one.  Not
+            # one per call site.
+            assert client.wire_stats.round_trips - before == round_trips
+            assert set(tokens) == {full, restricted}
+            assert consumer.get_stat_range(full, 0, 8_000)["count"] == 32
+            assert consumer.get_stat_range(restricted, 0, 8_000)["count"] == 32
 
     def test_warm_up_full_resolution_only_is_one_round_trip(self):
         engine = ServerEngine()

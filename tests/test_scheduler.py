@@ -298,41 +298,42 @@ def _encrypted_chunks(num_chunks: int):
 
 
 def test_sliced_ingest_matches_unsliced():
-    metadata, chunks = _encrypted_chunks(16)
+    num_chunks = RequestDispatcher.DEFAULT_BULK_SLICE_CHUNKS + 16
+    metadata, chunks = _encrypted_chunks(num_chunks)
     attachments = [encode_encrypted_chunk(chunk) for chunk in chunks]
 
     sliced_engine = ServerEngine()
     sliced_engine.create_stream(metadata)
-    sliced = RequestDispatcher(sliced_engine, bulk_slice_chunks=4)
+    sliced = RequestDispatcher(sliced_engine)
     response = sliced.dispatch(Request("insert_chunks", {}, list(attachments)))
     assert response.ok
-    assert response.result == {"window_index": 0, "num_chunks": 16}
+    assert response.result == {"window_index": 0, "num_chunks": num_chunks}
 
     whole_engine = ServerEngine()
     whole_engine.create_stream(metadata)
-    whole = RequestDispatcher(whole_engine, bulk_slice_chunks=0)  # slicing off
-    assert whole.dispatch(Request("insert_chunks", {}, list(attachments))).ok
+    whole_engine.insert_chunks(chunks)  # unsliced: the engine called directly
 
-    horizon = TimeRange(0, 16 * CHUNK_INTERVAL)
+    horizon = TimeRange(0, num_chunks * CHUNK_INTERVAL)
     assert [encode_encrypted_chunk(c) for c in sliced_engine.get_range("%s" % metadata.uuid, horizon)] == [
         encode_encrypted_chunk(c) for c in whole_engine.get_range("%s" % metadata.uuid, horizon)
     ]
 
 
 def test_sliced_ingest_validates_each_slice():
-    metadata, chunks = _encrypted_chunks(16)
+    size = RequestDispatcher.DEFAULT_BULK_SLICE_CHUNKS
+    metadata, chunks = _encrypted_chunks(size + 16)
     engine = ServerEngine()
     engine.create_stream(metadata)
-    dispatcher = RequestDispatcher(engine, bulk_slice_chunks=4)
-    # Drop window 4: the first slice (windows 0-3) is valid, the second
-    # starts at window 5 and must fail validation — same outcome a client
-    # splitting the batch itself would see.
-    gapped = [encode_encrypted_chunk(c) for c in chunks[:4] + chunks[5:]]
+    dispatcher = RequestDispatcher(engine)
+    # Drop window `size`: the first slice (windows 0 .. size-1) is valid,
+    # the second starts at window size+1 and must fail validation — same
+    # outcome a client splitting the batch itself would see.
+    gapped = [encode_encrypted_chunk(c) for c in chunks[:size] + chunks[size + 1 :]]
     response = dispatcher.dispatch(Request("insert_chunks", {}, gapped))
     assert not response.ok
     assert response.error_type == "QueryError"
-    applied = engine.get_range(metadata.uuid, TimeRange(0, 16 * CHUNK_INTERVAL))
-    assert len(applied) == 4
+    applied = engine.get_range(metadata.uuid, TimeRange(0, (size + 16) * CHUNK_INTERVAL))
+    assert len(applied) == size
 
 
 # -- the storage tier ----------------------------------------------------------------

@@ -28,18 +28,21 @@ from typing import Callable, List
 
 import pytest
 
+from repro.crypto.heac import HEACCiphertext
 from repro.deploy import Deployment
-from repro.exceptions import TransportError
-from repro.net.client import RemoteServerClient
+from repro.exceptions import QueryError, TransportError
+from repro.net.client import RemoteServerClient, ShardedServerClient
 from repro.net.framing import FrameAssembler, FrameReader
-from repro.net.messages import OPERATIONS, Request, Response, ShardRoutingTable
+from repro.net.messages import OPERATIONS, Request, Response, ShardRoutingTable, stat_to_json
 from repro.net.server import TimeCryptTCPServer, WireDispatcher
+from repro.server.query_executor import StatQueryResult
 from repro.server.router import RouterDispatcher, RoutingTableRef
 from repro.storage.cluster import StorageCluster
 from repro.storage.memory import MemoryStore
 from repro.storage.node import StorageNodeServer
 from repro.storage.remote import RemoteKeyValueStore
 from repro.util.blocking import before_blocking
+from repro.util.timeutil import TimeRange
 
 from test_net_pipeline import _frame
 
@@ -480,6 +483,62 @@ def test_router_cross_shard_split_starts_no_threads():
             assert remote.fetch_grants(grants[1][0], "bob") == [grants[1][2]]
         names = [thread.name for thread in threading.enumerate()]
         assert not [name for name in names if name.startswith(_RETIRED_THREAD_NAMES)]
+
+
+class _MeetingShard(WireDispatcher):
+    """A stalled shard: it answers a sub-batch only once the other shard holds one too.
+
+    Its gate's ``release`` is the other shard's ``entered``, so the answer
+    is a success only if both owners' sub-batches were in flight at once;
+    a splitter that awaits one owner before sending to the next gets the
+    typed failure after the park's timeout instead.
+    """
+
+    def __init__(self, gate: _Gate) -> None:
+        self._gate = gate
+
+    def _answer(self, result: dict) -> Response:
+        self._gate.park()
+        if not self._gate.release.is_set():
+            return Response.failure(QueryError("the other shard's sub-batch never arrived"))
+        return Response.success(result)
+
+    def _op_stat_range(self, request: Request) -> Response:
+        cell = HEACCiphertext(value=1, window_start=0, window_end=1)
+        stat = StatQueryResult(request.args["uuid"], 0, 1, (cell,), ("sum",), 1)
+        return self._answer({"stat": stat_to_json(stat)})
+
+    def _op_put_grants(self, request: Request) -> Response:
+        return self._answer({"grant_ids": list(range(len(request.args["grants"])))})
+
+
+@pytest.mark.parametrize("op", ["stat_range_multi", "put_grants"])
+@pytest.mark.parametrize("client_class", [RemoteServerClient, ShardedServerClient], ids=["router", "sharded"])
+def test_cross_shard_sub_batches_are_in_flight_at_once(client_class, op):
+    gates = (_Gate(), _Gate())
+    gates[0].release, gates[1].release = gates[1].entered, gates[0].entered
+    with TimeCryptTCPServer(dispatcher=_MeetingShard(gates[0])) as shard_a:
+        with TimeCryptTCPServer(dispatcher=_MeetingShard(gates[1])) as shard_b:
+            table = ShardRoutingTable([("e1", *shard_a.address), ("e2", *shard_b.address)], epoch=1)
+            owned = {}  # one stream per shard, so the call really is split
+            index = 0
+            while len(owned) < 2:
+                owned[table.owner_of(f"stream-{index}")] = f"stream-{index}"
+                index += 1
+            uuids = sorted(owned.values())
+            router = RouterDispatcher(RoutingTableRef(table))
+            try:
+                with TimeCryptTCPServer(dispatcher=router) as front:
+                    # The plain client reaches the router's split; the sharded one splits itself.
+                    with client_class(*front.address, timeout=30.0) as client:
+                        if op == "stat_range_multi":
+                            aggregate = client.stat_range_multi(uuids, TimeRange(0, 1))
+                            assert [item[0] for item in aggregate.per_stream_intervals] == uuids
+                            assert aggregate.values == (2,)
+                        else:
+                            assert client.put_grants([(uuid, "bob", b"sealed") for uuid in uuids]) == [0, 0]
+            finally:
+                router.close()
 
 
 # -- (g) max_workers still bounds handlers ---------------------------------------------
