@@ -14,6 +14,8 @@ measured values are visible in the report.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.baselines.abe import ABEAuthority, ABEPrincipal, wrap_chunk_key
 from repro.crypto.heac import HEACCipher
 from repro.crypto.keyregression import DualKeyRegression
@@ -80,7 +82,8 @@ def test_abe_modelled_costs_vs_timecrypt():
     timecrypt_decrypt = measure("tc-dec", lambda: cipher.decrypt(ciphertext), repetitions=200).mean_seconds
 
     # Paper shape: ABE is orders of magnitude more expensive per chunk.
-    assert abe_encrypt_per_chunk == 0.053
-    assert abe_decrypt_per_chunk == 0.013
+    # The modelled costs are sums of float charges: compare, don't equate.
+    assert abe_encrypt_per_chunk == pytest.approx(0.053, rel=1e-9)
+    assert abe_decrypt_per_chunk == pytest.approx(0.013, rel=1e-9)
     assert abe_decrypt_per_chunk > 100 * timecrypt_decrypt
     assert abe_encrypt_per_chunk > 100 * timecrypt_derivation

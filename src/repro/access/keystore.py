@@ -9,7 +9,7 @@ of resolution keystreams (wrapped outer keys), which are equally opaque.
 Persistence goes through the storage batch primitives: a cohort grant burst
 (:meth:`TokenStore.put_grants`) is one ``multi_put``, an envelope
 publication is one ``multi_put``, and grant deletion is a single
-``delete_prefix`` (erased server-side on remote backends) — instead of one
+``delete_prefixes`` (erased server-side on remote backends) — instead of one
 round trip per record each.  Grant ids come from per-stream
 ``{principal → next id}`` counters held in memory: one keys-only scan
 recovers a stream's counters the first time it is touched, so a steady
@@ -163,11 +163,11 @@ class TokenStore:
     def delete_grants(self, stream_uuid: str, principal_id: Optional[str] = None) -> int:
         """Remove stored grants (all of a stream's, or one principal's).
 
-        A single ``delete_prefix``: remote/cluster backends erase server-side
+        A single ``delete_prefixes``: remote/cluster backends erase server-side
         in one round trip, however many grants fall.
         """
         try:
-            return self._store.delete_prefix(_grant_prefix(stream_uuid, principal_id))
+            return self._store.delete_prefixes([_grant_prefix(stream_uuid, principal_id)])
         finally:
             self.reset_grant_ids([stream_uuid])
 

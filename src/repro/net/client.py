@@ -174,6 +174,19 @@ class WireStats:
             setattr(self, counter.name, 0)
 
 
+class _SummedWireStats(WireStats):
+    """A snapshot sum of several connections' counters; ``reset()`` zeroes them all."""
+
+    def __init__(self, parts: List[WireStats]) -> None:
+        super().__init__(*(sum(getattr(part, counter.name) for part in parts) for counter in fields(WireStats)))
+        self._parts = parts
+
+    def reset(self) -> None:
+        super().reset()
+        for part in self._parts:
+            part.reset()
+
+
 class _CreditGate:
     """The client half of credit-based flow control.
 
@@ -1546,13 +1559,8 @@ class ShardedServerClient(_EngineCalls):
 
     @property
     def wire_stats(self) -> WireStats:
-        """Aggregate wire accounting across the router and all shard connections."""
-        total = WireStats()
-        for slot in self._slots():
-            for counter in fields(WireStats):
-                value = getattr(total, counter.name) + getattr(slot.wire_stats, counter.name)
-                setattr(total, counter.name, value)
-        return total
+        """Wire accounting summed over the router and shard connections; ``reset()`` zeroes each."""
+        return _SummedWireStats([slot.wire_stats for slot in self._slots()])
 
     # -- calling styles ---------------------------------------------------------
 

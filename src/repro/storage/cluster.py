@@ -169,24 +169,23 @@ class StorageCluster(KeyValueStore):
                 logger.warning("storage node '%s' failed; marking down", name)
             self._down.add(name)
 
-    def mark_up(self, name: str, replay_hints: bool = True) -> int:
+    def mark_up(self, name: str) -> int:
         """Bring a failed node back and replay the hints parked for it.
 
-        Returns the number of hinted writes applied.  With ``replay_hints``
-        (the default, and ``hinted_handoff`` enabled), every surviving node
-        is asked for the ``hint/<name>/...`` keys it parked while ``name``
-        was down and the missed writes are applied straight to the
-        recovered node in bounded batches — after which ``repair_node`` has
-        nothing left to heal unless the hints themselves were lost to a
-        cascaded failure.  The node may hold stale data for keys overwritten
-        *before* it went down only if those writes predate the mark-down;
-        hints cover exactly the down window.
+        Returns the number of hinted writes applied.  With ``hinted_handoff``
+        enabled, every surviving node is asked for the ``hint/<name>/...``
+        keys it parked while ``name`` was down and the missed writes are
+        applied straight to the recovered node in bounded batches — after
+        which ``repair_node`` has nothing left to heal unless the hints
+        themselves were lost to a cascaded failure.  The node may hold stale
+        data for keys overwritten *before* it went down only if those writes
+        predate the mark-down; hints cover exactly the down window.
         """
         if name not in self._stores:
             raise ValueError(f"unknown node '{name}'")
         self._down.discard(name)
-        if not replay_hints or not self._hinted_handoff:
-            logger.info("storage node '%s' marked up (hint replay skipped)", name)
+        if not self._hinted_handoff:
+            logger.info("storage node '%s' marked up (hinted handoff off)", name)
             return 0
         replayed = self._replay_hints(name)
         logger.info("storage node '%s' marked up; %d hinted write(s) replayed", name, replayed)
@@ -293,32 +292,8 @@ class StorageCluster(KeyValueStore):
             # can route to it, so register it, then swap the ring in.
             self._stores[name] = new_store
             self._node_names.append(name)
-            old_ring, old_rf = self._ring, self._replication_factor
-            self._rebalance_writes = set()
-            self._prev = (old_ring, old_rf)
-            self._ring = new_ring
-            self._replication_factor = min(self._requested_rf, len(self._node_names))
-            try:
-                # repro: allow[REPRO004] membership changes are deliberately serialized: _membership_lock IS the rebalance critical section, and the fan-out pool it waits on never takes this lock (data ops read the published ring without it)
-                stats = self._stream_handoff(handoff_batch_size)
-            finally:
-                recorded, self._rebalance_writes = self._rebalance_writes, None
-                self._prev = None
-            # With the old ring retired, writes stop touching the losing
-            # old owners; sweep the copies that union writes re-created on
-            # them mid-handoff, and re-park hints whose host fell off its
-            # key's replica walk — both would otherwise go stale.
-            # repro: allow[REPRO004] same serialized-rebalance design as _stream_handoff above
-            self._sweep_rebalance_writes(recorded, old_ring, old_rf, handoff_batch_size)
-            # repro: allow[REPRO004] same serialized-rebalance design as _stream_handoff above
-            self._rebalance_hints()
-            self.last_rebalance = {"action": "add", "node": name, **stats}
-            logger.info(
-                "storage node '%s' added; %d key(s) moved in %d handoff batch(es)",
-                name,
-                stats.get("moved_keys", 0),
-                stats.get("handoff_batches", 0),
-            )
+            # repro: allow[REPRO004] membership changes are deliberately serialized: _membership_lock IS the rebalance critical section, and the fan-out pool it waits on never takes this lock (data ops read the published ring without it)
+            self._change_membership("add", name, new_ring, len(self._node_names), handoff_batch_size)
         return name
 
     def decommission_node(self, name: str, handoff_batch_size: int = 256) -> Dict[str, Any]:
@@ -346,37 +321,72 @@ class StorageCluster(KeyValueStore):
                 raise ClusterMembershipError("cannot decommission the last node")
             new_ring = self._ring.copy()
             new_ring.remove_node(name)
-            old_ring, old_rf = self._ring, self._replication_factor
-            self._rebalance_writes = set()
-            self._prev = (old_ring, old_rf)
-            self._ring = new_ring
-            self._replication_factor = min(self._requested_rf, len(self._node_names) - 1)
-            try:
-                # repro: allow[REPRO004] membership changes are deliberately serialized under _membership_lock (see add_node); the awaited fan-out never takes it
-                stats = self._stream_handoff(handoff_batch_size)
-            finally:
-                recorded, self._rebalance_writes = self._rebalance_writes, None
-                self._prev = None
-            # repro: allow[REPRO004] same serialized-rebalance design as _stream_handoff above
-            self._sweep_rebalance_writes(recorded, old_ring, old_rf, handoff_batch_size)
-            # After _prev is cleared the leaving node is off every replica
-            # walk, so the hint rebalance below moves every hint it hosts
-            # onto the survivors and can never place one back on it.
-            # repro: allow[REPRO004] same serialized-rebalance design as _stream_handoff above
-            self._rebalance_hints()
+            # After the handoff the leaving node is off every replica walk,
+            # so the hint rebalance moves every hint it hosts onto the
+            # survivors and can never place one back on it.
+            # repro: allow[REPRO004] same serialized-rebalance design as add_node
+            self._change_membership(
+                "decommission", name, new_ring, len(self._node_names) - 1, handoff_batch_size
+            )
             self._node_names.remove(name)
             leaving = self._stores.pop(name)
             self._down.discard(name)
             self._drop_hints_for(name)
             leaving.close()
-            self.last_rebalance = {"action": "decommission", "node": name, **stats}
-            logger.info(
-                "storage node '%s' decommissioned; %d key(s) moved in %d handoff batch(es)",
-                name,
-                stats.get("moved_keys", 0),
-                stats.get("handoff_batches", 0),
-            )
             return dict(self.last_rebalance)
+
+    def _change_membership(
+        self, action: str, name: str, new_ring: ConsistentHashRing, nodes: int, batch_size: int
+    ) -> None:
+        """Swap ``new_ring`` in (over ``nodes`` members) and stream the handoff.
+
+        Routing unions the old ring behind the new one until the handoff
+        completes.  With the old ring retired, writes stop touching the
+        losing old owners, so the copies that union writes re-created on
+        them mid-handoff are swept, and hints whose host fell off its key's
+        replica walk are re-parked — both would otherwise go stale.  Records
+        the stats in :attr:`last_rebalance`.
+        """
+        old_ring, old_rf = self._ring, self._replication_factor
+        self._rebalance_writes = set()
+        self._prev = (old_ring, old_rf)
+        self._ring = new_ring
+        self._replication_factor = min(self._requested_rf, nodes)
+        try:
+            stats = self._stream_handoff(batch_size)
+        finally:
+            recorded, self._rebalance_writes = self._rebalance_writes, None
+            self._prev = None
+        self._sweep_rebalance_writes(recorded, old_ring, old_rf, batch_size)
+        self._rebalance_hints()
+        self.last_rebalance = {"action": action, "node": name, **stats}
+        logger.info(
+            "storage node '%s' %s handoff done: %d key(s) moved in %d batch(es)",
+            name,
+            action,
+            stats["moved_keys"],
+            stats["handoff_batches"],
+        )
+
+    def _moved_batches(
+        self, keys: Iterable[bytes], old_ring: ConsistentHashRing, old_rf: int, batch_size: int
+    ) -> Iterator[Dict[bytes, Tuple[List[str], List[str]]]]:
+        """Bounded batches of ``key -> (gained, lost)`` for keys whose replicas moved."""
+        new_ring, new_rf = self._ring, self._replication_factor
+        batch: Dict[bytes, Tuple[List[str], List[str]]] = {}
+        for key in keys:
+            old_replicas = old_ring.replicas(key, old_rf)
+            new_replicas = new_ring.replicas(key, new_rf)
+            gained = [node for node in new_replicas if node not in old_replicas]
+            lost = [node for node in old_replicas if node not in new_replicas]
+            if not gained and not lost:
+                continue
+            batch[key] = (gained, lost)
+            if len(batch) >= batch_size:
+                yield batch
+                batch = {}
+        if batch:
+            yield batch
 
     def _stream_handoff(self, batch_size: int) -> Dict[str, int]:
         """Stream every moved key range to its new owners in bounded batches.
@@ -388,23 +398,9 @@ class StorageCluster(KeyValueStore):
         """
         assert self._prev is not None
         old_ring, old_rf = self._prev
-        new_ring, new_rf = self._ring, self._replication_factor
         moved_keys = copied_keys = handoff_batches = 0
-        batch: Dict[bytes, Tuple[List[str], List[str]]] = {}
-        for key in self.scan_keys(b""):
-            old_replicas = old_ring.replicas(key, old_rf)
-            new_replicas = new_ring.replicas(key, new_rf)
-            gained = [node for node in new_replicas if node not in old_replicas]
-            lost = [node for node in old_replicas if node not in new_replicas]
-            if not gained and not lost:
-                continue
-            moved_keys += 1
-            batch[key] = (gained, lost)
-            if len(batch) >= batch_size:
-                copied_keys += self._handoff_batch(batch, old_ring, old_rf)
-                handoff_batches += 1
-                batch = {}
-        if batch:
+        for batch in self._moved_batches(self.scan_keys(b""), old_ring, old_rf, batch_size):
+            moved_keys += len(batch)
             copied_keys += self._handoff_batch(batch, old_ring, old_rf)
             handoff_batches += 1
         return {
@@ -450,27 +446,15 @@ class StorageCluster(KeyValueStore):
         }
         copied: Set[bytes] = set()
         if wanted:
-            tasks = {
-                node: (lambda store=self._stores[node], keys=list(node_keys): store.multi_get(keys))
-                for node, node_keys in wanted.items()
-            }
-            outcomes = self._fan_out(tasks)
+            held_by, failed = self._settle(self._fan_out("multi_get", wanted))
+            for node in failed:
+                settled.difference_update(wanted[node])
             missing: Dict[str, List[bytes]] = {}
-            needed: Set[bytes] = set()
-            for node in sorted(wanted):
-                held, error = outcomes[node]
-                if error is not None:
-                    if isinstance(error, PartitionError):
-                        raise error
-                    if isinstance(error, _NODE_FAILURES):
-                        self._mark_failed(node)
-                        settled.difference_update(wanted[node])
-                        continue
-                    raise error
+            for node, held in held_by.items():
                 gap = [key for key in wanted[node] if held.get(key) is None]
                 if gap:
                     missing[node] = gap
-                    needed.update(gap)
+            needed = {key for gap in missing.values() for key in gap}
             if needed:
                 values = self._multi_get_over(
                     sorted(needed),
@@ -489,33 +473,19 @@ class StorageCluster(KeyValueStore):
                     if items:
                         puts[node] = items
                 if puts:
-                    tasks = {
-                        node: (
-                            lambda store=self._stores[node], items=list(node_items): (
-                                store.multi_put(items)
-                            )
-                        )
-                        for node, node_items in puts.items()
-                    }
-                    outcomes = self._fan_out(tasks)
-                    for node in sorted(puts):
-                        _result, error = outcomes[node]
-                        if error is None:
-                            copied.update(key for key, _value in puts[node])
-                        elif isinstance(error, PartitionError):
-                            raise error
-                        elif isinstance(error, _NODE_FAILURES):
-                            self._mark_failed(node)
-                            settled.difference_update(key for key, _value in puts[node])
-                        else:
-                            raise error
+                    done, failed = self._settle(self._fan_out("multi_put", puts))
+                    for node in done:
+                        copied.update(key for key, _value in puts[node])
+                    for node in failed:
+                        settled.difference_update(key for key, _value in puts[node])
         self._cleanup_lost(batch, settled)
         return len(copied)
 
     def _cleanup_lost(
         self, batch: Dict[bytes, Tuple[List[str], List[str]]], settled: Set[bytes]
     ) -> None:
-        """Delete settled moved keys from the nodes that lost their range."""
+        """Delete settled moved keys from the nodes that lost their range (a failed
+        loser is marked down: its stale copy dies with the outage)."""
         still_in_ring = set(self._ring.nodes)
         removals: Dict[str, List[bytes]] = {}
         for key, (_gained, lost) in batch.items():
@@ -524,22 +494,8 @@ class StorageCluster(KeyValueStore):
             for node in lost:
                 if node in still_in_ring and node not in self._down and node in self._stores:
                     removals.setdefault(node, []).append(key)
-        if not removals:
-            return
-        tasks = {
-            node: (lambda store=self._stores[node], keys=list(node_keys): store.multi_delete(keys))
-            for node, node_keys in removals.items()
-        }
-        outcomes = self._fan_out(tasks)
-        for node in sorted(removals):
-            _result, error = outcomes[node]
-            if error is not None:
-                if isinstance(error, PartitionError):
-                    raise error
-                if isinstance(error, _NODE_FAILURES):
-                    self._mark_failed(node)  # the stale copy dies with the outage
-                else:
-                    raise error
+        if removals:
+            self._settle(self._fan_out("multi_delete", removals))
 
     # -- hinted handoff -------------------------------------------------------
 
@@ -578,16 +534,13 @@ class StorageCluster(KeyValueStore):
                 )
             if not by_host:
                 return
-            tasks = {
-                host: (
-                    lambda store=self._stores[host], items=[
-                        (_hint_key(target, key), value)
-                        for (target, key), value in entries
-                    ]: store.multi_put(items)
-                )
-                for host, entries in by_host.items()
-            }
-            outcomes = self._fan_out(tasks)
+            outcomes = self._fan_out(
+                "multi_put",
+                {
+                    host: [(_hint_key(target, key), value) for (target, key), value in entries]
+                    for host, entries in by_host.items()
+                },
+            )
             progressed = False
             for host in sorted(by_host):
                 _result, error = outcomes[host]
@@ -616,11 +569,8 @@ class StorageCluster(KeyValueStore):
         """
         prefix = _hint_prefix_for(name)
         replayed = 0
-        for host in list(self._node_names):
-            if host == name or host in self._down:
-                continue
-            store = self._stores.get(host)
-            if store is None:
+        for host, store in self._live_stores():
+            if host == name:
                 continue
             try:
                 batch: List[Tuple[bytes, bytes]] = []
@@ -684,12 +634,7 @@ class StorageCluster(KeyValueStore):
         """
         if not self._hinted_handoff:
             return
-        for host in list(self._node_names):
-            if host in self._down:
-                continue
-            store = self._stores.get(host)
-            if store is None:
-                continue
+        for host, store in self._live_stores():
             moved: Dict[Tuple[str, bytes], bytes] = {}
             stale: List[bytes] = []
             try:
@@ -741,39 +686,30 @@ class StorageCluster(KeyValueStore):
         """
         if not recorded:
             return
-        new_ring, new_rf = self._ring, self._replication_factor
-        batch: Dict[bytes, Tuple[List[str], List[str]]] = {}
-        for key in sorted(recorded):
-            if key.startswith(HINT_PREFIX):
-                continue
-            old_replicas = old_ring.replicas(key, old_rf)
-            new_replicas = new_ring.replicas(key, new_rf)
-            gained = [node for node in new_replicas if node not in old_replicas]
-            lost = [node for node in old_replicas if node not in new_replicas]
-            if not gained and not lost:
-                continue
-            batch[key] = (gained, lost)
-            if len(batch) >= batch_size:
-                self._handoff_batch(batch, old_ring, old_rf)
-                batch = {}
-        if batch:
+        user_keys = sorted(key for key in recorded if not key.startswith(HINT_PREFIX))
+        for batch in self._moved_batches(user_keys, old_ring, old_rf, batch_size):
             self._handoff_batch(batch, old_ring, old_rf)
 
     def _drop_hints_for(self, name: str) -> None:
         """Delete hints targeted at a node that no longer exists."""
         prefix = _hint_prefix_for(name)
-        for host in list(self._node_names):
-            if host in self._down:
-                continue
-            store = self._stores.get(host)
-            if store is None:
-                continue
+        for host, store in self._live_stores():
             try:
                 stale = list(store.scan_keys(prefix))
                 if stale:
                     store.multi_delete(stale)
             except _NODE_FAILURES:
                 self._mark_failed(host)
+
+    def _live_stores(self) -> Iterator[Tuple[str, KeyValueStore]]:
+        """``(name, store)`` of each healthy attached node, in construction order.
+
+        Lazy, so a node marked down while an earlier one is walked is skipped.
+        """
+        for name in list(self._node_names):
+            store = self._stores.get(name)
+            if store is not None and name not in self._down:
+                yield name, store
 
     # -- concurrent per-node fan-out -----------------------------------------------
 
@@ -785,21 +721,24 @@ class StorageCluster(KeyValueStore):
             return self._executor
 
     def _fan_out(
-        self, tasks: Dict[str, Callable[[], Any]]
+        self, op: str, args_by_node: Dict[str, Any]
     ) -> Dict[str, Tuple[Any, Optional[BaseException]]]:
-        """Run one thunk per node concurrently; gather ``(result, error)`` pairs.
+        """Call ``store.<op>(args)`` on each node concurrently; gather ``(result, error)``.
 
         Nothing is raised and no cluster state is mutated here — callers
-        inspect the outcomes in sorted node order, so mark-downs and error
+        settle the outcomes in sorted node order, so mark-downs and error
         propagation stay deterministic however the threads interleave.  A
         single-node batch runs inline (no pool hop for the common
         replication-factor-1 corner and tiny clusters).
         """
+        calls = {
+            node: (getattr(self._stores[node], op), args) for node, args in args_by_node.items()
+        }
         outcomes: Dict[str, Tuple[Any, Optional[BaseException]]] = {}
-        if len(tasks) <= 1:
-            for node, thunk in tasks.items():
+        if len(calls) <= 1:
+            for node, (method, args) in calls.items():
                 try:
-                    outcomes[node] = (thunk(), None)
+                    outcomes[node] = (method(args), None)
                 except Exception as exc:
                     outcomes[node] = (None, exc)
             return outcomes
@@ -807,15 +746,15 @@ class StorageCluster(KeyValueStore):
         # submitting thread's so remote-node spans join the request's tree.
         parent = current_context()
 
-        def traced(thunk: Callable[[], Any]) -> Any:
+        def traced(method: Callable[[Any], Any], args: Any) -> Any:
             previous = set_context(parent)
             try:
-                return thunk()
+                return method(args)
             finally:
                 set_context(previous)
 
         pool = self._pool()
-        futures = {node: pool.submit(traced, thunk) for node, thunk in tasks.items()}
+        futures = {node: pool.submit(traced, *call) for node, call in calls.items()}
         before_blocking()
         for node, future in futures.items():
             try:
@@ -823,6 +762,45 @@ class StorageCluster(KeyValueStore):
             except Exception as exc:
                 outcomes[node] = (None, exc)
         return outcomes
+
+    def _settle(
+        self, outcomes: Dict[str, Tuple[Any, Optional[BaseException]]]
+    ) -> Tuple[Dict[str, Any], List[str]]:
+        """Apply the outage policy to fan-out outcomes: ``(done, failed)``.
+
+        In sorted node order: a :data:`_NODE_FAILURES` error marks its node
+        down and lists it in ``failed``; :class:`PartitionError` and
+        deterministic caller errors propagate.  ``done`` maps each node that
+        answered to its result.
+        """
+        done: Dict[str, Any] = {}
+        failed: List[str] = []
+        for node in sorted(outcomes):
+            result, error = outcomes[node]
+            if error is None:
+                done[node] = result
+            elif isinstance(error, _NODE_FAILURES) and not isinstance(error, PartitionError):
+                self._mark_failed(node)
+                failed.append(node)
+            else:
+                raise error
+        return done, failed
+
+    def _fan_out_all(self, op: str, args_by_node: Dict[str, Any]) -> List[Any]:
+        """The loud fan-out of the erasing ops: every node must answer.
+
+        A missed tombstone cannot be repaired, so any error propagates —
+        the lowest-named failing node's, whatever the thread timing — and
+        no node is marked down.  Returns the results in node order.
+        """
+        outcomes = self._fan_out(op, args_by_node)
+        results = []
+        for node in sorted(outcomes):
+            result, error = outcomes[node]
+            if error is not None:
+                raise error
+            results.append(result)
+        return results
 
     # -- KeyValueStore interface -------------------------------------------------
     #
@@ -883,35 +861,23 @@ class StorageCluster(KeyValueStore):
                         if node in self._down:
                             hints[(node, key)] = value
             groups = self._group_by_replica(pending)
-            tasks = {
-                node: (
-                    lambda store=self._stores[node], batch=[(key, pending[key]) for key in keys]: (
-                        store.multi_put(batch)
-                    )
+            done, failed = self._settle(
+                self._fan_out(
+                    "multi_put",
+                    {node: [(key, pending[key]) for key in keys] for node, keys in groups.items()},
                 )
-                for node, keys in groups.items()
-            }
-            outcomes = self._fan_out(tasks)
+            )
             acked: Set[bytes] = set()
-            any_failure = False
-            for node in sorted(groups):
-                _result, error = outcomes[node]
-                if error is None:
-                    acked.update(groups[node])
-                elif isinstance(error, PartitionError):
-                    raise error
-                elif isinstance(error, _NODE_FAILURES):
-                    self._mark_failed(node)
-                    any_failure = True
-                    if self._hinted_handoff:
-                        # The node failed mid-batch: every key routed to it
-                        # this round missed it.
-                        for key in groups[node]:
-                            if not key.startswith(HINT_PREFIX):
-                                hints[(node, key)] = pending[key]
-                else:
-                    raise error
-            if not any_failure:
+            for node in done:
+                acked.update(groups[node])
+            if self._hinted_handoff:
+                # A node that failed mid-batch missed every key routed to it
+                # this round.
+                for node in failed:
+                    for key in groups[node]:
+                        if not key.startswith(HINT_PREFIX):
+                            hints[(node, key)] = pending[key]
+            if not failed:
                 break
             pending = {key: value for key, value in pending.items() if key not in acked}
         if hints:
@@ -975,20 +941,8 @@ class StorageCluster(KeyValueStore):
                     unresolved.discard(key)  # absent on every healthy replica
                     continue
                 groups.setdefault(untried[0], []).append(key)
-            tasks = {
-                node: (lambda store=self._stores[node], keys=list(node_keys): store.multi_get(keys))
-                for node, node_keys in groups.items()
-            }
-            outcomes = self._fan_out(tasks)
-            for node in sorted(groups):
-                found, error = outcomes[node]
-                if error is not None:
-                    if isinstance(error, PartitionError):
-                        raise error
-                    if isinstance(error, _NODE_FAILURES):
-                        self._mark_failed(node)
-                        continue
-                    raise error
+            found_by, _failed = self._settle(self._fan_out("multi_get", groups))
+            for node, found in found_by.items():
                 for key in groups[node]:
                     tried[key].add(node)
                     value = found.get(key)
@@ -1028,16 +982,8 @@ class StorageCluster(KeyValueStore):
                     for node in walk:
                         if node in groups:
                             groups[node].extend(stale)
-        tasks = {
-            node: (lambda store=self._stores[node], keys=list(node_keys): store.multi_delete(keys))
-            for node, node_keys in groups.items()
-        }
-        outcomes = self._fan_out(tasks)
         existed: Set[bytes] = set()
-        for node in sorted(groups):
-            deleted, error = outcomes[node]
-            if error is not None:
-                raise error
+        for deleted in self._fan_out_all("multi_delete", groups):
             existed.update(key for key in deleted if key in materialized)
         return existed
 
@@ -1063,9 +1009,6 @@ class StorageCluster(KeyValueStore):
         yield from self._merged_scan(
             lambda store: store.scan_range(prefix, lo, hi), key_of=lambda item: item[0]
         )
-
-    def delete_prefix(self, prefix: bytes, batch_size: int = 4096) -> int:
-        return self.delete_prefixes([prefix])
 
     def delete_prefixes(self, prefixes: Iterable[bytes]) -> int:
         """Erase whole keyspaces: one ``delete_prefixes`` per healthy node.
@@ -1101,25 +1044,10 @@ class StorageCluster(KeyValueStore):
                 for target in self._node_names
                 for prefix in materialized
             )
-        names = [name for name in self._node_names if name not in self._down]
-        if not names:
+        targets = {name: expanded for name, _store in self._live_stores()}
+        if not targets:
             raise PartitionError("no healthy node to delete from")
-        tasks = {
-            name: (
-                lambda store=self._stores[name], targets=list(expanded): (
-                    store.delete_prefixes(targets)
-                )
-            )
-            for name in names
-        }
-        outcomes = self._fan_out(tasks)
-        deleted = 0
-        for name in sorted(names):
-            count, error = outcomes[name]
-            if error is not None:
-                raise error
-            deleted += int(count)
-        return deleted
+        return sum(int(count) for count in self._fan_out_all("delete_prefixes", targets))
 
     def _merged_scan(self, make_iterator: Callable[[KeyValueStore], Iterator], key_of) -> Iterator:
         """Deduplicated merge over the healthy nodes, tolerating node outages.
@@ -1141,8 +1069,8 @@ class StorageCluster(KeyValueStore):
         are host-placed bookkeeping, not cluster data.  Deterministic
         caller errors propagate unchanged.
         """
-        names = [name for name in self._node_names if name not in self._down]
-        if not names:
+        live = list(self._live_stores())
+        if not live:
             raise PartitionError("no healthy node to scan")
         failed: List[str] = []
 
@@ -1155,31 +1083,19 @@ class StorageCluster(KeyValueStore):
                 self._mark_failed(name)
                 failed.append(name)
 
-        for item in self._dedup_merge(
-            [guarded(name, make_iterator(self._stores[name])) for name in names], key_of
-        ):
-            if key_of(item).startswith(HINT_PREFIX):
-                continue
-            yield item
-        if len(failed) == len(names):
-            raise PartitionError("every node failed mid-scan; the merged result is incomplete")
-
-    @staticmethod
-    def _dedup_merge(iterators: List[Iterator], key_of: Callable[[Any], bytes]) -> Iterator:
-        """Streaming k-way merge dropping duplicate keys (first iterator wins).
-
-        ``heapq.merge`` is stable: for equal keys the earlier iterator (the
-        earlier node in cluster construction order) yields first, and the
-        later duplicates are skipped by remembering only the last yielded
-        key — O(1) memory.
-        """
+        # heapq.merge is stable: of equal keys the earliest node's comes
+        # first, and remembering only the last yielded key drops the rest.
         last_key: Optional[bytes] = None
-        for item in heapq.merge(*iterators, key=key_of):
+        for item in heapq.merge(
+            *(guarded(name, make_iterator(store)) for name, store in live), key=key_of
+        ):
             key = key_of(item)
-            if key == last_key:
+            if key == last_key or key.startswith(HINT_PREFIX):
                 continue
             last_key = key
             yield item
+        if len(failed) == len(live):
+            raise PartitionError("every node failed mid-scan; the merged result is incomplete")
 
     def size_bytes(self) -> int:
         """Logical size (deduplicated across replicas); streams, never materializes.

@@ -23,6 +23,9 @@ import itertools
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+#: Keys per ``multi_delete`` in the default :meth:`KeyValueStore.delete_prefixes`.
+DELETE_BATCH_KEYS = 4096
+
 
 def sorted_keys_from(keys: List[bytes], prefix: bytes, after: Optional[bytes]) -> Iterator[bytes]:
     """Walk a *sorted* key list from a prefix/cursor position.
@@ -194,28 +197,22 @@ class KeyValueStore(ABC):
             if key >= lo:
                 yield key, value
 
-    def delete_prefix(self, prefix: bytes, batch_size: int = 4096) -> int:
-        """Delete every key under ``prefix``; returns how many existed.
+    def delete_prefixes(self, prefixes: Iterable[bytes]) -> int:
+        """Delete every key under each prefix; returns how many existed.
 
         The bulk-erase primitive behind ``delete_stream`` and grant
-        revocation.  Remote backends override this with a single
-        server-side operation; the default materializes the key list first
-        (so the walk never races its own deletes) and removes it in
-        bounded batches.
+        revocation.  Remote backends override it with a single server-side
+        operation, so several keyspaces (a stream's chunks *and* index
+        nodes) fall in one round trip per node; the default materializes
+        each prefix's key list first (so the walk never races its own
+        deletes) and removes it in :data:`DELETE_BATCH_KEYS`-bounded batches.
         """
-        keys = list(self.scan_keys(prefix))
         deleted = 0
-        for start in range(0, len(keys), batch_size):
-            deleted += len(self.multi_delete(keys[start : start + batch_size]))
+        for prefix in prefixes:
+            keys = list(self.scan_keys(prefix))
+            for start in range(0, len(keys), DELETE_BATCH_KEYS):
+                deleted += len(self.multi_delete(keys[start : start + DELETE_BATCH_KEYS]))
         return deleted
-
-    def delete_prefixes(self, prefixes: Iterable[bytes]) -> int:
-        """Delete every key under each prefix; returns the total removed.
-
-        Batched so remote backends can erase several keyspaces (a stream's
-        chunks *and* index nodes) in one round trip per node.
-        """
-        return sum(self.delete_prefix(prefix) for prefix in prefixes)
 
     def contains(self, key: bytes) -> bool:
         return self.get(key) is not None

@@ -15,10 +15,14 @@ protocol (the ``kv_*`` op family), so a
 * **Streaming scans, filtered on the node.**  ``scan_prefix`` is a
   generator that streams the keyspace on demand without materializing it
   client-side or hitting the frame cap: it pulls ``kv_scan_prefix``
-  *regions* of at most ``scan_page_size`` items (one round trip for a
+  *regions* of at most :data:`SCAN_PAGE_SIZE` items (one round trip for a
   typical prefix, range filters applied on the node, so skipped keys never
-  cross the wire).  ``delete_prefix`` is one ``kv_delete_prefix`` round
+  cross the wire).  ``delete_prefixes`` is one ``kv_delete_prefix`` round
   trip whatever the keyspace size.
+* **Limits are module constants.**  :data:`SCAN_PAGE_SIZE`,
+  :data:`MAX_REQUEST_BYTES` and :data:`MAX_KEYS_PER_REQUEST` are read at
+  call time, not options; a test reaches the paging and splitting paths by
+  patching them (as with the node's ``RESPONSE_BYTE_CAP``).
 * **Failures are node outages.**  Connection refusal, timeouts, dropped
   sockets, transport-level protocol errors and malformed ``found`` /
   ``deferred`` / ``existed`` index lists all surface as
@@ -50,11 +54,13 @@ from repro.net.messages import Request, Response, retain
 from repro.obs.metrics import REGISTRY
 from repro.storage.kv import KeyValueStore
 
+#: Items per ``kv_scan_prefix`` region (one round trip each).
+SCAN_PAGE_SIZE = 1024
 #: Soft cap on one request's attachment payload; frames are hard-capped at
 #: 64 MiB, so splitting at 32 MiB leaves ample room for headers and keys.
-DEFAULT_MAX_REQUEST_BYTES = 32 * 1024 * 1024
+MAX_REQUEST_BYTES = 32 * 1024 * 1024
 #: Keys per kv_multi_get / kv_multi_delete part.
-DEFAULT_MAX_KEYS_PER_REQUEST = 8192
+MAX_KEYS_PER_REQUEST = 8192
 
 
 class RemoteKeyValueStore(KeyValueStore):
@@ -65,18 +71,10 @@ class RemoteKeyValueStore(KeyValueStore):
         host: str,
         port: int,
         timeout: float = 10.0,
-        scan_page_size: int = 1024,
-        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-        max_keys_per_request: int = DEFAULT_MAX_KEYS_PER_REQUEST,
         overload_retries: int = 4,
         tracing: bool = False,
     ) -> None:
-        if scan_page_size < 1:
-            raise ValueError("scan_page_size must be positive")
         self._address = (host, port)
-        self._scan_page_size = scan_page_size
-        self._max_request_bytes = max_request_bytes
-        self._max_keys_per_request = max_keys_per_request
         #: A reachable peer of the wrong tier (an engine server) is refused
         #: with the non-retryable ProtocolError: a configuration error, not
         #: an outage the cluster should mark down and redial.  Overload
@@ -188,8 +186,8 @@ class RemoteKeyValueStore(KeyValueStore):
         for item in items:
             item_bytes = size_of(item)
             if part and (
-                len(part) >= self._max_keys_per_request
-                or part_bytes + item_bytes > self._max_request_bytes
+                len(part) >= MAX_KEYS_PER_REQUEST
+                or part_bytes + item_bytes > MAX_REQUEST_BYTES
             ):
                 yield part
                 part, part_bytes = [], 0
@@ -290,11 +288,11 @@ class RemoteKeyValueStore(KeyValueStore):
 
         Yields ``(key, value_length)`` pairs when ``keys_only`` else
         ``(key, value)`` pairs, optionally restricted to ``lo <= key <= hi``
-        (filtered on the node).  ``scan_page_size`` bounds the items per
+        (filtered on the node).  :data:`SCAN_PAGE_SIZE` bounds the items per
         round trip — laziness is part of the scan contract.
         """
         while True:
-            args: Dict = {"limit": self._scan_page_size}
+            args: Dict = {"limit": SCAN_PAGE_SIZE}
             attachments = [prefix]
             if after is not None:
                 args["cursor"] = True
@@ -348,9 +346,6 @@ class RemoteKeyValueStore(KeyValueStore):
         return self._scan(prefix, after, keys_only=True)
 
     # -- bulk erase ----------------------------------------------------------------
-
-    def delete_prefix(self, prefix: bytes, batch_size: int = 4096) -> int:
-        return self.delete_prefixes([prefix])
 
     def delete_prefixes(self, prefixes: Iterable[bytes]) -> int:
         """Erase whole keyspaces in one ``kv_delete_prefix`` round trip."""

@@ -224,6 +224,18 @@ class TestShardedEquivalence:
             assert client.wire_stats.round_trips - before == 2
             assert [item[0] for item in aggregate.per_stream_intervals] == uuids
 
+    def test_wire_stats_reset_zeroes_every_connection(self):
+        with Deployment("sharded") as deployment:
+            client = deployment.client
+            owner = TimeCrypt(server=client, owner_id="tester")
+            uuid = owner.create_stream(metric="reset", config=StreamConfig(chunk_interval=CHUNK_INTERVAL))
+            assert client.wire_stats.round_trips > 0
+            client.wire_stats.reset()
+            assert client.wire_stats.round_trips == 0
+            assert client.wire_stats.requests_sent == 0
+            client.stream_head(uuid)
+            assert client.wire_stats.round_trips == 1
+
     def test_engine_kill_redial_and_refresh(self):
         streams = _encrypted_streams(4, 3)
         with Deployment("sharded", engines=3) as deployment:
@@ -418,7 +430,7 @@ class TestClusterPrefixOps:
         cluster = StorageCluster(num_nodes=3, replication_factor=2)
         cluster.multi_put([(f"p/{index}".encode(), b"v") for index in range(10)])
         cluster.multi_put([(b"other/0", b"keep")])
-        deleted = cluster.delete_prefix(b"p/")
+        deleted = cluster.delete_prefixes([b"p/"])
         assert deleted == 20  # physical count: 10 keys x 2 replicas
         assert list(cluster.scan_prefix(b"p/")) == []
         assert cluster.get(b"other/0") == b"keep"
@@ -433,9 +445,9 @@ class TestClusterPrefixOps:
             for key, _value in cluster.node_store(name).scan_prefix(b"hint/node-2/h/")
         ]
         assert hinted  # the down node's replicas were parked as hints
-        cluster.delete_prefix(b"h/")
+        cluster.delete_prefixes([b"h/"])
         # Recovery must not resurrect erased keys from replayed hints.
-        cluster.mark_up("node-2", replay_hints=True)
+        cluster.mark_up("node-2")
         assert list(cluster.scan_prefix(b"h/")) == []
         for name in cluster.node_names:
             assert list(cluster.node_store(name).scan_prefix(b"hint/")) == []
@@ -443,11 +455,11 @@ class TestClusterPrefixOps:
     def test_delete_prefix_guards(self):
         cluster = StorageCluster(num_nodes=2, replication_factor=1)
         with pytest.raises(ValueError):
-            cluster.delete_prefix(b"")
+            cluster.delete_prefixes([b""])
         with pytest.raises(ValueError):
-            cluster.delete_prefix(b"hint/node-0/")
+            cluster.delete_prefixes([b"hint/node-0/"])
         with pytest.raises(ValueError):
-            cluster.delete_prefix(b"hi")  # would swallow the hint keyspace
+            cluster.delete_prefixes([b"hi"])  # would swallow the hint keyspace
         assert cluster.delete_prefixes([]) == 0
 
 
@@ -566,5 +578,5 @@ class TestSortedKeyCacheMixin:
         backend.multi_put([(f"c/{i:02d}".encode(), b"v") for i in range(10)])
         got = [key for key, _v in backend.scan_range(b"c/", b"c/03", b"c/06")]
         assert got == [b"c/03", b"c/04", b"c/05", b"c/06"]
-        assert backend.delete_prefix(b"c/") == 10
+        assert backend.delete_prefixes([b"c/"]) == 10
         assert list(backend.scan_prefix(b"c/")) == []

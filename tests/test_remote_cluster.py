@@ -21,6 +21,7 @@ from typing import Dict, Iterator, Tuple
 
 import pytest
 
+import repro.storage.remote as remote_module
 from repro import Principal, ServerEngine, StreamConfig, TimeCrypt, TimeCryptConsumer
 from repro.access.keystore import TokenStore
 from repro.deploy import Deployment
@@ -104,9 +105,10 @@ class TestKVWireOps:
         remote.multi_put([(b"a", b"xx"), (b"b", b"yyyy")])
         assert remote.size_bytes() == node.store.size_bytes() == 2 + 2 + 4
 
-    def test_scan_pages_stream_lazily(self, node):
+    def test_scan_pages_stream_lazily(self, node, monkeypatch):
+        monkeypatch.setattr(remote_module, "SCAN_PAGE_SIZE", 4)
         host, port = node.address
-        remote = RemoteKeyValueStore(host, port, timeout=5.0, scan_page_size=4)
+        remote = RemoteKeyValueStore(host, port, timeout=5.0)
         remote.multi_put([(f"s/{index:02d}".encode(), b"v") for index in range(10)])
         remote.wire_stats.reset()
         scan = remote.scan_prefix(b"s/")
@@ -117,9 +119,10 @@ class TestKVWireOps:
         assert remote.wire_stats.round_trips == 3  # 10 keys / 4 per page
         remote.close()
 
-    def test_oversized_batch_splits_but_stays_one_round_trip(self, node):
+    def test_oversized_batch_splits_but_stays_one_round_trip(self, node, monkeypatch):
+        monkeypatch.setattr(remote_module, "MAX_REQUEST_BYTES", 4096)
         host, port = node.address
-        remote = RemoteKeyValueStore(host, port, timeout=5.0, max_request_bytes=4096)
+        remote = RemoteKeyValueStore(host, port, timeout=5.0)
         items = [(f"big/{index}".encode(), bytes(1500) + bytes([index])) for index in range(8)]
         remote.connect()
         remote.wire_stats.reset()
@@ -154,9 +157,10 @@ class TestKVWireOps:
             with pytest.raises(ProtocolError):
                 client._call(Request("kv_get", {}, []))
 
-    def test_keys_only_scan_skips_value_traffic(self, node):
+    def test_keys_only_scan_skips_value_traffic(self, node, monkeypatch):
+        monkeypatch.setattr(remote_module, "SCAN_PAGE_SIZE", 4)
         host, port = node.address
-        remote = RemoteKeyValueStore(host, port, timeout=5.0, scan_page_size=4)
+        remote = RemoteKeyValueStore(host, port, timeout=5.0)
         big_value = bytes(4096)
         remote.multi_put([(f"ko/{index:02d}".encode(), big_value) for index in range(10)])
         assert remote.keys_with_prefix(b"ko/") == [f"ko/{index:02d}".encode() for index in range(10)]
@@ -187,7 +191,7 @@ class TestKVWireOps:
 
         monkeypatch.setattr(node_module, "RESPONSE_BYTE_CAP", 4096)
         host, port = node.address
-        remote = RemoteKeyValueStore(host, port, timeout=5.0, scan_page_size=1000)
+        remote = RemoteKeyValueStore(host, port, timeout=5.0)
         items = [(f"bc/{index:02d}".encode(), bytes(1500)) for index in range(9)]
         remote.multi_put(items)
         remote.wire_stats.reset()
@@ -321,13 +325,14 @@ class TestKVWireOps:
         ]
         store.close()
 
-    def test_remote_node_over_append_log_store(self, tmp_path):
+    def test_remote_node_over_append_log_store(self, tmp_path, monkeypatch):
         from repro.storage.disk import AppendLogStore
 
+        monkeypatch.setattr(remote_module, "SCAN_PAGE_SIZE", 3)
         store = AppendLogStore(tmp_path / "remote-node.log")
         with StorageNodeServer(store) as server:
             host, port = server.address
-            remote = RemoteKeyValueStore(host, port, timeout=5.0, scan_page_size=3)
+            remote = RemoteKeyValueStore(host, port, timeout=5.0)
             items = [(f"p/{index:02d}".encode(), bytes([index]) * 20) for index in range(8)]
             remote.multi_put(items)
             assert list(remote.scan_prefix(b"p/")) == items
@@ -373,9 +378,10 @@ class TestKVWireOps:
         assert len(store) == 4 * 40
         store.close()
 
-    def test_multi_put_respects_key_count_cap(self, node):
+    def test_multi_put_respects_key_count_cap(self, node, monkeypatch):
+        monkeypatch.setattr(remote_module, "MAX_KEYS_PER_REQUEST", 10)
         host, port = node.address
-        remote = RemoteKeyValueStore(host, port, timeout=5.0, max_keys_per_request=10)
+        remote = RemoteKeyValueStore(host, port, timeout=5.0)
         items = [(f"cc/{index:03d}".encode(), b"v") for index in range(35)]
         remote.connect()
         remote.wire_stats.reset()
@@ -958,12 +964,12 @@ class TestConsumerWarmUp:
             client = deployment.client
             _owner, bob, full, restricted = _grant_two_streams(client, getattr(client, "routing_table", None))
             consumer = TimeCryptConsumer(server=client, principal=bob)
-            before = client.wire_stats.round_trips
+            client.wire_stats.reset()
             tokens = consumer.warm_up([full, restricted])
             # Phase 1: grants + metadata for both streams, one batch per
             # owning engine; phase 2: envelopes for the restricted one.  Not
             # one per call site.
-            assert client.wire_stats.round_trips - before == round_trips
+            assert client.wire_stats.round_trips == round_trips
             assert set(tokens) == {full, restricted}
             assert consumer.get_stat_range(full, 0, 8_000)["count"] == 32
             assert consumer.get_stat_range(restricted, 0, 8_000)["count"] == 32

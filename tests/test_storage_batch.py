@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ServerEngine, StreamConfig, TimeCrypt
-from repro.exceptions import PartitionError
+from repro.exceptions import PartitionError, StorageError
 from repro.storage.cluster import StorageCluster
 from repro.storage.disk import AppendLogStore
 from repro.storage.kv import KeyValueStore
@@ -536,8 +536,6 @@ class TestEngineBatchRoundTrips:
 class TestBatchFailureAtomicity:
     def test_failed_flush_leaves_index_retryable(self):
         """A rejected multi_put must not advance the index head or poison the cache."""
-        from repro.exceptions import StorageError
-
         class RefusingStore(MemoryStore):
             def __init__(self):
                 super().__init__()
@@ -569,19 +567,50 @@ class TestBatchFailureAtomicity:
             == server.stat_range_windows(metadata.uuid, 0, 8).cells
         )
 
-    def test_cluster_propagates_deterministic_errors_without_markdown(self, tmp_path):
-        """A data bug is not a node outage: no mark-down, error reaches the caller."""
+    @pytest.mark.parametrize("error", [StorageError, TypeError], ids=lambda error: error.__name__)
+    @pytest.mark.parametrize("op", ["multi_put", "multi_get", "multi_delete", "delete_prefixes", "add_node"])
+    def test_cluster_propagates_deterministic_errors_without_markdown(self, tmp_path, monkeypatch, op, error):
+        """The outage policy of every fan-out caller (README "Hinted handoff").
+
+        A node outage (StorageError) marks the node down and re-routes,
+        except on the erasing ops, where a missed tombstone cannot be
+        repaired, so it propagates.  A data bug (TypeError) is not an
+        outage: it reaches the caller and no node is blamed.
+        """
         cluster = StorageCluster(
             num_nodes=3,
             replication_factor=2,
             store_factory=lambda name: AppendLogStore(tmp_path / f"{name}.log"),
         )
-        with pytest.raises(TypeError):
-            cluster.multi_put([(b"k", None)])  # len(None) inside the node store
-        # No node was blamed for the caller's bad value.
-        cluster.multi_put([(b"k", b"v")])
-        assert len(cluster.healthy_replicas(b"k")) == 2
-        assert cluster.get(b"k") == b"v"
+        keys = [f"k/{index:02d}".encode() for index in range(12)]
+        cluster.multi_put([(key, b"v") for key in keys])
+        if op == "add_node":
+            # The handoff asks the joining node what it holds first.
+            victim, victim_store, failing = "node-3", MemoryStore(), "multi_get"
+        else:
+            victim = cluster.healthy_replicas(keys[0])[0]
+            victim_store, failing = cluster.node_store(victim), op
+
+        def fail(*_args):
+            raise error("injected")
+
+        monkeypatch.setattr(victim_store, failing, fail)
+        call = {
+            "multi_put": lambda: cluster.multi_put([(key, b"w") for key in keys]),
+            "multi_get": lambda: cluster.multi_get(keys),
+            "multi_delete": lambda: cluster.multi_delete(keys),
+            "delete_prefixes": lambda: cluster.delete_prefixes([b"k/"]),
+            "add_node": lambda: cluster.add_node(victim, victim_store),
+        }[op]
+        if error is StorageError and op not in ("multi_delete", "delete_prefixes"):
+            call()
+            assert cluster._down == {victim}
+            expected = b"w" if op == "multi_put" else b"v"
+            assert cluster.multi_get(keys) == {key: expected for key in keys}
+        else:
+            with pytest.raises(error):
+                call()
+            assert not cluster._down
         cluster.close()
 
 

@@ -50,9 +50,6 @@ _OPTIONS = {
         "host",
         "port",
         "timeout",
-        "scan_page_size",
-        "max_request_bytes",
-        "max_keys_per_request",
         "overload_retries",
         "tracing",
     ],
