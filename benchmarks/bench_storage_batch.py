@@ -121,8 +121,10 @@ class PerKeyStore(KeyValueStore):
     def delete(self, key: bytes) -> bool:
         return self._inner.delete(key)
 
-    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        return self._inner.scan_prefix(prefix)
+    def scan_prefix(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        return self._inner.scan_prefix(prefix, lo, hi)
 
     def close(self) -> None:
         self._inner.close()

@@ -20,7 +20,7 @@ stream has id i.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import AccessDeniedError
 from repro.storage.kv import KeyValueStore
@@ -116,7 +116,7 @@ class TokenStore:
         """
         prefix = _grant_prefix(stream_uuid)
         next_ids: Dict[str, int] = {}
-        for key in self._store.scan_keys(prefix):
+        for key, _size in self._store.scan_sizes(prefix):
             segment, _sep, grant_id = key[len(prefix) :].decode("utf-8").rpartition("/")
             principal_id = _principal_of(segment)
             next_ids[principal_id] = max(next_ids.get(principal_id, 0), int(grant_id) + 1)
@@ -154,7 +154,7 @@ class TokenStore:
     def principals_with_grants(self, stream_uuid: str) -> List[str]:
         """Principal ids that have at least one stored grant for the stream."""
         principals = set()
-        for key in self._store.scan_keys(_grant_prefix(stream_uuid)):
+        for key, _size in self._store.scan_sizes(_grant_prefix(stream_uuid)):
             parts = key.decode("utf-8").split("/")
             if len(parts) >= 3:
                 principals.add(_principal_of(parts[2]))
@@ -181,11 +181,6 @@ class TokenStore:
             self.reset_grant_ids([stream_uuid])
 
     # -- resolution key envelopes -----------------------------------------------
-
-    def put_envelope(
-        self, stream_uuid: str, resolution_chunks: int, window_index: int, envelope: bytes
-    ) -> None:
-        self._store.put(_envelope_key(stream_uuid, resolution_chunks, window_index), envelope)
 
     def put_envelopes(
         self, stream_uuid: str, resolution_chunks: int, envelopes: Dict[int, bytes]
@@ -217,14 +212,6 @@ class TokenStore:
         prefix = f"envelope/{stream_uuid}/{resolution_chunks:08d}/".encode("utf-8")
         lo = _envelope_key(stream_uuid, resolution_chunks, window_start)
         hi = _envelope_key(stream_uuid, resolution_chunks, window_end)
-        for key, value in self._store.scan_range(prefix, lo, hi):
+        for key, value in self._store.scan_prefix(prefix, lo, hi):
             envelopes[int(key.rsplit(b"/", 1)[-1], 16)] = value
         return envelopes
-
-    # -- introspection ---------------------------------------------------------------
-
-    def iter_all(self) -> Iterator[Tuple[bytes, bytes]]:
-        return self._store.scan_prefix(b"")
-
-    def size_bytes(self) -> int:
-        return self._store.size_bytes()

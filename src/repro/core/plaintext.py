@@ -96,9 +96,7 @@ class PlaintextTimeSeriesStore:
 
     def delete_stream(self, uuid: str) -> None:
         self._stream(uuid)
-        for prefix in (f"chunk/{uuid}/".encode(), f"index/{uuid}/".encode()):
-            for key in self.store.keys_with_prefix(prefix):
-                self.store.delete(key)
+        self.store.delete_prefixes([f"chunk/{uuid}/".encode(), f"index/{uuid}/".encode()])
         del self._streams[uuid]
 
     def list_streams(self) -> List[str]:

@@ -57,6 +57,7 @@ import heapq
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import ClusterMembershipError, PartitionError, StorageError
@@ -399,7 +400,8 @@ class StorageCluster(KeyValueStore):
         assert self._prev is not None
         old_ring, old_rf = self._prev
         moved_keys = copied_keys = handoff_batches = 0
-        for batch in self._moved_batches(self.scan_keys(b""), old_ring, old_rf, batch_size):
+        keys = (key for key, _size in self.scan_sizes(b""))
+        for batch in self._moved_batches(keys, old_ring, old_rf, batch_size):
             moved_keys += len(batch)
             copied_keys += self._handoff_batch(batch, old_ring, old_rf)
             handoff_batches += 1
@@ -695,7 +697,7 @@ class StorageCluster(KeyValueStore):
         prefix = _hint_prefix_for(name)
         for host, store in self._live_stores():
             try:
-                stale = list(store.scan_keys(prefix))
+                stale = [key for key, _size in store.scan_sizes(prefix)]
                 if stale:
                     store.multi_delete(stale)
             except _NODE_FAILURES:
@@ -987,10 +989,13 @@ class StorageCluster(KeyValueStore):
             existed.update(key for key in deleted if key in materialized)
         return existed
 
-    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """Merge prefix scans across nodes, deduplicating replicated keys.
+    def scan_prefix(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        """Merge interval scans across nodes, deduplicating replicated keys.
 
-        A streaming k-way heap merge over the per-node sorted scans:
+        A streaming k-way heap merge over the per-node sorted scans (each
+        node applies ``[lo, hi]`` itself — remote nodes server-side):
         duplicates of a replicated key arrive adjacently, so dedup remembers
         only the last yielded key — O(1) memory, which lets
         :meth:`repair_node` and :meth:`size_bytes` walk a big remote cluster.
@@ -999,16 +1004,15 @@ class StorageCluster(KeyValueStore):
         construction order*, unlike ``get``, which reads in ring order — the
         two may differ until ``repair_node`` or an overwrite reconverges them.
         """
-        yield from self._merged_scan(
-            lambda store: store.scan_prefix(prefix), key_of=lambda item: item[0]
-        )
+        return self._merged_scan("scan_prefix", prefix, lo, hi)
 
-    def scan_range(self, prefix: bytes, lo: bytes, hi: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """Range-filtered merged scan: each node filters locally (or, for
-        remote nodes, server-side), so only ``[lo, hi]`` keys reach the merge."""
-        yield from self._merged_scan(
-            lambda store: store.scan_range(prefix, lo, hi), key_of=lambda item: item[0]
-        )
+    def scan_sizes(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, int]]:
+        """The keys-and-lengths merge: over remote nodes this pulls keys-only
+        pages, so membership walks and sizing never drag a value across the
+        wire just to discard it."""
+        return self._merged_scan("scan_sizes", prefix, lo, hi)
 
     def delete_prefixes(self, prefixes: Iterable[bytes]) -> int:
         """Erase whole keyspaces: one ``delete_prefixes`` per healthy node.
@@ -1049,8 +1053,10 @@ class StorageCluster(KeyValueStore):
             raise PartitionError("no healthy node to delete from")
         return sum(int(count) for count in self._fan_out_all("delete_prefixes", targets))
 
-    def _merged_scan(self, make_iterator: Callable[[KeyValueStore], Iterator], key_of) -> Iterator:
-        """Deduplicated merge over the healthy nodes, tolerating node outages.
+    def _merged_scan(
+        self, method: str, prefix: bytes, lo: bytes, hi: Optional[bytes]
+    ) -> Iterator[Tuple[bytes, Any]]:
+        """Deduplicated merge of each healthy node's ``store.<method>(prefix, lo, hi)``.
 
         Each node's iterator is guarded with the same policy as the batch
         ops: a node that raises a :data:`_NODE_FAILURES` error mid-scan is
@@ -1074,9 +1080,9 @@ class StorageCluster(KeyValueStore):
             raise PartitionError("no healthy node to scan")
         failed: List[str] = []
 
-        def guarded(name: str, iterator: Iterator) -> Iterator:
+        def guarded(name: str, store: KeyValueStore) -> Iterator:
             try:
-                yield from iterator
+                yield from getattr(store, method)(prefix, lo, hi)
             except PartitionError:
                 raise
             except _NODE_FAILURES:
@@ -1087,9 +1093,9 @@ class StorageCluster(KeyValueStore):
         # first, and remembering only the last yielded key drops the rest.
         last_key: Optional[bytes] = None
         for item in heapq.merge(
-            *(guarded(name, make_iterator(store)) for name, store in live), key=key_of
+            *(guarded(name, store) for name, store in live), key=itemgetter(0)
         ):
-            key = key_of(item)
+            key = item[0]
             if key == last_key or key.startswith(HINT_PREFIX):
                 continue
             last_key = key
@@ -1097,41 +1103,15 @@ class StorageCluster(KeyValueStore):
         if len(failed) == len(live):
             raise PartitionError("every node failed mid-scan; the merged result is incomplete")
 
-    def size_bytes(self) -> int:
-        """Logical size (deduplicated across replicas); streams, never materializes.
-
-        Uses the keys-plus-sizes scan flavour, so over remote nodes this
-        ships key names and integer lengths — not every stored value — to
-        compute one number.  Parked hints are bookkeeping, not data, and
-        are excluded.
-        """
-        return sum(
-            size
-            for _key, size in self._merged_scan(
-                lambda store: store.scan_key_sizes(b""), key_of=lambda item: item[0]
-            )
-        )
-
     def physical_size_bytes(self) -> int:
         """Raw size including replication overhead (and any parked hints)."""
         return sum(store.size_bytes() for store in self._stores.values())
-
-    def scan_keys(self, prefix: bytes) -> Iterator[bytes]:
-        """Deduplicated key stream across healthy nodes — no value traffic.
-
-        The keys-only analogue of :meth:`scan_prefix`: over remote nodes
-        this pulls ``keys_only`` scan pages, so membership walks do not
-        drag every value across the wire just to discard it.
-        """
-        yield from self._merged_scan(
-            lambda store: store.scan_keys(prefix), key_of=lambda key: key
-        )
 
     def repair_node(self, name: str, batch_size: int = 256) -> int:
         """Copy any keys a recovered node is missing from its peers; returns count.
 
         Streams the deduplicated *key* space (no values — see
-        :meth:`scan_keys`) and works in bounded batches: for every
+        :meth:`scan_sizes`) and works in bounded batches: for every
         ``batch_size`` keys the ring assigns to the recovering node, one
         ``multi_get`` asks the node what it already holds, and only the
         confirmed-missing keys have their values fetched from the healthy
@@ -1165,7 +1145,7 @@ class StorageCluster(KeyValueStore):
 
         repaired = 0
         batch: List[bytes] = []
-        for key in self.scan_keys(b""):
+        for key, _size in self.scan_sizes(b""):
             if name not in self._ring.replicas(key, self._replication_factor):
                 continue
             batch.append(key)

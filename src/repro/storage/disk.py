@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import StorageError
 from repro.obs.metrics import REGISTRY
-from repro.storage.kv import KeyValueStore, SortedKeyCache
+from repro.storage.kv import KeyValueStore, SortedKeyCache, sorted_keys_from
 from repro.storage.memory import StoreStats
 from repro.util.blocking import before_blocking
 
@@ -34,9 +34,9 @@ _RECORD_HEADER = struct.Struct(">IIB")  # key length, value length, tombstone fl
 class AppendLogStore(SortedKeyCache, KeyValueStore):
     """Log-structured persistent store with an in-memory key index.
 
-    Cursor scans lean on :class:`SortedKeyCache` over the offset index, so
-    paged readers bisect a cached sorted key list instead of re-sorting the
-    keyspace per page.
+    Scans lean on :class:`SortedKeyCache` over the offset index, so every
+    scan, paged or not, bisects a cached sorted key list instead of
+    re-sorting the keyspace.
     """
 
     def __init__(self, path: str | os.PathLike, sync: bool = False) -> None:
@@ -119,45 +119,27 @@ class AppendLogStore(SortedKeyCache, KeyValueStore):
         self.stats.deletes += 1
         return existed
 
-    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        self.stats.scans += 1
-        for key in sorted(self._index):
-            if key.startswith(prefix):
-                entry = self._index.get(key)
-                if entry is not None:
-                    yield key, self._read_at(entry[0], entry[1], key)
-
     def _live_keys(self) -> Iterable[bytes]:
         return self._index
 
-    def scan_from(self, prefix: bytes, after: Optional[bytes] = None) -> Iterator[Tuple[bytes, bytes]]:
-        """Cursor-resumed scan: only values at or past the cursor are read from disk."""
+    def scan_prefix(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        """Only values inside the interval are read from the log."""
         self.stats.scans += 1
-        for key in self._keys_from(prefix, after):
+        for key in sorted_keys_from(self._keys_sorted(), prefix, lo, hi):
             entry = self._index.get(key)
             if entry is not None:
                 yield key, self._read_at(entry[0], entry[1], key)
 
-    def scan_keys(self, prefix: bytes) -> Iterator[bytes]:
-        """Keys straight from the in-memory index — no log reads at all."""
-        self.stats.scans += 1
-        return self._keys_from(prefix, None)
-
-    def scan_key_sizes(self, prefix: bytes) -> Iterator[Tuple[bytes, int]]:
-        """Sizes from the index's ``(offset, length)`` entries — no log reads."""
-        self.stats.scans += 1
-        return (
-            (key, len(key) + entry[1])
-            for key in self._keys_from(prefix, None)
-            if (entry := self._index.get(key)) is not None
-        )
-
-    def scan_sizes_from(self, prefix: bytes, after: Optional[bytes] = None) -> Iterator[Tuple[bytes, int]]:
-        """Keys-only page source: value lengths from the index, log untouched."""
+    def scan_sizes(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, int]]:
+        """Value lengths from the index's ``(offset, length)`` entries — no log reads."""
         self.stats.scans += 1
         return (
             (key, entry[1])
-            for key in self._keys_from(prefix, after)
+            for key in sorted_keys_from(self._keys_sorted(), prefix, lo, hi)
             if (entry := self._index.get(key)) is not None
         )
 

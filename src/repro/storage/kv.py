@@ -19,7 +19,6 @@ backends keep working, but every bundled backend overrides them.
 from __future__ import annotations
 
 import bisect
-import itertools
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -27,28 +26,25 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 DELETE_BATCH_KEYS = 4096
 
 
-def sorted_keys_from(keys: List[bytes], prefix: bytes, after: Optional[bytes]) -> Iterator[bytes]:
-    """Walk a *sorted* key list from a prefix/cursor position.
+def sorted_keys_from(keys: List[bytes], prefix: bytes, lo: bytes, hi: Optional[bytes]) -> Iterator[bytes]:
+    """Walk a *sorted* key list over the keys under ``prefix`` in ``[lo, hi]``.
 
     The shared seek used by the sorted-key-cache backends (memory,
-    append-log): bisect to the prefix (or strictly past the exclusive
-    ``after`` cursor when it lies inside the prefix region) and stop at the
-    first key outside the prefix — the prefix region is contiguous in
-    sorted order, so each page walk is O(log n + page).  ``keys`` must not
-    be mutated while the iterator is live (the cache backends guarantee
-    this by replacing, never mutating, a published list).
+    append-log): bisect straight to ``max(prefix, lo)`` and stop at the
+    first key outside the prefix or past ``hi`` — the prefix region is
+    contiguous in sorted order, so each page walk is O(log n + page).
+    ``keys`` must not be mutated while the iterator is live (the cache
+    backends guarantee this by replacing, never mutating, a published list).
     """
-    from_start = after is None or after < prefix
-    start = bisect.bisect_left(keys, prefix) if from_start else bisect.bisect_right(keys, after)
-    for index in range(start, len(keys)):
+    for index in range(bisect.bisect_left(keys, max(prefix, lo)), len(keys)):
         key = keys[index]
-        if not key.startswith(prefix):
+        if not key.startswith(prefix) or (hi is not None and key > hi):
             break
         yield key
 
 
 class SortedKeyCache:
-    """Mixin owning the sorted-key list behind cursor scans.
+    """Mixin owning the sorted-key list behind interval scans.
 
     Backends with an in-memory key set (memory, append-log) share the same
     pattern: keep ``sorted(keys)`` around so paged scans bisect instead of
@@ -99,10 +95,6 @@ class SortedKeyCache:
         self._added_keys: List[bytes] = []
         return keys
 
-    def _keys_from(self, prefix: bytes, after: Optional[bytes] = None) -> Iterator[bytes]:
-        """Seek into the cached sorted keys (call under the subclass's lock)."""
-        return sorted_keys_from(self._keys_sorted(), prefix, after)
-
 
 class KeyValueStore(ABC):
     """Abstract key-value store."""
@@ -120,8 +112,27 @@ class KeyValueStore(ABC):
         """Remove ``key``; returns True when it existed."""
 
     @abstractmethod
-    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield ``(key, value)`` pairs whose key starts with ``prefix``, in key order."""
+    def scan_prefix(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        """Yield ``(key, value)`` for keys under ``prefix`` with ``lo <= key <= hi``.
+
+        The one read walk of the contract, in key order; ``hi=None`` leaves
+        the interval open above.  A paged reader resumes after key ``k`` at
+        ``lo = k + b"\\x00"``, the least byte string above ``k``.
+        """
+
+    def scan_sizes(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, int]]:
+        """``(key, len(value))`` over the same interval as :meth:`scan_prefix`.
+
+        The walk behind key audits, handoff, repair, grant ids and sizing,
+        which never need a value.  Backends that know value lengths without
+        reading values (the append-log index, a remote node's keys-only
+        pages) override it so the walk never reads or ships one.
+        """
+        return ((key, len(value)) for key, value in self.scan_prefix(prefix, lo, hi))
 
     # -- batch primitives (scalar-loop fallbacks; real backends override) ----------
 
@@ -144,59 +155,6 @@ class KeyValueStore(ABC):
 
     # -- conveniences with default implementations --------------------------------
 
-    def scan_from(self, prefix: bytes, after: Optional[bytes] = None) -> Iterator[Tuple[bytes, bytes]]:
-        """``scan_prefix`` resumed strictly after ``after`` (paged-scan hook).
-
-        Paged remote scans re-enter the keyspace once per page; backends
-        with sorted key access should override this with a real seek so a
-        page costs O(page), not O(keys-before-cursor).  The fallback skips
-        over the prefix scan, which is correct but linear.
-        """
-        scan = self.scan_prefix(prefix)
-        if after is None:
-            return scan
-        return itertools.dropwhile(lambda item, cursor=after: item[0] <= cursor, scan)
-
-    def scan_keys(self, prefix: bytes) -> Iterator[bytes]:
-        """Yield only the keys under ``prefix``, in key order.
-
-        Backends where values are large or remote should override this to
-        avoid materializing (or transferring) values that the caller — key
-        audits, :meth:`~repro.storage.cluster.StorageCluster.repair_node`'s
-        membership pass — will immediately discard.
-        """
-        return (key for key, _value in self.scan_prefix(prefix))
-
-    def scan_key_sizes(self, prefix: bytes) -> Iterator[Tuple[bytes, int]]:
-        """Yield ``(key, stored_bytes)`` pairs (``len(key) + len(value)``).
-
-        The sizing analogue of :meth:`scan_keys`: remote backends override
-        it so size accounting ships key names and integers, not values.
-        """
-        return ((key, len(key) + len(value)) for key, value in self.scan_prefix(prefix))
-
-    def scan_sizes_from(self, prefix: bytes, after: Optional[bytes] = None) -> Iterator[Tuple[bytes, int]]:
-        """Cursor-resumed ``(key, value_length)`` pairs (paged keys-only scans).
-
-        Backends that index value lengths (the append-log store, a remote
-        node) override this so keys-only pages never touch value payloads.
-        """
-        return ((key, len(value)) for key, value in self.scan_from(prefix, after))
-
-    def scan_range(self, prefix: bytes, lo: bytes, hi: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """``(key, value)`` pairs under ``prefix`` with ``lo <= key <= hi``.
-
-        The range-filtered scan behind windowed lookups (envelope ranges,
-        shard recovery).  Remote backends override this so the filter runs
-        on the node and only matching items cross the wire; the local
-        default filters in-loop and stops at the first key past ``hi``.
-        """
-        for key, value in self.scan_from(prefix):
-            if key > hi:
-                break
-            if key >= lo:
-                yield key, value
-
     def delete_prefixes(self, prefixes: Iterable[bytes]) -> int:
         """Delete every key under each prefix; returns how many existed.
 
@@ -209,7 +167,7 @@ class KeyValueStore(ABC):
         """
         deleted = 0
         for prefix in prefixes:
-            keys = list(self.scan_keys(prefix))
+            keys = [key for key, _size in self.scan_sizes(prefix)]
             for start in range(0, len(keys), DELETE_BATCH_KEYS):
                 deleted += len(self.multi_delete(keys[start : start + DELETE_BATCH_KEYS]))
         return deleted
@@ -217,15 +175,12 @@ class KeyValueStore(ABC):
     def contains(self, key: bytes) -> bool:
         return self.get(key) is not None
 
-    def keys_with_prefix(self, prefix: bytes) -> List[bytes]:
-        return list(self.scan_keys(prefix))
-
     def count_prefix(self, prefix: bytes) -> int:
-        return sum(1 for _ in self.scan_keys(prefix))
+        return sum(1 for _ in self.scan_sizes(prefix))
 
     def size_bytes(self) -> int:
         """Total stored bytes (keys + values); used for index-size reporting."""
-        return sum(len(key) + len(value) for key, value in self.scan_prefix(b""))
+        return sum(len(key) + size for key, size in self.scan_sizes(b""))
 
     def close(self) -> None:  # pragma: no cover - default is a no-op
         """Release any resources held by the backend."""

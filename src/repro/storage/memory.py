@@ -72,7 +72,7 @@ class StoreStats:
 class MemoryStore(SortedKeyCache, KeyValueStore):
     """A dict-backed store with ordered prefix scans and single-lock bulk ops.
 
-    Cursor scans lean on :class:`SortedKeyCache`: new keys are merged into
+    Scans lean on :class:`SortedKeyCache`: new keys are merged into
     a copy of the sorted key list at the next scan, removals rebuild it, and
     published lists are never mutated, so in-flight scans keep iterating
     their captured snapshot.
@@ -115,26 +115,23 @@ class MemoryStore(SortedKeyCache, KeyValueStore):
                 self._invalidate_sorted_keys()
             return existed
 
-    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        with self._lock:
-            self.stats.scans += 1
-            snapshot = [(key, self._data[key]) for key in self._keys_from(prefix)]
-        yield from snapshot
-
-    def scan_from(self, prefix: bytes, after: Optional[bytes] = None) -> Iterator[Tuple[bytes, bytes]]:
-        """Cursor-resumed scan: bisect into the sorted-key cache, values lazy.
+    def scan_prefix(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        """The one walk: bisect into the sorted-key cache, values read lazily.
 
         On a quiescent store each page is O(page): the sorted key list is
-        reused across pages (updated only after a key-set change), the cursor is a
-        bisect, the prefix region is contiguous in sorted order, and values
-        are looked up as the consumer advances — a paged reader that stops
-        early never touches the values behind the rest of the keyspace.
-        Keys deleted mid-scan are skipped, matching a fresh ``scan_prefix``.
+        reused across pages (updated only after a key-set change), the seek
+        to ``max(prefix, lo)`` is a bisect, the prefix region is contiguous
+        in sorted order, and values are looked up as the consumer advances
+        — a paged reader (a node serving one ``kv_scan_prefix`` page) that
+        stops early never touches the values behind the rest of the
+        keyspace.  Keys deleted mid-scan are skipped.
         """
         with self._lock:
             self.stats.scans += 1
             keys = self._keys_sorted()
-        for key in sorted_keys_from(keys, prefix, after):
+        for key in sorted_keys_from(keys, prefix, lo, hi):
             with self._lock:
                 value = self._data.get(key)
             if value is not None:

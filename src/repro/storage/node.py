@@ -23,13 +23,13 @@ value travels as a binary attachment, never inside the JSON header.
   indices for the client to re-request
 * ``kv_multi_put``  — attachments ``[k0, v0, k1, v1, ...]`` → ``{stored}``
 * ``kv_multi_delete`` — attachments ``keys`` → ``{existed: [indices]}``
-* ``kv_scan_prefix`` — args ``{limit?, keys_only?, cursor?, range?}``,
-  attachments ``[prefix] (+ [after] when cursor, exclusive) (+ [lo, hi]
-  when range)`` → ``{num_items, truncated}`` + ``[k0, v0, k1, v1, ...]``
-  (keys only, with ``value_bytes`` lengths in the header, when
-  ``keys_only``); the node walks the prefix region itself — range-filtered,
-  bounded by ``limit`` and by bytes — and a client streams a big scan region
-  by region, resuming after the last returned key
+* ``kv_scan_prefix`` — args ``{limit?, keys_only?}``, attachments
+  ``[prefix, lo]`` plus an optional ``[hi]`` → ``{num_items, truncated}`` +
+  ``[k0, v0, k1, v1, ...]`` for the keys under ``prefix`` with
+  ``lo <= key <= hi`` (keys only, with ``value_bytes`` lengths in the
+  header, when ``keys_only``); the node walks the interval itself, bounded
+  by ``limit`` and by bytes, and a client streams a big interval page by
+  page, resuming at ``lo = last_key + b"\\x00"``
 * ``kv_delete_prefix`` — attachments = one or more non-empty prefixes →
   ``{deleted}``; the node erases the keyspaces locally in bounded batches,
   so bulk erase is one round trip whatever the keyspace size
@@ -207,33 +207,19 @@ class StorageNodeDispatcher(WireDispatcher):
     # -- scans / sizing ------------------------------------------------------------
 
     def _op_kv_scan_prefix(self, request: Request) -> Response:
-        """One server-side prefix walk: filter, cap, and ship only matches.
+        """One server-side walk of ``prefix`` ∩ ``[lo, hi]``: cap, and ship only matches.
 
         There is no default item limit — the response is bounded by bytes
-        (and any explicit ``limit``), so a typical prefix region arrives in
-        one round trip; oversized regions set ``truncated`` and the client
-        resumes from the last returned key.  With the ``range`` flag only keys in
-        ``[lo, hi]`` (inclusive) are served: the node walks key/size pairs
-        first and fetches just the matching values, so filtered-out values
-        never leave the backend at all.
+        (and any explicit ``limit``), so a typical interval arrives in one
+        round trip; an oversized one sets ``truncated`` and the client
+        resumes just past the last returned key.  The node walks key/size
+        pairs first and fetches just the served values, so values outside
+        the page never leave the backend at all.
         """
-        attachments = [retain(blob) for blob in request.attachments]
-        if not attachments:
-            raise ProtocolError("kv_scan_prefix requires a prefix attachment")
-        prefix = attachments.pop(0)
-        after: Optional[bytes] = None
-        if request.args.get("cursor"):
-            if not attachments:
-                raise ProtocolError("kv_scan_prefix cursor flag set without a cursor attachment")
-            after = attachments.pop(0)
-        lo: Optional[bytes] = None
-        hi: Optional[bytes] = None
-        if request.args.get("range"):
-            if len(attachments) != 2:
-                raise ProtocolError("kv_scan_prefix range flag needs lo and hi attachments")
-            lo, hi = attachments
-        elif attachments:
-            raise ProtocolError("kv_scan_prefix got unexpected attachments")
+        if len(request.attachments) not in (2, 3):
+            raise ProtocolError("kv_scan_prefix takes attachments [prefix, lo] or [prefix, lo, hi]")
+        prefix, lo, *upper = (retain(blob) for blob in request.attachments)
+        hi: Optional[bytes] = upper[0] if upper else None
         limit = request.args.get("limit")
         if limit is not None:
             limit = int(limit)
@@ -244,11 +230,7 @@ class StorageNodeDispatcher(WireDispatcher):
         sizes: List[int] = []
         page_bytes = 0
         truncated = False
-        for key, value_length in self._store.scan_sizes_from(prefix, after):
-            if hi is not None and key > hi:
-                break
-            if lo is not None and key < lo:
-                continue
+        for key, value_length in self._store.scan_sizes(prefix, lo, hi):
             item_bytes = len(key) if keys_only else len(key) + value_length
             if (limit is not None and len(matched) == limit) or (
                 matched and page_bytes + item_bytes > RESPONSE_BYTE_CAP

@@ -12,24 +12,29 @@ protocol (the ``kv_*`` op family), so a
   parts go out back-to-back through the transport's ``call_many`` — still a
   single wire round trip.  Combined with the cluster's per-node grouping, a
   cluster batch of n keys costs one round trip per owning node, not n·RF.
-* **Streaming scans, filtered on the node.**  ``scan_prefix`` is a
-  generator that streams the keyspace on demand without materializing it
-  client-side or hitting the frame cap: it pulls ``kv_scan_prefix``
-  *regions* of at most :data:`SCAN_PAGE_SIZE` items (one round trip for a
-  typical prefix, range filters applied on the node, so skipped keys never
-  cross the wire).  ``delete_prefixes`` is one ``kv_delete_prefix`` round
+* **Two streaming scans, filtered on the node.**  ``scan_prefix`` and
+  ``scan_sizes`` walk the keys under a prefix in ``[lo, hi]`` on demand,
+  without materializing the interval client-side or hitting the frame cap:
+  each pulls ``kv_scan_prefix`` *pages* of at most :data:`SCAN_PAGE_SIZE`
+  items (one round trip for a typical prefix; the node applies the bounds,
+  so keys outside them never cross the wire), and ``scan_sizes`` pulls
+  keys-only pages that carry value lengths, never values.  A truncated
+  page resumes at ``lo = last_key + b"\\x00"``.  Every page is checked
+  before it is yielded (see :meth:`RemoteKeyValueStore._scan`), so a lying
+  node surfaces as :class:`~repro.exceptions.StorageError` instead of an
+  endless walk.  ``delete_prefixes`` is one ``kv_delete_prefix`` round
   trip whatever the keyspace size.
 * **Limits are module constants.**  :data:`SCAN_PAGE_SIZE`,
   :data:`MAX_REQUEST_BYTES` and :data:`MAX_KEYS_PER_REQUEST` are read at
   call time, not options; a test reaches the paging and splitting paths by
   patching them (as with the node's ``RESPONSE_BYTE_CAP``).
 * **Failures are node outages.**  Connection refusal, timeouts, dropped
-  sockets, transport-level protocol errors and malformed ``found`` /
-  ``deferred`` / ``existed`` index lists all surface as
-  :class:`~repro.exceptions.StorageError`, which is exactly what the
-  cluster's ``_NODE_FAILURES`` mark-down/re-route/repair machinery treats
-  as a downed node.  Typed remote errors raised *by* the store itself
-  propagate unchanged.
+  sockets, transport-level protocol errors, malformed ``found`` /
+  ``deferred`` / ``existed`` index lists and malformed scan pages all
+  surface as :class:`~repro.exceptions.StorageError`, which is exactly
+  what the cluster's ``_NODE_FAILURES`` mark-down/re-route/repair
+  machinery treats as a downed node.  Typed remote errors raised *by* the
+  store itself propagate unchanged.
 * **Reconnect.**  The connection lives in a
   :class:`~repro.net.client.ConnectionSlot`: dialled lazily, discarded on
   transport failure and redialled once per operation, so a node restart
@@ -54,7 +59,7 @@ from repro.net.messages import Request, Response, retain
 from repro.obs.metrics import REGISTRY
 from repro.storage.kv import KeyValueStore
 
-#: Items per ``kv_scan_prefix`` region (one round trip each).
+#: Items per ``kv_scan_prefix`` page (one round trip each).
 SCAN_PAGE_SIZE = 1024
 #: Soft cap on one request's attachment payload; frames are hard-capped at
 #: 64 MiB, so splitting at 32 MiB leaves ample room for headers and keys.
@@ -277,73 +282,63 @@ class RemoteKeyValueStore(KeyValueStore):
     # -- scans / sizing ------------------------------------------------------------
 
     def _scan(
-        self,
-        prefix: bytes,
-        after: Optional[bytes],
-        keys_only: bool,
-        lo: Optional[bytes] = None,
-        hi: Optional[bytes] = None,
-    ):
-        """The ``kv_scan_prefix`` walk behind all scan flavours.
+        self, prefix: bytes, lo: bytes, hi: Optional[bytes], keys_only: bool
+    ) -> Iterator[Tuple[bytes, Any]]:
+        """The ``kv_scan_prefix`` pager behind both scans; every page is checked.
 
         Yields ``(key, value_length)`` pairs when ``keys_only`` else
-        ``(key, value)`` pairs, optionally restricted to ``lo <= key <= hi``
+        ``(key, value)`` pairs, for keys under ``prefix`` in ``[lo, hi]``
         (filtered on the node).  :data:`SCAN_PAGE_SIZE` bounds the items per
-        round trip — laziness is part of the scan contract.
+        round trip — laziness is part of the scan contract — and a truncated
+        page resumes at ``lo = last_key + b"\\x00"``.  A page is refused
+        with :class:`StorageError` (the cluster marks the node down and reads
+        another replica) unless its attachments pair up (a values page) or
+        it carries one non-negative int length per key (a keys-only page),
+        its keys strictly increase inside the prefix and ``[lo, hi]``, and it
+        is non-empty when truncated: a lying node can neither loop the pager
+        nor slip a foreign key into the result.
         """
+        args: Dict[str, Any] = {"limit": SCAN_PAGE_SIZE}
+        if keys_only:
+            args["keys_only"] = True
         while True:
-            args: Dict = {"limit": SCAN_PAGE_SIZE}
-            attachments = [prefix]
-            if after is not None:
-                args["cursor"] = True
-                attachments.append(after)
-            if lo is not None and hi is not None:
-                args["range"] = True
-                attachments.extend((lo, hi))
-            if keys_only:
-                args["keys_only"] = True
-            response = self._call(Request("kv_scan_prefix", args, attachments))
-            # Scan results escape to the caller (and keys become cursors), so
-            # pin them off the frame buffers here.
+            bounds = [prefix, lo] if hi is None else [prefix, lo, hi]
+            response = self._call(Request("kv_scan_prefix", args, bounds))
+            result = response.result if isinstance(response.result, dict) else {}
+            # Scan results escape to the caller (and keys become resume
+            # points), so pin them off the frame buffers here.
             blobs = [retain(blob) for blob in response.attachments]
             if keys_only:
-                yield from zip(blobs, response.result.get("value_bytes", ()))
+                keys, payloads = blobs, result.get("value_bytes")
+                well_formed = (
+                    isinstance(payloads, list)
+                    and len(payloads) == len(keys)
+                    and all(type(size) is int and size >= 0 for size in payloads)
+                )
             else:
-                yield from zip(blobs[0::2], blobs[1::2])
-            if not response.result.get("truncated"):
+                keys, payloads = blobs[0::2], blobs[1::2]
+                well_formed = len(blobs) % 2 == 0
+            for key in keys:
+                well_formed &= lo <= key and key.startswith(prefix) and (hi is None or key <= hi)
+                lo = key + b"\x00"
+            truncated = bool(result.get("truncated"))
+            if not well_formed or (truncated and not keys):
+                raise StorageError(f"storage node {self._address} sent a malformed kv_scan_prefix page")
+            yield from zip(keys, payloads)
+            if not truncated:
                 return
-            if not blobs:
-                raise ProtocolError("kv_scan_prefix returned a truncated empty region")
-            after = blobs[-1] if keys_only else blobs[-2]
 
-    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """Stream ``(key, value)`` pairs lazily; one round trip per region."""
-        return self._scan(prefix, None, keys_only=False)
-
-    def scan_from(
-        self, prefix: bytes, after: Optional[bytes] = None
+    def scan_prefix(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
-        return self._scan(prefix, after, keys_only=False)
+        """Stream ``(key, value)`` pairs lazily; one round trip per page."""
+        return self._scan(prefix, lo, hi, keys_only=False)
 
-    def scan_range(self, prefix: bytes, lo: bytes, hi: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """Range-filtered scan: the filter runs node-side, so only keys in
-        ``[lo, hi]`` ever cross the wire."""
-        return self._scan(prefix, None, keys_only=False, lo=lo, hi=hi)
-
-    def scan_keys(self, prefix: bytes) -> Iterator[bytes]:
-        """Stream only the keys under ``prefix`` — no value bytes on the wire."""
-        return (key for key, _size in self._scan(prefix, None, keys_only=True))
-
-    def scan_key_sizes(self, prefix: bytes) -> Iterator[Tuple[bytes, int]]:
-        """Stream ``(key, stored_bytes)`` — sizes as integers, never values."""
-        return (
-            (key, len(key) + value_length)
-            for key, value_length in self._scan(prefix, None, keys_only=True)
-        )
-
-    def scan_sizes_from(self, prefix: bytes, after: Optional[bytes] = None) -> Iterator[Tuple[bytes, int]]:
-        """Cursor-resumed ``(key, value_length)`` pairs via keys-only scans."""
-        return self._scan(prefix, after, keys_only=True)
+    def scan_sizes(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, int]]:
+        """Stream ``(key, value_length)`` from keys-only pages — no value bytes on the wire."""
+        return self._scan(prefix, lo, hi, keys_only=True)
 
     # -- bulk erase ----------------------------------------------------------------
 

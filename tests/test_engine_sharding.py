@@ -380,12 +380,12 @@ class TestScanOffload:
         assert remote.wire_stats.round_trips == 1  # one offloaded region
         remote.close()
 
-    def test_scan_range_filters_node_side(self, node):
+    def test_interval_scan_filters_node_side(self, node):
         host, port = node.address
         remote = RemoteKeyValueStore(host, port, timeout=5.0)
         remote.multi_put([(f"k/{index:03d}".encode(), bytes([index])) for index in range(40)])
         remote.wire_stats.reset()
-        got = list(remote.scan_range(b"k/", b"k/005", b"k/012"))
+        got = list(remote.scan_prefix(b"k/", b"k/005", b"k/012"))
         assert [key for key, _value in got] == [f"k/{i:03d}".encode() for i in range(5, 13)]
         assert [value for _key, value in got] == [bytes([i]) for i in range(5, 13)]
         assert remote.wire_stats.round_trips == 1
@@ -420,10 +420,10 @@ class TestScanOffload:
 
 
 class TestClusterPrefixOps:
-    def test_scan_range_merges_replicas(self):
+    def test_interval_scan_merges_replicas(self):
         cluster = StorageCluster(num_nodes=3, replication_factor=2)
         cluster.multi_put([(f"k/{index:03d}".encode(), bytes([index])) for index in range(20)])
-        got = list(cluster.scan_range(b"k/", b"k/004", b"k/011"))
+        got = list(cluster.scan_prefix(b"k/", b"k/004", b"k/011"))
         assert [key for key, _value in got] == [f"k/{i:03d}".encode() for i in range(4, 12)]
 
     def test_delete_prefix_erases_all_replicas(self):
@@ -574,9 +574,9 @@ class TestSortedKeyCacheMixin:
         backend.put(b"b/9", b"v")
         assert backend._keys_sorted() is not first
 
-    def test_default_scan_range_and_delete_prefix(self, backend):
+    def test_interval_scan_and_delete_prefix(self, backend):
         backend.multi_put([(f"c/{i:02d}".encode(), b"v") for i in range(10)])
-        got = [key for key, _v in backend.scan_range(b"c/", b"c/03", b"c/06")]
+        got = [key for key, _v in backend.scan_prefix(b"c/", b"c/03", b"c/06")]
         assert got == [b"c/03", b"c/04", b"c/05", b"c/06"]
         assert backend.delete_prefixes([b"c/"]) == 10
         assert list(backend.scan_prefix(b"c/")) == []

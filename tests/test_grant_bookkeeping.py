@@ -30,8 +30,8 @@ CONFIG = StreamConfig(chunk_interval=1_000, key_tree_height=16, index_fanout=4)
 class _SlowScanStore(MemoryStore):
     """Every prefix scan answers 2 ms after it read: widens any scan-then-write window."""
 
-    def scan_prefix(self, prefix):
-        items = list(super().scan_prefix(prefix))
+    def scan_prefix(self, prefix, lo=b"", hi=None):
+        items = list(super().scan_prefix(prefix, lo, hi))
         time.sleep(0.002)
         return iter(items)
 

@@ -269,7 +269,7 @@ class TestMembershipMovesWholePartitions:
             name
             for name in cluster.node_names
             if name != target
-            and any(True for _ in cluster.node_store(name).scan_keys(HINT_PREFIX + target.encode()))
+            and any(True for _ in cluster.node_store(name).scan_sizes(HINT_PREFIX + target.encode()))
         }
         assert hosts and hosts <= set(replicas) - {target}
         assert cluster.mark_up(target) == len(keys)

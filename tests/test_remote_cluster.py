@@ -17,7 +17,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import pytest
 
@@ -153,7 +153,7 @@ class TestKVWireOps:
             with pytest.raises(ProtocolError):
                 client._call(Request("kv_put", {}, [b"key-without-value"]))
             with pytest.raises(ProtocolError):
-                client._call(Request("kv_scan_prefix", {"limit": 0}, [b""]))
+                client._call(Request("kv_scan_prefix", {"limit": 0}, [b"", b""]))
             with pytest.raises(ProtocolError):
                 client._call(Request("kv_get", {}, []))
 
@@ -163,10 +163,12 @@ class TestKVWireOps:
         remote = RemoteKeyValueStore(host, port, timeout=5.0)
         big_value = bytes(4096)
         remote.multi_put([(f"ko/{index:02d}".encode(), big_value) for index in range(10)])
-        assert remote.keys_with_prefix(b"ko/") == [f"ko/{index:02d}".encode() for index in range(10)]
+        remote.wire_stats.reset()
+        assert list(remote.scan_sizes(b"ko/")) == [
+            (f"ko/{index:02d}".encode(), len(big_value)) for index in range(10)
+        ]
         assert remote.count_prefix(b"ko/") == 10
-        keys = list(remote.scan_keys(b"ko/"))
-        assert keys == sorted(keys) and len(keys) == 10
+        assert remote.wire_stats.bytes_received < len(big_value)
         remote.close()
 
     def test_oversized_multi_get_defers_instead_of_breaking_frames(self, node, monkeypatch):
@@ -244,7 +246,7 @@ class TestKVWireOps:
         host, port = node.address
         with RemoteServerClient(host, port, timeout=5.0) as client:
             with pytest.raises(ProtocolError, match="dispatch"):
-                client._call(Request("kv_scan_prefix", {"limit": "not-a-number"}, [b""]))
+                client._call(Request("kv_scan_prefix", {"limit": "not-a-number"}, [b"", b""]))
             assert client.ping()  # connection unharmed
 
     @pytest.mark.parametrize(
@@ -279,33 +281,33 @@ class TestKVWireOps:
         assert after["enqueued_interactive"] == before["enqueued_interactive"] + 1
         assert after["enqueued_bulk"] == before["enqueued_bulk"]
 
-    def test_memory_store_scan_from_resumes_by_cursor(self):
+    def test_memory_store_scan_resumes_past_a_key(self):
         store = MemoryStore()
         store.multi_put([(f"sf/{index:02d}".encode(), bytes([index])) for index in range(10)])
-        resumed = list(store.scan_from(b"sf/", after=b"sf/04"))
+        resumed = list(store.scan_prefix(b"sf/", b"sf/04\x00"))
         assert [key for key, _ in resumed] == [f"sf/{index:02d}".encode() for index in range(5, 10)]
-        assert list(store.scan_from(b"sf/", after=None)) == list(store.scan_prefix(b"sf/"))
-        assert list(store.scan_from(b"sf/", after=b"sf/99")) == []
+        assert list(store.scan_prefix(b"sf/", b"")) == list(store.scan_prefix(b"sf/"))
+        assert list(store.scan_prefix(b"sf/", b"sf/99\x00")) == []
         # The sorted-key cache invalidates on every mutation flavour.
         store.put(b"sf/10", b"new")
-        assert list(store.scan_from(b"sf/", after=b"sf/08"))[-1][0] == b"sf/10"
+        assert list(store.scan_prefix(b"sf/", b"sf/08\x00"))[-1][0] == b"sf/10"
         store.delete(b"sf/10")
         store.multi_put([(b"sf/11", b"x")])
-        assert [key for key, _ in store.scan_from(b"sf/", after=b"sf/09")] == [b"sf/11"]
+        assert [key for key, _ in store.scan_prefix(b"sf/", b"sf/09\x00")] == [b"sf/11"]
         store.multi_delete([b"sf/11"])
-        assert list(store.scan_from(b"sf/", after=b"sf/09")) == []
+        assert list(store.scan_prefix(b"sf/", b"sf/09\x00")) == []
 
-    def test_scan_from_cursor_is_strictly_exclusive_for_equal_prefix(self):
-        # Regression: the cursor must be exclusive by *value*, including the
-        # aliased/interned b"" case — a re-yielded cursor key would make the
+    def test_resume_point_is_strictly_past_the_key_for_equal_prefix(self):
+        # Regression: resuming past a key must skip it by *value*, including
+        # the aliased/interned b"" case — a re-yielded key would make the
         # remote pager loop on the same page forever.
         store = MemoryStore()
         store.put(b"", b"empty-key")
         store.put(b"a", b"1")
-        assert [key for key, _ in store.scan_from(b"", after=b"")] == [b"a"]
-        assert [key for key, _ in store.scan_from(b"a", after=b"a")] == []
+        assert [key for key, _ in store.scan_prefix(b"", b"\x00")] == [b"a"]
+        assert [key for key, _ in store.scan_prefix(b"a", b"a\x00")] == []
 
-    def test_append_log_store_scan_flavours(self, tmp_path):
+    def test_append_log_store_scans(self, tmp_path):
         from repro.storage.disk import AppendLogStore
 
         store = AppendLogStore(tmp_path / "node.log")
@@ -313,14 +315,11 @@ class TestKVWireOps:
         store.multi_put(items)
         store.delete(b"al/03")
         expected = [(key, value) for key, value in items if key != b"al/03"]
-        assert list(store.scan_keys(b"al/")) == [key for key, _ in expected]
-        assert list(store.scan_key_sizes(b"al/")) == [
-            (key, len(key) + len(value)) for key, value in expected
-        ]
-        assert list(store.scan_sizes_from(b"al/", after=b"al/05")) == [
+        assert list(store.scan_sizes(b"al/")) == [(key, len(value)) for key, value in expected]
+        assert list(store.scan_sizes(b"al/", b"al/05\x00")) == [
             (key, len(value)) for key, value in expected if key > b"al/05"
         ]
-        assert list(store.scan_from(b"al/", after=b"al/05")) == [
+        assert list(store.scan_prefix(b"al/", b"al/05\x00")) == [
             (key, value) for key, value in expected if key > b"al/05"
         ]
         store.close()
@@ -336,7 +335,7 @@ class TestKVWireOps:
             items = [(f"p/{index:02d}".encode(), bytes([index]) * 20) for index in range(8)]
             remote.multi_put(items)
             assert list(remote.scan_prefix(b"p/")) == items
-            assert list(remote.scan_keys(b"p/")) == [key for key, _ in items]
+            assert [key for key, _size in remote.scan_sizes(b"p/")] == [key for key, _ in items]
             assert remote.size_bytes() == store.size_bytes()
             remote.close()
         store.close()
@@ -496,17 +495,22 @@ class TestRemoteStoreFailures:
 
 
 class _HostileNodeDispatcher(StorageNodeDispatcher):
-    """A storage node that rewrites its honest ``kv_multi_*`` answers.
+    """A storage node that rewrites its honest answers to the ``ops`` requests.
 
     ``rewrite(honest_response) -> (result, attachments)``; after 20 answers
     it turns honest, so a client that would spin forever on a hostile node
     ends the test with a failed assertion instead of a hang.
     """
 
-    def __init__(self, store, rewrite) -> None:
+    def __init__(self, store, rewrite, ops=("kv_multi_get", "kv_multi_delete")) -> None:
         super().__init__(store)
         self.rewrite = rewrite
+        self.ops = ops
         self.answers = 0
+
+    def dispatch(self, request: Request) -> Response:
+        response = super().dispatch(request)
+        return self._hostile(response) if request.operation in self.ops else response
 
     def _hostile(self, honest: Response) -> Response:
         self.answers += 1
@@ -514,12 +518,6 @@ class _HostileNodeDispatcher(StorageNodeDispatcher):
             return honest
         result, attachments = self.rewrite(honest)
         return Response(ok=True, result=result, attachments=attachments)
-
-    def _op_kv_multi_get(self, request: Request) -> Response:
-        return self._hostile(super()._op_kv_multi_get(request))
-
-    def _op_kv_multi_delete(self, request: Request) -> Response:
-        return self._hostile(super()._op_kv_multi_delete(request))
 
 
 _KEYS = [b"h/0", b"h/1", b"h/2"]
@@ -556,11 +554,41 @@ _HOSTILE_DELETES = {
 }
 
 
+#: Hostile ``kv_scan_prefix`` pages for a scan of ``b"p/"`` in
+#: ``[b"p/0", b"p/5"]``: ``shape -> (keys_only, rewrite)``.
+_HOSTILE_SCANS = {
+    "same_page_forever": (False, lambda r: ({"truncated": True}, [b"p/1", b"v", b"p/2", b"w"])),
+    "same_keys_only_page_forever_without_lengths": (
+        True,
+        lambda r: ({"truncated": True}, [b"p/1", b"p/2"]),
+    ),
+    "foreign_key_in_an_odd_page": (False, lambda r: ({}, [b"p/2", b"v", b"q/1", b"w", b"p/1"])),
+    "lengths_not_ints": (True, lambda r: ({"value_bytes": [1, "x"]}, [b"p/1", b"p/2", b"p/3"])),
+    "negative_length": (True, lambda r: ({"value_bytes": [-1]}, [b"p/1"])),
+    "decreasing_keys": (True, lambda r: ({"value_bytes": [1, 1]}, [b"p/2", b"p/1"])),
+    "repeated_key": (False, lambda r: ({}, [b"p/1", b"v", b"p/1", b"w"])),
+    "key_below_lo": (False, lambda r: ({}, [b"p/", b"v"])),
+    "key_past_hi": (False, lambda r: ({}, [b"p/9", b"v"])),
+    "truncated_empty_page": (False, lambda r: ({"truncated": True}, [])),
+    "result_not_a_dict": (True, lambda r: ([0], [b"p/1"])),
+}
+
+_SCAN_ITEMS = {b"p/1": b"one", b"p/2": b"two", b"p/3": b"three"}
+
+
+def _bounded_scan(store, keys_only: bool):
+    scan = store.scan_sizes if keys_only else store.scan_prefix
+    return list(scan(b"p/", b"p/0", b"p/5"))
+
+
 @contextmanager
-def _hostile_node(rewrite) -> Iterator[Tuple[_HostileNodeDispatcher, RemoteKeyValueStore]]:
+def _hostile_node(
+    rewrite, ops=("kv_multi_get", "kv_multi_delete")
+) -> Iterator[Tuple[_HostileNodeDispatcher, RemoteKeyValueStore]]:
     store = MemoryStore()
     store.multi_put([(key, b"value-" + key) for key in _KEYS])
-    dispatcher = _HostileNodeDispatcher(store, rewrite)
+    store.multi_put(list(_SCAN_ITEMS.items()))
+    dispatcher = _HostileNodeDispatcher(store, rewrite, ops)
     with TimeCryptTCPServer(dispatcher=dispatcher) as server:
         remote = RemoteKeyValueStore(*server.address, timeout=5.0)
         try:
@@ -581,6 +609,10 @@ class TestHostileKVResponses:
                 b"h/missing": None,
             }
             assert remote.multi_delete([b"h/1", b"h/missing"]) == {b"h/1"}
+            assert _bounded_scan(remote, keys_only=False) == list(_SCAN_ITEMS.items())
+            assert _bounded_scan(remote, keys_only=True) == [
+                (key, len(value)) for key, value in _SCAN_ITEMS.items()
+            ]
 
     @pytest.mark.parametrize("shape", sorted(_HOSTILE_GETS))
     def test_hostile_multi_get_is_a_storage_error(self, shape):
@@ -595,6 +627,42 @@ class TestHostileKVResponses:
             with pytest.raises(StorageError, match="storage node"):
                 remote.multi_delete(_KEYS)
             assert dispatcher.answers == 1
+
+    @pytest.mark.parametrize("shape", sorted(_HOSTILE_SCANS))
+    def test_hostile_scan_page_is_a_storage_error(self, shape):
+        keys_only, rewrite = _HOSTILE_SCANS[shape]
+        with _hostile_node(rewrite, ops=("kv_scan_prefix",)) as (dispatcher, remote):
+            started = time.monotonic()
+            with pytest.raises(StorageError, match="malformed kv_scan_prefix page"):
+                _bounded_scan(remote, keys_only)
+            assert time.monotonic() - started < 5.0  # within the client timeout
+            assert dispatcher.answers <= 2  # refused by the second page at the latest
+
+    @pytest.mark.parametrize("shape", sorted(_HOSTILE_SCANS))
+    def test_cluster_marks_hostile_scan_node_down_and_scans_the_other_replica(self, shape):
+        keys_only, rewrite = _HOSTILE_SCANS[shape]
+        honest = StorageNodeServer(MemoryStore()).start()
+        hostile = _HostileNodeDispatcher(MemoryStore(), rewrite, ops=("kv_scan_prefix",))
+        addresses = {"node-0": honest.address}
+        with TimeCryptTCPServer(dispatcher=hostile) as hostile_server:
+            addresses["node-1"] = hostile_server.address
+            cluster = StorageCluster(
+                num_nodes=2,
+                replication_factor=2,
+                store_factory=lambda name: RemoteKeyValueStore(*addresses[name], timeout=5.0),
+            )
+            try:
+                cluster.multi_put(list(_SCAN_ITEMS.items()))
+                if keys_only:
+                    assert cluster.size_bytes() == sum(
+                        len(key) + len(value) for key, value in _SCAN_ITEMS.items()
+                    )
+                else:
+                    assert _bounded_scan(cluster, keys_only) == list(_SCAN_ITEMS.items())
+                assert cluster._down == {"node-1"}
+            finally:
+                cluster.close()
+                honest.stop()
 
     def test_cluster_marks_hostile_node_down_and_reads_the_other_replica(self):
         honest = StorageNodeServer(MemoryStore()).start()
@@ -837,8 +905,10 @@ class _CountingStore(MemoryStore):
         super().__init__()
         self.scan_yields = 0
 
-    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        for item in super().scan_prefix(prefix):
+    def scan_prefix(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        for item in super().scan_prefix(prefix, lo, hi):
             self.scan_yields += 1
             yield item
 

@@ -3,17 +3,24 @@
 from __future__ import annotations
 
 import tempfile
+from contextlib import ExitStack
 from pathlib import Path
+from typing import Iterator, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.storage.remote as remote_module
+from repro.access.keystore import TokenStore
 from repro.exceptions import PartitionError
 from repro.storage.cluster import StorageCluster
 from repro.storage.disk import AppendLogStore
+from repro.storage.kv import KeyValueStore
 from repro.storage.memory import MemoryStore
+from repro.storage.node import StorageNodeServer
 from repro.storage.partitioner import ConsistentHashRing
+from repro.storage.remote import RemoteKeyValueStore
 
 
 class TestMemoryStore:
@@ -175,10 +182,9 @@ class TestSortedKeyCache:
                 elif op == "scan":
                     want = sorted(key for key in model if key.startswith(arg))
                     assert [key for key, _value in store.scan_prefix(arg)] == want
-                    assert [key for key, _value in store.scan_from(arg)] == want
-                    assert list(store.scan_keys(arg)) == want
+                    assert [key for key, _size in store.scan_sizes(arg)] == want
                 else:
-                    iterator = store.scan_from(arg)
+                    iterator = store.scan_prefix(arg)
                     next(iterator, None)  # captures the published list
                     captured = store._keys_sorted()
                     live.append((iterator, captured, list(captured)))
@@ -199,6 +205,134 @@ class TestSortedKeyCache:
         second = store._keys_sorted()
         assert second is not first and b"k/0005" not in first
         assert second == sorted(first + [b"k/0005"])
+
+
+# ---------------------------------------------------------------------------
+# The scan contract, one table over every backend
+# ---------------------------------------------------------------------------
+
+#: Keys chosen for the interval edges: the empty key, a key equal to a
+#: prefix, keys ending in NUL (the least byte strings above their stems) and
+#: keys above every printable prefix.
+_CONTRACT_KEYS = [
+    b"", b"\x00", b"a", b"a\x00", b"a\x00\x00", b"a\x01", b"a/1", b"a/2",
+    b"ab", b"ab\x00", b"ab/1", b"ab/2", b"b", b"b\x00", b"\xff", b"\xff\xff",
+]
+_CONTRACT_ITEMS = {key: bytes(index + 1) for index, key in enumerate(_CONTRACT_KEYS)}
+
+#: ``(prefix, lo, hi)`` cases; each is checked against a sorted-dict reference.
+_CONTRACT_CASES = [
+    (b"", b"", None),  # the whole keyspace, the empty key first
+    (b"", b"\x00", None),  # resuming after the empty key
+    (b"", b"", b""),  # only the empty key
+    (b"a", b"", None),  # a key equal to the prefix is under it
+    (b"a", b"a\x00", None),  # resuming after b"a" still yields b"a\x00"
+    (b"a", b"a\x00\x00", None),
+    (b"a", b"a\x00\x00\x00", b"a/1"),
+    (b"ab", b"a", b"b"),  # lo and hi both outside the prefix
+    (b"ab", b"ab/1", b"ab/1"),  # a single key
+    (b"a/", b"", b"a/1\x00"),
+    (b"a", b"b", None),  # lo past the prefix region
+    (b"b", b"", b"a"),  # hi below the prefix region
+    (b"a", b"ab", b"a\x01"),  # lo > hi
+    (b"\xff", b"", None),
+    (b"c", b"", None),  # nothing under the prefix
+]
+
+
+def _reference(prefix: bytes, lo: bytes, hi: Optional[bytes]):
+    return [
+        (key, _CONTRACT_ITEMS[key])
+        for key in sorted(_CONTRACT_ITEMS)
+        if key.startswith(prefix) and lo <= key and (hi is None or key <= hi)
+    ]
+
+
+@pytest.fixture(params=["memory", "append-log", "remote", "cluster", "remote-cluster"])
+def scan_backend(request, tmp_path, monkeypatch):
+    """A store of each backend kind holding :data:`_CONTRACT_ITEMS`.
+
+    Remote backends page two items at a time, so every multi-key case also
+    exercises the resume point ``lo = last_key + b"\\x00"``.
+    """
+    monkeypatch.setattr(remote_module, "SCAN_PAGE_SIZE", 2)
+    with ExitStack() as stack:
+
+        def remote_store(_name: str = "") -> RemoteKeyValueStore:
+            server = stack.enter_context(StorageNodeServer(MemoryStore()))
+            store = RemoteKeyValueStore(*server.address, timeout=5.0)
+            stack.callback(store.close)
+            return store
+
+        if request.param == "memory":
+            store: KeyValueStore = MemoryStore()
+        elif request.param == "append-log":
+            store = AppendLogStore(tmp_path / "scan.log")
+        elif request.param == "remote":
+            store = remote_store()
+        elif request.param == "cluster":
+            store = StorageCluster(num_nodes=3, replication_factor=2)
+        else:
+            store = StorageCluster(num_nodes=3, replication_factor=2, store_factory=remote_store)
+        stack.callback(store.close)
+        store.multi_put(sorted(_CONTRACT_ITEMS.items()))
+        yield store
+
+
+class TestScanContract:
+    @pytest.mark.parametrize("prefix, lo, hi", _CONTRACT_CASES)
+    def test_scans_match_a_sorted_dict(self, scan_backend, prefix, lo, hi):
+        want = _reference(prefix, lo, hi)
+        assert list(scan_backend.scan_prefix(prefix, lo, hi)) == want
+        assert list(scan_backend.scan_sizes(prefix, lo, hi)) == [
+            (key, len(value)) for key, value in want
+        ]
+
+    def test_defaults_cover_the_whole_prefix(self, scan_backend):
+        assert list(scan_backend.scan_prefix(b"a")) == _reference(b"a", b"", None)
+        assert scan_backend.count_prefix(b"ab") == len(_reference(b"ab", b"", None))
+        assert scan_backend.size_bytes() == sum(
+            len(key) + len(value) for key, value in _CONTRACT_ITEMS.items()
+        )
+
+
+class _VisitCountingStore(KeyValueStore):
+    """Wraps a MemoryStore and counts the items its scans walk."""
+
+    def __init__(self) -> None:
+        self._inner = MemoryStore()
+        self.visits = 0
+
+    def get(self, key):
+        return self._inner.get(key)
+
+    def put(self, key, value):
+        self._inner.put(key, value)
+
+    def delete(self, key):
+        return self._inner.delete(key)
+
+    def scan_prefix(
+        self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        for item in self._inner.scan_prefix(prefix, lo, hi):
+            self.visits += 1
+            yield item
+
+
+def test_interval_scan_walks_only_its_interval_on_the_node():
+    store = _VisitCountingStore()
+    with StorageNodeServer(store) as server:
+        remote = RemoteKeyValueStore(*server.address, timeout=5.0)
+        tokens = TokenStore(store=remote)
+        tokens.put_envelopes("s", 4, {window: b"e%d" % window for window in range(1000)})
+        store.visits = 0
+        envelopes = tokens.envelopes_for_range("s", 4, 500, 502)
+        assert envelopes == {500: b"e500", 501: b"e501", 502: b"e502"}
+        # The node seeks to lo and stops past hi; it does not walk the 500
+        # envelope keys below the interval.
+        assert store.visits <= 4
+        remote.close()
 
 
 class TestConsistentHashRing:

@@ -39,9 +39,11 @@ class MinimalStore(KeyValueStore):
     def delete(self, key):
         return self.data.pop(key, None) is not None
 
-    def scan_prefix(self, prefix):
+    def scan_prefix(self, prefix, lo=b"", hi=None):
         return iter(
-            (key, value) for key, value in sorted(self.data.items()) if key.startswith(prefix)
+            (key, value)
+            for key, value in sorted(self.data.items())
+            if key.startswith(prefix) and lo <= key and (hi is None or key <= hi)
         )
 
 
