@@ -83,8 +83,8 @@ class _LatencyStore(MemoryStore):
     The sleep happens *before* the in-memory work and outside the store's
     internal lock, so concurrent engines overlap their waits — the same
     behaviour a real :class:`RemoteKeyValueStore` has while blocked on a
-    socket.  Scalar ops stay free: the engine's hot paths are batched, and
-    charging ``contains``/``get`` would just tax untimed setup.
+    socket.  A one-key ``contains``/``get``/``put`` is a batch of one and
+    pays too; the engine calls one only in untimed setup (``create_stream``).
     """
 
     def multi_get(self, keys):

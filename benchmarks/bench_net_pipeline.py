@@ -9,12 +9,12 @@ over a real TCP socket (loopback, in-process server):
 1. **Ingest** — an N-chunk ingest batch must cost ≤ 2 wire round trips
    through the pipelined client (one ``insert_chunks`` frame per delivered
    batch, plus the final flush), a ≥ 10× reduction vs. the scalar wire
-   (one ``insert_chunk`` round trip per chunk).
+   (one one-chunk ``insert_chunks`` round trip per chunk).
 2. **Queries** — a raw range read covering the whole stream and a
    statistical range query each cost one round trip, however many chunks
    or index nodes they touch.
 3. **Grant bursts** — onboarding a cohort of K principals costs ≤ 2 round
-   trips through ``put_grants`` (vs. K through scalar ``put_grant``), and a
+   trips through ``put_grants`` (vs. K one-grant bursts), and a
    K-principal grant *pickup* collapses into one round trip through
    ``pipeline()``.
 
@@ -85,7 +85,7 @@ def _run_ingest(remote: RemoteServerClient, num_chunks: int, scalar_wire: bool) 
     """Ingest ``num_chunks`` chunks; returns wall clock and wire counters.
 
     ``scalar_wire`` reproduces the pre-pipelining behaviour — every chunk
-    shipped as its own ``insert_chunk`` round trip — by disabling the
+    shipped as its own one-chunk round trip — by disabling the
     writer's bulk delivery path against the *same* server, so the
     comparison isolates wire batching from everything else.
     """
@@ -255,7 +255,7 @@ def main(argv=None) -> None:
         ),
         columns=["wire", "round trips/batch", "total", "records/s", "wall clock"],
     )
-    for label, row in (("scalar insert_chunk", scalar), ("pipelined insert_chunks", batched)):
+    for label, row in (("one chunk per insert_chunks", scalar), ("pipelined insert_chunks", batched)):
         ingest_table.add_row(
             label,
             f"{row['round_trips_per_batch']:.1f}",
@@ -288,7 +288,7 @@ def main(argv=None) -> None:
         columns=["path", "issue round trips", "pickup round trips", "issue wall clock"],
     )
     for label, row in (
-        ("scalar put_grant", grant_scalar),
+        ("one grant per grant_access", grant_scalar),
         ("put_grants + pipeline", grant_batched),
     ):
         grant_table.add_row(

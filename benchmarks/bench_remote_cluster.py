@@ -189,7 +189,7 @@ def _run_placement(deployment: Deployment, head: int) -> Dict[str, int]:
     for store in deployment.backing.values():
         store.stats.reset()
     owner.insert_records(uuid, records[batch_start:])
-    written = _nodes_touched(deployment, "puts", "multi_puts")
+    written = _nodes_touched(deployment, "multi_puts")
     # A fresh engine has a cold node cache; its start-up metadata scan
     # (every node) is not part of the cover, so count after it.
     cold = ServerEngine(store=deployment.store)
@@ -198,7 +198,7 @@ def _run_placement(deployment: Deployment, head: int) -> Dict[str, int]:
     cold.stat_range_windows(uuid, max(1, head - 200), head + 2 * CHUNKS_PER_BATCH - 1)
     return {
         "ingest_batch_nodes_written": written,
-        "cold_cover_nodes_read": _nodes_touched(deployment, "gets", "multi_gets"),
+        "cold_cover_nodes_read": _nodes_touched(deployment, "multi_gets"),
     }
 
 

@@ -51,7 +51,7 @@ import random
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import ServerEngine, TimeCrypt
 from repro.bench.reporting import ResultTable, format_duration, write_json_report
@@ -102,24 +102,26 @@ _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_storage.json"
 
 
 class PerKeyStore(KeyValueStore):
-    """Degrades every batch op to the scalar per-key loop.
+    """Degrades every batch op to a loop of one-key batches.
 
     Wrapping a real backend in this reproduces the pre-batching round-trip
-    pattern (one backend call per key) against the *same* storage engine, so
-    the comparison isolates batching from everything else.
+    pattern (one backend call per key: n keys cost n one-key batches, n
+    round trips) against the *same* storage engine, so the comparison
+    isolates batching from everything else.
     """
 
     def __init__(self, inner: KeyValueStore) -> None:
         self._inner = inner
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        return self._inner.get(key)
+    def multi_get(self, keys: Iterable[bytes]) -> Dict[bytes, Optional[bytes]]:
+        return {key: self._inner.get(key) for key in keys}
 
-    def put(self, key: bytes, value: bytes) -> None:
-        self._inner.put(key, value)
+    def multi_put(self, items: Iterable[Tuple[bytes, bytes]]) -> None:
+        for key, value in items:
+            self._inner.put(key, value)
 
-    def delete(self, key: bytes) -> bool:
-        return self._inner.delete(key)
+    def multi_delete(self, keys: Iterable[bytes]) -> Set[bytes]:
+        return {key for key in keys if self._inner.delete(key)}
 
     def scan_prefix(
         self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
@@ -128,9 +130,6 @@ class PerKeyStore(KeyValueStore):
 
     def close(self) -> None:
         self._inner.close()
-
-    # multi_get / multi_put / multi_delete deliberately NOT overridden: the
-    # KeyValueStore defaults loop over the scalar ops above.
 
 
 def _ingest_records(num_chunks: int):
@@ -242,7 +241,7 @@ def _spine_reads() -> Dict[str, object]:
     def append_reads(chunk) -> int:
         store.stats.reset()
         cold.insert_chunk(chunk)
-        return store.stats.gets + store.stats.multi_gets
+        return store.stats.multi_gets
 
     first = append_reads(chunks[SPINE_POPULATED_CHUNKS])
     steady = 0

@@ -70,10 +70,6 @@ class TokenStore:
 
     # -- sealed grant envelopes -----------------------------------------------
 
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        """Store a sealed grant envelope; returns its grant id."""
-        return self.put_grants([(stream_uuid, principal_id, sealed_token)])[0]
-
     def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
         """Store a burst of sealed grants; returns their ids in input order.
 

@@ -97,10 +97,7 @@ class TimeCrypt:
             config=metadata.config,
             cipher=keys.heac_cipher(),
             sink=self.server.insert_chunk,
-            # Server handles without a bulk-ingest entry point fall back to
-            # per-chunk delivery (RemoteServerClient additionally downgrades
-            # itself when the remote dispatcher rejects the wire op).
-            batch_sink=getattr(self.server, "insert_chunks", None),
+            batch_sink=self.server.insert_chunks,
         )
         self._streams[metadata.uuid] = _OwnedStream(metadata=metadata, keys=keys, writer=writer)
         return metadata.uuid

@@ -355,7 +355,6 @@ _decode_pong = _answer_decoder(lambda response: bool(response.result.get("pong")
 _decode_head = _int_result("head")
 _decode_window_index = _int_result("window_index")
 _decode_deleted = _int_result("deleted")
-_decode_grant_id = _int_result("grant_id")
 decode_stat = _answer_decoder(lambda response: stat_from_json(response.result["stat"]))
 _decode_series = _answer_decoder(lambda response: [stat_from_json(item) for item in response.result["series"]])
 _decode_aggregate = _answer_decoder(lambda response: aggregate_from_json(response.result))
@@ -447,8 +446,8 @@ class _EngineCalls:
         return self._engine_call(stream_uuid, Request("rollup_stream", args), _decode_deleted)
 
     def insert_chunk(self, chunk: EncryptedChunk) -> int:
-        request = Request("insert_chunk", {}, [encode_encrypted_chunk(chunk)])
-        return self._engine_call(chunk.stream_uuid, request, _decode_window_index)
+        """One chunk, sent as a batch of one (``TimeCrypt``'s per-chunk writer sink)."""
+        return self.insert_chunks([chunk])
 
     def insert_chunks(self, chunks: Sequence[EncryptedChunk]) -> int:
         """Bulk ingest over one round trip; returns the first appended window index."""
@@ -476,10 +475,6 @@ class _EngineCalls:
         uuids = list(stream_uuids)
         args = {"uuids": uuids, "start": time_range.start, "end": time_range.end}
         return self._engine_call(uuids[0] if uuids else None, Request("stat_range_multi", args), _decode_aggregate)
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        request = Request("put_grant", {"uuid": stream_uuid, "principal_id": principal_id}, [sealed_token])
-        return self._engine_call(stream_uuid, request, _decode_grant_id)
 
     def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
         """A cohort grant burst: one wire round trip, one storage ``multi_put``."""
@@ -572,9 +567,6 @@ class _WireTokenStore:
 
     def __init__(self, client: _EngineCalls) -> None:
         self._client = client
-
-    def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        return self._client.put_grant(stream_uuid, principal_id, sealed_token)
 
     def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
         return self._client.put_grants(grants)

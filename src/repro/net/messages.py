@@ -1,12 +1,13 @@
 """Request/response messages of the TimeCrypt wire protocol.
 
 The protocol mirrors the server engine's API surface: stream lifecycle,
-chunk ingest (scalar and bulk), raw range retrieval, statistical queries
-(single and multi-stream), grant/envelope pickup (scalar and burst), and
-rollup.  A second op family (``kv_*``) carries the raw key-value store
-contract for remote storage nodes, so the same framing/pipelining serves
-both the engine tier and the storage tier.  Each op is declared once, as a
-row of :data:`OP_TABLE`; every op-name set a tier needs is derived from it.
+chunk ingest, raw range retrieval, statistical queries (single and
+multi-stream), grant/envelope storage and pickup, and rollup.  Each write
+verb has one form, the batch: one chunk or one grant is a batch of one.  A
+second op family (``kv_*``) carries the raw key-value store contract for
+remote storage nodes, so the same framing/pipelining serves both the engine
+tier and the storage tier.  Each op is declared once, as a row of
+:data:`OP_TABLE`; every op-name set a tier needs is derived from it.
 ``hello`` opens every connection: the server answers with its protocol
 version, the operations its dispatcher supports and its capabilities (credit
 window, tracing, routing table), so a client dialling the wrong tier finds
@@ -78,7 +79,6 @@ OP_TABLE: Dict[str, Op] = {
         ("hello",            "interactive", "local"),
         ("create_stream",    "interactive", "engine", "metadata"),
         ("delete_stream",    "bulk",        "engine", "uuid"),
-        ("insert_chunk",     "bulk",        "engine", "chunk"),
         ("insert_chunks",    "bulk",        "engine", "chunk"),
         ("get_range",        "interactive", "engine", "uuid"),
         ("delete_range",     "bulk",        "engine", "uuid"),
@@ -88,7 +88,6 @@ OP_TABLE: Dict[str, Op] = {
         ("rollup_stream",    "bulk",        "engine", "uuid"),
         ("stream_head",      "interactive", "engine", "uuid"),
         ("stream_metadata",  "interactive", "engine", "uuid"),
-        ("put_grant",        "interactive", "engine", "uuid"),
         ("put_grants",       "bulk",        "engine", "grants"),
         ("fetch_grants",     "interactive", "engine", "uuid"),
         ("fetch_envelopes",  "interactive", "engine", "uuid"),
@@ -97,9 +96,6 @@ OP_TABLE: Dict[str, Op] = {
         ("ping",             "interactive", "local"),
         ("stats",            "interactive", "local"),
         ("trace_dump",       "interactive", "local"),
-        ("kv_get",           "interactive", "kv"),
-        ("kv_put",           "interactive", "kv"),
-        ("kv_delete",        "interactive", "kv"),
         ("kv_multi_get",     "interactive", "kv"),
         ("kv_multi_put",     "bulk",        "kv"),
         ("kv_multi_delete",  "bulk",        "kv"),

@@ -296,13 +296,6 @@ class RequestDispatcher(WireDispatcher):
 
     # -- ingest / raw data ------------------------------------------------------------
 
-    def _op_insert_chunk(self, request: Request) -> Response:
-        if not request.attachments:
-            raise ProtocolError("insert_chunk requires a chunk attachment")
-        chunk = decode_encrypted_chunk(request.attachments[0])
-        window_index = self._engine.insert_chunk(chunk)
-        return Response.success({"window_index": window_index})
-
     def _op_insert_chunks(self, request: Request) -> Response:
         """Bulk ingest: one consecutive chunk batch per request (one attachment each)."""
         if not request.attachments:
@@ -350,19 +343,13 @@ class RequestDispatcher(WireDispatcher):
 
     # -- grants / envelopes --------------------------------------------------------------------
 
-    def _op_put_grant(self, request: Request) -> Response:
-        if not request.attachments:
-            raise ProtocolError("put_grant requires a sealed token attachment")
-        # Copy-on-retain: sealed tokens are stored past this request's
-        # lifetime, so they must own their bytes (attachments may be views
-        # over the frame buffer on the zero-copy path).
-        grant_id = self._engine.put_grant(
-            request.args["uuid"], request.args["principal_id"], retain(request.attachments[0])
-        )
-        return Response.success({"grant_id": grant_id})
-
     def _op_put_grants(self, request: Request) -> Response:
-        """Grant burst: many sealed tokens land in one storage ``multi_put``."""
+        """Grant burst: many sealed tokens land in one storage ``multi_put``.
+
+        Copy-on-retain: sealed tokens are stored past this request's
+        lifetime, so they must own their bytes (attachments may be views
+        over the frame buffer on the zero-copy path).
+        """
         targets: List[Dict] = request.args["grants"]
         if len(targets) != len(request.attachments):
             raise ProtocolError("put_grants targets and attachments must align")

@@ -19,7 +19,7 @@ operation names, byte sizes, timings, scheduler class, node names.  Never
 keys, plaintext, or query parameters.  They land in a bounded ring buffer
 (:data:`SPANS` — per process, like the wire-memory counters) served
 remotely by the ``trace_dump`` wire op; the collector drops the oldest
-spans on overflow and can emit a threshold-driven slow-request log.
+spans on overflow and logs every span slower than :data:`SLOW_REQUEST_MS`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ logger = logging.getLogger(__name__)
 Context = Tuple[str, str]
 
 _STATE = threading.local()
+
+#: A recorded span whose ``total_ms`` meets this is logged at WARNING.
+SLOW_REQUEST_MS = 1000.0
 
 
 def new_trace_id() -> str:
@@ -69,19 +72,18 @@ class SpanCollector:
     """A bounded ring buffer of finished spans.
 
     Oldest spans are dropped on overflow (``capacity``), so a long-running
-    server holds a sliding window rather than growing without bound.  With
-    ``slow_ms`` set, any recorded span whose ``total_ms`` meets the
-    threshold is logged at WARNING — the slow-request log an operator
-    greps before reaching for ``trace_dump``.
+    server holds a sliding window rather than growing without bound.  Any
+    recorded span whose ``total_ms`` meets :data:`SLOW_REQUEST_MS` is
+    logged at WARNING — the slow-request log an operator greps before
+    reaching for ``trace_dump``.
     """
 
-    def __init__(self, capacity: int = 4096, slow_ms: Optional[float] = None) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError("span collector capacity must be positive")
         self._lock = threading.Lock()
         self._spans: "deque[Dict[str, Any]]" = deque(maxlen=capacity)
         self._recorded = 0
-        self.slow_ms = slow_ms
 
     @property
     def recorded(self) -> int:
@@ -92,8 +94,7 @@ class SpanCollector:
         with self._lock:
             self._spans.append(span)
             self._recorded += 1
-        slow_ms = self.slow_ms
-        if slow_ms is not None and span.get("total_ms", 0.0) >= slow_ms:
+        if span.get("total_ms", 0.0) >= SLOW_REQUEST_MS:
             logger.warning(
                 "slow request: op=%s node=%s trace=%s total_ms=%.1f",
                 span.get("op"),

@@ -287,16 +287,8 @@ class ServerEngine:
     # -- ingest --------------------------------------------------------------------
 
     def insert_chunk(self, chunk: EncryptedChunk) -> int:
-        """Append an encrypted chunk; updates the index and returns the window index."""
-        state = self._state(chunk.stream_uuid)
-        expected_window = state.index.num_windows
-        if chunk.window_index != expected_window:
-            raise QueryError(
-                f"chunk for window {chunk.window_index} arrived, expected window "
-                f"{expected_window} (ingest is in-order append-only)"
-            )
-        self._ingest(state, [chunk])
-        return chunk.window_index
+        """Append one encrypted chunk (a batch of one); returns its window index."""
+        return self.insert_chunks([chunk])
 
     def _ingest(self, state: StreamState, chunks: Sequence[EncryptedChunk]) -> None:
         """Store validated consecutive chunks of one stream in one write round.
@@ -484,7 +476,8 @@ class ServerEngine:
     # -- token / envelope passthrough ---------------------------------------------------------------
 
     def put_grant(self, stream_uuid: str, principal_id: str, sealed_token: bytes) -> int:
-        return self.token_store.put_grant(stream_uuid, principal_id, sealed_token)
+        """Store one sealed grant (a burst of one); returns its grant id."""
+        return self.put_grants([(stream_uuid, principal_id, sealed_token)])[0]
 
     def put_grants(self, grants: Sequence[Tuple[str, str, bytes]]) -> List[int]:
         """Store a cohort grant burst in one token-store ``multi_put``."""

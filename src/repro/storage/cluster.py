@@ -221,7 +221,7 @@ class StorageCluster(KeyValueStore):
         """Scatter phase: keys grouped by every healthy replica that owns them.
 
         Raises :class:`~repro.exceptions.PartitionError` as soon as any key
-        has no healthy replica, matching the scalar ops.
+        has no healthy replica, as every read and write does.
         """
         groups: Dict[str, List[bytes]] = {}
         # A replica walk hashes only the key's partition: one per partition.
@@ -804,23 +804,12 @@ class StorageCluster(KeyValueStore):
             results.append(result)
         return results
 
-    # -- KeyValueStore interface -------------------------------------------------
-    #
-    # The scalar ops are the batch ops with one key: they inherit the exact
-    # same replica routing, mark-down on node failure, re-route to
-    # survivors, and PartitionError semantics — a dead remote node degrades
-    # a scalar read to its next replica instead of failing the call.
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        return self.multi_get([key])[key]
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self.multi_put([(key, value)])
-
-    def delete(self, key: bytes) -> bool:
-        return key in self.multi_delete([key])
-
     # -- batch primitives (scatter-gather) ----------------------------------------
+    #
+    # A one-key get/put/delete is a batch of one (KeyValueStore): it gets
+    # the same replica routing, mark-down on node failure, re-route to
+    # survivors and PartitionError semantics — a dead remote node degrades
+    # a point read to its next replica instead of failing the call.
 
     def multi_put(self, items: Iterable[Tuple[bytes, bytes]]) -> None:
         """Group the write set by owning replica; one ``multi_put`` per node.
@@ -894,9 +883,9 @@ class StorageCluster(KeyValueStore):
         marked down and its keys are re-routed.  A key resolves to
         ``None`` only once every healthy replica has denied it, and raises
         :class:`~repro.exceptions.PartitionError` when no healthy replica
-        remains — both matching the scalar read path.  During a rebalance
-        the fallback chain extends through the previous topology's owners,
-        so a key whose range is still mid-handoff reads from where it lives.
+        remains.  During a rebalance the fallback chain extends through the
+        previous topology's owners, so a key whose range is still
+        mid-handoff reads from where it lives.
         """
         return self._multi_get_over(list(keys), self._replica_walk, strict=True)
 
@@ -956,19 +945,18 @@ class StorageCluster(KeyValueStore):
     def multi_delete(self, keys: Iterable[bytes]) -> Set[bytes]:
         """Group deletes by owning replica; one ``multi_delete`` per node.
 
-        Unlike ``multi_put``, a node failure here propagates to the caller
-        (matching the scalar ``delete``): the mark-down/repair machinery can
-        backfill a missed *write*, but it cannot propagate a missed
-        tombstone — ``repair_node`` would resurrect the key instead.  The
-        caller must know the delete did not fully land so it can retry.
-        With the concurrent fan-out several nodes may fail in one batch;
-        the lowest-named node's error is the one raised, so the surfaced
-        failure does not depend on thread timing.  During a rebalance the
-        tombstone lands on both the old and new owner sets, so the old-ring
-        read fallback cannot resurrect a deleted key.  Hints parked for the
-        deleted keys (a downed replica missed an earlier write) are dropped
-        in the same per-node batches, so a later hint replay cannot
-        resurrect the value either.
+        Unlike ``multi_put``, a node failure here propagates to the caller:
+        the mark-down/repair machinery can backfill a missed *write*, but it
+        cannot propagate a missed tombstone — ``repair_node`` would
+        resurrect the key instead.  The caller must know the delete did not
+        fully land so it can retry.  With the concurrent fan-out several
+        nodes may fail in one batch; the lowest-named node's error is the
+        one raised, so the surfaced failure does not depend on thread
+        timing.  During a rebalance the tombstone lands on both the old and
+        new owner sets, so the old-ring read fallback cannot resurrect a
+        deleted key.  Hints parked for the deleted keys (a downed replica
+        missed an earlier write) are dropped in the same per-node batches,
+        so a later hint replay cannot resurrect the value either.
         """
         materialized = set(keys)
         if not materialized:

@@ -95,30 +95,6 @@ class AppendLogStore(SortedKeyCache, KeyValueStore):
             raise StorageError(f"truncated value for key {key!r}")
         return value
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        self.stats.gets += 1
-        entry = self._index.get(key)
-        if entry is None:
-            return None
-        return self._read_at(entry[0], entry[1], key)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        record = _RECORD_HEADER.pack(len(key), len(value), 0) + key + value
-        end = self._append_blob(record)
-        if key not in self._index:
-            self._note_added_keys((key,))
-        self._index[key] = (end - len(value), len(value))
-        self.stats.puts += 1
-
-    def delete(self, key: bytes) -> bool:
-        existed = key in self._index
-        if existed:
-            self._append_blob(_RECORD_HEADER.pack(len(key), 0, 1) + key)
-            self._index.pop(key, None)
-            self._invalidate_sorted_keys()
-        self.stats.deletes += 1
-        return existed
-
     def _live_keys(self) -> Iterable[bytes]:
         return self._index
 

@@ -1,19 +1,19 @@
 """The key-value store interface the server engine writes against.
 
 Keys and values are opaque byte strings.  The interface is intentionally the
-lowest common denominator of wide-column / KV stores (get, put, delete,
-multi-get, prefix scan) so that the rest of the system stays portable across
-backends — the paper makes the same argument for building on a standard
-distributed KV store.
+lowest common denominator of wide-column / KV stores (batched get, put and
+delete, plus an interval scan) so that the rest of the system stays portable
+across backends — the paper makes the same argument for building on a
+standard distributed KV store.
 
 The batch operations (``multi_get`` / ``multi_put`` / ``multi_delete``) are
-first-class primitives, not conveniences: the index and server hot paths
-funnel every coalesced write set and every query-time node fetch through
-them, so a backend that implements them as one round trip (one lock
+the only point operations a backend implements: the index and server hot
+paths funnel every coalesced write set and every query-time node fetch
+through them, so a backend that implements them as one round trip (one lock
 acquisition, one buffered append + fsync, one request per cluster node)
 collapses the per-record store traffic that otherwise dominates ingest and
-query cost.  The base class provides scalar-loop fallbacks so ad-hoc
-backends keep working, but every bundled backend overrides them.
+query cost.  ``get`` / ``put`` / ``delete`` are one-key batches, written
+once here; no backend overrides them.
 """
 
 from __future__ import annotations
@@ -97,19 +97,23 @@ class SortedKeyCache:
 
 
 class KeyValueStore(ABC):
-    """Abstract key-value store."""
+    """Abstract key-value store: three batch ops and one interval scan."""
 
     @abstractmethod
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Return the value stored under ``key`` or ``None``."""
+    def multi_get(self, keys: Iterable[bytes]) -> Dict[bytes, Optional[bytes]]:
+        """Batched get (``None`` for a missing key): one round trip per batch."""
 
     @abstractmethod
-    def put(self, key: bytes, value: bytes) -> None:
-        """Store ``value`` under ``key``, replacing any previous value."""
+    def multi_put(self, items: Iterable[Tuple[bytes, bytes]]) -> None:
+        """Batched put, replacing previous values: one round trip per batch."""
 
     @abstractmethod
-    def delete(self, key: bytes) -> bool:
-        """Remove ``key``; returns True when it existed."""
+    def multi_delete(self, keys: Iterable[bytes]) -> Set[bytes]:
+        """Batched delete; returns the subset of keys that existed.
+
+        Returning the keys (not a count) lets replicated backends compose the
+        result: a key logically existed if any replica held it.
+        """
 
     @abstractmethod
     def scan_prefix(
@@ -134,24 +138,16 @@ class KeyValueStore(ABC):
         """
         return ((key, len(value)) for key, value in self.scan_prefix(prefix, lo, hi))
 
-    # -- batch primitives (scalar-loop fallbacks; real backends override) ----------
+    # -- one-key batches ------------------------------------------------------------
 
-    def multi_get(self, keys: Iterable[bytes]) -> Dict[bytes, Optional[bytes]]:
-        """Batched get: one round trip on backends with real batching."""
-        return {key: self.get(key) for key in keys}
+    def get(self, key: bytes) -> Optional[bytes]:
+        return self.multi_get((key,)).get(key)
 
-    def multi_put(self, items: Iterable[Tuple[bytes, bytes]]) -> None:
-        """Batched put: one round trip on backends with real batching."""
-        for key, value in items:
-            self.put(key, value)
+    def put(self, key: bytes, value: bytes) -> None:
+        self.multi_put(((key, value),))
 
-    def multi_delete(self, keys: Iterable[bytes]) -> Set[bytes]:
-        """Batched delete; returns the subset of keys that existed.
-
-        Returning the keys (not a count) lets replicated backends compose the
-        result: a key logically existed if any replica held it.
-        """
-        return {key for key in keys if self.delete(key)}
+    def delete(self, key: bytes) -> bool:
+        return key in self.multi_delete((key,))
 
     # -- conveniences with default implementations --------------------------------
 

@@ -3,8 +3,9 @@
 The default backend for tests and micro-benchmarks: a sorted-key dict with
 the same interface as the persistent stores.  It also tracks operation
 counters so benchmarks can report read/write amplification and backend
-round trips: every scalar call counts as one round trip, every ``multi_*``
-call counts as one round trip regardless of how many keys it moves.
+round trips: every ``multi_*`` call and every scan counts as one round
+trip regardless of how many keys it moves, so a one-key ``get`` / ``put`` /
+``delete`` costs one.
 
 All operations take a single lock, so a ``multi_put`` of n items is one
 lock acquisition (and one atomically visible batch) instead of n — the
@@ -26,16 +27,12 @@ from repro.storage.kv import KeyValueStore, SortedKeyCache, sorted_keys_from
 class StoreStats:
     """Operation counters for a store instance.
 
-    ``gets``/``puts``/``deletes``/``scans`` count scalar calls; the
-    ``multi_*`` pairs count batched calls and the keys they carried.  A
-    backend round trip is one scalar call or one batched call, so
-    ``read_round_trips``/``write_round_trips`` are the numbers a remote
-    backend would see as network requests.
+    ``scans`` counts scan calls; the ``multi_*`` pairs count batched calls
+    and the keys they carried.  A backend round trip is one scan or one
+    batched call, so ``read_round_trips``/``write_round_trips`` are the
+    numbers a remote backend would see as network requests.
     """
 
-    gets: int = 0
-    puts: int = 0
-    deletes: int = 0
     scans: int = 0
     multi_gets: int = 0
     multi_get_keys: int = 0
@@ -46,20 +43,17 @@ class StoreStats:
 
     @property
     def read_round_trips(self) -> int:
-        return self.gets + self.multi_gets + self.scans
+        return self.multi_gets + self.scans
 
     @property
     def write_round_trips(self) -> int:
-        return self.puts + self.deletes + self.multi_puts + self.multi_deletes
+        return self.multi_puts + self.multi_deletes
 
     @property
     def round_trips(self) -> int:
         return self.read_round_trips + self.write_round_trips
 
     def reset(self) -> None:
-        self.gets = 0
-        self.puts = 0
-        self.deletes = 0
         self.scans = 0
         self.multi_gets = 0
         self.multi_get_keys = 0
@@ -94,26 +88,6 @@ class MemoryStore(SortedKeyCache, KeyValueStore):
 
     def _live_keys(self) -> Iterable[bytes]:
         return self._data
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        with self._lock:
-            self.stats.gets += 1
-            return self._data.get(key)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        with self._lock:
-            self.stats.puts += 1
-            if key not in self._data:
-                self._note_added_keys((key,))
-            self._data[key] = value
-
-    def delete(self, key: bytes) -> bool:
-        with self._lock:
-            self.stats.deletes += 1
-            existed = self._data.pop(key, None) is not None
-            if existed:
-                self._invalidate_sorted_keys()
-            return existed
 
     def scan_prefix(
         self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None

@@ -12,11 +12,9 @@ whose ``store_factory`` returns
 across real sockets instead of in-process objects.
 
 Wire encoding: keys and values are opaque byte strings, so every key and
-value travels as a binary attachment, never inside the JSON header.
+value travels as a binary attachment, never inside the JSON header.  Every
+op is a batch op; a point read or write is a batch of one key.
 
-* ``kv_get``        — attachments ``[key]`` → ``{found}`` + ``[value]`` if found
-* ``kv_put``        — attachments ``[key, value]``
-* ``kv_delete``     — attachments ``[key]`` → ``{existed}``
 * ``kv_multi_get``  — attachments ``keys`` → ``{found: [indices]}`` + values
   of the found keys, in index order; a response that would blow the frame
   cap serves a byte-capped head and returns the rest as ``deferred``
@@ -113,39 +111,12 @@ class StorageNodeDispatcher(WireDispatcher):
             return StorageError(f"storage backend failed: {exc}")
         return super()._unexpected_error(exc)
 
-    # -- helpers -------------------------------------------------------------------
+    # -- ops -----------------------------------------------------------------------
     #
     # The zero-copy server hands dispatchers memoryview attachments over
     # per-frame buffers.  Keys are used as dict keys / set members / ordering
     # bounds and stored past the request's lifetime, so every key (and every
     # stored value) is pinned with retain() at the wire boundary.
-
-    @staticmethod
-    def _one_key(request: Request) -> bytes:
-        if len(request.attachments) != 1:
-            raise ProtocolError(f"{request.operation} requires exactly one key attachment")
-        return retain(request.attachments[0])
-
-    # -- scalar ops ----------------------------------------------------------------
-
-    def _op_kv_get(self, request: Request) -> Response:
-        value = self._store.get(self._one_key(request))
-        if value is None:
-            return Response.success({"found": False})
-        return Response.success({"found": True}, [value])
-
-    def _op_kv_put(self, request: Request) -> Response:
-        if len(request.attachments) != 2:
-            raise ProtocolError("kv_put requires key and value attachments")
-        key, value = (retain(blob) for blob in request.attachments)
-        self._store.put(key, value)
-        return Response.success()
-
-    def _op_kv_delete(self, request: Request) -> Response:
-        existed = self._store.delete(self._one_key(request))
-        return Response.success({"existed": existed})
-
-    # -- batch ops -----------------------------------------------------------------
 
     def _op_kv_multi_get(self, request: Request) -> Response:
         """Batched get; oversized result sets defer their tail to the client.

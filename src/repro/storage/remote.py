@@ -40,8 +40,8 @@ protocol (the ``kv_*`` op family), so a
   transport failure and redialled once per operation, so a node restart
   heals transparently and wire counters run on across it.  Idempotent KV
   operations make the at-least-once retry safe; the one observable wrinkle
-  is that a ``delete`` retried across a reconnect can report
-  ``existed=False`` for a key its first, half-lost attempt removed.
+  is that a ``multi_delete`` retried across a reconnect can leave out of
+  ``existed`` a key its first, half-lost attempt removed.
 * **Elastic membership.**  A client is cheap before its first operation
   (no socket until then), so ``StorageCluster.add_node`` can adopt a
   ``RemoteKeyValueStore`` for a node that is still booting; the handoff's
@@ -167,20 +167,6 @@ class RemoteKeyValueStore(KeyValueStore):
                     ) from error
                 raise error
         return responses
-
-    # -- KeyValueStore contract ----------------------------------------------------
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        response = self._call(Request("kv_get", {}, [key]))
-        if not response.result.get("found"):
-            return None
-        return retain(response.attachments[0])
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._call(Request("kv_put", {}, [key, value]))
-
-    def delete(self, key: bytes) -> bool:
-        return bool(self._call(Request("kv_delete", {}, [key])).result.get("existed"))
 
     # -- batch primitives: one wire round trip per batch ---------------------------
 

@@ -165,8 +165,8 @@ class TestAccessTokenSerialization:
 class TestTokenStore:
     def test_grant_lifecycle(self):
         store = TokenStore()
-        assert store.put_grant("s", "p", b"sealed-1") == 0
-        assert store.put_grant("s", "p", b"sealed-2") == 1
+        assert store.put_grants([("s", "p", b"sealed-1")]) == [0]
+        assert store.put_grants([("s", "p", b"sealed-2")]) == [1]
         assert store.grants_for("s", "p") == [b"sealed-1", b"sealed-2"]
         assert store.latest_grant("s", "p") == b"sealed-2"
         assert store.principals_with_grants("s") == ["p"]

@@ -35,7 +35,7 @@ from repro import ServerEngine
 from repro.access.keystore import TokenStore
 from repro.exceptions import ProtocolError
 from repro.net.client import RemoteServerClient, ShardedServerClient, _WireTokenStore
-from repro.net.messages import Request, Response, ShardRoutingTable
+from repro.net.messages import OP_TABLE, Request, Response, ShardRoutingTable
 from repro.net.server import TimeCryptTCPServer, WireDispatcher
 from repro.server.engine import _metadata_from_json, _metadata_to_json
 from repro.server.query_executor import MultiStreamAggregate, StatQueryResult
@@ -184,18 +184,17 @@ def replay():
 
 
 def test_the_fixture_covers_every_engine_op():
-    called = {(case["shape"], case["call"].split(".")[-1]) for case in GOLDEN["cases"]}
-    engine_ops = {
-        "create_stream", "delete_stream", "insert_chunk", "insert_chunks", "get_range",
-        "delete_range", "stat_range", "stat_range_multi", "stat_series", "rollup_stream",
-        "stream_head", "stream_metadata", "put_grant", "put_grants", "fetch_grants",
-        "fetch_envelopes", "put_envelopes",
-    }  # fmt: skip
+    sent = {
+        (case["shape"], Request.decode(bytes.fromhex(request)).operation)
+        for case in GOLDEN["cases"]
+        for request, _response in case["exchanges"]
+    }
+    engine_ops = {name for name, op in OP_TABLE.items() if op.scope == "engine"}
     for shape in ("remote", "sharded"):
-        assert engine_ops <= {call for case_shape, call in called if case_shape == shape}
-    assert {call for shape, call in called if shape == "pipeline"} >= {
+        assert {op for case_shape, op in sent if case_shape == shape} == engine_ops
+    assert {op for shape, op in sent if shape == "pipeline"} >= {
         "stream_head", "stream_metadata", "insert_chunks", "get_range", "stat_range",
-        "put_grant", "fetch_grants", "fetch_envelopes",
+        "put_grants", "fetch_grants", "fetch_envelopes",
     }  # fmt: skip
 
 
@@ -280,7 +279,7 @@ def deployment():
         for label in ("A", "B"):
             remote.create_stream(_arg({"metadata": STREAMS[label]}))
         remote.insert_chunks(_arg({"chunks": [STREAMS["A"], 0, 4]}))
-        remote.put_grant(STREAMS["A"], "bob", b"sealed-for-bob")
+        remote.put_grants([(STREAMS["A"], "bob", b"sealed-for-bob")])
         remote.token_store.put_envelopes(STREAMS["A"], 2, {0: b"env-0", 2: b"env-2", 4: b"env-4"})
         yield list(shards.values()), {"remote": remote, "sharded": sharded}
     finally:

@@ -32,9 +32,9 @@ class TestFraming:
 
 class TestMessages:
     def test_request_roundtrip_with_attachments(self):
-        request = Request("insert_chunk", {"uuid": "s"}, [b"blob-1", b"blob-2"])
+        request = Request("insert_chunks", {"uuid": "s"}, [b"blob-1", b"blob-2"])
         decoded = Request.decode(request.encode())
-        assert decoded.operation == "insert_chunk"
+        assert decoded.operation == "insert_chunks"
         assert decoded.args == {"uuid": "s"}
         assert decoded.attachments == [b"blob-1", b"blob-2"]
 

@@ -616,6 +616,7 @@ class TestClusterThreadPoolFanOut:
 
 class TestTokenStoreBatching:
     def test_put_grants_matches_scalar_ids_and_order(self):
+        """One burst hands out the ids and order of one-grant bursts."""
         scalar = TokenStore()
         batch = TokenStore(MemoryStore())
         grants = [
@@ -624,7 +625,7 @@ class TestTokenStoreBatching:
             ("stream-a", "alice", b"token-a1"),
             ("stream-b", "alice", b"token-ba"),
         ]
-        scalar_ids = [scalar.put_grant(*grant) for grant in grants]
+        scalar_ids = [scalar.put_grants([grant])[0] for grant in grants]
         batch_ids = batch.put_grants(grants)
         assert batch_ids == scalar_ids == [0, 0, 1, 0]
         for stream, principal in {(g[0], g[1]) for g in grants}:
@@ -634,8 +635,7 @@ class TestTokenStoreBatching:
         backing = MemoryStore()
         store = TokenStore(backing)
         store.put_grants([("s", f"principal-{index}", b"tok") for index in range(32)])
-        assert backing.stats.multi_puts == 1
-        assert backing.stats.puts == 0
+        assert backing.stats.multi_puts == backing.stats.write_round_trips == 1
         assert backing.stats.multi_put_keys == 32
 
     def test_principal_ids_with_slash_stay_apart(self):
@@ -670,7 +670,7 @@ class TestTokenStoreBatching:
 
     def test_put_grants_appends_after_existing(self):
         store = TokenStore()
-        store.put_grant("s", "alice", b"first")
+        store.put_grants([("s", "alice", b"first")])
         ids = store.put_grants([("s", "alice", b"second"), ("s", "alice", b"third")])
         assert ids == [1, 2]
         assert store.grants_for("s", "alice") == [b"first", b"second", b"third"]
@@ -679,8 +679,7 @@ class TestTokenStoreBatching:
         backing = MemoryStore()
         store = TokenStore(backing)
         store.put_envelopes("s", 4, {window: b"env" for window in range(0, 64, 4)})
-        assert backing.stats.multi_puts == 1
-        assert backing.stats.puts == 0
+        assert backing.stats.multi_puts == backing.stats.write_round_trips == 1
         assert store.envelopes_for_range("s", 4, 0, 63) == {
             window: b"env" for window in range(0, 64, 4)
         }
@@ -691,7 +690,7 @@ class TestTokenStoreBatching:
         store.put_grants([("s", f"p{index}", b"tok") for index in range(10)])
         assert store.delete_grants("s") == 10
         assert backing.stats.multi_deletes == 1
-        assert backing.stats.deletes == 0
+        assert backing.stats.write_round_trips == 2  # the burst's multi_put, then this
         assert store.principals_with_grants("s") == []
 
     def test_empty_burst_is_free(self):

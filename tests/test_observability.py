@@ -40,7 +40,7 @@ from repro.net.server import (
 )
 from repro.obs import SPANS
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracing import SpanCollector, current_context, set_context
+from repro.obs.tracing import SLOW_REQUEST_MS, SpanCollector, current_context, set_context
 from repro.storage.cluster import StorageCluster
 from repro.util.timeutil import TimeRange
 
@@ -114,9 +114,9 @@ def test_registry_default_snapshot_uses_dataclass_fields():
 
     registry = MetricsRegistry()
     stats = StoreStats()
-    stats.gets = 5
+    stats.multi_gets = 5
     key = registry.register("ds", stats)
-    assert registry.snapshot()[key]["gets"] == 5
+    assert registry.snapshot()[key]["multi_gets"] == 5
 
 
 def test_counter_gauge_histogram():
@@ -158,10 +158,10 @@ def test_span_collector_bounds_and_filters():
 
 
 def test_span_collector_slow_request_log(caplog):
-    collector = SpanCollector(capacity=8, slow_ms=50.0)
+    collector = SpanCollector(capacity=8)
     with caplog.at_level(logging.WARNING, logger="repro.obs.tracing"):
-        collector.record({"trace_id": "t", "span_id": "a", "op": "fast", "total_ms": 1.0})
-        collector.record({"trace_id": "t", "span_id": "b", "op": "slow", "total_ms": 80.0})
+        collector.record({"trace_id": "t", "span_id": "a", "op": "fast", "total_ms": SLOW_REQUEST_MS - 0.1})
+        collector.record({"trace_id": "t", "span_id": "b", "op": "slow", "total_ms": SLOW_REQUEST_MS})
     messages = [record.getMessage() for record in caplog.records]
     assert any("slow request" in message and "op=slow" in message for message in messages)
     assert not any("op=fast" in message for message in messages)

@@ -4,34 +4,40 @@
 scope and routing key; the dispatchers implement ops as ``_op_<name>``
 methods.  These checks keep the two in step: every row is handled on the
 tier its scope names, every handler names a row, and each tier's ``hello``
-advertises exactly the list it advertised before the table existed.
+advertises exactly the list it advertised before the table existed, less
+the five one-item twins (``insert_chunk``, ``put_grant``, ``kv_get``,
+``kv_put``, ``kv_delete``) that the batch ops replaced.
 """
 
 from __future__ import annotations
+
+import socket
 
 import pytest
 
 from repro import ServerEngine
 from repro.exceptions import ProtocolError
 from repro.net.client import SPLITS
+from repro.net.framing import PROTOCOL_VERSION, FrameReader, encode_frame_segments_v2, write_vectored
 from repro.net.messages import (
     BULK_OPERATIONS,
     KV_OPERATIONS,
     OP_TABLE,
     OPERATIONS,
     Request,
+    Response,
     classify_operation,
+    encode_message_segments,
     is_local,
 )
-from repro.net.server import RequestDispatcher, WireDispatcher
+from repro.net.server import RequestDispatcher, TimeCryptTCPServer, WireDispatcher
 from repro.server.router import RouterDispatcher, RoutingTableRef, ShardedEngineDispatcher
 from repro.storage.memory import MemoryStore
-from repro.storage.node import StorageNodeDispatcher
+from repro.storage.node import StorageNodeDispatcher, StorageNodeServer
 
 _ENGINE_OPS = [
     "create_stream",
     "delete_stream",
-    "insert_chunk",
     "insert_chunks",
     "get_range",
     "delete_range",
@@ -41,14 +47,14 @@ _ENGINE_OPS = [
     "rollup_stream",
     "stream_head",
     "stream_metadata",
-    "put_grant",
     "put_grants",
     "fetch_grants",
     "fetch_envelopes",
     "put_envelopes",
 ]
 
-#: Each tier's ``hello`` operation list, as advertised before the op table.
+#: Each tier's ``hello`` operation list, as advertised before the op table
+#: less the retired one-item twins.
 HELLO_OPERATIONS = {
     "engine": ["hello", *_ENGINE_OPS, "ping", "stats", "trace_dump"],
     "shard": ["hello", *_ENGINE_OPS, "routing_table", "ping", "stats", "trace_dump"],
@@ -58,9 +64,6 @@ HELLO_OPERATIONS = {
         "ping",
         "stats",
         "trace_dump",
-        "kv_get",
-        "kv_put",
-        "kv_delete",
         "kv_multi_get",
         "kv_multi_put",
         "kv_multi_delete",
@@ -72,7 +75,6 @@ HELLO_OPERATIONS = {
 
 #: The scheduler's bulk class, as declared before the op table.
 _BULK = {
-    "insert_chunk",
     "insert_chunks",
     "delete_stream",
     "delete_range",
@@ -199,8 +201,41 @@ def test_unknown_and_non_string_operations_are_typed_errors():
 
 def test_router_refuses_kv_ops_and_answers_local_ones(tiers):
     router = tiers["router"]
-    refused = router.dispatch(Request("kv_get", {}, [b"key"]))
+    refused = router.dispatch(Request("kv_multi_get", {}, [b"key"]))
     assert not refused.ok and refused.error_type == "ProtocolError"
-    assert "unsupported operation 'kv_get'" in refused.error
+    assert "unsupported operation 'kv_multi_get'" in refused.error
     assert router.dispatch(Request("ping")).result == {"pong": True}
     assert "routing" in router.dispatch(Request("routing_table")).result
+
+
+_RETIRED_OPS = [
+    ("engine", "insert_chunk", [b"chunk-blob"]),
+    ("engine", "put_grant", [b"sealed-token"]),
+    ("storage", "kv_get", [b"key"]),
+    ("storage", "kv_put", [b"key", b"value"]),
+    ("storage", "kv_delete", [b"key"]),
+]
+
+
+@pytest.mark.parametrize(
+    "tier, operation, attachments", _RETIRED_OPS, ids=[f"{tier}-{op}" for tier, op, _ in _RETIRED_OPS]
+)
+def test_a_retired_one_item_op_is_a_typed_error_over_a_real_socket(tier, operation, attachments):
+    """The batch op is the only form: a frame naming a retired twin gets a
+    typed ``ProtocolError``, and the connection serves on."""
+    server = TimeCryptTCPServer(ServerEngine()) if tier == "engine" else StorageNodeServer(MemoryStore())
+    with server, socket.create_connection(server.address, timeout=10) as sock:
+        reader = FrameReader(sock)
+
+        def exchange(correlation_id: int, segments: list) -> Response:
+            write_vectored(sock, encode_frame_segments_v2(correlation_id, segments))
+            frame = reader.read()
+            assert frame is not None and frame.correlation_id == correlation_id
+            return Response.decode(frame.payload)
+
+        assert exchange(1, Request("hello", {"protocol": PROTOCOL_VERSION}).encode_segments()).ok
+        # Request() refuses the name, so the frame is built from the raw header.
+        refusal = exchange(2, encode_message_segments({"op": operation, "args": {}}, attachments))
+        assert not refusal.ok and refusal.error_type == "ProtocolError"
+        assert f"unknown operation '{operation}'" in refusal.error
+        assert exchange(3, Request("ping").encode_segments()).result == {"pong": True}

@@ -174,14 +174,14 @@ class TestClusterPlacement:
         owner.insert_records(uuid, _records(0, 1) + _records(head, 8))
         _reset(cluster)
         owner.insert_records(uuid, _records(head + 8, 8))
-        written = _touched(cluster, "puts", "multi_puts")
+        written = _touched(cluster, "multi_puts")
         assert sorted(written) == sorted(cluster.healthy_replicas(chunk_storage_key(uuid, head + 9)))
         assert len(written) == cluster.replication_factor
         owner.flush(uuid)
         cold = ServerEngine(store=cluster)  # its start-up scan reads every node
         _reset(cluster)
         cold.stat_range_windows(uuid, *cover)
-        read = _touched(cluster, "gets", "multi_gets")
+        read = _touched(cluster, "multi_gets")
         assert read == [cluster.healthy_replicas(metadata_storage_key(uuid))[0]]
         cluster.close()
 

@@ -151,11 +151,11 @@ class TestKVWireOps:
         host, port = node.address
         with RemoteServerClient(host, port, timeout=5.0) as client:
             with pytest.raises(ProtocolError):
-                client._call(Request("kv_put", {}, [b"key-without-value"]))
+                client._call(Request("kv_multi_put", {}, [b"key-without-value"]))
             with pytest.raises(ProtocolError):
                 client._call(Request("kv_scan_prefix", {"limit": 0}, [b"", b""]))
             with pytest.raises(ProtocolError):
-                client._call(Request("kv_get", {}, []))
+                client._call(Request("kv_multi_put", {}, [b"k0", b"v0", b"k1-without-value"]))
 
     def test_keys_only_scan_skips_value_traffic(self, node, monkeypatch):
         monkeypatch.setattr(remote_module, "SCAN_PAGE_SIZE", 4)
@@ -444,11 +444,11 @@ class TestRemoteStoreFailures:
         entered = threading.Event()
 
         class _BlockingStore(MemoryStore):
-            def get(self, key):
+            def multi_get(self, keys):
                 entered.set()
                 before_blocking()  # the handler contract: announce a wait
                 release.wait(timeout=10)
-                return super().get(key)
+                return super().multi_get(keys)
 
         store = _BlockingStore()
         with StorageNodeServer(store, max_workers=4) as server:
@@ -457,7 +457,7 @@ class TestRemoteStoreFailures:
             blocker = threading.Thread(target=lambda: slow.get(b"slow"))
             blocker.start()
             try:
-                assert entered.wait(timeout=5)  # kv_get now holds the store lock
+                assert entered.wait(timeout=5)  # kv_multi_get now holds the store lock
                 # A fresh client must still negotiate (hello) and ping.
                 probe = RemoteKeyValueStore(host, port, timeout=2.0)
                 assert probe.ping()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import tempfile
 from contextlib import ExitStack
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.storage
 import repro.storage.remote as remote_module
 from repro.access.keystore import TokenStore
 from repro.exceptions import PartitionError
@@ -63,7 +67,11 @@ class TestMemoryStore:
         store.put(b"k", b"v")
         store.get(b"k")
         store.delete(b"k")
-        assert store.stats.puts == 1 and store.stats.gets == 1 and store.stats.deletes == 1
+        # Each one-key call is a batch of one: one round trip, one key.
+        stats = store.stats
+        assert (stats.multi_puts, stats.multi_gets, stats.multi_deletes) == (1, 1, 1)
+        assert (stats.multi_put_keys, stats.multi_get_keys, stats.multi_delete_keys) == (1, 1, 1)
+        assert stats.round_trips == 3
 
     @given(st.dictionaries(st.binary(min_size=1, max_size=16), st.binary(max_size=64), max_size=40))
     @settings(max_examples=30, deadline=None)
@@ -303,14 +311,14 @@ class _VisitCountingStore(KeyValueStore):
         self._inner = MemoryStore()
         self.visits = 0
 
-    def get(self, key):
-        return self._inner.get(key)
+    def multi_get(self, keys):
+        return self._inner.multi_get(keys)
 
-    def put(self, key, value):
-        self._inner.put(key, value)
+    def multi_put(self, items):
+        self._inner.multi_put(items)
 
-    def delete(self, key):
-        return self._inner.delete(key)
+    def multi_delete(self, keys):
+        return self._inner.multi_delete(keys)
 
     def scan_prefix(
         self, prefix: bytes, lo: bytes = b"", hi: Optional[bytes] = None
@@ -333,6 +341,24 @@ def test_interval_scan_walks_only_its_interval_on_the_node():
         # envelope keys below the interval.
         assert store.visits <= 4
         remote.close()
+
+
+def test_no_bundled_backend_overrides_the_one_key_ops():
+    """``get`` / ``put`` / ``delete`` are one-key batches written once on
+    :class:`KeyValueStore`; a backend implements only the batch ops."""
+    backends = set()
+    for module_info in pkgutil.iter_modules(repro.storage.__path__):
+        module = importlib.import_module(f"repro.storage.{module_info.name}")
+        backends.update(
+            cls
+            for cls in vars(module).values()
+            if inspect.isclass(cls) and issubclass(cls, KeyValueStore) and cls.__module__ == module.__name__
+        )
+    assert {cls.__name__ for cls in backends} >= {
+        "KeyValueStore", "MemoryStore", "AppendLogStore", "RemoteKeyValueStore", "StorageCluster",
+    }  # fmt: skip
+    for cls in backends - {KeyValueStore}:
+        assert not {"get", "put", "delete"} & set(vars(cls)), cls.__name__
 
 
 class TestConsistentHashRing:

@@ -8,7 +8,7 @@ Covers the three layers of the batch boundary:
 * index — ``append_many`` flushing one coalesced ``multi_put`` per batch and
   range queries fetching the node cover with one ``multi_get``;
 * server — ``insert_chunks`` landing payloads + index nodes in a single
-  write set, with stored bytes identical to the scalar per-chunk path.
+  write set, with stored bytes identical to the one-chunk path.
 """
 
 from __future__ import annotations
@@ -25,19 +25,19 @@ from repro.util.timeutil import TimeRange
 
 
 class MinimalStore(KeyValueStore):
-    """A backend implementing only the scalar ops (no batch overrides)."""
+    """A backend implementing only the contract's abstract ops."""
 
     def __init__(self):
         self.data = {}
 
-    def get(self, key):
-        return self.data.get(key)
+    def multi_get(self, keys):
+        return {key: self.data.get(key) for key in keys}
 
-    def put(self, key, value):
-        self.data[key] = value
+    def multi_put(self, items):
+        self.data.update(items)
 
-    def delete(self, key):
-        return self.data.pop(key, None) is not None
+    def multi_delete(self, keys):
+        return {key for key in keys if self.data.pop(key, None) is not None}
 
     def scan_prefix(self, prefix, lo=b"", hi=None):
         return iter(
@@ -85,9 +85,8 @@ class TestMemoryStoreBatch:
         assert store.stats.multi_puts == 1 and store.stats.multi_put_keys == 3
         assert store.stats.multi_gets == 1 and store.stats.multi_get_keys == 3
         assert store.stats.multi_deletes == 1 and store.stats.multi_delete_keys == 2
-        # 3 round trips total for 8 keys moved; scalar counters untouched.
+        # 3 round trips total for 8 keys moved.
         assert store.stats.round_trips == 3
-        assert store.stats.puts == store.stats.gets == store.stats.deletes == 0
 
     def test_multi_delete_returns_existing_subset(self):
         store = MemoryStore()
@@ -100,8 +99,7 @@ class TestAppendLogStoreBatch:
     def test_multi_put_is_one_append(self, tmp_path):
         with AppendLogStore(tmp_path / "s.log") as store:
             store.multi_put([(f"k{i}".encode(), f"v{i}".encode()) for i in range(50)])
-            assert store.stats.multi_puts == 1
-            assert store.stats.puts == 0
+            assert store.stats.multi_puts == store.stats.round_trips == 1
             for i in range(50):
                 assert store.get(f"k{i}".encode()) == f"v{i}".encode()
 
@@ -117,7 +115,7 @@ class TestAppendLogStoreBatch:
             store.multi_put([(b"a", b"1"), (b"b", b"2"), (b"c", b"3")])
             result = store.multi_get([b"c", b"missing", b"a"])
             assert result == {b"c": b"3", b"missing": None, b"a": b"1"}
-            assert store.stats.multi_gets == 1 and store.stats.gets == 0
+            assert store.stats.multi_gets == store.stats.read_round_trips == 1
 
     def test_multi_get_returns_latest_version(self, tmp_path):
         with AppendLogStore(tmp_path / "s.log") as store:
@@ -130,7 +128,7 @@ class TestAppendLogStoreBatch:
         with AppendLogStore(path) as store:
             store.multi_put([(b"a", b"1"), (b"b", b"2"), (b"c", b"3")])
             assert store.multi_delete([b"a", b"c", b"nope"]) == {b"a", b"c"}
-            assert store.stats.multi_deletes == 1 and store.stats.deletes == 0
+            assert store.stats.multi_deletes == 1 and store.stats.write_round_trips == 2
         with AppendLogStore(path) as reopened:
             assert len(reopened) == 1 and reopened.get(b"b") == b"2"
 
@@ -147,7 +145,7 @@ class TestClusterScatterGather:
         cluster.multi_put(items)
         for name in cluster.node_names:
             stats = cluster.node_store(name).stats
-            assert stats.multi_puts <= 1 and stats.puts == 0
+            assert stats.multi_puts == stats.round_trips == 1
         # Every key readable, and replicated RF times.
         assert cluster.multi_get([key for key, _ in items]) == dict(items)
         total_copies = sum(len(cluster.node_store(name)) for name in cluster.node_names)
@@ -166,7 +164,7 @@ class TestClusterScatterGather:
             stats = cluster.node_store(name).stats
             # One primary-read round trip, plus at most one fallback pass for
             # the absent key's replica checks.
-            assert stats.multi_gets <= 2 and stats.gets == 0
+            assert stats.multi_gets == stats.round_trips <= 2
 
     def test_multi_put_with_downed_node_routes_to_survivors(self):
         cluster = StorageCluster(num_nodes=3, replication_factor=2)
@@ -276,10 +274,13 @@ class TestClusterScatterGather:
         cluster = StorageCluster(num_nodes=3, replication_factor=2)
         items = [(f"k{i}".encode(), f"v{i}".encode()) for i in range(30)]
         cluster.multi_put(items)
+        for name in cluster.node_names:
+            cluster.node_store(name).stats.reset()
         existed = cluster.multi_delete([key for key, _ in items[:10]] + [b"ghost"])
         assert existed == {key for key, _ in items[:10]}
         for name in cluster.node_names:
-            assert cluster.node_store(name).stats.deletes == 0
+            stats = cluster.node_store(name).stats
+            assert stats.multi_deletes == stats.round_trips == 1
         assert cluster.multi_get([key for key, _ in items[:10]]) == {
             key: None for key, _ in items[:10]
         }
@@ -323,8 +324,7 @@ class TestEngineBatchRoundTrips:
         store.stats.reset()
         server.insert_chunks(chunks)
         # Payloads + index nodes + meta record: one coalesced write set.
-        assert store.stats.multi_puts == 1
-        assert store.stats.puts == 0
+        assert store.stats.multi_puts == store.stats.write_round_trips == 1
         # The write set carried every chunk payload and at least one node per chunk.
         assert store.stats.multi_put_keys > len(chunks)
 
@@ -337,8 +337,7 @@ class TestEngineBatchRoundTrips:
         for chunk in chunks:
             server.insert_chunk(chunk)
         # Payload + spine nodes + meta record share one write round per chunk.
-        assert store.stats.multi_puts == len(chunks)
-        assert store.stats.puts == 0
+        assert store.stats.multi_puts == store.stats.write_round_trips == len(chunks)
 
     def test_cold_first_insert_reads_the_spine_in_one_multi_get(self):
         metadata, chunks = _encrypted_chunks(12)
@@ -355,7 +354,7 @@ class TestEngineBatchRoundTrips:
         # one get per level.
         assert store.stats.multi_gets == 1
         assert store.stats.multi_puts == 1
-        assert store.stats.gets == 0
+        assert store.stats.round_trips == 2
 
     def test_small_cache_appends_read_storage_only_at_block_heads(self):
         metadata, chunks = _encrypted_chunks(40)
@@ -364,19 +363,18 @@ class TestEngineBatchRoundTrips:
         # A cache smaller than one node holds nothing: every lookup misses.
         server = ServerEngine(store=store, index_cache_bytes=16)
         server.create_stream(metadata)
-        multi_gets = gets = 0
+        multi_gets = reads = 0
         for chunk in chunks:
             if chunk.window_index:
                 server.stat_range_windows(uuid, 0, chunk.window_index)
             store.stats.reset()
             server.insert_chunk(chunk)
             multi_gets += store.stats.multi_gets
-            gets += store.stats.gets
+            reads += store.stats.read_round_trips
         # The resident spine answers every level that continues a block; only
         # an append opening a level-1 block at the head reads storage.
         opens_block = sum(1 for chunk in chunks if chunk.window_index % 4 == 0)
-        assert multi_gets == opens_block
-        assert gets == 0
+        assert multi_gets == reads == opens_block
         roomy_store = MemoryStore()
         roomy = ServerEngine(store=roomy_store)
         roomy.create_stream(metadata)
@@ -388,12 +386,17 @@ class TestEngineBatchRoundTrips:
         metadata, chunks = _encrypted_chunks(2)
 
         class RefusingStore(MemoryStore):
+            refusing = False
+
             def multi_put(self, items):
-                raise IOError("injected write failure")
+                if self.refusing:
+                    raise IOError("injected write failure")
+                super().multi_put(items)
 
         store = RefusingStore()
         server = ServerEngine(store=store)
         server.create_stream(metadata)
+        store.refusing = True
         with pytest.raises(IOError):
             server.insert_chunk(chunks[0])
         assert server.stream_head(metadata.uuid) == 0
@@ -427,13 +430,12 @@ class TestEngineBatchRoundTrips:
         store.stats.reset()
         result = cold.stat_range_windows(metadata.uuid, 1, len(chunks))
         assert result.num_index_nodes > 1
-        assert store.stats.multi_gets == 1
-        assert store.stats.gets == 0
+        assert store.stats.multi_gets == store.stats.round_trips == 1
         assert cold.query_stats.index_store_round_trips == 1
         # Warm cache: the same query needs zero backend round trips.
         store.stats.reset()
         cold.stat_range_windows(metadata.uuid, 1, len(chunks))
-        assert store.stats.multi_gets == 0 and store.stats.gets == 0
+        assert store.stats.round_trips == 0
         assert cold.query_stats.index_store_round_trips == 1  # unchanged
 
     def test_cluster_query_one_multi_get_per_node(self):
@@ -459,7 +461,7 @@ class TestEngineBatchRoundTrips:
         store.stats.reset()
         fetched = server.get_range(metadata.uuid, TimeRange(0, 10 * CHUNK_INTERVAL))
         assert len(fetched) == 10
-        assert store.stats.multi_gets == 1 and store.stats.gets == 0
+        assert store.stats.multi_gets == store.stats.round_trips == 1
         assert fetched == chunks
 
     def test_delete_range_batches_deletes(self):
@@ -471,7 +473,7 @@ class TestEngineBatchRoundTrips:
         store.stats.reset()
         deleted = server.delete_range(metadata.uuid, TimeRange(0, 5 * CHUNK_INTERVAL))
         assert deleted == 5
-        assert store.stats.multi_deletes == 1 and store.stats.deletes == 0
+        assert store.stats.multi_deletes == store.stats.round_trips == 1
 
     def test_rollup_prune_batches_deletes(self):
         metadata, chunks = _encrypted_chunks(16)
@@ -482,8 +484,9 @@ class TestEngineBatchRoundTrips:
         store.stats.reset()
         deleted = server.rollup_stream(metadata.uuid, resolution_windows=4)
         assert deleted > 0
-        # One multi_delete for payloads, one for the pruned index levels.
-        assert store.stats.multi_deletes == 2 and store.stats.deletes == 0
+        # One multi_delete for payloads, one for the pruned index levels,
+        # and a one-key put of the index meta record.
+        assert store.stats.multi_deletes == 2 and store.stats.round_trips == 3
         # Coarse aggregates survive the rollup.
         result = server.stat_range_windows(metadata.uuid, 0, 16)
         assert result.num_index_nodes >= 1
@@ -494,7 +497,8 @@ class TestEngineBatchRoundTrips:
             server = ServerEngine(store=store)
             server.create_stream(metadata)
             server.insert_chunks(chunks)
-            assert store.stats.multi_puts >= 1 and store.stats.puts <= 1
+            # The metadata record, then the whole batch.
+            assert store.stats.multi_puts == store.stats.write_round_trips == 2
             result = server.stat_range_windows(metadata.uuid, 0, len(chunks))
             assert result.num_index_nodes >= 1
 
@@ -506,9 +510,10 @@ class TestEngineBatchRoundTrips:
         server.insert_chunks(chunks)
         store.stats.reset()
         server.delete_stream(metadata.uuid)
-        # Bulk erase is two prefix deletes (chunks, index) plus the scalar
-        # metadata delete — constant round trips, never one per key.
-        assert store.stats.multi_deletes == 2 and store.stats.deletes == 1
+        # Bulk erase is two prefix deletes (chunks, index: a keys-only scan
+        # and a multi_delete each) plus the one-key metadata delete —
+        # constant round trips, never one per key.
+        assert store.stats.multi_deletes == 3 and store.stats.round_trips == 5
         assert len(store) == 0
 
 
@@ -617,13 +622,16 @@ class TestBatchFailureAtomicity:
 
 
 class TestScalarInterfaceUnchanged(object):
-    """The KeyValueStore default loops still serve backends without batching."""
+    """A backend implementing only the abstract ops serves the whole interface."""
 
-    def test_default_multi_ops_fall_back_to_scalar(self):
+    def test_one_key_ops_are_batches_of_one(self):
         store = MinimalStore()
-        store.multi_put([(b"a", b"1"), (b"b", b"2")])
-        assert store.multi_get([b"a", b"b", b"c"]) == {b"a": b"1", b"b": b"2", b"c": None}
-        assert store.multi_delete([b"a", b"c"]) == {b"a"}
+        store.put(b"a", b"1")
+        store.multi_put([(b"b", b"2")])
+        assert store.get(b"a") == b"1" and store.get(b"c") is None
+        assert store.contains(b"b") and not store.contains(b"c")
+        assert store.delete(b"a") is True and store.delete(b"a") is False
+        assert store.data == {b"b": b"2"}
 
     def test_engine_works_over_minimal_backend(self):
         metadata, chunks = _encrypted_chunks(4)

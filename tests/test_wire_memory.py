@@ -178,7 +178,7 @@ class TestViewAssembler:
         assert frame.payload.readonly
 
     def test_view_attachments_decode_and_retain(self):
-        request = Request("kv_put", {}, [b"key-1", b"value-1"])
+        request = Request("kv_multi_put", {}, [b"key-1", b"value-1"])
         wire = _frame(2, request.encode())
         (frame,) = FrameAssembler().feed(wire)
         decoded = Request.decode(frame.payload)
